@@ -8,7 +8,7 @@ BENCHOUT ?= BENCH_pr9.json
 BASELINE ?= BENCH_pr9.json
 REGRESS_PCT ?= 10
 
-.PHONY: all build test tier1 check race race-obs race-durable race-memo race-health race-service health-smoke service-smoke bench bench-all bench-sched bench-regression vet clean
+.PHONY: all build test bench-module tier1 check race health-smoke service-smoke bench bench-all bench-sched bench-regression vet clean
 
 all: tier1
 
@@ -18,54 +18,28 @@ build:
 test:
 	$(GO) test ./...
 
+# bench/ is a module of its own, so `./...` at the root does not reach
+# it: a change to an internal/ API can break the reference benchmark —
+# the only performance gate — without build or test noticing.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
+
 # tier1 is the gate every change must keep green.
-tier1: build test
+tier1: build test bench-module
 
 vet:
 	$(GO) vet ./...
 
 # Pre-build the race-instrumented packages so compilation of later
 # packages does not overlap running test binaries — the wall-clock
-# shape tests are timing-sensitive on small machines.
+# shape tests are timing-sensitive on small machines. One gate for
+# every plane: span pooling and the monitor's atomics, the journal's
+# group committer, the memo cache's appender, the straggler watchdog
+# and speculation race, and wfmd's shared TaskGate all ride the one
+# execution core in internal/wfm, so a per-plane target only re-ran it.
 race:
 	$(GO) build -race ./...
 	$(GO) test -race ./...
-
-# race-obs is the focused race gate for the observability plane: span
-# pooling, the monitor's atomics, and the manager hot path they ride on
-# are the concurrency-dense code most likely to regress under -race.
-race-obs:
-	$(GO) test -race ./internal/obs/... ./internal/wfm/...
-
-# race-durable is the focused race gate for durable execution: the
-# journal's group committer runs concurrently with appenders, rotation,
-# and Close/Abort, and the manager journals from every worker goroutine
-# — the lock split (staging vs file I/O) is exactly the kind of code
-# -race exists for.
-race-durable:
-	$(GO) test -race ./internal/journal/... ./internal/wfm/...
-
-# race-memo is the focused race gate for content-addressed memoization:
-# every worker goroutine records output manifests through the shared
-# memoState/Cache on task completion while the drain loop reads hit
-# state, and the cache's buffered appender is locked independently.
-race-memo:
-	$(GO) test -race ./internal/memo/... ./internal/wfm/...
-
-# race-health is the focused race gate for the run-health plane: the
-# straggler watchdog scans in-flight attempts while workers start and
-# finish them, speculation races two attempts over one task slot, and
-# the monitor/tracker expositions read concurrently with the hooks.
-race-health:
-	$(GO) test -race ./internal/health/... ./internal/metrics/... ./internal/wfm/...
-
-# race-service is the focused race gate for the multi-run control
-# plane: the fair-share dispatcher grants task slots from every run's
-# worker goroutines while runs start/finish/cancel, the run registry
-# is read by HTTP handlers concurrently with executors, and the shared
-# TaskGate is exactly the cross-manager state wfmd adds on top of wfm.
-race-service:
-	$(GO) test -race ./internal/wfmd/... ./internal/wfm/...
 
 # service-smoke boots the real wfmd binary, submits runs for two
 # tenants over HTTP, kills the daemon mid-run (SIGKILL), restarts it on

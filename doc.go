@@ -4,10 +4,10 @@
 // The module implements the paper's full framework and every substrate
 // its evaluation depends on:
 //
-//   - internal/recipes, internal/wfgen, internal/wfinstances: the
-//     WfCommons-equivalent generator pipeline (WfInstances -> WfChef ->
-//     WfGen) for the seven applications of the paper (Blast, BWA,
-//     Cycles, Epigenomics, Genomes, Seismology, Srasearch);
+//   - internal/recipes, internal/wfgen: the WfCommons-equivalent
+//     generator pipeline (WfChef -> WfGen) for the seven applications
+//     of the paper (Blast, BWA, Cycles, Epigenomics, Genomes,
+//     Seismology, Srasearch);
 //   - internal/translator: the paper's Knative translator plus
 //     LocalContainer, Pegasus, Nextflow, and CNCF Serverless Workflow
 //     DSL outputs;
@@ -18,10 +18,11 @@
 //     platform (ingress, pods, KPA-style autoscaler, cold starts,
 //     scale-to-zero) and the bare-metal local-container baseline;
 //   - internal/wfm: the serverless workflow manager — the paper's core
-//     contribution — executing DAGs over HTTP either phase by phase
-//     (the paper's barrier design) or dependency-driven via an
-//     incremental ready-set scheduler (dag.Scheduler) that eliminates
-//     phase barriers, inter-phase delays, and shared-drive polling;
+//     contribution — executing DAGs over HTTP on one event loop over
+//     an incremental ready-set scheduler (dag.Scheduler), releasing
+//     ready functions either phase by phase (the paper's barrier
+//     design, with its inter-phase delay) or the moment their parents
+//     complete;
 //   - internal/cluster, internal/metrics, internal/sharedfs: the
 //     two-node testbed model with RAPL-style power, PCP-style sampling,
 //     and the shared drive;

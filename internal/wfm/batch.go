@@ -98,10 +98,10 @@ type endpointBatch struct {
 }
 
 // batcher is the run-scoped batching dispatcher: one pending batch per
-// endpoint, fed by the task goroutines of either scheduling mode. The
-// goroutine that seals a batch flushes it; waiters block on buffered
-// per-task channels with their own task context, so a task timeout
-// abandons only that task's wait, never the batch.
+// endpoint, fed by the run's worker goroutines. The goroutine that
+// seals a batch flushes it; waiters block on buffered per-task channels
+// with their own task context, so a task timeout abandons only that
+// task's wait, never the batch.
 type batcher struct {
 	m *Manager
 	p *invocationPlan
@@ -122,7 +122,7 @@ type batcher struct {
 }
 
 // setHealth attaches the run's health plane; nil-safe on both sides so
-// the run loops can call it unconditionally.
+// runLoop can call it unconditionally.
 func (b *batcher) setHealth(hs *healthState) {
 	if b != nil {
 		b.health = hs
@@ -284,15 +284,11 @@ func (b *batcher) flush(eb *endpointBatch) {
 	defer hres.Body.Close()
 	if hres.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 1024))
-		retriable := hres.StatusCode >= 500 || hres.StatusCode == http.StatusTooManyRequests
-		var retryAfter time.Duration
-		if hres.StatusCode == http.StatusTooManyRequests || hres.StatusCode == http.StatusServiceUnavailable {
-			retryAfter = ParseRetryAfter(hres.Header.Get("Retry-After"))
-		}
-		text := strings.TrimSpace(string(msg))
+		hint := ParseRetryAfter(hres.Header.Get("Retry-After"))
 		for i, id := range eb.ids {
-			b.deliver(eb, i, batchOutcome{retriable: retriable, retryAfter: retryAfter,
-				err: fmt.Errorf("wfm: %s: HTTP %d: %s", b.taskName(id), hres.StatusCode, text)})
+			var out batchOutcome
+			out.retriable, out.retryAfter, out.err = statusFailure(b.taskName(id), hres.StatusCode, hint, msg)
+			b.deliver(eb, i, out)
 		}
 		return
 	}
@@ -337,13 +333,9 @@ func (b *batcher) flush(eb *endpointBatch) {
 func (b *batcher) decodeFrame(id int32, f wfbench.BatchResult) batchOutcome {
 	name := b.taskName(id)
 	if f.Status != http.StatusOK {
-		out := batchOutcome{
-			retriable: f.Status >= 500 || f.Status == http.StatusTooManyRequests,
-			err:       fmt.Errorf("wfm: %s: HTTP %d: %s", name, f.Status, strings.TrimSpace(string(f.Payload))),
-		}
-		if f.Status == http.StatusTooManyRequests || f.Status == http.StatusServiceUnavailable {
-			out.retryAfter = time.Duration(f.RetryAfterMillis) * time.Millisecond
-		}
+		var out batchOutcome
+		out.retriable, out.retryAfter, out.err = statusFailure(name, f.Status,
+			time.Duration(f.RetryAfterMillis)*time.Millisecond, f.Payload)
 		return out
 	}
 	var resp wfbench.Response

@@ -244,38 +244,36 @@ func TestBatcherByteBoundSplit(t *testing.T) {
 // the batch surface, and coalescing actually happens (fewer POSTs than
 // tasks).
 func TestBatchedRunEquivalence(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			bs := newBatchServer(t, drive)
-			m, err := New(Options{
-				Drive:       drive,
-				TimeScale:   0.002,
-				PhaseDelay:  1,
-				InputWait:   5,
-				MaxParallel: 64,
-				Scheduling:  mode,
-				Batching:    BatchOptions{Enabled: true, MaxTasks: 8, Linger: 0.5},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := m.Run(context.Background(), fanoutWorkflow(t, 32, bs.url()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Failed) != 0 {
-				t.Fatalf("failed tasks: %v", res.Failed)
-			}
-			batch, single, sizes := bs.counts()
-			if single != 0 {
-				t.Fatalf("%d invocations bypassed the batch surface", single)
-			}
-			if batch >= 34 {
-				t.Fatalf("%d batch POSTs for 34 tasks: no coalescing (sizes %v)", batch, sizes)
-			}
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		drive := sharedfs.NewMem()
+		bs := newBatchServer(t, drive)
+		m, err := New(Options{
+			Drive:       drive,
+			TimeScale:   0.002,
+			PhaseDelay:  1,
+			InputWait:   5,
+			MaxParallel: 64,
+			Scheduling:  mode,
+			Batching:    BatchOptions{Enabled: true, MaxTasks: 8, Linger: 0.5},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(context.Background(), fanoutWorkflow(t, 32, bs.url()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Failed) != 0 {
+			t.Fatalf("failed tasks: %v", res.Failed)
+		}
+		batch, single, sizes := bs.counts()
+		if single != 0 {
+			t.Fatalf("%d invocations bypassed the batch surface", single)
+		}
+		if batch >= 34 {
+			t.Fatalf("%d batch POSTs for 34 tasks: no coalescing (sizes %v)", batch, sizes)
+		}
+	})
 }
 
 // TestBatchingDisabledUsesSingleSurface pins the acceptance criterion

@@ -10,6 +10,7 @@ import (
 	"wfserverless/internal/dag"
 	"wfserverless/internal/obs"
 	"wfserverless/internal/sharedfs"
+	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
 )
 
@@ -27,16 +28,22 @@ type completion struct {
 	tr *TaskResult
 }
 
-// runDependency executes the workflow with dependency-driven scheduling:
-// a dag.Scheduler tracks readiness in O(edges) total over the compiled
+// runLoop is the execution core for both Scheduling values: a
+// dag.Scheduler tracks readiness in O(edges) total over the compiled
 // CSR — the whole event loop runs on interned int32 task IDs, with
 // strings only appearing in the TaskResults handed back to callers — a
 // fixed worker pool issues the HTTP invocations, and a completion
 // channel feeds finished tasks back into the single-threaded event
-// loop, which releases newly-ready children immediately. There are no
-// phase barriers and no inter-phase delays; per-task input waits use
-// the shared drive's change notification (sharedfs.Watcher) where
-// available.
+// loop. Options.Scheduling selects one thing only, the release rule:
+// ScheduleDependency hands newly-ready tasks to the pool at once;
+// SchedulePhases parks them until nothing is in flight, sleeps
+// PhaseDelay, and releases them together — the paper's phase loop
+// (Section III-C). On a fresh run those groups are exactly the CSR's
+// level slices (a task's level is 1 + its deepest parent's); after
+// seeding from a journal or the memo cache a group may span levels, but
+// no task is ever released before its parents completed. Per-task input
+// waits use the shared drive's change notification (sharedfs.Watcher)
+// where available.
 //
 // Failure semantics: descendants of a failed function are never invoked
 // (their inputs cannot appear) and are recorded as skipped failures.
@@ -44,27 +51,30 @@ type completion struct {
 // in flight or queued. On context cancellation the loop stops
 // dispatching, drains the workers, records partial TaskResults, and
 // returns ctx.Err() with no goroutines left behind.
-func (m *Manager) runDependency(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p *invocationPlan, st *runState) (*Result, error) {
+func (m *Manager) runLoop(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p *invocationPlan, st *runState) (*Result, error) {
 	sched := dag.NewSchedulerCSR(csr)
+	barrier := m.opts.Scheduling == SchedulePhases
 
 	res := &Result{
 		Workflow:   w.Name,
-		Scheduling: ScheduleDependency,
+		Scheduling: m.opts.Scheduling,
 		Tasks:      make(map[string]*TaskResult, p.len()+2),
 	}
 	start := time.Now()
 	rs := m.newResilience(start)
 	rs.health = st.health
+	// Breaker transitions belong in the Result on every exit path,
+	// including aborts and cancellations.
 	defer func() { res.Breakers = rs.take() }()
 	root, finishTrace := m.startRunTrace(w.Name, res)
 	defer finishTrace()
 	m.traceReplay(root, st)
 	m.traceMemo(root, st)
 	mon := m.opts.Monitor
-	mon.runStarted(w.Name, ScheduleDependency, p.len())
+	mon.runStarted(w.Name, m.opts.Scheduling, p.len())
 	if l := m.opts.Logger; l != nil {
 		l.Info("workflow run starting",
-			"workflow", w.Name, "tasks", p.len(), "scheduling", ScheduleDependency.String())
+			"workflow", w.Name, "tasks", p.len(), "scheduling", m.opts.Scheduling.String())
 	}
 	defer func() {
 		if l := m.opts.Logger; l != nil {
@@ -72,6 +82,13 @@ func (m *Manager) runDependency(ctx context.Context, w *wfformat.Workflow, csr *
 				"workflow", w.Name, "wall", res.Wall, "failed", len(res.Failed))
 		}
 	}()
+	// Registered after the log line above so it runs before it: a
+	// cancelled, failed or aborted run reports how long it ran too.
+	defer func() {
+		res.Wall = time.Since(start)
+		res.Makespan = res.Wall.Seconds() / m.opts.TimeScale
+	}()
+	// Header: stage external inputs so root functions find their data.
 	if err := m.stageHeader(p, res, start); err != nil {
 		return res, err
 	}
@@ -97,6 +114,11 @@ func (m *Manager) runDependency(ctx context.Context, w *wfformat.Workflow, csr *
 	rs.batch = m.newBatcher(runCtx, p)
 	rs.batch.setHealth(st.health)
 	defer rs.batch.close()
+	if b := rs.batch; b != nil {
+		rs.post = func(ctx context.Context, _ *invocationPlan, id int32, sc obs.SpanContext) (*wfbench.Response, bool, time.Duration, error) {
+			return b.invokeOnce(ctx, id, sc)
+		}
+	}
 
 	workers := m.opts.MaxParallel
 	if workers <= 0 || workers > n {
@@ -121,9 +143,11 @@ func (m *Manager) runDependency(ctx context.Context, w *wfformat.Workflow, csr *
 		}()
 	}
 
-	enqueue := func(ids []int32) {
+	inflight := 0
+	release := func(ids []int32) {
 		now := time.Since(start)
 		mon.taskReady(len(ids))
+		inflight += len(ids)
 		for _, id := range ids {
 			dispatch <- dispatchItem{id: id, ready: now}
 		}
@@ -147,13 +171,17 @@ func (m *Manager) runDependency(ctx context.Context, w *wfformat.Workflow, csr *
 	// scheduler-state error breaks out instead of returning so the
 	// worker pool is always drained below, never leaked. The ID slices
 	// the scheduler returns are scratch, valid until its next call —
-	// enqueue and the skip loop consume them before that.
+	// release, the skip loop and the copy into parked consume them
+	// before that.
 	var stateErr error
-	enqueue(sched.TakeReadyIDs())
+	var parked []int32 // barrier only: ready tasks held for the next group
+	release(sched.TakeReadyIDs())
 	for accounted := 0; accounted < n && stateErr == nil; {
 		c := <-completions
 		accounted++
+		inflight--
 		record(c.tr)
+		var newly []int32
 		if c.tr.Err != nil {
 			if !m.opts.ContinueOnError {
 				cancel()
@@ -180,14 +208,32 @@ func (m *Manager) runDependency(ctx context.Context, w *wfformat.Workflow, csr *
 					Err:      err,
 				})
 			}
+		} else {
+			var serr error
+			if newly, serr = sched.CompleteID(c.id); serr != nil {
+				stateErr = fmt.Errorf("wfm: scheduler state: %w", serr)
+				break
+			}
+		}
+		// The release rule, the one thing Scheduling selects.
+		if !barrier {
+			release(newly)
 			continue
 		}
-		newly, serr := sched.CompleteID(c.id)
-		if serr != nil {
-			stateErr = fmt.Errorf("wfm: scheduler state: %w", serr)
-			break
+		parked = append(parked, newly...)
+		if inflight == 0 && len(parked) > 0 {
+			// The paper's brief inter-phase delay; nothing follows the last
+			// group, so nothing is slept after it. A cancelled run skips
+			// the wait and lets the group fail fast on the workers.
+			t := time.NewTimer(m.scaled(m.opts.PhaseDelay))
+			select {
+			case <-runCtx.Done():
+				t.Stop()
+			case <-t.C:
+			}
+			release(parked)
+			parked = parked[:0]
 		}
-		enqueue(newly)
 	}
 	if stateErr != nil {
 		// Abort in-flight work before draining; queued items still run
@@ -196,13 +242,14 @@ func (m *Manager) runDependency(ctx context.Context, w *wfformat.Workflow, csr *
 	}
 	close(dispatch)
 	wg.Wait()
+	sort.Strings(res.Failed)
 	if stateErr != nil {
-		sort.Strings(res.Failed)
 		return res, stateErr
 	}
 
-	// Report the static phase structure for comparability with
-	// SchedulePhases output (analysis, Gantt, per-phase breakdowns).
+	// The static level structure, for analysis, Gantt and per-phase
+	// breakdowns; under SchedulePhases a fresh run's release groups are
+	// these levels.
 	phases := levelPhases(csr)
 	res.Phases = append(res.Phases, phases...)
 	tail := &TaskResult{
@@ -213,14 +260,10 @@ func (m *Manager) runDependency(ctx context.Context, w *wfformat.Workflow, csr *
 	res.Tasks[TailName] = tail
 	res.Phases = append(res.Phases, []string{TailName})
 
-	res.Wall = time.Since(start)
-	res.Makespan = res.Wall.Seconds() / m.opts.TimeScale
 	if err := ctx.Err(); err != nil {
-		sort.Strings(res.Failed)
 		return res, err
 	}
 	if len(res.Failed) > 0 {
-		sort.Strings(res.Failed)
 		return res, fmt.Errorf("wfm: %d function(s) failed: %v", len(res.Failed), res.Failed)
 	}
 	return res, nil
@@ -281,24 +324,4 @@ func (m *Manager) runTask(ctx context.Context, p *invocationPlan, csr *dag.CSR, 
 	tr.Response, tr.Attempts, tr.Err = m.invoke(ctx, p, item.id, rs, ts)
 	finish()
 	return tr
-}
-
-// RunEager executes the workflow with dependency-driven scheduling
-// regardless of Options.Scheduling.
-//
-// Deprecated: set Options.Scheduling to ScheduleDependency and call Run.
-// Kept for callers of the original prototype API.
-func (m *Manager) RunEager(ctx context.Context, w *wfformat.Workflow) (*Result, error) {
-	if err := m.validateRunnable(w); err != nil {
-		return nil, err
-	}
-	csr, tasks, err := w.Compile()
-	if err != nil {
-		return nil, err
-	}
-	p, err := newInvocationPlan(tasks)
-	if err != nil {
-		return nil, err
-	}
-	return m.runDependency(ctx, w, csr, p, &runState{afterDone: m.opts.AfterTaskDone})
 }

@@ -2,27 +2,20 @@ package wfm
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"wfserverless/internal/sharedfs"
+	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
 )
-
-// depManager builds a Manager in dependency mode.
-func depManager(t *testing.T, drive sharedfs.Drive, mutate func(*Options)) *Manager {
-	t.Helper()
-	return fastManager(t, drive, func(o *Options) {
-		o.Scheduling = ScheduleDependency
-		if mutate != nil {
-			mutate(o)
-		}
-	})
-}
 
 func TestParseScheduling(t *testing.T) {
 	for in, want := range map[string]Scheduling{
@@ -45,60 +38,34 @@ func TestParseScheduling(t *testing.T) {
 	}
 }
 
-// TestDependencyViaRunOption is the acceptance property test: dependency
-// mode through the public Run API produces the identical task set and
-// respects every DAG edge, verified from recorded start/end offsets.
+// TestDependencyViaRunOption is the acceptance property test: through
+// the public Run API either rule produces the identical task set and
+// respects every DAG edge, verified from recorded release/end offsets.
 func TestDependencyViaRunOption(t *testing.T) {
 	for _, recipe := range []string{"blast", "epigenomics", "cycles"} {
 		t.Run(recipe, func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			srv, _, _ := stubService(t, drive, time.Millisecond)
-			m := depManager(t, drive, nil)
-			w := translated(t, recipe, 25, srv.URL)
-			res, err := m.Run(context.Background(), w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Scheduling != ScheduleDependency {
-				t.Fatalf("res.Scheduling = %v", res.Scheduling)
-			}
-			// Identical task set: every workflow task plus header/tail,
-			// nothing else.
-			if len(res.Tasks) != w.Len()+2 {
-				t.Fatalf("tasks = %d, want %d", len(res.Tasks), w.Len()+2)
-			}
-			for _, name := range w.TaskNames() {
-				if _, ok := res.Tasks[name]; !ok {
-					t.Fatalf("task %s missing from result", name)
+			forEachScheduling(t, func(t *testing.T, s Scheduling) {
+				drive := sharedfs.NewMem()
+				srv, _, _ := stubService(t, drive, time.Millisecond)
+				m := fastManager(t, drive, func(o *Options) { o.Scheduling = s })
+				w := translated(t, recipe, 25, srv.URL)
+				res, err := m.Run(context.Background(), w)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			// Every DAG edge respected: no task starts before all its
-			// parents ended.
-			for name, tr := range res.Tasks {
-				task, ok := w.Tasks[name]
-				if !ok {
-					continue
+				// Identical task set: every workflow task plus header/tail,
+				// nothing else.
+				if len(res.Tasks) != w.Len()+2 {
+					t.Fatalf("tasks = %d, want %d", len(res.Tasks), w.Len()+2)
 				}
-				if tr.Err != nil {
-					t.Fatalf("task %s failed: %v", name, tr.Err)
-				}
-				for _, parent := range task.Parents {
-					if p := res.Tasks[parent]; p.End > tr.Start {
-						t.Fatalf("%s started at %v before parent %s ended at %v",
-							name, tr.Start, parent, p.End)
-					}
-				}
-				// Queueing latency is well-formed.
-				if tr.Ready > tr.Start || tr.QueueWait() < 0 {
-					t.Fatalf("%s: ready %v after start %v", name, tr.Ready, tr.Start)
-				}
-			}
+				checkEdges(t, w, res)
+			})
 		})
 	}
 }
 
-// TestDependencySyntheticShapes runs the three benchmark shapes through
-// both modes and checks the edge property on each.
+// TestDependencySyntheticShapes runs the three benchmark shapes under
+// both rules and checks the edge property on each.
 func TestDependencySyntheticShapes(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -109,29 +76,19 @@ func TestDependencySyntheticShapes(t *testing.T) {
 		{"diamond", func(tb testing.TB, url string) *wfformat.Workflow { return diamondWorkflow(tb, 4, 6, url) }},
 	}
 	for _, shape := range shapes {
-		for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-			t.Run(fmt.Sprintf("%s/%s", shape.name, mode), func(t *testing.T) {
+		t.Run(shape.name, func(t *testing.T) {
+			forEachScheduling(t, func(t *testing.T, s Scheduling) {
 				drive := sharedfs.NewMem()
 				srv, _, _ := stubService(t, drive, time.Millisecond)
-				m := fastManager(t, drive, func(o *Options) { o.Scheduling = mode })
+				m := fastManager(t, drive, func(o *Options) { o.Scheduling = s })
 				w := shape.build(t, srv.URL)
 				res, err := m.Run(context.Background(), w)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for name, tr := range res.Tasks {
-					task, ok := w.Tasks[name]
-					if !ok {
-						continue
-					}
-					for _, parent := range task.Parents {
-						if res.Tasks[parent].End > tr.Start {
-							t.Fatalf("%s started before parent %s ended", name, parent)
-						}
-					}
-				}
+				checkEdges(t, w, res)
 			})
-		}
+		})
 	}
 }
 
@@ -163,150 +120,161 @@ func TestDependencyEliminatesPhaseDelays(t *testing.T) {
 }
 
 // TestDependencyCancelMidDispatch is the cancellation satellite: cancel
-// while tasks are in flight; the loop must drain its workers, record
-// partial TaskResults for every task, return ctx.Err(), and leak no
-// goroutines.
+// while tasks are in flight; under either rule the loop must drain its
+// workers, record partial TaskResults for every task, return ctx.Err(),
+// and leak no goroutines.
 func TestDependencyCancelMidDispatch(t *testing.T) {
-	before := runtime.NumGoroutine()
+	forEachScheduling(t, func(t *testing.T, s Scheduling) {
+		before := runtime.NumGoroutine()
 
-	drive := sharedfs.NewMem()
-	srv, _, _ := stubService(t, drive, 30*time.Millisecond)
-	m := depManager(t, drive, func(o *Options) {
-		o.MaxParallel = 4
-		o.InputWait = 1
+		drive := sharedfs.NewMem()
+		srv, _, _ := stubService(t, drive, 30*time.Millisecond)
+		m := fastManager(t, drive, func(o *Options) {
+			o.Scheduling = s
+			o.MaxParallel = 4
+			o.InputWait = 1
+		})
+		w := translated(t, "epigenomics", 30, srv.URL)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(15 * time.Millisecond) // mid first wave
+			cancel()
+		}()
+		res, err := m.Run(ctx, w)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		// Partial results: every task is accounted — completed, cancelled,
+		// or skipped — plus header and tail.
+		if len(res.Tasks) != w.Len()+2 {
+			t.Fatalf("recorded %d task results, want %d", len(res.Tasks), w.Len()+2)
+		}
+		if len(res.Failed) == 0 {
+			t.Fatal("cancellation recorded no failed tasks")
+		}
+
+		// No goroutine leaks: the worker pool and any watch subscriptions
+		// must be gone once the stub's in-flight handlers drain.
+		srv.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			runtime.GC()
+			now := runtime.NumGoroutine()
+			if now <= before+2 {
+				break
+			}
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("goroutines: before=%d now=%d\n%s", before, now, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	})
-	w := translated(t, "epigenomics", 30, srv.URL)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(15 * time.Millisecond) // mid first wave
-		cancel()
-	}()
-	res, err := m.Run(ctx, w)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// Partial results: every task is accounted — completed, cancelled,
-	// or skipped — plus header and tail.
-	if len(res.Tasks) != w.Len()+2 {
-		t.Fatalf("recorded %d task results, want %d", len(res.Tasks), w.Len()+2)
-	}
-	var failed, completed int
-	for name, tr := range res.Tasks {
-		if name == HeaderName || name == TailName {
-			continue
-		}
-		if tr.Err != nil {
-			failed++
-		} else {
-			completed++
-		}
-	}
-	if failed == 0 {
-		t.Fatal("cancellation recorded no failed tasks")
-	}
-	t.Logf("cancelled run: %d completed, %d cancelled/skipped", completed, failed)
-
-	// No goroutine leaks: the worker pool and any watch subscriptions
-	// must be gone once the stub's in-flight handlers drain.
-	srv.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		now := runtime.NumGoroutine()
-		if now <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines: before=%d now=%d\n%s", before, now, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
-// TestDependencyFailFastCancelsPending mirrors the phase-mode fail-fast
-// semantics: without ContinueOnError the first failure stops dispatch.
+// TestDependencyFailFastCancelsPending: without ContinueOnError the
+// first failure cancels its queued and in-flight siblings under either
+// rule — they end with the cancellation, not with a served response.
 func TestDependencyFailFastCancelsPending(t *testing.T) {
-	drive := sharedfs.NewMem()
-	m := depManager(t, drive, nil)
-	// Chain where the root fails: a server that 400s everything.
-	bad := failingServer(t)
-	w := chainWorkflow(t, 6, bad.URL)
-	res, err := m.Run(context.Background(), w)
-	if err == nil {
-		t.Fatal("failing run succeeded")
-	}
-	if len(res.Failed) != w.Len() {
-		t.Fatalf("Failed = %d, want all %d (root failed + descendants skipped)", len(res.Failed), w.Len())
-	}
-	skipped := 0
-	for _, name := range res.Failed {
-		if strings.Contains(res.Tasks[name].Err.Error(), "skipped") {
-			skipped++
+	forEachScheduling(t, func(t *testing.T, s Scheduling) {
+		drive := sharedfs.NewMem()
+		var served atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req wfbench.Request
+			json.NewDecoder(r.Body).Decode(&req)
+			switch {
+			case req.Name == "root":
+				drive.WriteFile("out_root", 1)
+			case req.Name == "f000":
+				http.Error(w, "boom", http.StatusBadRequest)
+				return
+			default: // a slow sibling: outlives f000's failure unless cancelled
+				select {
+				case <-r.Context().Done():
+					return
+				case <-time.After(2 * time.Second):
+				}
+			}
+			served.Add(1)
+			json.NewEncoder(w).Encode(&wfbench.Response{Name: req.Name, OK: true})
+		}))
+		defer srv.Close()
+		m := fastManager(t, drive, func(o *Options) { o.Scheduling = s; o.MaxParallel = 4 })
+		w := fanoutWorkflow(t, 12, srv.URL)
+		began := time.Now()
+		res, err := m.Run(context.Background(), w)
+		if err == nil || !strings.Contains(err.Error(), "13 function(s) failed") {
+			t.Fatalf("err = %v, want the 12 siblings and the sink failed", err)
 		}
-	}
-	if skipped != w.Len()-1 {
-		t.Fatalf("skipped = %d, want %d", skipped, w.Len()-1)
-	}
+		if took := time.Since(began); took > time.Second {
+			t.Fatalf("run took %v: siblings were waited for, not cancelled", took)
+		}
+		if served.Load() != 1 {
+			t.Fatalf("%d functions served, want only the root", served.Load())
+		}
+		for _, name := range res.Failed {
+			if name != "f000" && name != "sink" && !errors.Is(res.Tasks[name].Err, context.Canceled) {
+				t.Fatalf("%s: err = %v, want context.Canceled", name, res.Tasks[name].Err)
+			}
+		}
+	})
 }
 
 // TestSkipStageInputs covers the satellite fix: New no longer forces
 // staging on, and the flag actually controls behaviour.
 func TestSkipStageInputs(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			// Default: external inputs are staged by the header.
-			drive := sharedfs.NewMem()
-			srv, _, _ := stubService(t, drive, time.Millisecond)
-			m := fastManager(t, drive, func(o *Options) { o.Scheduling = mode })
-			w := translated(t, "blast", 8, srv.URL)
-			if _, err := m.Run(context.Background(), w); err != nil {
-				t.Fatalf("default staging run: %v", err)
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		// Default: external inputs are staged by the header.
+		drive := sharedfs.NewMem()
+		srv, _, _ := stubService(t, drive, time.Millisecond)
+		m := fastManager(t, drive, func(o *Options) { o.Scheduling = mode })
+		w := translated(t, "blast", 8, srv.URL)
+		if _, err := m.Run(context.Background(), w); err != nil {
+			t.Fatalf("default staging run: %v", err)
+		}
+		ext := w.ExternalInputs()
+		if len(ext) == 0 {
+			t.Fatal("test workflow has no external inputs")
+		}
+		for _, f := range ext {
+			if !drive.Exists(f.Name) {
+				t.Fatalf("external input %s not staged by default", f.Name)
 			}
-			ext := w.ExternalInputs()
-			if len(ext) == 0 {
-				t.Fatal("test workflow has no external inputs")
-			}
-			for _, f := range ext {
-				if !drive.Exists(f.Name) {
-					t.Fatalf("external input %s not staged by default", f.Name)
-				}
-			}
+		}
 
-			// SkipStageInputs with a pre-populated drive: run succeeds
-			// without the header writing anything.
-			drive2 := sharedfs.NewMem()
-			srv2, _, _ := stubService(t, drive2, time.Millisecond)
-			m2 := fastManager(t, drive2, func(o *Options) {
-				o.Scheduling = mode
-				o.SkipStageInputs = true
-			})
-			w2 := translated(t, "blast", 8, srv2.URL)
-			for _, f := range w2.ExternalInputs() {
-				if err := drive2.WriteFile(f.Name, f.SizeInBytes); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := m2.Run(context.Background(), w2); err != nil {
-				t.Fatalf("SkipStageInputs with pre-staged drive: %v", err)
-			}
-
-			// SkipStageInputs with an empty drive: root inputs never
-			// appear, so the run must fail (quick input wait).
-			drive3 := sharedfs.NewMem()
-			srv3, _, _ := stubService(t, drive3, time.Millisecond)
-			m3 := fastManager(t, drive3, func(o *Options) {
-				o.Scheduling = mode
-				o.SkipStageInputs = true
-				o.InputWait = 0.5
-			})
-			w3 := translated(t, "blast", 8, srv3.URL)
-			if _, err := m3.Run(context.Background(), w3); err == nil {
-				t.Fatal("run succeeded with no inputs staged anywhere")
-			}
+		// SkipStageInputs with a pre-populated drive: run succeeds
+		// without the header writing anything.
+		drive2 := sharedfs.NewMem()
+		srv2, _, _ := stubService(t, drive2, time.Millisecond)
+		m2 := fastManager(t, drive2, func(o *Options) {
+			o.Scheduling = mode
+			o.SkipStageInputs = true
 		})
-	}
+		w2 := translated(t, "blast", 8, srv2.URL)
+		for _, f := range w2.ExternalInputs() {
+			if err := drive2.WriteFile(f.Name, f.SizeInBytes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := m2.Run(context.Background(), w2); err != nil {
+			t.Fatalf("SkipStageInputs with pre-staged drive: %v", err)
+		}
+
+		// SkipStageInputs with an empty drive: root inputs never
+		// appear, so the run must fail (quick input wait).
+		drive3 := sharedfs.NewMem()
+		srv3, _, _ := stubService(t, drive3, time.Millisecond)
+		m3 := fastManager(t, drive3, func(o *Options) {
+			o.Scheduling = mode
+			o.SkipStageInputs = true
+			o.InputWait = 0.5
+		})
+		w3 := translated(t, "blast", 8, srv3.URL)
+		if _, err := m3.Run(context.Background(), w3); err == nil {
+			t.Fatal("run succeeded with no inputs staged anywhere")
+		}
+	})
 }
 
 // TestEmptyArgumentsRejectedUpFront covers the invokeOnce guard
@@ -349,28 +317,25 @@ func TestPlanGuardsEmptyArguments(t *testing.T) {
 }
 
 // TestDependencyQueueWaitUnderThrottle: with MaxParallel=1 on a wide
-// fan-out, siblings become ready together but start serially, so
+// fan-out, siblings are released together but start serially, so
 // queueing latency must be visible in the recorded results.
 func TestDependencyQueueWaitUnderThrottle(t *testing.T) {
-	drive := sharedfs.NewMem()
-	srv, _, _ := stubService(t, drive, 5*time.Millisecond)
-	m := depManager(t, drive, func(o *Options) { o.MaxParallel = 1 })
-	w := fanoutWorkflow(t, 6, srv.URL)
-	res, err := m.Run(context.Background(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxWait time.Duration
-	for name, tr := range res.Tasks {
-		if name == HeaderName || name == TailName {
-			continue
+	forEachScheduling(t, func(t *testing.T, s Scheduling) {
+		drive := sharedfs.NewMem()
+		srv, _, _ := stubService(t, drive, 5*time.Millisecond)
+		m := fastManager(t, drive, func(o *Options) { o.Scheduling = s; o.MaxParallel = 1 })
+		w := fanoutWorkflow(t, 6, srv.URL)
+		res, err := m.Run(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if q := tr.QueueWait(); q > maxWait {
-			maxWait = q
+		var maxWait time.Duration
+		for _, tr := range res.Tasks {
+			maxWait = max(maxWait, tr.QueueWait())
 		}
-	}
-	// Five siblings queue behind the first at ~5ms each.
-	if maxWait < 10*time.Millisecond {
-		t.Fatalf("max queue wait = %v, want >= 10ms with MaxParallel=1", maxWait)
-	}
+		// Five siblings queue behind the first at ~5ms each.
+		if maxWait < 10*time.Millisecond {
+			t.Fatalf("max queue wait = %v, want >= 10ms with MaxParallel=1", maxWait)
+		}
+	})
 }

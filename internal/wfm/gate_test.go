@@ -15,10 +15,10 @@ import (
 // countingGate is a TaskGate that enforces and records a concurrency
 // cap, and checks Acquire/Release stay balanced.
 type countingGate struct {
-	sem     chan struct{}
-	held    atomic.Int64
-	peak    atomic.Int64
-	grants  atomic.Int64
+	sem      chan struct{}
+	held     atomic.Int64
+	peak     atomic.Int64
+	grants   atomic.Int64
 	releases atomic.Int64
 }
 
@@ -52,39 +52,37 @@ func (g *countingGate) Release() {
 // both scheduling modes and checks the gate bounds concurrency, is
 // acquired once per task, and ends balanced.
 func TestGateBoundsBothModes(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			srv, _, maxActive := stubService(t, drive, 2*time.Millisecond)
-			w := fanoutWorkflow(t, 16, srv.URL)
-			gate := newCountingGate(3)
-			m := fastManager(t, drive, func(o *Options) {
-				o.Scheduling = mode
-				o.Gate = gate
-				o.MaxParallel = 64
-			})
-			res, err := m.Run(context.Background(), w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Failed) != 0 {
-				t.Fatalf("failed = %v", res.Failed)
-			}
-			tasks := int64(w.Len())
-			if g := gate.grants.Load(); g != tasks {
-				t.Fatalf("gate granted %d times, want once per task (%d)", g, tasks)
-			}
-			if r := gate.releases.Load(); r != gate.grants.Load() {
-				t.Fatalf("unbalanced gate: %d grants, %d releases", gate.grants.Load(), r)
-			}
-			if p := gate.peak.Load(); p > 3 {
-				t.Fatalf("gate admitted %d concurrent tasks, cap is 3", p)
-			}
-			if maxActive.Load() > 3 {
-				t.Fatalf("endpoint saw %d concurrent invocations through a 3-slot gate", maxActive.Load())
-			}
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		drive := sharedfs.NewMem()
+		srv, _, maxActive := stubService(t, drive, 2*time.Millisecond)
+		w := fanoutWorkflow(t, 16, srv.URL)
+		gate := newCountingGate(3)
+		m := fastManager(t, drive, func(o *Options) {
+			o.Scheduling = mode
+			o.Gate = gate
+			o.MaxParallel = 64
 		})
-	}
+		res, err := m.Run(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Failed) != 0 {
+			t.Fatalf("failed = %v", res.Failed)
+		}
+		tasks := int64(w.Len())
+		if g := gate.grants.Load(); g != tasks {
+			t.Fatalf("gate granted %d times, want once per task (%d)", g, tasks)
+		}
+		if r := gate.releases.Load(); r != gate.grants.Load() {
+			t.Fatalf("unbalanced gate: %d grants, %d releases", gate.grants.Load(), r)
+		}
+		if p := gate.peak.Load(); p > 3 {
+			t.Fatalf("gate admitted %d concurrent tasks, cap is 3", p)
+		}
+		if maxActive.Load() > 3 {
+			t.Fatalf("endpoint saw %d concurrent invocations through a 3-slot gate", maxActive.Load())
+		}
+	})
 }
 
 // blockedGate never grants: Acquire returns only on ctx cancellation.
@@ -99,32 +97,30 @@ func (blockedGate) Release() {}
 // TestGateAcquireCancellation checks that a run whose gate never
 // grants fails cleanly (as a cancellation, not a hang) in both modes.
 func TestGateAcquireCancellation(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			srv, _, _ := stubService(t, drive, 0)
-			w := fanoutWorkflow(t, 4, srv.URL)
-			m := fastManager(t, drive, func(o *Options) {
-				o.Scheduling = mode
-				o.Gate = blockedGate{}
-			})
-			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-			defer cancel()
-			done := make(chan error, 1)
-			go func() {
-				_, err := m.Run(ctx, w)
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err == nil {
-					t.Fatal("run succeeded through a gate that never grants")
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("run hung on a cancelled gate")
-			}
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		drive := sharedfs.NewMem()
+		srv, _, _ := stubService(t, drive, 0)
+		w := fanoutWorkflow(t, 4, srv.URL)
+		m := fastManager(t, drive, func(o *Options) {
+			o.Scheduling = mode
+			o.Gate = blockedGate{}
 		})
-	}
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		done := make(chan error, 1)
+		go func() {
+			_, err := m.Run(ctx, w)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("run succeeded through a gate that never grants")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("run hung on a cancelled gate")
+		}
+	})
 }
 
 // TestGateSharedAcrossManagers is the embedding contract wfmd relies

@@ -209,11 +209,7 @@ func (hs *healthState) attempt(tctx context.Context, p *invocationPlan, id int32
 	launch := func(ctx context.Context, backup bool) {
 		var o specOutcome
 		o.backup = backup
-		if rs.batch != nil {
-			o.resp, o.retriable, o.retryAfter, o.err = rs.batch.invokeOnce(ctx, id, as.Context())
-		} else {
-			o.resp, o.retriable, o.retryAfter, o.err = m.invokeOnce(ctx, p, id, as.Context())
-		}
+		o.resp, o.retriable, o.retryAfter, o.err = rs.post(ctx, p, id, as.Context())
 		ch <- o
 	}
 	primCtx, primCancel := context.WithCancel(tctx)

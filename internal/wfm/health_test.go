@@ -105,84 +105,82 @@ func TestHealthResultNilWhenOff(t *testing.T) {
 // it before it completes, the speculative backup must win, and the
 // journal must still record exactly one completion per task.
 func TestHealthSpeculativeRetry(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			slow := map[string]bool{"f003": true}
-			srv := slowOnceService(t, drive, slow, 2*time.Second)
-			dir := t.TempDir()
-			j, err := journal.Open(dir, journal.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.Close()
-			cache := openCache(t, filepath.Join(t.TempDir(), "memo.cache"))
-			defer cache.Close()
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		drive := sharedfs.NewMem()
+		slow := map[string]bool{"f003": true}
+		srv := slowOnceService(t, drive, slow, 2*time.Second)
+		dir := t.TempDir()
+		j, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		cache := openCache(t, filepath.Join(t.TempDir(), "memo.cache"))
+		defer cache.Close()
 
-			rec := health.NewFlightRecorder(256)
-			m := fastManager(t, drive, func(o *Options) {
-				o.Scheduling = mode
-				o.Journal = j
-				o.Memoize = cache
-				o.Health = &HealthOptions{
-					StragglerFactor:  3,
-					MinSamples:       4,
-					SpeculativeRetry: true,
-					Recorder:         rec,
-				}
-			})
-			w := fanoutWorkflow(t, 12, srv.URL)
-			start := time.Now()
-			res, err := m.Run(context.Background(), w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wall := time.Since(start); wall > time.Second {
-				t.Fatalf("run took %v: speculation did not rescue the straggler", wall)
-			}
-			if res.Health == nil {
-				t.Fatal("no health report")
-			}
-			var flagged []string
-			for _, s := range res.Health.Stragglers {
-				flagged = append(flagged, s.Task)
-			}
-			if len(flagged) == 0 || !contains(flagged, "f003") {
-				t.Fatalf("stragglers = %v, want f003 flagged", flagged)
-			}
-			if res.Health.SpeculativeRetries == 0 || res.Health.SpeculativeWins == 0 {
-				t.Fatalf("speculation accounting: %+v", res.Health)
-			}
-			if tr := res.Tasks["f003"]; tr == nil || tr.Err != nil {
-				t.Fatalf("straggler task result: %+v", tr)
-			}
-
-			// Journal safety: every task has exactly one terminal record and
-			// the speculation race never double-completed anything.
-			sum, err := ReadRunJournal(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total := 14 // 12 fan + root + sink
-			if sum.CompletedTasks != total {
-				t.Fatalf("journal completed = %d, want %d", sum.CompletedTasks, total)
-			}
-			if got := sum.EventCounts["task-completed"] + sum.EventCounts["task-memoized"]; got != total {
-				t.Fatalf("terminal records = %d, want %d (duplicate completion?)", got, total)
-			}
-
-			// The flight recorder saw the straggler flag and the speculation.
-			kinds := map[string]bool{}
-			for _, ev := range rec.Events() {
-				kinds[ev.Kind] = true
-			}
-			for _, k := range []string{"run-start", "task-start", "straggler", "speculate", "speculate-win", "task-done", "run-end"} {
-				if !kinds[k] {
-					t.Fatalf("flight recorder missing %q events (have %v)", k, kinds)
-				}
+		rec := health.NewFlightRecorder(256)
+		m := fastManager(t, drive, func(o *Options) {
+			o.Scheduling = mode
+			o.Journal = j
+			o.Memoize = cache
+			o.Health = &HealthOptions{
+				StragglerFactor:  3,
+				MinSamples:       4,
+				SpeculativeRetry: true,
+				Recorder:         rec,
 			}
 		})
-	}
+		w := fanoutWorkflow(t, 12, srv.URL)
+		start := time.Now()
+		res, err := m.Run(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wall := time.Since(start); wall > time.Second {
+			t.Fatalf("run took %v: speculation did not rescue the straggler", wall)
+		}
+		if res.Health == nil {
+			t.Fatal("no health report")
+		}
+		var flagged []string
+		for _, s := range res.Health.Stragglers {
+			flagged = append(flagged, s.Task)
+		}
+		if len(flagged) == 0 || !contains(flagged, "f003") {
+			t.Fatalf("stragglers = %v, want f003 flagged", flagged)
+		}
+		if res.Health.SpeculativeRetries == 0 || res.Health.SpeculativeWins == 0 {
+			t.Fatalf("speculation accounting: %+v", res.Health)
+		}
+		if tr := res.Tasks["f003"]; tr == nil || tr.Err != nil {
+			t.Fatalf("straggler task result: %+v", tr)
+		}
+
+		// Journal safety: every task has exactly one terminal record and
+		// the speculation race never double-completed anything.
+		sum, err := ReadRunJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 14 // 12 fan + root + sink
+		if sum.CompletedTasks != total {
+			t.Fatalf("journal completed = %d, want %d", sum.CompletedTasks, total)
+		}
+		if got := sum.EventCounts["task-completed"] + sum.EventCounts["task-memoized"]; got != total {
+			t.Fatalf("terminal records = %d, want %d (duplicate completion?)", got, total)
+		}
+
+		// The flight recorder saw the straggler flag and the speculation.
+		kinds := map[string]bool{}
+		for _, ev := range rec.Events() {
+			kinds[ev.Kind] = true
+		}
+		for _, k := range []string{"run-start", "task-start", "straggler", "speculate", "speculate-win", "task-done", "run-end"} {
+			if !kinds[k] {
+				t.Fatalf("flight recorder missing %q events (have %v)", k, kinds)
+			}
+		}
+	})
 }
 
 // TestHealthStragglerWithoutSpeculation pins detection-only mode: the

@@ -366,7 +366,7 @@ type ResumeReport struct {
 	Torn bool
 }
 
-// recovery is the decoded resume state handed to the run loops.
+// recovery is the decoded resume state handed to the run.
 type recovery struct {
 	header   *runHeader
 	doneIDs  []int32 // verified-completed ids, ascending
@@ -376,8 +376,8 @@ type recovery struct {
 	report   ResumeReport
 }
 
-// runState threads journaling, resume, and memoization context through
-// both run loops. A fresh, unjournaled, unmemoized run carries an
+// runState threads journaling, resume, memoization and health context
+// through the run. A fresh, unjournaled, unmemoized run carries an
 // all-nil state; every accessor tolerates that.
 type runState struct {
 	rj        *runJournal
@@ -386,29 +386,6 @@ type runState struct {
 	health    *healthState
 	completed atomic.Int64
 	afterDone func(int)
-}
-
-// recovered reports whether id was restored from the journal and must
-// not be re-invoked.
-func (st *runState) recoveredID(id int32) bool {
-	return st.rec != nil && st.rec.doneSet[id]
-}
-
-// memoizedID reports whether id was seeded from the memo cache.
-func (st *runState) memoizedID(id int32) bool {
-	return st.memo != nil && st.memo.hitSet[id]
-}
-
-// seededID reports whether id starts the run already completed — by
-// journal recovery or by a memo-cache hit — and must not be invoked.
-func (st *runState) seededID(id int32) bool {
-	return st.recoveredID(id) || st.memoizedID(id)
-}
-
-// hasSeeds reports whether any task is pre-completed.
-func (st *runState) hasSeeds() bool {
-	return (st.rec != nil && len(st.rec.doneIDs) > 0) ||
-		(st.memo != nil && len(st.memo.hitIDs) > 0)
 }
 
 // seedIDs merges the recovered and memoized ID sets, ascending. The
@@ -442,7 +419,7 @@ func (st *runState) seedIDs() []int32 {
 	return append(out, b...)
 }
 
-// taskDone is the post-completion bookkeeping shared by both modes:
+// taskDone is the post-completion bookkeeping of every invoked task:
 // journal the outcome, feed the memo cache, then fire the
 // crash-injection / progress hook with the cumulative in-process
 // completion count.

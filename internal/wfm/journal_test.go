@@ -71,49 +71,47 @@ func journaledManager(t *testing.T, drive sharedfs.Drive, j *journal.Journal, mo
 }
 
 func TestJournaledRunRecordsLifecycle(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			srv, _ := countingStub(t, drive)
-			w := diamondWorkflow(t, 2, 3, srv.URL)
-			dir := t.TempDir()
-			j := openJournal(t, dir)
-			m := journaledManager(t, drive, j, mode, nil)
-			if _, err := m.Run(context.Background(), w); err != nil {
-				t.Fatal(err)
-			}
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		drive := sharedfs.NewMem()
+		srv, _ := countingStub(t, drive)
+		w := diamondWorkflow(t, 2, 3, srv.URL)
+		dir := t.TempDir()
+		j := openJournal(t, dir)
+		m := journaledManager(t, drive, j, mode, nil)
+		if _, err := m.Run(context.Background(), w); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			sum, err := ReadRunJournal(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sum.Header == nil {
-				t.Fatal("no run header")
-			}
-			if sum.Header.Workflow != w.Name {
-				t.Fatalf("header workflow %q, want %q", sum.Header.Workflow, w.Name)
-			}
-			if got, want := sum.Header.Fingerprint, wfformat.Fingerprint(w).String(); got != want {
-				t.Fatalf("header fingerprint %s, want %s", got, want)
-			}
-			n := w.Len()
-			if sum.Header.TaskCount != n {
-				t.Fatalf("header task count %d, want %d", sum.Header.TaskCount, n)
-			}
-			if sum.CompletedTasks != n {
-				t.Fatalf("completed records for %d tasks, want %d", sum.CompletedTasks, n)
-			}
-			if sum.EventCounts["task-started"] != n {
-				t.Fatalf("started records = %d, want %d", sum.EventCounts["task-started"], n)
-			}
-			if len(sum.Ends) != 1 || sum.Ends[0].Status != "ok" {
-				t.Fatalf("run-end markers = %+v, want one ok", sum.Ends)
-			}
-		})
-	}
+		sum, err := ReadRunJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Header == nil {
+			t.Fatal("no run header")
+		}
+		if sum.Header.Workflow != w.Name {
+			t.Fatalf("header workflow %q, want %q", sum.Header.Workflow, w.Name)
+		}
+		if got, want := sum.Header.Fingerprint, wfformat.Fingerprint(w).String(); got != want {
+			t.Fatalf("header fingerprint %s, want %s", got, want)
+		}
+		n := w.Len()
+		if sum.Header.TaskCount != n {
+			t.Fatalf("header task count %d, want %d", sum.Header.TaskCount, n)
+		}
+		if sum.CompletedTasks != n {
+			t.Fatalf("completed records for %d tasks, want %d", sum.CompletedTasks, n)
+		}
+		if sum.EventCounts["task-started"] != n {
+			t.Fatalf("started records = %d, want %d", sum.EventCounts["task-started"], n)
+		}
+		if len(sum.Ends) != 1 || sum.Ends[0].Status != "ok" {
+			t.Fatalf("run-end markers = %+v, want one ok", sum.Ends)
+		}
+	})
 }
 
 // crashAndResume runs w until crashAfter tasks complete, models process
@@ -162,68 +160,66 @@ func crashAndResume(t *testing.T, w *wfformat.Workflow, mode Scheduling, crashAf
 }
 
 func TestCrashResumeBothModes(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			// Reference: the same workflow run uninterrupted, for the
-			// final-drive-state comparison.
-			refDrive := sharedfs.NewMem()
-			refSrv, _ := countingStub(t, refDrive)
-			refW := diamondWorkflow(t, 3, 4, refSrv.URL)
-			refM := fastManager(t, refDrive, func(o *Options) { o.Scheduling = mode })
-			if _, err := refM.Run(context.Background(), refW); err != nil {
-				t.Fatal(err)
-			}
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		// Reference: the same workflow run uninterrupted, for the
+		// final-drive-state comparison.
+		refDrive := sharedfs.NewMem()
+		refSrv, _ := countingStub(t, refDrive)
+		refW := diamondWorkflow(t, 3, 4, refSrv.URL)
+		refM := fastManager(t, refDrive, func(o *Options) { o.Scheduling = mode })
+		if _, err := refM.Run(context.Background(), refW); err != nil {
+			t.Fatal(err)
+		}
 
-			drive := sharedfs.NewMem()
-			srv, snap := countingStub(t, drive)
-			w := diamondWorkflow(t, 3, 4, srv.URL)
-			res, firstCalls, allCalls, recorded := crashAndResume(t, w, mode, 5, drive, srv.URL, snap)
+		drive := sharedfs.NewMem()
+		srv, snap := countingStub(t, drive)
+		w := diamondWorkflow(t, 3, 4, srv.URL)
+		res, firstCalls, allCalls, recorded := crashAndResume(t, w, mode, 5, drive, srv.URL, snap)
 
-			// Property 1: identical final drive state.
-			if got, want := drive.List(), refDrive.List(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("final drive state differs:\n got %v\nwant %v", got, want)
+		// Property 1: identical final drive state.
+		if got, want := drive.List(), refDrive.List(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("final drive state differs:\n got %v\nwant %v", got, want)
+		}
+		// Property 2: no task the journal recorded completed was
+		// invoked again by the resumed process.
+		csr, _, err := w.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range recorded {
+			name := csr.Name(id)
+			if allCalls[name] > firstCalls[name] {
+				t.Fatalf("task %s was recorded completed yet re-invoked on resume (%d -> %d calls)",
+					name, firstCalls[name], allCalls[name])
 			}
-			// Property 2: no task the journal recorded completed was
-			// invoked again by the resumed process.
-			csr, _, err := w.Compile()
-			if err != nil {
-				t.Fatal(err)
+		}
+		if res.Resume == nil {
+			t.Fatal("resumed result carries no ResumeReport")
+		}
+		if res.Resume.SkippedInvocations != len(recorded) {
+			t.Fatalf("skipped invocations = %d, want %d (recorded set)",
+				res.Resume.SkippedInvocations, len(recorded))
+		}
+		if res.Resume.RecordedCompleted < 5 {
+			t.Fatalf("recorded completed = %d, want >= crash threshold 5", res.Resume.RecordedCompleted)
+		}
+		// Every task appears in the final result exactly once, with
+		// recovered ones flagged.
+		flagged := 0
+		for name, tr := range res.Tasks {
+			if name == HeaderName || name == TailName {
+				continue
 			}
-			for id := range recorded {
-				name := csr.Name(id)
-				if allCalls[name] > firstCalls[name] {
-					t.Fatalf("task %s was recorded completed yet re-invoked on resume (%d -> %d calls)",
-						name, firstCalls[name], allCalls[name])
-				}
+			if tr.Recovered {
+				flagged++
+			} else if tr.Err != nil {
+				t.Fatalf("task %s failed after resume: %v", name, tr.Err)
 			}
-			if res.Resume == nil {
-				t.Fatal("resumed result carries no ResumeReport")
-			}
-			if res.Resume.SkippedInvocations != len(recorded) {
-				t.Fatalf("skipped invocations = %d, want %d (recorded set)",
-					res.Resume.SkippedInvocations, len(recorded))
-			}
-			if res.Resume.RecordedCompleted < 5 {
-				t.Fatalf("recorded completed = %d, want >= crash threshold 5", res.Resume.RecordedCompleted)
-			}
-			// Every task appears in the final result exactly once, with
-			// recovered ones flagged.
-			flagged := 0
-			for name, tr := range res.Tasks {
-				if name == HeaderName || name == TailName {
-					continue
-				}
-				if tr.Recovered {
-					flagged++
-				} else if tr.Err != nil {
-					t.Fatalf("task %s failed after resume: %v", name, tr.Err)
-				}
-			}
-			if flagged != res.Resume.SkippedInvocations {
-				t.Fatalf("recovered-flagged tasks = %d, want %d", flagged, res.Resume.SkippedInvocations)
-			}
-		})
-	}
+		}
+		if flagged != res.Resume.SkippedInvocations {
+			t.Fatalf("recovered-flagged tasks = %d, want %d", flagged, res.Resume.SkippedInvocations)
+		}
+	})
 }
 
 func TestResumeReexecutesVanishedOutputs(t *testing.T) {

@@ -42,7 +42,6 @@ type memoState struct {
 	drive   sharedfs.Drive
 	hasher  sharedfs.Hasher // content-address view of drive; nil if unsupported
 	fps     []wfformat.Hash // by task ID
-	hitSet  []bool          // by task ID
 	hitIDs  []int32         // ascending
 	misses  int
 	skipped int64 // bytes of recorded outputs across hits
@@ -72,7 +71,6 @@ func (m *Manager) probeMemo(csr *dag.CSR, p *invocationPlan, rec *recovery) *mem
 		return sharedfs.ContentAddress(name, size)
 	}
 	ms.fps = wfformat.TaskFingerprints(csr, p.tasks, ext)
-	ms.hitSet = make([]bool, p.len())
 	for id := 0; id < p.len(); id++ {
 		if rec != nil && rec.doneSet[id] {
 			continue
@@ -82,7 +80,6 @@ func (m *Manager) probeMemo(csr *dag.CSR, p *invocationPlan, rec *recovery) *mem
 			ms.misses++
 			continue
 		}
-		ms.hitSet[id] = true
 		ms.hitIDs = append(ms.hitIDs, int32(id))
 		for _, o := range outs {
 			ms.skipped += o.Size
@@ -148,27 +145,6 @@ func (ms *memoState) report() *MemoReport {
 	return r
 }
 
-// memoizedResult renders a cache-hit task as a TaskResult: completed by
-// an earlier run with identical content, never invoked here.
-func memoizedResult(p *invocationPlan, csr *dag.CSR, id int32) *TaskResult {
-	task := p.tasks[id]
-	return &TaskResult{
-		Name:     task.Name,
-		Category: task.Category,
-		Phase:    int(csr.Level(id)) + 1,
-		Memoized: true,
-	}
-}
-
-// seededResult renders a task that must not be re-invoked — recovered
-// from the journal or memoized from the cache.
-func seededResult(p *invocationPlan, csr *dag.CSR, st *runState, id int32) *TaskResult {
-	if st.recoveredID(id) {
-		return recoveredResult(p, csr, st, id)
-	}
-	return memoizedResult(p, csr, id)
-}
-
 // seedResults records every pre-completed task's result in one arena
 // allocation. On a fully-memoized 100k-task re-run this loop IS the
 // execution phase; per-task heap objects and their GC scan cost would
@@ -181,11 +157,9 @@ func seedResults(p *invocationPlan, csr *dag.CSR, st *runState, seeds []int32, o
 		tr.Name = task.Name
 		tr.Category = task.Category
 		tr.Phase = int(csr.Level(id)) + 1
-		if st.recoveredID(id) {
+		if st.rec != nil && st.rec.doneSet[id] {
 			tr.Recovered = true
-			if st.rec != nil {
-				tr.Attempts = int(st.rec.attempts[id])
-			}
+			tr.Attempts = int(st.rec.attempts[id])
 		} else {
 			tr.Memoized = true
 		}

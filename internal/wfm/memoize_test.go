@@ -71,71 +71,69 @@ func invokedSince(before, after map[string]int) map[string]int {
 }
 
 func TestMemoizeUnchangedRerun(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			srv, snap := countingStub(t, drive)
-			w := extChainWorkflow(t, 6, srv.URL)
-			n := w.Len()
-			path := filepath.Join(t.TempDir(), "memo.cache")
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		drive := sharedfs.NewMem()
+		srv, snap := countingStub(t, drive)
+		w := extChainWorkflow(t, 6, srv.URL)
+		n := w.Len()
+		path := filepath.Join(t.TempDir(), "memo.cache")
 
-			cold := openCache(t, path)
-			mon := NewMonitor()
-			m := memoManager(t, drive, cold, mode, func(o *Options) { o.Monitor = mon })
-			res, err := m.Run(context.Background(), w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Memo == nil || res.Memo.Hits != 0 || res.Memo.Misses != n {
-				t.Fatalf("cold run Memo = %+v, want 0 hits / %d misses", res.Memo, n)
-			}
-			if err := cold.Close(); err != nil {
-				t.Fatal(err)
-			}
-			after1 := snap()
-			state1 := driveState(t, drive)
+		cold := openCache(t, path)
+		mon := NewMonitor()
+		m := memoManager(t, drive, cold, mode, func(o *Options) { o.Monitor = mon })
+		res, err := m.Run(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Memo == nil || res.Memo.Hits != 0 || res.Memo.Misses != n {
+			t.Fatalf("cold run Memo = %+v, want 0 hits / %d misses", res.Memo, n)
+		}
+		if err := cold.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after1 := snap()
+		state1 := driveState(t, drive)
 
-			// Fresh cache object over the same file models a new process.
-			warm := openCache(t, path)
-			defer warm.Close()
-			if warm.Len() != n {
-				t.Fatalf("cache holds %d entries after cold run, want %d", warm.Len(), n)
+		// Fresh cache object over the same file models a new process.
+		warm := openCache(t, path)
+		defer warm.Close()
+		if warm.Len() != n {
+			t.Fatalf("cache holds %d entries after cold run, want %d", warm.Len(), n)
+		}
+		m2 := memoManager(t, drive, warm, mode, func(o *Options) { o.Monitor = mon })
+		res2, err := m2.Run(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := invokedSince(after1, snap()); len(got) != 0 {
+			t.Fatalf("unchanged re-run invoked %v, want none", got)
+		}
+		if res2.Memo == nil || res2.Memo.Hits != n || res2.Memo.Misses != 0 {
+			t.Fatalf("re-run Memo = %+v, want %d hits / 0 misses", res2.Memo, n)
+		}
+		for name, tr := range res2.Tasks {
+			if name == HeaderName || name == TailName {
+				continue
 			}
-			m2 := memoManager(t, drive, warm, mode, func(o *Options) { o.Monitor = mon })
-			res2, err := m2.Run(context.Background(), w)
-			if err != nil {
-				t.Fatal(err)
+			if !tr.Memoized || tr.Recovered || tr.Err != nil {
+				t.Fatalf("task %s: Memoized=%v Recovered=%v Err=%v, want memoized clean", name, tr.Memoized, tr.Recovered, tr.Err)
 			}
-			if got := invokedSince(after1, snap()); len(got) != 0 {
-				t.Fatalf("unchanged re-run invoked %v, want none", got)
-			}
-			if res2.Memo == nil || res2.Memo.Hits != n || res2.Memo.Misses != 0 {
-				t.Fatalf("re-run Memo = %+v, want %d hits / 0 misses", res2.Memo, n)
-			}
-			for name, tr := range res2.Tasks {
-				if name == HeaderName || name == TailName {
-					continue
-				}
-				if !tr.Memoized || tr.Recovered || tr.Err != nil {
-					t.Fatalf("task %s: Memoized=%v Recovered=%v Err=%v, want memoized clean", name, tr.Memoized, tr.Recovered, tr.Err)
-				}
-			}
-			if state2 := driveState(t, drive); !reflect.DeepEqual(state1, state2) {
-				t.Fatalf("drive changed across memoized re-run:\n%v\nvs\n%v", state1, state2)
-			}
-			s := mon.Snapshot()
-			if s.MemoHits != int64(n) || s.MemoMisses != int64(n) {
-				t.Fatalf("monitor memo counters = %d/%d, want %d/%d", s.MemoHits, s.MemoMisses, n, n)
-			}
-			var sb strings.Builder
-			if err := mon.WriteMetrics(&sb); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(sb.String(), "wfm_memo_hits_total") {
-				t.Fatal("metrics exposition lacks wfm_memo_hits_total")
-			}
-		})
-	}
+		}
+		if state2 := driveState(t, drive); !reflect.DeepEqual(state1, state2) {
+			t.Fatalf("drive changed across memoized re-run:\n%v\nvs\n%v", state1, state2)
+		}
+		s := mon.Snapshot()
+		if s.MemoHits != int64(n) || s.MemoMisses != int64(n) {
+			t.Fatalf("monitor memo counters = %d/%d, want %d/%d", s.MemoHits, s.MemoMisses, n, n)
+		}
+		var sb strings.Builder
+		if err := mon.WriteMetrics(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "wfm_memo_hits_total") {
+			t.Fatal("metrics exposition lacks wfm_memo_hits_total")
+		}
+	})
 }
 
 // TestMemoizeIncrementalEdit is the acceptance-criterion test: a 1-task
@@ -143,66 +141,64 @@ func TestMemoizeUnchangedRerun(t *testing.T) {
 // drive state is byte-identical to a from-scratch run of the edited
 // workflow.
 func TestMemoizeIncrementalEdit(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			srv, snap := countingStub(t, drive)
-			path := filepath.Join(t.TempDir(), "memo.cache")
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		drive := sharedfs.NewMem()
+		srv, snap := countingStub(t, drive)
+		path := filepath.Join(t.TempDir(), "memo.cache")
 
-			cold := openCache(t, path)
-			m := memoManager(t, drive, cold, mode, nil)
-			if _, err := m.Run(context.Background(), diamondWorkflow(t, 2, 3, srv.URL)); err != nil {
-				t.Fatal(err)
-			}
-			cold.Close()
-			before := snap()
+		cold := openCache(t, path)
+		m := memoManager(t, drive, cold, mode, nil)
+		if _, err := m.Run(context.Background(), diamondWorkflow(t, 2, 3, srv.URL)); err != nil {
+			t.Fatal(err)
+		}
+		cold.Close()
+		before := snap()
 
-			// Edit one mid task of the first diamond layer: descendants are
-			// the first join, the whole second layer, and the final join.
-			edited := diamondWorkflow(t, 2, 3, srv.URL)
-			edited.Tasks["m000_01"].Command.Arguments[0].CPUWork += 99
-			want := map[string]bool{"m000_01": true, "j000": true, "j001": true}
-			for i := 0; i < 3; i++ {
-				want["m001_0"+string(rune('0'+i))] = true
-			}
+		// Edit one mid task of the first diamond layer: descendants are
+		// the first join, the whole second layer, and the final join.
+		edited := diamondWorkflow(t, 2, 3, srv.URL)
+		edited.Tasks["m000_01"].Command.Arguments[0].CPUWork += 99
+		want := map[string]bool{"m000_01": true, "j000": true, "j001": true}
+		for i := 0; i < 3; i++ {
+			want["m001_0"+string(rune('0'+i))] = true
+		}
 
-			warm := openCache(t, path)
-			defer warm.Close()
-			m2 := memoManager(t, drive, warm, mode, nil)
-			res, err := m2.Run(context.Background(), edited)
-			if err != nil {
-				t.Fatal(err)
+		warm := openCache(t, path)
+		defer warm.Close()
+		m2 := memoManager(t, drive, warm, mode, nil)
+		res, err := m2.Run(context.Background(), edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := invokedSince(before, snap())
+		for name := range want {
+			if got[name] != 1 {
+				t.Fatalf("edited descendant %s invoked %d times, want 1 (invoked: %v)", name, got[name], got)
 			}
-			got := invokedSince(before, snap())
-			for name := range want {
-				if got[name] != 1 {
-					t.Fatalf("edited descendant %s invoked %d times, want 1 (invoked: %v)", name, got[name], got)
-				}
+		}
+		for name := range got {
+			if !want[name] {
+				t.Fatalf("extra invocation of %s (invoked: %v)", name, got)
 			}
-			for name := range got {
-				if !want[name] {
-					t.Fatalf("extra invocation of %s (invoked: %v)", name, got)
-				}
-			}
-			if res.Memo.Hits != edited.Len()-len(want) {
-				t.Fatalf("Memo.Hits = %d, want %d", res.Memo.Hits, edited.Len()-len(want))
-			}
+		}
+		if res.Memo.Hits != edited.Len()-len(want) {
+			t.Fatalf("Memo.Hits = %d, want %d", res.Memo.Hits, edited.Len()-len(want))
+		}
 
-			// Byte-identity against a from-scratch run of the edited
-			// workflow on a fresh drive.
-			refDrive := sharedfs.NewMem()
-			refSrv, _ := countingStub(t, refDrive)
-			ref := diamondWorkflow(t, 2, 3, refSrv.URL)
-			ref.Tasks["m000_01"].Command.Arguments[0].CPUWork += 99
-			mref := fastManager(t, refDrive, func(o *Options) { o.Scheduling = mode })
-			if _, err := mref.Run(context.Background(), ref); err != nil {
-				t.Fatal(err)
-			}
-			if a, b := driveState(t, drive), driveState(t, refDrive); !reflect.DeepEqual(a, b) {
-				t.Fatalf("incremental drive state differs from from-scratch run:\n%v\nvs\n%v", a, b)
-			}
-		})
-	}
+		// Byte-identity against a from-scratch run of the edited
+		// workflow on a fresh drive.
+		refDrive := sharedfs.NewMem()
+		refSrv, _ := countingStub(t, refDrive)
+		ref := diamondWorkflow(t, 2, 3, refSrv.URL)
+		ref.Tasks["m000_01"].Command.Arguments[0].CPUWork += 99
+		mref := fastManager(t, refDrive, func(o *Options) { o.Scheduling = mode })
+		if _, err := mref.Run(context.Background(), ref); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := driveState(t, drive), driveState(t, refDrive); !reflect.DeepEqual(a, b) {
+			t.Fatalf("incremental drive state differs from from-scratch run:\n%v\nvs\n%v", a, b)
+		}
+	})
 }
 
 // TestMemoizeVanishedOutputReruns: a cache hit whose recorded outputs
@@ -296,83 +292,81 @@ func TestMemoizeJournalRecords(t *testing.T) {
 // process death). No task the journal or the cache recorded as done may
 // be invoked again; only the in-flight crash window re-runs.
 func TestMemoizeComposesWithResume(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			srv, snap := countingStub(t, drive)
-			w := diamondWorkflow(t, 2, 3, srv.URL)
-			cachePath := filepath.Join(t.TempDir(), "memo.cache")
-			dir := t.TempDir()
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		drive := sharedfs.NewMem()
+		srv, snap := countingStub(t, drive)
+		w := diamondWorkflow(t, 2, 3, srv.URL)
+		cachePath := filepath.Join(t.TempDir(), "memo.cache")
+		dir := t.TempDir()
 
-			j := openJournal(t, dir)
-			c := openCache(t, cachePath)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			m := memoManager(t, drive, c, mode, func(o *Options) {
-				o.Journal = j
-				o.ContinueOnError = true
-				o.AfterTaskDone = func(done int) {
-					if done == 3 {
-						cancel()
-					}
+		j := openJournal(t, dir)
+		c := openCache(t, cachePath)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		m := memoManager(t, drive, c, mode, func(o *Options) {
+			o.Journal = j
+			o.ContinueOnError = true
+			o.AfterTaskDone = func(done int) {
+				if done == 3 {
+					cancel()
 				}
-			})
-			m.Run(ctx, w) // crashes by design; error expected
-			j.Abort()
-			c.Close()
-			firstCalls := snap()
-
-			j2 := openJournal(t, dir)
-			recorded := make(map[int32]bool)
-			for _, r := range j2.Records() {
-				if r.Kind == recTaskCompleted || r.Kind == recTaskMemoized {
-					d := payload{b: r.Data}
-					id := int32(d.uvarint())
-					if d.err == nil {
-						recorded[id] = true
-					}
-				}
-			}
-			c2 := openCache(t, cachePath)
-			defer c2.Close()
-			m2 := memoManager(t, drive, c2, mode, func(o *Options) { o.Journal = j2 })
-			res, err := m2.Resume(context.Background(), w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := j2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Failed) != 0 {
-				t.Fatalf("resumed run failed tasks: %v", res.Failed)
-			}
-			csr, _, err := w.Compile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			allCalls := snap()
-			for id := range recorded {
-				name := csr.Name(id)
-				if allCalls[name] > firstCalls[name] {
-					t.Fatalf("task %s recorded done yet re-invoked on resume (%d -> %d calls)",
-						name, firstCalls[name], allCalls[name])
-				}
-			}
-			// The cache's flushed entries also shield tasks the journal
-			// missed: anything durably cached with intact outputs must not
-			// re-run either.
-			for _, id := range csr.TopoOrder() {
-				tr := res.Tasks[csr.Name(id)]
-				if tr != nil && tr.Memoized && allCalls[csr.Name(id)] > firstCalls[csr.Name(id)] {
-					t.Fatalf("task %s reported memoized yet re-invoked", csr.Name(id))
-				}
-			}
-			// Every task is accounted exactly once in the final result.
-			if got := len(res.Tasks); got != w.Len()+2 {
-				t.Fatalf("result holds %d tasks, want %d", got, w.Len()+2)
 			}
 		})
-	}
+		m.Run(ctx, w) // crashes by design; error expected
+		j.Abort()
+		c.Close()
+		firstCalls := snap()
+
+		j2 := openJournal(t, dir)
+		recorded := make(map[int32]bool)
+		for _, r := range j2.Records() {
+			if r.Kind == recTaskCompleted || r.Kind == recTaskMemoized {
+				d := payload{b: r.Data}
+				id := int32(d.uvarint())
+				if d.err == nil {
+					recorded[id] = true
+				}
+			}
+		}
+		c2 := openCache(t, cachePath)
+		defer c2.Close()
+		m2 := memoManager(t, drive, c2, mode, func(o *Options) { o.Journal = j2 })
+		res, err := m2.Resume(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Failed) != 0 {
+			t.Fatalf("resumed run failed tasks: %v", res.Failed)
+		}
+		csr, _, err := w.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		allCalls := snap()
+		for id := range recorded {
+			name := csr.Name(id)
+			if allCalls[name] > firstCalls[name] {
+				t.Fatalf("task %s recorded done yet re-invoked on resume (%d -> %d calls)",
+					name, firstCalls[name], allCalls[name])
+			}
+		}
+		// The cache's flushed entries also shield tasks the journal
+		// missed: anything durably cached with intact outputs must not
+		// re-run either.
+		for _, id := range csr.TopoOrder() {
+			tr := res.Tasks[csr.Name(id)]
+			if tr != nil && tr.Memoized && allCalls[csr.Name(id)] > firstCalls[csr.Name(id)] {
+				t.Fatalf("task %s reported memoized yet re-invoked", csr.Name(id))
+			}
+		}
+		// Every task is accounted exactly once in the final result.
+		if got := len(res.Tasks); got != w.Len()+2 {
+			t.Fatalf("result holds %d tasks, want %d", got, w.Len()+2)
+		}
+	})
 }
 
 // TestMemoizeCorruptCacheColdRun: garbage where the cache should be

@@ -23,73 +23,71 @@ import (
 // ready instant, annotated with queueing latency and attempts), one
 // invoke span per attempt, all sharing the root's trace ID.
 func TestRunEmitsSpans(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			srv, _, _ := stubService(t, drive, time.Millisecond)
-			tracer := obs.NewTracer(obs.Options{SampleRatio: 1})
-			m := fastManager(t, drive, func(o *Options) {
-				o.Scheduling = mode
-				o.Tracer = tracer
-			})
-			w := translated(t, "blast", 8, srv.URL)
-			res, err := m.Run(context.Background(), w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.TraceID == "" {
-				t.Fatal("sampled run has no TraceID")
-			}
-			nTasks := len(res.Tasks) - 2 // minus synthetic header/tail
-			var root, tasks, invokes int
-			for _, s := range res.Spans {
-				if s.Trace.String() != res.TraceID {
-					t.Fatalf("span %q in foreign trace %s", s.Name, s.Trace)
-				}
-				switch {
-				case strings.HasPrefix(s.Name, "workflow:"):
-					root++
-					if !s.Parent.IsZero() {
-						t.Fatal("root span has a parent")
-					}
-				case s.Name == "invoke":
-					invokes++
-				default:
-					tasks++
-					if q, ok := s.AttrFloat("queue_ms"); !ok || q < 0 {
-						t.Fatalf("task span %q queue_ms = %v, %v", s.Name, q, ok)
-					}
-					if a, ok := s.AttrFloat("attempts"); !ok || a != 1 {
-						t.Fatalf("task span %q attempts = %v, %v", s.Name, a, ok)
-					}
-				}
-			}
-			if root != 1 || tasks != nTasks || invokes != nTasks {
-				t.Fatalf("spans: root=%d tasks=%d invokes=%d, want 1/%d/%d",
-					root, tasks, invokes, nTasks, nTasks)
-			}
-
-			tr := TraceOf(res)
-			if tr.TraceID != res.TraceID || len(tr.Spans) != len(res.Spans) {
-				t.Fatal("TraceOf dropped span data")
-			}
-			var chrome bytes.Buffer
-			if err := tr.WriteChromeTrace(&chrome); err != nil {
-				t.Fatal(err)
-			}
-			back, err := obs.ParseChromeTrace(bytes.NewReader(chrome.Bytes()))
-			if err != nil {
-				t.Fatalf("chrome trace does not parse back: %v", err)
-			}
-			if len(back) != len(tr.Spans) {
-				t.Fatalf("chrome round trip: %d of %d spans", len(back), len(tr.Spans))
-			}
-			path := tr.SpanCriticalPath()
-			if len(path) < 2 || !strings.HasPrefix(path[0].Name, "workflow:") {
-				t.Fatalf("critical path = %d spans starting at %q", len(path), path[0].Name)
-			}
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		drive := sharedfs.NewMem()
+		srv, _, _ := stubService(t, drive, time.Millisecond)
+		tracer := obs.NewTracer(obs.Options{SampleRatio: 1})
+		m := fastManager(t, drive, func(o *Options) {
+			o.Scheduling = mode
+			o.Tracer = tracer
 		})
-	}
+		w := translated(t, "blast", 8, srv.URL)
+		res, err := m.Run(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TraceID == "" {
+			t.Fatal("sampled run has no TraceID")
+		}
+		nTasks := len(res.Tasks) - 2 // minus synthetic header/tail
+		var root, tasks, invokes int
+		for _, s := range res.Spans {
+			if s.Trace.String() != res.TraceID {
+				t.Fatalf("span %q in foreign trace %s", s.Name, s.Trace)
+			}
+			switch {
+			case strings.HasPrefix(s.Name, "workflow:"):
+				root++
+				if !s.Parent.IsZero() {
+					t.Fatal("root span has a parent")
+				}
+			case s.Name == "invoke":
+				invokes++
+			default:
+				tasks++
+				if q, ok := s.AttrFloat("queue_ms"); !ok || q < 0 {
+					t.Fatalf("task span %q queue_ms = %v, %v", s.Name, q, ok)
+				}
+				if a, ok := s.AttrFloat("attempts"); !ok || a != 1 {
+					t.Fatalf("task span %q attempts = %v, %v", s.Name, a, ok)
+				}
+			}
+		}
+		if root != 1 || tasks != nTasks || invokes != nTasks {
+			t.Fatalf("spans: root=%d tasks=%d invokes=%d, want 1/%d/%d",
+				root, tasks, invokes, nTasks, nTasks)
+		}
+
+		tr := TraceOf(res)
+		if tr.TraceID != res.TraceID || len(tr.Spans) != len(res.Spans) {
+			t.Fatal("TraceOf dropped span data")
+		}
+		var chrome bytes.Buffer
+		if err := tr.WriteChromeTrace(&chrome); err != nil {
+			t.Fatal(err)
+		}
+		back, err := obs.ParseChromeTrace(bytes.NewReader(chrome.Bytes()))
+		if err != nil {
+			t.Fatalf("chrome trace does not parse back: %v", err)
+		}
+		if len(back) != len(tr.Spans) {
+			t.Fatalf("chrome round trip: %d of %d spans", len(back), len(tr.Spans))
+		}
+		path := tr.SpanCriticalPath()
+		if len(path) < 2 || !strings.HasPrefix(path[0].Name, "workflow:") {
+			t.Fatalf("critical path = %d spans starting at %q", len(path), path[0].Name)
+		}
+	})
 }
 
 // TestUnsampledRunHasNoSpans: tracing off and tracing unsampled both

@@ -1,12 +1,16 @@
 package wfm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"strconv"
 	"sync"
 	"time"
+
+	"wfserverless/internal/obs"
+	"wfserverless/internal/wfbench"
 )
 
 // Sentinel errors of the invocation resilience layer.
@@ -262,6 +266,10 @@ type resilience struct {
 	// health is the run's health plane; nil when Options.Health is
 	// unset, keeping the attempt path untouched.
 	health *healthState
+	// post is the run's transport for one attempt, picked once at run
+	// start: the single-task POST (Manager.invokeOnce) unless batching is
+	// on, then the batcher's enrol-and-wait.
+	post func(ctx context.Context, p *invocationPlan, id int32, sc obs.SpanContext) (_ *wfbench.Response, retriable bool, retryAfter time.Duration, _ error)
 
 	mu          sync.Mutex
 	breakers    map[string]*breaker
@@ -269,7 +277,7 @@ type resilience struct {
 }
 
 func (m *Manager) newResilience(start time.Time) *resilience {
-	return &resilience{m: m, start: start, breakers: make(map[string]*breaker)}
+	return &resilience{m: m, start: start, post: m.invokeOnce, breakers: make(map[string]*breaker)}
 }
 
 // breakerFor returns the endpoint's breaker, or nil when breakers are

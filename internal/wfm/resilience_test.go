@@ -448,81 +448,79 @@ func TestBreakerShedsLoadOnDeadEndpoint(t *testing.T) {
 // fail-then-heal endpoint in both scheduling modes and checks the full
 // open -> half-open -> closed cycle lands in the Result and the trace.
 func TestBreakerTransitionsVisibleInTrace(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			drive := sharedfs.NewMem()
-			var calls atomic.Int64
-			h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				var req wfbench.Request
-				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				// The first six requests fail hard (opening the
-				// breaker), then the endpoint heals for good.
-				if calls.Add(1) <= 6 {
-					http.Error(w, "warming up", http.StatusInternalServerError)
-					return
-				}
-				for name, size := range req.Out {
-					drive.WriteFile(name, size)
-				}
-				json.NewEncoder(w).Encode(&wfbench.Response{Name: req.Name, OK: true})
-			})
-			srv := httptest.NewServer(h)
-			defer srv.Close()
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		drive := sharedfs.NewMem()
+		var calls atomic.Int64
+		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req wfbench.Request
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			// The first six requests fail hard (opening the
+			// breaker), then the endpoint heals for good.
+			if calls.Add(1) <= 6 {
+				http.Error(w, "warming up", http.StatusInternalServerError)
+				return
+			}
+			for name, size := range req.Out {
+				drive.WriteFile(name, size)
+			}
+			json.NewEncoder(w).Encode(&wfbench.Response{Name: req.Name, OK: true})
+		})
+		srv := httptest.NewServer(h)
+		defer srv.Close()
 
-			m := fastManager(t, drive, func(o *Options) {
-				o.Scheduling = mode
-				o.TimeScale = 1
-				o.PhaseDelay = 0.001
-				o.InputWait = 2
-				o.Retries = 30
-				o.RetryBackoff = 0.001
-				o.RetryBackoffMax = 0.05
-				o.Breaker = BreakerOptions{
-					Enabled:          true,
-					Window:           6,
-					FailureThreshold: 0.5,
-					MinSamples:       3,
-					Cooldown:         0.02,
-				}
-			})
-			w := translated(t, "blast", 8, srv.URL)
-			res, err := m.Run(context.Background(), w)
-			if err != nil {
-				t.Fatalf("run did not recover through the breaker: %v", err)
-			}
-			var opened, halfOpened, closed bool
-			for _, bt := range res.Breakers {
-				switch bt.To {
-				case BreakerOpen:
-					opened = true
-				case BreakerHalfOpen:
-					halfOpened = true
-				case BreakerClosed:
-					closed = true
-				}
-			}
-			if !opened || !halfOpened || !closed {
-				t.Fatalf("transitions %+v missing a state (open=%v half=%v closed=%v)",
-					res.Breakers, opened, halfOpened, closed)
-			}
-			trace := TraceOf(res)
-			if len(trace.Breakers) != len(res.Breakers) {
-				t.Fatalf("trace has %d breaker events, result %d", len(trace.Breakers), len(res.Breakers))
-			}
-			var retried bool
-			for _, ev := range trace.Events {
-				if ev.Attempts > 1 {
-					retried = true
-				}
-			}
-			if !retried {
-				t.Fatal("no trace event records retries despite injected failures")
+		m := fastManager(t, drive, func(o *Options) {
+			o.Scheduling = mode
+			o.TimeScale = 1
+			o.PhaseDelay = 0.001
+			o.InputWait = 2
+			o.Retries = 30
+			o.RetryBackoff = 0.001
+			o.RetryBackoffMax = 0.05
+			o.Breaker = BreakerOptions{
+				Enabled:          true,
+				Window:           6,
+				FailureThreshold: 0.5,
+				MinSamples:       3,
+				Cooldown:         0.02,
 			}
 		})
-	}
+		w := translated(t, "blast", 8, srv.URL)
+		res, err := m.Run(context.Background(), w)
+		if err != nil {
+			t.Fatalf("run did not recover through the breaker: %v", err)
+		}
+		var opened, halfOpened, closed bool
+		for _, bt := range res.Breakers {
+			switch bt.To {
+			case BreakerOpen:
+				opened = true
+			case BreakerHalfOpen:
+				halfOpened = true
+			case BreakerClosed:
+				closed = true
+			}
+		}
+		if !opened || !halfOpened || !closed {
+			t.Fatalf("transitions %+v missing a state (open=%v half=%v closed=%v)",
+				res.Breakers, opened, halfOpened, closed)
+		}
+		trace := TraceOf(res)
+		if len(trace.Breakers) != len(res.Breakers) {
+			t.Fatalf("trace has %d breaker events, result %d", len(trace.Breakers), len(res.Breakers))
+		}
+		var retried bool
+		for _, ev := range trace.Events {
+			if ev.Attempts > 1 {
+				retried = true
+			}
+		}
+		if !retried {
+			t.Fatal("no trace event records retries despite injected failures")
+		}
+	})
 }
 
 // --- pooled request buffer regression --------------------------------------
@@ -627,132 +625,143 @@ func TestPooledBufferSurvivesEarlyResponse(t *testing.T) {
 // and requires both scheduling modes to complete via retries with the
 // breaker armed — and to leak no goroutines.
 func TestRunSurvivesInjectedFaultsBothModes(t *testing.T) {
-	for _, mode := range []Scheduling{SchedulePhases, ScheduleDependency} {
-		t.Run(mode.String(), func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			drive := sharedfs.NewMem()
-			bench, err := wfbench.New(wfbench.Config{Drive: drive, TimeScale: 0.002})
-			if err != nil {
-				t.Fatal(err)
-			}
-			svc, err := wfbench.NewService(bench, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inj, err := wfbench.NewInjector(svc, wfbench.FaultProfile{
-				ErrorRate:     0.25,
-				RejectRate:    0.1,
-				RetryAfter:    0.005,
-				LatencyRate:   0.2,
-				Latency:       3 * time.Millisecond,
-				LatencyJitter: 2 * time.Millisecond,
-				Seed:          7,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(inj)
-			defer srv.Close()
-
-			m := fastManager(t, drive, func(o *Options) {
-				o.Scheduling = mode
-				o.Retries = 10
-				o.RetryBackoff = 0.5
-				o.RetryBackoffMax = 4
-				o.TaskTimeout = 120
-				o.Breaker = BreakerOptions{
-					Enabled:          true,
-					FailureThreshold: 0.95, // armed, but the fault mix must not trip it
-					MinSamples:       10,
-				}
-			})
-			w := translated(t, "blast", 24, srv.URL)
-			res, err := m.Run(context.Background(), w)
-			if err != nil {
-				t.Fatalf("run did not survive injected faults: %v", err)
-			}
-			if len(res.Failed) != 0 {
-				t.Fatalf("failed tasks: %v", res.Failed)
-			}
-			stats := inj.Stats()
-			if stats.Errors == 0 && stats.Rejects == 0 {
-				t.Fatalf("injector fired no faults: %+v", stats)
-			}
-			var attempts int
-			for name, tr := range res.Tasks {
-				if name == HeaderName || name == TailName {
-					continue
-				}
-				attempts += tr.Attempts
-			}
-			if attempts <= w.Len() {
-				t.Fatalf("attempts = %d, want > %d (retries must have happened)", attempts, w.Len())
-			}
-
-			// Tear down the endpoint, then require the run to have left
-			// no goroutines behind (workers, retry timers, watch
-			// subscriptions). The explicit close also reaps keep-alive
-			// connection handlers so only wfm leaks would remain.
-			srv.Close()
-			svc.Close()
-			deadline := time.Now().Add(2 * time.Second)
-			for time.Now().Before(deadline) {
-				if runtime.NumGoroutine() <= before {
-					return
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines: before=%d now=%d\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+	forEachScheduling(t, func(t *testing.T, mode Scheduling) {
+		before := runtime.NumGoroutine()
+		drive := sharedfs.NewMem()
+		bench, err := wfbench.New(wfbench.Config{Drive: drive, TimeScale: 0.002})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := wfbench.NewService(bench, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := wfbench.NewInjector(svc, wfbench.FaultProfile{
+			ErrorRate:     0.25,
+			RejectRate:    0.1,
+			RetryAfter:    0.005,
+			LatencyRate:   0.2,
+			Latency:       3 * time.Millisecond,
+			LatencyJitter: 2 * time.Millisecond,
+			Seed:          7,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(inj)
+		defer srv.Close()
+
+		m := fastManager(t, drive, func(o *Options) {
+			o.Scheduling = mode
+			o.Retries = 10
+			o.RetryBackoff = 0.5
+			o.RetryBackoffMax = 4
+			o.TaskTimeout = 120
+			o.Breaker = BreakerOptions{
+				Enabled:          true,
+				FailureThreshold: 0.95, // armed, but the fault mix must not trip it
+				MinSamples:       10,
+			}
+		})
+		w := translated(t, "blast", 24, srv.URL)
+		res, err := m.Run(context.Background(), w)
+		if err != nil {
+			t.Fatalf("run did not survive injected faults: %v", err)
+		}
+		if len(res.Failed) != 0 {
+			t.Fatalf("failed tasks: %v", res.Failed)
+		}
+		stats := inj.Stats()
+		if stats.Errors == 0 && stats.Rejects == 0 {
+			t.Fatalf("injector fired no faults: %+v", stats)
+		}
+		var attempts int
+		for name, tr := range res.Tasks {
+			if name == HeaderName || name == TailName {
+				continue
+			}
+			attempts += tr.Attempts
+		}
+		if attempts <= w.Len() {
+			t.Fatalf("attempts = %d, want > %d (retries must have happened)", attempts, w.Len())
+		}
+
+		// Tear down the endpoint, then require the run to have left
+		// no goroutines behind (workers, retry timers, watch
+		// subscriptions). The explicit close also reaps keep-alive
+		// connection handlers so only wfm leaks would remain.
+		srv.Close()
+		svc.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for time.Now().Before(deadline) {
+			if runtime.NumGoroutine() <= before {
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutines: before=%d now=%d\n%s",
+			before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+	})
 }
 
-// TestContinueOnErrorRecordsInputWarning: with ContinueOnError, a phase
-// whose inputs never appear must leave a warning in the Result (and the
-// trace), not silently dispatch doomed functions.
+// TestContinueOnErrorRecordsInputWarning: inputs are awaited per task,
+// under either rule. A function whose inputs never reach the drive fails
+// as that function with "inputs missing" — it is not invoked anyway, the
+// run is not aborted as "phase N", and no run-level warning stands in
+// for the failure; ContinueOnError only decides whether its unrelated
+// siblings still run.
 func TestContinueOnErrorRecordsInputWarning(t *testing.T) {
-	drive := sharedfs.NewMem()
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req wfbench.Request
-		json.NewDecoder(r.Body).Decode(&req)
-		if strings.HasPrefix(req.Name, "split_fasta") {
-			// Root "succeeds" without writing its outputs, so phase 2's
-			// inputs never reach the drive.
-			json.NewEncoder(w).Encode(&wfbench.Response{Name: req.Name, OK: true})
-			return
+	forEachScheduling(t, func(t *testing.T, s Scheduling) {
+		for _, cont := range []bool{false, true} {
+			drive := sharedfs.NewMem()
+			var served sync.Map // function name -> true
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var req wfbench.Request
+				json.NewDecoder(r.Body).Decode(&req)
+				served.Store(req.Name, true)
+				// The root "succeeds" without writing its outputs, so its
+				// children's inputs never reach the drive.
+				if !strings.HasPrefix(req.Name, "split_fasta") {
+					for name, size := range req.Out {
+						drive.WriteFile(name, size)
+					}
+				}
+				json.NewEncoder(w).Encode(&wfbench.Response{Name: req.Name, OK: true})
+			}))
+			m := fastManager(t, drive, func(o *Options) {
+				o.Scheduling = s
+				o.ContinueOnError = cont
+				o.InputWait = 0.2
+			})
+			w := translated(t, "blast", 8, srv.URL)
+			res, err := m.Run(context.Background(), w)
+			srv.Close()
+			if err == nil || !strings.Contains(err.Error(), "function(s) failed") {
+				t.Fatalf("continue=%v: err = %v, want the loop's failed-functions error", cont, err)
+			}
+			if len(res.Warnings) != 0 {
+				t.Fatalf("continue=%v: warnings = %v, want the failure on the task instead", cont, res.Warnings)
+			}
+			missing, children := 0, 0
+			for name, tr := range res.Tasks {
+				if strings.HasPrefix(name, "blastall") {
+					children++
+				}
+				if _, ok := served.Load(name); ok != (tr.Err == nil) && name != HeaderName && name != TailName {
+					t.Fatalf("continue=%v: %s served=%v but err = %v", cont, name, ok, tr.Err)
+				}
+				if tr.Err != nil && strings.Contains(tr.Err.Error(), "inputs missing") {
+					missing++
+				}
+			}
+			// Fail-fast stops at the first child to give up; pressing on,
+			// every blastall child fails its own wait.
+			if missing == 0 || (cont && missing != children) {
+				t.Fatalf("continue=%v: %d of %d children failed with inputs missing", cont, missing, children)
+			}
 		}
-		for name, size := range req.Out {
-			drive.WriteFile(name, size)
-		}
-		json.NewEncoder(w).Encode(&wfbench.Response{Name: req.Name, OK: true})
 	})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	m := fastManager(t, drive, func(o *Options) {
-		o.ContinueOnError = true
-		o.InputWait = 0.2
-	})
-	w := translated(t, "blast", 8, srv.URL)
-	res, err := m.Run(context.Background(), w)
-	// The stub serves phase-2 tasks even without their inputs, so the
-	// run itself presses through — exactly the case where the missed
-	// input wait used to vanish without a trace.
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(res.Warnings) == 0 {
-		t.Fatalf("no warning recorded for the missed inputs; warnings = %v", res.Warnings)
-	}
-	if !strings.Contains(res.Warnings[0], "inputs missing") {
-		t.Fatalf("warning %q does not name the missing inputs", res.Warnings[0])
-	}
-	trace := TraceOf(res)
-	if len(trace.Warnings) != len(res.Warnings) {
-		t.Fatalf("trace warnings = %v, want %v", trace.Warnings, res.Warnings)
-	}
 }
 
 // TestNewRejectsBadResilienceOptions covers option validation.

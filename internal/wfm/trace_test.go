@@ -144,7 +144,9 @@ func TestNoRetryOn4xx(t *testing.T) {
 	})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	m := fastManager(t, drive, func(o *Options) { o.Retries = 3 })
+	// ContinueOnError, so the first 400 does not cancel its sibling
+	// before that one's request is sent.
+	m := fastManager(t, drive, func(o *Options) { o.Retries = 3; o.ContinueOnError = true })
 	w := translated(t, "seismology", 3, srv.URL)
 	if _, err := m.Run(context.Background(), w); err == nil {
 		t.Fatal("4xx run succeeded")

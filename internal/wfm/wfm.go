@@ -16,15 +16,18 @@
 // in-process Knative-like platform, the local-container baseline, or a
 // real endpoint.
 //
-// Two scheduling modes are provided (Options.Scheduling). SchedulePhases
-// is the paper's model described above and stays the default. With
-// ScheduleDependency the manager abandons phase barriers: a dag.Scheduler
-// tracks the ready frontier incrementally, a worker pool dispatches each
-// function the instant its parents complete and its inputs are on the
-// drive (woken by sharedfs change notification rather than polling), and
-// no inter-phase delay is inserted. The dependency guarantees and the
-// Result shape are identical; the dead time — straggler barriers plus
-// one fixed delay per DAG level — is gone.
+// There is one execution core (runLoop): a dag.Scheduler tracks the
+// ready frontier incrementally, a worker pool runs each released
+// function — wait for its inputs on the drive (woken by sharedfs change
+// notification rather than polling), then invoke — and completions feed
+// back into a single-threaded event loop. Options.Scheduling selects
+// only when ready functions are released to the pool. SchedulePhases,
+// the default, is the paper's model described above: ready functions are
+// held until nothing is in flight, the inter-phase delay is slept, and
+// they are released together. ScheduleDependency releases each function
+// the instant its parents complete. The dependency guarantees, the
+// failure rules and the Result shape are identical; what differs is the
+// dead time — straggler barriers plus one fixed delay per DAG level.
 package wfm
 
 import (
@@ -36,9 +39,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"wfserverless/internal/dag"
@@ -57,21 +58,21 @@ const (
 	TailName   = "__workflow_tail"
 )
 
-// Scheduling selects how the manager orders invocations.
+// Scheduling selects when the manager releases ready functions for
+// invocation; everything else about a run is the same for both values.
 type Scheduling int
 
 const (
 	// SchedulePhases is the paper's execution model: all functions of a
-	// topological level are invoked simultaneously, the manager waits
+	// topological level are released simultaneously, the manager waits
 	// for the whole level to drain, and a brief fixed delay separates
 	// consecutive levels. Every phase is as slow as its slowest
 	// straggler; kept as the default for paper fidelity.
 	SchedulePhases Scheduling = iota
 	// ScheduleDependency is the event-driven model: each function is
-	// dispatched the moment all of its DAG parents have completed and
-	// its input files are on the shared drive — no phase barriers and
-	// no inter-phase delay. Identical task sets and dependency
-	// guarantees, strictly less dead time.
+	// released the moment all of its DAG parents have completed — no
+	// phase barriers and no inter-phase delay. Identical task sets and
+	// dependency guarantees, strictly less dead time.
 	ScheduleDependency
 )
 
@@ -113,14 +114,15 @@ type Options struct {
 	// ("a brief delay of one second is introduced between each
 	// workflow phase"); zero defaults to 1.
 	PhaseDelay float64
-	// InputWait bounds the per-phase wait for input files on the
+	// InputWait bounds each function's wait for its input files on the
 	// shared drive, nominal seconds; zero defaults to 30.
 	InputWait float64
 	// MaxParallel caps simultaneous HTTP requests; zero means
 	// unlimited (the paper's behaviour).
 	MaxParallel int
-	// ContinueOnError keeps executing later phases after a function
-	// fails; by default a failed phase aborts the run.
+	// ContinueOnError keeps executing functions that do not descend
+	// from a failed one (its descendants are skipped either way); by
+	// default the first failure cancels everything queued or in flight.
 	ContinueOnError bool
 	// Retries re-issues failed invocations up to this many extra
 	// times (transport errors, 5xx, and 429 responses only) — basic
@@ -161,8 +163,8 @@ type Options struct {
 	// (the zero value), matching the paper's header function; callers
 	// that pre-populate the drive themselves set this to true.
 	SkipStageInputs bool
-	// Scheduling selects the execution model; the zero value is
-	// SchedulePhases, the paper's phase-barrier loop.
+	// Scheduling selects the release rule; the zero value is
+	// SchedulePhases, the paper's phase barrier.
 	Scheduling Scheduling
 	// Tracer records distributed-trace spans for the run: a root span
 	// per workflow, a span per task (backdated to when the task became
@@ -177,8 +179,7 @@ type Options struct {
 	// disables monitoring.
 	Monitor *Monitor
 	// Logger receives structured run-lifecycle events (run start/end,
-	// phase dispatch, task failures, breaker transitions). Nil disables
-	// logging.
+	// task failures, breaker transitions). Nil disables logging.
 	Logger *slog.Logger
 	// Journal, when set, makes the run durable: lifecycle events (run
 	// header with workflow fingerprint, task started/completed/failed,
@@ -310,11 +311,11 @@ type TaskResult struct {
 	Name     string
 	Category string
 	Phase    int
-	// Ready is when the scheduler deemed the task runnable: in phase
-	// mode, when its phase began dispatching; in dependency mode, when
-	// its last parent completed (or run start for roots). The gap to
-	// Start is time spent queued behind MaxParallel or waiting for
-	// input files.
+	// Ready is when the task was released to the worker pool: under
+	// SchedulePhases, when its phase was released; under
+	// ScheduleDependency, when its last parent completed (or run start
+	// for roots). The gap to Start is time spent queued behind
+	// MaxParallel, waiting for input files, or waiting on Options.Gate.
 	Ready time.Duration
 	Start time.Duration // offset from run start (wall)
 	End   time.Duration
@@ -349,10 +350,10 @@ type Result struct {
 	Workflow string
 	// Scheduling is the mode that produced this result.
 	Scheduling Scheduling
-	// Phases lists the function names per executed phase, including
-	// the synthetic header and tail. In dependency mode these are the
-	// static topological levels, kept for comparability — execution
-	// order within them is event-driven.
+	// Phases lists the function names per topological level, framed by
+	// the synthetic header and tail. Under SchedulePhases a fresh run
+	// releases exactly these groups in order; under ScheduleDependency
+	// they are kept for comparability — execution order is event-driven.
 	Phases [][]string
 	// Makespan is the nominal end-to-end time in paper seconds
 	// (wall time divided by TimeScale).
@@ -364,8 +365,8 @@ type Result struct {
 	// Failed lists functions that returned errors, sorted.
 	Failed []string
 	// Warnings records non-fatal anomalies the run pressed on through
-	// (e.g. a phase dispatched under ContinueOnError although its
-	// inputs never appeared on the shared drive).
+	// (e.g. a resume under different options, a repaired memo cache, a
+	// journal that stopped accepting appends).
 	Warnings []string
 	// Breakers lists circuit-breaker state transitions observed during
 	// the run, in time order (empty unless Options.Breaker is enabled
@@ -390,22 +391,7 @@ type Result struct {
 	Spans []obs.Span
 }
 
-// PhaseError reports a phase whose functions failed.
-type PhaseError struct {
-	Phase  int
-	Failed []string
-	Errs   []error
-}
-
-func (e *PhaseError) Error() string {
-	return fmt.Sprintf("wfm: phase %d: %d function(s) failed: %v (first: %v)",
-		e.Phase, len(e.Failed), e.Failed, e.Errs[0])
-}
-
-// Unwrap exposes the first underlying error.
-func (e *PhaseError) Unwrap() error { return e.Errs[0] }
-
-// Run executes the workflow under the configured Scheduling mode. Every
+// Run executes the workflow under the configured Scheduling rule. Every
 // task must carry an api_url (set by a translator); Run validates the
 // workflow first. With Options.Journal set the journal must be empty —
 // continuing a previous run is Resume's job.
@@ -467,8 +453,8 @@ func (m *Manager) prepare(w *wfformat.Workflow) (*dag.CSR, *invocationPlan, erro
 
 // run drives one execution (fresh or resumed): it opens the journal's
 // run framing — header for fresh runs, resume marker for recovered ones
-// — hands the run state to the scheduling loop, and closes the framing
-// with a run-end record whose status reflects how the loop exited.
+// — hands the run state to runLoop, and closes the framing with a
+// run-end record whose status reflects how the loop exited.
 func (m *Manager) run(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p *invocationPlan, rec *recovery) (*Result, error) {
 	st := &runState{rec: rec, afterDone: m.opts.AfterTaskDone}
 	if m.opts.Health != nil {
@@ -515,13 +501,7 @@ func (m *Manager) run(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p
 		}
 	}
 
-	var res *Result
-	var err error
-	if m.opts.Scheduling == ScheduleDependency {
-		res, err = m.runDependency(ctx, w, csr, p, st)
-	} else {
-		res, err = m.runPhases(ctx, w, csr, p, st)
-	}
+	res, err := m.runLoop(ctx, w, csr, p, st)
 	if res != nil {
 		if rec != nil {
 			r := rec.report
@@ -640,22 +620,6 @@ func levelPhases(c *dag.CSR) [][]string {
 	return out
 }
 
-// recoveredResult renders a journal-recovered task as a TaskResult:
-// completed in a previous process, never re-invoked here.
-func recoveredResult(p *invocationPlan, csr *dag.CSR, st *runState, id int32) *TaskResult {
-	task := p.tasks[id]
-	tr := &TaskResult{
-		Name:      task.Name,
-		Category:  task.Category,
-		Phase:     int(csr.Level(id)) + 1,
-		Recovered: true,
-	}
-	if st.rec != nil {
-		tr.Attempts = int(st.rec.attempts[id])
-	}
-	return tr
-}
-
 // traceReplay annotates the run's root span with journal context and,
 // on resumed runs, emits a journal:replay child span carrying the
 // recovery counts.
@@ -687,224 +651,6 @@ func (m *Manager) traceMemo(root *obs.Span, st *runState) {
 	s.SetInt("memo_misses", st.memo.misses)
 	s.SetInt("skipped_output_bytes", int(st.memo.skipped))
 	s.Finish()
-}
-
-// runPhases is the paper's phase-barrier loop (Section III-C).
-func (m *Manager) runPhases(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p *invocationPlan, st *runState) (*Result, error) {
-	levels := csr.LevelSlices()
-	phases := levelPhases(csr)
-
-	res := &Result{
-		Workflow:   w.Name,
-		Scheduling: SchedulePhases,
-		Tasks:      make(map[string]*TaskResult, w.Len()+2),
-	}
-	start := time.Now()
-	record := func(tr *TaskResult) {
-		res.Tasks[tr.Name] = tr
-	}
-	rs := m.newResilience(start)
-	rs.health = st.health
-	rs.batch = m.newBatcher(ctx, p)
-	rs.batch.setHealth(st.health)
-	defer rs.batch.close()
-	// Breaker transitions belong in the Result on every exit path,
-	// including aborts and cancellations.
-	defer func() { res.Breakers = rs.take() }()
-	root, finishTrace := m.startRunTrace(w.Name, res)
-	defer finishTrace()
-	m.traceReplay(root, st)
-	m.traceMemo(root, st)
-	mon := m.opts.Monitor
-	mon.runStarted(w.Name, SchedulePhases, p.len())
-	if l := m.opts.Logger; l != nil {
-		l.Info("workflow run starting",
-			"workflow", w.Name, "tasks", p.len(), "phases", len(levels), "scheduling", SchedulePhases.String())
-	}
-	defer func() {
-		if l := m.opts.Logger; l != nil {
-			l.Info("workflow run finished",
-				"workflow", w.Name, "wall", res.Wall, "failed", len(res.Failed))
-		}
-	}()
-
-	// Header: stage external inputs so root functions find their data.
-	if err := m.stageHeader(p, res, start); err != nil {
-		return res, err
-	}
-
-	var sem chan struct{}
-	if m.opts.MaxParallel > 0 {
-		sem = make(chan struct{}, m.opts.MaxParallel)
-	}
-
-	var abort *PhaseError
-	for pi, level := range levels {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		// Partition the level: tasks the journal proved completed or the
-		// memo cache verified (outputs still on the drive either way) are
-		// recorded as recovered/memoized and never re-invoked; only the
-		// remainder dispatches.
-		toRun := level
-		if st.hasSeeds() {
-			toRun = make([]int32, 0, len(level))
-			for _, id := range level {
-				if st.seededID(id) {
-					record(seededResult(p, csr, st, id))
-				} else {
-					toRun = append(toRun, id)
-				}
-			}
-			if len(toRun) == 0 {
-				res.Phases = append(res.Phases, phases[pi])
-				continue
-			}
-		}
-		if l := m.opts.Logger; l != nil {
-			l.Debug("dispatching phase", "phase", pi+1, "tasks", len(toRun))
-		}
-		// Check that every input of the phase is on the shared drive,
-		// waiting briefly for stragglers from the previous phase.
-		if err := m.awaitInputs(ctx, p, toRun); err != nil {
-			if !m.opts.ContinueOnError {
-				return res, fmt.Errorf("wfm: phase %d: %w", pi+1, err)
-			}
-			// The phase still runs — its functions will fail their own
-			// input checks — but the run must record why, not drop it.
-			res.Warnings = append(res.Warnings, fmt.Sprintf("phase %d: %v", pi+1, err))
-		}
-
-		var wg sync.WaitGroup
-		// One contiguous allocation for the whole phase instead of one
-		// heap object per task — wide fan-out phases dispatch hundreds.
-		results := make([]TaskResult, len(toRun))
-		ready := time.Since(start)
-		mon.taskReady(len(toRun))
-		for i, id := range toRun {
-			wg.Add(1)
-			go func(tr *TaskResult, id int32) {
-				defer wg.Done()
-				if sem != nil {
-					sem <- struct{}{}
-					defer func() { <-sem }()
-				}
-				task := p.tasks[id]
-				tr.Name = task.Name
-				tr.Category = task.Category
-				tr.Phase = pi + 1
-				tr.Ready = ready
-				if g := m.opts.Gate; g != nil {
-					if err := g.Acquire(ctx); err != nil {
-						mon.taskStarted()
-						tr.Start = time.Since(start)
-						tr.End = tr.Start
-						tr.Err = err
-						st.taskDone(id, p, tr)
-						mon.taskFinished(0, true)
-						return
-					}
-					defer g.Release()
-				}
-				ts := m.opts.Tracer.StartChildOf(root, task.Name)
-				ts.SetStart(start.Add(ready))
-				if st.memo != nil {
-					ts.SetAttr("memo_hit", "false")
-				}
-				mon.taskStarted()
-				st.rj.taskStarted(id)
-				st.health.taskStarted(task)
-				tr.Start = time.Since(start)
-				tr.Response, tr.Attempts, tr.Err = m.invoke(ctx, p, id, rs, ts)
-				tr.End = time.Since(start)
-				st.taskDone(id, p, tr)
-				mon.taskFinished(tr.End-tr.Start, tr.Err != nil)
-				m.finishTaskSpan(ts, tr)
-			}(&results[i], id)
-		}
-		wg.Wait()
-
-		var failed []string
-		var errs []error
-		for i := range results {
-			tr := &results[i]
-			record(tr)
-			if tr.Err != nil {
-				failed = append(failed, tr.Name)
-				errs = append(errs, tr.Err)
-				if l := m.opts.Logger; l != nil {
-					l.Warn("task failed", "task", tr.Name, "phase", tr.Phase,
-						"attempts", tr.Attempts, "err", tr.Err)
-				}
-			}
-		}
-		res.Phases = append(res.Phases, phases[pi])
-		if len(failed) > 0 {
-			sort.Strings(failed)
-			res.Failed = append(res.Failed, failed...)
-			abort = &PhaseError{Phase: pi + 1, Failed: failed, Errs: errs}
-			if !m.opts.ContinueOnError {
-				break
-			}
-			abort = nil
-		}
-
-		// The paper's brief inter-phase delay, skipped after the last
-		// phase.
-		if pi < len(phases)-1 {
-			select {
-			case <-ctx.Done():
-				return res, ctx.Err()
-			case <-time.After(m.scaled(m.opts.PhaseDelay)):
-			}
-		}
-	}
-
-	tail := &TaskResult{
-		Name: TailName, Category: "tail",
-		Phase: len(phases) + 1,
-		Start: time.Since(start), End: time.Since(start),
-	}
-	record(tail)
-	res.Phases = append(res.Phases, []string{TailName})
-
-	res.Wall = time.Since(start)
-	res.Makespan = res.Wall.Seconds() / m.opts.TimeScale
-	if abort != nil {
-		return res, abort
-	}
-	if len(res.Failed) > 0 {
-		sort.Strings(res.Failed)
-		return res, fmt.Errorf("wfm: %d function(s) failed: %v", len(res.Failed), res.Failed)
-	}
-	return res, nil
-}
-
-// awaitInputs waits until every input file of the phase's functions is
-// present on the shared drive.
-func (m *Manager) awaitInputs(ctx context.Context, p *invocationPlan, level []int32) error {
-	needed := make(map[string]struct{})
-	for _, id := range level {
-		for _, in := range p.tasks[id].InputFiles() {
-			needed[in] = struct{}{}
-		}
-	}
-	if len(needed) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(needed))
-	for n := range needed {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	waitCtx, cancel := context.WithTimeout(ctx, m.scaled(m.opts.InputWait))
-	defer cancel()
-	missing, err := sharedfs.WaitFor(waitCtx, m.opts.Drive, names, m.scaled(m.opts.InputWait)/100)
-	if err != nil {
-		return fmt.Errorf("inputs missing on shared drive: %v: %w", missing, err)
-	}
-	return nil
 }
 
 // startRunTrace opens the run's root span (nil when tracing is off or
@@ -980,10 +726,8 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 		} else {
 			if rs.health != nil {
 				resp, retriable, retryAfter, err = rs.health.attempt(tctx, p, id, rs, attempt, as, parent)
-			} else if rs.batch != nil {
-				resp, retriable, retryAfter, err = rs.batch.invokeOnce(tctx, id, as.Context())
 			} else {
-				resp, retriable, retryAfter, err = m.invokeOnce(tctx, p, id, as.Context())
+				resp, retriable, retryAfter, err = rs.post(tctx, p, id, as.Context())
 			}
 			if br != nil {
 				br.record(classify(ctx, tctx, retriable, err))
@@ -1076,12 +820,9 @@ func (m *Manager) invokeOnce(ctx context.Context, p *invocationPlan, id int32, s
 	defer hres.Body.Close()
 	if hres.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 1024))
-		retriable = hres.StatusCode >= 500 || hres.StatusCode == http.StatusTooManyRequests
-		if hres.StatusCode == http.StatusTooManyRequests || hres.StatusCode == http.StatusServiceUnavailable {
-			retryAfter = ParseRetryAfter(hres.Header.Get("Retry-After"))
-		}
-		return nil, retriable, retryAfter,
-			fmt.Errorf("wfm: %s: HTTP %d: %s", task.Name, hres.StatusCode, strings.TrimSpace(string(msg)))
+		retriable, retryAfter, err = statusFailure(task.Name, hres.StatusCode,
+			ParseRetryAfter(hres.Header.Get("Retry-After")), msg)
+		return nil, retriable, retryAfter, err
 	}
 	buf := decodeBufs.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -1098,6 +839,18 @@ func (m *Manager) invokeOnce(ctx context.Context, p *invocationPlan, id int32, s
 		return &resp, false, 0, fmt.Errorf("wfm: %s: function error: %s", task.Name, resp.Error)
 	}
 	return &resp, false, 0, nil
+}
+
+// statusFailure maps a non-200 answer — a whole HTTP response or one
+// sub-task's frame of a batch response — onto an attempt outcome: 5xx
+// and 429 are worth retrying, and the server's Retry-After hint counts
+// only on the two statuses that define it (429, 503).
+func statusFailure(task string, status int, hint time.Duration, msg []byte) (retriable bool, retryAfter time.Duration, _ error) {
+	retriable = status >= 500 || status == http.StatusTooManyRequests
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		retryAfter = hint
+	}
+	return retriable, retryAfter, fmt.Errorf("wfm: %s: HTTP %d: %s", task, status, strings.TrimSpace(string(msg)))
 }
 
 // PhaseStats summarizes per-phase behaviour of a Result, used by the
