@@ -383,7 +383,7 @@ func BenchmarkInvocationThroughput(b *testing.B) {
 // of up to 512 pre-encoded frames, so the per-task HTTP round trip —
 // the wall the unbatched 512-task benchmark above runs into at ~6k
 // invocations/s — disappears from the hot path. The acceptance target
-// is >=10x the unbatched invocations/s recorded in BENCH_pr3.json.
+// was >=10x the unbatched invocations/s measured at PR 3 (~6k).
 func BenchmarkInvocationThroughputBatched(b *testing.B) {
 	const tasks = 100_000
 	drive := sharedfs.NewMem()

@@ -17,6 +17,10 @@
 //   - internal/serverless, internal/container: the Knative-equivalent
 //     platform (ingress, pods, KPA-style autoscaler, cold starts,
 //     scale-to-zero) and the bare-metal local-container baseline;
+//   - internal/dag, internal/wfformat: the workflow JSON of the
+//     paper's Section III-A and the one graph it compiles to —
+//     interned task IDs and a CSR adjacency that validation,
+//     characterization and execution all run on;
 //   - internal/wfm: the serverless workflow manager — the paper's core
 //     contribution — executing DAGs over HTTP on one event loop over
 //     an incremental ready-set scheduler (dag.Scheduler), releasing
@@ -32,7 +36,8 @@
 //     performance model.
 //
 // This file's package exists to host the top-level benchmark harness
-// (bench_test.go), which regenerates every table and figure of the
-// paper's evaluation; see README.md for the tour and EXPERIMENTS.md for
-// paper-vs-measured results.
+// (bench_test.go), a developer tool that regenerates every table and
+// figure of the paper's evaluation; performance claims come from the
+// reference benchmark in bench/ (BENCHMARK.json). See README.md for the
+// tour and EXPERIMENTS.md for paper-vs-measured results.
 package wfserverless

@@ -1,16 +1,17 @@
+// Package dag models a scientific workflow as a directed acyclic graph:
+// tasks are vertices, data/control dependencies are edges. There is one
+// representation — an interning table mapping vertex names to dense
+// int32 IDs (Index) and an immutable compressed-sparse-row adjacency
+// over those IDs (CSR) — which validation, characterization and the
+// workflow manager's Scheduler all run on, so a 100k-task workflow is
+// checked and drained without hashing a string or allocating per task.
+// The package knows nothing of the workflow JSON format.
 package dag
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
-
-// This file is the integer-indexed core of the package: an interning
-// table mapping vertex names to dense int32 IDs and a compressed-sparse-
-// row (CSR) adjacency over those IDs. The string-keyed Graph remains the
-// construction and analysis API; the CSR is what the workflow manager's
-// hot path runs on, where a 100k-task drain must not hash a single
-// string or allocate per completion.
 
 // Index interns vertex names to dense int32 IDs in insertion order. IDs
 // are stable for the lifetime of the Index and contiguous in [0, Len).
@@ -59,8 +60,7 @@ func (ix *Index) Names() []string { return ix.names }
 // CSR is an immutable compressed-sparse-row adjacency of a DAG over
 // interned vertex IDs. Children(v) and Parents(v) are zero-allocation
 // subslice views; the topological order and level assignment are
-// computed once at construction. Build one with a CSRBuilder or from an
-// existing Graph with BuildCSR.
+// computed once at construction. Build one with a CSRBuilder.
 type CSR struct {
 	idx *Index
 	// children of v are children[childStart[v]:childStart[v+1]], sorted
@@ -110,11 +110,6 @@ func (b *CSRBuilder) AddEdgeIDs(from, to int32) error {
 	return nil
 }
 
-// AddEdge records the edge between two names, interning them as needed.
-func (b *CSRBuilder) AddEdge(from, to string) error {
-	return b.AddEdgeIDs(b.idx.Intern(from), b.idx.Intern(to))
-}
-
 // Build compiles the accumulated structure. It returns a *CycleError if
 // the edges form a cycle. The builder must not be reused after Build.
 func (b *CSRBuilder) Build() (*CSR, error) {
@@ -160,7 +155,7 @@ func dedupSegments(vals []int32, start []int32) ([]int32, []int32) {
 	w := int32(0)
 	for v := 0; v < len(start)-1; v++ {
 		seg := vals[start[v]:start[v+1]]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(seg)
 		newStart := w
 		for i, x := range seg {
 			if i > 0 && x == seg[i-1] {
@@ -173,6 +168,16 @@ func dedupSegments(vals []int32, start []int32) ([]int32, []int32) {
 	}
 	start[len(start)-1] = w
 	return vals[:w], start
+}
+
+// CycleError describes a dependency cycle found by CSRBuilder.Build.
+type CycleError struct {
+	// Cycle lists the vertices on one detected cycle, in order.
+	Cycle []string
+}
+
+func (e *CycleError) Error() string {
+	return fmt.Sprintf("dag: cycle detected: %v", e.Cycle)
 }
 
 // computeOrder runs Kahn's algorithm over the CSR, filling topo and
@@ -258,24 +263,6 @@ func (c *CSR) findCycleNames(indeg []int32) []string {
 	}
 }
 
-// BuildCSR compiles a Graph into its CSR form. Vertex IDs follow the
-// graph's insertion order. Returns a *CycleError on cyclic graphs.
-func BuildCSR(g *Graph) (*CSR, error) {
-	b := NewCSRBuilder(g.Len(), g.EdgeCount())
-	for _, v := range g.order {
-		b.AddVertex(v)
-	}
-	for _, v := range g.order {
-		from := b.idx.ids[v]
-		for c := range g.children[v] {
-			if err := b.AddEdgeIDs(from, b.idx.ids[c]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return b.Build()
-}
-
 // Len returns the number of vertices.
 func (c *CSR) Len() int { return c.idx.Len() }
 
@@ -340,4 +327,85 @@ func (c *CSR) LevelSlices() [][]int32 {
 		out[i] = flat[counts[i]:counts[i+1]]
 	}
 	return out
+}
+
+// HasEdge reports whether the edge from -> to exists.
+func (c *CSR) HasEdge(from, to int32) bool {
+	_, found := slices.BinarySearch(c.Children(from), to)
+	return found
+}
+
+// Reachability returns a query that reports whether to is reachable from
+// from through one or more edges. The query walks parents back from to
+// and never enters a vertex at or above from's level, which no
+// descendant of from can occupy. It owns a visited set that it reuses
+// across calls, so a batch of queries allocates once; it is not safe for
+// concurrent use.
+func (c *CSR) Reachability() func(from, to int32) bool {
+	var (
+		seen  []uint32 // seen[v] == epoch: v was visited by the current query
+		epoch uint32
+		stack []int32
+	)
+	return func(from, to int32) bool {
+		floor := c.level[from]
+		if c.level[to] <= floor {
+			return false
+		}
+		if seen == nil {
+			seen = make([]uint32, c.Len())
+		}
+		epoch++
+		if epoch == 0 { // wrapped: stamps of 2^32 queries ago would look current
+			clear(seen)
+			epoch = 1
+		}
+		stack = append(stack[:0], to)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, p := range c.Parents(v) {
+				if p == from {
+					return true
+				}
+				if c.level[p] > floor && seen[p] != epoch {
+					seen[p] = epoch
+					stack = append(stack, p)
+				}
+			}
+		}
+		return false
+	}
+}
+
+// CriticalPath returns the longest path through the DAG, as vertex IDs
+// in forward order, where vertex v weighs weights[v], and its total
+// weight. weights must be indexed by ID. Ties are broken the same way
+// on every call: among equally heavy parents the lowest ID wins, among
+// equally heavy path ends the first in topological order.
+func (c *CSR) CriticalPath(weights []float64) ([]int32, float64) {
+	dist := make([]float64, c.Len())
+	prev := make([]int32, c.Len())
+	best, bestV := -1.0, int32(-1)
+	for _, v := range c.topo {
+		d, from := weights[v], int32(-1)
+		for _, p := range c.Parents(v) {
+			if dist[p]+weights[v] > d {
+				d, from = dist[p]+weights[v], p
+			}
+		}
+		dist[v], prev[v] = d, from
+		if d > best {
+			best, bestV = d, v
+		}
+	}
+	if bestV < 0 {
+		return nil, 0
+	}
+	var path []int32
+	for v := bestV; v >= 0; v = prev[v] {
+		path = append(path, v)
+	}
+	slices.Reverse(path)
+	return path, best
 }

@@ -2,7 +2,7 @@ package dag
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VertexState tracks a vertex through a Scheduler's lifecycle.
@@ -54,11 +54,9 @@ func (s VertexState) String() string {
 //
 // All bookkeeping lives in flat int32 arrays indexed by interned vertex
 // ID over a CSR adjacency — a 100k-task drain performs no string
-// hashing, no sorting, and no steady-state allocation. The ID-based
-// methods (TakeReadyIDs, CompleteID, FailID) are the hot-path API and
-// return scratch slices valid only until the next Scheduler call; the
-// string methods wrap them for convenience and return fresh sorted
-// copies.
+// hashing, no sorting, and no steady-state allocation. TakeReadyIDs,
+// CompleteID and FailID return scratch slices valid only until the next
+// Scheduler call.
 //
 // The lifecycle of a vertex is pending -> ready -> running -> completed
 // or failed; descendants of a failed vertex become skipped. A Scheduler
@@ -83,20 +81,8 @@ type Scheduler struct {
 	stack []int32
 }
 
-// NewScheduler builds a Scheduler for g. It returns a *CycleError if g
-// is cyclic (a cyclic graph can never drain). The graph must not be
-// mutated while the scheduler is in use.
-func NewScheduler(g *Graph) (*Scheduler, error) {
-	c, err := BuildCSR(g)
-	if err != nil {
-		return nil, err
-	}
-	return NewSchedulerCSR(c), nil
-}
-
-// NewSchedulerCSR builds a Scheduler directly over a compiled CSR — the
-// zero-conversion path the workflow manager uses. A CSR is acyclic by
-// construction, so no error is possible.
+// NewSchedulerCSR builds a Scheduler over a compiled CSR. A CSR is
+// acyclic by construction, so no error is possible.
 func NewSchedulerCSR(c *CSR) *Scheduler {
 	n := int32(c.Len())
 	s := &Scheduler{
@@ -121,22 +107,9 @@ func (s *Scheduler) CSR() *CSR { return s.c }
 // StateID returns the lifecycle state of id.
 func (s *Scheduler) StateID(id int32) VertexState { return s.state[id] }
 
-// State returns the lifecycle state of v. Unknown vertices report
-// StatePending.
-func (s *Scheduler) State(v string) VertexState {
-	id, ok := s.c.ID(v)
-	if !ok {
-		return StatePending
-	}
-	return s.state[id]
-}
-
 // ReadyIDs returns the current ready frontier in ID order. Read-only
 // view, valid until the next Scheduler call.
 func (s *Scheduler) ReadyIDs() []int32 { return s.ready }
-
-// Ready returns a copy of the current ready set, sorted by name.
-func (s *Scheduler) Ready() []string { return s.sortedNames(s.ready) }
 
 // TakeReadyIDs drains the ready set, marking every returned vertex
 // running. The returned slice is valid until the next TakeReadyIDs
@@ -149,17 +122,6 @@ func (s *Scheduler) TakeReadyIDs() []int32 {
 		s.state[id] = StateRunning
 	}
 	return out
-}
-
-// TakeReady drains the ready set, marking every returned vertex running
-// and returning names sorted. The caller must eventually report each
-// via Complete or Fail.
-func (s *Scheduler) TakeReady() []string {
-	ids := s.TakeReadyIDs()
-	if len(ids) == 0 {
-		return nil
-	}
-	return s.sortedNames(ids)
 }
 
 // SeedCompletedIDs marks ids completed before execution begins — the
@@ -196,7 +158,7 @@ func (s *Scheduler) SeedCompletedIDs(ids []int32) error {
 			}
 		}
 	}
-	sort.Slice(s.ready, func(i, k int) bool { return s.ready[i] < s.ready[k] })
+	slices.Sort(s.ready)
 	return nil
 }
 
@@ -222,26 +184,6 @@ func (s *Scheduler) CompleteID(id int32) ([]int32, error) {
 		}
 	}
 	return s.newly, nil
-}
-
-// Complete reports that v finished successfully and returns the
-// vertices that became ready as a result, sorted by name. The returned
-// vertices are marked running (as if taken), so the caller can dispatch
-// them directly. It is an error to complete a vertex that is not
-// running or ready.
-func (s *Scheduler) Complete(v string) ([]string, error) {
-	id, ok := s.c.ID(v)
-	if !ok {
-		return nil, fmt.Errorf("dag: Complete(%q): vertex is %s", v, StatePending)
-	}
-	newly, err := s.CompleteID(id)
-	if err != nil {
-		return nil, err
-	}
-	if len(newly) == 0 {
-		return nil, nil
-	}
-	return s.sortedNames(newly), nil
 }
 
 // FailID reports that id failed and returns every descendant that can
@@ -273,25 +215,6 @@ func (s *Scheduler) FailID(id int32) ([]int32, error) {
 		s.stack = append(s.stack, s.c.Children(c)...)
 	}
 	return s.newly, nil
-}
-
-// Fail reports that v failed and returns every descendant that can now
-// never run, sorted by name; those descendants are marked skipped.
-// Descendants already skipped by an earlier failure are not returned
-// again.
-func (s *Scheduler) Fail(v string) ([]string, error) {
-	id, ok := s.c.ID(v)
-	if !ok {
-		return nil, fmt.Errorf("dag: Fail(%q): vertex is %s", v, StatePending)
-	}
-	skipped, err := s.FailID(id)
-	if err != nil {
-		return nil, err
-	}
-	if len(skipped) == 0 {
-		return nil, nil
-	}
-	return s.sortedNames(skipped), nil
 }
 
 // leaveActive validates that id may leave the active (ready or running)
@@ -332,14 +255,4 @@ func (s *Scheduler) dropReady(id int32) {
 			return
 		}
 	}
-}
-
-// sortedNames maps IDs to names and sorts — the string-API boundary.
-func (s *Scheduler) sortedNames(ids []int32) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = s.c.Name(id)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -5,46 +5,60 @@ import (
 	"testing"
 )
 
-// diamondGraph builds a -> {b, c} -> d.
-func diamondGraph(t *testing.T) *Graph {
-	t.Helper()
-	g := New()
-	for _, e := range [][2]string{{"a", "b"}, {"a", "c"}, {"b", "d"}, {"c", "d"}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g
+// named drives a Scheduler by vertex name: the tests' readable layer
+// over the ID API. Results come back as fresh name-sorted slices.
+type named struct {
+	t *testing.T
+	*Scheduler
 }
 
+func newNamed(t *testing.T, g *naiveGraph) named {
+	t.Helper()
+	return named{t, NewSchedulerCSR(mustBuild(t, g))}
+}
+
+func (n named) id(v string) int32 { return mustID(n.t, n.c, v) }
+
+func (n named) ready() []string { return sortedNames(n.c, n.ReadyIDs()) }
+
+func (n named) take() []string { return sortedNames(n.c, n.TakeReadyIDs()) }
+
+func (n named) state(v string) VertexState { return n.StateID(n.id(v)) }
+
+func (n named) complete(v string) ([]string, error) {
+	newly, err := n.CompleteID(n.id(v))
+	return sortedNames(n.c, newly), err
+}
+
+func (n named) fail(v string) ([]string, error) {
+	skipped, err := n.FailID(n.id(v))
+	return sortedNames(n.c, skipped), err
+}
+
+// TestSchedulerRejectsCycle: a Scheduler only exists over a compiled
+// CSR, and a cyclic graph (which could never drain) does not compile.
 func TestSchedulerRejectsCycle(t *testing.T) {
-	g := New()
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "a")
-	if _, err := NewScheduler(g); err == nil {
-		t.Fatal("cyclic graph accepted")
+	if _, err := build(graphOf("a>b", "b>a")); err == nil {
+		t.Fatal("cyclic graph compiled")
 	}
 }
 
 func TestSchedulerDiamond(t *testing.T) {
-	s, err := NewScheduler(diamondGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Ready(); !reflect.DeepEqual(got, []string{"a"}) {
+	s := newNamed(t, diamond())
+	if got := s.ready(); !reflect.DeepEqual(got, []string{"a"}) {
 		t.Fatalf("initial ready = %v", got)
 	}
-	if got := s.TakeReady(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("TakeReady = %v", got)
+	if got := s.take(); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("TakeReadyIDs = %v", got)
 	}
-	if len(s.TakeReady()) != 0 {
-		t.Fatal("second TakeReady not empty")
+	if len(s.take()) != 0 {
+		t.Fatal("second TakeReadyIDs not empty")
 	}
-	if s.State("a") != StateRunning {
-		t.Fatalf("a state = %v", s.State("a"))
+	if s.state("a") != StateRunning {
+		t.Fatalf("a state = %v", s.state("a"))
 	}
 
-	newly, err := s.Complete("a")
+	newly, err := s.complete("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,20 +66,20 @@ func TestSchedulerDiamond(t *testing.T) {
 		t.Fatalf("after a: newly = %v", newly)
 	}
 	// Newly-ready vertices are handed out as running — dispatchable
-	// directly without a TakeReady round trip.
-	if s.State("b") != StateRunning || s.State("c") != StateRunning {
-		t.Fatalf("b=%v c=%v", s.State("b"), s.State("c"))
+	// directly without a TakeReadyIDs round trip.
+	if s.state("b") != StateRunning || s.state("c") != StateRunning {
+		t.Fatalf("b=%v c=%v", s.state("b"), s.state("c"))
 	}
 
 	// d needs BOTH parents: completing only b must not release it.
-	newly, err = s.Complete("b")
+	newly, err = s.complete("b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(newly) != 0 {
 		t.Fatalf("after b: newly = %v, want none (c still running)", newly)
 	}
-	newly, err = s.Complete("c")
+	newly, err = s.complete("c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +89,7 @@ func TestSchedulerDiamond(t *testing.T) {
 	if s.Done() {
 		t.Fatal("Done before d completed")
 	}
-	if _, err := s.Complete("d"); err != nil {
+	if _, err := s.complete("d"); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Done() || s.Remaining() != 0 || s.Completed() != 4 {
@@ -85,20 +99,11 @@ func TestSchedulerDiamond(t *testing.T) {
 
 func TestSchedulerFailSkipsDescendants(t *testing.T) {
 	// a -> b -> d, a -> c, and an independent root e.
-	g := New()
-	g.AddEdge("a", "b")
-	g.AddEdge("a", "c")
-	g.AddEdge("b", "d")
-	g.AddVertex("e")
-	s, err := NewScheduler(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := s.TakeReady()
-	if !reflect.DeepEqual(ready, []string{"a", "e"}) {
+	s := newNamed(t, graphOf("a>b", "a>c", "b>d", "e"))
+	if ready := s.take(); !reflect.DeepEqual(ready, []string{"a", "e"}) {
 		t.Fatalf("ready = %v", ready)
 	}
-	skipped, err := s.Fail("a")
+	skipped, err := s.fail("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +111,15 @@ func TestSchedulerFailSkipsDescendants(t *testing.T) {
 		t.Fatalf("skipped = %v", skipped)
 	}
 	for _, v := range skipped {
-		if s.State(v) != StateSkipped {
-			t.Fatalf("%s state = %v", v, s.State(v))
+		if s.state(v) != StateSkipped {
+			t.Fatalf("%s state = %v", v, s.state(v))
 		}
 	}
+	if s.state("a") != StateFailed {
+		t.Fatalf("a state = %v", s.state("a"))
+	}
 	// The independent root is untouched and the DAG drains.
-	if _, err := s.Complete("e"); err != nil {
+	if _, err := s.complete("e"); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Done() || s.Failed() != 1 || s.Skipped() != 3 || s.Completed() != 1 {
@@ -119,30 +127,52 @@ func TestSchedulerFailSkipsDescendants(t *testing.T) {
 	}
 }
 
-func TestSchedulerFailSharedDescendantOnce(t *testing.T) {
-	// Two failing parents share child c: it must be reported skipped
-	// exactly once.
-	g := New()
-	g.AddEdge("a", "c")
-	g.AddEdge("b", "c")
-	s, err := NewScheduler(g)
+// TestSchedulerFailIDSkipsDescendants drives the raw ID API with no
+// name helper in between: FailID hands back the skipped descendants as
+// IDs, and a later CompleteID of an unrelated leaf releases nothing.
+func TestSchedulerFailIDSkipsDescendants(t *testing.T) {
+	c := mustBuild(t, graphOf("a>b", "a>c", "b>d", "e"))
+	s := NewSchedulerCSR(c)
+	if ready := s.TakeReadyIDs(); len(ready) != 2 {
+		t.Fatalf("ready = %d ids", len(ready))
+	}
+	skipped, err := s.FailID(mustID(t, c, "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.TakeReady()
-	skipped, err := s.Fail("a")
+	if got := sortedNames(c, skipped); !reflect.DeepEqual(got, []string{"b", "c", "d"}) {
+		t.Fatalf("skipped = %v", got)
+	}
+	newly, err := s.CompleteID(mustID(t, c, "e"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(newly) != 0 {
+		t.Fatalf("completing a leaf released %v", sortedNames(c, newly))
+	}
+	if !s.Done() || s.Failed() != 1 || s.Skipped() != 3 || s.Completed() != 1 {
+		t.Fatalf("counts failed=%d skipped=%d completed=%d", s.Failed(), s.Skipped(), s.Completed())
+	}
+}
+
+func TestSchedulerFailSharedDescendantOnce(t *testing.T) {
+	// Two failing parents share child c: it must be reported skipped
+	// exactly once.
+	s := newNamed(t, graphOf("a>c", "b>c"))
+	s.take()
+	skipped, err := s.fail("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(skipped, []string{"c"}) {
-		t.Fatalf("first Fail skipped = %v", skipped)
+		t.Fatalf("first FailID skipped = %v", skipped)
 	}
-	skipped, err = s.Fail("b")
+	skipped, err = s.fail("b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(skipped) != 0 {
-		t.Fatalf("second Fail skipped = %v, want none", skipped)
+		t.Fatalf("second FailID skipped = %v, want none", skipped)
 	}
 	if s.Skipped() != 1 {
 		t.Fatalf("Skipped = %d", s.Skipped())
@@ -150,73 +180,76 @@ func TestSchedulerFailSharedDescendantOnce(t *testing.T) {
 }
 
 func TestSchedulerDoubleCompleteRejected(t *testing.T) {
-	s, err := NewScheduler(diamondGraph(t))
-	if err != nil {
+	s := newNamed(t, diamond())
+	s.take()
+	if _, err := s.complete("a"); err != nil {
 		t.Fatal(err)
 	}
-	s.TakeReady()
-	if _, err := s.Complete("a"); err != nil {
-		t.Fatal(err)
+	if _, err := s.complete("a"); err == nil {
+		t.Fatal("double CompleteID accepted")
 	}
-	if _, err := s.Complete("a"); err == nil {
-		t.Fatal("double Complete accepted")
+	if _, err := s.complete("d"); err == nil {
+		t.Fatal("CompleteID of pending vertex accepted")
 	}
-	if _, err := s.Complete("unknown"); err == nil {
-		t.Fatal("Complete of unknown vertex accepted")
-	}
-	if _, err := s.Complete("d"); err == nil {
-		t.Fatal("Complete of pending vertex accepted")
+	if _, err := s.fail("a"); err == nil {
+		t.Fatal("FailID of completed vertex accepted")
 	}
 }
 
 func TestSchedulerCompleteWithoutTake(t *testing.T) {
-	// Completing straight from the ready set (without TakeReady) is
-	// allowed — callers that dispatch from Ready() peek use this.
-	s, err := NewScheduler(diamondGraph(t))
-	if err != nil {
+	// Completing straight from the ready set (without TakeReadyIDs) is
+	// allowed — callers that dispatch from a ReadyIDs peek use this.
+	s := newNamed(t, diamond())
+	if _, err := s.complete("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Complete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Ready(); len(got) != 0 {
-		t.Fatalf("ready after direct Complete = %v", got)
+	if got := s.ready(); len(got) != 0 {
+		t.Fatalf("ready after direct CompleteID = %v", got)
 	}
 }
 
-// TestSchedulerMatchesLevels drives a scheduler to completion over a
-// layered graph and checks that every vertex becomes ready only after
-// all its parents completed — the same partial order Levels encodes.
-func TestSchedulerMatchesLevels(t *testing.T) {
-	g := layeredGraph(6, 8) // 6 levels x 8 vertices, cross edges
-	s, err := NewScheduler(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	completed := make(map[string]bool)
-	frontier := s.TakeReady()
+// drainCheckingParents completes every vertex wave by wave, failing if
+// one becomes ready before all its parents completed — the partial
+// order the levels encode.
+func drainCheckingParents(t *testing.T, s *Scheduler) {
+	t.Helper()
+	c := s.CSR()
+	completed := make([]bool, c.Len())
+	frontier := append([]int32(nil), s.TakeReadyIDs()...)
+	total := 0
 	for len(frontier) > 0 {
-		next := []string{}
-		for _, v := range frontier {
-			for _, p := range g.Parents(v) {
+		var next []int32
+		for _, id := range frontier {
+			for _, p := range c.Parents(id) {
 				if !completed[p] {
-					t.Fatalf("%s became ready before parent %s completed", v, p)
+					t.Fatalf("%s ready before parent %s", c.Name(id), c.Name(p))
 				}
 			}
-			newly, err := s.Complete(v)
+			newly, err := s.CompleteID(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			completed[v] = true
-			next = append(next, newly...)
+			completed[id] = true
+			total++
+			next = append(next, newly...) // copy: newly is scratch
 		}
 		frontier = next
 	}
-	if !s.Done() {
-		t.Fatalf("scheduler not drained: %d remaining", s.Remaining())
+	if !s.Done() || total != c.Len() {
+		t.Fatalf("drained %d of %d, done=%v, %d remaining", total, c.Len(), s.Done(), s.Remaining())
 	}
-	if len(completed) != g.Len() {
-		t.Fatalf("completed %d of %d vertices", len(completed), g.Len())
+}
+
+func TestSchedulerMatchesLevels(t *testing.T) {
+	drainCheckingParents(t, NewSchedulerCSR(mustBuild(t, layered(6, 8))))
+}
+
+// TestSchedulerIDAPI drains the throughput suite's shapes, whose joins
+// and fan-outs are wider than the layered generator's.
+func TestSchedulerIDAPI(t *testing.T) {
+	for _, shape := range benchShapes {
+		names, edges := shape.edges(300)
+		drainCheckingParents(t, NewSchedulerCSR(buildBenchCSR(t, names, edges)))
 	}
 }
 
@@ -224,35 +257,24 @@ func TestSchedulerSeedCompleted(t *testing.T) {
 	// Diamond a -> {b, c} -> d with a and b already done (a recovered
 	// journal): c must be the only ready vertex, and completing it must
 	// release d without b ever running again.
-	s, err := NewScheduler(diamondGraph(t))
-	if err != nil {
+	s := newNamed(t, diamond())
+	if err := s.SeedCompletedIDs([]int32{s.id("a"), s.id("b")}); err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]int32, 2)
-	for i, name := range []string{"a", "b"} {
-		id, ok := s.CSR().ID(name)
-		if !ok {
-			t.Fatalf("no id for %s", name)
-		}
-		ids[i] = id
-	}
-	if err := s.SeedCompletedIDs(ids); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Ready(); !reflect.DeepEqual(got, []string{"c"}) {
+	if got := s.ready(); !reflect.DeepEqual(got, []string{"c"}) {
 		t.Fatalf("ready after seed = %v, want [c]", got)
 	}
 	if s.Completed() != 2 || s.Remaining() != 2 {
 		t.Fatalf("completed=%d remaining=%d after seed", s.Completed(), s.Remaining())
 	}
-	newly, err := s.Complete("c")
+	newly, err := s.complete("c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(newly, []string{"d"}) {
 		t.Fatalf("completing c released %v, want [d]", newly)
 	}
-	if _, err := s.Complete("d"); err != nil {
+	if _, err := s.complete("d"); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Done() {
@@ -263,10 +285,7 @@ func TestSchedulerSeedCompleted(t *testing.T) {
 func TestSchedulerSeedWholeGraph(t *testing.T) {
 	// Resuming a run that had already finished: every vertex seeded, the
 	// scheduler is immediately done and the ready set stays empty.
-	s, err := NewScheduler(diamondGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newNamed(t, diamond())
 	all := make([]int32, s.CSR().Len())
 	for i := range all {
 		all[i] = int32(i)
@@ -283,21 +302,16 @@ func TestSchedulerSeedWholeGraph(t *testing.T) {
 }
 
 func TestSchedulerSeedErrors(t *testing.T) {
-	s, err := NewScheduler(diamondGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newNamed(t, diamond())
 	if err := s.SeedCompletedIDs([]int32{99}); err == nil {
 		t.Fatal("out-of-range seed accepted")
 	}
-	a, _ := s.CSR().ID("a")
-	if err := s.SeedCompletedIDs([]int32{a, a}); err == nil {
+	if err := s.SeedCompletedIDs([]int32{s.id("a"), s.id("a")}); err == nil {
 		t.Fatal("double seed accepted")
 	}
-	s2, _ := NewScheduler(diamondGraph(t))
+	s2 := newNamed(t, diamond())
 	s2.TakeReadyIDs()
-	a2, _ := s2.CSR().ID("a")
-	if err := s2.SeedCompletedIDs([]int32{a2}); err == nil {
+	if err := s2.SeedCompletedIDs([]int32{s2.id("a")}); err == nil {
 		t.Fatal("seeding a running vertex accepted")
 	}
 }

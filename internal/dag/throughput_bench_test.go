@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Scheduler throughput suite: drains whole DAGs through the index-based
-// Scheduler and through the retired map-based baseline on identical
-// shapes at 1k/10k/100k tasks, reporting tasks/s. Run via `make bench`
-// (or `go test ./internal/dag -bench SchedulerThroughput -benchmem`);
-// the numbers land in BENCH_pr3.json and EXPERIMENTS.md.
+// Scheduler throughput suite, a developer tool: drains whole DAGs
+// through the Scheduler on four shapes at 1k/10k/100k tasks, reporting
+// tasks/s (`go test ./internal/dag -run xxx -bench . -benchmem`). The
+// reference benchmark's dag.* ladder rungs (bench/) are the tracked
+// numbers.
 
 // benchShape names a DAG generator used by the throughput suite.
 type benchShape struct {
@@ -91,8 +91,7 @@ func randomShape(n int) ([]string, [][2]int32) {
 func benchNames(n int) []string {
 	names := make([]string, n)
 	for i := range names {
-		// Realistic workflow task names: category_index, fixed width so
-		// the baseline's string sorts see representative keys.
+		// Realistic workflow task names: category_index, fixed width.
 		names[i] = fmt.Sprintf("task_%08d", i)
 	}
 	return names
@@ -107,7 +106,8 @@ var benchShapes = []benchShape{
 
 var benchSizes = []int{1_000, 10_000, 100_000}
 
-func buildBenchCSR(tb testing.TB, names []string, edges [][2]int32) *CSR {
+// benchBuilder loads a shape into a builder, ready to Build.
+func benchBuilder(tb testing.TB, names []string, edges [][2]int32) *CSRBuilder {
 	b := NewCSRBuilder(len(names), len(edges))
 	for _, n := range names {
 		b.AddVertex(n)
@@ -117,22 +117,15 @@ func buildBenchCSR(tb testing.TB, names []string, edges [][2]int32) *CSR {
 			tb.Fatal(err)
 		}
 	}
-	c, err := b.Build()
+	return b
+}
+
+func buildBenchCSR(tb testing.TB, names []string, edges [][2]int32) *CSR {
+	c, err := benchBuilder(tb, names, edges).Build()
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return c
-}
-
-func buildBenchGraph(names []string, edges [][2]int32) *Graph {
-	g := New()
-	for _, n := range names {
-		g.AddVertex(n)
-	}
-	for _, e := range edges {
-		g.AddEdge(names[e[0]], names[e[1]])
-	}
-	return g
 }
 
 // BenchmarkSchedulerThroughputCSR drains one whole DAG per iteration
@@ -162,43 +155,6 @@ func BenchmarkSchedulerThroughputCSR(b *testing.B) {
 						frontier = append(frontier, newly...)
 					}
 					if !s.Done() {
-						b.Fatal("not drained")
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
-			})
-		}
-	}
-}
-
-// BenchmarkSchedulerThroughputBaseline drains the identical DAGs
-// through the retired map-based scheduler (see
-// baseline_bench_test.go) for the before/after comparison.
-func BenchmarkSchedulerThroughputBaseline(b *testing.B) {
-	for _, shape := range benchShapes {
-		for _, size := range benchSizes {
-			b.Run(fmt.Sprintf("%s_%d", shape.name, size), func(b *testing.B) {
-				names, edges := shape.edges(size)
-				g := buildBenchGraph(names, edges)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s, err := newBaselineScheduler(g)
-					if err != nil {
-						b.Fatal(err)
-					}
-					frontier := s.takeReady()
-					for len(frontier) > 0 {
-						v := frontier[len(frontier)-1]
-						frontier = frontier[:len(frontier)-1]
-						newly, err := s.complete(v)
-						if err != nil {
-							b.Fatal(err)
-						}
-						frontier = append(frontier, newly...)
-					}
-					if !s.done() {
 						b.Fatal("not drained")
 					}
 				}

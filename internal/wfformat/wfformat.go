@@ -177,49 +177,37 @@ func (w *Workflow) TaskNames() []string {
 // Len returns the number of tasks.
 func (w *Workflow) Len() int { return len(w.Tasks) }
 
-// Graph builds the dependency DAG from the parents/children entries.
-func (w *Workflow) Graph() (*dag.Graph, error) {
-	g := dag.New()
-	for _, n := range w.TaskNames() {
-		g.AddVertex(n)
-	}
-	for _, n := range w.TaskNames() {
-		t := w.Tasks[n]
-		for _, c := range t.Children {
-			if _, ok := w.Tasks[c]; !ok {
-				return nil, fmt.Errorf("wfformat: task %q lists unknown child %q", n, c)
-			}
-			if err := g.AddEdge(n, c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return g, nil
-}
-
 // Compile interns the workflow's task names (IDs assigned in sorted
 // name order) and builds the CSR dependency graph plus the ID-aligned
 // task slice — the representation the workflow manager's hot path runs
 // on. String-keyed lookups survive only at this boundary; past it,
-// every structure is indexed by dense int32 task ID.
+// every structure is indexed by dense int32 task ID. Compile checks
+// structure only (children resolve, no self edge, no cycle);
+// ValidateCompile is the entry point for a workflow about to run.
 func (w *Workflow) Compile() (*dag.CSR, []*Task, error) {
-	names := w.TaskNames()
+	return w.compile(w.TaskNames())
+}
+
+// compile is Compile over the already-sorted task names.
+func (w *Workflow) compile(names []string) (*dag.CSR, []*Task, error) {
 	b := dag.NewCSRBuilder(len(names), len(names))
 	for _, n := range names {
 		b.AddVertex(n)
 	}
 	ix := b.Index()
 	tasks := make([]*Task, len(names))
-	for _, n := range names {
+	for id, n := range names {
 		t := w.Tasks[n]
-		id, _ := ix.ID(n)
+		if t == nil {
+			return nil, nil, fmt.Errorf("wfformat: task %q is null", n)
+		}
 		tasks[id] = t
 		for _, c := range t.Children {
 			cid, ok := ix.ID(c)
 			if !ok {
 				return nil, nil, fmt.Errorf("wfformat: task %q lists unknown child %q", n, c)
 			}
-			if err := b.AddEdgeIDs(id, cid); err != nil {
+			if err := b.AddEdgeIDs(int32(id), cid); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -301,11 +289,22 @@ func (e *ValidationError) Error() string {
 // is an external workflow input (no parent produces it and the task is
 // allowed to read it from the shared drive as initial data).
 func (w *Workflow) Validate() error {
+	_, _, err := w.ValidateCompile()
+	return err
+}
+
+// ValidateCompile is Validate and Compile in one pass over one graph: it
+// returns the compiled CSR and ID-aligned tasks of a workflow that
+// passed every check, or a *ValidationError listing every problem. The
+// graph checks (cycle, producer is an ancestor) run on the CSR the
+// caller goes on to execute.
+func (w *Workflow) ValidateCompile() (*dag.CSR, []*Task, error) {
 	var probs []string
 	add := func(format string, args ...interface{}) {
 		probs = append(probs, fmt.Sprintf(format, args...))
 	}
-	producers := make(map[string]string) // file -> producing task
+	names := w.TaskNames()
+	producers := make(map[string]int32) // file -> ID of producing task (its index in names)
 	// Symmetric edge checks binary-search a per-task sorted view of the
 	// other side's list, built lazily once per task: linear scans per
 	// edge made validating a wide fan-out quadratic. Lists that arrive
@@ -325,8 +324,12 @@ func (w *Workflow) Validate() error {
 		_, found := slices.BinarySearch(view, v)
 		return found
 	}
-	for _, n := range w.TaskNames() {
+	for id, n := range names {
 		t := w.Tasks[n]
+		if t == nil {
+			add("task %q is null", n)
+			continue
+		}
 		if t.Name != n {
 			add("task keyed %q has name %q", n, t.Name)
 		}
@@ -351,8 +354,8 @@ func (w *Workflow) Validate() error {
 			}
 		}
 		for _, p := range t.Parents {
-			pt, ok := w.Tasks[p]
-			if !ok {
+			pt := w.Tasks[p]
+			if pt == nil {
 				add("task %q lists unknown parent %q", n, p)
 				continue
 			}
@@ -361,8 +364,8 @@ func (w *Workflow) Validate() error {
 			}
 		}
 		for _, c := range t.Children {
-			ct, ok := w.Tasks[c]
-			if !ok {
+			ct := w.Tasks[c]
+			if ct == nil {
 				add("task %q lists unknown child %q", n, c)
 				continue
 			}
@@ -378,44 +381,42 @@ func (w *Workflow) Validate() error {
 				add("task %q file %q has negative size", n, f.Name)
 			}
 			if f.Link == LinkOutput {
-				if prev, dup := producers[f.Name]; dup && prev != n {
-					add("file %q produced by both %q and %q", f.Name, prev, n)
+				if prev, dup := producers[f.Name]; dup && prev != int32(id) {
+					add("file %q produced by both %q and %q", f.Name, names[prev], n)
 				}
-				producers[f.Name] = n
-			}
-		}
-	}
-	if len(probs) == 0 {
-		g, err := w.Graph()
-		if err != nil {
-			add("%v", err)
-		} else if _, err := g.Levels(); err != nil {
-			add("%v", err)
-		} else {
-			// Every input produced by some task must come from an
-			// ancestor. In well-formed workflows the producer is almost
-			// always a direct parent, so check the edge first and pay a
-			// reachability walk only for transitive producers — O(V+E)
-			// in practice instead of materializing full ancestor sets
-			// per task (O(V·E), which collapses at 100k tasks).
-			for _, n := range w.TaskNames() {
-				t := w.Tasks[n]
-				for _, in := range t.InputFiles() {
-					prod, ok := producers[in]
-					if !ok || prod == n || g.HasEdge(prod, n) {
-						continue
-					}
-					if !g.HasPath(prod, n) {
-						add("task %q input %q produced by non-ancestor %q", n, in, prod)
-					}
-				}
+				producers[f.Name] = int32(id)
 			}
 		}
 	}
 	if len(probs) > 0 {
-		return &ValidationError{Problems: probs}
+		return nil, nil, &ValidationError{Problems: probs}
 	}
-	return nil
+	csr, tasks, err := w.compile(names)
+	if err != nil {
+		return nil, nil, &ValidationError{Problems: []string{err.Error()}}
+	}
+	// Every input produced by some task must come from an ancestor. In
+	// well-formed workflows the producer is almost always a direct
+	// parent, so check the edge first and pay a reachability walk only
+	// for transitive producers — O(V+E) in practice instead of
+	// materializing full ancestor sets per task (O(V·E), which collapses
+	// at 100k tasks).
+	reaches := csr.Reachability()
+	for id, t := range tasks {
+		for _, in := range t.InputFiles() {
+			prod, ok := producers[in]
+			if !ok || prod == int32(id) || csr.HasEdge(prod, int32(id)) {
+				continue
+			}
+			if !reaches(prod, int32(id)) {
+				add("task %q input %q produced by non-ancestor %q", t.Name, in, names[prod])
+			}
+		}
+	}
+	if len(probs) > 0 {
+		return nil, nil, &ValidationError{Problems: probs}
+	}
+	return csr, tasks, nil
 }
 
 // ExternalInputs returns the input files no task produces — the initial
@@ -555,39 +556,35 @@ type Stats struct {
 
 // ComputeStats derives the characterization numbers for the workflow.
 func (w *Workflow) ComputeStats() (*Stats, error) {
-	phases, err := w.Phases()
+	csr, tasks, err := w.Compile()
 	if err != nil {
 		return nil, err
 	}
-	g, err := w.Graph()
-	if err != nil {
-		return nil, err
-	}
+	levels := csr.LevelSlices()
 	s := &Stats{
 		Tasks:      w.Len(),
-		Edges:      g.EdgeCount(),
-		Phases:     len(phases),
+		Edges:      csr.EdgeCount(),
+		Phases:     len(levels),
 		Categories: w.Categories(),
 		TotalBytes: w.TotalDataBytes(),
 	}
-	for _, p := range phases {
+	for _, p := range levels {
 		s.PhaseWidths = append(s.PhaseWidths, len(p))
 		if len(p) > s.MaxPhaseWidth {
 			s.MaxPhaseWidth = len(p)
 		}
 	}
-	if len(phases) > 0 {
-		s.MeanPhaseWidth = float64(w.Len()) / float64(len(phases))
+	if len(levels) > 0 {
+		s.MeanPhaseWidth = float64(w.Len()) / float64(len(levels))
 	}
-	weights := make(map[string]float64, w.Len())
-	for name, t := range w.Tasks {
-		weights[name] = t.RuntimeInSeconds
+	weights := make([]float64, len(tasks))
+	for id, t := range tasks {
+		weights[id] = t.RuntimeInSeconds
 	}
-	path, total, err := g.CriticalPath(weights)
-	if err != nil {
-		return nil, err
+	path, total := csr.CriticalPath(weights)
+	for _, id := range path {
+		s.CriticalPath = append(s.CriticalPath, csr.Name(id))
 	}
-	s.CriticalPath = path
 	s.CriticalPathSeconds = total
 	return s, nil
 }

@@ -38,7 +38,7 @@ func buildTask(name, category string, inputs []string, outputs map[string]int64)
 }
 
 // miniBlast builds a split -> {blastall_1, blastall_2} -> cat workflow.
-func miniBlast(t *testing.T) *Workflow {
+func miniBlast(t testing.TB) *Workflow {
 	t.Helper()
 	w := New("blast-mini")
 	split := buildTask("split_fasta_1", "split_fasta",

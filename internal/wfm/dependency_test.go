@@ -279,7 +279,8 @@ func TestSkipStageInputs(t *testing.T) {
 
 // TestEmptyArgumentsRejectedUpFront covers the invokeOnce guard
 // satellite: a task with no argument block fails validation with a
-// clear error instead of panicking at Arguments[0].
+// clear error — wfformat's, the only check that can see it first —
+// instead of panicking at Arguments[0].
 func TestEmptyArgumentsRejectedUpFront(t *testing.T) {
 	drive := sharedfs.NewMem()
 	m := fastManager(t, drive, nil)
@@ -295,8 +296,8 @@ func TestEmptyArgumentsRejectedUpFront(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%v: malformed workflow executed", mode)
 		}
-		if !strings.Contains(err.Error(), "argument") {
-			t.Fatalf("%v: err = %v, want argument-block complaint", mode, err)
+		if !strings.Contains(err.Error(), `task "only" has 0 argument blocks, want 1`) {
+			t.Fatalf("%v: err = %v, want wfformat's argument-block complaint", mode, err)
 		}
 	}
 }

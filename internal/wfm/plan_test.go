@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
 )
@@ -121,4 +122,38 @@ func TestArenaBodyDoubleClose(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPrepareCompilesOnce: a Run builds one graph, once. prepare's
+// allocations are the validated compile's plus the plan's, with no room
+// for a second compile (a structure-only Compile is the yardstick), and
+// the validated compile itself costs less than two. The workflow is
+// small enough that every map stays in one bucket, so the counts are
+// exact.
+func TestPrepareCompilesOnce(t *testing.T) {
+	w := chainWorkflow(t, 4, "http://endpoint/wfbench")
+	m := fastManager(t, sharedfs.NewMem(), nil)
+	_, tasks, err := CompileRunnable(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(f func() error) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	prepare := allocs(func() error { _, _, err := m.prepare(w); return err })
+	validated := allocs(func() error { _, _, err := w.ValidateCompile(); return err })
+	compile := allocs(func() error { _, _, err := w.Compile(); return err })
+	plan := allocs(func() error { _, err := newInvocationPlan(tasks); return err })
+	if prepare >= validated+plan+compile {
+		t.Fatalf("prepare = %v allocs: validated compile %v + plan %v leaves room for a second compile (%v)",
+			prepare, validated, plan, compile)
+	}
+	if validated >= 2*compile {
+		t.Fatalf("ValidateCompile = %v allocs, as much as two compiles (%v each)", validated, compile)
+	}
+	t.Logf("prepare %v = validated compile %v + plan %v; structure-only compile %v", prepare, validated, plan, compile)
 }

@@ -434,13 +434,11 @@ func (m *Manager) Resume(ctx context.Context, w *wfformat.Workflow) (*Result, er
 	return m.run(ctx, w, csr, p, rec)
 }
 
-// prepare validates and compiles the workflow into its CSR and
-// invocation plan — the shared front half of Run and Resume.
+// prepare validates and compiles the workflow — one pass, one graph —
+// and builds its invocation plan: the shared front half of Run and
+// Resume.
 func (m *Manager) prepare(w *wfformat.Workflow) (*dag.CSR, *invocationPlan, error) {
-	if err := m.validateRunnable(w); err != nil {
-		return nil, nil, err
-	}
-	csr, tasks, err := w.Compile()
+	csr, tasks, err := CompileRunnable(w)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -449,6 +447,24 @@ func (m *Manager) prepare(w *wfformat.Workflow) (*dag.CSR, *invocationPlan, erro
 		return nil, nil, err
 	}
 	return csr, p, nil
+}
+
+// CompileRunnable is the one definition of a workflow a Manager will
+// execute: structurally valid (wfformat's ValidateCompile, whose graph
+// it returns) and translated — an api_url on every task. Run and Resume
+// start here, and so does wfmd's admission check, so the service never
+// accepts a submission its own manager then refuses as not runnable.
+func CompileRunnable(w *wfformat.Workflow) (*dag.CSR, []*wfformat.Task, error) {
+	csr, tasks, err := w.ValidateCompile()
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, t := range tasks {
+		if t.Command.APIURL == "" {
+			return nil, nil, fmt.Errorf("wfm: task %q has no api_url; run a translator first", t.Name)
+		}
+	}
+	return csr, tasks, nil
 }
 
 // run drives one execution (fresh or resumed): it opens the journal's
@@ -558,26 +574,6 @@ func (m *Manager) run(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p
 		st.rj.runEnd(status, failed)
 	}
 	return res, err
-}
-
-// validateRunnable checks that the workflow is executable: structurally
-// valid, translated (api_url on every task), and carrying the WfBench
-// argument block invoke reads — malformed translated JSON fails here
-// with a clear error instead of panicking mid-run.
-func (m *Manager) validateRunnable(w *wfformat.Workflow) error {
-	if err := w.Validate(); err != nil {
-		return err
-	}
-	for _, name := range w.TaskNames() {
-		t := w.Tasks[name]
-		if t.Command.APIURL == "" {
-			return fmt.Errorf("wfm: task %q has no api_url; run a translator first", name)
-		}
-		if len(t.Command.Arguments) == 0 {
-			return fmt.Errorf("wfm: task %q has no argument block; malformed translated workflow", name)
-		}
-	}
-	return nil
 }
 
 // stageHeader stages the workflow's external inputs (unless disabled)

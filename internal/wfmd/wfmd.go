@@ -355,16 +355,13 @@ func (s *Server) Submit(tenant, priority string, body []byte) (*RunStatus, error
 	if err != nil {
 		return nil, fmt.Errorf("wfmd: bad workflow: %w", err)
 	}
-	if err := w.Validate(); err != nil {
+	// The manager's own admission test, so a 202 here is never followed
+	// by "not runnable" when the run starts.
+	_, compiled, err := wfm.CompileRunnable(w)
+	if err != nil {
 		return nil, fmt.Errorf("wfmd: bad workflow: %w", err)
 	}
-	tasks := 0
-	for _, t := range w.Tasks {
-		if t.Command.APIURL == "" {
-			return nil, fmt.Errorf("wfmd: bad workflow: task %s has no api_url", t.Name)
-		}
-		tasks++
-	}
+	tasks := len(compiled)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -214,8 +214,10 @@ func TestLifecycleOverHTTP(t *testing.T) {
 	hres.Body.Close()
 }
 
-// TestBadSubmissions pins the 400 paths: junk JSON, valid JSON with no
-// api_url, and unknown runs 404.
+// TestBadSubmissions pins the 400 paths: junk JSON, a structurally
+// invalid workflow, a valid one with no api_url — refused in the
+// manager's own words, because it is the manager's check — and unknown
+// runs 404.
 func TestBadSubmissions(t *testing.T) {
 	drive := sharedfs.NewMem()
 	srv, err := New(testConfig(t, drive))
@@ -226,23 +228,29 @@ func TestBadSubmissions(t *testing.T) {
 	api := httptest.NewServer(srv.Handler())
 	defer api.Close()
 
-	post := func(body string) int {
+	post := func(body string) (int, string) {
 		resp, err := http.Post(api.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
 	}
-	if code := post("{not json"); code != http.StatusBadRequest {
+	if code, _ := post("{not json"); code != http.StatusBadRequest {
 		t.Fatalf("junk JSON: %d", code)
 	}
-	w := wfformat.New("no-url")
+	w := wfformat.New("no-args")
 	w.AddTask(&wfformat.Task{Name: "t", Type: wfformat.TypeCompute,
 		Command: wfformat.Command{Program: "wfbench"}})
 	data, _ := w.Marshal()
-	if code := post(string(data)); code != http.StatusBadRequest {
-		t.Fatalf("no api_url: %d", code)
+	if code, msg := post(string(data)); code != http.StatusBadRequest || !strings.Contains(msg, "argument blocks") {
+		t.Fatalf("invalid workflow: %d %s", code, msg)
+	}
+	untranslated := fanoutWorkflow(t, "nourl", 3, "")
+	if code, msg := post(string(untranslated)); code != http.StatusBadRequest ||
+		!strings.Contains(msg, "has no api_url; run a translator first") {
+		t.Fatalf("no api_url: %d %s", code, msg)
 	}
 	resp, err := http.Get(api.URL + "/v1/runs/r-999999")
 	if err != nil {
