@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-module tier1 check race health-smoke service-smoke vet clean
+.PHONY: all build test bench-module tier1 check race fuzz-smoke health-smoke service-smoke vet clean
 
 all: tier1
 
@@ -32,6 +32,17 @@ vet:
 race:
 	$(GO) build -race ./...
 	$(GO) test -race ./...
+
+# fuzz-smoke gives every fuzz target ten seconds past its seed corpus:
+# the journal reader, the workflow parser, the hand JSON codec held to
+# encoding/json, and the batch wire decoders. (-fuzz takes one target
+# and one package per run; the short minimize budget keeps the ten
+# seconds for executions.)
+fuzz-smoke:
+	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzJournalReader$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/wfformat -run '^$$' -fuzz '^FuzzParseValidate$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/wfbench -run '^$$' -fuzz '^FuzzCodecDifferential$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/wfbench -run '^$$' -fuzz '^FuzzBatchWire$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # service-smoke boots the real wfmd binary, submits runs for two
 # tenants over HTTP, kills the daemon mid-run (SIGKILL), restarts it on

@@ -27,67 +27,89 @@ import (
 	"wfserverless/internal/wfm"
 )
 
+// cli holds every flag's value; the manager flags -time-scale and
+// -batch* are bound straight into tn.
+type cli struct {
+	suite, schedule, csvPath, scaleShape, traceDir      string
+	cpuProfile, memProfile                              string
+	small, large, huge, healthTasks                     int
+	recoveryTasks, recoveryTrials, memoTasks, memoEdits int
+	serviceRuns, serviceTasks, serviceSlots             int
+	scaleTasks, scaleWidth, scaleParallel               int
+	seed, faultSeed                                     int64
+	faultError, faultReject, faultLatMS                 float64
+	healthDelayMS, traceSample                          float64
+	memoize                                             bool
+
+	tn experiments.Tunables
+}
+
+// newFlags registers the campaign flags on fs.
+func newFlags(fs *flag.FlagSet) *cli {
+	c := &cli{tn: experiments.DefaultTunables()}
+	fs.StringVar(&c.suite, "suite", "all", "design | table2 | fig3 | fig4 | fig5 | fig6 | fig7 | concurrent | resilience | health | scale | recovery | memo | service | all")
+	fs.IntVar(&c.small, "small", 30, "small workflow size")
+	fs.IntVar(&c.large, "large", 120, "large workflow size")
+	fs.IntVar(&c.huge, "huge", 300, "huge workflow size (coarse-grained)")
+	fs.Int64Var(&c.seed, "seed", 1, "generation seed")
+	fs.Float64Var(&c.tn.TimeScale, "time-scale", c.tn.TimeScale, "nominal-to-wall compression")
+	fs.StringVar(&c.schedule, "schedule", "phases", "workflow-manager scheduling: phases (paper) or dependency (event-driven)")
+	fs.StringVar(&c.csvPath, "csv", "", "also append suite CSVs to this file")
+
+	// Batched invocation for the suites that exercise the manager's
+	// transport (resilience, recovery, scale).
+	fs.BoolVar(&c.tn.Manager.Batching.Enabled, "batch", false, "run the resilience/recovery/scale suites through the batched invocation pipeline")
+	fs.IntVar(&c.tn.Manager.Batching.MaxTasks, "batch-tasks", 0, "max sub-tasks per batch (0: 64)")
+	fs.IntVar(&c.tn.Manager.Batching.MaxBytes, "batch-bytes", 0, "max summed payload bytes per batch (0: 1 MiB)")
+	fs.Float64Var(&c.tn.Manager.Batching.Linger, "batch-linger", 0, "batch linger window, nominal seconds (0: 0.005)")
+
+	// Fault profile for -suite resilience.
+	fs.Float64Var(&c.faultError, "fault-error-rate", 0.3, "resilience suite: probability of an injected 500")
+	fs.Float64Var(&c.faultReject, "fault-reject-rate", 0.05, "resilience suite: probability of an injected 429")
+	fs.Float64Var(&c.faultLatMS, "fault-latency-ms", 10, "resilience suite: injected latency spike, wall ms")
+	fs.Int64Var(&c.faultSeed, "fault-seed", 13, "resilience suite: fault sequence seed")
+
+	// Shape of -suite health.
+	fs.IntVar(&c.healthTasks, "health-tasks", 24, "health suite: workflow size for the straggler campaign")
+	fs.Float64Var(&c.healthDelayMS, "health-delay-ms", 1000, "health suite: injected straggler delay, wall ms")
+
+	// Shape of -suite recovery.
+	fs.IntVar(&c.recoveryTasks, "recovery-tasks", 400, "recovery suite: synthetic workflow size per trial")
+	fs.IntVar(&c.recoveryTrials, "recovery-trials", 3, "recovery suite: randomized crash points per {scheduling} x {faults} cell")
+
+	// Shape of -suite memo, plus the -memoize toggle for the
+	// recovery and resilience suites.
+	fs.IntVar(&c.memoTasks, "memo-tasks", 100_000, "memo suite: synthetic workflow size")
+	fs.IntVar(&c.memoEdits, "memo-edits", 8, "memo suite: tasks perturbed in the k-edit variant")
+	fs.BoolVar(&c.memoize, "memoize", false, "run the recovery and resilience suites with the content-addressed memo cache enabled")
+
+	// Shape of -suite service.
+	fs.IntVar(&c.serviceRuns, "service-runs", 6, "service suite: runs per tenant in the fairness phase")
+	fs.IntVar(&c.serviceTasks, "service-tasks", 64, "service suite: tasks per synthetic workflow")
+	fs.IntVar(&c.serviceSlots, "service-slots", 4, "service suite: global in-flight task budget")
+
+	// Shape of -suite scale.
+	fs.IntVar(&c.scaleTasks, "scale-tasks", 100_000, "scale suite: synthetic workflow size")
+	fs.StringVar(&c.scaleShape, "scale-shape", "random", "scale suite: random | chain | fanout")
+	fs.IntVar(&c.scaleWidth, "scale-width", 64, "scale suite: tasks per layer for the random shape")
+	fs.IntVar(&c.scaleParallel, "scale-parallel", 256, "scale suite: max simultaneous invocations")
+
+	// Tracing of the resilience and scale suites.
+	fs.Float64Var(&c.traceSample, "trace", 0, "span sampling ratio for the resilience and scale suites (0 disables, 1 records every run)")
+	fs.StringVar(&c.traceDir, "trace-dir", "results", "directory receiving per-run trace files (Chrome trace JSON + span JSONL)")
+
+	// Profiling of whatever suite runs.
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	return c
+}
+
 func main() {
-	var (
-		suite     = flag.String("suite", "all", "design | table2 | fig3 | fig4 | fig5 | fig6 | fig7 | concurrent | resilience | health | scale | recovery | memo | service | all")
-		small     = flag.Int("small", 30, "small workflow size")
-		large     = flag.Int("large", 120, "large workflow size")
-		huge      = flag.Int("huge", 300, "huge workflow size (coarse-grained)")
-		seed      = flag.Int64("seed", 1, "generation seed")
-		timeScale = flag.Float64("time-scale", 0.02, "nominal-to-wall compression")
-		schedule  = flag.String("schedule", "phases", "workflow-manager scheduling: phases (paper) or dependency (event-driven)")
-		csvPath   = flag.String("csv", "", "also append suite CSVs to this file")
-
-		// Batched invocation for the suites that exercise the manager's
-		// transport (resilience, recovery, scale).
-		batchOn     = flag.Bool("batch", false, "run the resilience/recovery/scale suites through the batched invocation pipeline")
-		batchTasks  = flag.Int("batch-tasks", 0, "max sub-tasks per batch (0: 64)")
-		batchBytes  = flag.Int("batch-bytes", 0, "max summed payload bytes per batch (0: 1 MiB)")
-		batchLinger = flag.Float64("batch-linger", 0, "batch linger window, nominal seconds (0: 0.005)")
-
-		// Fault profile for -suite resilience.
-		faultError  = flag.Float64("fault-error-rate", 0.3, "resilience suite: probability of an injected 500")
-		faultReject = flag.Float64("fault-reject-rate", 0.05, "resilience suite: probability of an injected 429")
-		faultLatMS  = flag.Float64("fault-latency-ms", 10, "resilience suite: injected latency spike, wall ms")
-		faultSeed   = flag.Int64("fault-seed", 13, "resilience suite: fault sequence seed")
-
-		// Shape of -suite health.
-		healthTasks   = flag.Int("health-tasks", 24, "health suite: workflow size for the straggler campaign")
-		healthDelayMS = flag.Float64("health-delay-ms", 1000, "health suite: injected straggler delay, wall ms")
-
-		// Shape of -suite recovery.
-		recoveryTasks  = flag.Int("recovery-tasks", 400, "recovery suite: synthetic workflow size per trial")
-		recoveryTrials = flag.Int("recovery-trials", 3, "recovery suite: randomized crash points per {scheduling} x {faults} cell")
-
-		// Shape of -suite memo, plus the -memoize toggle for the
-		// recovery and resilience suites.
-		memoTasks = flag.Int("memo-tasks", 100_000, "memo suite: synthetic workflow size")
-		memoEdits = flag.Int("memo-edits", 8, "memo suite: tasks perturbed in the k-edit variant")
-		memoize   = flag.Bool("memoize", false, "run the recovery and resilience suites with the content-addressed memo cache enabled")
-
-		// Shape of -suite service.
-		serviceRuns  = flag.Int("service-runs", 6, "service suite: runs per tenant in the fairness phase")
-		serviceTasks = flag.Int("service-tasks", 64, "service suite: tasks per synthetic workflow")
-		serviceSlots = flag.Int("service-slots", 4, "service suite: global in-flight task budget")
-
-		// Shape of -suite scale.
-		scaleTasks    = flag.Int("scale-tasks", 100_000, "scale suite: synthetic workflow size")
-		scaleShape    = flag.String("scale-shape", "random", "scale suite: random | chain | fanout")
-		scaleWidth    = flag.Int("scale-width", 64, "scale suite: tasks per layer for the random shape")
-		scaleParallel = flag.Int("scale-parallel", 256, "scale suite: max simultaneous invocations")
-
-		// Tracing of the resilience and scale suites.
-		traceSample = flag.Float64("trace", 0, "span sampling ratio for the resilience and scale suites (0 disables, 1 records every run)")
-		traceDir    = flag.String("trace-dir", "results", "directory receiving per-run trace files (Chrome trace JSON + span JSONL)")
-
-		// Profiling of whatever suite runs.
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
+	c := newFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
 		if err != nil {
 			fatal(err)
 		}
@@ -99,9 +121,9 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *memProfile != "" {
+	if c.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(c.memProfile)
 			if err != nil {
 				fatal(err)
 			}
@@ -113,26 +135,18 @@ func main() {
 		}()
 	}
 
-	mode, err := wfm.ParseScheduling(*schedule)
-	if err != nil {
+	tn := c.tn
+	var err error
+	if tn.Manager.Scheduling, err = wfm.ParseScheduling(c.schedule); err != nil {
 		fatal(err)
 	}
-	tn := experiments.DefaultTunables()
-	tn.TimeScale = *timeScale
-	tn.Scheduling = mode
-	batching := wfm.BatchOptions{
-		Enabled:  *batchOn,
-		MaxTasks: *batchTasks,
-		MaxBytes: *batchBytes,
-		Linger:   *batchLinger,
-	}
-	tn.Batching = batching
-	sz := experiments.Sizes{Small: *small, Large: *large, Huge: *huge}
+	batching := tn.Manager.Batching
+	sz := experiments.Sizes{Small: c.small, Large: c.large, Huge: c.huge}
 	ctx := context.Background()
 
 	var csv *os.File
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+	if c.csvPath != "" {
+		f, err := os.Create(c.csvPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -141,7 +155,7 @@ func main() {
 	}
 
 	runSuite := func(name string, f func(context.Context, experiments.Sizes, int64, experiments.Tunables) (*experiments.Suite, error)) {
-		s, err := f(ctx, sz, *seed, tn)
+		s, err := f(ctx, sz, c.seed, tn)
 		if err != nil {
 			fatal(err)
 		}
@@ -169,17 +183,17 @@ func main() {
 		fmt.Println()
 	}
 
-	switch *suite {
+	switch c.suite {
 	case "concurrent":
-		runConcurrent(ctx, sz, *seed, tn)
+		runConcurrent(ctx, sz, c.seed, tn)
 	case "resilience":
-		runResilience(ctx, *small, *seed, *timeScale, *faultError, *faultReject, *faultLatMS, *faultSeed, *traceSample, *traceDir, batching, *memoize)
+		runResilience(ctx, c.small, c.seed, tn.TimeScale, c.faultError, c.faultReject, c.faultLatMS, c.faultSeed, c.traceSample, c.traceDir, batching, c.memoize)
 	case "design":
 		printDesign()
 	case "table2":
 		printTable2()
 	case "fig3":
-		printFig3(*large, *seed)
+		printFig3(c.large, c.seed)
 	case "fig4":
 		runSuite("fig4", experiments.Figure4)
 	case "fig5":
@@ -189,34 +203,34 @@ func main() {
 	case "fig7":
 		runSuite("fig7", experiments.Figure7)
 	case "health":
-		runHealth(ctx, *healthTasks, *seed, time.Duration(*healthDelayMS*float64(time.Millisecond)))
+		runHealth(ctx, c.healthTasks, c.seed, time.Duration(c.healthDelayMS*float64(time.Millisecond)))
 	case "recovery":
-		runRecovery(ctx, *recoveryTasks, *recoveryTrials, *seed, *timeScale, batching, *memoize)
+		runRecovery(ctx, c.recoveryTasks, c.recoveryTrials, c.seed, tn.TimeScale, batching, c.memoize)
 	case "memo":
-		runMemo(ctx, *memoTasks, *memoEdits, *seed, *timeScale, batching)
+		runMemo(ctx, c.memoTasks, c.memoEdits, c.seed, tn.TimeScale, batching)
 	case "service":
-		runService(ctx, *serviceRuns, *serviceTasks, *serviceSlots)
+		runService(ctx, c.serviceRuns, c.serviceTasks, c.serviceSlots)
 	case "scale":
 		runScale(ctx, experiments.ScaleConfig{
-			Tasks:       *scaleTasks,
-			Shape:       *scaleShape,
-			Width:       *scaleWidth,
-			Scheduling:  mode,
-			MaxParallel: *scaleParallel,
-			Seed:        *seed,
+			Tasks:       c.scaleTasks,
+			Shape:       c.scaleShape,
+			Width:       c.scaleWidth,
+			Scheduling:  tn.Manager.Scheduling,
+			MaxParallel: c.scaleParallel,
+			Seed:        c.seed,
 			Batching:    batching,
-			TraceSample: *traceSample,
-		}, *traceDir)
+			TraceSample: c.traceSample,
+		}, c.traceDir)
 	case "all":
 		printDesign()
 		printTable2()
-		printFig3(*large, *seed)
+		printFig3(c.large, c.seed)
 		runSuite("fig4", experiments.Figure4)
 		runSuite("fig5", experiments.Figure5)
 		runSuite("fig6", experiments.Figure6)
 		runSuite("fig7", experiments.Figure7)
 	default:
-		fatal(fmt.Errorf("unknown suite %q", *suite))
+		fatal(fmt.Errorf("unknown suite %q", c.suite))
 	}
 }
 

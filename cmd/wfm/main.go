@@ -68,84 +68,87 @@ import (
 	"wfserverless/internal/wfmd"
 )
 
+// cli holds every flag's value; the manager's and the journal's tuning
+// flags are bound by their own packages' RegisterFlags, whose resolve
+// halves run once the command line is parsed.
+type cli struct {
+	workflow, workdir, paradigm, tracePath, memoize, journalDir string
+	recorder, chromeTrace, spanLog, telemetry, logLevel         string
+	verbose, eager, resume, healthOn, detach                    bool
+	crashAfter                                                  int
+	pollSec, sample                                             float64
+
+	mgr        wfm.Options
+	resolveMgr func() error
+	jnl        journal.Options
+	resolveJnl func() error
+	health     wfm.HealthOptions // in force only under -health, -speculate or -flight-recorder
+	submit     wfmd.Client       // in force only under -submit
+}
+
+// newFlags registers wfm's flags on fs; the Options literal holds this
+// binary's defaults for the manager flags.
+func newFlags(fs *flag.FlagSet) *cli {
+	c := &cli{mgr: wfm.Options{TimeScale: 1, PhaseDelay: 1, MaxParallel: 512}}
+	c.resolveMgr = c.mgr.RegisterFlags(fs)
+	c.resolveJnl = c.jnl.RegisterFlags(fs)
+	fs.StringVar(&c.workflow, "workflow", "", "workflow description JSON (required)")
+	fs.StringVar(&c.workdir, "workdir", "wfbench-data", "shared directory (direct mode)")
+	fs.StringVar(&c.paradigm, "paradigm", "", "Table II paradigm for simulated mode (e.g. Kn10wNoPM)")
+	fs.BoolVar(&c.verbose, "v", false, "print per-phase breakdown")
+	fs.StringVar(&c.tracePath, "trace", "", "write the execution trace (JSON) to this file")
+	fs.BoolVar(&c.eager, "eager", false, "shorthand for -schedule dependency")
+
+	fs.StringVar(&c.memoize, "memoize", "", "content-addressed memo cache file (direct mode): unchanged tasks with intact outputs are served from the cache instead of re-invoked")
+
+	fs.StringVar(&c.journalDir, "journal", "", "directory for the durable run journal (direct mode); enables crash recovery")
+	fs.BoolVar(&c.resume, "resume", false, "resume the run recorded in -journal instead of starting fresh")
+	fs.IntVar(&c.crashAfter, "crash-after-tasks", 0, "crash injection: sync the journal and kill the process after N completed tasks (requires -journal)")
+
+	fs.BoolVar(&c.healthOn, "health", false, "enable the run-health plane: per-endpoint latency baselines and live straggler detection (direct mode)")
+	fs.BoolVar(&c.health.SpeculativeRetry, "speculate", false, "re-dispatch a flagged straggler once and take the first completion (implies -health)")
+	fs.Float64Var(&c.health.StragglerFactor, "straggler-factor", 0, "flag tasks older than this multiple of their endpoint's running median (0: 3)")
+	fs.StringVar(&c.recorder, "flight-recorder", "", "dump the run's last moments as JSONL to this file on panic, interrupt, or failure (implies -health)")
+
+	fs.StringVar(&c.submit.BaseURL, "submit", "", "submit to a wfmd service at this base URL (e.g. http://127.0.0.1:9433) instead of executing locally")
+	fs.StringVar(&c.submit.Tenant, "tenant", "", "tenant name for -submit (empty: the service default)")
+	fs.StringVar(&c.submit.Priority, "priority", "", "priority class for -submit: low, normal, or high")
+	fs.BoolVar(&c.detach, "detach", false, "with -submit: print the accepted run ID and exit without waiting")
+	fs.Float64Var(&c.pollSec, "poll", 0.2, "status poll interval for -submit, wall seconds")
+
+	fs.Float64Var(&c.sample, "sample", 0, "trace sampling ratio in (0,1]: fraction of workflow roots recorded (0: off unless a trace output is set)")
+	fs.StringVar(&c.chromeTrace, "chrome-trace", "", "write spans as Chrome trace-event JSON (load at ui.perfetto.dev or chrome://tracing)")
+	fs.StringVar(&c.spanLog, "span-log", "", "write spans as flat JSONL, one span per line")
+	fs.StringVar(&c.telemetry, "telemetry-addr", "", "serve live telemetry on this address: /metrics, /healthz, /debug/pprof")
+	fs.StringVar(&c.logLevel, "log-level", "", "structured event logging to stderr: debug, info, warn, or error (empty: off)")
+	return c
+}
+
 func main() {
-	var (
-		workflow  = flag.String("workflow", "", "workflow description JSON (required)")
-		workdir   = flag.String("workdir", "wfbench-data", "shared directory (direct mode)")
-		paradigm  = flag.String("paradigm", "", "Table II paradigm for simulated mode (e.g. Kn10wNoPM)")
-		timeScale = flag.Float64("time-scale", 1.0, "nominal-second to wall-second factor")
-		phaseWait = flag.Float64("phase-delay", 1.0, "inter-phase delay, nominal seconds")
-		maxPar    = flag.Int("max-parallel", 512, "max simultaneous HTTP invocations")
-		verbose   = flag.Bool("v", false, "print per-phase breakdown")
-		tracePath = flag.String("trace", "", "write the execution trace (JSON) to this file")
-		schedule  = flag.String("schedule", "phases", "scheduling mode: phases (paper barriers) or dependency (event-driven)")
-		eager     = flag.Bool("eager", false, "shorthand for -schedule dependency")
-		retries   = flag.Int("retries", 0, "retry transient invocation failures this many times")
-
-		retryBackoff    = flag.Float64("retry-backoff", 0, "base retry backoff, nominal seconds (full-jitter exponential)")
-		retryBackoffMax = flag.Float64("retry-backoff-max", 0, "backoff ceiling, nominal seconds (0: 30)")
-		taskTimeout     = flag.Float64("task-timeout", 0, "whole-task deadline across all attempts, nominal seconds (0: none)")
-
-		batchOn     = flag.Bool("batch", false, "coalesce same-endpoint invocations into framed /invoke-batch POSTs")
-		batchTasks  = flag.Int("batch-tasks", 0, "max sub-tasks per batch (0: 64)")
-		batchBytes  = flag.Int("batch-bytes", 0, "max summed payload bytes per batch (0: 1 MiB)")
-		batchLinger = flag.Float64("batch-linger", 0, "batch linger window, nominal seconds (0: 0.005)")
-
-		breakerOn        = flag.Bool("breaker", false, "enable the per-endpoint circuit breaker")
-		breakerThreshold = flag.Float64("breaker-threshold", 0, "failure rate that opens the breaker (0: 0.5)")
-		breakerWindow    = flag.Int("breaker-window", 0, "sliding window of attempts per endpoint (0: 20)")
-		breakerCooldown  = flag.Float64("breaker-cooldown", 0, "open-state cooldown before probing, nominal seconds (0: 5)")
-
-		memoize = flag.String("memoize", "", "content-addressed memo cache file (direct mode): unchanged tasks with intact outputs are served from the cache instead of re-invoked")
-
-		journalDir     = flag.String("journal", "", "directory for the durable run journal (direct mode); enables crash recovery")
-		resume         = flag.Bool("resume", false, "resume the run recorded in -journal instead of starting fresh")
-		journalSync    = flag.String("journal-sync", "group", "journal fsync policy: group (batched), always (per record), never")
-		journalGroupMS = flag.Float64("journal-group-ms", 2, "group-commit batching window, wall milliseconds")
-		crashAfter     = flag.Int("crash-after-tasks", 0, "crash injection: sync the journal and kill the process after N completed tasks (requires -journal)")
-
-		healthOn   = flag.Bool("health", false, "enable the run-health plane: per-endpoint latency baselines and live straggler detection (direct mode)")
-		speculate  = flag.Bool("speculate", false, "re-dispatch a flagged straggler once and take the first completion (implies -health)")
-		stragglerK = flag.Float64("straggler-factor", 0, "flag tasks older than this multiple of their endpoint's running median (0: 3)")
-		recorder   = flag.String("flight-recorder", "", "dump the run's last moments as JSONL to this file on panic, interrupt, or failure (implies -health)")
-
-		submitURL = flag.String("submit", "", "submit to a wfmd service at this base URL (e.g. http://127.0.0.1:9433) instead of executing locally")
-		tenant    = flag.String("tenant", "", "tenant name for -submit (empty: the service default)")
-		priority  = flag.String("priority", "", "priority class for -submit: low, normal, or high")
-		detach    = flag.Bool("detach", false, "with -submit: print the accepted run ID and exit without waiting")
-		pollSec   = flag.Float64("poll", 0.2, "status poll interval for -submit, wall seconds")
-
-		sample      = flag.Float64("sample", 0, "trace sampling ratio in (0,1]: fraction of workflow roots recorded (0: off unless a trace output is set)")
-		chromeTrace = flag.String("chrome-trace", "", "write spans as Chrome trace-event JSON (load at ui.perfetto.dev or chrome://tracing)")
-		spanLog     = flag.String("span-log", "", "write spans as flat JSONL, one span per line")
-		telemetry   = flag.String("telemetry-addr", "", "serve live telemetry on this address: /metrics, /healthz, /debug/pprof")
-		logLevel    = flag.String("log-level", "", "structured event logging to stderr: debug, info, warn, or error (empty: off)")
-	)
+	c := newFlags(flag.CommandLine)
 	flag.Parse()
-	if *workflow == "" {
+	if c.workflow == "" {
 		fatal(fmt.Errorf("-workflow is required"))
 	}
-	mode, err := wfm.ParseScheduling(*schedule)
+	if err := c.resolveMgr(); err != nil {
+		fatal(err)
+	}
+	if c.eager {
+		c.mgr.Scheduling = wfm.ScheduleDependency
+	}
+	w, err := wfformat.Load(c.workflow)
 	if err != nil {
 		fatal(err)
 	}
-	if *eager {
-		mode = wfm.ScheduleDependency
-	}
-	w, err := wfformat.Load(*workflow)
-	if err != nil {
-		fatal(err)
-	}
-	if *submitURL != "" {
-		runSubmit(*submitURL, *workflow, *tenant, *priority, *detach,
-			*pollSec, *retryBackoff, *retryBackoffMax, *retries)
+	if c.submit.BaseURL != "" {
+		runSubmit(c)
 		return
 	}
 
 	// Observability plane, shared by both modes. A requested trace
 	// output implies full sampling unless -sample says otherwise.
-	ratio := *sample
-	if ratio == 0 && (*chromeTrace != "" || *spanLog != "") {
+	ratio := c.sample
+	if ratio == 0 && (c.chromeTrace != "" || c.spanLog != "") {
 		ratio = 1
 	}
 	var tracer *obs.Tracer
@@ -153,9 +156,9 @@ func main() {
 		tracer = obs.NewTracer(obs.Options{SampleRatio: ratio})
 	}
 	var logger *slog.Logger
-	if *logLevel != "" {
+	if c.logLevel != "" {
 		var lvl slog.Level
-		if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+		if err := lvl.UnmarshalText([]byte(c.logLevel)); err != nil {
 			fatal(fmt.Errorf("-log-level: %w", err))
 		}
 		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
@@ -165,9 +168,9 @@ func main() {
 	// the /metrics page grows the per-endpoint families mid-run.
 	var stragglerTracker atomic.Pointer[health.Tracker]
 	var monitor *wfm.Monitor
-	if *telemetry != "" {
+	if c.telemetry != "" {
 		monitor = wfm.NewMonitor()
-		startTelemetry(*telemetry, func(w io.Writer) error {
+		startTelemetry(c.telemetry, func(w io.Writer) error {
 			if err := monitor.WriteMetrics(w); err != nil {
 				return err
 			}
@@ -178,8 +181,8 @@ func main() {
 		})
 	}
 
-	if *paradigm != "" {
-		runSimulated(w, *paradigm, *timeScale, mode, *verbose, tracer, monitor, logger, *chromeTrace, *spanLog)
+	if c.paradigm != "" {
+		runSimulated(w, c, tracer, monitor, logger)
 		return
 	}
 
@@ -191,15 +194,11 @@ func main() {
 	defer stop()
 
 	var jnl *journal.Journal
-	if *journalDir != "" {
-		pol, err := journal.ParseSyncPolicy(*journalSync)
-		if err != nil {
+	if c.journalDir != "" {
+		if err := c.resolveJnl(); err != nil {
 			fatal(err)
 		}
-		jnl, err = journal.Open(*journalDir, journal.Options{
-			Sync:        pol,
-			GroupWindow: time.Duration(*journalGroupMS * float64(time.Millisecond)),
-		})
+		jnl, err = journal.Open(c.journalDir, c.jnl)
 		if err != nil {
 			fatal(err)
 		}
@@ -207,33 +206,31 @@ func main() {
 			fmt.Fprintln(os.Stderr, "wfm: journal had a torn tail (interrupted writer); truncated to the last intact record")
 		}
 	}
-	if *resume && jnl == nil {
+	if c.resume && jnl == nil {
 		fatal(fmt.Errorf("-resume requires -journal"))
 	}
 
 	var afterDone func(int)
-	if *crashAfter > 0 {
+	if c.crashAfter > 0 {
 		if jnl == nil {
 			fatal(fmt.Errorf("-crash-after-tasks requires -journal"))
 		}
-		n := *crashAfter
-		j := jnl
 		afterDone = func(done int) {
-			if done >= n {
-				j.Sync()
+			if done >= c.crashAfter {
+				jnl.Sync()
 				fmt.Fprintf(os.Stderr, "wfm: crash injection: killing the process after %d completed tasks\n", done)
 				os.Exit(137)
 			}
 		}
 	}
 
-	drive, err := sharedfs.NewDisk(*workdir)
+	drive, err := sharedfs.NewDisk(c.workdir)
 	if err != nil {
 		fatal(err)
 	}
 	var cache *memo.Cache
-	if *memoize != "" {
-		cache, err = memo.Open(*memoize)
+	if c.memoize != "" {
+		cache, err = memo.Open(c.memoize)
 		if err != nil {
 			fatal(err)
 		}
@@ -244,16 +241,13 @@ func main() {
 	// Run-health plane: -speculate and -flight-recorder imply -health.
 	var flightRec *health.FlightRecorder
 	var healthOpts *wfm.HealthOptions
-	if *healthOn || *speculate || *recorder != "" {
-		if *recorder != "" {
+	if c.healthOn || c.health.SpeculativeRetry || c.recorder != "" {
+		if c.recorder != "" {
 			flightRec = health.NewFlightRecorder(0)
 		}
-		healthOpts = &wfm.HealthOptions{
-			StragglerFactor:  *stragglerK,
-			SpeculativeRetry: *speculate,
-			Recorder:         flightRec,
-			OnTracker:        func(tr *health.Tracker) { stragglerTracker.Store(tr) },
-		}
+		healthOpts = &c.health
+		healthOpts.Recorder = flightRec
+		healthOpts.OnTracker = func(tr *health.Tracker) { stragglerTracker.Store(tr) }
 	}
 	// dumpRecorder writes the crash flight recorder next to whatever
 	// went wrong: the last ring of structured events, as JSONL.
@@ -261,7 +255,7 @@ func main() {
 		if flightRec == nil {
 			return
 		}
-		f, err := os.Create(*recorder)
+		f, err := os.Create(c.recorder)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wfm: flight recorder:", err)
 			return
@@ -273,7 +267,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "wfm: flight recorder:", err)
 		}
 		fmt.Fprintf(os.Stderr, "wfm: flight recorder (%s): %d event(s), %d dropped -> %s\n",
-			reason, len(flightRec.Events()), flightRec.Dropped(), *recorder)
+			reason, len(flightRec.Events()), flightRec.Dropped(), c.recorder)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -282,42 +276,18 @@ func main() {
 		}
 	}()
 
-	mgr, err := wfm.New(wfm.Options{
-		Drive:           drive,
-		TimeScale:       *timeScale,
-		PhaseDelay:      *phaseWait,
-		MaxParallel:     *maxPar,
-		Retries:         *retries,
-		RetryBackoff:    *retryBackoff,
-		RetryBackoffMax: *retryBackoffMax,
-		TaskTimeout:     *taskTimeout,
-		Scheduling:      mode,
-		Breaker: wfm.BreakerOptions{
-			Enabled:          *breakerOn,
-			FailureThreshold: *breakerThreshold,
-			Window:           *breakerWindow,
-			Cooldown:         *breakerCooldown,
-		},
-		Batching: wfm.BatchOptions{
-			Enabled:  *batchOn,
-			MaxTasks: *batchTasks,
-			MaxBytes: *batchBytes,
-			Linger:   *batchLinger,
-		},
-		Tracer:        tracer,
-		Monitor:       monitor,
-		Logger:        logger,
-		Journal:       jnl,
-		Memoize:       cache,
-		Health:        healthOpts,
-		AfterTaskDone: afterDone,
-	})
+	// The flags filled in the tunings; the rest is what this process built.
+	opts := c.mgr
+	opts.Drive, opts.Journal, opts.Memoize = drive, jnl, cache
+	opts.Tracer, opts.Monitor, opts.Logger = tracer, monitor, logger
+	opts.Health, opts.AfterTaskDone = healthOpts, afterDone
+	mgr, err := wfm.New(opts)
 	if err != nil {
 		fatal(err)
 	}
 	var res *wfm.Result
 	var runErr error
-	if *resume {
+	if c.resume {
 		res, runErr = mgr.Resume(ctx, w)
 	} else {
 		res, runErr = mgr.Run(ctx, w)
@@ -344,8 +314,8 @@ func main() {
 		dumpRecorder("task failures")
 	}
 	if res != nil {
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
+		if c.tracePath != "" {
+			f, err := os.Create(c.tracePath)
 			if err != nil {
 				fatal(err)
 			}
@@ -356,10 +326,10 @@ func main() {
 			if err := f.Close(); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("trace:     %s\n", *tracePath)
+			fmt.Printf("trace:     %s\n", c.tracePath)
 		}
-		writeSpanOutputs(wfm.TraceOf(res), *chromeTrace, *spanLog)
-		printResult(res, *verbose)
+		writeSpanOutputs(wfm.TraceOf(res), c.chromeTrace, c.spanLog)
+		printResult(res, c.verbose)
 	}
 	if runErr != nil {
 		if ctx.Err() != nil {
@@ -374,20 +344,14 @@ func main() {
 // (riding out backpressure via the shared backoff policy), then poll
 // the run to a terminal state and print its durable result. SIGINT
 // stops waiting but leaves the run executing server-side.
-func runSubmit(baseURL, workflowPath, tenant, priority string, detach bool,
-	pollSec, backoff, backoffMax float64, retries int) {
-	raw, err := os.ReadFile(workflowPath)
+func runSubmit(f *cli) {
+	raw, err := os.ReadFile(f.workflow)
 	if err != nil {
 		fatal(err)
 	}
-	c := &wfmd.Client{
-		BaseURL:         baseURL,
-		Tenant:          tenant,
-		Priority:        priority,
-		RetryBackoff:    backoff,
-		RetryBackoffMax: backoffMax,
-		MaxRetries:      retries,
-	}
+	// The submit retries ride the manager's retry flags.
+	c := &f.submit
+	c.RetryBackoff, c.RetryBackoffMax, c.MaxRetries = f.mgr.RetryBackoff, f.mgr.RetryBackoffMax, f.mgr.Retries
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	st, err := c.Submit(ctx, raw)
@@ -396,11 +360,11 @@ func runSubmit(baseURL, workflowPath, tenant, priority string, detach bool,
 	}
 	fmt.Printf("run:       %s (tenant %s, priority %s, %d tasks, %s)\n",
 		st.ID, st.Tenant, st.Priority, st.Tasks, st.State)
-	if detach {
-		fmt.Printf("status:    %s/v1/runs/%s\n", baseURL, st.ID)
+	if f.detach {
+		fmt.Printf("status:    %s/v1/runs/%s\n", c.BaseURL, st.ID)
 		return
 	}
-	final, err := c.Wait(ctx, st.ID, time.Duration(pollSec*float64(time.Second)))
+	final, err := c.Wait(ctx, st.ID, time.Duration(f.pollSec*float64(time.Second)))
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "wfm: interrupted; run %s keeps executing server-side\n", st.ID)
@@ -482,33 +446,30 @@ func writeSpanOutputs(tr *wfm.Trace, chromePath, logPath string) {
 	}
 }
 
-func runSimulated(w *wfformat.Workflow, paradigm string, timeScale float64, mode wfm.Scheduling, verbose bool,
-	tracer *obs.Tracer, monitor *wfm.Monitor, logger *slog.Logger, chromeTrace, spanLog string) {
-	spec, err := experiments.ByID(experiments.Paradigm(paradigm))
+func runSimulated(w *wfformat.Workflow, c *cli, tracer *obs.Tracer, monitor *wfm.Monitor, logger *slog.Logger) {
+	spec, err := experiments.ByID(experiments.Paradigm(c.paradigm))
 	if err != nil {
 		fatal(err)
 	}
 	tn := experiments.DefaultTunables()
-	tn.TimeScale = timeScale
-	tn.Scheduling = mode
+	tn.TimeScale = c.mgr.TimeScale
+	tn.Manager.Scheduling = c.mgr.Scheduling
+	tn.Manager.Monitor, tn.Manager.Logger = monitor, logger
 	tn.Tracer = tracer
-	tn.Monitor = monitor
-	tn.Logger = logger
 	m, err := experiments.RunWorkflow(context.Background(), spec, w, tn)
 	if err != nil {
 		fatal(err)
 	}
-	writeSpanOutputs(m.Trace, chromeTrace, spanLog)
+	writeSpanOutputs(m.Trace, c.chromeTrace, c.spanLog)
 	fmt.Printf("workflow:      %s (%d tasks)\n", m.Workflow, m.Tasks)
 	fmt.Printf("paradigm:      %s\n", m.Paradigm)
-	fmt.Printf("schedule:      %s\n", mode)
+	fmt.Printf("schedule:      %s\n", c.mgr.Scheduling)
 	fmt.Printf("execution:     %.2f s (nominal; wall %v)\n", m.MakespanS, m.Wall)
 	fmt.Printf("power:         %.1f W mean, %.0f J\n", m.MeanPowerW, m.EnergyJ)
 	fmt.Printf("cpu usage:     %.2f cores mean (%.2f max, busy %.2f)\n", m.MeanCPUCores, m.MaxCPUCores, m.MeanBusyCores)
 	fmt.Printf("memory usage:  %.2f GB mean (%.2f max)\n", m.MeanMemGB, m.MaxMemGB)
 	fmt.Printf("cold starts:   %d   requests: %d   failures: %d   scale stalls: %d\n",
 		m.ColdStarts, m.Requests, m.Failures, m.ScaleStalls)
-	_ = verbose
 }
 
 func printResult(res *wfm.Result, verbose bool) {

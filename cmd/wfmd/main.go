@@ -38,98 +38,89 @@ import (
 	"wfserverless/internal/wfmd"
 )
 
+// cli holds every flag's value. The flags fill cfg in directly, except
+// the three that main parses into it: a mode, a policy and a duration.
+type cli struct {
+	addr, workdir, logLevel string
+	schedule, journalSync   string
+	journalGroupMS          float64
+	tenants                 tenantFlags
+	cfg                     wfmd.Config
+}
+
+// newFlags registers wfmd's flags on fs.
+func newFlags(fs *flag.FlagSet) *cli {
+	c := new(cli)
+	fs.StringVar(&c.addr, "addr", ":9433", "HTTP listen address")
+	fs.StringVar(&c.cfg.DataDir, "data-dir", "wfmd-data", "service state root: per-run journals, metadata, results")
+	fs.StringVar(&c.workdir, "workdir", "wfbench-data", "shared drive directory the workflows' tasks stage files on")
+
+	fs.Float64Var(&c.cfg.DefaultTenant.Weight, "default-weight", 1, "fair-share weight for tenants not named by -tenant")
+	fs.IntVar(&c.cfg.DefaultTenant.MaxConcurrentRuns, "default-max-runs", 4, "concurrent-run quota for tenants not named by -tenant")
+	fs.IntVar(&c.cfg.DefaultTenant.MaxInFlightTasks, "default-max-tasks", 0, "in-flight task quota for tenants not named by -tenant (0: uncapped)")
+	fs.IntVar(&c.cfg.QueueCapacity, "queue-capacity", 256, "admitted-but-not-running runs held before submissions get 429")
+	fs.IntVar(&c.cfg.MaxActiveRuns, "max-active-runs", 64, "simultaneously executing runs across all tenants")
+	fs.IntVar(&c.cfg.TaskSlots, "task-slots", 256, "global in-flight task invocation budget shared by all runs")
+	fs.Float64Var(&c.cfg.RetryAfter, "retry-after", 1, "Retry-After hint on 429 responses, seconds")
+
+	m := &c.cfg.Manager
+	fs.StringVar(&c.schedule, "schedule", "dependency", "per-run scheduling mode: phases or dependency")
+	fs.Float64Var(&m.TimeScale, "time-scale", 1.0, "nominal-second to wall-second factor")
+	fs.IntVar(&m.MaxParallel, "max-parallel", 64, "max simultaneous HTTP invocations per run (the global budget is -task-slots)")
+	fs.IntVar(&m.Retries, "retries", 0, "retry transient invocation failures this many times")
+	fs.Float64Var(&m.RetryBackoff, "retry-backoff", 0, "base retry backoff, nominal seconds")
+	fs.Float64Var(&m.RetryBackoffMax, "retry-backoff-max", 0, "backoff ceiling, nominal seconds (0: 30)")
+	fs.Float64Var(&m.TaskTimeout, "task-timeout", 0, "whole-task deadline across attempts, nominal seconds (0: none)")
+	fs.BoolVar(&m.Breaker.Enabled, "breaker", false, "enable the per-endpoint circuit breaker in every run")
+
+	fs.StringVar(&c.journalSync, "journal-sync", "group", "run journal fsync policy: group, always, never")
+	fs.Float64Var(&c.journalGroupMS, "journal-group-ms", 2, "group-commit batching window, wall milliseconds")
+	fs.Float64Var(&c.cfg.TraceSample, "trace-sample", 0, "per-run trace sampling ratio in (0,1]; sampled runs write spans.jsonl into their run dir")
+	fs.StringVar(&c.logLevel, "log-level", "info", "structured logging to stderr: debug, info, warn, error, or off")
+	fs.Var(&c.tenants, "tenant", "tenant quota spec name:weight[:max-runs[:max-tasks]] (repeatable)")
+	return c
+}
+
 func main() {
-	var tenants tenantFlags
-	var (
-		addr    = flag.String("addr", ":9433", "HTTP listen address")
-		dataDir = flag.String("data-dir", "wfmd-data", "service state root: per-run journals, metadata, results")
-		workdir = flag.String("workdir", "wfbench-data", "shared drive directory the workflows' tasks stage files on")
-
-		defaultWeight   = flag.Float64("default-weight", 1, "fair-share weight for tenants not named by -tenant")
-		defaultMaxRuns  = flag.Int("default-max-runs", 4, "concurrent-run quota for tenants not named by -tenant")
-		defaultMaxTasks = flag.Int("default-max-tasks", 0, "in-flight task quota for tenants not named by -tenant (0: uncapped)")
-		queueCap        = flag.Int("queue-capacity", 256, "admitted-but-not-running runs held before submissions get 429")
-		maxActive       = flag.Int("max-active-runs", 64, "simultaneously executing runs across all tenants")
-		taskSlots       = flag.Int("task-slots", 256, "global in-flight task invocation budget shared by all runs")
-		retryAfter      = flag.Float64("retry-after", 1, "Retry-After hint on 429 responses, seconds")
-
-		schedule        = flag.String("schedule", "dependency", "per-run scheduling mode: phases or dependency")
-		timeScale       = flag.Float64("time-scale", 1.0, "nominal-second to wall-second factor")
-		maxPar          = flag.Int("max-parallel", 64, "max simultaneous HTTP invocations per run (the global budget is -task-slots)")
-		retries         = flag.Int("retries", 0, "retry transient invocation failures this many times")
-		retryBackoff    = flag.Float64("retry-backoff", 0, "base retry backoff, nominal seconds")
-		retryBackoffMax = flag.Float64("retry-backoff-max", 0, "backoff ceiling, nominal seconds (0: 30)")
-		taskTimeout     = flag.Float64("task-timeout", 0, "whole-task deadline across attempts, nominal seconds (0: none)")
-		breakerOn       = flag.Bool("breaker", false, "enable the per-endpoint circuit breaker in every run")
-
-		journalSync    = flag.String("journal-sync", "group", "run journal fsync policy: group, always, never")
-		journalGroupMS = flag.Float64("journal-group-ms", 2, "group-commit batching window, wall milliseconds")
-		traceSample    = flag.Float64("trace-sample", 0, "per-run trace sampling ratio in (0,1]; sampled runs write spans.jsonl into their run dir")
-		logLevel       = flag.String("log-level", "info", "structured logging to stderr: debug, info, warn, error, or off")
-	)
-	flag.Var(&tenants, "tenant", "tenant quota spec name:weight[:max-runs[:max-tasks]] (repeatable)")
+	c := newFlags(flag.CommandLine)
 	flag.Parse()
 
-	mode, err := wfm.ParseScheduling(*schedule)
-	if err != nil {
+	cfg := &c.cfg
+	var err error
+	if cfg.Manager.Scheduling, err = wfm.ParseScheduling(c.schedule); err != nil {
 		fatal(err)
 	}
-	pol, err := journal.ParseSyncPolicy(*journalSync)
-	if err != nil {
+	if cfg.JournalSync, err = journal.ParseSyncPolicy(c.journalSync); err != nil {
 		fatal(err)
 	}
+	cfg.JournalGroupWindow = time.Duration(c.journalGroupMS * float64(time.Millisecond))
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	if *logLevel == "off" {
+	if c.logLevel == "off" {
 		logger = nil
-	} else if *logLevel != "" {
+	} else if c.logLevel != "" {
 		var lvl slog.Level
-		if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+		if err := lvl.UnmarshalText([]byte(c.logLevel)); err != nil {
 			fatal(fmt.Errorf("-log-level: %w", err))
 		}
 		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 	}
 
-	drive, err := sharedfs.NewDisk(*workdir)
+	drive, err := sharedfs.NewDisk(c.workdir)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := wfmd.Config{
-		DataDir: *dataDir,
-		Manager: wfm.Options{
-			Drive:           drive,
-			TimeScale:       *timeScale,
-			MaxParallel:     *maxPar,
-			Scheduling:      mode,
-			Retries:         *retries,
-			RetryBackoff:    *retryBackoff,
-			RetryBackoffMax: *retryBackoffMax,
-			TaskTimeout:     *taskTimeout,
-			Breaker:         wfm.BreakerOptions{Enabled: *breakerOn},
-		},
-		Tenants: tenants.configs,
-		DefaultTenant: wfmd.TenantConfig{
-			Weight:            *defaultWeight,
-			MaxConcurrentRuns: *defaultMaxRuns,
-			MaxInFlightTasks:  *defaultMaxTasks,
-		},
-		QueueCapacity:      *queueCap,
-		MaxActiveRuns:      *maxActive,
-		TaskSlots:          *taskSlots,
-		RetryAfter:         *retryAfter,
-		JournalSync:        pol,
-		JournalGroupWindow: time.Duration(*journalGroupMS * float64(time.Millisecond)),
-		TraceSample:        *traceSample,
-		Logger:             logger,
-	}
-	srv, err := wfmd.New(cfg)
+	cfg.Manager.Drive = drive
+	cfg.Tenants = c.tenants.configs
+	cfg.Logger = logger
+	srv, err := wfmd.New(*cfg)
 	if err != nil {
 		fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: c.addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Printf("wfmd: serving on %s (data dir %s, %d task slots)\n", *addr, *dataDir, *taskSlots)
+	fmt.Printf("wfmd: serving on %s (data dir %s, %d task slots)\n", c.addr, cfg.DataDir, cfg.TaskSlots)
 
 	// SIGINT/SIGTERM drain gracefully: the HTTP listener closes, every
 	// running Manager's context is cancelled, journals close clean, and

@@ -37,7 +37,6 @@ func main() {
 		PodOverheadMem:    tn.PodOverheadMem,
 		WorkerOverheadMem: tn.WorkerOverheadMem,
 		PodOverheadCPU:    tn.PodOverheadCPU,
-		InputWait:         tn.InputWait,
 	}
 	session, err := core.NewSession(cfg)
 	if err != nil {

@@ -11,7 +11,6 @@ package container
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -329,11 +328,7 @@ func (r *Runtime) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var breq wfbench.Request
-	if err := json.NewDecoder(req.Body).Decode(&breq); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if err := breq.Validate(); err != nil {
+	if err := wfbench.ReadRequest(req, &breq); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -346,9 +341,7 @@ func (r *Runtime) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		}
 		status = http.StatusInternalServerError
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	wfbench.WriteResponse(w, status, resp)
 }
 
 // limitedUsage forwards usage registrations to the node while tracking

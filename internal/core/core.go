@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"time"
 
 	"wfserverless/internal/cluster"
@@ -65,7 +64,6 @@ type PlatformConfig struct {
 	PodOverheadMem    int64
 	WorkerOverheadMem int64
 	PodOverheadCPU    float64
-	InputWait         float64
 }
 
 // SessionConfig assembles a Session.
@@ -88,25 +86,12 @@ type SessionConfig struct {
 	// sub-workflows to different paradigms).
 	Secondary *PlatformConfig
 
-	// Workflow-manager knobs (nominal seconds).
-	PhaseDelay  float64
-	InputWait   float64
-	MaxParallel int
-	// Scheduling selects the manager's execution model; the zero value
-	// is wfm.SchedulePhases (the paper's phase barriers).
-	Scheduling wfm.Scheduling
-
-	// Resilience knobs, passed through to the workflow manager: retry
-	// budget, backoff shape, per-task deadline, and the per-endpoint
-	// circuit breaker. All durations are nominal seconds.
-	Retries         int
-	RetryBackoff    float64
-	RetryBackoffMax float64
-	TaskTimeout     float64
-	Breaker         wfm.BreakerOptions
-	// Batching coalesces same-endpoint invocations into framed
-	// /invoke-batch POSTs (see wfm.BatchOptions); disabled by default.
-	Batching wfm.BatchOptions
+	// Manager is the workflow manager's options template. Every field is
+	// the caller's, as wfm.Options documents it, except the three the
+	// session shares with its platforms and so sets itself: Drive,
+	// TimeScale and Tracer (above and below). Manager.InputWait is also
+	// how long the platforms' WfBench workers wait for input files.
+	Manager wfm.Options
 
 	// SampleInterval is the telemetry period in nominal seconds; zero
 	// defaults to 1 (the paper's 1 Hz PCP sampling).
@@ -116,13 +101,6 @@ type SessionConfig struct {
 	// — workflow manager, serverless platform, and WfBench — into one
 	// trace per sampled run. Nil disables tracing.
 	Tracer *obs.Tracer
-	// Monitor receives live workflow progress (task states, breaker
-	// transitions, invocation latency) for the /metrics plane. Nil
-	// disables it.
-	Monitor *wfm.Monitor
-	// Logger receives the manager's structured event log. Nil silences
-	// it.
-	Logger *slog.Logger
 }
 
 // platformHandle abstracts over the two platform implementations.
@@ -185,23 +163,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		}
 	}
 
-	s.manager, err = wfm.New(wfm.Options{
-		Drive:           s.drive,
-		TimeScale:       cfg.TimeScale,
-		PhaseDelay:      cfg.PhaseDelay,
-		InputWait:       cfg.InputWait,
-		MaxParallel:     cfg.MaxParallel,
-		Scheduling:      cfg.Scheduling,
-		Retries:         cfg.Retries,
-		RetryBackoff:    cfg.RetryBackoff,
-		RetryBackoffMax: cfg.RetryBackoffMax,
-		TaskTimeout:     cfg.TaskTimeout,
-		Breaker:         cfg.Breaker,
-		Batching:        cfg.Batching,
-		Tracer:          cfg.Tracer,
-		Monitor:         cfg.Monitor,
-		Logger:          cfg.Logger,
-	})
+	opts := cfg.Manager
+	opts.Drive, opts.TimeScale, opts.Tracer = s.drive, cfg.TimeScale, cfg.Tracer
+	s.manager, err = wfm.New(opts)
 	if err != nil {
 		s.Close()
 		return nil, err
@@ -226,7 +190,7 @@ func (s *Session) provision(pc PlatformConfig) (*platformHandle, error) {
 			PodOverheadMem:    pc.PodOverheadMem,
 			WorkerOverheadMem: pc.WorkerOverheadMem,
 			PodOverheadCPU:    pc.PodOverheadCPU,
-			InputWait:         pc.InputWait,
+			InputWait:         s.cfg.Manager.InputWait,
 			InstantScaleUp:    pc.InstantScaleUp,
 			Tracer:            s.cfg.Tracer,
 		})
@@ -257,7 +221,7 @@ func (s *Session) provision(pc PlatformConfig) (*platformHandle, error) {
 			Drive:             s.drive,
 			TimeScale:         s.cfg.TimeScale,
 			Engine:            s.cfg.Engine,
-			InputWait:         pc.InputWait,
+			InputWait:         s.cfg.Manager.InputWait,
 			PodOverheadMem:    pc.PodOverheadMem,
 			WorkerOverheadMem: pc.WorkerOverheadMem,
 			PodOverheadCPU:    pc.PodOverheadCPU,

@@ -20,7 +20,6 @@ func knativeConfig() PlatformConfig {
 		StableWindow:        3,
 		PodOverheadMem:      50 << 20,
 		WorkerOverheadMem:   16 << 20,
-		InputWait:           5,
 	}
 }
 
@@ -32,7 +31,6 @@ func localConfig() PlatformConfig {
 		CPUsPerContainer:  2,
 		PodOverheadMem:    50 << 20,
 		WorkerOverheadMem: 16 << 20,
-		InputWait:         5,
 	}
 }
 
@@ -41,11 +39,11 @@ func testSession(t *testing.T, cfg SessionConfig) *Session {
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 0.002
 	}
-	if cfg.PhaseDelay == 0 {
-		cfg.PhaseDelay = 0.5
+	if cfg.Manager.PhaseDelay == 0 {
+		cfg.Manager.PhaseDelay = 0.5
 	}
-	if cfg.InputWait == 0 {
-		cfg.InputWait = 5
+	if cfg.Manager.InputWait == 0 {
+		cfg.Manager.InputWait = 5
 	}
 	s, err := NewSession(cfg)
 	if err != nil {

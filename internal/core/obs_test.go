@@ -19,10 +19,9 @@ func TestThreeLayerTrace(t *testing.T) {
 	tr := obs.NewTracer(obs.Options{SampleRatio: 1})
 	mon := wfm.NewMonitor()
 	s := testSession(t, SessionConfig{
-		Platform:   knativeConfig(),
-		Scheduling: wfm.ScheduleDependency,
-		Tracer:     tr,
-		Monitor:    mon,
+		Platform: knativeConfig(),
+		Manager:  wfm.Options{Scheduling: wfm.ScheduleDependency, Monitor: mon},
+		Tracer:   tr,
 	})
 	res, err := s.RunRecipe(context.Background(), "blast", 12, 7)
 	if err != nil {

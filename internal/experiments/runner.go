@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"time"
 
 	"wfserverless/internal/core"
@@ -42,42 +41,22 @@ type Tunables struct {
 	WorkerOverheadMem int64
 	PodOverheadCPU    float64
 
-	// Workflow manager knobs.
-	PhaseDelay  float64
-	InputWait   float64
-	MaxParallel int
-	// Scheduling selects the manager's execution model: the paper's
-	// phase barriers (wfm.SchedulePhases, the zero value) or
-	// dependency-driven dispatch (wfm.ScheduleDependency).
-	Scheduling wfm.Scheduling
+	// Manager is the workflow manager's options template, handed to the
+	// session as is (core.SessionConfig.Manager says which three fields
+	// the session sets itself).
+	Manager wfm.Options
 
 	// SampleInterval is the telemetry period (the paper's pmdumptext
 	// -t 1sec).
 	SampleInterval float64
 
-	// Resilience knobs forwarded to the workflow manager (nominal
-	// seconds): see wfm.Options for semantics.
-	Retries         int
-	RetryBackoff    float64
-	RetryBackoffMax float64
-	TaskTimeout     float64
-	Breaker         wfm.BreakerOptions
-	// Batching coalesces same-endpoint invocations into framed
-	// /invoke-batch POSTs (wfm.BatchOptions); off by default so the
-	// paper-fidelity campaigns keep one HTTP request per task.
-	Batching wfm.BatchOptions
-
 	// InstantScaleUp is the autoscaler-ramp ablation knob: skip the
 	// KPA-style doubling and create every needed pod in one tick.
 	InstantScaleUp bool
 
-	// Observability plumbing, all optional. Tracer records spans across
-	// the manager, platform, and WfBench layers (the resulting trace
-	// rides on Measurement.Trace); Monitor exposes live run progress;
-	// Logger receives structured events from the manager's event loop.
-	Tracer  *obs.Tracer
-	Monitor *wfm.Monitor
-	Logger  *slog.Logger
+	// Tracer, when set, records spans across the manager, platform, and
+	// WfBench layers; the resulting trace rides on Measurement.Trace.
+	Tracer *obs.Tracer
 }
 
 // DefaultTunables returns the parameters used throughout EXPERIMENTS.md.
@@ -96,9 +75,7 @@ func DefaultTunables() Tunables {
 		PodOverheadMem:      80 * mb,
 		WorkerOverheadMem:   64 * mb,
 		PodOverheadCPU:      0.05,
-		PhaseDelay:          1,
-		InputWait:           30,
-		MaxParallel:         512,
+		Manager:             wfm.Options{PhaseDelay: 1, InputWait: 30, MaxParallel: 512},
 		SampleInterval:      1,
 	}
 }
@@ -114,7 +91,6 @@ func SessionConfig(spec Spec, tn Tunables) (core.SessionConfig, error) {
 		PodOverheadMem:    tn.PodOverheadMem,
 		WorkerOverheadMem: tn.WorkerOverheadMem,
 		PodOverheadCPU:    tn.PodOverheadCPU,
-		InputWait:         tn.InputWait,
 	}
 	// The paper-testbed node a coarse process monopolizes.
 	const (
@@ -156,22 +132,11 @@ func SessionConfig(spec Spec, tn Tunables) (core.SessionConfig, error) {
 		return core.SessionConfig{}, fmt.Errorf("experiments: unknown platform kind %q", spec.Kind)
 	}
 	return core.SessionConfig{
-		TimeScale:       tn.TimeScale,
-		Platform:        pc,
-		PhaseDelay:      tn.PhaseDelay,
-		InputWait:       tn.InputWait,
-		MaxParallel:     tn.MaxParallel,
-		Scheduling:      tn.Scheduling,
-		SampleInterval:  tn.SampleInterval,
-		Retries:         tn.Retries,
-		RetryBackoff:    tn.RetryBackoff,
-		RetryBackoffMax: tn.RetryBackoffMax,
-		TaskTimeout:     tn.TaskTimeout,
-		Breaker:         tn.Breaker,
-		Batching:        tn.Batching,
-		Tracer:          tn.Tracer,
-		Monitor:         tn.Monitor,
-		Logger:          tn.Logger,
+		TimeScale:      tn.TimeScale,
+		Platform:       pc,
+		Manager:        tn.Manager,
+		SampleInterval: tn.SampleInterval,
+		Tracer:         tn.Tracer,
 	}, nil
 }
 

@@ -30,6 +30,7 @@ package journal
 import (
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -124,6 +125,20 @@ type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one
 	// exceeds this size; zero defaults to 64 MiB.
 	SegmentBytes int64
+}
+
+// RegisterFlags registers -journal-sync and -journal-group-ms; o's values
+// at the call, zero fields defaulted, are the flags' defaults. Call
+// resolve once fs is parsed to set o.Sync and o.GroupWindow from them.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) (resolve func() error) {
+	d := o.withDefaults()
+	policy := fs.String("journal-sync", d.Sync.String(), "journal fsync policy: group (batched), always (per record), never")
+	groupMS := fs.Float64("journal-group-ms", float64(d.GroupWindow)/float64(time.Millisecond), "group-commit batching window, wall milliseconds")
+	return func() (err error) {
+		o.GroupWindow = time.Duration(*groupMS * float64(time.Millisecond))
+		o.Sync, err = ParseSyncPolicy(*policy)
+		return err
+	}
 }
 
 func (o Options) withDefaults() Options {

@@ -99,7 +99,7 @@ func predictKnative(spec experiments.Spec, infos []phaseInfo, tn experiments.Tun
 			p.PhaseTimes = append(p.PhaseTimes, pt)
 			makespan += pt
 			if i < len(infos)-1 {
-				makespan += tn.PhaseDelay
+				makespan += tn.Manager.PhaseDelay
 			}
 		}
 		p.MakespanS = makespan
@@ -154,11 +154,11 @@ func predictKnative(spec experiments.Spec, infos []phaseInfo, tn experiments.Tun
 
 		makespan += pt
 		if i < len(infos)-1 {
-			makespan += tn.PhaseDelay
+			makespan += tn.Manager.PhaseDelay
 			// Pods stay warm across the inter-phase delay (the gap is
 			// shorter than the stable window with default tunables).
-			cpuIntegral += desired * cpuPerPod * tn.PhaseDelay
-			memIntegral += desired * memPerPod * tn.PhaseDelay
+			cpuIntegral += desired * cpuPerPod * tn.Manager.PhaseDelay
+			memIntegral += desired * memPerPod * tn.Manager.PhaseDelay
 		}
 		pods = desired
 	}
@@ -188,7 +188,7 @@ func predictLocal(spec experiments.Spec, infos []phaseInfo, tn experiments.Tunab
 		phaseTimes = append(phaseTimes, pt)
 		makespan += pt
 		if i < len(infos)-1 {
-			makespan += tn.PhaseDelay
+			makespan += tn.Manager.PhaseDelay
 		}
 	}
 	p := &Prediction{

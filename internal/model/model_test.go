@@ -172,7 +172,7 @@ func TestPredictPhaseTimesSumToMakespan(t *testing.T) {
 	for _, pt := range p.PhaseTimes {
 		sum += pt
 	}
-	delays := float64(len(p.PhaseTimes)-1) * tn.PhaseDelay
+	delays := float64(len(p.PhaseTimes)-1) * tn.Manager.PhaseDelay
 	if diff := p.MakespanS - sum - delays; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("phase times + delays != makespan: %v", diff)
 	}

@@ -21,7 +21,6 @@
 package serverless
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -654,22 +653,8 @@ func (p *Platform) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	// Drain the body into a pooled buffer and unmarshal in place — no
-	// per-request json.Decoder, and the read buffer is recycled across
-	// invocations.
-	buf := invokeBufs.Get().(*bytes.Buffer)
-	buf.Reset()
 	var req wfbench.Request
-	_, err := buf.ReadFrom(r.Body)
-	if err == nil {
-		err = json.Unmarshal(buf.Bytes(), &req)
-	}
-	invokeBufs.Put(buf)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if err := req.Validate(); err != nil {
+	if err := wfbench.ReadRequest(r, &req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -701,23 +686,8 @@ func (p *Platform) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		status = http.StatusInternalServerError
 	}
-	out := invokeBufs.Get().(*bytes.Buffer)
-	out.Reset()
-	if err := json.NewEncoder(out).Encode(resp); err != nil {
-		invokeBufs.Put(out)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(out.Len()))
-	w.WriteHeader(status)
-	w.Write(out.Bytes())
-	invokeBufs.Put(out)
+	wfbench.WriteResponse(w, status, resp)
 }
-
-// invokeBufs recycles request-read and response-write buffers across
-// ServeHTTP invocations.
-var invokeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // splitInvokePath matches "/<service>/wfbench" (tolerating a trailing
 // slash, as the old strings.Trim routing did) and returns the service

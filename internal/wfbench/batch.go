@@ -36,8 +36,9 @@ const BatchContentType = "application/x-wfbench-batch"
 
 // Decoder guards against corrupt or hostile frames.
 const (
-	maxBatchTasks = 1 << 20
-	maxFrameBytes = 64 << 20
+	maxBatchTasks   = 1 << 20
+	maxFrameBytes   = 64 << 20
+	maxPresizeBytes = 4 << 20 // largest Content-Length trusted to size a read buffer
 )
 
 // BatchItem is one decoded sub-request of a batch.
@@ -93,8 +94,10 @@ func DecodeBatchRequest(r io.Reader) ([]BatchItem, error) {
 // ReadBatchBody slurps an HTTP batch body, in a single exact-size
 // allocation when the Content-Length is declared. Servers pair it with
 // DecodeBatchRequestBytes so the whole decode costs two allocations.
+// A declared length past maxPresizeBytes is a claim the body has yet to
+// back: that read grows with the bytes that arrive instead.
 func ReadBatchBody(r *http.Request) ([]byte, error) {
-	if n := r.ContentLength; n >= 0 {
+	if n := r.ContentLength; n >= 0 && n <= maxPresizeBytes {
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(r.Body, buf); err != nil {
 			return nil, err
@@ -110,9 +113,14 @@ func ReadBatchBody(r *http.Request) ([]byte, error) {
 // keep data alive for as long as the items.
 func DecodeBatchRequestBytes(data []byte) ([]BatchItem, error) {
 	c := batchCursor{buf: data}
-	n, err := c.count(maxBatchTasks, "task count")
+	n, err := c.count()
 	if err != nil {
 		return nil, err
+	}
+	// A task takes at least its two length prefixes: refuse a count the body
+	// cannot hold before a few hostile bytes buy a million-entry allocation.
+	if rest := len(data) - c.off; 2*n > rest {
+		return nil, fmt.Errorf("wfbench: batch task count %d, but only %d byte(s) follow: %w", n, rest, io.ErrUnexpectedEOF)
 	}
 	items := make([]BatchItem, n)
 	for i := range items {
@@ -155,7 +163,8 @@ func DecodeBatchResponse(r io.Reader) ([]BatchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]BatchResult, 0, br.Len())
+	// Size by what the body can hold (a frame is >= 3 bytes), not its claim.
+	out := make([]BatchResult, 0, min(br.Len(), len(br.c.buf)/3))
 	for i := 0; i < br.Len(); i++ {
 		res, err := br.Next()
 		if err != nil {
@@ -192,7 +201,7 @@ func NewBatchResponseReader(r io.Reader) (*BatchResponseReader, error) {
 // body. Every BatchResult.Payload from Next aliases data.
 func NewBatchResponseReaderBytes(data []byte) (*BatchResponseReader, error) {
 	r := &BatchResponseReader{c: batchCursor{buf: data}}
-	n, err := r.c.count(maxBatchTasks, "task count")
+	n, err := r.c.count()
 	if err != nil {
 		return nil, err
 	}
@@ -246,13 +255,14 @@ func (c *batchCursor) uvarint(what string) (uint64, error) {
 	return 0, fmt.Errorf("%s: varint overflows 64 bits", what)
 }
 
-func (c *batchCursor) count(max uint64, what string) (int, error) {
-	v, err := c.uvarint("wfbench: batch " + what)
+// count reads a body's task-count prefix.
+func (c *batchCursor) count() (int, error) {
+	v, err := c.uvarint("wfbench: batch task count")
 	if err != nil {
 		return 0, err
 	}
-	if v > max {
-		return 0, fmt.Errorf("wfbench: batch %s %d exceeds limit %d", what, v, max)
+	if v > maxBatchTasks {
+		return 0, fmt.Errorf("wfbench: batch task count %d exceeds limit %d", v, maxBatchTasks)
 	}
 	return int(v), nil
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,49 @@ func TestBatchResponseReaderSalvagesPrefix(t *testing.T) {
 	}
 	if _, err := br.Next(); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("corrupt frame error = %v", err)
+	}
+}
+
+// TestBatchDecodeBoundedByBody: a body whose first three bytes declare a
+// million tasks must not make either strict decoder allocate for them.
+func TestBatchDecodeBoundedByBody(t *testing.T) {
+	hostile := binary.AppendUvarint(nil, maxBatchTasks-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, reqErr := DecodeBatchRequestBytes(hostile)
+	_, respErr := DecodeBatchResponse(bytes.NewReader(hostile))
+	runtime.ReadMemStats(&after)
+	if reqErr == nil || respErr == nil {
+		t.Fatalf("hostile count accepted: %v, %v", reqErr, respErr)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("decoding a %d-byte body allocated %d bytes", len(hostile), got)
+	}
+}
+
+// TestBodyReadsIgnoreDeclaredLength: a request that declares a 1 GiB body
+// and sends two bytes must cost what two bytes cost, on the batch
+// endpoint and on every single-task /wfbench handler.
+func TestBodyReadsIgnoreDeclaredLength(t *testing.T) {
+	hostile := func() *http.Request {
+		r := httptest.NewRequest(http.MethodPost, "/wfbench", strings.NewReader(`{"`))
+		r.ContentLength = 1 << 30
+		return r
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var req Request
+	reqErr := ReadRequest(hostile(), &req)
+	body, batchErr := ReadBatchBody(hostile())
+	runtime.ReadMemStats(&after)
+	if reqErr == nil {
+		t.Error("ReadRequest accepted a truncated body")
+	}
+	if batchErr != nil || string(body) != `{"` {
+		t.Errorf("ReadBatchBody = %q, %v; want the bytes sent", body, batchErr)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("reading two 2-byte bodies allocated %d bytes", got)
 	}
 }
 

@@ -4,36 +4,39 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"strings"
 )
 
-// Hand-rolled encode/decode for the two flat wire structs on the
-// batched hot path. encoding/json's reflection machinery allocates
-// ~20 heap objects per invocation across the three per-task codec
-// calls (server request decode, server response encode, client
-// response decode); at batched throughput that reflection garbage is
-// the largest single source of GC pressure. The fast paths handle
-// exactly the JSON this repo's own encoders produce — flat objects,
-// escape-free strings — and defer to encoding/json for everything
-// else, so observable behavior (including error values and
-// case-insensitive key matching) is unchanged.
+// Hand-rolled encode/decode for the two flat wire structs — the one
+// codec of the wire, on the single-task path (every /wfbench handler and
+// the manager's POST) and inside batch frames alike. encoding/json's
+// reflection machinery allocates ~20 heap objects per invocation across
+// the three per-task codec calls (server request decode, server response
+// encode, client response decode). The fast paths handle exactly the
+// JSON this repo's own encoders produce — flat objects, escape-free
+// ASCII strings — and defer to encoding/json for everything else, so
+// observable behavior (error values and case-insensitive key matching
+// included) is unchanged; FuzzCodecDifferential holds them to that.
 
 // UnmarshalRequest decodes a single-task request body like
 // json.Unmarshal(data, r) with a reflection-free fast path.
 func UnmarshalRequest(data []byte, r *Request) error {
+	orig := *r
 	if fastUnmarshalRequest(data, r) {
 		return nil
 	}
-	*r = Request{}
+	*r = orig
 	return json.Unmarshal(data, r)
 }
 
 // UnmarshalResponse decodes a single-task response payload like
 // json.Unmarshal(data, r) with a reflection-free fast path.
 func UnmarshalResponse(data []byte, r *Response) error {
+	orig := *r
 	if fastUnmarshalResponse(data, r) {
 		return nil
 	}
-	*r = Response{}
+	*r = orig
 	return json.Unmarshal(data, r)
 }
 
@@ -122,13 +125,17 @@ func fastUnmarshalRequest(data []byte, r *Request) bool {
 		case "mem-bytes":
 			r.MemBytes, ok = p.int()
 		case "out":
-			r.Out, ok = p.mapInt64()
+			// encoding/json merges into a map that already exists (a
+			// repeated key, a reused Request); leave that to it.
+			if r.Out == nil {
+				r.Out, ok = p.mapInt64()
+			}
 		case "inputs":
 			r.Inputs, ok = p.strSlice()
 		case "workdir":
 			r.Workdir, ok = p.str()
 		default:
-			ok = !hasUpper(key) && p.skipValue(0)
+			ok = !foldsToField(key, requestFields) && p.skipValue(0)
 		}
 		return ok
 	}
@@ -157,24 +164,31 @@ func fastUnmarshalResponse(data []byte, r *Response) bool {
 		case "pod":
 			r.Pod, ok = p.str()
 		default:
-			ok = !hasUpper(key) && p.skipValue(0)
+			ok = !foldsToField(key, responseFields) && p.skipValue(0)
 		}
 		return ok
 	}
 	return p.object(fields)
 }
 
-// hasUpper guards the unknown-key skip: encoding/json matches struct
-// fields case-insensitively, so a key with upper-case letters could
-// still target a known field and must take the reflection path.
-func hasUpper(s []byte) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 'A' && s[i] <= 'Z' {
+// foldsToField guards the unknown-key skip: encoding/json matches struct
+// fields case-insensitively, so a key that matched no field exactly
+// ("NAME", "busyseconds") can still target one and must take the
+// reflection path. Keys are ASCII here (rawStr), so ASCII folding is all
+// of encoding/json's.
+func foldsToField(key []byte, fields []string) bool {
+	for _, f := range fields {
+		if strings.EqualFold(string(key), f) {
 			return true
 		}
 	}
 	return false
 }
+
+var (
+	requestFields  = []string{"name", "percent-cpu", "cpu-work", "cores", "mem-bytes", "out", "inputs", "workdir"}
+	responseFields = []string{"name", "ok", "error", "busySeconds", "wallSeconds", "outBytes", "coldStart", "pod"}
+)
 
 // jparser is a minimal JSON reader for flat wire objects. Every method
 // reports success; any construct it does not handle (escapes, nulls,
@@ -240,7 +254,9 @@ func (p *jparser) str() (string, bool) {
 	return string(raw), true
 }
 
-// rawStr parses an escape-free string as a view into the input.
+// rawStr parses an escape-free ASCII string as a view into the input.
+// Anything else — escapes, control characters, and non-ASCII bytes, which
+// encoding/json validates as UTF-8 and case-folds in keys — falls back.
 func (p *jparser) rawStr() ([]byte, bool) {
 	p.ws()
 	if p.i >= len(p.b) || p.b[p.i] != '"' {
@@ -255,7 +271,7 @@ func (p *jparser) rawStr() ([]byte, bool) {
 			p.i++
 			return s, true
 		}
-		if c == '\\' || c < 0x20 {
+		if c == '\\' || c < 0x20 || c >= 0x80 {
 			return nil, false
 		}
 		p.i++
@@ -282,146 +298,72 @@ func (p *jparser) consume(lit string) bool {
 	return false
 }
 
-// int parses an integer literal without allocating; anything
-// fractional, exponential, or out of range falls back.
-func (p *jparser) int() (int64, bool) {
+// number scans one token of JSON's number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
+// is a plain integer. encoding/json rejects everything else ("01", "1.",
+// ".5", "+1"), so the fast path must not accept it either.
+func (p *jparser) number() (tok []byte, integer, ok bool) {
 	p.ws()
-	neg := false
-	if p.i < len(p.b) && p.b[p.i] == '-' {
-		neg = true
-		p.i++
-	}
 	start := p.i
-	var v uint64
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		if c < '0' || c > '9' {
-			break
-		}
-		if v > (math.MaxUint64-9)/10 {
-			return 0, false
-		}
-		v = v*10 + uint64(c-'0')
-		p.i++
-	}
-	if p.i == start {
-		return 0, false
-	}
-	if p.i < len(p.b) && (p.b[p.i] == '.' || p.b[p.i] == 'e' || p.b[p.i] == 'E') {
-		return 0, false
-	}
-	if neg {
-		if v > math.MaxInt64 {
-			return 0, false
-		}
-		return -int64(v), true
-	}
-	if v > math.MaxInt64 {
-		return 0, false
-	}
-	return int64(v), true
-}
-
-// float parses a number via the exact-operand fast path (Clinger):
-// a mantissa of at most 15 significant digits scaled by a power of ten
-// that is itself exactly representable yields a correctly rounded
-// result from one multiply or divide. Anything longer falls back.
-func (p *jparser) float() (float64, bool) {
-	p.ws()
-	neg := false
 	if p.i < len(p.b) && p.b[p.i] == '-' {
-		neg = true
 		p.i++
 	}
-	var mant uint64
-	digits, frac := 0, 0
-	seen := false
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		if c >= '0' && c <= '9' {
-			if digits >= 15 {
-				return 0, false
-			}
-			mant = mant*10 + uint64(c-'0')
-			digits++
-			seen = true
-			p.i++
-			continue
-		}
-		break
+	if p.i < len(p.b) && p.b[p.i] == '0' {
+		p.i++
+	} else if p.digits() == 0 {
+		return nil, false, false
 	}
+	integer = true
 	if p.i < len(p.b) && p.b[p.i] == '.' {
 		p.i++
-		for p.i < len(p.b) {
-			c := p.b[p.i]
-			if c < '0' || c > '9' {
-				break
-			}
-			if digits >= 15 {
-				return 0, false
-			}
-			mant = mant*10 + uint64(c-'0')
-			digits++
-			frac++
-			seen = true
-			p.i++
+		if p.digits() == 0 {
+			return nil, false, false
 		}
+		integer = false
 	}
-	if !seen {
-		return 0, false
-	}
-	exp := -frac
 	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
 		p.i++
-		eneg := false
-		switch {
-		case p.i < len(p.b) && p.b[p.i] == '-':
-			eneg = true
-			p.i++
-		case p.i < len(p.b) && p.b[p.i] == '+':
+		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
 			p.i++
 		}
-		start := p.i
-		e := 0
-		for p.i < len(p.b) {
-			c := p.b[p.i]
-			if c < '0' || c > '9' {
-				break
-			}
-			e = e*10 + int(c-'0')
-			if e > 500 {
-				return 0, false
-			}
-			p.i++
+		if p.digits() == 0 {
+			return nil, false, false
 		}
-		if p.i == start {
-			return 0, false
-		}
-		if eneg {
-			e = -e
-		}
-		exp += e
+		integer = false
 	}
-	f := float64(mant)
-	switch {
-	case exp == 0:
-	case exp > 0 && exp <= 22:
-		f *= pow10[exp]
-	case exp < 0 && exp >= -22:
-		f /= pow10[-exp]
-	default:
-		return 0, false
-	}
-	if neg {
-		f = -f
-	}
-	return f, true
+	return p.b[start:p.i], integer, true
 }
 
-// pow10 holds the powers of ten exactly representable as float64.
-var pow10 = [23]float64{
-	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+// digits steps over a run of decimal digits and returns its length.
+func (p *jparser) digits() int {
+	start := p.i
+	for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
+		p.i++
+	}
+	return p.i - start
+}
+
+// int parses an integer literal the way encoding/json does for an
+// integer field; anything fractional, exponential, or out of range falls
+// back. (A number token is short, so string(tok) stays on the stack.)
+func (p *jparser) int() (int64, bool) {
+	tok, integer, ok := p.number()
+	if !ok || !integer {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(string(tok), 10, 64)
+	return v, err == nil
+}
+
+// float parses a number the way encoding/json does for a float64 field:
+// strconv.ParseFloat on the token, out of range falls back.
+func (p *jparser) float() (float64, bool) {
+	tok, _, ok := p.number()
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	return f, err == nil
 }
 
 // strSlice parses ["a", "b", ...].
@@ -499,16 +441,8 @@ func (p *jparser) skipValue(depth int) bool {
 	case c == 'n':
 		return p.consume("null")
 	case c == '-' || (c >= '0' && c <= '9'):
-		start := p.i
-		for p.i < len(p.b) {
-			c := p.b[p.i]
-			if (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' {
-				p.i++
-				continue
-			}
-			break
-		}
-		return p.i > start
+		_, _, ok := p.number()
+		return ok
 	case c == '[':
 		p.i++
 		if p.lit(']') {

@@ -3,7 +3,10 @@ package wfbench
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -165,6 +168,32 @@ func TestFastFloatExactness(t *testing.T) {
 		}
 		if got.BusySeconds != want.BusySeconds {
 			t.Errorf("%s: fast %v != stdlib %v", lit, got.BusySeconds, want.BusySeconds)
+		}
+	}
+}
+
+// TestWriteResponseMatchesEncoder pins the single-task response bytes:
+// what WriteResponse sends is exactly what json.NewEncoder(w).Encode
+// sent before the handlers moved to the hand codec — the JSON and its
+// trailing newline — for plain, escaped and failed responses alike.
+func TestWriteResponseMatchesEncoder(t *testing.T) {
+	cases := []*Response{
+		{Name: "leaf_000042", OK: true, BusySeconds: 0.001, WallSeconds: 0.002, OutBytes: 1, ColdStart: true, Pod: "wfbench-5f"},
+		{Name: "t", Error: "wfbench: t: missing inputs [a.txt] <&>"},
+		nil,
+	}
+	for _, r := range cases {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		WriteResponse(rec, http.StatusOK, r)
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("WriteResponse(%+v) body = %q, want %q", r, got, want.Bytes())
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(want.Len()) {
+			t.Errorf("Content-Length = %s, want %d", cl, want.Len())
 		}
 	}
 }

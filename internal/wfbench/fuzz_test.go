@@ -1,0 +1,146 @@
+package wfbench
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+
+	"wfserverless/internal/recipes"
+	"wfserverless/internal/wfgen"
+)
+
+// recipeBodies renders the single-task request body of every task of a
+// small instance of each of the seven recipes — the bytes the wire
+// really carries, and the seed corpus of both fuzz targets.
+func recipeBodies(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, recipe := range recipes.Names() {
+		w, err := wfgen.Generate(wfgen.Spec{Recipe: recipe, NumTasks: 12, Seed: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, name := range w.TaskNames() {
+			task := w.Tasks[name]
+			arg := task.Command.Arguments[0]
+			body, err := json.Marshal(&Request{
+				Name: arg.Name, PercentCPU: arg.PercentCPU, CPUWork: arg.CPUWork, Cores: task.Cores,
+				MemBytes: arg.MemBytes, Out: arg.Out, Inputs: arg.Inputs, Workdir: arg.Workdir,
+			})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out = append(out, body)
+		}
+	}
+	return out
+}
+
+// FuzzCodecDifferential holds the hand codec to encoding/json: on any
+// input UnmarshalRequest and UnmarshalResponse agree with json.Unmarshal
+// on whether it decodes, on the error, and on the decoded value; and
+// MarshalResponse of any field values equals json.Marshal.
+func FuzzCodecDifferential(f *testing.F) {
+	for i, body := range recipeBodies(f) {
+		f.Add(body, "t", "", "", 0.25, 0.5, int64(i), true, false)
+		resp, err := json.Marshal(&Response{Name: "t", OK: i%2 == 0, BusySeconds: float64(i) / 7, WallSeconds: 1e-7 * float64(i), OutBytes: int64(i) << 20, ColdStart: i%3 == 0, Pod: "wfbench-0"})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(resp, "leaf_000042", "wfbench: t: missing inputs [a.txt]", "wfbench-5f", 6.1e-05, 1e21, int64(-7), false, true)
+	}
+	f.Add([]byte(`{"name":"x","out":{"a":1},"out":{"b":2},"cores":01,"percent-cpu":1.}`), "<&>", "é", "\x00", -0.0, 1e-7, int64(0), false, false)
+	f.Add([]byte(`{"busyseconds":"","NAME":1}`), "", "", "", 0.0, 0.0, int64(0), false, false)
+	f.Fuzz(func(t *testing.T, data []byte, name, errText, pod string, busy, wall float64, outBytes int64, ok, cold bool) {
+		var gotReq, wantReq Request
+		gotErr, wantErr := UnmarshalRequest(data, &gotReq), json.Unmarshal(data, &wantReq)
+		if !sameError(gotErr, wantErr) {
+			t.Fatalf("UnmarshalRequest(%q) error = %v, json.Unmarshal = %v", data, gotErr, wantErr)
+		}
+		if wantErr == nil && !reflect.DeepEqual(gotReq, wantReq) {
+			t.Fatalf("UnmarshalRequest(%q) = %+v, json.Unmarshal = %+v", data, gotReq, wantReq)
+		}
+		var gotResp, wantResp Response
+		gotErr, wantErr = UnmarshalResponse(data, &gotResp), json.Unmarshal(data, &wantResp)
+		if !sameError(gotErr, wantErr) {
+			t.Fatalf("UnmarshalResponse(%q) error = %v, json.Unmarshal = %v", data, gotErr, wantErr)
+		}
+		if wantErr == nil && gotResp != wantResp {
+			t.Fatalf("UnmarshalResponse(%q) = %+v, json.Unmarshal = %+v", data, gotResp, wantResp)
+		}
+
+		r := &Response{Name: name, OK: ok, Error: errText, BusySeconds: busy, WallSeconds: wall, OutBytes: outBytes, ColdStart: cold, Pod: pod}
+		got, gotErr := MarshalResponse(r)
+		want, wantErr := json.Marshal(r)
+		if !sameError(gotErr, wantErr) || !bytes.Equal(got, want) {
+			t.Fatalf("MarshalResponse(%+v) = %s, %v; json.Marshal = %s, %v", r, got, gotErr, want, wantErr)
+		}
+	})
+}
+
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Error() == b.Error()
+}
+
+// FuzzBatchWire feeds arbitrary bytes to the batch decoders: none may
+// panic, every frame handed back must lie inside the input, and whatever
+// decodes re-encodes to a body that decodes to the same frames.
+// TestBatchDecodeBoundedByBody holds the allocation bound.
+func FuzzBatchWire(f *testing.F) {
+	var items []BatchItem
+	var results []BatchResult
+	for i, body := range recipeBodies(f) {
+		items = append(items, BatchItem{Traceparent: "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", Body: body})
+		results = append(results, BatchResult{Status: 200 + i%2*229, RetryAfterMillis: int64(i), Payload: body})
+		if len(items) == 8 {
+			f.Add(EncodeBatchRequest(items))
+			f.Add(EncodeBatchResponse(results))
+			items, results = nil, nil
+		}
+	}
+	f.Add([]byte{0xff, 0xff, 0x3f}) // a million tasks declared by three bytes
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if items, err := DecodeBatchRequestBytes(data); err == nil {
+			total := 0
+			for _, it := range items {
+				total += len(it.Traceparent) + len(it.Body)
+			}
+			if len(items)*2+total > len(data) {
+				t.Fatalf("decoded %d items / %d bytes out of a %d-byte body", len(items), total, len(data))
+			}
+			again, err := DecodeBatchRequestBytes(EncodeBatchRequest(items))
+			if err != nil || !reflect.DeepEqual(again, items) {
+				t.Fatalf("request round trip: %v\n got %+v\nwant %+v", err, again, items)
+			}
+		}
+		if all, err := DecodeBatchResponse(bytes.NewReader(data)); err == nil && 3*len(all) > len(data) {
+			t.Fatalf("decoded %d frames out of a %d-byte body", len(all), len(data))
+		}
+		r, err := NewBatchResponseReaderBytes(data)
+		if err != nil {
+			return
+		}
+		var frames []BatchResult
+		for i := 0; i < r.Len(); i++ {
+			res, err := r.Next()
+			if err != nil {
+				return
+			}
+			frames = append(frames, res)
+		}
+		again, err := DecodeBatchResponse(bytes.NewReader(EncodeBatchResponse(frames)))
+		if err != nil || len(again) != len(frames) {
+			t.Fatalf("response round trip: %v, %d of %d frames", err, len(again), len(frames))
+		}
+		for i := range frames {
+			if again[i].Status != frames[i].Status || again[i].RetryAfterMillis != frames[i].RetryAfterMillis ||
+				!bytes.Equal(again[i].Payload, frames[i].Payload) {
+				t.Fatalf("response round trip frame %d: got %+v, want %+v", i, again[i], frames[i])
+			}
+		}
+	})
+}

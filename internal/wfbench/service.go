@@ -1,11 +1,13 @@
 package wfbench
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -124,11 +126,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.serveBatch(w, r)
 	case r.URL.Path == "/wfbench" && r.Method == http.MethodPost:
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-			return
-		}
-		if err := req.Validate(); err != nil {
+		if err := ReadRequest(r, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -144,10 +142,45 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			status = http.StatusInternalServerError
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(resp)
+		WriteResponse(w, status, resp)
 	default:
 		http.NotFound(w, r)
 	}
+}
+
+// ReadRequest reads, decodes and validates a single-task invocation
+// body: the front half of every /wfbench handler. The body drains into
+// a pooled buffer that grows with the bytes received, never with the
+// Content-Length header, and is decoded in place (the decoder copies
+// what it keeps).
+func ReadRequest(r *http.Request, req *Request) error {
+	buf := requestBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		err = UnmarshalRequest(buf.Bytes(), req)
+	}
+	requestBufs.Put(buf)
+	if err != nil {
+		return fmt.Errorf("bad request: %v", err)
+	}
+	return req.Validate()
+}
+
+// requestBufs recycles request-read buffers across invocations.
+var requestBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// WriteResponse answers a single-task invocation with resp as JSON, plus
+// the newline json.Encoder always wrote here: the bytes on the wire.
+func WriteResponse(w http.ResponseWriter, status int, resp *Response) {
+	body, err := MarshalResponse(resp)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	body = append(body, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }

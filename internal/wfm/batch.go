@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"wfserverless/internal/obs"
 	"wfserverless/internal/wfbench"
 )
 
@@ -74,16 +73,6 @@ func (o *BatchOptions) validate() error {
 // sharedBatchHeader is the immutable header map of every batch POST.
 var sharedBatchHeader = http.Header{"Content-Type": {wfbench.BatchContentType}}
 
-// batchOutcome is one sub-task's share of a batch round trip, shaped
-// exactly like invokeOnce's return so invoke's retry loop cannot tell
-// the transports apart.
-type batchOutcome struct {
-	resp       *wfbench.Response
-	retriable  bool
-	retryAfter time.Duration
-	err        error
-}
-
 // endpointBatch accumulates one endpoint's pending sub-tasks until the
 // batch seals (count bound, byte bound, or linger expiry).
 type endpointBatch struct {
@@ -91,7 +80,7 @@ type endpointBatch struct {
 	url      *url.URL
 	ids      []int32
 	tps      []string
-	waiters  []chan batchOutcome
+	waiters  []chan outcome
 	bytes    int
 	timer    *time.Timer
 	sealed   bool
@@ -121,24 +110,15 @@ type batcher struct {
 	pending map[string]*endpointBatch
 }
 
-// setHealth attaches the run's health plane; nil-safe on both sides so
-// runLoop can call it unconditionally.
-func (b *batcher) setHealth(hs *healthState) {
-	if b != nil {
-		b.health = hs
-	}
-}
-
-// newBatcher returns the run's dispatcher, or nil when batching is off.
-func (m *Manager) newBatcher(ctx context.Context, p *invocationPlan) *batcher {
-	if !m.opts.Batching.Enabled {
-		return nil
-	}
+// newBatcher returns the run's dispatcher over plan p. ctx is the run
+// context; hs is the run's health plane, nil when it is off.
+func (m *Manager) newBatcher(ctx context.Context, p *invocationPlan, hs *healthState) *batcher {
 	o := m.opts.Batching.withDefaults()
 	return &batcher{
 		m:        m,
 		p:        p,
 		ctx:      ctx,
+		health:   hs,
 		maxTasks: o.MaxTasks,
 		maxBytes: o.MaxBytes,
 		linger:   m.scaled(o.Linger),
@@ -148,17 +128,18 @@ func (m *Manager) newBatcher(ctx context.Context, p *invocationPlan) *batcher {
 
 func (b *batcher) taskName(id int32) string { return b.p.tasks[id].Name }
 
-// invokeOnce is the batched counterpart of Manager.invokeOnce: it
-// enrolls the task in its endpoint's pending batch and waits for the
-// task's own frame of the batch response. ctx is the task's attempt
-// context (run context plus TaskTimeout); the batch POST itself runs
-// under the run context.
-func (b *batcher) invokeOnce(ctx context.Context, id int32, sc obs.SpanContext) (*wfbench.Response, bool, time.Duration, error) {
+// invokeOnce is the batched transport, the counterpart of
+// Manager.invokeOnce: it enrolls the task in its endpoint's pending
+// batch and waits for the task's own frame of the batch response. ctx is
+// the task's attempt context (run context plus TaskTimeout); the batch
+// POST itself runs under the run context.
+func (b *batcher) invokeOnce(ctx context.Context, a attempt) outcome {
+	id := a.id
 	tp := ""
-	if sc.Sampled {
+	if sc := a.span.Context(); sc.Sampled {
 		tp = sc.Traceparent()
 	}
-	ch := make(chan batchOutcome, 1)
+	ch := make(chan outcome, 1)
 	size := len(b.p.body(id))
 	endpoint := b.p.tasks[id].Command.APIURL
 
@@ -198,9 +179,9 @@ func (b *batcher) invokeOnce(ctx context.Context, id int32, sc obs.SpanContext) 
 
 	select {
 	case out := <-ch:
-		return out.resp, out.retriable, out.retryAfter, out.err
+		return out
 	case <-ctx.Done():
-		return nil, false, 0, fmt.Errorf("wfm: %s: batched request: %w", b.taskName(id), ctx.Err())
+		return outcome{err: fmt.Errorf("wfm: %s: batched request: %w", b.taskName(id), ctx.Err())}
 	}
 }
 
@@ -233,11 +214,8 @@ func (b *batcher) flushExpired(eb *endpointBatch) {
 }
 
 // close flushes any still-pending batches so no waiter is left behind
-// on run teardown. nil-safe (batching off).
+// on run teardown.
 func (b *batcher) close() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	var leftovers []*endpointBatch
 	for _, eb := range b.pending {
@@ -276,7 +254,7 @@ func (b *batcher) flush(eb *endpointBatch) {
 	if err != nil {
 		retriable := b.ctx.Err() == nil
 		for i, id := range eb.ids {
-			b.deliver(eb, i, batchOutcome{retriable: retriable,
+			b.deliver(eb, i, outcome{retriable: retriable,
 				err: fmt.Errorf("wfm: %s: batched request: %w", b.taskName(id), err)})
 		}
 		return
@@ -286,9 +264,7 @@ func (b *batcher) flush(eb *endpointBatch) {
 		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 1024))
 		hint := ParseRetryAfter(hres.Header.Get("Retry-After"))
 		for i, id := range eb.ids {
-			var out batchOutcome
-			out.retriable, out.retryAfter, out.err = statusFailure(b.taskName(id), hres.StatusCode, hint, msg)
-			b.deliver(eb, i, out)
+			b.deliver(eb, i, statusFailure(b.taskName(id), hres.StatusCode, hint, msg))
 		}
 		return
 	}
@@ -310,7 +286,7 @@ func (b *batcher) flush(eb *endpointBatch) {
 	}
 	if err != nil {
 		for i, id := range eb.ids {
-			b.deliver(eb, i, batchOutcome{retriable: true,
+			b.deliver(eb, i, outcome{retriable: true,
 				err: fmt.Errorf("wfm: %s: batch response: %w", b.taskName(id), err)})
 		}
 		return
@@ -319,7 +295,7 @@ func (b *batcher) flush(eb *endpointBatch) {
 		frame, ferr := br.Next()
 		if ferr != nil {
 			for j := i; j < len(eb.ids); j++ {
-				b.deliver(eb, j, batchOutcome{retriable: true,
+				b.deliver(eb, j, outcome{retriable: true,
 					err: fmt.Errorf("wfm: %s: batch response: %w", b.taskName(eb.ids[j]), ferr)})
 			}
 			return
@@ -330,28 +306,18 @@ func (b *batcher) flush(eb *endpointBatch) {
 
 // decodeFrame interprets one sub-task's response frame with the exact
 // semantics invokeOnce applies to a single-task HTTP response.
-func (b *batcher) decodeFrame(id int32, f wfbench.BatchResult) batchOutcome {
-	name := b.taskName(id)
+func (b *batcher) decodeFrame(id int32, f wfbench.BatchResult) outcome {
 	if f.Status != http.StatusOK {
-		var out batchOutcome
-		out.retriable, out.retryAfter, out.err = statusFailure(name, f.Status,
+		return statusFailure(b.taskName(id), f.Status,
 			time.Duration(f.RetryAfterMillis)*time.Millisecond, f.Payload)
-		return out
 	}
-	var resp wfbench.Response
-	if err := wfbench.UnmarshalResponse(f.Payload, &resp); err != nil {
-		return batchOutcome{err: fmt.Errorf("wfm: %s: decode: %w", name, err)}
-	}
-	if !resp.OK {
-		return batchOutcome{resp: &resp, err: fmt.Errorf("wfm: %s: function error: %s", name, resp.Error)}
-	}
-	return batchOutcome{resp: &resp}
+	return decodeResponse(b.taskName(id), f.Payload, nil)
 }
 
 // deliver hands one sub-task its outcome; waiter channels are buffered
 // so an abandoned wait (task timeout, cancellation) never blocks the
 // flusher.
-func (b *batcher) deliver(eb *endpointBatch, i int, out batchOutcome) {
+func (b *batcher) deliver(eb *endpointBatch, i int, out outcome) {
 	eb.waiters[i] <- out
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"wfserverless/internal/obs"
 	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
@@ -202,7 +201,7 @@ func TestBatcherByteBoundSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := m.newBatcher(context.Background(), p)
+	b := m.newBatcher(context.Background(), p, nil)
 	defer b.close()
 	var wg sync.WaitGroup
 	errs := make([]error, len(tasks))
@@ -210,8 +209,9 @@ func TestBatcherByteBoundSplit(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, _, _, err := b.invokeOnce(context.Background(), int32(i), obs.SpanContext{})
-			if err == nil && !resp.OK {
+			out := b.invokeOnce(context.Background(), attempt{id: int32(i)})
+			err := out.err
+			if err == nil && !out.resp.OK {
 				err = fmt.Errorf("response not OK")
 			}
 			errs[i] = err
@@ -494,7 +494,7 @@ func TestBatcherTaskTimeoutAbandonsWaitOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := m.newBatcher(context.Background(), p)
+	b := m.newBatcher(context.Background(), p, nil)
 	defer b.close()
 
 	expired, cancel := context.WithCancel(context.Background())
@@ -504,15 +504,16 @@ func TestBatcherTaskTimeoutAbandonsWaitOnly(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, _, _, doomedErr = b.invokeOnce(expired, 1, obs.SpanContext{})
+		doomedErr = b.invokeOnce(expired, attempt{id: 1}).err
 	}()
 	go func() {
 		defer wg.Done()
 		// Give the doomed submission a moment to enroll first so both
 		// land in one batch (MaxTasks 2 seals on the second).
 		time.Sleep(10 * time.Millisecond)
-		resp, _, _, err := b.invokeOnce(context.Background(), 0, obs.SpanContext{})
-		if err == nil && !resp.OK {
+		out := b.invokeOnce(context.Background(), attempt{id: 0})
+		err := out.err
+		if err == nil && !out.resp.OK {
 			err = fmt.Errorf("response not OK")
 		}
 		fastErr = err

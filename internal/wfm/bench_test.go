@@ -109,7 +109,7 @@ func BenchmarkInvokeAllocs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs := m.newResilience(time.Now())
+	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,7 +10,6 @@ import (
 	"wfserverless/internal/dag"
 	"wfserverless/internal/obs"
 	"wfserverless/internal/sharedfs"
-	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
 )
 
@@ -61,11 +60,6 @@ func (m *Manager) runLoop(ctx context.Context, w *wfformat.Workflow, csr *dag.CS
 		Tasks:      make(map[string]*TaskResult, p.len()+2),
 	}
 	start := time.Now()
-	rs := m.newResilience(start)
-	rs.health = st.health
-	// Breaker transitions belong in the Result on every exit path,
-	// including aborts and cancellations.
-	defer func() { res.Breakers = rs.take() }()
 	root, finishTrace := m.startRunTrace(w.Name, res)
 	defer finishTrace()
 	m.traceReplay(root, st)
@@ -108,17 +102,13 @@ func (m *Manager) runLoop(ctx context.Context, w *wfformat.Workflow, csr *dag.CS
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Batch POSTs ride runCtx so a single task abandoning its wait never
-	// aborts its batch-mates' shared request; closed (runs before cancel)
-	// to flush any linger-window stragglers on every exit path.
-	rs.batch = m.newBatcher(runCtx, p)
-	rs.batch.setHealth(st.health)
-	defer rs.batch.close()
-	if b := rs.batch; b != nil {
-		rs.post = func(ctx context.Context, _ *invocationPlan, id int32, sc obs.SpanContext) (*wfbench.Response, bool, time.Duration, error) {
-			return b.invokeOnce(ctx, id, sc)
-		}
-	}
+	// The attempt path lives as long as runCtx. Its close (runs before
+	// cancel) flushes any linger-window stragglers on every exit path;
+	// breaker transitions belong in the Result on every exit path too,
+	// including aborts and cancellations.
+	rs := m.newResilience(runCtx, p, start, st.health)
+	defer func() { res.Breakers = rs.take() }()
+	defer rs.close()
 
 	workers := m.opts.MaxParallel
 	if workers <= 0 || workers > n {
@@ -319,7 +309,7 @@ func (m *Manager) runTask(ctx context.Context, p *invocationPlan, csr *dag.CSR, 
 		defer g.Release()
 	}
 	st.rj.taskStarted(item.id)
-	st.health.taskStarted(task)
+	st.health.event("task-start", task.Name, task.Command.APIURL, 0, "")
 	tr.Start = time.Since(start)
 	tr.Response, tr.Attempts, tr.Err = m.invoke(ctx, p, item.id, rs, ts)
 	finish()

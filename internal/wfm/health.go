@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"wfserverless/internal/health"
-	"wfserverless/internal/obs"
-	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
 )
 
@@ -27,13 +25,6 @@ type HealthOptions struct {
 	// MinSamples is how many completed attempts an endpoint needs
 	// before its median is trusted for flagging. Zero defaults to 8.
 	MinSamples int
-	// MinAge is an absolute floor, in nominal seconds (scaled like
-	// every other duration), on an attempt's age before it can be
-	// flagged — so microsecond medians cannot flag scheduling jitter.
-	MinAge float64
-	// CheckInterval is the watchdog scan period in nominal seconds;
-	// zero defaults to 25ms of wall time.
-	CheckInterval float64
 	// SpeculativeRetry re-dispatches a flagged task's attempt once and
 	// takes whichever completion arrives first; the loser's request is
 	// cancelled. The task is journaled and memoized exactly once either
@@ -53,8 +44,8 @@ func (h *HealthOptions) validate() error {
 	if h == nil {
 		return nil
 	}
-	if h.StragglerFactor < 0 || h.MinSamples < 0 || h.MinAge < 0 || h.CheckInterval < 0 {
-		return errors.New("wfm: negative Health StragglerFactor/MinSamples/MinAge/CheckInterval")
+	if h.StragglerFactor < 0 || h.MinSamples < 0 {
+		return errors.New("wfm: negative Health StragglerFactor/MinSamples")
 	}
 	return nil
 }
@@ -95,8 +86,6 @@ func (m *Manager) newHealthState() *healthState {
 	hs.tracker = health.NewTracker(health.TrackerConfig{
 		StragglerFactor: ho.StragglerFactor,
 		MinSamples:      ho.MinSamples,
-		MinAge:          m.scaled(ho.MinAge),
-		CheckInterval:   m.scaled(ho.CheckInterval),
 		OnStraggler: func(s health.Straggler) {
 			hs.mu.Lock()
 			hs.stragglers = append(hs.stragglers, s)
@@ -123,23 +112,12 @@ func (m *Manager) newHealthState() *healthState {
 	return hs
 }
 
-func (hs *healthState) close() {
-	if hs != nil {
-		hs.tracker.Close()
-	}
-}
+func (hs *healthState) close() { hs.tracker.Close() }
 
 // event forwards one structured event to the flight recorder.
 func (hs *healthState) event(kind, task, endpoint string, attempt int, detail string) {
 	if hs != nil {
 		hs.rec.Record(kind, task, endpoint, attempt, detail)
-	}
-}
-
-// taskStarted records a task's dispatch in the flight recorder.
-func (hs *healthState) taskStarted(task *wfformat.Task) {
-	if hs != nil {
-		hs.rec.Record("task-start", task.Name, task.Command.APIURL, 0, "")
 	}
 }
 
@@ -180,89 +158,79 @@ func (hs *healthState) report() *HealthReport {
 	}
 }
 
-// specOutcome is one branch's result in the speculation race, shaped
-// like invokeOnce's return plus which branch produced it.
-type specOutcome struct {
-	resp       *wfbench.Response
-	retriable  bool
-	retryAfter time.Duration
-	err        error
-	backup     bool
-}
-
-// attempt is invoke's attempt body under the health plane: the attempt
+// watch is the health plane's layer of the attempt path: the attempt
 // registers with the tracker, and the manager selects on the watchdog's
 // flag channel next to the attempt's own completion. A flagged attempt
 // is annotated on its spans; with SpeculativeRetry one backup attempt
-// races the primary and the first success wins, the loser's request
-// cancelled. The caller journals/memoizes the task exactly once when
-// invoke returns, so speculation can never double-record a completion.
-func (hs *healthState) attempt(tctx context.Context, p *invocationPlan, id int32, rs *resilience, attempt int, as, parent *obs.Span) (*wfbench.Response, bool, time.Duration, error) {
-	m := hs.m
-	task := p.tasks[id]
-	ep := task.Command.APIURL
-	fl := hs.tracker.StartAttempt(task.Name, ep, attempt)
-
-	// Buffered for both branches so an abandoned loser never leaks its
-	// goroutine.
-	ch := make(chan specOutcome, 2)
-	launch := func(ctx context.Context, backup bool) {
-		var o specOutcome
-		o.backup = backup
-		o.resp, o.retriable, o.retryAfter, o.err = rs.post(ctx, p, id, as.Context())
-		ch <- o
-	}
-	primCtx, primCancel := context.WithCancel(tctx)
-	defer primCancel()
-	go launch(primCtx, false)
-
-	finish := func(o specOutcome) (*wfbench.Response, bool, time.Duration, error) {
-		fl.Done(o.err != nil, o.resp != nil && o.resp.ColdStart)
-		return o.resp, o.retriable, o.retryAfter, o.err
-	}
-
-	select {
-	case o := <-ch:
-		return finish(o)
-	case <-fl.Flagged():
-	}
-
-	// Flagged mid-flight.
-	as.SetAttr("straggler", "true")
-	parent.SetAttr("straggler", "true")
-	if !hs.speculate {
-		return finish(<-ch)
-	}
-	hs.tracker.SpeculationLaunched()
-	m.opts.Monitor.speculated()
-	hs.event("speculate", task.Name, ep, attempt+1, "")
-	backCtx, backCancel := context.WithCancel(tctx)
-	defer backCancel()
-	go launch(backCtx, true)
-
-	won := func(o specOutcome) (*wfbench.Response, bool, time.Duration, error) {
-		if o.backup {
-			fl.SpeculativeWin()
-			m.opts.Monitor.speculationWon()
-			hs.event("speculate-win", task.Name, ep, attempt+1, "")
+// races the primary through next and the first success wins, the loser's
+// request cancelled. The caller journals/memoizes the task exactly once
+// when invoke returns, so speculation can never double-record it. Retried
+// and throttled attempts that reach this layer go to the flight recorder.
+func (hs *healthState) watch(next postFunc) postFunc {
+	return func(tctx context.Context, a attempt) outcome {
+		task := a.p.tasks[a.id]
+		name, ep := task.Name, task.Command.APIURL
+		if a.n > 0 {
+			hs.event("retry", name, ep, a.n+1, "")
 		}
-		return finish(o)
+		fl := hs.tracker.StartAttempt(name, ep, a.n)
+		finish := func(o outcome) outcome {
+			fl.Done(o.err != nil, o.resp != nil && o.resp.ColdStart)
+			if o.err != nil && o.retryAfter > 0 {
+				hs.event("throttle", name, ep, a.n+1, o.err.Error())
+			}
+			return o
+		}
+
+		// Each branch owns a buffered channel so an abandoned loser never
+		// leaks its goroutine.
+		launch := func(ctx context.Context) <-chan outcome {
+			ch := make(chan outcome, 1)
+			go func() { ch <- next(ctx, a) }()
+			return ch
+		}
+		primCtx, primCancel := context.WithCancel(tctx)
+		defer primCancel()
+		prim := launch(primCtx)
+		select {
+		case o := <-prim:
+			return finish(o)
+		case <-fl.Flagged():
+		}
+
+		// Flagged mid-flight.
+		a.span.SetAttr("straggler", "true")
+		a.task.SetAttr("straggler", "true")
+		if !hs.speculate {
+			return finish(<-prim)
+		}
+		hs.tracker.SpeculationLaunched()
+		hs.m.opts.Monitor.speculated()
+		hs.event("speculate", name, ep, a.n+1, "")
+		backCtx, backCancel := context.WithCancel(tctx)
+		defer backCancel()
+		back := launch(backCtx)
+
+		// The first success wins. When the backup fails first the primary
+		// decides; when both fail the primary's outcome is reported so
+		// retry classification matches the unspeculated path.
+		var p, b outcome
+		select {
+		case p = <-prim:
+			if p.err == nil {
+				return finish(p)
+			}
+			if b = <-back; b.err != nil {
+				return finish(p)
+			}
+		case b = <-back:
+			if b.err != nil {
+				return finish(<-prim)
+			}
+		}
+		fl.SpeculativeWin()
+		hs.m.opts.Monitor.speculationWon()
+		hs.event("speculate-win", name, ep, a.n+1, "")
+		return finish(b)
 	}
-	first := <-ch
-	if first.err == nil {
-		return won(first)
-	}
-	// The first finisher failed (possibly because the race's loser saw
-	// its context cancelled — not in this path, the winner is still
-	// running): give the other branch its chance.
-	second := <-ch
-	if second.err == nil {
-		return won(second)
-	}
-	// Both failed: report the primary's outcome so retry classification
-	// matches the unspeculated path.
-	if first.backup {
-		first = second
-	}
-	return finish(first)
 }

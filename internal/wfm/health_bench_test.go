@@ -12,9 +12,9 @@ import (
 // costs on the drain path: a 10k-wide fan-out executed with dependency
 // scheduling against a zero-delay stub, with the plane absent and
 // present. Run with -benchmem: the "off" case must match the plain
-// manager exactly — with Options.Health nil, every hook is a single
-// nil-pointer test (rs.health == nil, nil-receiver Monitor methods),
-// so the hot path adds zero allocations per task. The "on" case prices
+// manager exactly — with Options.Health nil the attempt path has no
+// health layer and the per-task hooks are nil-receiver calls, so the
+// hot path adds zero allocations per task. The "on" case prices
 // the full pipeline: per-attempt tracker bookkeeping, P² quantile
 // updates, and the straggler watchdog.
 func BenchmarkHealthOverheadDrain(b *testing.B) {

@@ -45,10 +45,10 @@ type BreakerOptions struct {
 	// duration) an open breaker rejects attempts before letting
 	// half-open probes through; zero defaults to 5.
 	Cooldown float64
-	// HalfOpenProbes is how many concurrent trial attempts a half-open
-	// breaker admits; zero defaults to 1.
-	HalfOpenProbes int
 }
+
+// halfOpenProbes is how many trial attempts a half-open breaker admits at once.
+const halfOpenProbes = 1
 
 func (b *BreakerOptions) withDefaults() BreakerOptions {
 	o := *b
@@ -64,9 +64,6 @@ func (b *BreakerOptions) withDefaults() BreakerOptions {
 	if o.Cooldown <= 0 {
 		o.Cooldown = 5
 	}
-	if o.HalfOpenProbes <= 0 {
-		o.HalfOpenProbes = 1
-	}
 	return o
 }
 
@@ -77,8 +74,8 @@ func (b *BreakerOptions) validate() error {
 	if b.FailureThreshold < 0 || b.FailureThreshold > 1 {
 		return fmt.Errorf("wfm: breaker FailureThreshold %v outside [0,1]", b.FailureThreshold)
 	}
-	if b.Window < 0 || b.MinSamples < 0 || b.HalfOpenProbes < 0 {
-		return errors.New("wfm: negative breaker window/samples/probes")
+	if b.Window < 0 || b.MinSamples < 0 {
+		return errors.New("wfm: negative breaker window/samples")
 	}
 	if b.Cooldown < 0 {
 		return errors.New("wfm: negative breaker Cooldown")
@@ -136,17 +133,6 @@ type breaker struct {
 	probes   int
 }
 
-func newBreaker(endpoint string, opts BreakerOptions, cooldown time.Duration, rs *resilience) *breaker {
-	return &breaker{
-		opts:     opts,
-		cooldown: cooldown,
-		endpoint: endpoint,
-		rs:       rs,
-		state:    BreakerClosed,
-		window:   make([]bool, opts.Window),
-	}
-}
-
 // transition must be called with b.mu held.
 func (b *breaker) transition(to string) {
 	from := b.state
@@ -192,7 +178,7 @@ func (b *breaker) allow() (ok bool, wait time.Duration) {
 		b.probes = 1
 		return true, 0
 	case BreakerHalfOpen:
-		if b.probes < b.opts.HalfOpenProbes {
+		if b.probes < halfOpenProbes {
 			b.probes++
 			return true, 0
 		}
@@ -253,45 +239,127 @@ func (b *breaker) State() string {
 	return b.state
 }
 
-// resilience is the run-scoped state of the resilience layer: one
-// breaker per endpoint plus the transition log. A fresh one is created
-// per Run so breaker history never bleeds between runs and transition
-// offsets are relative to this run's start.
+// outcome is what one attempt produced, whichever layers it crossed:
+// the response (nil unless the endpoint answered 200), whether a failure
+// is worth retrying, the server's or the breaker's hint for when, and
+// the error.
+type outcome struct {
+	resp       *wfbench.Response
+	retriable  bool
+	retryAfter time.Duration
+	err        error
+}
+
+// attempt names one invocation attempt to the layers of the attempt
+// path: task id of plan p, the 0-based attempt number, the attempt's
+// span and the task's span (both nil when the run is unsampled).
+type attempt struct {
+	p          *invocationPlan
+	id         int32
+	n          int
+	span, task *obs.Span
+}
+
+// postFunc performs one attempt under ctx, the task's deadline context.
+// A transport is a postFunc; a layer takes one and returns one.
+type postFunc func(ctx context.Context, a attempt) outcome
+
+// resilience is the run-scoped state of the attempt path: the composed
+// chain invoke's retry loop calls, one breaker per endpoint, and the
+// transition log. A fresh one is created per Run so breaker history
+// never bleeds between runs and transition offsets are relative to this
+// run's start.
 type resilience struct {
 	m     *Manager
 	start time.Time
-	// batch is the run's batching dispatcher; nil when Options.Batching
-	// is disabled, keeping the single-task invocation path untouched.
-	batch *batcher
-	// health is the run's health plane; nil when Options.Health is
-	// unset, keeping the attempt path untouched.
+	// post is one attempt through every enabled layer.
+	post postFunc
+	// close releases the transport at run end (the batcher's leftovers).
+	close func()
+	// health records breaker transitions; nil when Options.Health is.
 	health *healthState
-	// post is the run's transport for one attempt, picked once at run
-	// start: the single-task POST (Manager.invokeOnce) unless batching is
-	// on, then the batcher's enrol-and-wait.
-	post func(ctx context.Context, p *invocationPlan, id int32, sc obs.SpanContext) (_ *wfbench.Response, retriable bool, retryAfter time.Duration, _ error)
 
 	mu          sync.Mutex
 	breakers    map[string]*breaker
 	transitions []BreakerTransition
 }
 
-func (m *Manager) newResilience(start time.Time) *resilience {
-	return &resilience{m: m, start: start, post: m.invokeOnce, breakers: make(map[string]*breaker)}
+// newResilience composes the run's attempt path, innermost layer first:
+// the transport — one POST per task, or the batcher's enrol-and-wait —
+// then the health plane's straggler watch when Options.Health is set,
+// then the circuit breaker when it is enabled. This is the only place a
+// layer is chosen; a layer that is off is not in the chain. ctx is the
+// run context: batch POSTs ride it, so a task abandoning its wait never
+// aborts its batch-mates' request, and classify reads cancellation off it.
+func (m *Manager) newResilience(ctx context.Context, p *invocationPlan, start time.Time, hs *healthState) *resilience {
+	rs := &resilience{m: m, start: start, health: hs, breakers: make(map[string]*breaker)}
+	rs.post, rs.close = m.invokeOnce, func() {}
+	if m.opts.Batching.Enabled {
+		b := m.newBatcher(ctx, p, hs)
+		rs.post, rs.close = b.invokeOnce, b.close
+	}
+	if hs != nil {
+		rs.post = hs.watch(rs.post)
+	}
+	if m.opts.Breaker.Enabled {
+		rs.post = rs.guard(ctx, rs.post)
+	}
+	return rs
 }
 
-// breakerFor returns the endpoint's breaker, or nil when breakers are
-// disabled.
-func (rs *resilience) breakerFor(endpoint string) *breaker {
-	if !rs.m.opts.Breaker.Enabled {
-		return nil
+// guard is the circuit-breaker layer: an attempt against an endpoint
+// whose breaker is open is shed with ErrCircuitOpen — retriable, with
+// the time until the breaker would admit a probe as the hint — and every
+// attempt that does go through reports back as success, failure or
+// aborted (classify).
+func (rs *resilience) guard(ctx context.Context, next postFunc) postFunc {
+	return func(tctx context.Context, a attempt) outcome {
+		task := a.p.tasks[a.id]
+		br := rs.breakerFor(task.Command.APIURL)
+		ok, wait := br.allow()
+		if !ok {
+			a.span.SetAttr("breaker", BreakerOpen)
+			return outcome{retriable: true, retryAfter: wait,
+				err: fmt.Errorf("wfm: %s: %s: %w", task.Name, task.Command.APIURL, ErrCircuitOpen)}
+		}
+		out := next(tctx, a)
+		br.record(classify(ctx, tctx, out))
+		return out
 	}
+}
+
+// classify maps one attempt's result onto a breaker outcome: only
+// endpoint-side trouble (transport errors, 5xx, 429, a stall past the
+// task deadline) counts against the endpoint's health; client-side
+// rejections and function-level errors prove the endpoint is serving.
+func classify(ctx, tctx context.Context, out outcome) attemptOutcome {
+	if out.err == nil {
+		return outcomeSuccess
+	}
+	if ctx.Err() != nil {
+		return outcomeAborted
+	}
+	if out.retriable || tctx.Err() != nil {
+		return outcomeFailure
+	}
+	return outcomeSuccess
+}
+
+// breakerFor returns the endpoint's breaker, created on first use.
+func (rs *resilience) breakerFor(endpoint string) *breaker {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	br := rs.breakers[endpoint]
 	if br == nil {
 		opts := rs.m.opts.Breaker.withDefaults()
-		br = newBreaker(endpoint, opts, rs.m.scaled(opts.Cooldown), rs)
+		br = &breaker{
+			opts:     opts,
+			cooldown: rs.m.scaled(opts.Cooldown),
+			endpoint: endpoint,
+			rs:       rs,
+			state:    BreakerClosed,
+			window:   make([]bool, opts.Window),
+		}
 		rs.breakers[endpoint] = br
 	}
 	return br
@@ -311,13 +379,11 @@ func (rs *resilience) addTransition(t BreakerTransition) {
 	}
 }
 
-// take returns the accumulated transitions (called once, at run end).
+// take returns the accumulated transitions (called at run end).
 func (rs *resilience) take() []BreakerTransition {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	out := rs.transitions
-	rs.transitions = nil
-	return out
+	return rs.transitions
 }
 
 // retryDelay computes the scaled sleep before retry attempt number
@@ -325,7 +391,11 @@ func (rs *resilience) take() []BreakerTransition {
 // [0, min(cap, base·2^attempt)] — unless the server supplied an
 // explicit Retry-After, which is honoured directly (still capped).
 func (m *Manager) retryDelay(attempt int, retryAfter time.Duration) time.Duration {
-	return BackoffDelay(attempt, m.scaled(m.opts.RetryBackoff), m.backoffCap(), retryAfter)
+	ceiling := m.opts.RetryBackoffMax
+	if ceiling <= 0 {
+		ceiling = 30 // nominal seconds
+	}
+	return BackoffDelay(attempt, m.scaled(m.opts.RetryBackoff), m.scaled(ceiling), retryAfter)
 }
 
 // BackoffDelay is the backoff schedule the resilience layer sleeps on
@@ -361,15 +431,6 @@ func BackoffDelay(attempt int, base, ceiling, retryAfter time.Duration) time.Dur
 		return 0
 	}
 	return time.Duration(rand.Int64N(int64(d) + 1))
-}
-
-// backoffCap is the scaled ceiling on any single retry delay.
-func (m *Manager) backoffCap() time.Duration {
-	max := m.opts.RetryBackoffMax
-	if max <= 0 {
-		max = 30 // nominal seconds
-	}
-	return m.scaled(max)
 }
 
 // ParseRetryAfter reads a Retry-After header value as (possibly

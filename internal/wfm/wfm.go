@@ -33,7 +33,6 @@ package wfm
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -682,14 +681,14 @@ func (m *Manager) finishTaskSpan(ts *obs.Span, tr *TaskResult) {
 	ts.Finish()
 }
 
-// invoke POSTs one function's WfBench request to its api_url through
-// the resilience layer: a per-task deadline (Options.TaskTimeout) over
-// all attempts, retries with full-jitter exponential backoff honouring
-// server Retry-After hints, and the endpoint's circuit breaker. It
-// returns the response, the number of attempts made, and the terminal
-// error if the task failed. When parent is a sampled span, each attempt
-// emits a child span and injects its context as the POST's traceparent
-// header; a nil parent keeps the whole path span-free.
+// invoke runs one function through the run's attempt path (rs.post,
+// composed once per run by newResilience) and owns what is per task, not
+// per attempt: the deadline (Options.TaskTimeout) over all attempts and
+// the retry loop with full-jitter exponential backoff honouring
+// Retry-After hints. It returns the response, the attempts made, and the
+// terminal error if the task failed. Under a sampled parent each attempt
+// emits a child span, whose context the transport injects as the POST's
+// traceparent; a nil parent keeps the whole path span-free.
 func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *resilience, parent *obs.Span) (*wfbench.Response, int, error) {
 	task := p.tasks[id]
 	tctx := ctx
@@ -698,37 +697,15 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 		tctx, cancel = context.WithTimeout(ctx, m.scaled(m.opts.TaskTimeout))
 		defer cancel()
 	}
-	br := rs.breakerFor(task.Command.APIURL)
-	var resp *wfbench.Response
-	var err error
-	for attempt := 0; ; attempt++ {
-		var retriable bool
-		var retryAfter time.Duration
-		allowed := true
-		if br != nil {
-			allowed, retryAfter = br.allow()
-		}
-		if attempt > 0 {
+	for n := 0; ; n++ {
+		if n > 0 {
 			m.opts.Monitor.retried()
-			rs.health.event("retry", task.Name, task.Command.APIURL, attempt+1, "")
 		}
 		as := m.opts.Tracer.StartChildOf(parent, "invoke")
-		as.SetInt("attempt", attempt+1)
+		as.SetInt("attempt", n+1)
 		as.SetAttr("endpoint", task.Command.APIURL)
-		if !allowed {
-			resp, err = nil, fmt.Errorf("wfm: %s: %s: %w", task.Name, task.Command.APIURL, ErrCircuitOpen)
-			retriable = true
-			as.SetAttr("breaker", BreakerOpen)
-		} else {
-			if rs.health != nil {
-				resp, retriable, retryAfter, err = rs.health.attempt(tctx, p, id, rs, attempt, as, parent)
-			} else {
-				resp, retriable, retryAfter, err = rs.post(tctx, p, id, as.Context())
-			}
-			if br != nil {
-				br.record(classify(ctx, tctx, retriable, err))
-			}
-		}
+		out := rs.post(tctx, attempt{p: p, id: id, n: n, span: as, task: parent})
+		resp, err := out.resp, out.err
 		if as != nil {
 			if resp != nil && resp.ColdStart {
 				as.SetAttr("cold_start", "true")
@@ -738,10 +715,7 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 			}
 			as.Finish()
 		}
-		if err != nil && retryAfter > 0 {
-			rs.health.event("throttle", task.Name, task.Command.APIURL, attempt+1, err.Error())
-		}
-		attempts := attempt + 1
+		attempts := n + 1
 		if err == nil {
 			return resp, attempts, nil
 		}
@@ -756,10 +730,10 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 			return resp, attempts, fmt.Errorf("wfm: %s: %w after %d attempt(s): %v",
 				task.Name, ErrTaskTimeout, attempts, err)
 		}
-		if !retriable || attempt >= m.opts.Retries {
+		if !out.retriable || n >= m.opts.Retries {
 			return resp, attempts, err
 		}
-		if delay := m.retryDelay(attempt, retryAfter); delay > 0 {
+		if delay := m.retryDelay(n, out.retryAfter); delay > 0 {
 			t := time.NewTimer(delay)
 			select {
 			case <-tctx.Done():
@@ -775,35 +749,16 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 	}
 }
 
-// classify maps one attempt's result onto a breaker outcome: only
-// endpoint-side trouble (transport errors, 5xx, 429, a stall past the
-// task deadline) counts against the endpoint's health; client-side
-// rejections and function-level errors prove the endpoint is serving.
-func classify(ctx, tctx context.Context, retriable bool, err error) attemptOutcome {
-	if err == nil {
-		return outcomeSuccess
-	}
-	if ctx.Err() != nil {
-		return outcomeAborted
-	}
-	if retriable || tctx.Err() != nil {
-		return outcomeFailure
-	}
-	return outcomeSuccess
-}
-
-// invokeOnce performs a single HTTP invocation from the plan's
-// pre-rendered artifacts: a shallow clone of the task's request
+// invokeOnce is the single-task transport: one HTTP POST from the
+// plan's pre-rendered artifacts — a shallow clone of the task's request
 // template, a pooled reader over the task's arena body, and a pooled
-// decode buffer for the response. A sampled span context is injected as
-// the request's traceparent header (on a fresh header map — the shared
-// template header is never mutated). retriable reports whether a
-// failure is worth retrying (network error, 5xx, or 429); retryAfter
-// carries the server's Retry-After hint when it sent one.
-func (m *Manager) invokeOnce(ctx context.Context, p *invocationPlan, id int32, sc obs.SpanContext) (_ *wfbench.Response, retriable bool, retryAfter time.Duration, _ error) {
-	task := p.tasks[id]
-	req := p.request(ctx, id)
-	if sc.Sampled {
+// decode buffer for the response. A sampled attempt span's context is
+// injected as the request's traceparent header (on a fresh header map —
+// the shared template header is never mutated).
+func (m *Manager) invokeOnce(ctx context.Context, a attempt) outcome {
+	task := a.p.tasks[a.id]
+	req := a.p.request(ctx, a.id)
+	if sc := a.span.Context(); sc.Sampled {
 		h := make(http.Header, 2)
 		h["Content-Type"] = sharedJSONHeader["Content-Type"]
 		h["Traceparent"] = []string{sc.Traceparent()}
@@ -811,42 +766,50 @@ func (m *Manager) invokeOnce(ctx context.Context, p *invocationPlan, id int32, s
 	}
 	hres, err := m.opts.Client.Do(req)
 	if err != nil {
-		return nil, ctx.Err() == nil, 0, fmt.Errorf("wfm: %s: request: %w", task.Name, err)
+		return outcome{retriable: ctx.Err() == nil, err: fmt.Errorf("wfm: %s: request: %w", task.Name, err)}
 	}
 	defer hres.Body.Close()
 	if hres.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 1024))
-		retriable, retryAfter, err = statusFailure(task.Name, hres.StatusCode,
-			ParseRetryAfter(hres.Header.Get("Retry-After")), msg)
-		return nil, retriable, retryAfter, err
+		return statusFailure(task.Name, hres.StatusCode, ParseRetryAfter(hres.Header.Get("Retry-After")), msg)
 	}
 	buf := decodeBufs.Get().(*bytes.Buffer)
 	buf.Reset()
-	var resp wfbench.Response
 	_, err = buf.ReadFrom(hres.Body)
-	if err == nil {
-		err = json.Unmarshal(buf.Bytes(), &resp)
-	}
+	out := decodeResponse(task.Name, buf.Bytes(), err)
 	decodeBufs.Put(buf)
-	if err != nil {
-		return nil, false, 0, fmt.Errorf("wfm: %s: decode: %w", task.Name, err)
+	return out
+}
+
+// decodeResponse turns a 200 answer's payload — an HTTP body or one
+// batch frame — into the outcome; readErr is a failed read of it, if any.
+func decodeResponse(task string, payload []byte, readErr error) outcome {
+	var resp wfbench.Response
+	if readErr == nil {
+		readErr = wfbench.UnmarshalResponse(payload, &resp)
+	}
+	if readErr != nil {
+		return outcome{err: fmt.Errorf("wfm: %s: decode: %w", task, readErr)}
 	}
 	if !resp.OK {
-		return &resp, false, 0, fmt.Errorf("wfm: %s: function error: %s", task.Name, resp.Error)
+		return outcome{resp: &resp, err: fmt.Errorf("wfm: %s: function error: %s", task, resp.Error)}
 	}
-	return &resp, false, 0, nil
+	return outcome{resp: &resp}
 }
 
 // statusFailure maps a non-200 answer — a whole HTTP response or one
 // sub-task's frame of a batch response — onto an attempt outcome: 5xx
 // and 429 are worth retrying, and the server's Retry-After hint counts
 // only on the two statuses that define it (429, 503).
-func statusFailure(task string, status int, hint time.Duration, msg []byte) (retriable bool, retryAfter time.Duration, _ error) {
-	retriable = status >= 500 || status == http.StatusTooManyRequests
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		retryAfter = hint
+func statusFailure(task string, status int, hint time.Duration, msg []byte) outcome {
+	out := outcome{
+		retriable: status >= 500 || status == http.StatusTooManyRequests,
+		err:       fmt.Errorf("wfm: %s: HTTP %d: %s", task, status, strings.TrimSpace(string(msg))),
 	}
-	return retriable, retryAfter, fmt.Errorf("wfm: %s: HTTP %d: %s", task, status, strings.TrimSpace(string(msg)))
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		out.retryAfter = hint
+	}
+	return out
 }
 
 // PhaseStats summarizes per-phase behaviour of a Result, used by the

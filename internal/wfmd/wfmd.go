@@ -549,6 +549,9 @@ func (s *Server) finish(r *run, state string, res *wfm.Result, runErr error, sta
 	if runErr != nil {
 		r.errMsg = runErr.Error()
 	}
+	// result.json is the durable copy from here on: a finished run keeps
+	// no more in the registry than one rescanned after a restart.
+	r.w, r.mon, r.cancel = nil, nil, nil
 	r.mu.Unlock()
 	s.mu.Lock()
 	byState := s.completed[r.tenant]
@@ -621,8 +624,12 @@ func (s *Server) status(r *run) *RunStatus {
 		st.MemoHits = snap.MemoHits
 	}
 	if result != nil {
+		// Terminal: result.json alone, the same before and after a restart.
 		st.Done = int64(result.Completed)
 		st.Failed = int64(len(result.FailedTasks))
+		st.Retries = result.Retries
+		st.MemoHits = int64(result.Memoized)
+		st.Resumed = result.Resumed
 	}
 	return st
 }

@@ -548,3 +548,83 @@ func (c *Client) waitOn(s *Server, id string, timeout time.Duration) (*RunStatus
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestTerminalStatusSurvivesRestart: a finished run's status document is
+// byte-identical from the server that ran it and from a server reopened
+// on the same data dir — retries included, which used to read from the
+// live monitor only and so dropped to 0 after a restart — and the
+// registry keeps none of the run's execution state once result.json is
+// the durable copy.
+func TestTerminalStatusSurvivesRestart(t *testing.T) {
+	drive := sharedfs.NewMem()
+	stub, _ := newCountingStub(drive, 0)
+	var mu sync.Mutex
+	failed := false
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		first := !failed
+		failed = true
+		mu.Unlock()
+		if first {
+			http.Error(w, "transient", http.StatusInternalServerError)
+			return
+		}
+		stub.ServeHTTP(w, r)
+	}))
+	defer flaky.Close()
+	cfg := testConfig(t, drive)
+	cfg.Manager.Retries = 2
+
+	statusJSON := func(s *Server, id string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+id, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/runs/%s = %d: %s", id, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.Submit("r", "", fanoutWorkflow(t, "term", 8, flaky.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		cur, err := srv.Status(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.State == StateSucceeded {
+			if cur.Retries != 1 {
+				t.Fatalf("retries = %d, want the one injected 500 retried", cur.Retries)
+			}
+			break
+		}
+		if IsTerminal(cur.State) || time.Now().After(deadline) {
+			t.Fatalf("run did not succeed: %+v", cur)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	live := statusJSON(srv, st.ID)
+	r := srv.lookup(st.ID)
+	r.mu.Lock()
+	if r.w != nil || r.mon != nil || r.cancel != nil {
+		t.Errorf("finished run still holds workflow=%v monitor=%v cancel=%v", r.w != nil, r.mon != nil, r.cancel != nil)
+	}
+	r.mu.Unlock()
+	srv.Stop()
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Stop()
+	if reopened := statusJSON(srv2, st.ID); reopened != live {
+		t.Errorf("terminal status changed across a restart:\n live     %s reopened %s", live, reopened)
+	}
+}
