@@ -3,6 +3,7 @@ package wfbench
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -60,6 +61,57 @@ func TestMarshalResponseFallsBack(t *testing.T) {
 	}
 	if got, err := MarshalResponse(nil); err != nil || string(got) != "null" {
 		t.Errorf("MarshalResponse(nil) = %s, %v", got, err)
+	}
+}
+
+// TestAppendRequestMatchesStdlib pins the request encoder byte-for-byte
+// against encoding/json: omitempty fields, nil against empty map and
+// list, key order, and the strings that must take the fallback.
+func TestAppendRequestMatchesStdlib(t *testing.T) {
+	cases := []Request{
+		{},
+		{Name: "leaf_000042", PercentCPU: 0.5, CPUWork: 0.001, Cores: 1, Out: map[string]int64{"out_leaf_000042": 1234}, Inputs: []string{"out_root"}},
+		{Name: "t", PercentCPU: 1, CPUWork: 1e21, MemBytes: 1 << 30, Out: map[string]int64{}, Inputs: []string{}, Workdir: "/data/run 1"},
+		{Name: "m", CPUWork: 1.5e-07, Out: map[string]int64{"z": -1, "a": 0, "m": 9, "b": 2}, Inputs: []string{"b", "a"}},
+		{Name: `quo"te`, Out: map[string]int64{"a<b": 1}, Inputs: []string{"uni\u00e9", "tab\there"}, Workdir: "p&q"},
+		{Name: "x", Out: map[string]int64{"k\u2028": 1, "j": 2}},
+	}
+	for _, r := range cases {
+		want, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendRequest([]byte("prefix"), &r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "prefix"+string(want) {
+			t.Errorf("AppendRequest(%+v)\n got %s\nwant prefix%s", r, got, want)
+		}
+	}
+	if got, err := AppendRequest(nil, nil); err != nil || string(got) != "null" {
+		t.Errorf("AppendRequest(nil) = %s, %v", got, err)
+	}
+	if _, err := AppendRequest(nil, &Request{CPUWork: math.Inf(1)}); err == nil {
+		t.Error("AppendRequest encoded an infinite cpu-work")
+	}
+}
+
+// TestAppendRequestFastPathOnRecipes: the requests the manager really
+// renders — every task of the seven recipes — take the append path, and
+// do not merely match because they fell back to encoding/json.
+func TestAppendRequestFastPathOnRecipes(t *testing.T) {
+	for _, body := range recipeBodies(t) {
+		var r Request
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		if !plainRequest(&r) {
+			t.Fatalf("request falls back to encoding/json: %s", body)
+		}
+		if got, err := AppendRequest(nil, &r); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("AppendRequest = %s, %v\nwant %s", got, err, body)
+		}
 	}
 }
 

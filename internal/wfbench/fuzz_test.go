@@ -40,7 +40,8 @@ func recipeBodies(tb testing.TB) [][]byte {
 // FuzzCodecDifferential holds the hand codec to encoding/json: on any
 // input UnmarshalRequest and UnmarshalResponse agree with json.Unmarshal
 // on whether it decodes, on the error, and on the decoded value; and
-// MarshalResponse of any field values equals json.Marshal.
+// AppendRequest and MarshalResponse of any field values equal
+// json.Marshal.
 func FuzzCodecDifferential(f *testing.F) {
 	for i, body := range recipeBodies(f) {
 		f.Add(body, "t", "", "", 0.25, 0.5, int64(i), true, false)
@@ -68,6 +69,16 @@ func FuzzCodecDifferential(f *testing.F) {
 		}
 		if wantErr == nil && gotResp != wantResp {
 			t.Fatalf("UnmarshalResponse(%q) = %+v, json.Unmarshal = %+v", data, gotResp, wantResp)
+		}
+
+		// The request encoder: what decoded, and the fuzzed field values.
+		for _, req := range []*Request{&wantReq, {Name: name, PercentCPU: busy, CPUWork: wall, Cores: int(outBytes), MemBytes: outBytes,
+			Out: map[string]int64{errText: outBytes, pod: 1}, Inputs: []string{pod, errText}, Workdir: errText}} {
+			got, gotErr := AppendRequest(nil, req)
+			want, wantErr := json.Marshal(req)
+			if !sameError(gotErr, wantErr) || !bytes.Equal(got, want) {
+				t.Fatalf("AppendRequest(%+v) = %s, %v; json.Marshal = %s, %v", req, got, gotErr, want, wantErr)
+			}
 		}
 
 		r := &Response{Name: name, OK: ok, Error: errText, BusySeconds: busy, WallSeconds: wall, OutBytes: outBytes, ColdStart: cold, Pod: pod}

@@ -5,4 +5,5 @@ package wfformat
 var (
 	BuildTask = buildTask
 	MiniBlast = miniBlast
+	FastParse = fastParse
 )

@@ -7,7 +7,8 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Hash is a workflow content fingerprint.
@@ -51,102 +52,150 @@ func errParseHash(s string, err error) error {
 // journal written against one deployment can be resumed against
 // another that serves the same workflow.
 func Fingerprint(w *Workflow) Hash {
-	d := digester{h: sha256.New()}
-	d.str(w.Name)
-	names := w.TaskNames() // sorted
-	d.num(uint64(len(names)))
-	for _, name := range names {
-		t := w.Tasks[name]
-		d.str(t.Name)
-		d.str(t.Type)
-		d.str(t.Category)
-		d.num(uint64(t.Cores))
-		d.f64(t.RuntimeInSeconds)
-		d.str(t.Command.Program)
-		d.num(uint64(len(t.Command.Arguments)))
-		for _, a := range t.Command.Arguments {
-			d.str(a.Name)
-			d.f64(a.PercentCPU)
-			d.f64(a.CPUWork)
-			d.num(uint64(a.MemBytes))
-			d.str(a.Workdir)
-			d.strs(sortedCopy(a.Inputs))
-			outs := make([]string, 0, len(a.Out))
-			for k := range a.Out {
-				outs = append(outs, k)
-			}
-			sort.Strings(outs)
-			d.num(uint64(len(outs)))
-			for _, k := range outs {
-				d.str(k)
-				d.num(uint64(a.Out[k]))
-			}
-		}
-		d.strs(sortedCopy(t.Parents))
-		d.strs(sortedCopy(t.Children))
-		files := t.Files
-		if !sort.SliceIsSorted(files, fileLess(files)) {
-			files = append([]File(nil), t.Files...)
-			sort.Slice(files, fileLess(files))
-		}
-		d.num(uint64(len(files)))
-		for _, f := range files {
-			d.str(f.Link)
-			d.str(f.Name)
-			d.num(uint64(f.SizeInBytes))
-		}
+	names := w.TaskNames()
+	tasks := make([]*Task, len(names))
+	for i, name := range names {
+		tasks[i] = w.Tasks[name]
 	}
-	var h Hash
-	d.h.Sum(h[:0])
-	return h
+	return FingerprintTasks(w.Name, tasks)
 }
 
-// sortedCopy returns s in sorted order, copying only when it has to —
-// workflow slices are usually already sorted, and Fingerprint runs on
-// the hot path of every journaled Run.
-func sortedCopy(s []string) []string {
-	if sort.StringsAreSorted(s) {
-		return s
+// FingerprintTasks is Fingerprint of the workflow with that name and
+// those tasks, given in name order — the ID-aligned slice Compile
+// returns, so a caller that has compiled pays no second sort.
+func FingerprintTasks(workflow string, tasks []*Task) Hash {
+	d := newDigester()
+	d.str(workflow)
+	d.num(uint64(len(tasks)))
+	for _, t := range tasks {
+		d.task(t, true)
 	}
-	c := append([]string(nil), s...)
-	sort.Strings(c)
-	return c
+	return d.sum()
 }
 
-// fileLess orders files by (link, name) for canonical hashing.
-func fileLess(files []File) func(i, k int) bool {
-	return func(i, k int) bool {
-		if files[i].Link != files[k].Link {
-			return files[i].Link < files[k].Link
-		}
-		return files[i].Name < files[k].Name
+// compareFiles orders files by (link, name) for canonical hashing.
+func compareFiles(a, b File) int {
+	if c := strings.Compare(a.Link, b.Link); c != 0 {
+		return c
 	}
+	return strings.Compare(a.Name, b.Name)
 }
 
 // digester frames every field as length-prefixed bytes so adjacent
-// strings can never collide ("ab","c" vs "a","bc").
+// strings can never collide ("ab","c" vs "a","bc"). The framed bytes
+// collect in a buffer that is written to the hash a kilobyte at a
+// time — a task is some forty fields, most a few bytes long. Lists are
+// hashed in canonical order; one that arrives out of order is sorted in
+// scratch the digester owns, so hashing a workflow allocates per call,
+// not per task: Fingerprint runs on the hot path of every journaled Run.
 type digester struct {
-	h       hash.Hash
-	buf     [10]byte
-	scratch []byte // reused for string→byte conversion, zero-alloc steady state
+	h     hash.Hash
+	buf   []byte   // framed bytes not yet written to h
+	names []string // sorted copy of one name list, or of a map's keys
+	files []File   // sorted copy of one task's files
+	out   Hash     // sum's result: a local handed to h.Sum would escape
 }
 
-func (d *digester) num(v uint64) {
-	n := binary.PutUvarint(d.buf[:], v)
-	d.h.Write(d.buf[:n])
+func newDigester() *digester {
+	return &digester{h: sha256.New(), buf: make([]byte, 0, 2*spillAt)}
 }
+
+const spillAt = 1024
+
+func (d *digester) num(v uint64) { d.buf = binary.AppendUvarint(d.buf, v) }
 
 func (d *digester) f64(v float64) { d.num(math.Float64bits(v)) }
 
 func (d *digester) str(s string) {
 	d.num(uint64(len(s)))
-	d.scratch = append(d.scratch[:0], s...)
-	d.h.Write(d.scratch)
+	d.buf = append(d.buf, s...)
+	d.spill()
 }
 
-func (d *digester) strs(s []string) {
+func (d *digester) hash(h *Hash) {
+	d.buf = append(d.buf, h[:]...)
+	d.spill()
+}
+
+func (d *digester) spill() {
+	if len(d.buf) >= spillAt {
+		d.h.Write(d.buf)
+		d.buf = d.buf[:0]
+	}
+}
+
+// sum returns the hash of everything digested since the last sum.
+func (d *digester) sum() Hash {
+	d.h.Write(d.buf)
+	d.buf = d.buf[:0]
+	d.h.Sum(d.out[:0])
+	d.h.Reset()
+	return d.out
+}
+
+// sorted hashes a name list in sorted order.
+func (d *digester) sorted(s []string) {
+	if !slices.IsSorted(s) {
+		d.names = append(d.names[:0], s...)
+		slices.Sort(d.names)
+		s = d.names
+	}
 	d.num(uint64(len(s)))
 	for _, v := range s {
 		d.str(v)
 	}
+}
+
+// canonical returns files in (link, name) order; the result is valid
+// until the next call.
+func (d *digester) canonical(files []File) []File {
+	if slices.IsSortedFunc(files, compareFiles) {
+		return files
+	}
+	d.files = append(d.files[:0], files...)
+	slices.SortFunc(d.files, compareFiles)
+	return d.files
+}
+
+// task digests the fields that define what one task runs, and with
+// edges also the names of its parents and children. It returns the
+// task's files in canonical order.
+func (d *digester) task(t *Task, edges bool) []File {
+	d.str(t.Name)
+	d.str(t.Type)
+	d.str(t.Category)
+	d.num(uint64(t.Cores))
+	d.f64(t.RuntimeInSeconds)
+	d.str(t.Command.Program)
+	d.num(uint64(len(t.Command.Arguments)))
+	for _, a := range t.Command.Arguments {
+		d.str(a.Name)
+		d.f64(a.PercentCPU)
+		d.f64(a.CPUWork)
+		d.num(uint64(a.MemBytes))
+		d.str(a.Workdir)
+		d.sorted(a.Inputs)
+		d.names = d.names[:0]
+		for k := range a.Out {
+			d.names = append(d.names, k)
+		}
+		slices.Sort(d.names)
+		d.num(uint64(len(d.names)))
+		for _, k := range d.names {
+			d.str(k)
+			d.num(uint64(a.Out[k]))
+		}
+	}
+	if edges {
+		d.sorted(t.Parents)
+		d.sorted(t.Children)
+	}
+	files := d.canonical(t.Files)
+	d.num(uint64(len(files)))
+	for _, f := range files {
+		d.str(f.Link)
+		d.str(f.Name)
+		d.num(uint64(f.SizeInBytes))
+	}
+	return files
 }

@@ -1,11 +1,6 @@
 package wfformat
 
-import (
-	"crypto/sha256"
-	"sort"
-
-	"wfserverless/internal/dag"
-)
+import "wfserverless/internal/dag"
 
 // TaskFingerprints computes a content fingerprint per task of a
 // compiled workflow, ID-aligned with the CSR. A task's fingerprint
@@ -47,14 +42,12 @@ func TaskFingerprints(c *dag.CSR, tasks []*Task, ext func(name string, size int6
 			}
 		}
 	}
-	d := digester{h: sha256.New()}
+	d := newDigester()
 	for _, id := range c.TopoOrder() {
 		t := tasks[id]
-		d.h.Reset()
-		hashTaskContent(&d, t)
 		// External-input content addresses, in the file set's canonical
 		// (link, name) order.
-		files := canonicalFiles(t)
+		files := d.task(t, false)
 		for _, f := range files {
 			if f.Link != LinkInput {
 				continue
@@ -75,57 +68,9 @@ func TaskFingerprints(c *dag.CSR, tasks []*Task, ext func(name string, size int6
 		parents := c.Parents(id)
 		d.num(uint64(len(parents)))
 		for _, pid := range parents {
-			d.h.Write(fps[pid][:])
+			d.hash(&fps[pid])
 		}
-		d.h.Sum(fps[id][:0])
+		fps[id] = d.sum()
 	}
 	return fps
-}
-
-// hashTaskContent digests the fields that define what one task runs:
-// the per-task portion of Fingerprint minus the dependency name lists.
-func hashTaskContent(d *digester, t *Task) {
-	d.str(t.Name)
-	d.str(t.Type)
-	d.str(t.Category)
-	d.num(uint64(t.Cores))
-	d.f64(t.RuntimeInSeconds)
-	d.str(t.Command.Program)
-	d.num(uint64(len(t.Command.Arguments)))
-	for _, a := range t.Command.Arguments {
-		d.str(a.Name)
-		d.f64(a.PercentCPU)
-		d.f64(a.CPUWork)
-		d.num(uint64(a.MemBytes))
-		d.str(a.Workdir)
-		d.strs(sortedCopy(a.Inputs))
-		outs := make([]string, 0, len(a.Out))
-		for k := range a.Out {
-			outs = append(outs, k)
-		}
-		sort.Strings(outs)
-		d.num(uint64(len(outs)))
-		for _, k := range outs {
-			d.str(k)
-			d.num(uint64(a.Out[k]))
-		}
-	}
-	files := canonicalFiles(t)
-	d.num(uint64(len(files)))
-	for _, f := range files {
-		d.str(f.Link)
-		d.str(f.Name)
-		d.num(uint64(f.SizeInBytes))
-	}
-}
-
-// canonicalFiles returns the task's files in (link, name) order,
-// copying only when the slice is not already sorted.
-func canonicalFiles(t *Task) []File {
-	files := t.Files
-	if !sort.SliceIsSorted(files, fileLess(files)) {
-		files = append([]File(nil), t.Files...)
-		sort.Slice(files, fileLess(files))
-	}
-	return files
 }

@@ -73,20 +73,25 @@ type Task struct {
 }
 
 // InputFiles returns the names of the task's input files, sorted.
-func (t *Task) InputFiles() []string { return t.filesByLink(LinkInput) }
+func (t *Task) InputFiles() []string { return t.AppendFileNames(nil, LinkInput) }
 
 // OutputFiles returns the names of the task's output files, sorted.
-func (t *Task) OutputFiles() []string { return t.filesByLink(LinkOutput) }
+func (t *Task) OutputFiles() []string { return t.AppendFileNames(nil, LinkOutput) }
 
-func (t *Task) filesByLink(link string) []string {
-	var out []string
+// AppendFileNames appends the names of the task's files with that link
+// to dst, sorted among themselves: InputFiles into a buffer the caller
+// reuses from task to task.
+func (t *Task) AppendFileNames(dst []string, link string) []string {
+	start := len(dst)
 	for _, f := range t.Files {
 		if f.Link == link {
-			out = append(out, f.Name)
+			dst = append(dst, f.Name)
 		}
 	}
-	sort.Strings(out)
-	return out
+	if names := dst[start:]; !slices.IsSorted(names) {
+		slices.Sort(names)
+	}
+	return dst
 }
 
 // OutputSizes returns output file name -> size.
@@ -304,22 +309,32 @@ func (w *Workflow) ValidateCompile() (*dag.CSR, []*Task, error) {
 		probs = append(probs, fmt.Sprintf(format, args...))
 	}
 	names := w.TaskNames()
-	producers := make(map[string]int32) // file -> ID of producing task (its index in names)
-	// Symmetric edge checks binary-search a per-task sorted view of the
-	// other side's list, built lazily once per task: linear scans per
-	// edge made validating a wide fan-out quadratic. Lists that arrive
-	// unsorted (hand-built or deserialized) are cloned and sorted here
-	// rather than assumed to follow Link's invariant.
-	sortedViews := make(map[*[]string][]string)
-	edgeListed := func(list *[]string, v string) bool {
-		view, ok := sortedViews[list]
-		if !ok {
-			view = *list
-			if !sort.StringsAreSorted(view) {
-				view = slices.Clone(view)
-				sort.Strings(view)
+	producers := make(map[string]int32, len(names)) // file -> ID of producing task (its index in names)
+	// Symmetric edge checks binary-search the other side's list: linear
+	// scans per edge made validating a wide fan-out quadratic. Link keeps
+	// lists sorted; one that arrives unsorted (hand-built or
+	// deserialized) gets a sorted copy here, keyed by the list it stands
+	// in for, rather than being assumed to follow Link's invariant.
+	var sortedCopies map[*[]string][]string
+	for _, t := range w.Tasks {
+		if t == nil {
+			continue
+		}
+		for _, list := range []*[]string{&t.Parents, &t.Children} {
+			if !slices.IsSorted(*list) {
+				if sortedCopies == nil {
+					sortedCopies = make(map[*[]string][]string)
+				}
+				c := slices.Clone(*list)
+				slices.Sort(c)
+				sortedCopies[list] = c
 			}
-			sortedViews[list] = view
+		}
+	}
+	edgeListed := func(list *[]string, v string) bool {
+		view := *list
+		if c, ok := sortedCopies[list]; ok {
+			view = c
 		}
 		_, found := slices.BinarySearch(view, v)
 		return found
@@ -402,8 +417,10 @@ func (w *Workflow) ValidateCompile() (*dag.CSR, []*Task, error) {
 	// materializing full ancestor sets per task (O(V·E), which collapses
 	// at 100k tasks).
 	reaches := csr.Reachability()
+	var inputs []string
 	for id, t := range tasks {
-		for _, in := range t.InputFiles() {
+		inputs = t.AppendFileNames(inputs[:0], LinkInput)
+		for _, in := range inputs {
 			prod, ok := producers[in]
 			if !ok || prod == int32(id) || csr.HasEdge(prod, int32(id)) {
 				continue
@@ -457,18 +474,6 @@ func (w *Workflow) Marshal() ([]byte, error) {
 // path for generated instances and machine-to-machine transfer.
 func (w *Workflow) MarshalCompact() ([]byte, error) {
 	return json.Marshal(w)
-}
-
-// Parse reads a workflow from JSON bytes.
-func Parse(data []byte) (*Workflow, error) {
-	var w Workflow
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("wfformat: parse: %w", err)
-	}
-	if w.Tasks == nil {
-		w.Tasks = make(map[string]*Task)
-	}
-	return &w, nil
 }
 
 // Read parses a workflow from r.

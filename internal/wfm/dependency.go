@@ -10,7 +10,6 @@ import (
 	"wfserverless/internal/dag"
 	"wfserverless/internal/obs"
 	"wfserverless/internal/sharedfs"
-	"wfserverless/internal/wfformat"
 )
 
 // dispatchItem is one runnable task handed from the event loop to the
@@ -50,7 +49,8 @@ type completion struct {
 // in flight or queued. On context cancellation the loop stops
 // dispatching, drains the workers, records partial TaskResults, and
 // returns ctx.Err() with no goroutines left behind.
-func (m *Manager) runLoop(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p *invocationPlan, st *runState) (*Result, error) {
+func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Result, error) {
+	w, csr, p := c.w, c.csr, c.plan
 	sched := dag.NewSchedulerCSR(csr)
 	barrier := m.opts.Scheduling == SchedulePhases
 
@@ -288,7 +288,7 @@ func (m *Manager) runTask(ctx context.Context, p *invocationPlan, csr *dag.CSR, 
 		finish()
 		return tr
 	}
-	if inputs := task.InputFiles(); len(inputs) > 0 && !sharedfs.AllExist(m.opts.Drive, inputs) {
+	if inputs := p.inputs(item.id); len(inputs) > 0 && !sharedfs.AllExist(m.opts.Drive, inputs) {
 		waitCtx, cancel := context.WithTimeout(ctx, m.scaled(m.opts.InputWait))
 		missing, err := sharedfs.WaitFor(waitCtx, m.opts.Drive, inputs, m.scaled(m.opts.InputWait)/100)
 		cancel()

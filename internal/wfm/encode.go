@@ -3,7 +3,6 @@ package wfm
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -17,22 +16,25 @@ import (
 	"wfserverless/internal/wfformat"
 )
 
-// invocationPlan is the pre-computed invocation side of one run. The
+// invocationPlan is the pre-computed invocation side of a workflow. The
 // manager invokes every task at least once and flaky tasks many times,
 // so everything derivable from the workflow alone is rendered up front,
 // ID-aligned with the compiled DAG: the WfBench JSON bodies (one
-// contiguous payload arena plus an offset table, encoded with a single
-// encoder pass instead of one encoder per attempt), the parsed
-// endpoint URLs (deduplicated — a translated workflow typically points
-// every task at one ingress), and an http.Request template per task
-// carrying method, URL, headers, length and GetBody. The per-attempt
-// hot path is then one shallow request clone plus one pooled body
-// reader.
+// contiguous payload arena plus an offset table, appended by the wire
+// codec's own encoder), each task's sorted input names (one arena, what
+// a worker checks on the drive before it invokes), the parsed endpoint
+// URLs (deduplicated — a translated workflow typically points every task
+// at one ingress), and an http.Request template per task carrying
+// method, URL, headers, length and GetBody. The per-attempt hot path is
+// then one shallow request clone plus one pooled body reader. Nothing in
+// a plan changes once it is built, so runs may share one.
 type invocationPlan struct {
 	tasks  []*wfformat.Task // ID-aligned with the run's dag.CSR
 	reqs   []*http.Request  // per-task request scaffolding, never sent directly
 	bodies []byte           // payload arena: all request bodies back to back
 	off    []int32          // len(tasks)+1 offsets into bodies
+	ins    []string         // input-name arena: every task's input files, sorted per task
+	insOff []int32          // len(tasks)+1 offsets into ins
 	ext    []wfformat.File  // external inputs: the header's staging manifest
 }
 
@@ -47,23 +49,24 @@ var sharedJSONHeader = http.Header{"Content-Type": {"application/json"}}
 func newInvocationPlan(tasks []*wfformat.Task) (*invocationPlan, error) {
 	n := len(tasks)
 	p := &invocationPlan{
-		tasks: tasks,
-		reqs:  make([]*http.Request, n),
-		off:   make([]int32, n+1),
+		tasks:  tasks,
+		reqs:   make([]*http.Request, n),
+		off:    make([]int32, n+1),
+		insOff: make([]int32, n+1),
 	}
-	var buf bytes.Buffer
-	buf.Grow(256 * n)
-	enc := json.NewEncoder(&buf)
+	buf := make([]byte, 0, 256*n)
+	p.ins = make([]string, 0, n) // most tasks read one file
 	urls := make(map[string]*url.URL)
 	// One backing array for the request structs instead of n tiny
 	// allocations.
 	scaffold := make([]http.Request, n)
+	var wreq wfbench.Request // one for all tasks: the encoder's fallback makes it escape
 	for i, task := range tasks {
 		if len(task.Command.Arguments) == 0 {
 			return nil, fmt.Errorf("wfm: task %q has no argument block; malformed translated workflow", task.Name)
 		}
 		arg := task.Command.Arguments[0]
-		wreq := wfbench.Request{
+		wreq = wfbench.Request{
 			Name:       arg.Name,
 			PercentCPU: arg.PercentCPU,
 			CPUWork:    arg.CPUWork,
@@ -73,16 +76,20 @@ func newInvocationPlan(tasks []*wfformat.Task) (*invocationPlan, error) {
 			Inputs:     arg.Inputs,
 			Workdir:    arg.Workdir,
 		}
-		if err := enc.Encode(&wreq); err != nil {
+		// One body per line, as json.Encoder wrote them.
+		var err error
+		if buf, err = wfbench.AppendRequest(buf, &wreq); err != nil {
 			return nil, fmt.Errorf("wfm: %s: encode: %w", task.Name, err)
 		}
-		if buf.Len() > math.MaxInt32 {
+		buf = append(buf, '\n')
+		if len(buf) > math.MaxInt32 {
 			return nil, fmt.Errorf("wfm: request payloads exceed %d bytes", math.MaxInt32)
 		}
-		p.off[i+1] = int32(buf.Len())
+		p.off[i+1] = int32(len(buf))
+		p.ins = task.AppendFileNames(p.ins, wfformat.LinkInput)
+		p.insOff[i+1] = int32(len(p.ins))
 		u := urls[task.Command.APIURL]
 		if u == nil {
-			var err error
 			u, err = url.Parse(task.Command.APIURL)
 			if err != nil {
 				return nil, fmt.Errorf("wfm: %s: %w", task.Name, err)
@@ -99,7 +106,7 @@ func newInvocationPlan(tasks []*wfformat.Task) (*invocationPlan, error) {
 		}
 		p.reqs[i] = &scaffold[i]
 	}
-	p.bodies = buf.Bytes()
+	p.bodies = buf
 	// ContentLength and GetBody reference the finished arena; the
 	// buffer may have reallocated while growing, so fill them in a
 	// second pass over the final bytes.
@@ -152,6 +159,10 @@ func externalInputs(tasks []*wfformat.Task) []wfformat.File {
 // body returns the task's pre-encoded WfBench request: a view into the
 // arena, valid for the plan's lifetime.
 func (p *invocationPlan) body(id int32) []byte { return p.bodies[p.off[id]:p.off[id+1]] }
+
+// inputs returns the task's input file names, sorted: a view into the
+// arena, read-only.
+func (p *invocationPlan) inputs(id int32) []string { return p.ins[p.insOff[id]:p.insOff[id+1]] }
 
 // request clones the task's template for one attempt. The clone shares
 // the parsed URL, header map, and GetBody with the template; only the

@@ -441,7 +441,8 @@ func (st *runState) taskDone(id int32, p *invocationPlan, tr *TaskResult) {
 // (fingerprint must match the workflow being resumed), the completed
 // set, and prior attempt counts. Output verification against the drive
 // happens separately so this stays pure decoding.
-func (m *Manager) recoverRun(w *wfformat.Workflow, n int, recs []journal.Record, torn bool) (*recovery, error) {
+func (m *Manager) recoverRun(c *Compiled, recs []journal.Record, torn bool) (*recovery, error) {
+	w, n := c.w, c.Len()
 	var header *runHeader
 	rec := &recovery{
 		doneSet:  make([]bool, n),
@@ -492,7 +493,7 @@ func (m *Manager) recoverRun(w *wfformat.Workflow, n int, recs []journal.Record,
 	if header == nil {
 		return nil, errors.New("wfm: journal has records but no run header; not a wfm journal")
 	}
-	if fp := wfformat.Fingerprint(w); fp != header.Fingerprint {
+	if fp := c.fingerprint(); fp != header.Fingerprint {
 		return nil, fmt.Errorf("wfm: journal fingerprint %s does not match workflow %s (%s); refusing to resume",
 			header.Fingerprint, w.Name, fp)
 	}

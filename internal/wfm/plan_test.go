@@ -1,13 +1,15 @@
 package wfm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
-	"wfserverless/internal/sharedfs"
+	"wfserverless/internal/recipes"
 	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
 )
@@ -77,6 +79,38 @@ func TestInvocationPlanBodies(t *testing.T) {
 	}
 }
 
+// TestInvocationPlanBodiesMatchEncoder pins the bytes on the wire: the
+// plan's append encoder renders every task of the seven recipes and of a
+// service-shaped workflow exactly as the json.Encoder it replaced did.
+func TestInvocationPlanBodiesMatchEncoder(t *testing.T) {
+	wfs := []*wfformat.Workflow{serviceWorkflow(t, "svc", 5, "http://endpoint/invoke")}
+	for _, recipe := range recipes.Names() {
+		wfs = append(wfs, translated(t, recipe, 30, "http://endpoint"))
+	}
+	for _, w := range wfs {
+		c, err := CompileRunnable(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, task := range c.plan.tasks {
+			arg := task.Command.Arguments[0]
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(&wfbench.Request{
+				Name: arg.Name, PercentCPU: arg.PercentCPU, CPUWork: arg.CPUWork, Cores: task.Cores,
+				MemBytes: arg.MemBytes, Out: arg.Out, Inputs: arg.Inputs, Workdir: arg.Workdir,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.plan.body(int32(id)); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%s/%s:\n got %s\nwant %s", w.Name, task.Name, got, want.Bytes())
+			}
+			if got, want := c.plan.inputs(int32(id)), task.InputFiles(); !slices.Equal(got, want) {
+				t.Fatalf("%s/%s: plan inputs %v, task's %v", w.Name, task.Name, got, want)
+			}
+		}
+	}
+}
+
 // TestInvocationPlanSharesParsedURLs pins URL deduplication: tasks
 // translated against one ingress share a single parsed *url.URL.
 func TestInvocationPlanSharesParsedURLs(t *testing.T) {
@@ -124,16 +158,15 @@ func TestArenaBodyDoubleClose(t *testing.T) {
 	}
 }
 
-// TestPrepareCompilesOnce: a Run builds one graph, once. prepare's
-// allocations are the validated compile's plus the plan's, with no room
-// for a second compile (a structure-only Compile is the yardstick), and
-// the validated compile itself costs less than two. The workflow is
-// small enough that every map stays in one bucket, so the counts are
-// exact.
+// TestPrepareCompilesOnce: a Run builds one graph, once. The
+// allocations of CompileRunnable — the whole front half of Run and
+// Resume — are the validated compile's plus the plan's, with no room for
+// a second compile (a structure-only Compile is the yardstick), and the
+// validated compile itself costs less than two. The workflow is small
+// enough that every map stays in one bucket, so the counts are exact.
 func TestPrepareCompilesOnce(t *testing.T) {
 	w := chainWorkflow(t, 4, "http://endpoint/wfbench")
-	m := fastManager(t, sharedfs.NewMem(), nil)
-	_, tasks, err := CompileRunnable(w)
+	c, err := CompileRunnable(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +177,10 @@ func TestPrepareCompilesOnce(t *testing.T) {
 			}
 		})
 	}
-	prepare := allocs(func() error { _, _, err := m.prepare(w); return err })
+	prepare := allocs(func() error { _, err := CompileRunnable(w); return err })
 	validated := allocs(func() error { _, _, err := w.ValidateCompile(); return err })
 	compile := allocs(func() error { _, _, err := w.Compile(); return err })
-	plan := allocs(func() error { _, err := newInvocationPlan(tasks); return err })
+	plan := allocs(func() error { _, err := newInvocationPlan(c.plan.tasks); return err })
 	if prepare >= validated+plan+compile {
 		t.Fatalf("prepare = %v allocs: validated compile %v + plan %v leaves room for a second compile (%v)",
 			prepare, validated, plan, compile)

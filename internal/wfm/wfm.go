@@ -390,19 +390,62 @@ type Result struct {
 	Spans []obs.Span
 }
 
+// Compiled is a workflow made ready to execute, once: validated,
+// compiled to the CSR the run loop drains, and planned (request bodies,
+// endpoint URLs, input lists). Nothing in it depends on a Manager's
+// options and nothing in it changes, so whoever checked that a workflow
+// is runnable — wfmd at admission — hands the same value to the run.
+type Compiled struct {
+	w    *wfformat.Workflow
+	csr  *dag.CSR
+	plan *invocationPlan
+}
+
+// Len returns the number of tasks.
+func (c *Compiled) Len() int { return c.plan.len() }
+
+// fingerprint is wfformat.Fingerprint of the workflow, over the name
+// order the compile already produced.
+func (c *Compiled) fingerprint() wfformat.Hash {
+	return wfformat.FingerprintTasks(c.w.Name, c.plan.tasks)
+}
+
+// CompileRunnable is the one definition of a workflow a Manager will
+// execute: structurally valid (wfformat's ValidateCompile, whose graph
+// the run drains), translated — an api_url on every task — and
+// plannable. Run and Resume start here, and so does wfmd's admission
+// check, so the service never accepts a submission its own manager then
+// refuses as not runnable. The workflow must not be modified afterwards.
+func CompileRunnable(w *wfformat.Workflow) (*Compiled, error) {
+	csr, tasks, err := w.ValidateCompile()
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range tasks {
+		if t.Command.APIURL == "" {
+			return nil, fmt.Errorf("wfm: task %q has no api_url; run a translator first", t.Name)
+		}
+	}
+	p, err := newInvocationPlan(tasks)
+	if err != nil {
+		return nil, err
+	}
+	return &Compiled{w: w, csr: csr, plan: p}, nil
+}
+
 // Run executes the workflow under the configured Scheduling rule. Every
 // task must carry an api_url (set by a translator); Run validates the
 // workflow first. With Options.Journal set the journal must be empty —
 // continuing a previous run is Resume's job.
 func (m *Manager) Run(ctx context.Context, w *wfformat.Workflow) (*Result, error) {
-	csr, p, err := m.prepare(w)
+	c, err := CompileRunnable(w)
 	if err != nil {
 		return nil, err
 	}
 	if j := m.opts.Journal; j != nil && len(j.Records()) > 0 {
 		return nil, errors.New("wfm: journal already holds a run; use Resume (or point -journal at a fresh directory)")
 	}
-	return m.run(ctx, w, csr, p, nil)
+	return m.run(ctx, c, nil)
 }
 
 // Resume continues a journaled run that a previous process started: it
@@ -414,63 +457,39 @@ func (m *Manager) Run(ctx context.Context, w *wfformat.Workflow) (*Result, error
 // with Recovered=true and zero-duration timings — and Result.Resume
 // reports how many invocations the journal saved.
 func (m *Manager) Resume(ctx context.Context, w *wfformat.Workflow) (*Result, error) {
+	if m.opts.Journal == nil {
+		return nil, errors.New("wfm: Resume needs Options.Journal")
+	}
+	c, err := CompileRunnable(w)
+	if err != nil {
+		return nil, err
+	}
+	return m.ResumeCompiled(ctx, c)
+}
+
+// ResumeCompiled is Resume of a workflow compiled beforehand.
+func (m *Manager) ResumeCompiled(ctx context.Context, c *Compiled) (*Result, error) {
 	j := m.opts.Journal
 	if j == nil {
 		return nil, errors.New("wfm: Resume needs Options.Journal")
 	}
-	csr, p, err := m.prepare(w)
-	if err != nil {
-		return nil, err
-	}
 	if len(j.Records()) == 0 {
-		return m.run(ctx, w, csr, p, nil)
+		return m.run(ctx, c, nil)
 	}
-	rec, err := m.recoverRun(w, p.len(), j.Records(), j.Torn())
+	rec, err := m.recoverRun(c, j.Records(), j.Torn())
 	if err != nil {
 		return nil, err
 	}
 	m.verifyOutputs(rec)
-	return m.run(ctx, w, csr, p, rec)
-}
-
-// prepare validates and compiles the workflow — one pass, one graph —
-// and builds its invocation plan: the shared front half of Run and
-// Resume.
-func (m *Manager) prepare(w *wfformat.Workflow) (*dag.CSR, *invocationPlan, error) {
-	csr, tasks, err := CompileRunnable(w)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := newInvocationPlan(tasks)
-	if err != nil {
-		return nil, nil, err
-	}
-	return csr, p, nil
-}
-
-// CompileRunnable is the one definition of a workflow a Manager will
-// execute: structurally valid (wfformat's ValidateCompile, whose graph
-// it returns) and translated — an api_url on every task. Run and Resume
-// start here, and so does wfmd's admission check, so the service never
-// accepts a submission its own manager then refuses as not runnable.
-func CompileRunnable(w *wfformat.Workflow) (*dag.CSR, []*wfformat.Task, error) {
-	csr, tasks, err := w.ValidateCompile()
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, t := range tasks {
-		if t.Command.APIURL == "" {
-			return nil, nil, fmt.Errorf("wfm: task %q has no api_url; run a translator first", t.Name)
-		}
-	}
-	return csr, tasks, nil
+	return m.run(ctx, c, rec)
 }
 
 // run drives one execution (fresh or resumed): it opens the journal's
 // run framing — header for fresh runs, resume marker for recovered ones
 // — hands the run state to runLoop, and closes the framing with a
 // run-end record whose status reflects how the loop exited.
-func (m *Manager) run(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p *invocationPlan, rec *recovery) (*Result, error) {
+func (m *Manager) run(ctx context.Context, c *Compiled, rec *recovery) (*Result, error) {
+	w, csr, p := c.w, c.csr, c.plan
 	st := &runState{rec: rec, afterDone: m.opts.AfterTaskDone}
 	if m.opts.Health != nil {
 		st.health = m.newHealthState()
@@ -489,7 +508,7 @@ func (m *Manager) run(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p
 		if rec == nil {
 			h := &runHeader{
 				Version:     journalRunHeaderVersion,
-				Fingerprint: wfformat.Fingerprint(w),
+				Fingerprint: c.fingerprint(),
 				OptionsHash: m.opts.optionsHash(),
 				Scheduling:  m.opts.Scheduling,
 				TaskCount:   p.len(),
@@ -516,7 +535,7 @@ func (m *Manager) run(ctx context.Context, w *wfformat.Workflow, csr *dag.CSR, p
 		}
 	}
 
-	res, err := m.runLoop(ctx, w, csr, p, st)
+	res, err := m.runLoop(ctx, c, st)
 	if res != nil {
 		if rec != nil {
 			r := rec.report

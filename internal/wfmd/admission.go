@@ -129,6 +129,13 @@ type taskWaiter struct {
 	cancelled bool
 }
 
+// taskWaiters recycles waiters, one of which every task invocation of
+// every run would otherwise allocate, with its channel. Only a waiter
+// whose grant was received goes back: the grant popped it, so no queue
+// refers to it, and its channel is empty. A cancelled waiter may still
+// sit in its tenant's queue until a pop skips it; it is never reused.
+var taskWaiters = sync.Pool{New: func() any { return &taskWaiter{ch: make(chan struct{}, 1)} }}
+
 // tenantState is the dispatcher's per-tenant book-keeping. All fields
 // are guarded by dispatcher.mu.
 type tenantState struct {
@@ -336,9 +343,9 @@ type tenantGate struct {
 
 func (g *tenantGate) Acquire(ctx context.Context) error {
 	d := g.d
+	w := taskWaiters.Get().(*taskWaiter)
 	d.mu.Lock()
 	t := d.tenantLocked(g.tenant)
-	w := &taskWaiter{ch: make(chan struct{}, 1)}
 	t.waiters[g.prio] = append(t.waiters[g.prio], w)
 	if t.waiting == 0 && t.inflight == 0 {
 		// Tenant (re)activates: advance its virtual time to the
@@ -354,6 +361,8 @@ func (g *tenantGate) Acquire(ctx context.Context) error {
 
 	select {
 	case <-w.ch:
+		w.granted = false
+		taskWaiters.Put(w)
 		return nil
 	case <-ctx.Done():
 	}

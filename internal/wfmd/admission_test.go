@@ -178,6 +178,68 @@ func TestAcquireCancellation(t *testing.T) {
 	g3.Release()
 }
 
+// TestAcquireRecyclesOnlyGrantedWaiters churns the gate with acquirers
+// that give up at random: waiters are recycled, and a cancelled one may
+// still sit in its tenant's queue. Reusing one of those would grant a
+// slot to the wrong acquirer or to nobody, so: never more holders than
+// slots, every acquirer accounted for, every slot back at the end — and
+// an acquirer allocates no waiter and no channel of its own (what is
+// left is the tenant's queue, whose array an idle tenant regrows).
+func TestAcquireRecyclesOnlyGrantedWaiters(t *testing.T) {
+	const slots = 2
+	d := testDispatcher(slots, TenantConfig{Name: "a", Weight: 3}, TenantConfig{Name: "b", Weight: 1})
+	var held, granted, gaveUp atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := d.gate([]string{"a", "b"}[w%2], Priority(w%numPriorities))
+			for i := 0; i < 300; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration((w*7+i)%5)*20*time.Microsecond)
+				err := g.Acquire(ctx)
+				cancel()
+				if err != nil {
+					gaveUp.Add(1)
+					continue
+				}
+				if n := held.Add(1); n > slots {
+					t.Errorf("%d holders of %d slots", n, slots)
+				}
+				granted.Add(1)
+				time.Sleep(20 * time.Microsecond)
+				held.Add(-1)
+				g.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if granted.Load() == 0 || gaveUp.Load() == 0 {
+		t.Fatalf("%d grants, %d cancellations: the churn exercised one side only", granted.Load(), gaveUp.Load())
+	}
+	d.mu.Lock()
+	free, inflight, waiting := d.freeSlots, 0, 0
+	for _, ts := range d.tenants {
+		inflight += ts.inflight
+		waiting += ts.waiting
+	}
+	d.mu.Unlock()
+	if free != slots || inflight != 0 || waiting != 0 {
+		t.Fatalf("after the churn: %d free of %d slots, %d in flight, %d waiting", free, slots, inflight, waiting)
+	}
+	g := d.gate("a", PriorityNormal)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if n := testing.AllocsPerRun(200, func() {
+		if err := g.Acquire(ctx); err != nil {
+			t.Fatal(err)
+		}
+		g.Release()
+	}); n > 1 {
+		t.Fatalf("an uncontended Acquire/Release allocates %v times, want at most the queue slot", n)
+	}
+}
+
 // TestRunQuota pins the run-admission side: per-tenant concurrent-run
 // quota holds, excess runs queue, and queue overflow rejects.
 func TestRunQuota(t *testing.T) {

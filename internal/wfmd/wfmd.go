@@ -160,6 +160,10 @@ type run struct {
 	tenant   string
 	priority Priority
 	dir      string
+	// compiled is the admission check's result, which the run executes
+	// on. A run re-admitted after a restart holds the workflow as loaded
+	// instead, and compiles it when it executes.
+	compiled *wfm.Compiled
 	w        *wfformat.Workflow
 	tasks    int
 	meta     RunMeta
@@ -356,12 +360,13 @@ func (s *Server) Submit(tenant, priority string, body []byte) (*RunStatus, error
 		return nil, fmt.Errorf("wfmd: bad workflow: %w", err)
 	}
 	// The manager's own admission test, so a 202 here is never followed
-	// by "not runnable" when the run starts.
-	_, compiled, err := wfm.CompileRunnable(w)
+	// by "not runnable" when the run starts — and the run's own compile:
+	// it executes on this value.
+	compiled, err := wfm.CompileRunnable(w)
 	if err != nil {
 		return nil, fmt.Errorf("wfmd: bad workflow: %w", err)
 	}
-	tasks := len(compiled)
+	tasks := compiled.Len()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -386,7 +391,7 @@ func (s *Server) Submit(tenant, priority string, body []byte) (*RunStatus, error
 	}
 	r := &run{
 		id: id, tenant: tenant, priority: prio, dir: dir,
-		w: w, tasks: tasks, meta: meta, state: StateQueued,
+		compiled: compiled, tasks: tasks, meta: meta, state: StateQueued,
 	}
 	s.register(r)
 	s.log.Info("run accepted", "run", id, "tenant", tenant,
@@ -460,10 +465,19 @@ func (s *Server) execute(r *run) {
 		s.finish(r, StateFailed, nil, err, time.Time{})
 		return
 	}
+	compiled := r.compiled
+	if compiled == nil {
+		// Re-admitted after a restart: the scan loaded the workflow only.
+		if compiled, err = wfm.CompileRunnable(r.w); err != nil {
+			j.Close()
+			s.finish(r, StateFailed, nil, err, time.Time{})
+			return
+		}
+	}
 	started := time.Now()
 	// Resume covers both lives of a run: on an empty journal it
 	// degenerates to a fresh Run, on a non-empty one it replays.
-	res, runErr := mgr.Resume(ctx, r.w)
+	res, runErr := mgr.ResumeCompiled(ctx, compiled)
 
 	if s.aborting.Load() {
 		// Simulated daemon crash: drop the journal's unsynced tail and
@@ -551,7 +565,7 @@ func (s *Server) finish(r *run, state string, res *wfm.Result, runErr error, sta
 	}
 	// result.json is the durable copy from here on: a finished run keeps
 	// no more in the registry than one rescanned after a restart.
-	r.w, r.mon, r.cancel = nil, nil, nil
+	r.compiled, r.w, r.mon, r.cancel = nil, nil, nil, nil
 	r.mu.Unlock()
 	s.mu.Lock()
 	byState := s.completed[r.tenant]
