@@ -36,15 +36,16 @@ race:
 # fuzz-smoke gives every fuzz target ten seconds past its seed corpus:
 # the journal reader, the workflow parser (what it accepts, and its fast
 # path held to encoding/json), the hand JSON codec held to encoding/json,
-# the batch wire decoders, and POST /v1/runs. (-fuzz takes one target
-# and one package per run; the short minimize budget keeps the ten
-# seconds for executions.)
+# the batch wire decoders, the function endpoint's handler, and POST
+# /v1/runs. (-fuzz takes one target and one package per run; the short
+# minimize budget keeps the ten seconds for executions.)
 fuzz-smoke:
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzJournalReader$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfformat -run '^$$' -fuzz '^FuzzParseValidate$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfformat -run '^$$' -fuzz '^FuzzParseDifferential$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfbench -run '^$$' -fuzz '^FuzzCodecDifferential$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfbench -run '^$$' -fuzz '^FuzzBatchWire$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/wfbench -run '^$$' -fuzz '^FuzzEndpoint$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfmd -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # service-smoke boots the real wfmd binary, submits runs for two

@@ -58,7 +58,7 @@ func newFlags(fs *flag.FlagSet) *cli {
 
 	// Batched invocation for the suites that exercise the manager's
 	// transport (resilience, recovery, scale).
-	fs.BoolVar(&c.tn.Manager.Batching.Enabled, "batch", false, "run the resilience/recovery/scale suites through the batched invocation pipeline")
+	fs.BoolVar(&c.tn.Manager.Batching.Enabled, "batch", false, "run through the batched invocation pipeline")
 	fs.IntVar(&c.tn.Manager.Batching.MaxTasks, "batch-tasks", 0, "max sub-tasks per batch (0: 64)")
 	fs.IntVar(&c.tn.Manager.Batching.MaxBytes, "batch-bytes", 0, "max summed payload bytes per batch (0: 1 MiB)")
 	fs.Float64Var(&c.tn.Manager.Batching.Linger, "batch-linger", 0, "batch linger window, nominal seconds (0: 0.005)")

@@ -182,7 +182,12 @@ func main() {
 	}
 
 	if c.paradigm != "" {
-		runSimulated(w, c, tracer, monitor, logger)
+		tn, err := c.tunables(flag.CommandLine)
+		if err != nil {
+			fatal(err)
+		}
+		tn.Manager.Monitor, tn.Manager.Logger, tn.Tracer = monitor, logger, tracer
+		runSimulated(w, c, tn)
 		return
 	}
 
@@ -446,16 +451,36 @@ func writeSpanOutputs(tr *wfm.Trace, chromePath, logPath string) {
 	}
 }
 
-func runSimulated(w *wfformat.Workflow, c *cli, tracer *obs.Tracer, monitor *wfm.Monitor, logger *slog.Logger) {
+// tunables builds simulated mode's parameters: the experiments' defaults
+// at this command line's -time-scale, with every manager flag that was
+// set on fs (the parsed command line) overriding the manager template and
+// every unset one keeping the template's value, not this binary's
+// direct-mode default.
+func (c *cli) tunables(fs *flag.FlagSet) (experiments.Tunables, error) {
+	tn := experiments.DefaultTunables()
+	tmpl := flag.NewFlagSet("", flag.ContinueOnError)
+	resolve := tn.Manager.RegisterFlags(tmpl)
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if tmpl.Lookup(f.Name) != nil && err == nil {
+			err = tmpl.Set(f.Name, f.Value.String())
+		}
+	})
+	if err == nil {
+		err = resolve()
+	}
+	if c.eager {
+		tn.Manager.Scheduling = wfm.ScheduleDependency
+	}
+	tn.TimeScale, tn.Manager.TimeScale = c.mgr.TimeScale, 0 // the session sets the manager's
+	return tn, err
+}
+
+func runSimulated(w *wfformat.Workflow, c *cli, tn experiments.Tunables) {
 	spec, err := experiments.ByID(experiments.Paradigm(c.paradigm))
 	if err != nil {
 		fatal(err)
 	}
-	tn := experiments.DefaultTunables()
-	tn.TimeScale = c.mgr.TimeScale
-	tn.Manager.Scheduling = c.mgr.Scheduling
-	tn.Manager.Monitor, tn.Manager.Logger = monitor, logger
-	tn.Tracer = tracer
 	m, err := experiments.RunWorkflow(context.Background(), spec, w, tn)
 	if err != nil {
 		fatal(err)
@@ -463,7 +488,7 @@ func runSimulated(w *wfformat.Workflow, c *cli, tracer *obs.Tracer, monitor *wfm
 	writeSpanOutputs(m.Trace, c.chromeTrace, c.spanLog)
 	fmt.Printf("workflow:      %s (%d tasks)\n", m.Workflow, m.Tasks)
 	fmt.Printf("paradigm:      %s\n", m.Paradigm)
-	fmt.Printf("schedule:      %s\n", c.mgr.Scheduling)
+	fmt.Printf("schedule:      %s\n", tn.Manager.Scheduling)
 	fmt.Printf("execution:     %.2f s (nominal; wall %v)\n", m.MakespanS, m.Wall)
 	fmt.Printf("power:         %.1f W mean, %.0f J\n", m.MeanPowerW, m.EnergyJ)
 	fmt.Printf("cpu usage:     %.2f cores mean (%.2f max, busy %.2f)\n", m.MeanCPUCores, m.MaxCPUCores, m.MeanBusyCores)

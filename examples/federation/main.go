@@ -1,8 +1,9 @@
 // Federation: the paper's future-work "multi-cluster invocation
 // scenarios" (Section VII). Two independent serverless clusters — each
 // with its own nodes and autoscaler, sharing only the drive — sit behind
-// a federation router that the workflow manager targets like a single
-// platform. The dense Blast burst spreads across both clusters, halving
+// a federation router (router.go) that the workflow manager targets like
+// a single platform, because behind the shared function endpoint the
+// router is one more wfbench.Executor. The dense Blast burst spreads across both clusters, halving
 // the per-cluster scaling pressure.
 //
 //	go run ./examples/federation
@@ -14,10 +15,10 @@ import (
 	"log"
 
 	"wfserverless/internal/cluster"
-	"wfserverless/internal/federation"
 	"wfserverless/internal/serverless"
 	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/translator"
+	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfgen"
 	"wfserverless/internal/wfm"
 )
@@ -70,18 +71,19 @@ func main() {
 	}
 	defer west.Stop()
 
-	router, err := federation.New(federation.RoundRobin,
-		federation.Member{Name: "east", Platform: east},
-		federation.Member{Name: "west", Platform: west},
+	router, err := NewRouter(RoundRobin,
+		Member{Name: "east", Platform: east},
+		Member{Name: "west", Platform: west},
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	url, err := router.Start()
+	front, err := wfbench.ListenLoopback(wfbench.NewEndpoint(router))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer router.Stop()
+	defer front.Close()
+	url := front.URL()
 	fmt.Printf("federation router at %s over clusters east + west\n\n", url)
 
 	w, err := wfgen.Generate(wfgen.Spec{Recipe: "blast", NumTasks: 200, Seed: 9})

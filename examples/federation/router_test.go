@@ -1,19 +1,19 @@
-package federation
+package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 	"testing"
 
 	"wfserverless/internal/cluster"
+	"wfserverless/internal/obs"
 	"wfserverless/internal/serverless"
 	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/translator"
 	"wfserverless/internal/wfbench"
+	"wfserverless/internal/wfbench/conformance"
 	"wfserverless/internal/wfgen"
 	"wfserverless/internal/wfm"
 )
@@ -21,6 +21,10 @@ import (
 // memberPlatform starts one platform over its own single-node cluster
 // but a shared drive.
 func memberPlatform(t *testing.T, drive sharedfs.Drive, name string) *serverless.Platform {
+	return tracedMember(t, drive, name, nil)
+}
+
+func tracedMember(t *testing.T, drive sharedfs.Drive, name string, tr *obs.Tracer) *serverless.Platform {
 	t.Helper()
 	clus := cluster.New(cluster.NewNode(cluster.NodeSpec{
 		Name: name, Cores: 16, MemBytes: 32 << 30, IdleWatts: 50, MaxWatts: 150,
@@ -33,6 +37,7 @@ func memberPlatform(t *testing.T, drive sharedfs.Drive, name string) *serverless
 		AutoscalePeriod: 0.5,
 		StableWindow:    10,
 		InputWait:       5,
+		Tracer:          tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,16 +62,16 @@ func benchReq(name string) *wfbench.Request {
 func TestNewValidation(t *testing.T) {
 	drive := sharedfs.NewMem()
 	p := memberPlatform(t, drive, "a")
-	if _, err := New(RoundRobin); err == nil {
+	if _, err := NewRouter(RoundRobin); err == nil {
 		t.Fatal("no members accepted")
 	}
-	if _, err := New(Policy("weird"), Member{Name: "a", Platform: p}); err == nil {
+	if _, err := NewRouter(Policy("weird"), Member{Name: "a", Platform: p}); err == nil {
 		t.Fatal("bad policy accepted")
 	}
-	if _, err := New(RoundRobin, Member{Name: "", Platform: p}); err == nil {
+	if _, err := NewRouter(RoundRobin, Member{Name: "", Platform: p}); err == nil {
 		t.Fatal("unnamed member accepted")
 	}
-	if _, err := New(RoundRobin, Member{Name: "a", Platform: p}, Member{Name: "a", Platform: p}); err == nil {
+	if _, err := NewRouter(RoundRobin, Member{Name: "a", Platform: p}, Member{Name: "a", Platform: p}); err == nil {
 		t.Fatal("duplicate member accepted")
 	}
 }
@@ -75,7 +80,7 @@ func TestRoundRobinSpread(t *testing.T) {
 	drive := sharedfs.NewMem()
 	a := memberPlatform(t, drive, "a")
 	b := memberPlatform(t, drive, "b")
-	r, err := New(RoundRobin, Member{Name: "a", Platform: a}, Member{Name: "b", Platform: b})
+	r, err := NewRouter(RoundRobin, Member{Name: "a", Platform: a}, Member{Name: "b", Platform: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +102,7 @@ func TestLeastQueuedPrefersIdle(t *testing.T) {
 	drive := sharedfs.NewMem()
 	a := memberPlatform(t, drive, "a")
 	b := memberPlatform(t, drive, "b")
-	r, err := New(LeastQueued, Member{Name: "a", Platform: a}, Member{Name: "b", Platform: b})
+	r, err := NewRouter(LeastQueued, Member{Name: "a", Platform: a}, Member{Name: "b", Platform: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,72 +124,53 @@ func TestLeastQueuedPrefersIdle(t *testing.T) {
 	}
 }
 
+// TestHTTPEndpointAndWorkflowRun holds the router, behind the shared
+// handler, to the function endpoint's conformance table, then runs a
+// whole workflow through it.
 func TestHTTPEndpointAndWorkflowRun(t *testing.T) {
-	drive := sharedfs.NewMem()
-	a := memberPlatform(t, drive, "a")
-	b := memberPlatform(t, drive, "b")
-	r, err := New(RoundRobin, Member{Name: "a", Platform: a}, Member{Name: "b", Platform: b})
+	drive, tr := sharedfs.NewMem(), obs.NewTracer(obs.Options{SampleRatio: 1})
+	a := tracedMember(t, drive, "a", tr)
+	b := tracedMember(t, drive, "b", tr)
+	r, err := NewRouter(RoundRobin, Member{Name: "a", Platform: a}, Member{Name: "b", Platform: b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	url, err := r.Start()
+	conformance.Run(t, conformance.Surface{
+		Handler: wfbench.NewEndpoint(r), Drive: drive, Route: "wfbench", Unknown: "ghost",
+		UnknownStatus: http.StatusServiceUnavailable, ChecksInputs: true, SawTrace: conformance.TracerSaw(tr),
+	})
+
+	front, err := wfbench.ListenLoopback(wfbench.NewEndpoint(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Stop()
-
-	// direct HTTP invocation
-	body, _ := json.Marshal(benchReq("h1"))
-	resp, err := http.Post(url+"/wfbench/wfbench", "application/json", bytes.NewReader(body))
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("post: %v %v", resp.StatusCode, err)
-	}
-	resp.Body.Close()
-
-	// full workflow through the WFM, spread over both clusters
+	defer front.Close()
 	w, err := wfgen.Generate(wfgen.Spec{Recipe: "blast", NumTasks: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kn, err := translator.Knative(w, translator.KnativeOptions{IngressURL: url})
+	kn, err := translator.Knative(w, translator.KnativeOptions{IngressURL: front.URL()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := wfm.New(wfm.Options{Drive: drive, TimeScale: 0.002, PhaseDelay: 0.5, InputWait: 5})
+	before := []int64{a.Requests(), b.Requests()}
+	mgr, err := wfm.New(wfm.Options{Drive: drive, TimeScale: 0.002, PhaseDelay: 0.5, InputWait: 5,
+		Batching: wfm.BatchOptions{Enabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mgr.Run(context.Background(), kn); err != nil {
 		t.Fatal(err)
 	}
-	if a.Requests() == 0 || b.Requests() == 0 {
+	if a.Requests() == before[0] || b.Requests() == before[1] {
 		t.Fatalf("federated run did not use both clusters: %d/%d", a.Requests(), b.Requests())
 	}
-
-	// error paths
-	bad, _ := http.Post(url+"/wfbench/wfbench", "application/json", bytes.NewReader([]byte("{")))
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body status = %d", bad.StatusCode)
-	}
-	bad.Body.Close()
-	nf, _ := http.Get(url + "/wfbench/wfbench")
-	if nf.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET status = %d", nf.StatusCode)
-	}
-	nf.Body.Close()
-	hz, _ := http.Get(url + "/healthz")
-	if hz.StatusCode != 200 {
-		t.Fatalf("healthz = %d", hz.StatusCode)
-	}
-	hz.Body.Close()
-
-	r.Stop() // idempotent
 }
 
 func TestUnknownServiceSurfacesError(t *testing.T) {
 	drive := sharedfs.NewMem()
 	a := memberPlatform(t, drive, "a")
-	r, _ := New(RoundRobin, Member{Name: "a", Platform: a})
+	r, _ := NewRouter(RoundRobin, Member{Name: "a", Platform: a})
 	if _, err := r.Invoke(context.Background(), "ghost", benchReq("x")); err == nil {
 		t.Fatal("unknown service accepted")
 	}

@@ -13,8 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -108,18 +106,16 @@ func (o *Options) scaled(nominalSeconds float64) time.Duration {
 	return time.Duration(nominalSeconds * o.TimeScale * float64(time.Second))
 }
 
-// Runtime hosts a fleet of always-on containers behind a loopback HTTP
-// endpoint. POST /<name>/wfbench targets one container; POST /wfbench
-// dispatches to the least-loaded container, standing in for the host
-// port mapping of the paper's docker setup.
+// Runtime hosts a fleet of always-on containers behind a loopback
+// function endpoint (it is a wfbench.Executor). The route names one
+// container; the empty route — POST /wfbench — spreads over the fleet,
+// standing in for the host port mapping of the paper's docker setup.
 type Runtime struct {
 	opts Options
 
 	mu         sync.Mutex
 	containers map[string]*Container
-	server     *http.Server
-	listener   net.Listener
-	url        string
+	endpoint   *wfbench.Loopback
 	stopped    bool
 
 	requests atomic.Int64
@@ -140,25 +136,22 @@ func NewRuntime(opts Options) (*Runtime, error) {
 func (r *Runtime) Start() (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.listener != nil {
+	if r.endpoint != nil {
 		return "", errors.New("container: already started")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	endpoint, err := wfbench.ListenLoopback(wfbench.NewEndpoint(r))
 	if err != nil {
-		return "", fmt.Errorf("container: listen: %w", err)
+		return "", fmt.Errorf("container: %w", err)
 	}
-	r.listener = ln
-	r.url = "http://" + ln.Addr().String()
-	r.server = &http.Server{Handler: r}
-	go r.server.Serve(ln)
-	return r.url, nil
+	r.endpoint = endpoint
+	return endpoint.URL(), nil
 }
 
 // URL returns the endpoint base URL ("" before Start).
 func (r *Runtime) URL() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.url
+	return r.endpoint.URL()
 }
 
 // Stop removes all containers and closes the endpoint.
@@ -174,16 +167,12 @@ func (r *Runtime) Stop() {
 		cs = append(cs, c)
 	}
 	r.containers = make(map[string]*Container)
-	server := r.server
+	endpoint := r.endpoint
 	r.mu.Unlock()
 	for _, c := range cs {
 		c.stop()
 	}
-	if server != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		server.Shutdown(ctx)
-	}
+	endpoint.Close()
 }
 
 // Run starts a container (docker run). Resources are reserved
@@ -304,44 +293,6 @@ func (r *Runtime) nextContainer() *Container {
 	}
 	n := r.rr.Add(1)
 	return cs[int(n-1)%len(cs)]
-}
-
-// ServeHTTP routes POST /wfbench, POST /<name>/wfbench, GET /healthz.
-func (r *Runtime) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	if req.URL.Path == "/healthz" {
-		fmt.Fprintln(w, "ok")
-		return
-	}
-	parts := strings.Split(strings.Trim(req.URL.Path, "/"), "/")
-	var name string
-	switch {
-	case len(parts) == 1 && parts[0] == "wfbench":
-		name = ""
-	case len(parts) == 2 && parts[1] == "wfbench":
-		name = parts[0]
-	default:
-		http.NotFound(w, req)
-		return
-	}
-	if req.Method != http.MethodPost {
-		http.NotFound(w, req)
-		return
-	}
-	var breq wfbench.Request
-	if err := wfbench.ReadRequest(req, &breq); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	resp, err := r.Invoke(req.Context(), name, &breq)
-	status := http.StatusOK
-	if err != nil {
-		if resp == nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		status = http.StatusInternalServerError
-	}
-	wfbench.WriteResponse(w, status, resp)
 }
 
 // limitedUsage forwards usage registrations to the node while tracking

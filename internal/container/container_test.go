@@ -1,9 +1,7 @@
 package container
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,6 +12,7 @@ import (
 	"wfserverless/internal/cluster"
 	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/wfbench"
+	"wfserverless/internal/wfbench/conformance"
 )
 
 func fastOpts(c *cluster.Cluster, d sharedfs.Drive) Options {
@@ -247,55 +246,27 @@ func TestPMBallastPersistsForRunLifetime(t *testing.T) {
 	}
 }
 
+// TestHTTPEndpoint holds the runtime to the function endpoint's
+// conformance table, on the fleet route (the paper's curl
+// localhost:80/wfbench) and on a named container's.
 func TestHTTPEndpoint(t *testing.T) {
 	drive := sharedfs.NewMem()
 	rt := startRuntime(t, fastOpts(cluster.PaperTestbed(), drive))
 	if _, err := rt.Run(Config{Name: "wfbench", Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	url := rt.URL()
-
-	hr, _ := http.Get(url + "/healthz")
-	if hr.StatusCode != 200 {
-		t.Fatalf("healthz = %d", hr.StatusCode)
+	hr, err := http.Get(rt.URL() + "/healthz")
+	if err != nil || hr.StatusCode != http.StatusOK {
+		t.Fatalf("healthz over the listener: %v %v", hr, err)
 	}
 	hr.Body.Close()
-
-	// named route
-	body, _ := json.Marshal(benchReq("n1", 20))
-	pr, err := http.Post(url+"/wfbench/wfbench", "application/json", bytes.NewReader(body))
-	if err != nil || pr.StatusCode != 200 {
-		t.Fatalf("named route: %v %v", pr.StatusCode, err)
+	spy := &conformance.Spy{Executor: rt}
+	for _, route := range []string{"", "wfbench"} {
+		conformance.Run(t, conformance.Surface{
+			Handler: wfbench.NewEndpoint(spy), Drive: drive, Route: route, Unknown: "nosuch",
+			UnknownStatus: http.StatusServiceUnavailable, ChecksInputs: true, SawTrace: spy.Saw,
+		})
 	}
-	pr.Body.Close()
-
-	// least-loaded route, matching the paper's curl localhost:80/wfbench
-	body2, _ := json.Marshal(benchReq("n2", 20))
-	pr2, err := http.Post(url+"/wfbench", "application/json", bytes.NewReader(body2))
-	if err != nil || pr2.StatusCode != 200 {
-		t.Fatalf("root route: %v %v", pr2.StatusCode, err)
-	}
-	pr2.Body.Close()
-	if !drive.Exists("n1_out") || !drive.Exists("n2_out") {
-		t.Fatal("outputs missing")
-	}
-
-	// error paths
-	r3, _ := http.Post(url+"/wfbench", "application/json", bytes.NewReader([]byte("{")))
-	if r3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body = %d", r3.StatusCode)
-	}
-	r3.Body.Close()
-	r4, _ := http.Get(url + "/wfbench")
-	if r4.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET = %d", r4.StatusCode)
-	}
-	r4.Body.Close()
-	r5, _ := http.Post(url+"/a/b/c", "application/json", bytes.NewReader(body))
-	if r5.StatusCode != http.StatusNotFound {
-		t.Fatalf("deep path = %d", r5.StatusCode)
-	}
-	r5.Body.Close()
 }
 
 func TestWorkerPoolBoundsParallelism(t *testing.T) {

@@ -103,14 +103,17 @@ type SessionConfig struct {
 	Tracer *obs.Tracer
 }
 
-// platformHandle abstracts over the two platform implementations.
+// platform is what a session asks of either implementation.
+type platform interface {
+	QueueDepth() int
+	Stop()
+}
+
+// platformHandle is one provisioned platform and where it listens.
 type platformHandle struct {
+	platform
 	kind string
 	url  string
-	stop func()
-
-	knative *serverless.Platform
-	local   *container.Runtime
 }
 
 // Session is a live framework instance.
@@ -158,7 +161,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Secondary != nil {
 		s.secondary, err = s.provision(*cfg.Secondary)
 		if err != nil {
-			s.primary.stop()
+			s.primary.Stop()
 			return nil, err
 		}
 	}
@@ -213,7 +216,7 @@ func (s *Session) provision(pc PlatformConfig) (*platformHandle, error) {
 			p.Stop()
 			return nil, err
 		}
-		return &platformHandle{kind: KindKnative, url: url, stop: p.Stop, knative: p}, nil
+		return &platformHandle{platform: p, kind: KindKnative, url: url}, nil
 
 	case KindLocal:
 		rt, err := container.NewRuntime(container.Options{
@@ -249,7 +252,7 @@ func (s *Session) provision(pc PlatformConfig) (*platformHandle, error) {
 				return nil, fmt.Errorf("core: container %d: %w", i, err)
 			}
 		}
-		return &platformHandle{kind: KindLocal, url: url, stop: rt.Stop, local: rt}, nil
+		return &platformHandle{platform: rt, kind: KindLocal, url: url}, nil
 	}
 	return nil, fmt.Errorf("core: unknown platform kind %q", pc.Kind)
 }
@@ -267,13 +270,9 @@ func (s *Session) registerGauges() {
 	s.sampler.Register(metrics.MetricMemUsed, func() float64 { return float64(s.clus.Snapshot().UsedMem) })
 	s.sampler.Register(metrics.MetricMemReserved, func() float64 { return float64(s.clus.Snapshot().ReservedMem) })
 	s.sampler.Register(metrics.MetricPower, func() float64 { return s.clus.Snapshot().PowerWatts })
-	if s.primary.knative != nil {
-		p := s.primary.knative
+	s.sampler.Register(metrics.MetricQueueDepth, func() float64 { return float64(s.primary.QueueDepth()) })
+	if p, ok := s.primary.platform.(*serverless.Platform); ok {
 		s.sampler.Register(metrics.MetricPodsRunning, func() float64 { return float64(p.Pods()) })
-		s.sampler.Register(metrics.MetricQueueDepth, func() float64 { return float64(p.QueueDepth()) })
-	} else if s.primary.local != nil {
-		rt := s.primary.local
-		s.sampler.Register(metrics.MetricQueueDepth, func() float64 { return float64(rt.QueueDepth()) })
 	}
 }
 
@@ -297,28 +296,24 @@ func (s *Session) SecondaryURL() string {
 	return s.secondary.url
 }
 
-// Knative exposes the primary (or secondary) Knative platform if one was
-// provisioned, else nil.
-func (s *Session) Knative() *serverless.Platform {
-	if s.primary.knative != nil {
-		return s.primary.knative
+// provisioned returns the session's platform of type T, the primary
+// first, or T's zero value.
+func provisioned[T any](s *Session) (none T) {
+	for _, h := range []*platformHandle{s.primary, s.secondary} {
+		if h != nil {
+			if p, ok := h.platform.(T); ok {
+				return p
+			}
+		}
 	}
-	if s.secondary != nil {
-		return s.secondary.knative
-	}
-	return nil
+	return none
 }
 
+// Knative exposes the Knative platform if one was provisioned, else nil.
+func (s *Session) Knative() *serverless.Platform { return provisioned[*serverless.Platform](s) }
+
 // LocalRuntime exposes the local-container runtime if provisioned.
-func (s *Session) LocalRuntime() *container.Runtime {
-	if s.primary.local != nil {
-		return s.primary.local
-	}
-	if s.secondary != nil {
-		return s.secondary.local
-	}
-	return nil
-}
+func (s *Session) LocalRuntime() *container.Runtime { return provisioned[*container.Runtime](s) }
 
 // StartSampling begins telemetry collection; call before Run for
 // measured executions.
@@ -390,25 +385,23 @@ func (s *Session) RunHybrid(ctx context.Context, w *wfformat.Workflow, pick func
 	if s.secondary == nil {
 		return nil, errors.New("core: RunHybrid needs a Secondary platform")
 	}
-	byKind := map[string]*platformHandle{
-		s.primary.kind:   s.primary,
-		s.secondary.kind: s.secondary,
+	// Translate for both platforms, then give each task the api_url of
+	// the one picked for it.
+	out, err := s.translateFor(w, s.primary)
+	if err != nil {
+		return nil, err
 	}
-	out := w.Clone()
+	other, err := s.translateFor(w, s.secondary)
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range out.TaskNames() {
-		t := out.Tasks[name]
-		kind := pick(t)
-		h, ok := byKind[kind]
-		if !ok {
+		switch kind := pick(out.Tasks[name]); kind {
+		case s.primary.kind:
+		case s.secondary.kind:
+			out.Tasks[name].Command.APIURL = other.Tasks[name].Command.APIURL
+		default:
 			return nil, fmt.Errorf("core: pick(%s) returned unknown kind %q", name, kind)
-		}
-		if h.kind == KindKnative {
-			t.Command.APIURL = h.url + "/wfbench/wfbench"
-		} else {
-			t.Command.APIURL = h.url + "/wfbench"
-		}
-		for i := range t.Command.Arguments {
-			t.Command.Arguments[i].Workdir = "shared"
 		}
 	}
 	return s.manager.Run(ctx, out)
@@ -422,9 +415,9 @@ func (s *Session) Close() {
 	s.closed = true
 	s.StopSampling()
 	if s.secondary != nil {
-		s.secondary.stop()
+		s.secondary.Stop()
 	}
 	if s.primary != nil {
-		s.primary.stop()
+		s.primary.Stop()
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"time"
@@ -14,7 +12,6 @@ import (
 	"wfserverless/internal/journal"
 	"wfserverless/internal/memo"
 	"wfserverless/internal/sharedfs"
-	"wfserverless/internal/translator"
 	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
 	"wfserverless/internal/wfgen"
@@ -169,16 +166,7 @@ func HealthCampaign(ctx context.Context, cfg HealthConfig) ([]HealthMeasurement,
 // journal directory for post-mortem accounting.
 func healthCell(ctx context.Context, cfg HealthConfig, base *wfformat.Workflow, mode wfm.Scheduling, detect bool) (*wfm.Result, *wfbench.Injector, string, error) {
 	drive := sharedfs.NewMem()
-	bench, err := wfbench.New(wfbench.Config{Drive: drive, TimeScale: cfg.TimeScale})
-	if err != nil {
-		return nil, nil, "", err
-	}
-	svc, err := wfbench.NewService(bench, cfg.Workers)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	defer svc.Close()
-	inj, err := wfbench.NewInjector(svc, wfbench.FaultProfile{
+	w, inj, stop, err := faultyService(base, wfbench.Config{Drive: drive, TimeScale: cfg.TimeScale}, cfg.Workers, wfbench.FaultProfile{
 		LatencyRate:  1,
 		Latency:      cfg.Latency,
 		LatencyAfter: cfg.LatencyAfter,
@@ -188,21 +176,7 @@ func healthCell(ctx context.Context, cfg HealthConfig, base *wfformat.Workflow, 
 	if err != nil {
 		return nil, nil, "", err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, "", err
-	}
-	srv := &http.Server{Handler: inj}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	w, err := translator.LocalContainer(base.Clone(), translator.LocalContainerOptions{
-		BaseURL: "http://" + ln.Addr().String(),
-		Workdir: "shared",
-	})
-	if err != nil {
-		return nil, nil, "", err
-	}
+	defer stop()
 
 	dir, err := os.MkdirTemp("", "wfm-health-")
 	if err != nil {

@@ -12,31 +12,36 @@ import (
 // Table II paradigms end to end — the smoke version of the full
 // 140-experiment campaign.
 func TestEveryParadigmExecutes(t *testing.T) {
-	tn := fastTunables()
 	inst := mustGen(t, "bwa", 25)
 	for _, spec := range All() {
 		spec := spec
 		t.Run(string(spec.ID), func(t *testing.T) {
-			m, err := RunWorkflow(context.Background(), spec, inst.Workflow, tn)
-			if err != nil {
-				t.Fatalf("%s: %v", spec.ID, err)
-			}
-			if m.Requests != int64(inst.Workflow.Len()) {
-				t.Fatalf("%s served %d of %d", spec.ID, m.Requests, inst.Workflow.Len())
-			}
-			if m.Failures != 0 {
-				t.Fatalf("%s failures = %d", spec.ID, m.Failures)
-			}
-			if m.MakespanS <= 0 || m.MeanPowerW <= 0 || m.MeanCPUCores <= 0 {
-				t.Fatalf("%s degenerate measurement: %+v", spec.ID, m)
-			}
-			// Coarse paradigms must not autoscale.
-			if spec.Coarse && m.ColdStarts > 1 {
-				t.Fatalf("%s cold starts = %d", spec.ID, m.ColdStarts)
-			}
-			// Fine serverless must scale from zero.
-			if spec.Kind == KindKnative && !spec.Coarse && m.ColdStarts == 0 {
-				t.Fatalf("%s recorded no cold starts", spec.ID)
+			// One POST per task, then framed /invoke-batch POSTs: every
+			// paradigm's endpoint, the baseline's included, speaks both.
+			for _, batch := range []bool{false, true} {
+				tn := fastTunables()
+				tn.Manager.Batching.Enabled = batch
+				m, err := RunWorkflow(context.Background(), spec, inst.Workflow, tn)
+				if err != nil {
+					t.Fatalf("%s (batch %t): %v", spec.ID, batch, err)
+				}
+				if m.Requests != int64(inst.Workflow.Len()) {
+					t.Fatalf("%s (batch %t) served %d of %d", spec.ID, batch, m.Requests, inst.Workflow.Len())
+				}
+				if m.Failures != 0 {
+					t.Fatalf("%s (batch %t) failures = %d", spec.ID, batch, m.Failures)
+				}
+				if m.MakespanS <= 0 || m.MeanPowerW <= 0 || m.MeanCPUCores <= 0 {
+					t.Fatalf("%s (batch %t) degenerate measurement: %+v", spec.ID, batch, m)
+				}
+				// Coarse paradigms must not autoscale.
+				if spec.Coarse && m.ColdStarts > 1 {
+					t.Fatalf("%s (batch %t) cold starts = %d", spec.ID, batch, m.ColdStarts)
+				}
+				// Fine serverless must scale from zero.
+				if spec.Kind == KindKnative && !spec.Coarse && m.ColdStarts == 0 {
+					t.Fatalf("%s (batch %t) recorded no cold starts", spec.ID, batch)
+				}
 			}
 		})
 	}

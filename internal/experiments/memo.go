@@ -119,17 +119,6 @@ func Memo(ctx context.Context, cfg MemoConfig) ([]MemoMeasurement, error) {
 	return out, nil
 }
 
-// snapshot copies the per-task counts for before/after diffing.
-func (c *invocationCounter) snapshot() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int, len(c.n))
-	for k, v := range c.n {
-		out[k] = v
-	}
-	return out
-}
-
 // memoSequence runs cold → rerun → edit1 → editk over one drive and
 // one cache file, reopening the cache between variants so every probe
 // exercises the durable on-disk format, not a warm in-memory index.
@@ -245,14 +234,14 @@ func memoVariant(ctx context.Context, rcfg RecoveryConfig, mode wfm.Scheduling, 
 	if err != nil {
 		return nil, err
 	}
-	before := env.counts.snapshot()
+	before := env.stub.Counts()
 	start := time.Now()
 	res, err := mgr.Run(ctx, env.w)
 	if err != nil {
 		return nil, err
 	}
 	wall := time.Since(start)
-	after := env.counts.snapshot()
+	after := env.stub.Counts()
 
 	invoked := make(map[string]bool)
 	total := 0

@@ -21,12 +21,10 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"slices"
 	"strings"
@@ -162,75 +160,23 @@ func Recovery(ctx context.Context, cfg RecoveryConfig) ([]RecoveryTrial, error) 
 	return out, nil
 }
 
-// invocationCounter tallies successful task executions by name across
-// process lifetimes — the ground truth duplicates are checked against.
-type invocationCounter struct {
-	mu sync.Mutex
-	n  map[string]int
-}
-
-func (c *invocationCounter) inc(name string) {
-	c.mu.Lock()
-	c.n[name]++
-	c.mu.Unlock()
-}
-
-func (c *invocationCounter) get(name string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n[name]
-}
-
-// recoveryEnv is one trial's world: a fresh drive, a counting WfBench
-// stub (optionally behind the fault injector), and the synthetic
-// workflow wired to it.
+// recoveryEnv is one trial's world: a fresh drive, the counting WfBench
+// stub (optionally behind the fault injector) — whose per-name counts,
+// kept across process lifetimes, are the ground truth duplicates are
+// checked against — and the synthetic workflow wired to it.
 type recoveryEnv struct {
-	drive  sharedfs.Drive
-	counts *invocationCounter
-	srv    *httptest.Server
-	w      *wfformat.Workflow
+	drive sharedfs.Drive
+	stub  *wfbench.Stub
+	srv   *wfbench.Loopback
+	w     *wfformat.Workflow
 }
 
 func (e *recoveryEnv) Close() { e.srv.Close() }
 
 func newRecoveryEnv(cfg RecoveryConfig, faults bool, faultSeed int64) (*recoveryEnv, error) {
 	drive := sharedfs.NewMem()
-	counts := &invocationCounter{n: make(map[string]int)}
-	execOne := func(req *wfbench.Request) *wfbench.Response {
-		for name, size := range req.Out {
-			drive.WriteFile(name, size)
-		}
-		counts.inc(req.Name)
-		return &wfbench.Response{Name: req.Name, OK: true}
-	}
-	var handler http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/invoke-batch") {
-			items, err := wfbench.DecodeBatchRequest(r.Body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			results := make([]wfbench.BatchResult, len(items))
-			for i, it := range items {
-				var req wfbench.Request
-				if err := json.Unmarshal(it.Body, &req); err != nil {
-					results[i] = wfbench.BatchResult{Status: http.StatusBadRequest, Payload: []byte(err.Error())}
-					continue
-				}
-				payload, _ := json.Marshal(execOne(&req))
-				results[i] = wfbench.BatchResult{Status: http.StatusOK, Payload: payload}
-			}
-			wfbench.WriteBatchResponse(w, results)
-			return
-		}
-		var req wfbench.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(execOne(&req))
-	})
+	stub := wfbench.NewStub(drive, 0)
+	var handler http.Handler = wfbench.NewEndpoint(stub)
 	if faults {
 		p := cfg.Faults
 		p.Seed = faultSeed
@@ -240,15 +186,18 @@ func newRecoveryEnv(cfg RecoveryConfig, faults bool, faultSeed int64) (*recovery
 		}
 		handler = inj
 	}
-	srv := httptest.NewServer(handler)
+	srv, err := wfbench.ListenLoopback(handler)
+	if err != nil {
+		return nil, err
+	}
 	w, _, err := scaleWorkflow(ScaleConfig{
 		Tasks: cfg.Tasks, Shape: "random", Width: cfg.Width, Seed: cfg.Seed,
-	}, srv.URL)
+	}, srv.URL()+"/wfbench")
 	if err != nil {
 		srv.Close()
 		return nil, err
 	}
-	return &recoveryEnv{drive: drive, counts: counts, srv: srv, w: w}, nil
+	return &recoveryEnv{drive: drive, stub: stub, srv: srv, w: w}, nil
 }
 
 // recoveryManager builds a manager over the env with retry settings
@@ -402,8 +351,9 @@ func recoveryTrial(ctx context.Context, cfg RecoveryConfig, mode wfm.Scheduling,
 	// outputs survived — and under Memoize, a memoized task is one the
 	// cache vouched for: either way the stub must have executed it
 	// exactly once.
+	counts := env.stub.Counts()
 	for _, tr := range res.Tasks {
-		if (tr.Recovered || tr.Memoized) && env.counts.get(tr.Name) > 1 {
+		if (tr.Recovered || tr.Memoized) && counts[tr.Name] > 1 {
 			t.DuplicateInvocations++
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"time"
@@ -168,41 +166,44 @@ func Resilience(ctx context.Context, cfg ResilienceConfig) ([]ResilienceMeasurem
 	return out, nil
 }
 
+// faultyService stands the standalone WfBench service up behind a fault
+// injector on a loopback port and translates base for it; stop releases
+// the port and the workers.
+func faultyService(base *wfformat.Workflow, cfg wfbench.Config, workers int, profile wfbench.FaultProfile) (w *wfformat.Workflow, inj *wfbench.Injector, stop func(), err error) {
+	bench, err := wfbench.New(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	svc, err := wfbench.NewService(bench, workers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if inj, err = wfbench.NewInjector(svc, profile); err != nil {
+		return nil, nil, nil, err
+	}
+	srv, err := wfbench.ListenLoopback(inj)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	w, err = translator.LocalContainer(base.Clone(), translator.LocalContainerOptions{BaseURL: srv.URL(), Workdir: "shared"})
+	if err != nil {
+		srv.Close()
+		return nil, nil, nil, err
+	}
+	return w, inj, func() { srv.Close(); svc.Close() }, nil
+}
+
 func resilienceRun(ctx context.Context, cfg ResilienceConfig, base *wfformat.Workflow, mode wfm.Scheduling) (*ResilienceMeasurement, error) {
 	drive := sharedfs.NewMem()
 	var tracer *obs.Tracer
 	if cfg.TraceSample > 0 {
 		tracer = obs.NewTracer(obs.Options{SampleRatio: cfg.TraceSample})
 	}
-	bench, err := wfbench.New(wfbench.Config{Drive: drive, TimeScale: cfg.TimeScale, Tracer: tracer})
+	w, inj, stop, err := faultyService(base, wfbench.Config{Drive: drive, TimeScale: cfg.TimeScale, Tracer: tracer}, cfg.Workers, cfg.Profile)
 	if err != nil {
 		return nil, err
 	}
-	svc, err := wfbench.NewService(bench, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	defer svc.Close()
-	inj, err := wfbench.NewInjector(svc, cfg.Profile)
-	if err != nil {
-		return nil, err
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: inj}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	w, err := translator.LocalContainer(base.Clone(), translator.LocalContainerOptions{
-		BaseURL: "http://" + ln.Addr().String(),
-		Workdir: "shared",
-	})
-	if err != nil {
-		return nil, err
-	}
+	defer stop()
 
 	opts := wfm.Options{
 		Drive:           drive,

@@ -12,11 +12,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
@@ -82,11 +79,17 @@ func Scale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 		cfg.MaxParallel = 256
 	}
 	drive := sharedfs.NewMem()
-	stub := scaleStub(drive)
+	// The loopback endpoint does no simulated compute and answers both
+	// the single-task POST and the framed /invoke-batch surface, so
+	// either transport measures the same amount of real work per task.
+	stub, err := wfbench.ListenLoopback(wfbench.NewEndpoint(wfbench.NewStub(drive, 0)))
+	if err != nil {
+		return nil, err
+	}
 	defer stub.Close()
 
 	buildStart := time.Now()
-	w, edges, err := scaleWorkflow(cfg, stub.URL)
+	w, edges, err := scaleWorkflow(cfg, stub.URL()+"/wfbench")
 	if err != nil {
 		return nil, err
 	}
@@ -140,47 +143,6 @@ func Scale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 		sr.Trace = wfm.TraceOf(res)
 	}
 	return sr, nil
-}
-
-// scaleStub is the loopback WfBench endpoint: decode, publish outputs
-// to the drive, acknowledge. No simulated compute. It answers both the
-// single-task POST and the framed /invoke-batch surface, so either
-// transport measures the same amount of real work per task.
-func scaleStub(drive sharedfs.Drive) *httptest.Server {
-	execOne := func(req *wfbench.Request) *wfbench.Response {
-		for name, size := range req.Out {
-			drive.WriteFile(name, size)
-		}
-		return &wfbench.Response{Name: req.Name, OK: true}
-	}
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/invoke-batch") {
-			items, err := wfbench.DecodeBatchRequest(r.Body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			results := make([]wfbench.BatchResult, len(items))
-			for i, it := range items {
-				var req wfbench.Request
-				if err := json.Unmarshal(it.Body, &req); err != nil {
-					results[i] = wfbench.BatchResult{Status: http.StatusBadRequest, Payload: []byte(err.Error())}
-					continue
-				}
-				payload, _ := json.Marshal(execOne(&req))
-				results[i] = wfbench.BatchResult{Status: http.StatusOK, Payload: payload}
-			}
-			wfbench.WriteBatchResponse(w, results)
-			return
-		}
-		var req wfbench.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(execOne(&req))
-	}))
 }
 
 // scaleWorkflow builds the synthetic DAG. Every task publishes one

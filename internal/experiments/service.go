@@ -29,7 +29,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -134,56 +133,6 @@ func (r ServiceReport) Gates() bool {
 	return r.GateQuota && r.GateFairShare && r.GateBackpressure && r.GateRecovery
 }
 
-// serviceStub is a loopback WfBench endpoint that counts executions
-// per task name across daemon lifetimes and publishes outputs to the
-// shared drive — the recovery phase's ground truth for duplicates.
-type serviceStub struct {
-	drive sharedfs.Drive
-	delay time.Duration
-
-	mu sync.Mutex
-	n  map[string]int
-}
-
-func (st *serviceStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	var req wfbench.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	st.mu.Lock()
-	st.n[req.Name]++
-	st.mu.Unlock()
-	if st.delay > 0 {
-		time.Sleep(st.delay)
-	}
-	for name, size := range req.Out {
-		st.drive.WriteFile(name, size)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&wfbench.Response{Name: req.Name, OK: true})
-}
-
-func (st *serviceStub) counts() map[string]int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make(map[string]int, len(st.n))
-	for k, v := range st.n {
-		out[k] = v
-	}
-	return out
-}
-
-func (st *serviceStub) total() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	t := 0
-	for _, n := range st.n {
-		t += n
-	}
-	return t
-}
-
 // serviceWorkflow builds a prefixed root + children fanout whose task
 // and file names are namespaced per run, marshalled for submission.
 func serviceWorkflow(prefix string, tasks int, url string) ([]byte, error) {
@@ -233,8 +182,8 @@ func serviceWorkflow(prefix string, tasks int, url string) ([]byte, error) {
 // and a wfmd over a temp data dir, fronted by a real HTTP listener.
 type serviceEnv struct {
 	drive   sharedfs.Drive
-	stub    *serviceStub
-	stubSrv *httptest.Server
+	stub    *wfbench.Stub // counts executions across daemon lifetimes
+	stubSrv *wfbench.Loopback
 	dataDir string
 
 	srv  *wfmd.Server
@@ -243,16 +192,17 @@ type serviceEnv struct {
 
 func newServiceEnv(cfg ServiceConfig) (*serviceEnv, error) {
 	drive := sharedfs.NewMem()
-	stub := &serviceStub{drive: drive, delay: cfg.StubDelay, n: make(map[string]int)}
-	dataDir, err := os.MkdirTemp("", "wfmd-service-")
+	stub := wfbench.NewStub(drive, cfg.StubDelay)
+	stubSrv, err := wfbench.ListenLoopback(wfbench.NewEndpoint(stub))
 	if err != nil {
 		return nil, err
 	}
-	return &serviceEnv{
-		drive: drive, stub: stub,
-		stubSrv: httptest.NewServer(stub),
-		dataDir: dataDir,
-	}, nil
+	dataDir, err := os.MkdirTemp("", "wfmd-service-")
+	if err != nil {
+		stubSrv.Close()
+		return nil, err
+	}
+	return &serviceEnv{drive: drive, stub: stub, stubSrv: stubSrv, dataDir: dataDir}, nil
 }
 
 // start boots a wfmd over the env's data dir — callable again after a
@@ -348,7 +298,7 @@ func serviceFairness(ctx context.Context, cfg ServiceConfig, rep *ServiceReport)
 		c := env.client(tenant)
 		ids := make([]string, 0, cfg.RunsPerTenant)
 		for i := 0; i < cfg.RunsPerTenant; i++ {
-			wf, err := serviceWorkflow(fmt.Sprintf("%s%d", tenant, i), cfg.TasksPerRun, env.stubSrv.URL)
+			wf, err := serviceWorkflow(fmt.Sprintf("%s%d", tenant, i), cfg.TasksPerRun, env.stubSrv.URL()+"/wfbench")
 			if err != nil {
 				errs <- err
 				return
@@ -428,7 +378,7 @@ func serviceBackpressure(ctx context.Context, cfg ServiceConfig, rep *ServiceRep
 	const burst = 8
 	accepted := 0
 	for i := 0; i < burst; i++ {
-		wf, err := serviceWorkflow(fmt.Sprintf("bp%d", i), cfg.TasksPerRun/4, env.stubSrv.URL)
+		wf, err := serviceWorkflow(fmt.Sprintf("bp%d", i), cfg.TasksPerRun/4, env.stubSrv.URL()+"/wfbench")
 		if err != nil {
 			return err
 		}
@@ -455,7 +405,7 @@ func serviceBackpressure(ctx context.Context, cfg ServiceConfig, rep *ServiceRep
 	// backoff policy until the queue drains.
 	c := env.client("flood")
 	for i := 0; i < burst-accepted; i++ {
-		wf, err := serviceWorkflow(fmt.Sprintf("bpretry%d", i), cfg.TasksPerRun/4, env.stubSrv.URL)
+		wf, err := serviceWorkflow(fmt.Sprintf("bpretry%d", i), cfg.TasksPerRun/4, env.stubSrv.URL()+"/wfbench")
 		if err != nil {
 			return err
 		}
@@ -514,7 +464,7 @@ func serviceRecovery(ctx context.Context, cfg ServiceConfig, rep *ServiceReport)
 	for _, tenant := range []string{"heavy", "light"} {
 		c := env.client(tenant)
 		for i := 0; i < 2; i++ {
-			wf, err := serviceWorkflow(fmt.Sprintf("rc_%s%d", tenant, i), cfg.TasksPerRun, env.stubSrv.URL)
+			wf, err := serviceWorkflow(fmt.Sprintf("rc_%s%d", tenant, i), cfg.TasksPerRun, env.stubSrv.URL()+"/wfbench")
 			if err != nil {
 				return err
 			}
@@ -528,9 +478,9 @@ func serviceRecovery(ctx context.Context, cfg ServiceConfig, rep *ServiceReport)
 	rep.RecoveryRuns = len(subs)
 	target := len(subs) * cfg.TasksPerRun / 3
 	deadline := time.Now().Add(30 * time.Second)
-	for env.stub.total() < target {
+	for env.stub.Total() < target {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("recovery phase: stub saw %d executions, wanted %d", env.stub.total(), target)
+			return fmt.Errorf("recovery phase: stub saw %d executions, wanted %d", env.stub.Total(), target)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -564,7 +514,7 @@ func serviceRecovery(ctx context.Context, cfg ServiceConfig, rep *ServiceReport)
 		rep.CrashCompleted += len(rec.names)
 		journalled = append(journalled, rec)
 	}
-	countsAtCrash := env.stub.counts()
+	countsAtCrash := env.stub.Counts()
 
 	// Life 2: same data dir, fresh daemon. Every incomplete run must
 	// come back and finish.
@@ -585,7 +535,7 @@ func serviceRecovery(ctx context.Context, cfg ServiceConfig, rep *ServiceReport)
 			rep.ResumedRuns++
 		}
 	}
-	after := env.stub.counts()
+	after := env.stub.Counts()
 	for _, rec := range journalled {
 		for _, name := range rec.names {
 			if after[name] != countsAtCrash[name] {

@@ -1,7 +1,6 @@
 package serverless
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -84,47 +83,16 @@ func TestInvokeBatchUnknownService(t *testing.T) {
 	}
 }
 
-// TestIngressBatchRoute drives POST /<service>/invoke-batch through the
-// HTTP ingress — the exact surface the manager's batchURL points at
-// once the translator has rewritten API URLs.
+// TestIngressBatchRoute: a frame refused by a full queue carries the 429
+// and the Retry-After a single-task POST would have been answered with.
 func TestIngressBatchRoute(t *testing.T) {
-	drive := sharedfs.NewMem()
-	p := startPlatform(t, fastOpts(cluster.PaperTestbed(), drive))
-	if err := p.Apply(ServiceConfig{Name: "wfbench", Workers: 2, CPURequestPerWorker: 1}); err != nil {
-		t.Fatal(err)
+	rec := postFullQueue(t, "/s/invoke-batch", wfbench.EncodeBatchRequest([]wfbench.BatchItem{frame(t, benchReq("b", 1))}))
+	results, err := wfbench.DecodeBatchResponse(rec.Body)
+	if rec.Code != http.StatusOK || err != nil || len(results) != 1 {
+		t.Fatalf("status %d, %d frames, err %v", rec.Code, len(results), err)
 	}
-	items := []wfbench.BatchItem{frame(t, benchReq("i1", 10)), frame(t, benchReq("i2", 10))}
-	resp, err := http.Post(p.URL()+"/wfbench/invoke-batch", wfbench.BatchContentType,
-		bytes.NewReader(wfbench.EncodeBatchRequest(items)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingress batch status = %d", resp.StatusCode)
-	}
-	results, err := wfbench.DecodeBatchResponse(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Status != http.StatusOK {
-			t.Fatalf("frame %d status = %d (%q)", i, res.Status, res.Payload)
-		}
-	}
-	if !drive.Exists("i1_out") || !drive.Exists("i2_out") {
-		t.Fatal("ingress batch outputs missing")
-	}
-
-	// A corrupt body is a 400 before any sub-task runs.
-	bad, err := http.Post(p.URL()+"/wfbench/invoke-batch", wfbench.BatchContentType,
-		bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt batch status = %d, want 400", bad.StatusCode)
+	if results[0].Status != http.StatusTooManyRequests || results[0].RetryAfterMillis <= 0 {
+		t.Fatalf("frame = %+v, want 429 with a Retry-After", results[0])
 	}
 }
 
@@ -156,21 +124,17 @@ func TestInvokeBatchLargeFanout(t *testing.T) {
 }
 
 func TestSplitBatchPath(t *testing.T) {
-	for _, tc := range []struct {
-		in      string
-		service string
-		ok      bool
-	}{
-		{"/wfbench/invoke-batch", "wfbench", true},
-		{"/svc/invoke-batch/", "svc", true},
-		{"/invoke-batch", "", false},
-		{"//invoke-batch", "", false},
-		{"/a/b/invoke-batch", "", false},
-		{"/wfbench/wfbench", "", false},
+	p := startPlatform(t, fastOpts(cluster.PaperTestbed(), sharedfs.NewMem()))
+	body := wfbench.EncodeBatchRequest([]wfbench.BatchItem{frame(t, benchReq("r", 1))})
+	for path, want := range map[string]string{
+		"/wfbench/invoke-batch": "wfbench",
+		"/svc/invoke-batch/":    "svc",
+		"/invoke-batch":         "",
+		"//invoke-batch":        "404",
+		"/a/b/invoke-batch":     "404",
 	} {
-		service, ok := splitBatchPath(tc.in)
-		if service != tc.service || ok != tc.ok {
-			t.Errorf("splitBatchPath(%q) = %q,%v want %q,%v", tc.in, service, ok, tc.service, tc.ok)
+		if got := routed(t, p, path, body); got != want {
+			t.Errorf("POST %s reached %q, want %q", path, got, want)
 		}
 	}
 }

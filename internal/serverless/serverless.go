@@ -25,10 +25,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,7 +177,7 @@ type invocation struct {
 	// a dedicated channel.
 	idx int
 	// prep, when set, carries the batch's shared input verification so
-	// the worker skips the per-task input wait (ExecuteVerified).
+	// the worker skips the per-task input wait.
 	prep *wfbench.BatchPrep
 }
 
@@ -191,14 +189,14 @@ type invocationResult struct {
 
 // Platform is the serverless platform. Create with New, then Start to
 // listen on the loopback ingress, Apply services, and Stop when done.
+// It is a wfbench.BatchExecutor whose route is the service name.
 type Platform struct {
-	opts Options
+	opts     Options
+	endpoint *wfbench.Endpoint
 
 	mu       sync.Mutex
 	services map[string]*service
-	server   *http.Server
-	listener net.Listener
-	url      string
+	ingress  *wfbench.Loopback
 	stopCh   chan struct{}
 	stopped  bool
 	asWG     sync.WaitGroup
@@ -219,11 +217,13 @@ func New(opts Options) (*Platform, error) {
 	if err := opts.applyDefaults(); err != nil {
 		return nil, err
 	}
-	return &Platform{
+	p := &Platform{
 		opts:     opts,
 		services: make(map[string]*service),
 		stopCh:   make(chan struct{}),
-	}, nil
+	}
+	p.endpoint = wfbench.NewEndpoint(p)
+	return p, nil
 }
 
 // Start binds the ingress to a loopback port and launches the autoscaler.
@@ -231,28 +231,25 @@ func New(opts Options) (*Platform, error) {
 func (p *Platform) Start() (string, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.listener != nil {
+	if p.ingress != nil {
 		return "", errors.New("serverless: already started")
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ingress, err := wfbench.ListenLoopback(p)
 	if err != nil {
-		return "", fmt.Errorf("serverless: ingress listen: %w", err)
+		return "", fmt.Errorf("serverless: ingress: %w", err)
 	}
-	p.listener = ln
-	p.url = "http://" + ln.Addr().String()
-	p.server = &http.Server{Handler: p}
-	go p.server.Serve(ln)
+	p.ingress = ingress
 
 	p.asWG.Add(1)
 	go p.autoscaleLoop()
-	return p.url, nil
+	return ingress.URL(), nil
 }
 
 // URL returns the ingress base URL ("" before Start).
 func (p *Platform) URL() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.url
+	return p.ingress.URL()
 }
 
 // Stop tears down all services, the autoscaler, and the ingress.
@@ -264,7 +261,7 @@ func (p *Platform) Stop() {
 	}
 	p.stopped = true
 	close(p.stopCh)
-	server := p.server
+	ingress := p.ingress
 	svcs := make([]*service, 0, len(p.services))
 	for _, s := range p.services {
 		svcs = append(svcs, s)
@@ -276,11 +273,7 @@ func (p *Platform) Stop() {
 	for _, s := range svcs {
 		s.shutdown()
 	}
-	if server != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		server.Shutdown(ctx)
-	}
+	ingress.Close()
 }
 
 // Apply creates or replaces a service, starting MinScale pods
@@ -367,27 +360,59 @@ func (p *Platform) ScaleStalls() int64 { return p.scaleStalls.Load() }
 
 // ErrOverloaded is returned when an invocation cannot be accepted
 // because the service's queue is full — backpressure the caller should
-// respond to by retrying later. The ingress maps it to 429.
+// respond to by retrying later: it travels as a 429 whose Retry-After is
+// one autoscale period, the soonest capacity can change.
 var ErrOverloaded = errors.New("serverless: overloaded")
 
-// ErrStopped is returned for invocations arriving after Close. The
-// ingress maps it to 503.
+// ErrStopped is returned for invocations arriving after Close (a 503).
 var ErrStopped = errors.New("serverless: platform stopped")
 
-// Invoke executes one function on the named service, bypassing HTTP.
-// The ingress handler and in-process callers share this path.
-func (p *Platform) Invoke(ctx context.Context, serviceName string, req *wfbench.Request) (*wfbench.Response, error) {
+// lookup resolves a service name. A missing service is a 503 either way;
+// Stop tears the service map down, so after it the error reports
+// shutdown, not a configuration mistake.
+func (p *Platform) lookup(name string) (*service, error) {
 	p.mu.Lock()
-	svc := p.services[serviceName]
+	svc := p.services[name]
 	stopped := p.stopped
 	p.mu.Unlock()
 	if svc == nil {
 		if stopped {
-			// Stop tears the service map down, so report shutdown, not
-			// a configuration mistake.
-			return nil, fmt.Errorf("serverless: %s: %w", serviceName, ErrStopped)
+			return nil, fmt.Errorf("serverless: %s: %w", name, ErrStopped)
 		}
-		return nil, fmt.Errorf("serverless: no such service %q", serviceName)
+		return nil, fmt.Errorf("serverless: no such service %q", name)
+	}
+	return svc, nil
+}
+
+// refuse closes out an invocation that never reached the queue and
+// returns the error it fails with. cause is ErrStopped or the caller's
+// ctx.Err(); a caller that gave up on a full queue is told the platform
+// is overloaded, because only that is the platform's fault and only that
+// should read as retry-later to the workflow manager.
+func (p *Platform) refuse(svc *service, inv *invocation, cause error) error {
+	reason := "cancelled before dispatch"
+	if cause == ErrStopped {
+		reason = "platform stopped"
+	}
+	inv.queue.SetAttr("error", reason)
+	inv.queue.Finish()
+	p.failures.Add(1)
+	if cause != ErrStopped && len(svc.queue) >= cap(svc.queue) {
+		return &wfbench.StatusError{
+			Status:     http.StatusTooManyRequests,
+			RetryAfter: p.opts.scaled(p.opts.AutoscalePeriod),
+			Err:        fmt.Errorf("serverless: %s: queue full: %w: %w", svc.cfg.Name, ErrOverloaded, cause),
+		}
+	}
+	return fmt.Errorf("serverless: %s: %w", svc.cfg.Name, cause)
+}
+
+// Invoke executes one function on the named service. The ingress and
+// in-process callers share this path.
+func (p *Platform) Invoke(ctx context.Context, serviceName string, req *wfbench.Request) (*wfbench.Response, error) {
+	svc, err := p.lookup(serviceName)
+	if err != nil {
+		return nil, err
 	}
 	p.requests.Add(1)
 	start := time.Now()
@@ -398,21 +423,9 @@ func (p *Platform) Invoke(ctx context.Context, serviceName string, req *wfbench.
 	select {
 	case svc.queue <- inv:
 	case <-ctx.Done():
-		inv.queue.SetAttr("error", "cancelled before dispatch")
-		inv.queue.Finish()
-		p.failures.Add(1)
-		// Distinguish overload from a caller that simply gave up: only
-		// a full queue is the platform's fault, and only that case
-		// should read as 429-retry-later to the workflow manager.
-		if len(svc.queue) >= cap(svc.queue) {
-			return nil, fmt.Errorf("serverless: %s: queue full: %w: %w", serviceName, ErrOverloaded, ctx.Err())
-		}
-		return nil, fmt.Errorf("serverless: %s: %w", serviceName, ctx.Err())
+		return nil, p.refuse(svc, inv, ctx.Err())
 	case <-p.stopCh:
-		inv.queue.SetAttr("error", "platform stopped")
-		inv.queue.Finish()
-		p.failures.Add(1)
-		return nil, fmt.Errorf("serverless: %s: %w", serviceName, ErrStopped)
+		return nil, p.refuse(svc, inv, ErrStopped)
 	}
 	select {
 	case r := <-inv.respCh:
@@ -427,55 +440,25 @@ func (p *Platform) Invoke(ctx context.Context, serviceName string, req *wfbench.
 	}
 }
 
-// InvokeBatch executes a framed batch of sub-requests on the named
-// service. The batch's input-file union is waited for and content-
-// hashed once (wfbench.PrepareInputs), then every valid sub-request is
-// handed to the service queue in one pass — warm pods pull them
-// concurrently, so the batch fans out across the fleet without a
-// per-task HTTP round trip — and the results are collected on one
-// shared channel. Each frame carries the exact status a single-task
-// POST would have produced: 400 for invalid frames, 429 with a
-// Retry-After of one autoscale period when the queue is full, 503 on
-// shutdown/cancellation, 500 with the Response JSON for function
-// errors, 200 otherwise.
+// InvokeBatch executes a framed batch on the named service, and is why
+// the platform overrides the endpoint's frame-per-goroutine default: the
+// batch's input-file union is waited for and content-hashed once
+// (wfbench.PrepareInputs), then every valid sub-request is handed to the
+// service queue in one pass — warm pods pull them concurrently, so the
+// batch fans out across the fleet — and the results are collected on one
+// shared channel. Each frame fails exactly as Invoke would have.
 func (p *Platform) InvokeBatch(ctx context.Context, serviceName string, items []wfbench.BatchItem) []wfbench.BatchResult {
 	results := make([]wfbench.BatchResult, len(items))
-	p.mu.Lock()
-	svc := p.services[serviceName]
-	stopped := p.stopped
-	p.mu.Unlock()
-	if svc == nil {
-		msg := fmt.Sprintf("serverless: no such service %q", serviceName)
-		if stopped {
-			msg = fmt.Sprintf("serverless: %s: %v", serviceName, ErrStopped)
-		}
+	svc, err := p.lookup(serviceName)
+	if err != nil {
 		for i := range results {
-			results[i] = wfbench.BatchResult{Status: http.StatusServiceUnavailable, Payload: []byte(msg)}
+			results[i] = wfbench.ResultFrame(nil, err)
 		}
 		return results
 	}
+	reqs, inputs := wfbench.DecodeFrames(items, results)
+	prep := wfbench.PrepareInputs(ctx, p.opts.Drive, inputs, p.opts.scaled(p.opts.InputWait))
 
-	// Decode and validate every frame first so the input union covers
-	// exactly the sub-tasks that will run.
-	reqs := make([]*wfbench.Request, len(items))
-	var union []string
-	for i, it := range items {
-		req := new(wfbench.Request)
-		if err := wfbench.UnmarshalRequest(it.Body, req); err != nil {
-			results[i] = wfbench.BatchResult{Status: http.StatusBadRequest,
-				Payload: []byte(fmt.Sprintf("bad request: %v", err))}
-			continue
-		}
-		if err := req.Validate(); err != nil {
-			results[i] = wfbench.BatchResult{Status: http.StatusBadRequest, Payload: []byte(err.Error())}
-			continue
-		}
-		reqs[i] = req
-		union = append(union, req.Inputs...)
-	}
-	prep := wfbench.PrepareInputs(ctx, p.opts.Drive, union, p.opts.scaled(p.opts.InputWait))
-
-	overloadMillis := p.opts.scaled(p.opts.AutoscalePeriod).Milliseconds()
 	respCh := make(chan invocationResult, len(items))
 	enqueued := 0
 	start := time.Now()
@@ -496,26 +479,13 @@ enqueue:
 			svc.inflight.Add(1)
 			enqueued++
 		case <-ctx.Done():
-			inv.queue.SetAttr("error", "cancelled before dispatch")
-			inv.queue.Finish()
-			p.failures.Add(1)
-			if len(svc.queue) >= cap(svc.queue) {
-				results[i] = wfbench.BatchResult{Status: http.StatusTooManyRequests,
-					RetryAfterMillis: overloadMillis,
-					Payload:          []byte(fmt.Sprintf("serverless: %s: queue full: %v: %v", serviceName, ErrOverloaded, ctx.Err()))}
-				continue
-			}
-			results[i] = wfbench.BatchResult{Status: http.StatusServiceUnavailable,
-				Payload: []byte(fmt.Sprintf("serverless: %s: %v", serviceName, ctx.Err()))}
+			results[i] = wfbench.ResultFrame(nil, p.refuse(svc, inv, ctx.Err()))
 		case <-p.stopCh:
-			inv.queue.SetAttr("error", "platform stopped")
-			inv.queue.Finish()
-			p.failures.Add(1)
 			// Everything not yet enqueued shares the shutdown verdict.
+			stopped := wfbench.ResultFrame(nil, p.refuse(svc, inv, ErrStopped))
 			for j := i; j < len(reqs); j++ {
-				if reqs[j] != nil && results[j].Status == 0 {
-					results[j] = wfbench.BatchResult{Status: http.StatusServiceUnavailable,
-						Payload: []byte(fmt.Sprintf("serverless: %s: %v", serviceName, ErrStopped))}
+				if reqs[j] != nil {
+					results[j] = stopped
 				}
 			}
 			break enqueue
@@ -527,7 +497,7 @@ enqueue:
 		case r := <-respCh:
 			svc.inflight.Add(-1)
 			p.latency.ObserveDuration(time.Since(start))
-			results[r.idx] = subResultFrame(r)
+			results[r.idx] = wfbench.ResultFrame(r.resp, r.err)
 			if r.err != nil {
 				p.failures.Add(1)
 			}
@@ -536,11 +506,11 @@ enqueue:
 			// cancelled and drain the stragglers in the background so the
 			// inflight gauge (the autoscaler's demand signal) stays honest.
 			remaining := enqueued - done
+			cancelled := wfbench.ResultFrame(nil, fmt.Errorf("serverless: %s: %w", serviceName, ctx.Err()))
 			for i, req := range reqs {
 				if req != nil && results[i].Status == 0 {
 					p.failures.Add(1)
-					results[i] = wfbench.BatchResult{Status: http.StatusServiceUnavailable,
-						Payload: []byte(fmt.Sprintf("serverless: %s: %v", serviceName, ctx.Err()))}
+					results[i] = cancelled
 				}
 			}
 			go func() {
@@ -553,27 +523,6 @@ enqueue:
 		}
 	}
 	return results
-}
-
-// subResultFrame renders one collected sub-invocation as a response
-// frame with single-task HTTP semantics.
-func subResultFrame(r invocationResult) wfbench.BatchResult {
-	status := http.StatusOK
-	if r.err != nil {
-		status = http.StatusInternalServerError
-	}
-	var payload []byte
-	if r.resp != nil {
-		var merr error
-		payload, merr = wfbench.MarshalResponse(r.resp)
-		if merr != nil {
-			status = http.StatusInternalServerError
-			payload = []byte(merr.Error())
-		}
-	} else if r.err != nil {
-		payload = []byte(r.err.Error())
-	}
-	return wfbench.BatchResult{Status: status, Payload: payload}
 }
 
 // Stats is the operational snapshot served at GET /stats.
@@ -616,13 +565,9 @@ func (p *Platform) Stats() Stats {
 	return st
 }
 
-// ServeHTTP routes POST /<service>/wfbench, POST
-// /<service>/invoke-batch, GET /stats, GET /healthz.
+// ServeHTTP serves the platform's own GET /stats and /metrics;
+// everything else is the function endpoint, routed by service name.
 func (p *Platform) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/healthz" {
-		fmt.Fprintln(w, "ok")
-		return
-	}
 	if r.URL.Path == "/stats" && r.Method == http.MethodGet {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(p.Stats())
@@ -632,92 +577,7 @@ func (p *Platform) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		obs.ServeMetrics(w, r, p.WriteMetrics)
 		return
 	}
-	if service, ok := splitBatchPath(r.URL.Path); ok && r.Method == http.MethodPost {
-		body, err := wfbench.ReadBatchBody(r)
-		var items []wfbench.BatchItem
-		if err == nil {
-			items, err = wfbench.DecodeBatchRequestBytes(body)
-		}
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
-			return
-		}
-		wfbench.WriteBatchResponse(w, p.InvokeBatch(r.Context(), service, items))
-		return
-	}
-	// Manual /<service>/wfbench routing: the invoke path handles one
-	// request per workflow task, so it avoids strings.Split's slice
-	// allocation per hit.
-	service, ok := splitInvokePath(r.URL.Path)
-	if !ok || r.Method != http.MethodPost {
-		http.NotFound(w, r)
-		return
-	}
-	var req wfbench.Request
-	if err := wfbench.ReadRequest(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// A caller that sampled its invoke span propagates the trace here;
-	// requests without (or with malformed) Traceparent headers pay only
-	// this header probe.
-	ctx := r.Context()
-	if tp := r.Header.Get("Traceparent"); tp != "" {
-		if sc, ok := obs.ParseTraceparent(tp); ok {
-			ctx = obs.ContextWithSpan(ctx, sc)
-		}
-	}
-	resp, err := p.Invoke(ctx, service, &req)
-	status := http.StatusOK
-	if err != nil {
-		if resp == nil {
-			// Platform-level failures carry retry semantics: overload
-			// is 429 with a Retry-After hint of one autoscale period
-			// (the soonest capacity can change), shutdown and anything
-			// else without a response is 503.
-			code := http.StatusServiceUnavailable
-			if errors.Is(err, ErrOverloaded) {
-				code = http.StatusTooManyRequests
-				w.Header().Set("Retry-After",
-					strconv.FormatFloat(p.opts.scaled(p.opts.AutoscalePeriod).Seconds(), 'f', -1, 64))
-			}
-			http.Error(w, err.Error(), code)
-			return
-		}
-		status = http.StatusInternalServerError
-	}
-	wfbench.WriteResponse(w, status, resp)
-}
-
-// splitInvokePath matches "/<service>/wfbench" (tolerating a trailing
-// slash, as the old strings.Trim routing did) and returns the service
-// segment, allocation-free.
-func splitInvokePath(path string) (string, bool) {
-	const suffix = "/wfbench"
-	path = strings.TrimSuffix(path, "/")
-	if len(path) <= len(suffix)+1 || path[0] != '/' || !strings.HasSuffix(path, suffix) {
-		return "", false
-	}
-	service := path[1 : len(path)-len(suffix)]
-	if service == "" || strings.ContainsRune(service, '/') {
-		return "", false
-	}
-	return service, true
-}
-
-// splitBatchPath matches "/<service>/invoke-batch" and returns the
-// service segment, allocation-free like splitInvokePath.
-func splitBatchPath(path string) (string, bool) {
-	const suffix = "/invoke-batch"
-	path = strings.TrimSuffix(path, "/")
-	if len(path) <= len(suffix)+1 || path[0] != '/' || !strings.HasSuffix(path, suffix) {
-		return "", false
-	}
-	service := path[1 : len(path)-len(suffix)]
-	if service == "" || strings.ContainsRune(service, '/') {
-		return "", false
-	}
-	return service, true
+	p.endpoint.ServeHTTP(w, r)
 }
 
 // autoscaleLoop evaluates every service each tick: the desired pod count
@@ -1005,13 +865,7 @@ func (pd *pod) workerLoop(w *wfbench.Worker) {
 			if exec != nil {
 				ctx = obs.ContextWithSpan(ctx, exec.Context())
 			}
-			var resp *wfbench.Response
-			var err error
-			if inv.prep != nil {
-				resp, err = w.ExecuteVerified(ctx, inv.req, inv.prep)
-			} else {
-				resp, err = w.Execute(ctx, inv.req)
-			}
+			resp, err := w.ExecuteVerified(ctx, inv.req, inv.prep)
 			if resp != nil {
 				resp.Pod = pd.name
 				resp.ColdStart = first

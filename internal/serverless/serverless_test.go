@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,8 +16,10 @@ import (
 	"time"
 
 	"wfserverless/internal/cluster"
+	"wfserverless/internal/obs"
 	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/wfbench"
+	"wfserverless/internal/wfbench/conformance"
 )
 
 // fastOpts returns options with aggressive time scaling so tests finish
@@ -230,54 +233,20 @@ func TestResourceExhaustionStallsScaling(t *testing.T) {
 	}
 }
 
+// TestHTTPIngress holds the ingress to the function endpoint's
+// conformance table.
 func TestHTTPIngress(t *testing.T) {
-	drive := sharedfs.NewMem()
-	p := startPlatform(t, fastOpts(cluster.PaperTestbed(), drive))
+	drive, tr := sharedfs.NewMem(), obs.NewTracer(obs.Options{SampleRatio: 1})
+	opts := fastOpts(cluster.PaperTestbed(), drive)
+	opts.Tracer = tr
+	p := startPlatform(t, opts)
 	if err := p.Apply(ServiceConfig{Name: "wfbench", Workers: 2, CPURequestPerWorker: 1}); err != nil {
 		t.Fatal(err)
 	}
-	url := p.URL()
-	if url == "" {
-		t.Fatal("no ingress URL")
-	}
-
-	hr, err := http.Get(url + "/healthz")
-	if err != nil || hr.StatusCode != 200 {
-		t.Fatalf("healthz: %v %v", hr, err)
-	}
-	hr.Body.Close()
-
-	body, _ := json.Marshal(benchReq("h1", 50))
-	pr, err := http.Post(url+"/wfbench/wfbench", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp wfbench.Response
-	json.NewDecoder(pr.Body).Decode(&resp)
-	pr.Body.Close()
-	if pr.StatusCode != 200 || !resp.OK {
-		t.Fatalf("status=%d resp=%+v", pr.StatusCode, resp)
-	}
-	if !drive.Exists("h1_out") {
-		t.Fatal("output not written")
-	}
-
-	// bad routes and bodies
-	r2, _ := http.Post(url+"/nosuch/wfbench", "application/json", bytes.NewReader(body))
-	if r2.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("unknown service status = %d", r2.StatusCode)
-	}
-	r2.Body.Close()
-	r3, _ := http.Post(url+"/wfbench/wfbench", "application/json", bytes.NewReader([]byte("{")))
-	if r3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body status = %d", r3.StatusCode)
-	}
-	r3.Body.Close()
-	r4, _ := http.Get(url + "/wfbench/wfbench")
-	if r4.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET status = %d", r4.StatusCode)
-	}
-	r4.Body.Close()
+	conformance.Run(t, conformance.Surface{
+		Handler: p, Drive: drive, Route: "wfbench", Unknown: "nosuch", UnknownStatus: http.StatusServiceUnavailable,
+		ChecksInputs: true, SawTrace: conformance.TracerSaw(tr),
+	})
 }
 
 func TestFailedInvocationCountsFailure(t *testing.T) {
@@ -464,24 +433,28 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestQueueFullIsOverloaded(t *testing.T) {
+// fullQueue starts a platform whose service "s" cannot be placed, so its
+// single queue slot fills and never drains.
+func fullQueue(t *testing.T) *Platform {
+	t.Helper()
 	small := cluster.New(cluster.NewNode(cluster.NodeSpec{Name: "t", Cores: 1, MemBytes: 1 << 30}))
 	opts := fastOpts(small, sharedfs.NewMem())
 	opts.QueueCapacity = 1
 	p := startPlatform(t, opts)
-	// Unplaceable service: the single queue slot fills and never drains.
 	if err := p.Apply(ServiceConfig{Name: "s", Workers: 1, CPURequestPerWorker: 4}); err != nil {
 		t.Fatal(err)
 	}
-	fill := make(chan struct{})
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		close(fill)
 		p.Invoke(ctx, "s", benchReq("a", 1))
 	}()
-	<-fill
 	waitUntil(t, time.Second, func() bool { return p.Stats().QueueDepth == 1 }, "queue never filled")
+	return p
+}
+
+func TestQueueFullIsOverloaded(t *testing.T) {
+	p := fullQueue(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_, err := p.Invoke(ctx, "s", benchReq("b", 1))
@@ -490,30 +463,20 @@ func TestQueueFullIsOverloaded(t *testing.T) {
 	}
 }
 
-func TestIngressMapsOverloadTo429(t *testing.T) {
-	small := cluster.New(cluster.NewNode(cluster.NodeSpec{Name: "t", Cores: 1, MemBytes: 1 << 30}))
-	opts := fastOpts(small, sharedfs.NewMem())
-	opts.QueueCapacity = 1
-	p := startPlatform(t, opts)
-	if err := p.Apply(ServiceConfig{Name: "s", Workers: 1, CPURequestPerWorker: 4}); err != nil {
-		t.Fatal(err)
-	}
-	fill := make(chan struct{})
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		close(fill)
-		p.Invoke(ctx, "s", benchReq("a", 1))
-	}()
-	<-fill
-	waitUntil(t, time.Second, func() bool { return p.Stats().QueueDepth == 1 }, "queue never filled")
-
-	body, _ := json.Marshal(benchReq("b", 1))
-	req := httptest.NewRequest(http.MethodPost, "/s/wfbench", bytes.NewReader(body))
+// postFullQueue POSTs body to the full-queue platform's path as a client
+// that gives up after 50ms.
+func postFullQueue(t *testing.T, path string, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	rec := httptest.NewRecorder()
-	p.ServeHTTP(rec, req.WithContext(ctx))
+	fullQueue(t).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx))
+	return rec
+}
+
+func TestIngressMapsOverloadTo429(t *testing.T) {
+	body, _ := json.Marshal(benchReq("b", 1))
+	rec := postFullQueue(t, "/s/wfbench", body)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429; body %q", rec.Code, rec.Body.String())
 	}
@@ -545,27 +508,41 @@ func TestIngressMapsStoppedTo503(t *testing.T) {
 	}
 }
 
-// TestSplitInvokePath pins the manual router against the old
-// strings.Split behaviour, including the tolerated trailing slash.
-func TestSplitInvokePath(t *testing.T) {
-	cases := []struct {
-		path    string
-		service string
-		ok      bool
-	}{
-		{"/blastall/wfbench", "blastall", true},
-		{"/s/wfbench/", "s", true},
-		{"/wfbench", "", false},
-		{"//wfbench", "", false},
-		{"/a/b/wfbench", "", false},
-		{"/s/other", "", false},
-		{"/stats", "", false},
-		{"", "", false},
+var noSuchService = regexp.MustCompile(`no such service "([^"]*)"`)
+
+// routed POSTs body to path on a platform with no services and reports
+// the service the ingress looked up — named in the 503 text, or in the
+// 503 frame of a batch — or "404".
+func routed(t *testing.T, p *Platform, path string, body []byte) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	p.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if rec.Code == http.StatusNotFound {
+		return "404"
 	}
-	for _, c := range cases {
-		service, ok := splitInvokePath(c.path)
-		if service != c.service || ok != c.ok {
-			t.Errorf("splitInvokePath(%q) = %q,%v; want %q,%v", c.path, service, ok, c.service, c.ok)
+	m := noSuchService.FindSubmatch(rec.Body.Bytes())
+	if m == nil {
+		t.Fatalf("POST %s: status %d, body %q", path, rec.Code, rec.Body)
+	}
+	return string(m[1])
+}
+
+// TestSplitInvokePath pins the route grammar as the ingress serves it,
+// including the tolerated trailing slash.
+func TestSplitInvokePath(t *testing.T) {
+	p := startPlatform(t, fastOpts(cluster.PaperTestbed(), sharedfs.NewMem()))
+	body, _ := json.Marshal(benchReq("r", 1))
+	for path, want := range map[string]string{
+		"/blastall/wfbench": "blastall",
+		"/s/wfbench/":       "s",
+		"/wfbench":          "",
+		"//wfbench":         "404",
+		"/a/b/wfbench":      "404",
+		"/s/other":          "404",
+		"/stats":            "404",
+	} {
+		if got := routed(t, p, path, body); got != want {
+			t.Errorf("POST %s reached %q, want %q", path, got, want)
 		}
 	}
 }

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
-	"wfserverless/internal/obs"
 	"wfserverless/internal/sharedfs"
 )
 
@@ -80,15 +78,6 @@ func EncodeBatchRequest(items []BatchItem) []byte {
 		out = append(out, it.Body...)
 	}
 	return out
-}
-
-// DecodeBatchRequest parses a batch request body.
-func DecodeBatchRequest(r io.Reader) ([]BatchItem, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("wfbench: batch request body: %w", err)
-	}
-	return DecodeBatchRequestBytes(data)
 }
 
 // ReadBatchBody slurps an HTTP batch body, in a single exact-size
@@ -365,94 +354,6 @@ func (p *BatchPrep) missingOf(inputs []string) []string {
 		}
 	}
 	return missing
-}
-
-// serveBatch answers POST /invoke-batch for the standalone service:
-// decode the frames, verify the batch's input union once, run the
-// sub-tasks concurrently through the bounded worker pool, and answer
-// one frame per sub-task in request order.
-func (s *Service) serveBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := ReadBatchBody(r)
-	var items []BatchItem
-	if err == nil {
-		items, err = DecodeBatchRequestBytes(body)
-	}
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
-		return
-	}
-	cfg := s.bench.cfg
-	results := ExecuteBatch(context.Background(), items, cfg.Drive, cfg.InputWait,
-		func(ctx context.Context, req *Request, prep *BatchPrep) (*Response, error) {
-			w := <-s.workers
-			s.active.Add(1)
-			defer func() {
-				s.active.Add(-1)
-				s.workers <- w
-			}()
-			s.requests.Add(1)
-			start := time.Now()
-			resp, err := w.ExecuteVerified(ctx, req, prep)
-			s.latency.ObserveDuration(time.Since(start))
-			if err != nil {
-				s.failures.Add(1)
-			}
-			return resp, err
-		})
-	WriteBatchResponse(w, results)
-}
-
-// ExecuteBatch is the shared batch execution shape: unmarshal and
-// validate each sub-request, prepare the input union once, then run the
-// valid sub-tasks concurrently via run. Invalid frames answer 400
-// without occupying a worker; function errors answer 500 with the
-// Response JSON, exactly as the single-task handler does.
-func ExecuteBatch(ctx context.Context, items []BatchItem, drive sharedfs.Drive, inputWait time.Duration,
-	run func(ctx context.Context, req *Request, prep *BatchPrep) (*Response, error)) []BatchResult {
-	results := make([]BatchResult, len(items))
-	reqs := make([]*Request, len(items))
-	var union []string
-	for i, it := range items {
-		req := new(Request)
-		if err := UnmarshalRequest(it.Body, req); err != nil {
-			results[i] = BatchResult{Status: http.StatusBadRequest, Payload: []byte(fmt.Sprintf("bad request: %v", err))}
-			continue
-		}
-		if err := req.Validate(); err != nil {
-			results[i] = BatchResult{Status: http.StatusBadRequest, Payload: []byte(err.Error())}
-			continue
-		}
-		reqs[i] = req
-		union = append(union, req.Inputs...)
-	}
-	prep := PrepareInputs(ctx, drive, union, inputWait)
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		if req == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, req *Request) {
-			defer wg.Done()
-			subCtx := ctx
-			if sc, ok := obs.ParseTraceparent(items[i].Traceparent); ok {
-				subCtx = obs.ContextWithSpan(ctx, sc)
-			}
-			resp, err := run(subCtx, req, prep)
-			status := http.StatusOK
-			if err != nil {
-				status = http.StatusInternalServerError
-			}
-			payload, merr := MarshalResponse(resp)
-			if merr != nil {
-				status = http.StatusInternalServerError
-				payload = []byte(merr.Error())
-			}
-			results[i] = BatchResult{Status: status, Payload: payload}
-		}(i, req)
-	}
-	wg.Wait()
-	return results
 }
 
 // WriteBatchResponse writes an encoded batch response with the batch

@@ -30,7 +30,7 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 		{Traceparent: "00-trace-span-01", Body: []byte{}},
 		{Traceparent: "", Body: []byte(`{"name":"c","inputs":["x"]}`)},
 	}
-	got, err := DecodeBatchRequest(bytes.NewReader(EncodeBatchRequest(items)))
+	got, err := DecodeBatchRequestBytes(EncodeBatchRequest(items))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestBodyReadsIgnoreDeclaredLength(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	var req Request
-	reqErr := ReadRequest(hostile(), &req)
+	reqErr := readRequest(hostile(), &req)
 	body, batchErr := ReadBatchBody(hostile())
 	runtime.ReadMemStats(&after)
 	if reqErr == nil {
-		t.Error("ReadRequest accepted a truncated body")
+		t.Error("readRequest accepted a truncated body")
 	}
 	if batchErr != nil || string(body) != `{"` {
 		t.Errorf("ReadBatchBody = %q, %v; want the bytes sent", body, batchErr)
@@ -134,7 +134,7 @@ func TestBodyReadsIgnoreDeclaredLength(t *testing.T) {
 
 func TestDecodeBatchRequestRejectsOversize(t *testing.T) {
 	over := binary.AppendUvarint(nil, maxBatchTasks+1)
-	if _, err := DecodeBatchRequest(bytes.NewReader(over)); err == nil {
+	if _, err := DecodeBatchRequestBytes(over); err == nil {
 		t.Fatal("oversize task count accepted")
 	}
 	// Traceparent frames are capped at 256 bytes.
@@ -142,7 +142,7 @@ func TestDecodeBatchRequestRejectsOversize(t *testing.T) {
 	raw = binary.AppendUvarint(raw, 300)
 	raw = append(raw, make([]byte, 300)...)
 	raw = binary.AppendUvarint(raw, 0)
-	if _, err := DecodeBatchRequest(bytes.NewReader(raw)); err == nil {
+	if _, err := DecodeBatchRequestBytes(raw); err == nil {
 		t.Fatal("oversize traceparent accepted")
 	}
 	// A truncated body must error, not hang or short-read.
@@ -150,7 +150,7 @@ func TestDecodeBatchRequestRejectsOversize(t *testing.T) {
 	raw = binary.AppendUvarint(raw, 0)
 	raw = binary.AppendUvarint(raw, 10)
 	raw = append(raw, "short"...)
-	if _, err := DecodeBatchRequest(bytes.NewReader(raw)); err == nil {
+	if _, err := DecodeBatchRequestBytes(raw); err == nil {
 		t.Fatal("truncated body accepted")
 	}
 }
@@ -254,26 +254,7 @@ func TestServiceServeBatch(t *testing.T) {
 
 // batchEcho is a minimal /invoke-batch upstream: every frame answers
 // 200 with an OK Response carrying the request's name.
-func batchEcho(t *testing.T) http.Handler {
-	t.Helper()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		items, err := DecodeBatchRequest(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		results := make([]BatchResult, len(items))
-		for i, it := range items {
-			var req Request
-			if err := json.Unmarshal(it.Body, &req); err != nil {
-				t.Errorf("upstream got unparseable frame: %v", err)
-			}
-			payload, _ := json.Marshal(&Response{Name: req.Name, OK: true})
-			results[i] = BatchResult{Status: http.StatusOK, Payload: payload}
-		}
-		WriteBatchResponse(w, results)
-	})
-}
+func batchEcho() http.Handler { return NewEndpoint(NewStub(sharedfs.NewMem(), 0)) }
 
 func postBatch(t *testing.T, h http.Handler, items []BatchItem) []BatchResult {
 	t.Helper()
@@ -309,7 +290,7 @@ func frameTag(i int) string { return string(rune('a' + i)) }
 // means the batch reaches the upstream intact and frames come back in
 // request order.
 func TestInjectorBatchZeroProfileForwards(t *testing.T) {
-	inj, err := NewInjector(batchEcho(t), FaultProfile{})
+	inj, err := NewInjector(batchEcho(), FaultProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +313,7 @@ func TestInjectorBatchZeroProfileForwards(t *testing.T) {
 // answers every frame 429 with the Retry-After hint in milliseconds —
 // the hint the manager's retry schedule honors per sub-task.
 func TestInjectorBatchRejectsPerFrame(t *testing.T) {
-	inj, err := NewInjector(batchEcho(t), FaultProfile{RejectRate: 1, RetryAfter: 0.25})
+	inj, err := NewInjector(batchEcho(), FaultProfile{RejectRate: 1, RetryAfter: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +333,7 @@ func TestInjectorBatchRejectsPerFrame(t *testing.T) {
 // inside the same batch POST — the injector no longer faults at
 // request granularity.
 func TestInjectorBatchFaultsSubset(t *testing.T) {
-	inj, err := NewInjector(batchEcho(t), FaultProfile{ErrorRate: 0.5, Seed: 7})
+	inj, err := NewInjector(batchEcho(), FaultProfile{ErrorRate: 0.5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

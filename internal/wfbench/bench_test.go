@@ -50,7 +50,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			Out: map[string]int64{"p_out": 1},
 		}
 		for pb.Next() {
-			if _, err := svc.Execute(r); err != nil {
+			if _, err := svc.Invoke(context.Background(), "", r); err != nil {
 				b.Fatal(err)
 			}
 		}

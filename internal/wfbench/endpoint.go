@@ -1,0 +1,285 @@
+package wfbench
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
+	"time"
+
+	"wfserverless/internal/obs"
+)
+
+// Executor is what stands behind a function endpoint: a platform, the
+// standalone Service, a router, a stub. route is the path segment before
+// /wfbench ("" when there is none); the executor decides what it names.
+// An error without a Response is the surface's failure (503, or what a
+// StatusError says); with one it is the function's (500 and the Response).
+type Executor interface {
+	Invoke(ctx context.Context, route string, req *Request) (*Response, error)
+}
+
+// BatchExecutor is an Executor with a batch path cheaper than an Invoke
+// per frame. Frames arrive undecoded (DecodeFrames); each result is what
+// a single-task POST would have answered (ResultFrame).
+type BatchExecutor interface {
+	Executor
+	InvokeBatch(ctx context.Context, route string, items []BatchItem) []BatchResult
+}
+
+// StatusError is an executor error that names its own HTTP status and,
+// for backpressure, how long the caller should stay away.
+type StatusError struct {
+	Status     int
+	RetryAfter time.Duration
+	Err        error
+}
+
+func (e *StatusError) Error() string { return e.Err.Error() }
+func (e *StatusError) Unwrap() error { return e.Err }
+
+// Endpoint serves the function-endpoint wire protocol over an Executor:
+//
+//	POST /wfbench, /<route>/wfbench            one Request, one Response
+//	POST /invoke-batch, /<route>/invoke-batch  the framed batch (batch.go)
+//	GET  /healthz                              "ok"
+//
+// Anything else is 404, a body that does not decode or validate is 400.
+type Endpoint struct{ exec Executor }
+
+// NewEndpoint returns the handler for exec.
+func NewEndpoint(exec Executor) *Endpoint { return &Endpoint{exec} }
+
+func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/healthz" {
+		fmt.Fprintln(w, "ok")
+		return
+	}
+	route, batch, ok := SplitPath(r.URL.Path)
+	if !ok || r.Method != http.MethodPost {
+		http.NotFound(w, r)
+		return
+	}
+	if batch {
+		body, err := ReadBatchBody(r)
+		var items []BatchItem
+		if err == nil {
+			items, err = DecodeBatchRequestBytes(body)
+		}
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
+			return
+		}
+		if batch, ok := e.exec.(BatchExecutor); ok {
+			WriteBatchResponse(w, batch.InvokeBatch(r.Context(), route, items))
+			return
+		}
+		// The default batch path: every frame its own Invoke.
+		results := make([]BatchResult, len(items))
+		reqs, _ := DecodeFrames(items, results)
+		fanOut(r.Context(), items, reqs, results, func(ctx context.Context, req *Request) (*Response, error) {
+			return e.exec.Invoke(ctx, route, req)
+		})
+		WriteBatchResponse(w, results)
+		return
+	}
+	var req Request
+	if err := readRequest(r, &req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	// Requests without a Traceparent pay only this header probe.
+	ctx := r.Context()
+	if tp := r.Header.Get("Traceparent"); tp != "" {
+		ctx = traceContext(ctx, tp)
+	}
+	resp, err := e.exec.Invoke(ctx, route, &req)
+	status, retryAfter := statusOf(resp, err)
+	if resp == nil {
+		if retryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.FormatFloat(retryAfter.Seconds(), 'f', -1, 64))
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	writeResponse(w, status, resp)
+}
+
+// SplitPath parses a function-endpoint path, allocation-free: "/wfbench"
+// and "/invoke-batch" have the empty route, "/<route>/wfbench" and
+// "/<route>/invoke-batch" a single non-empty segment; one trailing slash
+// is tolerated.
+func SplitPath(path string) (route string, batch, ok bool) {
+	path = strings.TrimSuffix(path, "/")
+	switch {
+	case strings.HasSuffix(path, "/wfbench"):
+		path = path[:len(path)-len("/wfbench")]
+	case strings.HasSuffix(path, "/invoke-batch"):
+		path, batch = path[:len(path)-len("/invoke-batch")], true
+	default:
+		return "", false, false
+	}
+	if path == "" {
+		return "", batch, true
+	}
+	if path[0] != '/' || len(path) == 1 || strings.IndexByte(path[1:], '/') >= 0 {
+		return "", false, false
+	}
+	return path[1:], batch, true
+}
+
+func traceContext(ctx context.Context, traceparent string) context.Context {
+	if sc, ok := obs.ParseTraceparent(traceparent); ok {
+		return obs.ContextWithSpan(ctx, sc)
+	}
+	return ctx
+}
+
+// statusOf maps an outcome to its status, for both paths.
+func statusOf(resp *Response, err error) (status int, retryAfter time.Duration) {
+	if err == nil {
+		return http.StatusOK, 0
+	}
+	// Declared past the success return: errors.As makes it escape.
+	var se *StatusError
+	switch {
+	case errors.As(err, &se):
+		return se.Status, se.RetryAfter
+	case resp == nil:
+		return http.StatusServiceUnavailable, 0
+	}
+	return http.StatusInternalServerError, 0
+}
+
+// readRequest reads, decodes and validates a single-task body. The body
+// drains into a pooled buffer that grows with the bytes received, never
+// with the Content-Length header, and is decoded in place (the decoder
+// copies what it keeps).
+func readRequest(r *http.Request, req *Request) error {
+	buf := requestBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		err = UnmarshalRequest(buf.Bytes(), req)
+	}
+	requestBufs.Put(buf)
+	if err != nil {
+		return fmt.Errorf("bad request: %v", err)
+	}
+	return req.Validate()
+}
+
+// requestBufs recycles request-read buffers across invocations.
+var requestBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeResponse answers a single-task invocation with resp as JSON, plus
+// the newline json.Encoder always wrote here: the bytes on the wire.
+func writeResponse(w http.ResponseWriter, status int, resp *Response) {
+	body, err := MarshalResponse(resp)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	body = append(body, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// DecodeFrames decodes and validates every frame of a batch: reqs[i] is
+// nil, and results[i] a 400, for a frame that fails either. inputs is
+// the input-file union of the frames that passed.
+func DecodeFrames(items []BatchItem, results []BatchResult) (reqs []*Request, inputs []string) {
+	reqs = make([]*Request, len(items))
+	for i, it := range items {
+		req := new(Request)
+		err := UnmarshalRequest(it.Body, req)
+		if err != nil {
+			err = fmt.Errorf("bad request: %v", err)
+		} else {
+			err = req.Validate()
+		}
+		if err != nil {
+			results[i] = BatchResult{Status: http.StatusBadRequest, Payload: []byte(err.Error())}
+			continue
+		}
+		reqs[i] = req
+		inputs = append(inputs, req.Inputs...)
+	}
+	return reqs, inputs
+}
+
+// ResultFrame renders one sub-invocation's outcome as the frame a
+// single-task POST would have answered: the Response JSON when there is
+// one, the error text and its Retry-After otherwise.
+func ResultFrame(resp *Response, err error) BatchResult {
+	status, retryAfter := statusOf(resp, err)
+	if resp == nil {
+		return BatchResult{Status: status, RetryAfterMillis: retryAfter.Milliseconds(), Payload: []byte(err.Error())}
+	}
+	payload, merr := MarshalResponse(resp)
+	if merr != nil {
+		return BatchResult{Status: http.StatusInternalServerError, Payload: []byte(merr.Error())}
+	}
+	return BatchResult{Status: status, Payload: payload}
+}
+
+// fanOut runs every decoded frame concurrently, each under its own
+// frame's trace context, and files the outcomes in request order.
+func fanOut(ctx context.Context, items []BatchItem, reqs []*Request, results []BatchResult,
+	run func(ctx context.Context, req *Request) (*Response, error)) {
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		if req == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, req *Request) {
+			defer wg.Done()
+			results[i] = ResultFrame(run(traceContext(ctx, items[i].Traceparent), req))
+		}(i, req)
+	}
+	wg.Wait()
+}
+
+// Loopback is an HTTP server on a loopback port of the kernel's choosing:
+// how every in-process surface is reached by URL.
+type Loopback struct {
+	srv *http.Server
+	url string
+}
+
+// ListenLoopback starts serving h.
+func ListenLoopback(h http.Handler) (*Loopback, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("wfbench: loopback listen: %w", err)
+	}
+	l := &Loopback{srv: &http.Server{Handler: h}, url: "http://" + ln.Addr().String()}
+	go l.srv.Serve(ln) // returns when Close shuts the server down
+	return l, nil
+}
+
+// URL returns the base URL ("" on a nil Loopback).
+func (l *Loopback) URL() string {
+	if l == nil {
+		return ""
+	}
+	return l.url
+}
+
+// Close drops the listener and every connection at once — whoever stops
+// a surface is done with it, and a graceful shutdown would sit out the
+// server's five-second patience with connections a client dialled and
+// never used. A nil Loopback has nothing to close.
+func (l *Loopback) Close() {
+	if l != nil {
+		l.srv.Close()
+	}
+}

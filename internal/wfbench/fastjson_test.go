@@ -225,7 +225,7 @@ func TestFastFloatExactness(t *testing.T) {
 }
 
 // TestWriteResponseMatchesEncoder pins the single-task response bytes:
-// what WriteResponse sends is exactly what json.NewEncoder(w).Encode
+// what writeResponse sends is exactly what json.NewEncoder(w).Encode
 // sent before the handlers moved to the hand codec — the JSON and its
 // trailing newline — for plain, escaped and failed responses alike.
 func TestWriteResponseMatchesEncoder(t *testing.T) {
@@ -240,9 +240,9 @@ func TestWriteResponseMatchesEncoder(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
-		WriteResponse(rec, http.StatusOK, r)
+		writeResponse(rec, http.StatusOK, r)
 		if got := rec.Body.Bytes(); !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("WriteResponse(%+v) body = %q, want %q", r, got, want.Bytes())
+			t.Errorf("writeResponse(%+v) body = %q, want %q", r, got, want.Bytes())
 		}
 		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(want.Len()) {
 			t.Errorf("Content-Length = %s, want %d", cl, want.Len())

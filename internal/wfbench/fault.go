@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,7 +245,7 @@ func (in *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		in.next.ServeHTTP(w, r)
 		return
 	}
-	if strings.HasSuffix(r.URL.Path, "/invoke-batch") && r.Method == http.MethodPost {
+	if _, batch, _ := SplitPath(r.URL.Path); batch && r.Method == http.MethodPost {
 		in.serveBatch(w, r)
 		return
 	}

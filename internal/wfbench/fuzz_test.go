@@ -3,16 +3,22 @@ package wfbench
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"wfserverless/internal/recipes"
+	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/wfgen"
 )
 
 // recipeBodies renders the single-task request body of every task of a
 // small instance of each of the seven recipes — the bytes the wire
-// really carries, and the seed corpus of both fuzz targets.
+// really carries, and the seed corpus of the fuzz targets.
 func recipeBodies(tb testing.TB) [][]byte {
 	tb.Helper()
 	var out [][]byte
@@ -151,6 +157,74 @@ func FuzzBatchWire(f *testing.F) {
 			if again[i].Status != frames[i].Status || again[i].RetryAfterMillis != frames[i].RetryAfterMillis ||
 				!bytes.Equal(again[i].Payload, frames[i].Payload) {
 				t.Fatalf("response round trip frame %d: got %+v, want %+v", i, again[i], frames[i])
+			}
+		}
+	})
+}
+
+// FuzzEndpoint sends an arbitrary method, path, Traceparent, declared
+// length and body into the shared handler over the stub executor. It
+// must not panic; it answers 200 — a request, or a batch frame — only on
+// a POST to a route SplitPath accepts and only to a body UnmarshalRequest
+// and Validate accept; and what it allocates follows the bytes it
+// received, not the Content-Length it was promised.
+func FuzzEndpoint(f *testing.F) {
+	const tp = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	bodies := recipeBodies(f)[:6]
+	var items []BatchItem
+	for _, body := range bodies {
+		f.Add(http.MethodPost, "/svc/wfbench", tp, int64(len(body)), body)
+		items = append(items, BatchItem{Traceparent: tp, Body: body})
+	}
+	items[1].Body = []byte("{nope")
+	f.Add(http.MethodPost, "/invoke-batch/", "", int64(-1), EncodeBatchRequest(items))
+	f.Add(http.MethodPost, "/wfbench", "zz", int64(1)<<40, []byte(`{"`))
+	f.Add(http.MethodPost, "/a/invoke-batch", "", int64(1)<<40, []byte{0xff, 0xff, 0x3f})
+	f.Add(http.MethodGet, "/healthz", "", int64(0), []byte(nil))
+	f.Add(http.MethodGet, "/wfbench", "", int64(0), []byte(nil))
+	f.Add("", "//wfbench", "", int64(0), []byte(`{"name":"x","percent-cpu":3}`))
+	h := NewEndpoint(NewStub(sharedfs.NewMem(), 0))
+	valid := func(body []byte) bool {
+		var req Request
+		return UnmarshalRequest(body, &req) == nil && req.Validate() == nil
+	}
+	f.Fuzz(func(t *testing.T, method, path, traceparent string, declared int64, body []byte) {
+		r := &http.Request{Method: method, URL: &url.URL{Path: path}, Header: http.Header{"Traceparent": {traceparent}},
+			Body: io.NopCloser(bytes.NewReader(body)), ContentLength: declared}
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		lying := declared > int64(len(body))+1<<20
+		if lying {
+			runtime.ReadMemStats(&before)
+		}
+		h.ServeHTTP(rec, r)
+		if lying {
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10+16*uint64(len(body)) {
+				t.Fatalf("a %d-byte body declared as %d allocated %d bytes", len(body), declared, got)
+			}
+		}
+		if rec.Code != http.StatusOK || path == "/healthz" {
+			return
+		}
+		_, batch, ok := SplitPath(path)
+		if !ok || method != http.MethodPost {
+			t.Fatalf("%q %q answered 200", method, path)
+		}
+		if !batch {
+			if !valid(body) {
+				t.Fatalf("200 to a body that does not decode and validate: %q", body)
+			}
+			return
+		}
+		items, err := DecodeBatchRequestBytes(body)
+		results, rerr := DecodeBatchResponse(rec.Body)
+		if err != nil || rerr != nil || len(results) != len(items) {
+			t.Fatalf("batch 200: %d frames in (%v), %d out (%v)", len(items), err, len(results), rerr)
+		}
+		for i, res := range results {
+			if (res.Status == http.StatusOK) != valid(items[i].Body) {
+				t.Fatalf("frame %d: status %d to body %q", i, res.Status, items[i].Body)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package wfbench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -81,7 +82,7 @@ func TestServiceMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Execute(&Request{Name: "f1", PercentCPU: 0.5, CPUWork: 5}); err != nil {
+	if _, err := s.Invoke(context.Background(), "", &Request{Name: "f1", PercentCPU: 0.5, CPUWork: 5}); err != nil {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest("GET", "/metrics", nil)

@@ -1,13 +1,10 @@
 package wfbench
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,12 +12,13 @@ import (
 	"wfserverless/internal/obs"
 )
 
-// Service is WfBench as a Service: an HTTP handler answering
-// POST /wfbench with a Request body, backed by a bounded pool of workers
+// Service is WfBench as a Service: the function endpoint (endpoint.go)
+// plus GET /metrics, backed by a bounded pool of workers
 // — the paper's "gunicorn --workers N" deployment knob. When all workers
 // are busy, additional requests block until one frees up, exactly like a
 // pre-fork worker pool with an unbounded backlog.
 type Service struct {
+	endpoint *Endpoint
 	bench    *Bench
 	workers  chan *Worker
 	nWorkers int
@@ -38,6 +36,7 @@ func NewService(b *Bench, n int) (*Service, error) {
 		return nil, fmt.Errorf("wfbench: service needs >= 1 worker, got %d", n)
 	}
 	s := &Service{bench: b, workers: make(chan *Worker, n), nWorkers: n}
+	s.endpoint = NewEndpoint(s)
 	for i := 0; i < n; i++ {
 		s.workers <- b.NewWorker()
 	}
@@ -65,13 +64,46 @@ func (s *Service) Close() {
 	}
 }
 
-// Execute runs one request on the next free worker, blocking until one
-// is available. It is the library-call equivalent of POST /wfbench.
-func (s *Service) Execute(req *Request) (*Response, error) {
-	return s.execute(context.Background(), req)
+// Invoke implements Executor: run one request on the next free worker,
+// blocking until one is available. The standalone service has a single
+// function, so the only route is the empty one.
+func (s *Service) Invoke(ctx context.Context, route string, req *Request) (*Response, error) {
+	if route != "" {
+		return nil, errNoRoute(route)
+	}
+	return s.run(context.WithoutCancel(ctx), req, nil)
 }
 
-func (s *Service) execute(ctx context.Context, req *Request) (*Response, error) {
+// InvokeBatch implements BatchExecutor: verify the batch's input union
+// once, then run the sub-tasks concurrently through the bounded worker
+// pool.
+func (s *Service) InvokeBatch(ctx context.Context, route string, items []BatchItem) []BatchResult {
+	results := make([]BatchResult, len(items))
+	if route != "" {
+		for i := range results {
+			results[i] = ResultFrame(nil, errNoRoute(route))
+		}
+		return results
+	}
+	reqs, inputs := DecodeFrames(items, results)
+	cfg := s.bench.cfg
+	ctx = context.WithoutCancel(ctx)
+	prep := PrepareInputs(ctx, cfg.Drive, inputs, cfg.InputWait)
+	fanOut(ctx, items, reqs, results, func(ctx context.Context, req *Request) (*Response, error) {
+		return s.run(ctx, req, prep)
+	})
+	return results
+}
+
+func errNoRoute(route string) error {
+	return &StatusError{Status: http.StatusNotFound, Err: fmt.Errorf("wfbench: no such route %q", route)}
+}
+
+// run executes req (inputs verified by prep when there is one) on a
+// pooled worker. Workers honour no per-request deadline — the paper
+// configures gunicorn with --timeout 0 — so Invoke and InvokeBatch hand
+// it a context that keeps the caller's trace and drops its cancellation.
+func (s *Service) run(ctx context.Context, req *Request, prep *BatchPrep) (*Response, error) {
 	w := <-s.workers
 	s.active.Add(1)
 	defer func() {
@@ -80,9 +112,7 @@ func (s *Service) execute(ctx context.Context, req *Request) (*Response, error) 
 	}()
 	s.requests.Add(1)
 	start := time.Now()
-	// Workers honour no per-request deadline: the paper configures
-	// gunicorn with --timeout 0.
-	resp, err := w.Execute(ctx, req)
+	resp, err := w.execute(ctx, req, prep)
 	s.latency.ObserveDuration(time.Since(start))
 	if err != nil {
 		s.failures.Add(1)
@@ -113,74 +143,12 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		"per-request execution wall time including worker wait")
 }
 
-// ServeHTTP implements http.Handler for POST /wfbench, POST
-// /invoke-batch, GET /healthz and GET /metrics.
+// ServeHTTP serves the service's own GET /metrics; everything else is
+// the function endpoint.
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.URL.Path == "/healthz":
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	case r.URL.Path == "/metrics" && r.Method == http.MethodGet:
+	if r.URL.Path == "/metrics" && r.Method == http.MethodGet {
 		obs.ServeMetrics(w, r, s.WriteMetrics)
-	case r.URL.Path == "/invoke-batch" && r.Method == http.MethodPost:
-		s.serveBatch(w, r)
-	case r.URL.Path == "/wfbench" && r.Method == http.MethodPost:
-		var req Request
-		if err := ReadRequest(r, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// The trace context rides a background context (workers ignore
-		// client disconnects, like the platform's pods) so phase spans
-		// still parent onto the caller's invoke span.
-		ctx := context.Background()
-		if sc, ok := obs.ParseTraceparent(r.Header.Get("Traceparent")); ok {
-			ctx = obs.ContextWithSpan(ctx, sc)
-		}
-		resp, err := s.execute(ctx, &req)
-		status := http.StatusOK
-		if err != nil {
-			status = http.StatusInternalServerError
-		}
-		WriteResponse(w, status, resp)
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-// ReadRequest reads, decodes and validates a single-task invocation
-// body: the front half of every /wfbench handler. The body drains into
-// a pooled buffer that grows with the bytes received, never with the
-// Content-Length header, and is decoded in place (the decoder copies
-// what it keeps).
-func ReadRequest(r *http.Request, req *Request) error {
-	buf := requestBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	_, err := buf.ReadFrom(r.Body)
-	if err == nil {
-		err = UnmarshalRequest(buf.Bytes(), req)
-	}
-	requestBufs.Put(buf)
-	if err != nil {
-		return fmt.Errorf("bad request: %v", err)
-	}
-	return req.Validate()
-}
-
-// requestBufs recycles request-read buffers across invocations.
-var requestBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// WriteResponse answers a single-task invocation with resp as JSON, plus
-// the newline json.Encoder always wrote here: the bytes on the wire.
-func WriteResponse(w http.ResponseWriter, status int, resp *Response) {
-	body, err := MarshalResponse(resp)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	w.Write(body)
+	s.endpoint.ServeHTTP(w, r)
 }

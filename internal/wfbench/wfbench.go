@@ -278,7 +278,7 @@ func (w *Worker) Execute(ctx context.Context, req *Request) (*Response, error) {
 // verified (and content-hashed) by its batch's shared PrepareInputs
 // pass: the input phase reduces to hash-map lookups against the prep
 // instead of a per-task drive wait — the batch path's zero-copy I/O for
-// content-addressed inputs.
+// content-addressed inputs. A nil prep is Execute.
 func (w *Worker) ExecuteVerified(ctx context.Context, req *Request, prep *BatchPrep) (*Response, error) {
 	return w.execute(ctx, req, prep)
 }

@@ -344,7 +344,7 @@ func TestServicePoolBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s.Execute(req("f" + string(rune('0'+i))))
+			s.Invoke(context.Background(), "", req("f"+string(rune('0'+i))))
 			mu.Lock()
 			if a := s.Active(); a > maxActive {
 				maxActive = a
@@ -413,53 +413,11 @@ func TestServiceHTTP(t *testing.T) {
 	}
 }
 
-func TestServiceHTTPErrors(t *testing.T) {
-	b := testBench(t, Config{})
-	s, _ := NewService(b, 1)
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	// malformed JSON
-	r, _ := http.Post(srv.URL+"/wfbench", "application/json", strings.NewReader("{nope"))
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed: status = %d", r.StatusCode)
-	}
-	r.Body.Close()
-
-	// invalid parameters
-	bad, _ := json.Marshal(&Request{Name: "x", PercentCPU: 3})
-	r, _ = http.Post(srv.URL+"/wfbench", "application/json", bytes.NewReader(bad))
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid: status = %d", r.StatusCode)
-	}
-	r.Body.Close()
-
-	// missing input -> 500 with JSON body
-	withInput, _ := json.Marshal(&Request{Name: "x", PercentCPU: 0.5, CPUWork: 1, Inputs: []string{"absent"}})
-	r, _ = http.Post(srv.URL+"/wfbench", "application/json", bytes.NewReader(withInput))
-	if r.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("missing input: status = %d", r.StatusCode)
-	}
-	var resp Response
-	json.NewDecoder(r.Body).Decode(&resp)
-	r.Body.Close()
-	if resp.OK || resp.Error == "" {
-		t.Fatalf("resp = %+v", resp)
-	}
-
-	// wrong method / path
-	r, _ = http.Get(srv.URL + "/wfbench")
-	if r.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /wfbench: status = %d", r.StatusCode)
-	}
-	r.Body.Close()
-}
-
 func TestServiceClose(t *testing.T) {
 	node := cluster.NewNode(cluster.NodeSpec{Name: "n", Cores: 8, MemBytes: 1 << 30})
 	b := testBench(t, Config{Drive: sharedfs.NewMem(), Usage: node, KeepMem: true})
 	s, _ := NewService(b, 3)
-	s.Execute(req("a"))
+	s.Invoke(context.Background(), "", req("a"))
 	if node.Snapshot().UsedMem == 0 {
 		t.Fatal("expected ballast before Close")
 	}
@@ -468,7 +426,7 @@ func TestServiceClose(t *testing.T) {
 		t.Fatalf("Close leaked %d bytes", got)
 	}
 	// service still usable after Close
-	if _, err := s.Execute(req("b")); err != nil {
+	if _, err := s.Invoke(context.Background(), "", req("b")); err != nil {
 		t.Fatal(err)
 	}
 }

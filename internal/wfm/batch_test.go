@@ -64,7 +64,11 @@ func (bs *batchServer) execute(req *wfbench.Request) wfbench.BatchResult {
 
 func (bs *batchServer) serve(w http.ResponseWriter, r *http.Request) {
 	if strings.HasSuffix(r.URL.Path, "/invoke-batch") {
-		items, err := wfbench.DecodeBatchRequest(r.Body)
+		body, err := wfbench.ReadBatchBody(r)
+		var items []wfbench.BatchItem
+		if err == nil {
+			items, err = wfbench.DecodeBatchRequestBytes(body)
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -147,7 +151,7 @@ func TestBatchFramesRoundTrip(t *testing.T) {
 			if int64(len(raw)) != total {
 				t.Fatalf("segment total = %d, stream is %d bytes", total, len(raw))
 			}
-			items, err := wfbench.DecodeBatchRequest(strings.NewReader(string(raw)))
+			items, err := wfbench.DecodeBatchRequestBytes(raw)
 			if err != nil {
 				t.Fatal(err)
 			}

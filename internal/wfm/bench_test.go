@@ -2,8 +2,6 @@ package wfm
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -17,20 +15,8 @@ import (
 // against the drive after a fixed delay.
 func benchStub(b *testing.B, drive sharedfs.Drive, delay time.Duration) *httptest.Server {
 	b.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req wfbench.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		for name, size := range req.Out {
-			drive.WriteFile(name, size)
-		}
-		json.NewEncoder(w).Encode(&wfbench.Response{Name: req.Name, OK: true})
-	}))
+	srv := httptest.NewServer(wfbench.NewEndpoint(wfbench.NewStub(drive, delay)))
+	srv.URL += "/wfbench" // what benchmarks hand out as the api_url
 	b.Cleanup(srv.Close)
 	return srv
 }

@@ -2,11 +2,8 @@ package wfm
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sync"
 	"testing"
 
 	"wfserverless/internal/journal"
@@ -20,34 +17,11 @@ import (
 // detector behind the crash-recovery tests.
 func countingStub(t testing.TB, drive sharedfs.Drive) (*httptest.Server, func() map[string]int) {
 	t.Helper()
-	var mu sync.Mutex
-	calls := make(map[string]int)
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req wfbench.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		mu.Lock()
-		calls[req.Name]++
-		mu.Unlock()
-		for name, size := range req.Out {
-			drive.WriteFile(name, size)
-		}
-		json.NewEncoder(w).Encode(&wfbench.Response{Name: req.Name, OK: true})
-	})
-	srv := httptest.NewServer(h)
+	stub := wfbench.NewStub(drive, 0)
+	srv := httptest.NewServer(wfbench.NewEndpoint(stub))
+	srv.URL += "/wfbench" // what tests hand out as the api_url
 	t.Cleanup(srv.Close)
-	snapshot := func() map[string]int {
-		mu.Lock()
-		defer mu.Unlock()
-		out := make(map[string]int, len(calls))
-		for k, v := range calls {
-			out[k] = v
-		}
-		return out
-	}
-	return srv, snapshot
+	return srv, stub.Counts
 }
 
 func openJournal(t *testing.T, dir string) *journal.Journal {

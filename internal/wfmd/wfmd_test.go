@@ -2,7 +2,6 @@ package wfmd
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,54 +17,13 @@ import (
 	"wfserverless/internal/wfm"
 )
 
-// countingStub is a loopback WfBench endpoint that counts invocations
+// newCountingStub is a loopback WfBench endpoint that counts invocations
 // per task name and publishes outputs to the drive.
-type countingStub struct {
-	drive sharedfs.Drive
-	delay time.Duration
-
-	mu sync.Mutex
-	n  map[string]int
-}
-
-func newCountingStub(drive sharedfs.Drive, delay time.Duration) (*countingStub, *httptest.Server) {
-	cs := &countingStub{drive: drive, delay: delay, n: make(map[string]int)}
-	return cs, httptest.NewServer(cs)
-}
-
-func (cs *countingStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	var req wfbench.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	cs.mu.Lock()
-	cs.n[req.Name]++
-	cs.mu.Unlock()
-	if cs.delay > 0 {
-		time.Sleep(cs.delay)
-	}
-	for name, size := range req.Out {
-		cs.drive.WriteFile(name, size)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&wfbench.Response{Name: req.Name, OK: true})
-}
-
-func (cs *countingStub) count(name string) int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.n[name]
-}
-
-func (cs *countingStub) total() int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	t := 0
-	for _, n := range cs.n {
-		t += n
-	}
-	return t
+func newCountingStub(drive sharedfs.Drive, delay time.Duration) (*wfbench.Stub, *httptest.Server) {
+	stub := wfbench.NewStub(drive, delay)
+	srv := httptest.NewServer(wfbench.NewEndpoint(stub))
+	srv.URL += "/wfbench" // what tests hand out as the api_url
+	return stub, srv
 }
 
 // fanoutWorkflow builds a root + (tasks-1) children DAG whose task and
@@ -397,7 +355,7 @@ func TestRestartResume(t *testing.T) {
 	}
 	// Let roughly a third of the work complete, then crash.
 	deadline := time.Now().Add(10 * time.Second)
-	for stub.total() < runs*tasks/3 {
+	for stub.Total() < runs*tasks/3 {
 		if time.Now().After(deadline) {
 			t.Fatal("stub never saw enough invocations")
 		}
@@ -425,7 +383,7 @@ func TestRestartResume(t *testing.T) {
 		_ = i
 	}
 	for name := range recorded {
-		preCounts[name] = stub.count(name)
+		preCounts[name] = stub.Counts()[name]
 	}
 
 	srv2, err := New(cfg)
@@ -454,7 +412,7 @@ func TestRestartResume(t *testing.T) {
 	}
 	dups := 0
 	for name, pre := range preCounts {
-		if got := stub.count(name); got > pre {
+		if got := stub.Counts()[name]; got > pre {
 			dups++
 			t.Errorf("journal-recorded task %s re-invoked: %d → %d", name, pre, got)
 		}
@@ -509,7 +467,7 @@ func TestGracefulStopResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for stub.total() < 4 {
+	for stub.Total() < 4 {
 		if time.Now().After(deadline) {
 			t.Fatal("run never started")
 		}
@@ -569,7 +527,7 @@ func TestTerminalStatusSurvivesRestart(t *testing.T) {
 			http.Error(w, "transient", http.StatusInternalServerError)
 			return
 		}
-		stub.ServeHTTP(w, r)
+		wfbench.NewEndpoint(stub).ServeHTTP(w, r)
 	}))
 	defer flaky.Close()
 	cfg := testConfig(t, drive)
@@ -589,7 +547,7 @@ func TestTerminalStatusSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := srv.Submit("r", "", fanoutWorkflow(t, "term", 8, flaky.URL))
+	st, err := srv.Submit("r", "", fanoutWorkflow(t, "term", 8, flaky.URL+"/wfbench"))
 	if err != nil {
 		t.Fatal(err)
 	}
