@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-module tier1 check race fuzz-smoke health-smoke service-smoke vet clean
+.PHONY: all build test bench-module tier1 check race fuzz-smoke health-smoke service-smoke alloc-sites vet clean
 
 all: tier1
 
@@ -29,9 +29,29 @@ vet:
 # group committer, the memo cache's appender, the straggler watchdog
 # and speculation race, and wfmd's shared TaskGate all ride the one
 # execution core in internal/wfm, so a per-plane target only re-ran it.
+# The batcher's tests run fifty times more: its delivery race (a batch-
+# mate of a failed task reported cancelled) showed in one run of eight.
 race:
 	$(GO) build -race ./...
 	$(GO) test -race ./...
+	$(GO) test -race ./internal/wfm -run 'TestBatch' -count=50
+
+# alloc-sites names who allocates on the scale path: the batched case of
+# the back-half budget test (a 10k fan-out, batches of 512, a synced
+# journal, the in-process platform behind a loopback) with every
+# allocation sampled, as allocations per task by site: what the function
+# allocates itself, then with its callees. The rows of synthTask,
+# benchFanout, insertSorted and Sprintf are the test building its
+# workflow, outside the run the budget counts. SITES sets how many rows,
+# ALLOC_OUT where the test binary and profile go.
+SITES ?= 40
+ALLOC_OUT ?= .bench_build/alloc-sites
+alloc-sites:
+	mkdir -p $(ALLOC_OUT)
+	$(GO) test ./internal/wfm -run 'TestBackHalfAllocationBudget/batched' -count=1 \
+		-o $(ALLOC_OUT)/wfm.test -memprofile $(ALLOC_OUT)/mem.prof -memprofilerate=1
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=$(SITES) $(ALLOC_OUT)/wfm.test $(ALLOC_OUT)/mem.prof 2>/dev/null | \
+		awk 'rows {printf "%8.2f /task  with callees %8.2f  %s\n", $$1/10000, $$4/10000, $$6 " " $$7; next} /flat%/ {rows = 1; next} {print}'
 
 # fuzz-smoke gives every fuzz target ten seconds past its seed corpus:
 # the journal reader, the workflow parser (what it accepts, and its fast

@@ -111,37 +111,20 @@ func (n *Node) Reserve(cores float64, mem int64) (*Reservation, error) {
 	return &Reservation{node: n, cores: cores, mem: mem}, nil
 }
 
-// AddBusy registers cores of live CPU work and returns a function that
-// unregisters them. Oversubscription is recorded as-is; Snapshot clamps
-// utilization at capacity when deriving power.
-func (n *Node) AddBusy(cores float64) (release func()) {
+// AddBusy adds cores of live CPU work; whoever registered them
+// unregisters them with the negative. Oversubscription is recorded
+// as-is; Snapshot clamps utilization at capacity when deriving power.
+func (n *Node) AddBusy(cores float64) {
 	n.mu.Lock()
 	n.busyCores += cores
 	n.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			n.mu.Lock()
-			n.busyCores -= cores
-			n.mu.Unlock()
-		})
-	}
 }
 
-// AddMem registers bytes of live resident memory and returns a function
-// that unregisters them.
-func (n *Node) AddMem(bytes int64) (release func()) {
+// AddMem adds bytes of live resident memory, negative to unregister.
+func (n *Node) AddMem(bytes int64) {
 	n.mu.Lock()
 	n.usedMem += bytes
 	n.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			n.mu.Lock()
-			n.usedMem -= bytes
-			n.mu.Unlock()
-		})
-	}
 }
 
 // Usage is an instantaneous reading of one node (or a cluster total).

@@ -68,15 +68,14 @@ func TestReserveNegative(t *testing.T) {
 
 func TestBusyAndMemAccounting(t *testing.T) {
 	n := testNode()
-	rel1 := n.AddBusy(2)
-	rel2 := n.AddMem(100)
+	n.AddBusy(2)
+	n.AddMem(100)
 	u := n.Snapshot()
 	if u.BusyCores != 2 || u.UsedMem != 100 {
 		t.Fatalf("usage = %+v", u)
 	}
-	rel1()
-	rel1() // idempotent
-	rel2()
+	n.AddBusy(-2)
+	n.AddMem(-100)
 	u = n.Snapshot()
 	if u.BusyCores != 0 || u.UsedMem != 0 {
 		t.Fatalf("after release: %+v", u)
@@ -88,13 +87,12 @@ func TestPowerModel(t *testing.T) {
 	if p := n.Snapshot().PowerWatts; p != 100 {
 		t.Fatalf("idle power = %v, want 100", p)
 	}
-	rel := n.AddBusy(4) // 50% util
+	n.AddBusy(4) // 50% util
 	if p := n.Snapshot().PowerWatts; math.Abs(p-200) > 1e-9 {
 		t.Fatalf("50%% power = %v, want 200", p)
 	}
-	rel()
-	rel = n.AddBusy(100) // oversubscribed: clamp at capacity
-	defer rel()
+	n.AddBusy(-4)
+	n.AddBusy(100) // oversubscribed: clamp at capacity
 	u := n.Snapshot()
 	if u.BusyCores != 8 {
 		t.Fatalf("BusyCores = %v, want clamped 8", u.BusyCores)
@@ -181,8 +179,8 @@ func TestConcurrentReservations(t *testing.T) {
 				if r, err := n.Reserve(1, 1<<10); err == nil {
 					r.Release()
 				}
-				rel := n.AddBusy(0.5)
-				rel()
+				n.AddBusy(0.5)
+				n.AddBusy(-0.5)
 			}
 		}()
 	}
@@ -237,13 +235,11 @@ func TestCStatePenalty(t *testing.T) {
 	if p := n.Snapshot().PowerWatts; math.Abs(p-106) > 1e-9 {
 		t.Fatalf("power = %v, want 106", p)
 	}
-	rel := n.AddBusy(4) // 4 busy: dyn 40W, idle-reserved 2 -> +2W
-	defer rel()
+	n.AddBusy(4) // 4 busy: dyn 40W, idle-reserved 2 -> +2W
 	if p := n.Snapshot().PowerWatts; math.Abs(p-142) > 1e-9 {
 		t.Fatalf("power = %v, want 142", p)
 	}
-	rel2 := n.AddBusy(4) // busy 8 > reserved 6: no penalty
-	defer rel2()
+	n.AddBusy(4) // busy 8 > reserved 6: no penalty
 	if p := n.Snapshot().PowerWatts; math.Abs(p-180) > 1e-9 {
 		t.Fatalf("power = %v, want 180", p)
 	}

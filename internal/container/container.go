@@ -303,18 +303,11 @@ type limitedUsage struct {
 	used atomic.Int64
 }
 
-func (u *limitedUsage) AddBusy(cores float64) func() { return u.node.AddBusy(cores) }
+func (u *limitedUsage) AddBusy(cores float64) { u.node.AddBusy(cores) }
 
-func (u *limitedUsage) AddMem(bytes int64) func() {
+func (u *limitedUsage) AddMem(bytes int64) {
 	u.used.Add(bytes)
-	rel := u.node.AddMem(bytes)
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			u.used.Add(-bytes)
-			rel()
-		})
-	}
+	u.node.AddMem(bytes)
 }
 
 // Container is one always-on WfBench container.
@@ -333,9 +326,6 @@ type Container struct {
 
 	inflight atomic.Int64
 	served   atomic.Int64
-
-	releaseOverheadMem func()
-	releaseOverheadCPU func()
 }
 
 type work struct {
@@ -375,12 +365,9 @@ func newContainer(r *Runtime, cfg Config, res *cluster.Reservation) (*Container,
 		return nil, fmt.Errorf("container: %s: worker pool needs %d bytes, limit %d: %w",
 			cfg.Name, c.baseMem, cfg.MemLimit, ErrOOM)
 	}
-	if c.baseMem > 0 {
-		c.releaseOverheadMem = usage.AddMem(c.baseMem)
-	}
-	if r.opts.PodOverheadCPU > 0 {
-		c.releaseOverheadCPU = res.Node().AddBusy(r.opts.PodOverheadCPU)
-	}
+	// The resident overheads, held until stop.
+	usage.AddMem(c.baseMem)
+	usage.AddBusy(r.opts.PodOverheadCPU)
 	for i := 0; i < cfg.Workers; i++ {
 		w := bench.NewWorker()
 		c.wg.Add(1)
@@ -448,12 +435,8 @@ func (c *Container) stop() {
 		close(c.stopCh)
 		go func() {
 			c.wg.Wait()
-			if c.releaseOverheadMem != nil {
-				c.releaseOverheadMem()
-			}
-			if c.releaseOverheadCPU != nil {
-				c.releaseOverheadCPU()
-			}
+			c.usage.AddMem(-c.baseMem)
+			c.usage.AddBusy(-c.rt.opts.PodOverheadCPU)
 			c.res.Release()
 		}()
 	})

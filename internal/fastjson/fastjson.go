@@ -22,10 +22,17 @@ import (
 type Parser struct {
 	b []byte
 	i int
+	s string // string(b) when the caller made one, else ""
 }
 
 // NewParser returns a Parser at the start of data.
 func NewParser(data []byte) Parser { return Parser{b: data} }
+
+// NewParserText is NewParser for a caller that holds text, string(data),
+// already: Str cuts from it instead of allocating, so every string of a
+// document — or of a batch of documents copied at once — costs that one
+// copy, and keeps all of it alive for as long as any of them is.
+func NewParserText(data []byte, text string) Parser { return Parser{b: data, s: text} }
 
 func (p *Parser) ws() {
 	for p.i < len(p.b) {
@@ -96,11 +103,16 @@ func (p *Parser) Array(elem func() bool) bool {
 	}
 }
 
-// Str parses an escape-free string into a fresh string.
+// Str parses an escape-free string: a fresh one, or a cut of the
+// caller's text (NewParserText).
 func (p *Parser) Str() (string, bool) {
 	raw, ok := p.RawStr()
 	if !ok {
 		return "", false
+	}
+	if p.s != "" {
+		end := p.i - 1 // RawStr stopped past the closing quote
+		return p.s[end-len(raw) : end], true
 	}
 	return string(raw), true
 }
@@ -224,9 +236,13 @@ func (p *Parser) Float() (float64, bool) {
 	return f, err == nil
 }
 
-// StrSlice parses ["a", "b", ...].
-func (p *Parser) StrSlice() ([]string, bool) {
-	out := []string{}
+// StrSlice parses ["a", "b", ...] into dst[:0], a slice the caller is
+// done with (nil for a new one). The result is never nil.
+func (p *Parser) StrSlice(dst []string) ([]string, bool) {
+	out := dst[:0]
+	if out == nil {
+		out = []string{}
+	}
 	ok := p.Array(func() bool {
 		s, ok := p.Str()
 		out = append(out, s)
@@ -235,15 +251,19 @@ func (p *Parser) StrSlice() ([]string, bool) {
 	return out, ok
 }
 
-// MapInt64 parses {"name": n, ...}.
-func (p *Parser) MapInt64() (map[string]int64, bool) {
-	out := make(map[string]int64)
+// MapInt64 parses {"name": n, ...} into dst, an empty map the caller is
+// done with (nil for a new one). Keys are always copied, never cut from
+// the caller's text: a map key outlives the document it came in.
+func (p *Parser) MapInt64(dst map[string]int64) (map[string]int64, bool) {
+	if dst == nil {
+		dst = make(map[string]int64)
+	}
 	ok := p.Object(func(key []byte) bool {
 		v, ok := p.Int()
-		out[string(key)] = v
+		dst[string(key)] = v
 		return ok
 	})
-	return out, ok
+	return dst, ok
 }
 
 // SkipValue steps over an unknown field's value: scalars, plus arrays

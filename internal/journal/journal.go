@@ -332,13 +332,16 @@ func (j *Journal) append(kind uint8, data []byte) error {
 // stageLocked appends the record envelope to the staging buffer.
 func (j *Journal) stageLocked(kind uint8, data []byte) {
 	n := recHeaderSize + len(data)
-	var hdr [recHeaderSize]byte
+	// The header is filled in place: a local array would escape through
+	// the checksum call, one allocation a record.
+	at := len(j.buf)
+	j.buf = append(j.buf, make([]byte, recHeaderSize)...)
+	hdr := j.buf[at : at+recHeaderSize]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+len(data)))
 	hdr[8] = kind
 	crc := crc32.Checksum(hdr[8:9], castagnoli)
 	crc = crc32.Update(crc, castagnoli, data)
 	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	j.buf = append(j.buf, hdr[:]...)
 	j.buf = append(j.buf, data...)
 	j.appends.Add(1)
 	j.bytes.Add(int64(n))

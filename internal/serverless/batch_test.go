@@ -1,12 +1,15 @@
 package serverless
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"wfserverless/internal/cluster"
 	"wfserverless/internal/sharedfs"
@@ -136,5 +139,87 @@ func TestSplitBatchPath(t *testing.T) {
 		if got := routed(t, p, path, body); got != want {
 			t.Errorf("POST %s reached %q, want %q", path, got, want)
 		}
+	}
+}
+
+// heldEngine holds every stress phase at full duty until released; any
+// other duty runs through at once.
+type heldEngine struct{ release chan struct{} }
+
+func (e heldEngine) Run(ctx context.Context, _ time.Duration, duty float64) error {
+	if duty == 1 {
+		<-e.release
+	}
+	return nil
+}
+
+// TestCancelledBatchIsNotRecycled: a batch whose caller gives up while
+// pods are still executing its frames leaves workers holding its
+// requests, so neither it nor its invocations may be handed to the
+// batches that follow. The held workers, let go after several more
+// batches have been through the same handler, must still publish their
+// own outputs — and the race detector must have nothing to say about a
+// decoder writing what a worker reads.
+func TestCancelledBatchIsNotRecycled(t *testing.T) {
+	drive := sharedfs.NewMem()
+	opts := fastOpts(cluster.PaperTestbed(), drive)
+	opts.ColdStart = 0
+	engine := heldEngine{release: make(chan struct{})}
+	opts.Engine = engine
+	p := startPlatform(t, opts)
+	if err := p.Apply(ServiceConfig{Name: "s", Workers: 6, MinScale: 1, MaxScale: 1}); err != nil {
+		t.Fatal(err)
+	}
+	post := func(ctx context.Context, names []string, duty float64) *httptest.ResponseRecorder {
+		items := make([]wfbench.BatchItem, len(names))
+		for i, name := range names {
+			req := benchReq(name, 1)
+			req.PercentCPU, req.MemBytes = duty, 0
+			items[i] = frame(t, req)
+		}
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/s/invoke-batch", bytes.NewReader(wfbench.EncodeBatchRequest(items)))
+		p.ServeHTTP(rec, r.WithContext(ctx))
+		return rec
+	}
+
+	held := []string{"held-a", "held-b", "held-c"}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		// Give up once all three frames are on a worker, inside the engine.
+		waitUntil(t, 2*time.Second, func() bool { return p.Stats().Services["s"].Queued == 0 && p.Requests() == 3 }, "held frames dequeued")
+		cancel()
+	}()
+	results, err := wfbench.DecodeBatchResponse(post(ctx, held, 1).Body)
+	if err != nil || len(results) != len(held) {
+		t.Fatalf("cancelled batch: %d frames, %v", len(results), err)
+	}
+	for i, res := range results {
+		if res.Status != http.StatusServiceUnavailable || !strings.Contains(string(res.Payload), "context canceled") {
+			t.Fatalf("frame %d of the cancelled batch = %d %q", i, res.Status, res.Payload)
+		}
+	}
+
+	// The batches that follow would be handed the cancelled one's slabs.
+	for round := 0; round < 8; round++ {
+		names := []string{fmt.Sprintf("next-%d-x", round), fmt.Sprintf("next-%d-y", round), fmt.Sprintf("next-%d-z", round)}
+		results, err := wfbench.DecodeBatchResponse(post(context.Background(), names, 0.5).Body)
+		if err != nil || len(results) != len(names) {
+			t.Fatalf("round %d: %d frames, %v", round, len(results), err)
+		}
+		for i, res := range results {
+			var resp wfbench.Response
+			if err := json.Unmarshal(res.Payload, &resp); res.Status != http.StatusOK || err != nil || resp.Name != names[i] {
+				t.Fatalf("round %d frame %d = %d %q, want %s done", round, i, res.Status, res.Payload, names[i])
+			}
+		}
+	}
+
+	close(engine.release)
+	waitUntil(t, 2*time.Second, func() bool {
+		return drive.Exists("held-a_out") && drive.Exists("held-b_out") && drive.Exists("held-c_out")
+	}, "the held workers publish their own requests' outputs")
+	if n := len(drive.List()); n != len(held)+8*3 {
+		t.Fatalf("drive holds %d files %v, want one per request", n, drive.List())
 	}
 }

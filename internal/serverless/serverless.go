@@ -21,6 +21,7 @@
 package serverless
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -168,23 +169,39 @@ func (o *Options) scaled(nominalSeconds float64) time.Duration {
 // finishes it, so the span is closed exactly once on every path.
 type invocation struct {
 	req    *wfbench.Request
-	respCh chan invocationResult
 	parent obs.SpanContext
 	queue  *obs.Span
-	// idx identifies a sub-invocation inside a batch: batch members
-	// share one response channel (sized for the whole batch) and the
-	// collector places results by idx. Single invocations use idx 0 on
-	// a dedicated channel.
-	idx int
+	// resp is where the worker puts the Response and err what execution
+	// returned; both are the collector's once idx has arrived on done.
+	// Batch members share one done channel, sized for the whole batch, and
+	// idx is the member's frame; a single invocation has its own and idx 0.
+	resp *wfbench.Response
+	err  error
+	done chan int32
+	idx  int32
 	// prep, when set, carries the batch's shared input verification so
 	// the worker skips the per-task input wait.
 	prep *wfbench.BatchPrep
 }
 
-type invocationResult struct {
-	resp *wfbench.Response
-	err  error
-	idx  int
+// invocationSlab is the in-flight state of one batch: an invocation per
+// frame and the channel they report on. It goes back to slabs only once
+// every invocation enqueued from it was received — after that no worker
+// holds a pointer into it.
+type invocationSlab struct {
+	invs []invocation
+	done chan int32
+}
+
+var slabs sync.Pool
+
+func newSlab(n int) *invocationSlab {
+	s, _ := slabs.Get().(*invocationSlab)
+	if s == nil || cap(s.invs) < n {
+		s = &invocationSlab{invs: make([]invocation, n), done: make(chan int32, n)}
+	}
+	s.invs = s.invs[:n]
+	return s
 }
 
 // Platform is the serverless platform. Create with New, then Start to
@@ -416,7 +433,13 @@ func (p *Platform) Invoke(ctx context.Context, serviceName string, req *wfbench.
 	}
 	p.requests.Add(1)
 	start := time.Now()
-	inv := &invocation{req: req, respCh: make(chan invocationResult, 1), parent: obs.SpanFromContext(ctx)}
+	// One allocation holds the invocation and the Response it answers with.
+	one := new(struct {
+		invocation
+		resp wfbench.Response
+	})
+	inv := &one.invocation
+	*inv = invocation{req: req, resp: &one.resp, done: make(chan int32, 1), parent: obs.SpanFromContext(ctx)}
 	inv.queue = p.opts.Tracer.StartChild(inv.parent, "queue", obs.LayerPlatform)
 	svc.inflight.Add(1)
 	defer svc.inflight.Add(-1)
@@ -428,51 +451,68 @@ func (p *Platform) Invoke(ctx context.Context, serviceName string, req *wfbench.
 		return nil, p.refuse(svc, inv, ErrStopped)
 	}
 	select {
-	case r := <-inv.respCh:
+	case <-inv.done:
 		p.latency.ObserveDuration(time.Since(start))
-		if r.err != nil {
+		if inv.err != nil {
 			p.failures.Add(1)
 		}
-		return r.resp, r.err
+		return inv.resp, inv.err
 	case <-ctx.Done():
 		p.failures.Add(1)
 		return nil, ctx.Err()
 	}
 }
 
-// InvokeBatch executes a framed batch on the named service, and is why
+// InvokeBatch is ServeBatch for an in-process caller that holds frames,
+// not a request: the result frames come back as the wire would carry
+// them, every Payload rendered.
+func (p *Platform) InvokeBatch(ctx context.Context, serviceName string, items []wfbench.BatchItem) []wfbench.BatchResult {
+	b, err := wfbench.NewBatch(wfbench.EncodeBatchRequest(items))
+	if err != nil {
+		results := make([]wfbench.BatchResult, len(items))
+		for i := range results {
+			results[i] = wfbench.ResultFrame(nil, err)
+		}
+		return results
+	}
+	p.ServeBatch(ctx, serviceName, b)
+	results, _ := wfbench.DecodeBatchResponse(bytes.NewReader(wfbench.EncodeBatchResponse(b.Results))) // what was just encoded decodes
+	return results
+}
+
+// ServeBatch executes a framed batch on the named service, and is why
 // the platform overrides the endpoint's frame-per-goroutine default: the
 // batch's input-file union is waited for and content-hashed once
 // (wfbench.PrepareInputs), then every valid sub-request is handed to the
 // service queue in one pass — warm pods pull them concurrently, so the
 // batch fans out across the fleet — and the results are collected on one
 // shared channel. Each frame fails exactly as Invoke would have.
-func (p *Platform) InvokeBatch(ctx context.Context, serviceName string, items []wfbench.BatchItem) []wfbench.BatchResult {
-	results := make([]wfbench.BatchResult, len(items))
+func (p *Platform) ServeBatch(ctx context.Context, serviceName string, b *wfbench.Batch) {
+	results := b.Results
 	svc, err := p.lookup(serviceName)
 	if err != nil {
 		for i := range results {
 			results[i] = wfbench.ResultFrame(nil, err)
 		}
-		return results
+		return
 	}
-	reqs, inputs := wfbench.DecodeFrames(items, results)
-	prep := wfbench.PrepareInputs(ctx, p.opts.Drive, inputs, p.opts.scaled(p.opts.InputWait))
+	prep := wfbench.PrepareInputs(ctx, p.opts.Drive, b.Decode(), p.opts.scaled(p.opts.InputWait))
 
-	respCh := make(chan invocationResult, len(items))
+	slab := newSlab(len(results))
 	enqueued := 0
 	start := time.Now()
 enqueue:
-	for i, req := range reqs {
-		if req == nil {
+	for i := range results {
+		if !b.Pending(i) {
 			continue
 		}
 		var parent obs.SpanContext
-		if sc, ok := obs.ParseTraceparent(items[i].Traceparent); ok {
+		if sc, ok := obs.ParseTraceparent(b.Items[i].Traceparent); ok {
 			parent = sc
 		}
 		p.requests.Add(1)
-		inv := &invocation{req: req, respCh: respCh, parent: parent, idx: i, prep: prep}
+		inv := &slab.invs[i]
+		*inv = invocation{req: &b.Reqs[i], resp: &b.Resps[i], done: slab.done, parent: parent, idx: int32(i), prep: prep}
 		inv.queue = p.opts.Tracer.StartChild(parent, "queue", obs.LayerPlatform)
 		select {
 		case svc.queue <- inv:
@@ -483,8 +523,8 @@ enqueue:
 		case <-p.stopCh:
 			// Everything not yet enqueued shares the shutdown verdict.
 			stopped := wfbench.ResultFrame(nil, p.refuse(svc, inv, ErrStopped))
-			for j := i; j < len(reqs); j++ {
-				if reqs[j] != nil {
+			for j := i; j < len(results); j++ {
+				if b.Pending(j) {
 					results[j] = stopped
 				}
 			}
@@ -492,37 +532,40 @@ enqueue:
 		}
 	}
 
-	for done := 0; done < enqueued; done++ {
+	for received := 0; received < enqueued; received++ {
 		select {
-		case r := <-respCh:
+		case i := <-slab.done:
 			svc.inflight.Add(-1)
 			p.latency.ObserveDuration(time.Since(start))
-			results[r.idx] = wfbench.ResultFrame(r.resp, r.err)
-			if r.err != nil {
+			inv := &slab.invs[i]
+			results[i] = wfbench.ResultFrame(inv.resp, inv.err)
+			if inv.err != nil {
 				p.failures.Add(1)
 			}
 		case <-ctx.Done():
 			// The caller gave up mid-batch. Mark the still-pending frames
 			// cancelled and drain the stragglers in the background so the
 			// inflight gauge (the autoscaler's demand signal) stays honest.
-			remaining := enqueued - done
+			// Workers still hold parts of the batch and the slab: neither
+			// is recycled.
+			b.Abandon()
 			cancelled := wfbench.ResultFrame(nil, fmt.Errorf("serverless: %s: %w", serviceName, ctx.Err()))
-			for i, req := range reqs {
-				if req != nil && results[i].Status == 0 {
+			for i := range results {
+				if b.Pending(i) {
 					p.failures.Add(1)
 					results[i] = cancelled
 				}
 			}
-			go func() {
-				for i := 0; i < remaining; i++ {
-					<-respCh
+			go func(remaining int) {
+				for ; remaining > 0; remaining-- {
+					<-slab.done
 					svc.inflight.Add(-1)
 				}
-			}()
-			return results
+			}(enqueued - received)
+			return
 		}
 	}
-	return results
+	slabs.Put(slab)
 }
 
 // Stats is the operational snapshot served at GET /stats.
@@ -766,8 +809,9 @@ type pod struct {
 	readyAt   time.Time
 	served    atomic.Bool
 
-	releaseOverheadMem func()
-	releaseOverheadCPU func()
+	// What start registered on the node, for stop to take off again.
+	overheadMem int64
+	overheadCPU float64
 }
 
 func newPod(s *service, id int, res *cluster.Reservation) (*pod, error) {
@@ -823,13 +867,10 @@ func (pd *pod) start(coldStart time.Duration) {
 		pd.readyAt = time.Now()
 		node := pd.res.Node()
 		opts := pd.svc.p.opts
-		mem := opts.PodOverheadMem + int64(len(pd.workers))*opts.WorkerOverheadMem
-		if mem > 0 {
-			pd.releaseOverheadMem = node.AddMem(mem)
-		}
-		if opts.PodOverheadCPU > 0 {
-			pd.releaseOverheadCPU = node.AddBusy(opts.PodOverheadCPU)
-		}
+		pd.overheadMem = opts.PodOverheadMem + int64(len(pd.workers))*opts.WorkerOverheadMem
+		pd.overheadCPU = opts.PodOverheadCPU
+		node.AddMem(pd.overheadMem)
+		node.AddBusy(pd.overheadCPU)
 		for _, w := range pd.workers {
 			pd.wg.Add(1)
 			go pd.workerLoop(w)
@@ -865,18 +906,16 @@ func (pd *pod) workerLoop(w *wfbench.Worker) {
 			if exec != nil {
 				ctx = obs.ContextWithSpan(ctx, exec.Context())
 			}
-			resp, err := w.ExecuteVerified(ctx, inv.req, inv.prep)
-			if resp != nil {
-				resp.Pod = pd.name
-				resp.ColdStart = first
-			}
-			if err != nil {
-				exec.SetAttr("error", err.Error())
+			inv.err = w.ExecuteInto(ctx, inv.req, inv.prep, inv.resp)
+			inv.resp.Pod = pd.name
+			inv.resp.ColdStart = first
+			if inv.err != nil {
+				exec.SetAttr("error", inv.err.Error())
 			}
 			exec.Finish()
 			pd.active.Add(-1)
 			pd.lastActive.Store(time.Now().UnixNano())
-			inv.respCh <- invocationResult{resp: resp, err: err, idx: inv.idx}
+			inv.done <- inv.idx // inv is the collector's from here
 		}
 	}
 }
@@ -904,12 +943,9 @@ func (pd *pod) stop() {
 			for _, w := range pd.workers {
 				w.Close()
 			}
-			if pd.releaseOverheadMem != nil {
-				pd.releaseOverheadMem()
-			}
-			if pd.releaseOverheadCPU != nil {
-				pd.releaseOverheadCPU()
-			}
+			node := pd.res.Node()
+			node.AddMem(-pd.overheadMem)
+			node.AddBusy(-pd.overheadCPU)
 			pd.res.Release()
 		}()
 	})

@@ -1,11 +1,14 @@
 package wfbench
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
 	"time"
 
 	"wfserverless/internal/sharedfs"
@@ -46,11 +49,14 @@ type BatchItem struct {
 }
 
 // BatchResult is one sub-response frame. Status carries the exact HTTP
-// status a single-task POST would have answered with.
+// status a single-task POST would have answered with. On the serving
+// side a frame that has a Response carries it as one: the encoder renders
+// its JSON straight into the response body, and Payload is unused.
 type BatchResult struct {
 	Status           int
 	RetryAfterMillis int64
 	Payload          []byte
+	Response         *Response
 }
 
 // AppendBatchCount appends the batch's task-count prefix.
@@ -81,19 +87,23 @@ func EncodeBatchRequest(items []BatchItem) []byte {
 }
 
 // ReadBatchBody slurps an HTTP batch body, in a single exact-size
-// allocation when the Content-Length is declared. Servers pair it with
-// DecodeBatchRequestBytes so the whole decode costs two allocations.
-// A declared length past maxPresizeBytes is a claim the body has yet to
-// back: that read grows with the bytes that arrive instead.
-func ReadBatchBody(r *http.Request) ([]byte, error) {
-	if n := r.ContentLength; n >= 0 && n <= maxPresizeBytes {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r.Body, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+// allocation when the Content-Length is declared. A declared length past
+// maxPresizeBytes is a claim the body has yet to back: that read grows
+// with the bytes that arrive instead.
+func ReadBatchBody(r *http.Request) ([]byte, error) { return readBatchBody(nil, r) }
+
+// readBatchBody is ReadBatchBody into buf[:0], a buffer the caller is
+// done with.
+func readBatchBody(buf []byte, r *http.Request) ([]byte, error) {
+	n := r.ContentLength
+	if n < 0 || n > maxPresizeBytes {
+		b := bytes.NewBuffer(buf[:0])
+		_, err := b.ReadFrom(r.Body)
+		return b.Bytes(), err
 	}
-	return io.ReadAll(r.Body)
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	_, err := io.ReadFull(r.Body, buf)
+	return buf, err
 }
 
 // DecodeBatchRequestBytes parses a batch request body in place: every
@@ -101,47 +111,96 @@ func ReadBatchBody(r *http.Request) ([]byte, error) {
 // batch decodes with one allocation for the item slice. Callers must
 // keep data alive for as long as the items.
 func DecodeBatchRequestBytes(data []byte) ([]BatchItem, error) {
+	items, _, err := decodeBatchItems(nil, nil, data)
+	return items, err
+}
+
+// decodeBatchItems is DecodeBatchRequestBytes into slices the caller
+// recycles, also giving offs[i], where items[i].Body starts in data.
+func decodeBatchItems(items []BatchItem, offs []int, data []byte) ([]BatchItem, []int, error) {
 	c := batchCursor{buf: data}
 	n, err := c.count()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// A task takes at least its two length prefixes: refuse a count the body
 	// cannot hold before a few hostile bytes buy a million-entry allocation.
 	if rest := len(data) - c.off; 2*n > rest {
-		return nil, fmt.Errorf("wfbench: batch task count %d, but only %d byte(s) follow: %w", n, rest, io.ErrUnexpectedEOF)
+		return nil, nil, fmt.Errorf("wfbench: batch task count %d, but only %d byte(s) follow: %w", n, rest, io.ErrUnexpectedEOF)
 	}
-	items := make([]BatchItem, n)
+	items, offs = resize(items, n), resize(offs, n)
 	for i := range items {
 		tp, err := c.frame(256, "traceparent")
 		if err != nil {
-			return nil, fmt.Errorf("wfbench: batch task %d: %w", i, err)
+			return nil, nil, fmt.Errorf("wfbench: batch task %d: %w", i, err)
 		}
 		body, err := c.frame(maxFrameBytes, "body")
 		if err != nil {
-			return nil, fmt.Errorf("wfbench: batch task %d: %w", i, err)
+			return nil, nil, fmt.Errorf("wfbench: batch task %d: %w", i, err)
 		}
-		items[i] = BatchItem{Traceparent: string(tp), Body: body}
+		items[i], offs[i] = BatchItem{Traceparent: string(tp), Body: body}, c.off-len(body)
 	}
-	return items, nil
+	return items, offs, nil
+}
+
+// resize returns s with length n, reusing its array when that is large
+// enough; what a reused element held is the caller's to overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // EncodeBatchResponse renders a complete batch response body.
 func EncodeBatchResponse(results []BatchResult) []byte {
-	// Size the buffer exactly (uvarints bounded by binary.MaxVarintLen64)
-	// so a wide batch encodes without growth copies.
+	return appendBatchResponse(nil, results)
+}
+
+// appendBatchResponse appends the response body for results to dst, sized
+// up front so a wide batch encodes without growth copies.
+func appendBatchResponse(dst []byte, results []BatchResult) []byte {
 	size := binary.MaxVarintLen64
-	for _, res := range results {
-		size += 3*binary.MaxVarintLen64 + len(res.Payload)
+	for i := range results {
+		res := &results[i]
+		size += resultHeaderMax + len(res.Payload)
+		if r := res.Response; r != nil {
+			size += 128 + len(r.Name) + len(r.Error) + len(r.Pod) // a guess: append grows past it
+		}
 	}
-	out := AppendBatchCount(make([]byte, 0, size), len(results))
-	for _, res := range results {
-		out = binary.AppendUvarint(out, uint64(res.Status))
-		out = binary.AppendUvarint(out, uint64(res.RetryAfterMillis))
-		out = binary.AppendUvarint(out, uint64(len(res.Payload)))
-		out = append(out, res.Payload...)
+	dst = AppendBatchCount(slices.Grow(dst, size), len(results))
+	for i := range results {
+		dst = appendBatchResult(dst, &results[i])
 	}
-	return out
+	return dst
+}
+
+// resultHeaderMax bounds a frame's three uvarints.
+const resultHeaderMax = 3 * binary.MaxVarintLen64
+
+func appendBatchResult(dst []byte, res *BatchResult) []byte {
+	status, payload := res.Status, res.Payload
+	if res.Response != nil {
+		// The frame header holds the payload's length, which is known once it
+		// is rendered: render it past room for the widest header, write the
+		// real one, and move the payload down against it.
+		start := len(dst)
+		dst = append(dst, make([]byte, resultHeaderMax)...)
+		var err error
+		if dst, err = AppendResponse(dst, res.Response); err == nil {
+			rendered := dst[start+resultHeaderMax:]
+			dst = appendResultHeader(dst[:start], status, res.RetryAfterMillis, len(rendered))
+			return dst[:len(dst)+copy(dst[len(dst):cap(dst)], rendered)]
+		}
+		dst, status, payload = dst[:start], http.StatusInternalServerError, []byte(err.Error())
+	}
+	return append(appendResultHeader(dst, status, res.RetryAfterMillis, len(payload)), payload...)
+}
+
+func appendResultHeader(dst []byte, status int, retryAfterMillis int64, payloadLen int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(status))
+	dst = binary.AppendUvarint(dst, uint64(retryAfterMillis))
+	return binary.AppendUvarint(dst, uint64(payloadLen))
 }
 
 // DecodeBatchResponse parses a full batch response body strictly —
@@ -292,17 +351,16 @@ type BatchPrep struct {
 // PrepareInputs waits (up to wait) for the union of the batch's input
 // files and resolves their content hashes where the drive supports it.
 // Files still missing at the deadline simply stay absent from the prep;
-// the sub-tasks that need them fail their own input check.
+// the sub-tasks that need them fail their own input check. inputs is the
+// caller's scratch (Batch.Decode's): it is compacted in place.
 func PrepareInputs(ctx context.Context, d sharedfs.Drive, inputs []string, wait time.Duration) *BatchPrep {
-	p := &BatchPrep{present: make(map[string]struct{}, len(inputs))}
-	uniq := make([]string, 0, len(inputs))
-	seen := make(map[string]struct{}, len(inputs))
+	p := &BatchPrep{present: make(map[string]struct{})}
+	uniq := inputs[:0]
 	for _, in := range inputs {
-		if _, ok := seen[in]; ok {
-			continue
+		if _, ok := p.present[in]; !ok {
+			p.present[in] = struct{}{}
+			uniq = append(uniq, in)
 		}
-		seen[in] = struct{}{}
-		uniq = append(uniq, in)
 	}
 	if len(uniq) == 0 {
 		return p
@@ -310,21 +368,13 @@ func PrepareInputs(ctx context.Context, d sharedfs.Drive, inputs []string, wait 
 	waitCtx, cancel := context.WithTimeout(ctx, wait)
 	missing, _ := sharedfs.WaitFor(waitCtx, d, uniq, wait/20)
 	cancel()
-	gone := make(map[string]struct{}, len(missing))
 	for _, m := range missing {
-		gone[m] = struct{}{}
+		delete(p.present, m)
 	}
-	hasher, _ := d.(sharedfs.Hasher)
-	for _, in := range uniq {
-		if _, ok := gone[in]; ok {
-			continue
-		}
-		p.present[in] = struct{}{}
-		if hasher != nil {
+	if hasher, ok := d.(sharedfs.Hasher); ok {
+		p.hashes = make(map[string]uint64, len(p.present))
+		for in := range p.present {
 			if h, ok := hasher.ContentHash(in); ok {
-				if p.hashes == nil {
-					p.hashes = make(map[string]uint64, len(uniq))
-				}
 				p.hashes[in] = h
 			}
 		}
@@ -359,8 +409,11 @@ func (p *BatchPrep) missingOf(inputs []string) []string {
 // WriteBatchResponse writes an encoded batch response with the batch
 // content type.
 func WriteBatchResponse(w http.ResponseWriter, results []BatchResult) {
-	body := EncodeBatchResponse(results)
+	writeBatchBody(w, EncodeBatchResponse(results))
+}
+
+func writeBatchBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", BatchContentType)
-	w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }

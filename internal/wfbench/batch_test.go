@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -381,5 +383,92 @@ func TestInjectorBatchUpstreamRejectInheritedByAll(t *testing.T) {
 		if res.Status != http.StatusServiceUnavailable || res.RetryAfterMillis != 2000 {
 			t.Fatalf("frame %d = %+v, want 503 with 2000ms hint", i, res)
 		}
+	}
+}
+
+// decodedAlone is frame i of b as UnmarshalRequest and Validate take it
+// on their own: what Decode must have put in b.Reqs[i], or refused.
+func decodedAlone(b *Batch, i int) (want Request, valid bool) {
+	valid = UnmarshalRequest(b.Items[i].Body, &want) == nil && want.Validate() == nil
+	return want, valid
+}
+
+// checkDecoded holds every frame of a decoded b to decodedAlone.
+func checkDecoded(t *testing.T, b *Batch, when string) {
+	t.Helper()
+	for i := range b.Items {
+		want, valid := decodedAlone(b, i)
+		if b.Pending(i) != valid {
+			t.Fatalf("%s: frame %d (%q) pending = %v, want %v", when, i, b.Items[i].Body, b.Pending(i), valid)
+		}
+		if valid && !reflect.DeepEqual(b.Reqs[i], want) {
+			t.Fatalf("%s: frame %d decoded into a recycled slot = %+v, alone = %+v", when, i, b.Reqs[i], want)
+		}
+	}
+}
+
+// TestDecodeFramesSurvivesRecycle decodes batch A, lets its executor
+// publish A's outputs, recycles the Batch — body buffer, Requests with
+// their maps and slices — for batch B, and then scribbles over the body:
+// everything B's executor sees is B's, what A left on the drive and in a
+// string it kept is A's still, and none of it moves with the body bytes.
+func TestDecodeFramesSurvivesRecycle(t *testing.T) {
+	a := []BatchItem{
+		{Body: marshalReq(t, &Request{Name: "a-root", PercentCPU: 0.5, Out: map[string]int64{"a_out1": 11, "a_out2": 12}, Inputs: []string{}, Workdir: "/a"})},
+		{Traceparent: "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+			Body: marshalReq(t, &Request{Name: "a-leaf", PercentCPU: 1, Out: map[string]int64{"a_out3": 13}, Inputs: []string{"a_out1", "a_out2", "a_ext"}})},
+		{Body: marshalReq(t, &Request{Name: "a-last", Out: map[string]int64{"a_out4": 14}, Inputs: []string{"a_out3"}})},
+	}
+	b := []BatchItem{
+		{Body: marshalReq(t, &Request{Name: "b-one", Out: map[string]int64{"b_out1": 21}, Inputs: []string{"b_in"}})},
+		{Body: []byte(`{"name":"b-bad","percent-cpu":7,"out":{"b_never":1},"inputs":["x"]}`)},                                // decodes, does not validate
+		{Body: []byte(`{"name":"b-esc\u0061ped","out":{"b_out2":22},"inputs":null}`)},                                        // the reflection path
+		{Body: []byte(`{"name":"b-none","out":null,"inputs":[]}`)},                                                           // no map to reuse
+		{Body: marshalReq(t, &Request{Name: "b-more", Out: map[string]int64{"b_out3": 23}, Inputs: []string{"b_1", "b_2"}})}, // a slot A never had
+	}
+	drive := sharedfs.NewMem()
+	batch := new(Batch)
+	load := func(items []BatchItem) {
+		t.Helper()
+		batch.body = append(batch.body[:0], EncodeBatchRequest(items)...)
+		if err := batch.load(); err != nil {
+			t.Fatal(err)
+		}
+		batch.Decode()
+	}
+	poison := func() {
+		for i := range batch.body {
+			batch.body[i] = 'X'
+		}
+	}
+
+	load(a)
+	checkDecoded(t, batch, "batch A")
+	kept := batch.Reqs[1].Name // what a span or a log line of A's may hold on to
+	for i := range batch.Reqs {
+		for out, size := range batch.Reqs[i].Out {
+			drive.WriteFile(out, size)
+		}
+	}
+
+	load(b)
+	checkDecoded(t, batch, "batch B in A's slabs")
+	want, valid := make([]Request, len(b)), make([]bool, len(b))
+	for i := range b {
+		want[i], valid[i] = decodedAlone(batch, i)
+	}
+	poison()
+	for i := range b {
+		if valid[i] && !reflect.DeepEqual(batch.Reqs[i], want[i]) {
+			t.Fatalf("frame %d changed with the body bytes: %+v, want %+v", i, batch.Reqs[i], want[i])
+		}
+	}
+	if kept != strings.Clone("a-leaf") {
+		t.Fatalf("a string of batch A now reads %q", kept)
+	}
+	names := drive.List()
+	slices.Sort(names)
+	if !slices.Equal(names, []string{"a_out1", "a_out2", "a_out3", "a_out4"}) {
+		t.Fatalf("drive holds %q: a key aliased a request body", names)
 	}
 }

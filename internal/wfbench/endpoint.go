@@ -3,6 +3,7 @@ package wfbench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"wfserverless/internal/fastjson"
 	"wfserverless/internal/obs"
 )
 
@@ -20,16 +22,18 @@ import (
 // /wfbench ("" when there is none); the executor decides what it names.
 // An error without a Response is the surface's failure (503, or what a
 // StatusError says); with one it is the function's (500 and the Response).
+// req is the caller's again once Invoke returns, unless ctx was done by
+// then: only a caller that gave up may leave an execution behind.
 type Executor interface {
 	Invoke(ctx context.Context, route string, req *Request) (*Response, error)
 }
 
 // BatchExecutor is an Executor with a batch path cheaper than an Invoke
-// per frame. Frames arrive undecoded (DecodeFrames); each result is what
-// a single-task POST would have answered (ResultFrame).
+// per frame. Frames arrive undecoded (Batch.Decode); it files in
+// b.Results what a single-task POST would have answered (ResultFrame).
 type BatchExecutor interface {
 	Executor
-	InvokeBatch(ctx context.Context, route string, items []BatchItem) []BatchResult
+	ServeBatch(ctx context.Context, route string, b *Batch)
 }
 
 // StatusError is an executor error that names its own HTTP status and,
@@ -66,26 +70,28 @@ func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if batch {
-		body, err := ReadBatchBody(r)
-		var items []BatchItem
+		b := batches.Get().(*Batch)
+		defer b.release()
+		body, err := readBatchBody(b.body, r)
+		b.body = body
 		if err == nil {
-			items, err = DecodeBatchRequestBytes(body)
+			err = b.load()
 		}
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
 			return
 		}
 		if batch, ok := e.exec.(BatchExecutor); ok {
-			WriteBatchResponse(w, batch.InvokeBatch(r.Context(), route, items))
-			return
+			batch.ServeBatch(r.Context(), route, b)
+		} else {
+			// The default batch path: every frame its own Invoke.
+			b.Decode()
+			b.fanOut(r.Context(), func(ctx context.Context, i int) (*Response, error) {
+				return e.exec.Invoke(ctx, route, &b.Reqs[i])
+			})
 		}
-		// The default batch path: every frame its own Invoke.
-		results := make([]BatchResult, len(items))
-		reqs, _ := DecodeFrames(items, results)
-		fanOut(r.Context(), items, reqs, results, func(ctx context.Context, req *Request) (*Response, error) {
-			return e.exec.Invoke(ctx, route, req)
-		})
-		WriteBatchResponse(w, results)
+		b.out = appendBatchResponse(b.out[:0], b.Results)
+		writeBatchBody(w, b.out)
 		return
 	}
 	var req Request
@@ -192,60 +198,127 @@ func writeResponse(w http.ResponseWriter, status int, resp *Response) {
 	w.Write(body)
 }
 
-// DecodeFrames decodes and validates every frame of a batch: reqs[i] is
-// nil, and results[i] a 400, for a frame that fails either. inputs is
-// the input-file union of the frames that passed.
-func DecodeFrames(items []BatchItem, results []BatchResult) (reqs []*Request, inputs []string) {
-	reqs = make([]*Request, len(items))
-	for i, it := range items {
-		req := new(Request)
-		err := UnmarshalRequest(it.Body, req)
+// Batch is one /invoke-batch request on the serving side, in slabs
+// indexed by frame that are recycled from request to request: a Request
+// with its Out map and Inputs array, the body and response buffers. What
+// a frame's execution keeps aliases none of them: Name, Inputs and
+// Workdir are cut from one immutable copy of the body made per batch, Out
+// keys (they become drive keys, and must not pin that copy) are copied.
+// An executor that returns while a frame it handed out is still executing
+// must Abandon the batch.
+type Batch struct {
+	Items   []BatchItem   // the frames, aliasing the body
+	Reqs    []Request     // after Decode: frame i's request, unless Results[i] says 400
+	Resps   []Response    // frame i's Response, for whoever executes it to fill
+	Results []BatchResult // frame i's answer; zero until it has one (Pending)
+
+	body      []byte
+	text      string // string(body), what the requests' strings are cut from
+	offs      []int  // where Items[i].Body starts in body
+	inputs    []string
+	out       []byte // the response body
+	abandoned bool
+}
+
+// batches recycles the Batch of a request that was answered in full.
+var batches = sync.Pool{New: func() any { return new(Batch) }}
+
+// NewBatch returns a Batch of its own, never recycled, for a request
+// body: what an executor's ServeBatch is handed outside the handler.
+func NewBatch(body []byte) (*Batch, error) {
+	b := &Batch{body: body, abandoned: true}
+	return b, b.load()
+}
+
+// load splits b.body into frames and sizes the slabs to them.
+func (b *Batch) load() (err error) {
+	b.text = string(b.body)
+	if b.Items, b.offs, err = decodeBatchItems(b.Items, b.offs, b.body); err != nil {
+		return err
+	}
+	n := len(b.Items)
+	b.Reqs, b.Resps, b.Results = resize(b.Reqs, n), resize(b.Resps, n), resize(b.Results, n)
+	clear(b.Results)
+	return nil
+}
+
+// release recycles b, unless an executor still holds part of it or it
+// grew past what is worth keeping.
+func (b *Batch) release() {
+	if !b.abandoned && cap(b.body) <= maxPresizeBytes {
+		batches.Put(b)
+	}
+}
+
+// Abandon takes b out of recycling.
+func (b *Batch) Abandon() { b.abandoned = true }
+
+// Pending reports whether frame i has no result yet: after Decode, that
+// it is a valid request waiting to be executed.
+func (b *Batch) Pending(i int) bool { return b.Results[i].Status == 0 }
+
+// Decode decodes and validates every frame into Reqs, answering 400 to
+// one that fails either, and returns the input-file union of the rest
+// (valid until b is recycled).
+func (b *Batch) Decode() (inputs []string) {
+	inputs = b.inputs[:0]
+	for i, it := range b.Items {
+		req := &b.Reqs[i]
+		// Reuse the containers of the request that had this slot before.
+		out, ins := req.Out, req.Inputs
+		clear(out)
+		*req = Request{}
+		off := b.offs[i]
+		var err error
+		if !fastUnmarshalRequest(fastjson.NewParserText(it.Body, b.text[off:off+len(it.Body)]), req, out, ins) {
+			*req = Request{}
+			err = json.Unmarshal(it.Body, req)
+		}
 		if err != nil {
 			err = fmt.Errorf("bad request: %v", err)
 		} else {
 			err = req.Validate()
 		}
 		if err != nil {
-			results[i] = BatchResult{Status: http.StatusBadRequest, Payload: []byte(err.Error())}
+			b.Results[i] = BatchResult{Status: http.StatusBadRequest, Payload: []byte(err.Error())}
 			continue
 		}
-		reqs[i] = req
 		inputs = append(inputs, req.Inputs...)
 	}
-	return reqs, inputs
+	b.inputs = inputs
+	return inputs
 }
 
 // ResultFrame renders one sub-invocation's outcome as the frame a
-// single-task POST would have answered: the Response JSON when there is
-// one, the error text and its Retry-After otherwise.
+// single-task POST would have answered: the Response when there is one
+// (its JSON is rendered when the batch is), the error text and its
+// Retry-After otherwise.
 func ResultFrame(resp *Response, err error) BatchResult {
 	status, retryAfter := statusOf(resp, err)
 	if resp == nil {
 		return BatchResult{Status: status, RetryAfterMillis: retryAfter.Milliseconds(), Payload: []byte(err.Error())}
 	}
-	payload, merr := MarshalResponse(resp)
-	if merr != nil {
-		return BatchResult{Status: http.StatusInternalServerError, Payload: []byte(merr.Error())}
-	}
-	return BatchResult{Status: status, Payload: payload}
+	return BatchResult{Status: status, Response: resp}
 }
 
-// fanOut runs every decoded frame concurrently, each under its own
+// fanOut runs every pending frame concurrently, each under its own
 // frame's trace context, and files the outcomes in request order.
-func fanOut(ctx context.Context, items []BatchItem, reqs []*Request, results []BatchResult,
-	run func(ctx context.Context, req *Request) (*Response, error)) {
+func (b *Batch) fanOut(ctx context.Context, run func(ctx context.Context, i int) (*Response, error)) {
 	var wg sync.WaitGroup
-	for i, req := range reqs {
-		if req == nil {
+	for i := range b.Items {
+		if !b.Pending(i) {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, req *Request) {
+		go func(i int) {
 			defer wg.Done()
-			results[i] = ResultFrame(run(traceContext(ctx, items[i].Traceparent), req))
-		}(i, req)
+			b.Results[i] = ResultFrame(run(traceContext(ctx, b.Items[i].Traceparent), i))
+		}(i)
 	}
 	wg.Wait()
+	if ctx.Err() != nil {
+		b.Abandon() // an Invoke that was told to give up may have left its request executing
+	}
 }
 
 // Loopback is an HTTP server on a loopback port of the kernel's choosing:

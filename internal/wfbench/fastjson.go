@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"slices"
 	"strconv"
+	"sync"
 
 	"wfserverless/internal/fastjson"
 )
@@ -23,32 +24,77 @@ import (
 // json.Unmarshal(data, r) with a reflection-free fast path.
 func UnmarshalRequest(data []byte, r *Request) error {
 	orig := *r
-	if fastUnmarshalRequest(data, r) {
+	if fastUnmarshalRequest(fastjson.NewParser(data), r, nil, nil) {
 		return nil
 	}
 	*r = orig
 	return json.Unmarshal(data, r)
+}
+
+// Strings is the set of pod names one reader of many responses has met:
+// a run sees a handful of pods, so their names are allocated that many
+// times, not once a response. The zero value is ready; a nil *Strings
+// copies. Safe for concurrent use.
+type Strings struct {
+	mu   sync.Mutex
+	seen []string // scanned linearly, so bounded: maxStrings
+}
+
+const maxStrings = 64
+
+func (s *Strings) of(raw []byte) string {
+	if s == nil || len(raw) == 0 {
+		return string(raw)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, v := range s.seen {
+		if v == string(raw) { // compares without allocating
+			return v
+		}
+	}
+	v := string(raw)
+	if len(s.seen) < maxStrings {
+		s.seen = append(s.seen, v)
+	}
+	return v
 }
 
 // UnmarshalResponse decodes a single-task response payload like
 // json.Unmarshal(data, r) with a reflection-free fast path.
 func UnmarshalResponse(data []byte, r *Response) error {
+	return DecodeResponse(data, r, "", nil)
+}
+
+// DecodeResponse is UnmarshalResponse for the reader of a whole run's
+// responses: a Name equal to name — the task's own, which the caller
+// holds anyway — is that string, not a copy, and Pod comes out of pods.
+func DecodeResponse(data []byte, r *Response, name string, pods *Strings) error {
 	orig := *r
-	if fastUnmarshalResponse(data, r) {
+	if fastUnmarshalResponse(data, r, name, pods) {
 		return nil
 	}
 	*r = orig
 	return json.Unmarshal(data, r)
 }
 
-// MarshalResponse encodes r byte-identically to json.Marshal(r), via
-// an append fast path when every string is plain ASCII.
+// MarshalResponse encodes r byte-identically to json.Marshal(r).
 func MarshalResponse(r *Response) ([]byte, error) {
-	if r == nil || !fastjson.Plain(r.Name) || !fastjson.Plain(r.Error) || !fastjson.Plain(r.Pod) ||
-		!fastjson.Finite(r.BusySeconds) || !fastjson.Finite(r.WallSeconds) {
+	if r == nil {
 		return json.Marshal(r)
 	}
-	dst := make([]byte, 0, 96+len(r.Name)+len(r.Error)+len(r.Pod))
+	return AppendResponse(make([]byte, 0, 96+len(r.Name)+len(r.Error)+len(r.Pod)), r)
+}
+
+// AppendResponse appends r encoded byte-identically to json.Marshal(r),
+// via an append fast path when every string is plain ASCII: a batch
+// renders its frames with it straight into the response body.
+func AppendResponse(dst []byte, r *Response) ([]byte, error) {
+	if !fastjson.Plain(r.Name) || !fastjson.Plain(r.Error) || !fastjson.Plain(r.Pod) ||
+		!fastjson.Finite(r.BusySeconds) || !fastjson.Finite(r.WallSeconds) {
+		b, err := json.Marshal(r)
+		return append(dst, b...), err
+	}
 	dst = append(dst, `{"name":"`...)
 	dst = append(dst, r.Name...)
 	dst = append(dst, `","ok":`...)
@@ -160,8 +206,11 @@ func plainRequest(r *Request) bool {
 	return true
 }
 
-func fastUnmarshalRequest(data []byte, r *Request) bool {
-	p := fastjson.NewParser(data)
+// fastUnmarshalRequest decodes into r, whose Out must be nil on entry
+// unless the caller wants encoding/json's merge (the fast path declines
+// it). out and ins are containers the caller is done with — an emptied
+// map, a slice — for Out and Inputs to reuse; nil makes new ones.
+func fastUnmarshalRequest(p fastjson.Parser, r *Request, out map[string]int64, ins []string) bool {
 	fields := func(key []byte) bool {
 		ok := false
 		// A switch on string(bytes) compares without allocating.
@@ -181,11 +230,19 @@ func fastUnmarshalRequest(data []byte, r *Request) bool {
 		case "out":
 			// encoding/json merges into a map that already exists (a
 			// repeated key, a reused Request); leave that to it.
-			if r.Out == nil {
-				r.Out, ok = p.MapInt64()
+			switch {
+			case p.Null():
+				clear(out)
+				r.Out, ok = nil, true
+			case r.Out == nil:
+				r.Out, ok = p.MapInt64(out)
 			}
 		case "inputs":
-			r.Inputs, ok = p.StrSlice()
+			if p.Null() {
+				r.Inputs, ok = nil, true
+			} else {
+				r.Inputs, ok = p.StrSlice(ins)
+			}
 		case "workdir":
 			r.Workdir, ok = p.Str()
 		default:
@@ -196,13 +253,18 @@ func fastUnmarshalRequest(data []byte, r *Request) bool {
 	return p.Object(fields) && p.End()
 }
 
-func fastUnmarshalResponse(data []byte, r *Response) bool {
+func fastUnmarshalResponse(data []byte, r *Response, name string, pods *Strings) bool {
 	p := fastjson.NewParser(data)
 	fields := func(key []byte) bool {
 		ok := false
 		switch string(key) {
 		case "name":
-			r.Name, ok = p.Str()
+			var raw []byte
+			if raw, ok = p.RawStr(); ok && string(raw) == name {
+				r.Name = name
+			} else {
+				r.Name = string(raw)
+			}
 		case "ok":
 			r.OK, ok = p.Bool()
 		case "error":
@@ -216,7 +278,9 @@ func fastUnmarshalResponse(data []byte, r *Response) bool {
 		case "coldStart":
 			r.ColdStart, ok = p.Bool()
 		case "pod":
-			r.Pod, ok = p.Str()
+			var raw []byte
+			raw, ok = p.RawStr()
+			r.Pod = pods.of(raw)
 		default:
 			ok = !fastjson.FoldsTo(key, responseFields) && p.SkipValue()
 		}

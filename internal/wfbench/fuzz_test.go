@@ -45,10 +45,13 @@ func recipeBodies(tb testing.TB) [][]byte {
 
 // FuzzCodecDifferential holds the hand codec to encoding/json: on any
 // input UnmarshalRequest and UnmarshalResponse agree with json.Unmarshal
-// on whether it decodes, on the error, and on the decoded value; and
-// AppendRequest and MarshalResponse of any field values equal
-// json.Marshal.
+// on whether it decodes, on the error, and on the decoded value — and so
+// do the decoders that share strings (DecodeResponse) and recycle
+// containers (Batch.Decode into a slot another request has used); and
+// AppendRequest, AppendResponse and MarshalResponse of any field values
+// equal json.Marshal.
 func FuzzCodecDifferential(f *testing.F) {
+	slotSeed := recipeBodies(f)[3]
 	for i, body := range recipeBodies(f) {
 		f.Add(body, "t", "", "", 0.25, 0.5, int64(i), true, false)
 		resp, err := json.Marshal(&Response{Name: "t", OK: i%2 == 0, BusySeconds: float64(i) / 7, WallSeconds: 1e-7 * float64(i), OutBytes: int64(i) << 20, ColdStart: i%3 == 0, Pod: "wfbench-0"})
@@ -76,6 +79,29 @@ func FuzzCodecDifferential(f *testing.F) {
 		if wantErr == nil && gotResp != wantResp {
 			t.Fatalf("UnmarshalResponse(%q) = %+v, json.Unmarshal = %+v", data, gotResp, wantResp)
 		}
+		var pods Strings
+		for range 2 { // the second time the pod is one the table has seen
+			var shared Response
+			if err := DecodeResponse(data, &shared, name, &pods); !sameError(err, wantErr) || (err == nil && shared != wantResp) {
+				t.Fatalf("DecodeResponse(%q, %q) = %+v, %v; json.Unmarshal = %+v, %v", data, name, shared, err, wantResp, wantErr)
+			}
+		}
+
+		// The slab decode: data as the one frame of a batch whose slot a
+		// recipe's request has been through.
+		batch := new(Batch)
+		for _, body := range [][]byte{slotSeed, data} {
+			batch.body = append(batch.body[:0], EncodeBatchRequest([]BatchItem{{Body: body}})...)
+			if err := batch.load(); err != nil {
+				t.Fatal(err)
+			}
+			batch.Decode()
+		}
+		wantReq = Request{}
+		valid := UnmarshalRequest(data, &wantReq) == nil && wantReq.Validate() == nil
+		if batch.Pending(0) != valid || (valid && !reflect.DeepEqual(batch.Reqs[0], wantReq)) {
+			t.Fatalf("Batch.Decode(%q) = %+v, valid %v; UnmarshalRequest = %+v, valid %v", data, batch.Reqs[0], batch.Pending(0), wantReq, valid)
+		}
 
 		// The request encoder: what decoded, and the fuzzed field values.
 		for _, req := range []*Request{&wantReq, {Name: name, PercentCPU: busy, CPUWork: wall, Cores: int(outBytes), MemBytes: outBytes,
@@ -93,6 +119,18 @@ func FuzzCodecDifferential(f *testing.F) {
 		if !sameError(gotErr, wantErr) || !bytes.Equal(got, want) {
 			t.Fatalf("MarshalResponse(%+v) = %s, %v; json.Marshal = %s, %v", r, got, gotErr, want, wantErr)
 		}
+		got, gotErr = AppendResponse([]byte("kept"), r)
+		if !sameError(gotErr, wantErr) || !bytes.Equal(got, append([]byte("kept"), want...)) {
+			t.Fatalf("AppendResponse(kept, %+v) = %s, %v; json.Marshal = %s, %v", r, got, gotErr, want, wantErr)
+		}
+		// A frame that carries the Response is the frame that carries its JSON.
+		framed, payload := BatchResult{Status: 200, RetryAfterMillis: outBytes & 0xffff, Response: r}, BatchResult{Status: 200, RetryAfterMillis: outBytes & 0xffff, Payload: want}
+		if wantErr != nil {
+			payload = BatchResult{Status: http.StatusInternalServerError, RetryAfterMillis: payload.RetryAfterMillis, Payload: []byte(wantErr.Error())}
+		}
+		if got, want := EncodeBatchResponse([]BatchResult{framed, framed}), EncodeBatchResponse([]BatchResult{payload, payload}); !bytes.Equal(got, want) {
+			t.Fatalf("frames of %+v rendered in place:\n%q, from its JSON:\n%q", r, got, want)
+		}
 	})
 }
 
@@ -105,7 +143,9 @@ func sameError(a, b error) bool {
 
 // FuzzBatchWire feeds arbitrary bytes to the batch decoders: none may
 // panic, every frame handed back must lie inside the input, and whatever
-// decodes re-encodes to a body that decodes to the same frames.
+// decodes re-encodes to a body that decodes to the same frames. A Batch
+// splits a body into the same frames, and decodes each — twice, the
+// second time into the slabs the first left — as UnmarshalRequest does.
 // TestBatchDecodeBoundedByBody holds the allocation bound.
 func FuzzBatchWire(f *testing.F) {
 	var items []BatchItem
@@ -121,7 +161,29 @@ func FuzzBatchWire(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0x3f}) // a million tasks declared by three bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if items, err := DecodeBatchRequestBytes(data); err == nil {
+		items, err := DecodeBatchRequestBytes(data)
+		b, berr := NewBatch(bytes.Clone(data))
+		if !sameError(err, berr) || (err == nil && !reflect.DeepEqual(b.Items, items)) {
+			t.Fatalf("NewBatch splits %q into %+v (%v), DecodeBatchRequestBytes into %+v (%v)", data, b.Items, berr, items, err)
+		}
+		// (A body of thousands of two-byte frames says nothing a few hundred
+		// do not, and decoding each three times would set the fuzzer's pace.)
+		for pass := 0; err == nil && len(items) <= 256 && pass < 2; pass++ {
+			if pass > 0 {
+				if err := b.load(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b.Decode()
+			for i, it := range items {
+				var want Request
+				valid := UnmarshalRequest(it.Body, &want) == nil && want.Validate() == nil
+				if b.Pending(i) != valid || (valid && !reflect.DeepEqual(b.Reqs[i], want)) {
+					t.Fatalf("pass %d frame %d (%q) = %+v, pending %v; alone %+v, valid %v", pass, i, it.Body, b.Reqs[i], b.Pending(i), want, valid)
+				}
+			}
+		}
+		if err == nil {
 			total := 0
 			for _, it := range items {
 				total += len(it.Traceparent) + len(it.Body)

@@ -71,28 +71,27 @@ func (s *Service) Invoke(ctx context.Context, route string, req *Request) (*Resp
 	if route != "" {
 		return nil, errNoRoute(route)
 	}
-	return s.run(context.WithoutCancel(ctx), req, nil)
+	resp := new(Response)
+	return resp, s.run(context.WithoutCancel(ctx), req, nil, resp)
 }
 
-// InvokeBatch implements BatchExecutor: verify the batch's input union
+// ServeBatch implements BatchExecutor: verify the batch's input union
 // once, then run the sub-tasks concurrently through the bounded worker
 // pool.
-func (s *Service) InvokeBatch(ctx context.Context, route string, items []BatchItem) []BatchResult {
-	results := make([]BatchResult, len(items))
+func (s *Service) ServeBatch(ctx context.Context, route string, b *Batch) {
 	if route != "" {
-		for i := range results {
-			results[i] = ResultFrame(nil, errNoRoute(route))
+		for i := range b.Results {
+			b.Results[i] = ResultFrame(nil, errNoRoute(route))
 		}
-		return results
+		return
 	}
-	reqs, inputs := DecodeFrames(items, results)
 	cfg := s.bench.cfg
 	ctx = context.WithoutCancel(ctx)
-	prep := PrepareInputs(ctx, cfg.Drive, inputs, cfg.InputWait)
-	fanOut(ctx, items, reqs, results, func(ctx context.Context, req *Request) (*Response, error) {
-		return s.run(ctx, req, prep)
+	prep := PrepareInputs(ctx, cfg.Drive, b.Decode(), cfg.InputWait)
+	b.fanOut(ctx, func(ctx context.Context, i int) (*Response, error) {
+		resp := &b.Resps[i]
+		return resp, s.run(ctx, &b.Reqs[i], prep, resp)
 	})
-	return results
 }
 
 func errNoRoute(route string) error {
@@ -101,9 +100,9 @@ func errNoRoute(route string) error {
 
 // run executes req (inputs verified by prep when there is one) on a
 // pooled worker. Workers honour no per-request deadline — the paper
-// configures gunicorn with --timeout 0 — so Invoke and InvokeBatch hand
+// configures gunicorn with --timeout 0 — so Invoke and ServeBatch hand
 // it a context that keeps the caller's trace and drops its cancellation.
-func (s *Service) run(ctx context.Context, req *Request, prep *BatchPrep) (*Response, error) {
+func (s *Service) run(ctx context.Context, req *Request, prep *BatchPrep, resp *Response) error {
 	w := <-s.workers
 	s.active.Add(1)
 	defer func() {
@@ -112,12 +111,12 @@ func (s *Service) run(ctx context.Context, req *Request, prep *BatchPrep) (*Resp
 	}()
 	s.requests.Add(1)
 	start := time.Now()
-	resp, err := w.execute(ctx, req, prep)
+	err := w.ExecuteInto(ctx, req, prep, resp)
 	s.latency.ObserveDuration(time.Since(start))
 	if err != nil {
 		s.failures.Add(1)
 	}
-	return resp, err
+	return err
 }
 
 // WriteMetrics emits the service's operational series in Prometheus

@@ -2,6 +2,7 @@ package wfbench
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,6 +31,10 @@ func NewStub(drive sharedfs.Drive, delay time.Duration) *Stub {
 // Invoke implements Executor.
 func (s *Stub) Invoke(_ context.Context, _ string, req *Request) (*Response, error) {
 	s.mu.Lock()
+	if _, seen := s.n[req.Name]; !seen {
+		// A batch's names are cuts of its whole body: the tally keeps a copy.
+		s.n[strings.Clone(req.Name)] = 0
+	}
 	s.n[req.Name]++
 	s.total++
 	s.mu.Unlock()

@@ -176,18 +176,19 @@ func (e BurnEngine) Run(ctx context.Context, wall time.Duration, duty float64) e
 	return nil
 }
 
-// Usage receives live resource registrations from running invocations.
+// Usage receives live resource registrations from running invocations
+// as deltas: what an invocation adds it subtracts again when it is done.
 // *cluster.Node satisfies it.
 type Usage interface {
-	AddBusy(cores float64) func()
-	AddMem(bytes int64) func()
+	AddBusy(cores float64)
+	AddMem(bytes int64)
 }
 
 // nopUsage discards registrations.
 type nopUsage struct{}
 
-func (nopUsage) AddBusy(float64) func() { return func() {} }
-func (nopUsage) AddMem(int64) func()    { return func() {} }
+func (nopUsage) AddBusy(float64) {}
+func (nopUsage) AddMem(int64)    {}
 
 // Config parameterizes a Bench.
 type Config struct {
@@ -246,9 +247,8 @@ func (b *Bench) Config() Config { return b.cfg }
 // deployment). Workers are not safe for concurrent use; a pod runs one
 // goroutine per worker.
 type Worker struct {
-	bench          *Bench
-	releaseBallast func()
-	ballastBytes   int64
+	bench        *Bench
+	ballastBytes int64 // registered with Usage until it grows or Close
 }
 
 // NewWorker returns a worker bound to b.
@@ -260,9 +260,8 @@ func (w *Worker) BallastBytes() int64 { return w.ballastBytes }
 // Close releases any persistent ballast. Called when the worker's pod or
 // container is torn down.
 func (w *Worker) Close() {
-	if w.releaseBallast != nil {
-		w.releaseBallast()
-		w.releaseBallast = nil
+	if w.ballastBytes > 0 {
+		w.bench.cfg.Usage.AddMem(-w.ballastBytes)
 		w.ballastBytes = 0
 	}
 }
@@ -271,23 +270,20 @@ func (w *Worker) Close() {
 // CPU, write outputs. The returned Response always has Name set; OK is
 // false when err is non-nil.
 func (w *Worker) Execute(ctx context.Context, req *Request) (*Response, error) {
-	return w.execute(ctx, req, nil)
+	resp := new(Response)
+	return resp, w.ExecuteInto(ctx, req, nil, resp)
 }
 
-// ExecuteVerified runs one invocation whose input files were already
-// verified (and content-hashed) by its batch's shared PrepareInputs
-// pass: the input phase reduces to hash-map lookups against the prep
-// instead of a per-task drive wait — the batch path's zero-copy I/O for
-// content-addressed inputs. A nil prep is Execute.
-func (w *Worker) ExecuteVerified(ctx context.Context, req *Request, prep *BatchPrep) (*Response, error) {
-	return w.execute(ctx, req, prep)
-}
-
-func (w *Worker) execute(ctx context.Context, req *Request, prep *BatchPrep) (*Response, error) {
-	resp := &Response{Name: req.Name}
+// ExecuteInto is Execute into the caller's Response — a slot of its
+// batch's slab, a field of its invocation — which it overwrites. With a
+// prep the input files were already verified (and content-hashed) by the
+// batch's shared PrepareInputs pass: the input phase reduces to hash-map
+// lookups against it instead of a per-task drive wait.
+func (w *Worker) ExecuteInto(ctx context.Context, req *Request, prep *BatchPrep, resp *Response) error {
+	*resp = Response{Name: req.Name}
 	if err := req.Validate(); err != nil {
 		resp.Error = err.Error()
-		return resp, err
+		return err
 	}
 	cfg := w.bench.cfg
 	// sc is the execute-level span the platform (or service handler)
@@ -343,7 +339,7 @@ func (w *Worker) execute(ctx context.Context, req *Request, prep *BatchPrep) (*R
 			span.SetAttr("error", err.Error())
 			span.Finish()
 			resp.Error = err.Error()
-			return resp, err
+			return err
 		}
 		span.Finish()
 	}
@@ -357,15 +353,12 @@ func (w *Worker) execute(ctx context.Context, req *Request, prep *BatchPrep) (*R
 		if cfg.KeepMem {
 			span.SetAttr("keep", "true")
 			if req.MemBytes > w.ballastBytes {
-				if w.releaseBallast != nil {
-					w.releaseBallast()
-				}
-				w.releaseBallast = cfg.Usage.AddMem(req.MemBytes)
+				cfg.Usage.AddMem(req.MemBytes - w.ballastBytes)
 				w.ballastBytes = req.MemBytes
 			}
 		} else {
-			release := cfg.Usage.AddMem(req.MemBytes)
-			defer release()
+			cfg.Usage.AddMem(req.MemBytes)
+			defer cfg.Usage.AddMem(-req.MemBytes)
 		}
 		span.Finish()
 	}
@@ -377,14 +370,15 @@ func (w *Worker) execute(ctx context.Context, req *Request, prep *BatchPrep) (*R
 		span := cfg.Tracer.StartChild(sc, "cpu", obs.LayerWfbench)
 		span.SetFloat("duty", req.PercentCPU)
 		span.SetInt("cores", req.CoresOrOne())
-		releaseBusy := cfg.Usage.AddBusy(req.PercentCPU * float64(req.CoresOrOne()))
+		busyCores := req.PercentCPU * float64(req.CoresOrOne())
+		cfg.Usage.AddBusy(busyCores)
 		err := cfg.Engine.Run(ctx, time.Duration(wall*cfg.TimeScale*float64(time.Second)), req.PercentCPU)
-		releaseBusy()
+		cfg.Usage.AddBusy(-busyCores)
 		if err != nil {
 			span.SetAttr("error", err.Error())
 			span.Finish()
 			resp.Error = err.Error()
-			return resp, err
+			return err
 		}
 		span.Finish()
 	}
@@ -397,7 +391,7 @@ func (w *Worker) execute(ctx context.Context, req *Request, prep *BatchPrep) (*R
 				span.SetAttr("error", err.Error())
 				span.Finish()
 				resp.Error = err.Error()
-				return resp, err
+				return err
 			}
 			resp.OutBytes += size
 		}
@@ -405,5 +399,5 @@ func (w *Worker) execute(ctx context.Context, req *Request, prep *BatchPrep) (*R
 		span.Finish()
 	}
 	resp.OK = true
-	return resp, nil
+	return nil
 }

@@ -202,7 +202,7 @@ func TestValidateProblemsUnchanged(t *testing.T) {
 			if got := problemsOf(t, w.Validate()); !slices.Equal(got, fx.want) {
 				t.Fatalf("problems = %q\nwant       %q", got, fx.want)
 			}
-			if csr, tasks, err := w.ValidateCompile(); err == nil || csr != nil || tasks != nil {
+			if csr, tasks, ext, err := w.ValidateCompile(); err == nil || csr != nil || tasks != nil || ext != nil {
 				t.Fatalf("ValidateCompile returned a graph for an invalid workflow (err = %v)", err)
 			}
 		})
@@ -253,12 +253,16 @@ func TestValidateNullTask(t *testing.T) {
 }
 
 // TestValidateCompileMatchesCompile: for a valid workflow the validated
-// graph is the one Compile builds.
+// graph is the one Compile builds, and the staging manifest that comes
+// with it is ExternalInputs.
 func TestValidateCompileMatchesCompile(t *testing.T) {
 	for _, w := range sevenRecipes(t, 60) {
-		vc, vt, err := w.ValidateCompile()
+		vc, vt, ext, err := w.ValidateCompile()
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if want := w.ExternalInputs(); len(ext) == 0 || !slices.Equal(ext, want) {
+			t.Fatalf("%s: external inputs %v, ExternalInputs() %v", w.Name, ext, want)
 		}
 		c, ct, err := w.Compile()
 		if err != nil {

@@ -294,7 +294,7 @@ func (e *ValidationError) Error() string {
 // is an external workflow input (no parent produces it and the task is
 // allowed to read it from the shared drive as initial data).
 func (w *Workflow) Validate() error {
-	_, _, err := w.ValidateCompile()
+	_, _, _, err := w.ValidateCompile()
 	return err
 }
 
@@ -302,8 +302,10 @@ func (w *Workflow) Validate() error {
 // returns the compiled CSR and ID-aligned tasks of a workflow that
 // passed every check, or a *ValidationError listing every problem. The
 // graph checks (cycle, producer is an ancestor) run on the CSR the
-// caller goes on to execute.
-func (w *Workflow) ValidateCompile() (*dag.CSR, []*Task, error) {
+// caller goes on to execute. external is the staging manifest, which the
+// producer table gives for one more pass over the files: every input no
+// task produces.
+func (w *Workflow) ValidateCompile() (csr *dag.CSR, tasks []*Task, external []File, err error) {
 	var probs []string
 	add := func(format string, args ...interface{}) {
 		probs = append(probs, fmt.Sprintf(format, args...))
@@ -404,11 +406,11 @@ func (w *Workflow) ValidateCompile() (*dag.CSR, []*Task, error) {
 		}
 	}
 	if len(probs) > 0 {
-		return nil, nil, &ValidationError{Problems: probs}
+		return nil, nil, nil, &ValidationError{Problems: probs}
 	}
-	csr, tasks, err := w.compile(names)
+	csr, tasks, err = w.compile(names)
 	if err != nil {
-		return nil, nil, &ValidationError{Problems: []string{err.Error()}}
+		return nil, nil, nil, &ValidationError{Problems: []string{err.Error()}}
 	}
 	// Every input produced by some task must come from an ancestor. In
 	// well-formed workflows the producer is almost always a direct
@@ -431,9 +433,25 @@ func (w *Workflow) ValidateCompile() (*dag.CSR, []*Task, error) {
 		}
 	}
 	if len(probs) > 0 {
-		return nil, nil, &ValidationError{Problems: probs}
+		return nil, nil, nil, &ValidationError{Problems: probs}
 	}
-	return csr, tasks, nil
+	// The staging manifest: every input no task produces, sorted by name;
+	// of two declarations of one file, the later task's (in ID order) wins.
+	for _, t := range tasks {
+		for _, f := range t.Files {
+			if _, produced := producers[f.Name]; f.Link == LinkInput && !produced {
+				external = append(external, f)
+			}
+		}
+	}
+	slices.SortStableFunc(external, func(a, b File) int { return strings.Compare(a.Name, b.Name) })
+	last := external[:0]
+	for i, f := range external {
+		if i+1 == len(external) || external[i+1].Name != f.Name {
+			last = append(last, f)
+		}
+	}
+	return csr, tasks, last, nil
 }
 
 // ExternalInputs returns the input files no task produces — the initial

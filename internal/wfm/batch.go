@@ -74,26 +74,33 @@ func (o *BatchOptions) validate() error {
 var sharedBatchHeader = http.Header{"Content-Type": {wfbench.BatchContentType}}
 
 // endpointBatch accumulates one endpoint's pending sub-tasks until the
-// batch seals (count bound, byte bound, or linger expiry).
+// batch seals (count bound, byte bound, or linger expiry), and then
+// carries their outcomes: the flusher fills outs, one slot per member in
+// enrolment order, and closes done. A member waits on done holding its
+// index; one that gave up simply never reads its slot.
 type endpointBatch struct {
 	endpoint string
 	url      *url.URL
 	ids      []int32
 	tps      []string
-	waiters  []chan outcome
 	bytes    int
 	timer    *time.Timer
 	sealed   bool
+
+	frames batchFrames
+	outs   []outcome
+	done   chan struct{}
 }
 
 // batcher is the run-scoped batching dispatcher: one pending batch per
 // endpoint, fed by the run's worker goroutines. The goroutine that
-// seals a batch flushes it; waiters block on buffered per-task channels
+// seals a batch flushes it; waiters block on the batch's done channel
 // with their own task context, so a task timeout abandons only that
 // task's wait, never the batch.
 type batcher struct {
-	m *Manager
-	p *invocationPlan
+	m  *Manager
+	p  *invocationPlan
+	rs *resilience
 	// ctx is the run-lifetime context batch POSTs ride on: a sub-task
 	// abandoning its wait must not abort the POST its batch-mates are
 	// still waiting for.
@@ -112,11 +119,12 @@ type batcher struct {
 
 // newBatcher returns the run's dispatcher over plan p. ctx is the run
 // context; hs is the run's health plane, nil when it is off.
-func (m *Manager) newBatcher(ctx context.Context, p *invocationPlan, hs *healthState) *batcher {
+func (m *Manager) newBatcher(ctx context.Context, p *invocationPlan, rs *resilience, hs *healthState) *batcher {
 	o := m.opts.Batching.withDefaults()
 	return &batcher{
 		m:        m,
 		p:        p,
+		rs:       rs,
 		ctx:      ctx,
 		health:   hs,
 		maxTasks: o.MaxTasks,
@@ -139,7 +147,6 @@ func (b *batcher) invokeOnce(ctx context.Context, a attempt) outcome {
 	if sc := a.span.Context(); sc.Sampled {
 		tp = sc.Traceparent()
 	}
-	ch := make(chan outcome, 1)
 	size := len(b.p.body(id))
 	endpoint := b.p.tasks[id].Command.APIURL
 
@@ -153,14 +160,20 @@ func (b *batcher) invokeOnce(ctx context.Context, a attempt) outcome {
 		prev, eb = eb, nil
 	}
 	if eb == nil {
-		eb = &endpointBatch{endpoint: endpoint, url: b.p.reqs[id].URL}
+		eb = &endpointBatch{
+			endpoint: endpoint,
+			url:      b.p.urls[id],
+			ids:      make([]int32, 0, b.maxTasks),
+			tps:      make([]string, 0, b.maxTasks),
+			done:     make(chan struct{}),
+		}
 		b.pending[endpoint] = eb
 		cur := eb
 		eb.timer = time.AfterFunc(b.linger, func() { b.flushExpired(cur) })
 	}
+	slot := len(eb.ids)
 	eb.ids = append(eb.ids, id)
 	eb.tps = append(eb.tps, tp)
-	eb.waiters = append(eb.waiters, ch)
 	eb.bytes += size
 	if len(eb.ids) >= b.maxTasks {
 		b.sealLocked(eb)
@@ -178,9 +191,17 @@ func (b *batcher) invokeOnce(ctx context.Context, a attempt) outcome {
 	}
 
 	select {
-	case out := <-ch:
-		return out
+	case <-eb.done:
+		return eb.outs[slot]
 	case <-ctx.Done():
+		// Both may be ready, and select picks either: a frame the endpoint
+		// answered is the task's outcome even when a batch-mate's failure
+		// has cancelled the run meanwhile.
+		select {
+		case <-eb.done:
+			return eb.outs[slot]
+		default:
+		}
 		return outcome{err: fmt.Errorf("wfm: %s: batched request: %w", b.taskName(id), ctx.Err())}
 	}
 }
@@ -228,17 +249,21 @@ func (b *batcher) close() {
 	}
 }
 
-// flush POSTs one sealed batch and delivers each sub-task's outcome,
-// mirroring Manager.invokeOnce's classification frame by frame: whole-
-// POST transport errors and non-200 batch statuses apply to every
+// flush POSTs one sealed batch and files each sub-task's outcome in the
+// batch's slab, mirroring invokeOnce's classification frame by frame:
+// whole-POST transport errors and non-200 batch statuses apply to every
 // member; within a 200 response, each frame carries its own status,
 // Retry-After, and payload, so one corrupt or failed sub-response
 // cannot poison its batch-mates. A framing error (the stream itself
 // unreadable) fails the remaining members as retriable, like a
-// transport error would have.
+// transport error would have. The waiters wake only when every slot is
+// filled, all at once: no member can see the run cancelled by a
+// batch-mate's failure before its own answered frame is there to take.
 func (b *batcher) flush(eb *endpointBatch) {
+	eb.outs = make([]outcome, len(eb.ids))
+	defer close(eb.done)
 	b.health.recordBatch(eb.endpoint, len(eb.ids))
-	segs, total := b.p.batchFrames(eb.ids, eb.tps)
+	eb.frames.frame(b.p, eb.ids, eb.tps)
 	req := (&http.Request{
 		Method:        http.MethodPost,
 		URL:           batchURL(eb.url),
@@ -246,17 +271,19 @@ func (b *batcher) flush(eb *endpointBatch) {
 		ProtoMajor:    1,
 		ProtoMinor:    1,
 		Header:        sharedBatchHeader,
-		Body:          &segmentReader{segs: segs},
-		ContentLength: total,
-		GetBody:       func() (io.ReadCloser, error) { return &segmentReader{segs: segs}, nil },
+		Body:          &segmentReader{f: &eb.frames},
+		ContentLength: eb.frames.total,
+		GetBody:       func() (io.ReadCloser, error) { return &segmentReader{f: &eb.frames}, nil },
 	}).WithContext(b.ctx)
+	// failFrom fails members i.. alike, on what ("batched request", ...).
+	failFrom := func(i int, retriable bool, what string, err error) {
+		for ; i < len(eb.ids); i++ {
+			eb.outs[i] = outcome{retriable: retriable, err: fmt.Errorf("wfm: %s: %s: %w", b.taskName(eb.ids[i]), what, err)}
+		}
+	}
 	hres, err := b.m.opts.Client.Do(req)
 	if err != nil {
-		retriable := b.ctx.Err() == nil
-		for i, id := range eb.ids {
-			b.deliver(eb, i, outcome{retriable: retriable,
-				err: fmt.Errorf("wfm: %s: batched request: %w", b.taskName(id), err)})
-		}
+		failFrom(0, b.ctx.Err() == nil, "batched request", err)
 		return
 	}
 	defer hres.Body.Close()
@@ -264,7 +291,7 @@ func (b *batcher) flush(eb *endpointBatch) {
 		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 1024))
 		hint := ParseRetryAfter(hres.Header.Get("Retry-After"))
 		for i, id := range eb.ids {
-			b.deliver(eb, i, statusFailure(b.taskName(id), hres.StatusCode, hint, msg))
+			eb.outs[i] = statusFailure(b.taskName(id), hres.StatusCode, hint, msg)
 		}
 		return
 	}
@@ -285,40 +312,25 @@ func (b *batcher) flush(eb *endpointBatch) {
 		err = fmt.Errorf("frame count %d, want %d", br.Len(), len(eb.ids))
 	}
 	if err != nil {
-		for i, id := range eb.ids {
-			b.deliver(eb, i, outcome{retriable: true,
-				err: fmt.Errorf("wfm: %s: batch response: %w", b.taskName(id), err)})
-		}
+		failFrom(0, true, "batch response", err)
 		return
 	}
+	resps := make([]wfbench.Response, len(eb.ids))
 	for i, id := range eb.ids {
-		frame, ferr := br.Next()
+		f, ferr := br.Next()
 		if ferr != nil {
-			for j := i; j < len(eb.ids); j++ {
-				b.deliver(eb, j, outcome{retriable: true,
-					err: fmt.Errorf("wfm: %s: batch response: %w", b.taskName(eb.ids[j]), ferr)})
-			}
+			failFrom(i, true, "batch response", ferr)
 			return
 		}
-		b.deliver(eb, i, b.decodeFrame(id, frame))
+		// One sub-task's frame, with the exact semantics invokeOnce applies
+		// to a single-task HTTP response.
+		if f.Status != http.StatusOK {
+			eb.outs[i] = statusFailure(b.taskName(id), f.Status,
+				time.Duration(f.RetryAfterMillis)*time.Millisecond, f.Payload)
+			continue
+		}
+		eb.outs[i] = b.rs.decodeResponse(b.taskName(id), f.Payload, nil, &resps[i])
 	}
-}
-
-// decodeFrame interprets one sub-task's response frame with the exact
-// semantics invokeOnce applies to a single-task HTTP response.
-func (b *batcher) decodeFrame(id int32, f wfbench.BatchResult) outcome {
-	if f.Status != http.StatusOK {
-		return statusFailure(b.taskName(id), f.Status,
-			time.Duration(f.RetryAfterMillis)*time.Millisecond, f.Payload)
-	}
-	return decodeResponse(b.taskName(id), f.Payload, nil)
-}
-
-// deliver hands one sub-task its outcome; waiter channels are buffered
-// so an abandoned wait (task timeout, cancellation) never blocks the
-// flusher.
-func (b *batcher) deliver(eb *endpointBatch, i int, out outcome) {
-	eb.waiters[i] <- out
 }
 
 // batchURL derives an endpoint's batch surface from its single-task

@@ -1,12 +1,15 @@
 package wfm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -119,18 +122,19 @@ func flatWorkflow(t testing.TB, n int, url string) *wfformat.Workflow {
 	return w
 }
 
-// TestBatchFramesRoundTrip pins the zero-copy framing: the segment list
+// TestBatchFramesRoundTrip pins the zero-copy framing: the segments
 // batchFrames renders (headers in a fresh arena, payloads aliasing the
-// plan's body arena) streams back into exactly the frames
+// plan's body arena) stream back into exactly the frames
 // DecodeBatchRequest recovers — including a task with no inputs and no
-// traceparent, and a single-task batch.
+// traceparent, and a single-task batch — whatever the size of the buffer
+// Read is handed: a byte, less than a frame header, net/http's 64 KB.
 func TestBatchFramesRoundTrip(t *testing.T) {
 	tasks := []*wfformat.Task{
 		synthTask("alpha", "http://endpoint/wfbench", nil), // no inputs: minimal argument block
 		synthTask("beta", "http://endpoint/wfbench", []string{"out_alpha"}),
 		synthTask("gamma", "http://endpoint/wfbench", []string{"out_alpha", "out_beta"}),
 	}
-	p, err := newInvocationPlan(tasks)
+	p, err := newInvocationPlan(tasks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +147,38 @@ func TestBatchFramesRoundTrip(t *testing.T) {
 		{"full batch with traceparents", []int32{0, 1, 2}, []string{"", "00-abc-def-01", ""}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			segs, total := p.batchFrames(tc.ids, tc.tps)
-			raw, err := io.ReadAll(&segmentReader{segs: segs})
+			var f batchFrames
+			f.frame(p, tc.ids, tc.tps)
+			raw, err := io.ReadAll(&segmentReader{f: &f})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if int64(len(raw)) != total {
-				t.Fatalf("segment total = %d, stream is %d bytes", total, len(raw))
+			if int64(len(raw)) != f.total {
+				t.Fatalf("segment total = %d, stream is %d bytes", f.total, len(raw))
+			}
+			want := make([]wfbench.BatchItem, len(tc.ids))
+			for i, id := range tc.ids {
+				want[i] = wfbench.BatchItem{Traceparent: tc.tps[i], Body: p.body(id)}
+			}
+			for _, size := range []int{1, 7, 64 << 10} {
+				var got []byte
+				r, buf := &segmentReader{f: &f}, make([]byte, size)
+				for {
+					n, err := r.Read(buf)
+					got = append(got, buf[:n]...)
+					if err == io.EOF {
+						break
+					}
+					if err != nil || n == 0 {
+						t.Fatalf("Read into %d bytes = %d, %v", size, n, err)
+					}
+					if n < size && len(got) < len(raw) {
+						t.Fatalf("Read into %d bytes stopped at %d with %d to go", size, n, len(raw)-len(got))
+					}
+				}
+				if !bytes.Equal(got, wfbench.EncodeBatchRequest(want)) {
+					t.Fatalf("%d-byte reads yield\n%q, want\n%q", size, got, wfbench.EncodeBatchRequest(want))
+				}
 			}
 			items, err := wfbench.DecodeBatchRequestBytes(raw)
 			if err != nil {
@@ -168,7 +197,7 @@ func TestBatchFramesRoundTrip(t *testing.T) {
 			}
 			// The payload segments must alias the arena, not copy it.
 			for i, id := range tc.ids {
-				seg := segs[2*i+1]
+				seg := f.segment(2*i + 1)
 				body := p.body(id)
 				if len(seg) > 0 && len(body) > 0 && &seg[0] != &body[0] {
 					t.Fatalf("frame %d payload segment copied out of the arena", i)
@@ -188,7 +217,7 @@ func TestBatcherByteBoundSplit(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = synthTask(fmt.Sprintf("t%d", i), bs.url(), nil)
 	}
-	p, err := newInvocationPlan(tasks)
+	p, err := newInvocationPlan(tasks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,15 +234,15 @@ func TestBatcherByteBoundSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := m.newBatcher(context.Background(), p, nil)
-	defer b.close()
+	rs := m.newResilience(context.Background(), p, time.Now(), nil)
+	defer rs.close()
 	var wg sync.WaitGroup
 	errs := make([]error, len(tasks))
 	for i := range tasks {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out := b.invokeOnce(context.Background(), attempt{id: int32(i)})
+			out := rs.post(context.Background(), attempt{p: p, id: int32(i)})
 			err := out.err
 			if err == nil && !out.resp.OK {
 				err = fmt.Errorf("response not OK")
@@ -447,11 +476,11 @@ func TestBatchURL(t *testing.T) {
 		{"http://127.0.0.1:9090", "http://127.0.0.1:9090/invoke-batch"},
 		{"http://127.0.0.1:9090/", "http://127.0.0.1:9090/invoke-batch"},
 	} {
-		p, err := newInvocationPlan([]*wfformat.Task{synthTask("x", tc.in, nil)})
+		p, err := newInvocationPlan([]*wfformat.Task{synthTask("x", tc.in, nil)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := batchURL(p.reqs[0].URL).String(); got != tc.want {
+		if got := batchURL(p.urls[0]).String(); got != tc.want {
 			t.Errorf("batchURL(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
@@ -487,7 +516,7 @@ func TestBatcherTaskTimeoutAbandonsWaitOnly(t *testing.T) {
 		synthTask("fast", bs.url(), nil),
 		synthTask("doomed", bs.url(), nil),
 	}
-	p, err := newInvocationPlan(tasks)
+	p, err := newInvocationPlan(tasks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,8 +527,8 @@ func TestBatcherTaskTimeoutAbandonsWaitOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := m.newBatcher(context.Background(), p, nil)
-	defer b.close()
+	rs := m.newResilience(context.Background(), p, time.Now(), nil)
+	defer rs.close()
 
 	expired, cancel := context.WithCancel(context.Background())
 	cancel() // the doomed task's attempt context is already dead
@@ -508,14 +537,14 @@ func TestBatcherTaskTimeoutAbandonsWaitOnly(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		doomedErr = b.invokeOnce(expired, attempt{id: 1}).err
+		doomedErr = rs.post(expired, attempt{p: p, id: 1}).err
 	}()
 	go func() {
 		defer wg.Done()
 		// Give the doomed submission a moment to enroll first so both
 		// land in one batch (MaxTasks 2 seals on the second).
 		time.Sleep(10 * time.Millisecond)
-		out := b.invokeOnce(context.Background(), attempt{id: 0})
+		out := rs.post(context.Background(), attempt{p: p, id: 0})
 		err := out.err
 		if err == nil && !out.resp.OK {
 			err = fmt.Errorf("response not OK")
@@ -528,5 +557,72 @@ func TestBatcherTaskTimeoutAbandonsWaitOnly(t *testing.T) {
 	}
 	if fastErr != nil {
 		t.Fatalf("batch-mate dragged down by an abandoned wait: %v", fastErr)
+	}
+}
+
+// TestBatchLateAnswerAfterAbandonedWait: a task whose TaskTimeout gives
+// up on a batch the endpoint is sitting on must fail alone and for good.
+// When the endpoint answers that batch after all, the outcome lands in a
+// slot nobody reads: the worker that abandoned it is by then waiting on
+// its next task's batch and takes that task's own answer; the gate ends
+// balanced and no goroutine outlives the run.
+func TestBatchLateAnswerAfterAbandonedWait(t *testing.T) {
+	before := runtime.NumGoroutine()
+	drive := sharedfs.NewMem()
+	bs := newBatchServer(t, drive)
+	stalled := make(chan struct{})  // closed when a-stalled's batch has reached the endpoint
+	released := make(chan struct{}) // closed to let that batch be answered
+	bs.frameHook = func(req *wfbench.Request, attempt int) (wfbench.BatchResult, bool) {
+		switch req.Name {
+		case "a-stalled":
+			close(stalled)
+			<-released
+		case "b-next":
+			// The abandoned batch is answered first, and its response is on its
+			// way to the flusher, before this one is.
+			close(released)
+			time.Sleep(5 * time.Millisecond)
+		}
+		return wfbench.BatchResult{}, false
+	}
+	gate := newCountingGate(1)
+	m, err := New(Options{
+		Drive: drive, TimeScale: 0.001, InputWait: 5, Scheduling: ScheduleDependency,
+		MaxParallel: 1, ContinueOnError: true, TaskTimeout: 30, Gate: gate,
+		Batching: BatchOptions{Enabled: true, MaxTasks: 8, Linger: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wfformat.New("late-answer")
+	synthAdd(t, w, synthTask("a-stalled", bs.url(), nil))
+	synthAdd(t, w, synthTask("b-next", bs.url(), nil))
+	res, err := m.Run(context.Background(), w)
+	if err == nil || len(res.Failed) != 1 || res.Failed[0] != "a-stalled" {
+		t.Fatalf("run = %v, failed %v: want a-stalled alone to fail", err, res.Failed)
+	}
+	select {
+	case <-stalled:
+	default:
+		t.Fatal("a-stalled's batch never reached the endpoint")
+	}
+	if a := res.Tasks["a-stalled"]; !errors.Is(a.Err, ErrTaskTimeout) || a.Response != nil {
+		t.Fatalf("a-stalled = %+v, want a task timeout and no response", a)
+	}
+	if b := res.Tasks["b-next"]; b.Err != nil || b.Response == nil || b.Response.Name != "b-next" || b.Attempts != 1 {
+		t.Fatalf("b-next = %+v (response %+v), want its own answer at the first attempt", b, b.Response)
+	}
+	if g, r := gate.grants.Load(), gate.releases.Load(); g != 2 || r != 2 || gate.held.Load() != 0 {
+		t.Fatalf("gate: %d grants, %d releases, %d held", g, r, gate.held.Load())
+	}
+	bs.srv.Close()
+	m.opts.Client.CloseIdleConnections()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines: before=%d now=%d\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -91,7 +91,7 @@ func BenchmarkInvokeAllocs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := newInvocationPlan([]*wfformat.Task{synthTask("bench", srv.URL+"/wfbench", nil)})
+	p, err := newInvocationPlan([]*wfformat.Task{synthTask("bench", srv.URL+"/wfbench", nil)}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

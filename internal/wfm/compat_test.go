@@ -4,10 +4,15 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"wfserverless/internal/cluster"
+	"wfserverless/internal/journal"
 	"wfserverless/internal/memo"
+	"wfserverless/internal/serverless"
 	"wfserverless/internal/sharedfs"
+	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
 )
 
@@ -171,4 +176,112 @@ func TestFrontHalfAllocationBudget(t *testing.T) {
 	} else {
 		t.Logf("%d-task fan-out: task fingerprints %.4f allocations per task", wide.Len(), got)
 	}
+}
+
+// benchFanout is bench/'s fan-out: a root and n-1 leaves reading its
+// output, names zero-padded so that name order is creation order.
+func benchFanout(t testing.TB, n int, url string) *wfformat.Workflow {
+	w := wfformat.New(fmt.Sprintf("fanout-%d", n))
+	synthAdd(t, w, synthTask("root", url, nil))
+	for i := 1; i < n; i++ {
+		leaf := fmt.Sprintf("leaf_%06d", i)
+		synthAdd(t, w, synthTask(leaf, url, []string{"out_root"}))
+		synthLink(t, w, "root", leaf)
+	}
+	return w
+}
+
+// loopbackPlatform is an in-process serverless platform, pods warm and
+// fixed in number, behind wfbench.ListenLoopback: what a run's POSTs
+// reach in bench/. It returns the api_url of its one service.
+func loopbackPlatform(t testing.TB, drive sharedfs.Drive) string {
+	const scale = 1e-6
+	plat, err := serverless.New(serverless.Options{
+		Cluster: cluster.PaperTestbed(), Drive: drive, TimeScale: scale, InstantScaleUp: true,
+		AutoscalePeriod: 1 / scale, StableWindow: 3600 / scale, InputWait: 5 / scale,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(plat.Stop)
+	if err := plat.Apply(serverless.ServiceConfig{Name: "fn", Workers: 32, MinScale: 8, MaxScale: 8}); err != nil {
+		t.Fatal(err)
+	}
+	lb, err := wfbench.ListenLoopback(plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lb.Close)
+	return lb.URL() + "/fn/wfbench"
+}
+
+// mallocsPerTask is runtime.MemStats.Mallocs across one Run of w —
+// compile, plan, every POST both sides of the loopback, the journal —
+// divided by the tasks.
+func mallocsPerTask(t testing.TB, m *Manager, w *wfformat.Workflow) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := m.Run(context.Background(), w)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != 0 || len(res.Tasks) != w.Len()+2 {
+		t.Fatalf("%d failed, %d results for %d tasks", len(res.Failed), len(res.Tasks), w.Len())
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(w.Len())
+}
+
+// TestBackHalfAllocationBudget holds the back half of a run — task
+// released to completion recorded, the function side of the loopback
+// included — to a per-task allocation ceiling. batched is bench/'s scale
+// path: a 10k fan-out, batches of 512, a group-synced journal; reached
+// 3.0–3.9 (the commit before the slabs: 22.5), and `make alloc-sites`
+// names the sites behind the figure. single is one POST per task, so the
+// per-task figure is the per-attempt one; nearly all of it is net/http's.
+// Its ceiling is what the commit before counted (102), so that what the
+// attempt now builds for itself — its request, its GetBody — is held to
+// costing no more than the plan's per-task templates did; reached 92–95.
+func TestBackHalfAllocationBudget(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("counts the allocations of a 10k-task run, its own only without the race detector")
+	}
+	const scale = 1e-6
+	t.Run("batched", func(t *testing.T) {
+		drive := sharedfs.NewMem()
+		url := loopbackPlatform(t, drive)
+		j, err := journal.Open(t.TempDir(), journal.Options{Sync: journal.SyncGroup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		m, err := New(Options{
+			Drive: drive, TimeScale: scale, InputWait: 5 / scale, Journal: j,
+			Scheduling: ScheduleDependency, MaxParallel: 2048,
+			Batching: BatchOptions{Enabled: true, MaxTasks: 512, Linger: 0.002 / scale},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mallocsPerTask(t, m, benchFanout(t, 10000, url))
+		t.Logf("10k fan-out, batches of 512, group-synced journal: %.2f allocations per task", got)
+		if got > 9 {
+			t.Errorf("batched run allocates %.1f times per task, budget 9", got)
+		}
+	})
+	t.Run("single", func(t *testing.T) {
+		drive := sharedfs.NewMem()
+		url := loopbackPlatform(t, drive)
+		m, err := New(Options{Drive: drive, TimeScale: scale, InputWait: 5 / scale,
+			Scheduling: ScheduleDependency, MaxParallel: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mallocsPerTask(t, m, benchFanout(t, 2000, url))
+		t.Logf("2k fan-out, one POST per task: %.2f allocations per task", got)
+		if got > 100 {
+			t.Errorf("single-task path allocates %.1f times per task, the commit before the slabs 102", got)
+		}
+	})
 }

@@ -19,20 +19,16 @@ type dispatchItem struct {
 	ready time.Duration // when the scheduler released the task
 }
 
-// completion pairs a finished task's ID with its result so the event
-// loop can feed the scheduler without a name lookup.
-type completion struct {
-	id int32
-	tr *TaskResult
-}
-
 // runLoop is the execution core for both Scheduling values: a
 // dag.Scheduler tracks readiness in O(edges) total over the compiled
 // CSR — the whole event loop runs on interned int32 task IDs, with
 // strings only appearing in the TaskResults handed back to callers — a
 // fixed worker pool issues the HTTP invocations, and a completion
-// channel feeds finished tasks back into the single-threaded event
-// loop. Options.Scheduling selects one thing only, the release rule:
+// channel feeds finished tasks' IDs back into the single-threaded event
+// loop. Every task's TaskResult is a slot, by ID, of one slab made per
+// run: whoever accounts for the task — the worker that ran it, the seed
+// pass, skip propagation — fills the slot, and the event loop reads it
+// after the task's ID has come back. Options.Scheduling selects one thing only, the release rule:
 // ScheduleDependency hands newly-ready tasks to the pool at once;
 // SchedulePhases parks them until nothing is in flight, sleeps
 // PhaseDelay, and releases them together — the paper's phase loop
@@ -87,6 +83,11 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 		return res, err
 	}
 	n := p.len()
+	results := make([]TaskResult, n)
+	for id := range results {
+		task := p.tasks[id]
+		results[id] = TaskResult{Name: task.Name, Category: task.Category, Phase: int(csr.Level(int32(id))) + 1}
+	}
 
 	// Fold the pre-completed set — the journal's verified done-set plus
 	// the memo cache's verified hits — into the scheduler before any
@@ -96,7 +97,16 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 		if err := sched.SeedCompletedIDs(seeds); err != nil {
 			return res, fmt.Errorf("wfm: seeding pre-completed state: %w", err)
 		}
-		seedResults(p, csr, st, seeds, res.Tasks)
+		for _, id := range seeds {
+			tr := &results[id]
+			if st.rec != nil && st.rec.doneSet[id] {
+				tr.Recovered = true
+				tr.Attempts = int(st.rec.attempts[id])
+			} else {
+				tr.Memoized = true
+			}
+			res.Tasks[tr.Name] = tr
+		}
 		n -= len(seeds)
 	}
 
@@ -120,7 +130,7 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 	// Both channels hold every task, so neither workers nor the event
 	// loop can ever block on the other side having gone away.
 	dispatch := make(chan dispatchItem, n)
-	completions := make(chan completion, n)
+	completions := make(chan int32, n)
 
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -128,7 +138,8 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 		go func() {
 			defer wg.Done()
 			for item := range dispatch {
-				completions <- completion{item.id, m.runTask(runCtx, p, csr, item, start, rs, root, st)}
+				m.runTask(runCtx, p, item, &results[item.id], start, rs, root, st)
+				completions <- item.id
 			}
 		}()
 	}
@@ -167,16 +178,17 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 	var parked []int32 // barrier only: ready tasks held for the next group
 	release(sched.TakeReadyIDs())
 	for accounted := 0; accounted < n && stateErr == nil; {
-		c := <-completions
+		id := <-completions
 		accounted++
 		inflight--
-		record(c.tr)
+		tr := &results[id]
+		record(tr)
 		var newly []int32
-		if c.tr.Err != nil {
+		if tr.Err != nil {
 			if !m.opts.ContinueOnError {
 				cancel()
 			}
-			skipped, serr := sched.FailID(c.id)
+			skipped, serr := sched.FailID(id)
 			if serr != nil {
 				stateErr = fmt.Errorf("wfm: scheduler state: %w", serr)
 				break
@@ -184,23 +196,16 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 			now := time.Since(start)
 			for _, sid := range skipped {
 				accounted++
-				task := p.tasks[sid]
 				mon.taskSkipped()
-				err := fmt.Errorf("wfm: %s: skipped: ancestor %s failed", task.Name, c.tr.Name)
-				st.rj.taskFailed(sid, true, err)
-				record(&TaskResult{
-					Name:     task.Name,
-					Category: task.Category,
-					Phase:    int(csr.Level(sid)) + 1,
-					Ready:    now,
-					Start:    now,
-					End:      now,
-					Err:      err,
-				})
+				skip := &results[sid]
+				skip.Ready, skip.Start, skip.End = now, now, now
+				skip.Err = fmt.Errorf("wfm: %s: skipped: ancestor %s failed", skip.Name, tr.Name)
+				st.rj.taskFailed(sid, true, skip.Err)
+				record(skip)
 			}
 		} else {
 			var serr error
-			if newly, serr = sched.CompleteID(c.id); serr != nil {
+			if newly, serr = sched.CompleteID(id); serr != nil {
 				stateErr = fmt.Errorf("wfm: scheduler state: %w", serr)
 				break
 			}
@@ -259,16 +264,12 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 	return res, nil
 }
 
-// runTask executes one dispatched task on a worker: wait for its input
-// files (event-driven on drives that support watching), then invoke.
-func (m *Manager) runTask(ctx context.Context, p *invocationPlan, csr *dag.CSR, item dispatchItem, start time.Time, rs *resilience, root *obs.Span, st *runState) *TaskResult {
+// runTask executes one dispatched task on a worker, into tr, the task's
+// slot of the run's result slab: wait for its input files (event-driven
+// on drives that support watching), then invoke.
+func (m *Manager) runTask(ctx context.Context, p *invocationPlan, item dispatchItem, tr *TaskResult, start time.Time, rs *resilience, root *obs.Span, st *runState) {
 	task := p.tasks[item.id]
-	tr := &TaskResult{
-		Name:     task.Name,
-		Category: task.Category,
-		Phase:    int(csr.Level(item.id)) + 1,
-		Ready:    item.ready,
-	}
+	tr.Ready = item.ready
 	mon := m.opts.Monitor
 	mon.taskStarted()
 	ts := m.opts.Tracer.StartChildOf(root, task.Name)
@@ -286,7 +287,7 @@ func (m *Manager) runTask(ctx context.Context, p *invocationPlan, csr *dag.CSR, 
 		tr.Start = time.Since(start)
 		tr.Err = err
 		finish()
-		return tr
+		return
 	}
 	if inputs := p.inputs(item.id); len(inputs) > 0 && !sharedfs.AllExist(m.opts.Drive, inputs) {
 		waitCtx, cancel := context.WithTimeout(ctx, m.scaled(m.opts.InputWait))
@@ -296,7 +297,7 @@ func (m *Manager) runTask(ctx context.Context, p *invocationPlan, csr *dag.CSR, 
 			tr.Start = time.Since(start)
 			tr.Err = fmt.Errorf("wfm: %s: inputs missing on shared drive: %v: %w", task.Name, missing, err)
 			finish()
-			return tr
+			return
 		}
 	}
 	if g := m.opts.Gate; g != nil {
@@ -304,7 +305,7 @@ func (m *Manager) runTask(ctx context.Context, p *invocationPlan, csr *dag.CSR, 
 			tr.Start = time.Since(start)
 			tr.Err = err
 			finish()
-			return tr
+			return
 		}
 		defer g.Release()
 	}
@@ -313,5 +314,4 @@ func (m *Manager) runTask(ctx context.Context, p *invocationPlan, csr *dag.CSR, 
 	tr.Start = time.Since(start)
 	tr.Response, tr.Attempts, tr.Err = m.invoke(ctx, p, item.id, rs, ts)
 	finish()
-	return tr
 }

@@ -308,7 +308,7 @@ func TestEmptyArgumentsRejectedUpFront(t *testing.T) {
 func TestPlanGuardsEmptyArguments(t *testing.T) {
 	task := synthTask("bare", "http://localhost/none", nil)
 	task.Command.Arguments = nil
-	p, err := newInvocationPlan([]*wfformat.Task{task})
+	p, err := newInvocationPlan([]*wfformat.Task{task}, nil)
 	if err == nil || p != nil {
 		t.Fatalf("newInvocationPlan = %v, %v; want argument-block error", p, err)
 	}

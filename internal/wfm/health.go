@@ -182,19 +182,22 @@ func (hs *healthState) watch(next postFunc) postFunc {
 			return o
 		}
 
-		// Each branch owns a buffered channel so an abandoned loser never
-		// leaks its goroutine.
-		launch := func(ctx context.Context) <-chan outcome {
-			ch := make(chan outcome, 1)
-			go func() { ch <- next(ctx, a) }()
-			return ch
+		// Both branches report on one channel with a slot each, so an
+		// abandoned loser never leaks its goroutine.
+		type raced struct {
+			out    outcome
+			backup bool
+		}
+		results := make(chan raced, 2)
+		launch := func(ctx context.Context, backup bool) {
+			go func() { results <- raced{next(ctx, a), backup} }()
 		}
 		primCtx, primCancel := context.WithCancel(tctx)
 		defer primCancel()
-		prim := launch(primCtx)
+		launch(primCtx, false)
 		select {
-		case o := <-prim:
-			return finish(o)
+		case r := <-results:
+			return finish(r.out)
 		case <-fl.Flagged():
 		}
 
@@ -202,35 +205,35 @@ func (hs *healthState) watch(next postFunc) postFunc {
 		a.span.SetAttr("straggler", "true")
 		a.task.SetAttr("straggler", "true")
 		if !hs.speculate {
-			return finish(<-prim)
+			return finish((<-results).out)
 		}
 		hs.tracker.SpeculationLaunched()
 		hs.m.opts.Monitor.speculated()
 		hs.event("speculate", name, ep, a.n+1, "")
 		backCtx, backCancel := context.WithCancel(tctx)
 		defer backCancel()
-		back := launch(backCtx)
+		launch(backCtx, true)
 
 		// The first success wins. When the backup fails first the primary
 		// decides; when both fail the primary's outcome is reported so
 		// retry classification matches the unspeculated path.
-		var p, b outcome
-		select {
-		case p = <-prim:
-			if p.err == nil {
-				return finish(p)
+		r := <-results
+		if r.out.err != nil {
+			other := <-results
+			switch {
+			case r.backup:
+				return finish(other.out)
+			case other.out.err != nil:
+				return finish(r.out)
 			}
-			if b = <-back; b.err != nil {
-				return finish(p)
-			}
-		case b = <-back:
-			if b.err != nil {
-				return finish(<-prim)
-			}
+			r = other
+		}
+		if !r.backup {
+			return finish(r.out)
 		}
 		fl.SpeculativeWin()
 		hs.m.opts.Monitor.speculationWon()
 		hs.event("speculate-win", name, ep, a.n+1, "")
-		return finish(b)
+		return finish(r.out)
 	}
 }

@@ -144,25 +144,3 @@ func (ms *memoState) report() *MemoReport {
 	r.CacheDroppedBytes, r.CacheRepaired = ms.cache.Recovered()
 	return r
 }
-
-// seedResults records every pre-completed task's result in one arena
-// allocation. On a fully-memoized 100k-task re-run this loop IS the
-// execution phase; per-task heap objects and their GC scan cost would
-// dominate it.
-func seedResults(p *invocationPlan, csr *dag.CSR, st *runState, seeds []int32, out map[string]*TaskResult) {
-	arena := make([]TaskResult, len(seeds))
-	for i, id := range seeds {
-		tr := &arena[i]
-		task := p.tasks[id]
-		tr.Name = task.Name
-		tr.Category = task.Category
-		tr.Phase = int(csr.Level(id)) + 1
-		if st.rec != nil && st.rec.doneSet[id] {
-			tr.Recovered = true
-			tr.Attempts = int(st.rec.attempts[id])
-		} else {
-			tr.Memoized = true
-		}
-		out[task.Name] = tr
-	}
-}

@@ -18,7 +18,7 @@ import (
 // shim for the resilience tests, which exercise the retry/breaker
 // machinery one ad-hoc task at a time.
 func (m *Manager) invokeTask(ctx context.Context, task *wfformat.Task, rs *resilience) (*wfbench.Response, int, error) {
-	p, err := newInvocationPlan([]*wfformat.Task{task})
+	p, err := newInvocationPlan([]*wfformat.Task{task}, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -27,15 +27,15 @@ func (m *Manager) invokeTask(ctx context.Context, task *wfformat.Task, rs *resil
 
 // TestInvocationPlanBodies pins the payload arena: every task's body
 // slice decodes back to exactly the WfBench request invokeOnce used to
-// encode per attempt, ContentLength agrees, and GetBody replays the
-// same bytes.
+// encode per attempt, an attempt's request carries it with the
+// ContentLength that agrees, and GetBody replays the same bytes.
 func TestInvocationPlanBodies(t *testing.T) {
 	tasks := []*wfformat.Task{
 		synthTask("alpha", "http://endpoint/task/alpha", nil),
 		synthTask("beta", "http://endpoint/task/beta", []string{"out_alpha"}),
 		synthTask("gamma", "http://other/task/gamma", []string{"out_alpha", "out_beta"}),
 	}
-	p, err := newInvocationPlan(tasks)
+	p, err := newInvocationPlan(tasks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,17 @@ func TestInvocationPlanBodies(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: body = %+v, want %+v", task.Name, got, want)
 		}
-		req := p.reqs[id]
-		if req.ContentLength != int64(len(body)) {
-			t.Fatalf("%s: ContentLength = %d, body is %d bytes", task.Name, req.ContentLength, len(body))
+		req, first := p.request(context.Background(), id)
+		if req.ContentLength != int64(len(body)) || req.URL.String() != task.Command.APIURL {
+			t.Fatalf("%s: POST %s of %d bytes, want %s of %d", task.Name, req.URL, req.ContentLength, task.Command.APIURL, len(body))
 		}
+		sent, err := io.ReadAll(req.Body)
+		if err != nil || string(sent) != string(body) {
+			t.Fatalf("%s: request body diverges (%v)", task.Name, err)
+		}
+		// The transport closes a body it is done with and may still ask for
+		// a replay, until Do returns.
+		req.Body.Close()
 		rc, err := req.GetBody()
 		if err != nil {
 			t.Fatal(err)
@@ -76,6 +83,7 @@ func TestInvocationPlanBodies(t *testing.T) {
 		if err != nil || string(replay) != string(body) {
 			t.Fatalf("%s: GetBody replay diverges (%v)", task.Name, err)
 		}
+		first.done()
 	}
 }
 
@@ -119,14 +127,14 @@ func TestInvocationPlanSharesParsedURLs(t *testing.T) {
 		synthTask("b", "http://ingress:8080/fn", nil),
 		synthTask("c", "http://elsewhere:9090/fn", nil),
 	}
-	p, err := newInvocationPlan(tasks)
+	p, err := newInvocationPlan(tasks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.reqs[0].URL != p.reqs[1].URL {
+	if p.urls[0] != p.urls[1] {
 		t.Fatal("identical api_urls parsed twice")
 	}
-	if p.reqs[0].URL == p.reqs[2].URL {
+	if p.urls[0] == p.urls[2] {
 		t.Fatal("distinct api_urls share a URL")
 	}
 }
@@ -136,11 +144,11 @@ func TestInvocationPlanSharesParsedURLs(t *testing.T) {
 func TestInvocationPlanRejectsBadTasks(t *testing.T) {
 	noArgs := synthTask("x", "http://endpoint", nil)
 	noArgs.Command.Arguments = nil
-	if _, err := newInvocationPlan([]*wfformat.Task{noArgs}); err == nil {
+	if _, err := newInvocationPlan([]*wfformat.Task{noArgs}, nil); err == nil {
 		t.Fatal("task without argument block accepted")
 	}
 	badURL := synthTask("y", "http://bad url with spaces", nil)
-	if _, err := newInvocationPlan([]*wfformat.Task{badURL}); err == nil {
+	if _, err := newInvocationPlan([]*wfformat.Task{badURL}, nil); err == nil {
 		t.Fatal("unparseable api_url accepted")
 	}
 }
@@ -149,13 +157,37 @@ func TestInvocationPlanRejectsBadTasks(t *testing.T) {
 // (the HTTP client closes the body itself on some error paths) must
 // not recycle the reader twice.
 func TestArenaBodyDoubleClose(t *testing.T) {
-	b := newArenaBody([]byte(`{"k":"v"}`))
+	b := newArenaBody([]byte(`{"k":"v"}`), 1)
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestArenaBodyReplaysUntilDone pins who holds a request's reader: the
+// transport until it closes it, and the attempt until Do has returned —
+// until then GetBody may be asked for, and must replay this request's
+// bytes, not those of whichever attempt the pool gave the reader to next.
+func TestArenaBodyReplaysUntilDone(t *testing.T) {
+	first := newArenaBody([]byte("first"), 2)
+	first.Close() // sent, or the connection died under it
+	next := newArenaBody([]byte("next"), 2)
+	if next == first {
+		t.Fatal("a reader whose attempt is still in Client.Do was recycled at Close")
+	}
+	rc, err := first.replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := io.ReadAll(rc); string(got) != "first" {
+		t.Fatalf("GetBody after Close replays %q", got)
+	}
+	rc.Close()
+	first.done()
+	next.Close()
+	next.done()
 }
 
 // TestPrepareCompilesOnce: a Run builds one graph, once. The
@@ -178,9 +210,9 @@ func TestPrepareCompilesOnce(t *testing.T) {
 		})
 	}
 	prepare := allocs(func() error { _, err := CompileRunnable(w); return err })
-	validated := allocs(func() error { _, _, err := w.ValidateCompile(); return err })
+	validated := allocs(func() error { _, _, _, err := w.ValidateCompile(); return err })
 	compile := allocs(func() error { _, _, err := w.Compile(); return err })
-	plan := allocs(func() error { _, err := newInvocationPlan(c.plan.tasks); return err })
+	plan := allocs(func() error { _, err := newInvocationPlan(c.plan.tasks, nil); return err })
 	if prepare >= validated+plan+compile {
 		t.Fatalf("prepare = %v allocs: validated compile %v + plan %v leaves room for a second compile (%v)",
 			prepare, validated, plan, compile)

@@ -278,6 +278,10 @@ type resilience struct {
 	close func()
 	// health records breaker transitions; nil when Options.Health is.
 	health *healthState
+	// Where the run's decoded Responses live: slots of a slab, pod names
+	// allocated once each.
+	responses responseSlab
+	pods      wfbench.Strings
 
 	mu          sync.Mutex
 	breakers    map[string]*breaker
@@ -293,9 +297,9 @@ type resilience struct {
 // aborts its batch-mates' request, and classify reads cancellation off it.
 func (m *Manager) newResilience(ctx context.Context, p *invocationPlan, start time.Time, hs *healthState) *resilience {
 	rs := &resilience{m: m, start: start, health: hs, breakers: make(map[string]*breaker)}
-	rs.post, rs.close = m.invokeOnce, func() {}
+	rs.post, rs.close = rs.invokeOnce, func() {}
 	if m.opts.Batching.Enabled {
-		b := m.newBatcher(ctx, p, hs)
+		b := m.newBatcher(ctx, p, rs, hs)
 		rs.post, rs.close = b.invokeOnce, b.close
 	}
 	if hs != nil {
@@ -305,6 +309,26 @@ func (m *Manager) newResilience(ctx context.Context, p *invocationPlan, start ti
 		rs.post = rs.guard(ctx, rs.post)
 	}
 	return rs
+}
+
+// responseSlab hands out the Response slots single-task answers are
+// decoded into, from blocks of 64; the Result keeps the blocks alive
+// through the TaskResults that point into them. (A batch decodes into a
+// block of its own.)
+type responseSlab struct {
+	mu   sync.Mutex
+	free []wfbench.Response
+}
+
+func (s *responseSlab) next() *wfbench.Response {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.free) == 0 {
+		s.free = make([]wfbench.Response, 64)
+	}
+	slot := &s.free[0]
+	s.free = s.free[1:]
+	return slot
 }
 
 // guard is the circuit-breaker layer: an attempt against an endpoint

@@ -556,10 +556,20 @@ func (tr *earlyResponder) RoundTrip(req *http.Request) (*http.Response, error) {
 		defer tr.wg.Done()
 		defer req.Body.Close() // the transport's async close: only now may the buffer be recycled
 		time.Sleep(2 * time.Millisecond)
-		rest, err := io.ReadAll(req.Body)
-		if err != nil {
-			tr.flag("%s: drain body: %v", want, err)
-			return
+		// Drained as a transport may: a byte, less than a token, a full
+		// write buffer at a time.
+		var rest []byte
+		for i, sizes := 0, []int{1, 7, 64 << 10}; ; i++ {
+			buf := make([]byte, sizes[i%len(sizes)])
+			n, err := req.Body.Read(buf)
+			rest = append(rest, buf[:n]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				tr.flag("%s: drain body: %v", want, err)
+				return
+			}
 		}
 		var wreq wfbench.Request
 		if err := json.Unmarshal(append(head[:n:n], rest...), &wreq); err != nil {

@@ -417,7 +417,7 @@ func (c *Compiled) fingerprint() wfformat.Hash {
 // check, so the service never accepts a submission its own manager then
 // refuses as not runnable. The workflow must not be modified afterwards.
 func CompileRunnable(w *wfformat.Workflow) (*Compiled, error) {
-	csr, tasks, err := w.ValidateCompile()
+	csr, tasks, ext, err := w.ValidateCompile()
 	if err != nil {
 		return nil, err
 	}
@@ -426,7 +426,7 @@ func CompileRunnable(w *wfformat.Workflow) (*Compiled, error) {
 			return nil, fmt.Errorf("wfm: task %q has no api_url; run a translator first", t.Name)
 		}
 	}
-	p, err := newInvocationPlan(tasks)
+	p, err := newInvocationPlan(tasks, ext)
 	if err != nil {
 		return nil, err
 	}
@@ -768,22 +768,22 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 	}
 }
 
-// invokeOnce is the single-task transport: one HTTP POST from the
-// plan's pre-rendered artifacts — a shallow clone of the task's request
-// template, a pooled reader over the task's arena body, and a pooled
-// decode buffer for the response. A sampled attempt span's context is
-// injected as the request's traceparent header (on a fresh header map —
-// the shared template header is never mutated).
-func (m *Manager) invokeOnce(ctx context.Context, a attempt) outcome {
+// invokeOnce is the single-task transport: one HTTP POST built around the
+// plan's pre-rendered artifacts — the task's parsed URL, a pooled reader
+// over its arena body — and a pooled decode buffer for the response. A
+// sampled attempt span's context is injected as the request's traceparent
+// header (on a fresh header map — the shared header is never mutated).
+func (rs *resilience) invokeOnce(ctx context.Context, a attempt) outcome {
 	task := a.p.tasks[a.id]
-	req := a.p.request(ctx, a.id)
+	req, body := a.p.request(ctx, a.id)
 	if sc := a.span.Context(); sc.Sampled {
 		h := make(http.Header, 2)
 		h["Content-Type"] = sharedJSONHeader["Content-Type"]
 		h["Traceparent"] = []string{sc.Traceparent()}
 		req.Header = h
 	}
-	hres, err := m.opts.Client.Do(req)
+	hres, err := rs.m.opts.Client.Do(req)
+	body.done() // Do has returned: GetBody will not be asked for again
 	if err != nil {
 		return outcome{retriable: ctx.Err() == nil, err: fmt.Errorf("wfm: %s: request: %w", task.Name, err)}
 	}
@@ -795,25 +795,26 @@ func (m *Manager) invokeOnce(ctx context.Context, a attempt) outcome {
 	buf := decodeBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	_, err = buf.ReadFrom(hres.Body)
-	out := decodeResponse(task.Name, buf.Bytes(), err)
+	out := rs.decodeResponse(task.Name, buf.Bytes(), err, rs.responses.next())
 	decodeBufs.Put(buf)
 	return out
 }
 
 // decodeResponse turns a 200 answer's payload — an HTTP body or one
 // batch frame — into the outcome; readErr is a failed read of it, if any.
-func decodeResponse(task string, payload []byte, readErr error) outcome {
-	var resp wfbench.Response
+// The Response is decoded into slot; its Name is the task's own string
+// when the endpoint echoed it, as it does.
+func (rs *resilience) decodeResponse(task string, payload []byte, readErr error, slot *wfbench.Response) outcome {
 	if readErr == nil {
-		readErr = wfbench.UnmarshalResponse(payload, &resp)
+		readErr = wfbench.DecodeResponse(payload, slot, task, &rs.pods)
 	}
 	if readErr != nil {
 		return outcome{err: fmt.Errorf("wfm: %s: decode: %w", task, readErr)}
 	}
-	if !resp.OK {
-		return outcome{resp: &resp, err: fmt.Errorf("wfm: %s: function error: %s", task, resp.Error)}
+	if !slot.OK {
+		return outcome{resp: slot, err: fmt.Errorf("wfm: %s: function error: %s", task, slot.Error)}
 	}
-	return outcome{resp: &resp}
+	return outcome{resp: slot}
 }
 
 // statusFailure maps a non-200 answer — a whole HTTP response or one
