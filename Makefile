@@ -31,10 +31,13 @@ vet:
 # execution core in internal/wfm, so a per-plane target only re-ran it.
 # The batcher's tests run fifty times more: its delivery race (a batch-
 # mate of a failed task reported cancelled) showed in one run of eight.
+# The fixed-scale tests run twenty times more: Apply publishes the pods'
+# round-robin queues that Invoke and ServeBatch read.
 race:
 	$(GO) build -race ./...
 	$(GO) test -race ./...
 	$(GO) test -race ./internal/wfm -run 'TestBatch' -count=50
+	$(GO) test -race ./internal/serverless -run 'TestFixedScale|TestMinScale' -count=20
 
 # alloc-sites names who allocates on the scale path: the batched case of
 # the back-half budget test (a 10k fan-out, batches of 512, a synced

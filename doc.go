@@ -14,9 +14,10 @@
 //   - internal/wfbench: WfBench as a Service (CPU duty-cycle stress,
 //     memory ballast with --vm-keep semantics, sized file I/O) behind
 //     HTTP;
-//   - internal/serverless, internal/container: the Knative-equivalent
-//     platform (ingress, pods, KPA-style autoscaler, cold starts,
-//     scale-to-zero) and the bare-metal local-container baseline;
+//   - internal/serverless: the Knative-equivalent platform (ingress,
+//     pods, KPA-style autoscaler, cold starts, scale-to-zero), which
+//     also serves the bare-metal local-container baseline as a
+//     service held at fixed scale;
 //   - internal/dag, internal/wfformat: the workflow JSON of the
 //     paper's Section III-A and the one graph it compiles to —
 //     interned task IDs and a CSR adjacency that validation,

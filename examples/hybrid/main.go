@@ -28,15 +28,17 @@ func main() {
 		log.Fatal(err)
 	}
 	// A small always-on container pool for the serial stages, alongside
-	// the autoscaling serverless platform.
+	// the autoscaling serverless platform: two pods held at fixed scale,
+	// two cores each.
 	cfg.Secondary = &core.PlatformConfig{
-		Kind:              core.KindLocal,
-		Workers:           4,
-		Containers:        2,
-		CPUsPerContainer:  2,
-		PodOverheadMem:    tn.PodOverheadMem,
-		WorkerOverheadMem: tn.WorkerOverheadMem,
-		PodOverheadCPU:    tn.PodOverheadCPU,
+		Kind:                core.KindLocal,
+		Workers:             4,
+		MinScale:            2,
+		MaxScale:            2,
+		CPURequestPerWorker: 0.5,
+		PodOverheadMem:      tn.PodOverheadMem,
+		WorkerOverheadMem:   tn.WorkerOverheadMem,
+		PodOverheadCPU:      tn.PodOverheadCPU,
 	}
 	session, err := core.NewSession(cfg)
 	if err != nil {
@@ -70,8 +72,8 @@ func main() {
 
 	fmt.Printf("hybrid %s: makespan %.1f s nominal\n", res.Workflow, res.Makespan)
 	fmt.Printf("  serverless handled %d invocations (%d cold starts)\n",
-		session.Knative().Requests(), session.Knative().ColdStarts())
-	fmt.Printf("  local containers handled %d invocations\n", session.LocalRuntime().Requests())
+		session.Platform().Requests(), session.Platform().ColdStarts())
+	fmt.Printf("  local containers handled %d invocations\n", session.Secondary().Requests())
 	s := session.Sampler()
 	fmt.Printf("  mean provisioned CPU %.1f cores, mean resident memory %.2f GB, mean power %.1f W\n",
 		s.MeanOf(metrics.MetricCPUReserved),

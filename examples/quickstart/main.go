@@ -63,5 +63,5 @@ func main() {
 	fmt.Printf("  memory: %.2f GB mean resident\n", s.MeanOf(metrics.MetricMemUsed)/float64(1<<30))
 	fmt.Printf("  pods:   %.1f mean, %.0f peak (scale-to-zero after the burst)\n",
 		s.MeanOf(metrics.MetricPodsRunning), s.MaxOf(metrics.MetricPodsRunning))
-	fmt.Printf("  cold starts: %d\n", session.Knative().ColdStarts())
+	fmt.Printf("  cold starts: %d\n", session.Platform().ColdStarts())
 }

@@ -1,9 +1,10 @@
 // Package core is the top-level API of the framework the paper proposes
 // (Figure 1): it assembles the four components — the WfCommons-derived
-// workflow generator, the translators, a serverless platform (or the
-// bare-metal local-container baseline, or both), and the serverless
-// workflow manager — into a Session against which workflows are
-// generated, translated, executed, and measured.
+// workflow generator, the translators, the serverless platform, and the
+// serverless workflow manager — into a Session against which workflows
+// are generated, translated, executed, and measured. The bare-metal
+// local-container baseline is the same platform configured differently:
+// a service held at a fixed scale with no cold start.
 //
 // A Session keeps its platform warm across runs, which is what the
 // examples and long-running studies want; the experiments package builds
@@ -18,7 +19,6 @@ import (
 	"time"
 
 	"wfserverless/internal/cluster"
-	"wfserverless/internal/container"
 	"wfserverless/internal/metrics"
 	"wfserverless/internal/obs"
 	"wfserverless/internal/serverless"
@@ -30,37 +30,34 @@ import (
 	"wfserverless/internal/wfm"
 )
 
-// Platform kinds.
+// Platform kinds: the labels RunHybrid's pick chooses between. Both are
+// provisioned the same way.
 const (
 	KindKnative = "knative"
 	KindLocal   = "local"
 )
 
-// PlatformConfig provisions one execution platform inside a session.
+// PlatformConfig provisions one execution platform inside a session: a
+// serverless platform serving one "wfbench" service.
 type PlatformConfig struct {
 	// Kind is KindKnative or KindLocal.
 	Kind string
-	// Workers per pod/container.
+	// Workers per pod.
 	Workers int
 	// PM keeps WfBench ballast between invocations (--vm-keep).
 	PM bool
 
-	// Knative-only knobs.
 	CPURequestPerWorker float64
 	MemRequestPerWorker int64
-	MinScale            int
-	MaxScale            int
-	ColdStart           float64 // nominal seconds
-	AutoscalePeriod     float64
-	StableWindow        float64
-	InstantScaleUp      bool
+	// MemLimit is each pod's hard memory limit; 0 means none.
+	MemLimit        int64
+	MinScale        int
+	MaxScale        int
+	ColdStart       float64 // nominal seconds
+	AutoscalePeriod float64
+	StableWindow    float64
+	InstantScaleUp  bool
 
-	// Local-container-only knobs.
-	Containers           int
-	CPUsPerContainer     float64
-	MemLimitPerContainer int64
-
-	// Shared overheads.
 	PodOverheadMem    int64
 	WorkerOverheadMem int64
 	PodOverheadCPU    float64
@@ -103,15 +100,9 @@ type SessionConfig struct {
 	Tracer *obs.Tracer
 }
 
-// platform is what a session asks of either implementation.
-type platform interface {
-	QueueDepth() int
-	Stop()
-}
-
 // platformHandle is one provisioned platform and where it listens.
 type platformHandle struct {
-	platform
+	*serverless.Platform
 	kind string
 	url  string
 }
@@ -180,81 +171,45 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 }
 
 func (s *Session) provision(pc PlatformConfig) (*platformHandle, error) {
-	switch pc.Kind {
-	case KindKnative:
-		p, err := serverless.New(serverless.Options{
-			Cluster:           s.clus,
-			Drive:             s.drive,
-			TimeScale:         s.cfg.TimeScale,
-			Engine:            s.cfg.Engine,
-			ColdStart:         pc.ColdStart,
-			AutoscalePeriod:   pc.AutoscalePeriod,
-			StableWindow:      pc.StableWindow,
-			PodOverheadMem:    pc.PodOverheadMem,
-			WorkerOverheadMem: pc.WorkerOverheadMem,
-			PodOverheadCPU:    pc.PodOverheadCPU,
-			InputWait:         s.cfg.Manager.InputWait,
-			InstantScaleUp:    pc.InstantScaleUp,
-			Tracer:            s.cfg.Tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		url, err := p.Start()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.Apply(serverless.ServiceConfig{
-			Name:                "wfbench",
-			Workers:             pc.Workers,
-			CPURequestPerWorker: pc.CPURequestPerWorker,
-			MemRequestPerWorker: pc.MemRequestPerWorker,
-			MinScale:            pc.MinScale,
-			MaxScale:            pc.MaxScale,
-			KeepMem:             pc.PM,
-		}); err != nil {
-			p.Stop()
-			return nil, err
-		}
-		return &platformHandle{platform: p, kind: KindKnative, url: url}, nil
-
-	case KindLocal:
-		rt, err := container.NewRuntime(container.Options{
-			Cluster:           s.clus,
-			Drive:             s.drive,
-			TimeScale:         s.cfg.TimeScale,
-			Engine:            s.cfg.Engine,
-			InputWait:         s.cfg.Manager.InputWait,
-			PodOverheadMem:    pc.PodOverheadMem,
-			WorkerOverheadMem: pc.WorkerOverheadMem,
-			PodOverheadCPU:    pc.PodOverheadCPU,
-		})
-		if err != nil {
-			return nil, err
-		}
-		url, err := rt.Start()
-		if err != nil {
-			return nil, err
-		}
-		n := pc.Containers
-		if n <= 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			if _, err := rt.Run(container.Config{
-				Name:     fmt.Sprintf("wfbench-%03d", i),
-				Workers:  pc.Workers,
-				CPUs:     pc.CPUsPerContainer,
-				MemLimit: pc.MemLimitPerContainer,
-				KeepMem:  pc.PM,
-			}); err != nil {
-				rt.Stop()
-				return nil, fmt.Errorf("core: container %d: %w", i, err)
-			}
-		}
-		return &platformHandle{platform: rt, kind: KindLocal, url: url}, nil
+	if pc.Kind != KindKnative && pc.Kind != KindLocal {
+		return nil, fmt.Errorf("core: unknown platform kind %q", pc.Kind)
 	}
-	return nil, fmt.Errorf("core: unknown platform kind %q", pc.Kind)
+	p, err := serverless.New(serverless.Options{
+		Cluster:           s.clus,
+		Drive:             s.drive,
+		TimeScale:         s.cfg.TimeScale,
+		Engine:            s.cfg.Engine,
+		ColdStart:         pc.ColdStart,
+		AutoscalePeriod:   pc.AutoscalePeriod,
+		StableWindow:      pc.StableWindow,
+		PodOverheadMem:    pc.PodOverheadMem,
+		WorkerOverheadMem: pc.WorkerOverheadMem,
+		PodOverheadCPU:    pc.PodOverheadCPU,
+		InputWait:         s.cfg.Manager.InputWait,
+		InstantScaleUp:    pc.InstantScaleUp,
+		Tracer:            s.cfg.Tracer,
+	})
+	if err != nil {
+		return nil, err
+	}
+	url, err := p.Start()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Apply(serverless.ServiceConfig{
+		Name:                "wfbench",
+		Workers:             pc.Workers,
+		CPURequestPerWorker: pc.CPURequestPerWorker,
+		MemRequestPerWorker: pc.MemRequestPerWorker,
+		MemLimit:            pc.MemLimit,
+		MinScale:            pc.MinScale,
+		MaxScale:            pc.MaxScale,
+		KeepMem:             pc.PM,
+	}); err != nil {
+		p.Stop()
+		return nil, err
+	}
+	return &platformHandle{Platform: p, kind: pc.Kind, url: url}, nil
 }
 
 func (s *Session) registerGauges() {
@@ -271,9 +226,7 @@ func (s *Session) registerGauges() {
 	s.sampler.Register(metrics.MetricMemReserved, func() float64 { return float64(s.clus.Snapshot().ReservedMem) })
 	s.sampler.Register(metrics.MetricPower, func() float64 { return s.clus.Snapshot().PowerWatts })
 	s.sampler.Register(metrics.MetricQueueDepth, func() float64 { return float64(s.primary.QueueDepth()) })
-	if p, ok := s.primary.platform.(*serverless.Platform); ok {
-		s.sampler.Register(metrics.MetricPodsRunning, func() float64 { return float64(p.Pods()) })
-	}
+	s.sampler.Register(metrics.MetricPodsRunning, func() float64 { return float64(s.primary.Pods()) })
 }
 
 // Cluster returns the session's substrate.
@@ -296,24 +249,16 @@ func (s *Session) SecondaryURL() string {
 	return s.secondary.url
 }
 
-// provisioned returns the session's platform of type T, the primary
-// first, or T's zero value.
-func provisioned[T any](s *Session) (none T) {
-	for _, h := range []*platformHandle{s.primary, s.secondary} {
-		if h != nil {
-			if p, ok := h.platform.(T); ok {
-				return p
-			}
-		}
+// Platform exposes the primary platform.
+func (s *Session) Platform() *serverless.Platform { return s.primary.Platform }
+
+// Secondary exposes the hybrid second platform, or nil.
+func (s *Session) Secondary() *serverless.Platform {
+	if s.secondary == nil {
+		return nil
 	}
-	return none
+	return s.secondary.Platform
 }
-
-// Knative exposes the Knative platform if one was provisioned, else nil.
-func (s *Session) Knative() *serverless.Platform { return provisioned[*serverless.Platform](s) }
-
-// LocalRuntime exposes the local-container runtime if provisioned.
-func (s *Session) LocalRuntime() *container.Runtime { return provisioned[*container.Runtime](s) }
 
 // StartSampling begins telemetry collection; call before Run for
 // measured executions.
@@ -340,14 +285,12 @@ func (s *Session) GenerateWorkflow(recipe string, numTasks int, seed int64) (*wf
 
 // Translate annotates the workflow for the primary platform.
 func (s *Session) Translate(w *wfformat.Workflow) (*wfformat.Workflow, error) {
-	return s.translateFor(w, s.primary)
+	return s.primary.translate(w)
 }
 
-func (s *Session) translateFor(w *wfformat.Workflow, h *platformHandle) (*wfformat.Workflow, error) {
-	if h.kind == KindKnative {
-		return translator.Knative(w, translator.KnativeOptions{IngressURL: h.url, Workdir: "shared"})
-	}
-	return translator.LocalContainer(w, translator.LocalContainerOptions{BaseURL: h.url, Workdir: "shared"})
+// translate points every task at the handle's "wfbench" service.
+func (h *platformHandle) translate(w *wfformat.Workflow) (*wfformat.Workflow, error) {
+	return translator.Knative(w, translator.KnativeOptions{IngressURL: h.url, Workdir: "shared"})
 }
 
 // Run translates and executes the workflow on the primary platform.
@@ -387,11 +330,11 @@ func (s *Session) RunHybrid(ctx context.Context, w *wfformat.Workflow, pick func
 	}
 	// Translate for both platforms, then give each task the api_url of
 	// the one picked for it.
-	out, err := s.translateFor(w, s.primary)
+	out, err := s.primary.translate(w)
 	if err != nil {
 		return nil, err
 	}
-	other, err := s.translateFor(w, s.secondary)
+	other, err := s.secondary.translate(w)
 	if err != nil {
 		return nil, err
 	}

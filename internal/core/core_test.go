@@ -23,14 +23,17 @@ func knativeConfig() PlatformConfig {
 	}
 }
 
+// localConfig is eight always-on containers of two cores each: a
+// service held at fixed scale.
 func localConfig() PlatformConfig {
 	return PlatformConfig{
-		Kind:              KindLocal,
-		Workers:           10,
-		Containers:        8,
-		CPUsPerContainer:  2,
-		PodOverheadMem:    50 << 20,
-		WorkerOverheadMem: 16 << 20,
+		Kind:                KindLocal,
+		Workers:             10,
+		MinScale:            8,
+		MaxScale:            8,
+		CPURequestPerWorker: 0.2,
+		PodOverheadMem:      50 << 20,
+		WorkerOverheadMem:   16 << 20,
 	}
 }
 
@@ -71,7 +74,7 @@ func TestRunRecipeKnative(t *testing.T) {
 	if res.Makespan <= 0 {
 		t.Fatalf("res = %+v", res)
 	}
-	if s.Knative() == nil || s.Knative().Requests() != 20 {
+	if s.Platform().Requests() != 20 {
 		t.Fatal("knative platform did not serve the workflow")
 	}
 	if s.URL() == "" {
@@ -88,11 +91,13 @@ func TestRunRecipeLocal(t *testing.T) {
 	if res.Makespan <= 0 {
 		t.Fatal("no makespan")
 	}
-	if s.LocalRuntime() == nil || s.LocalRuntime().Requests() == 0 {
-		t.Fatal("local runtime did not serve the workflow")
+	p := s.Platform()
+	if p.Requests() != 20 {
+		t.Fatalf("local containers served %d, want 20", p.Requests())
 	}
-	if s.Knative() != nil {
-		t.Fatal("unexpected knative platform")
+	if p.Pods() != 8 || p.ColdStarts() != 0 || s.Cluster().Snapshot().ReservedCores != 16 {
+		t.Fatalf("pods %d, cold starts %d, %+v: want 8 always-on containers, 16 cores",
+			p.Pods(), p.ColdStarts(), s.Cluster().Snapshot())
 	}
 }
 
@@ -103,7 +108,7 @@ func TestSessionReusableAcrossRuns(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	if got := s.Knative().Requests(); got != 30 {
+	if got := s.Platform().Requests(); got != 30 {
 		t.Fatalf("requests = %d, want 30", got)
 	}
 }
@@ -155,10 +160,10 @@ func TestRunHybridSplitsTraffic(t *testing.T) {
 	if res.Makespan <= 0 {
 		t.Fatal("no makespan")
 	}
-	if got := s.Knative().Requests(); got != 17 {
+	if got := s.Platform().Requests(); got != 17 {
 		t.Fatalf("knative served %d, want 17 blastall", got)
 	}
-	if got := s.LocalRuntime().Requests(); got != 3 {
+	if got := s.Secondary().Requests(); got != 3 {
 		t.Fatalf("local served %d, want 3", got)
 	}
 }

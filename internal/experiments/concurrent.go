@@ -103,10 +103,6 @@ func RunConcurrent(ctx context.Context, spec Spec, workflows []*wfformat.Workflo
 	out.MeanPowerW = s.MeanOf(metrics.MetricPower)
 	out.MeanCPUCores = s.MeanOf("cpu.usage.cores")
 	out.MeanMemGB = gb(s.MeanOf(metrics.MetricMemUsed))
-	if p := sess.Knative(); p != nil {
-		out.Failures = p.Failures()
-	} else if rt := sess.LocalRuntime(); rt != nil {
-		out.Failures = rt.Failures()
-	}
+	out.Failures = sess.Platform().Failures()
 	return out, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -233,18 +234,36 @@ func TestCoarseGrainedShape(t *testing.T) {
 	inst := mustGen(t, "seismology", 60)
 	knSpec, _ := ByID(Kn1000wPM)
 	lcSpec, _ := ByID(LC1000wPM)
-	kn, err := RunWorkflow(context.Background(), knSpec, inst.Workflow, tn)
-	if err != nil {
-		t.Fatal(err)
+	// Two like-for-like makespans need a less compressed clock to stay
+	// above scheduler jitter. The first 1000-worker run in a process is
+	// ~1.5x slower whichever paradigm it is (one-off runtime warm-up, not
+	// GC), so one run is discarded, and the ratio is of medians over three
+	// pairs whose order alternates.
+	tn.TimeScale = 0.01 * raceTimeFactor
+	run := func(s Spec) *Measurement {
+		m, err := RunWorkflow(context.Background(), s, inst.Workflow, tn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	lc, err := RunWorkflow(context.Background(), lcSpec, inst.Workflow, tn)
-	if err != nil {
-		t.Fatal(err)
+	run(lcSpec)
+	var kn, lc *Measurement
+	var knS, lcS []float64
+	for i := 0; i < 3; i++ {
+		if i%2 == 0 {
+			kn, lc = run(knSpec), run(lcSpec)
+		} else {
+			lc, kn = run(lcSpec), run(knSpec)
+		}
+		knS, lcS = append(knS, kn.MakespanS), append(lcS, lc.MakespanS)
 	}
+	slices.Sort(knS)
+	slices.Sort(lcS)
 	if kn.ColdStarts > 1 {
 		t.Errorf("coarse serverless cold starts = %d, want pre-provisioned", kn.ColdStarts)
 	}
-	ratio := kn.MakespanS / lc.MakespanS
+	ratio := knS[1] / lcS[1]
 	if ratio > 1.3 {
 		t.Errorf("coarse time ratio = %.2f, want close to 1", ratio)
 	}

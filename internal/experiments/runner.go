@@ -29,7 +29,7 @@ type Tunables struct {
 	CPURequestPerWorker float64
 	MemRequestPerWorker int64
 
-	// Local-container fleet: Containers x CPUsPerContainer cores are
+	// Local-container fleet: LCContainers x LCCPUsPerContainer cores are
 	// reserved up front (the docker --cpus=2 of the paper's AD), each
 	// with a hard memory limit when the paradigm declares requirements.
 	LCContainers       int
@@ -83,7 +83,9 @@ func DefaultTunables() Tunables {
 // SessionConfig maps a Table II paradigm plus the tunables onto a core
 // session configuration. The coarse-grained paradigms provision one
 // process that reserves (nearly) a whole machine, with no cold start and
-// no scaling, matching Section V-C.
+// no scaling, matching Section V-C. A local-container paradigm is the
+// same platform held at fixed scale: one pod per container, started
+// before the run, with no cold start.
 func SessionConfig(spec Spec, tn Tunables) (core.SessionConfig, error) {
 	pc := core.PlatformConfig{
 		Workers:           spec.Workers,
@@ -114,20 +116,18 @@ func SessionConfig(spec Spec, tn Tunables) (core.SessionConfig, error) {
 		}
 	case KindLocal:
 		pc.Kind = core.KindLocal
-		pc.Containers = tn.LCContainers
-		pc.CPUsPerContainer = tn.LCCPUsPerContainer
-		pc.MemLimitPerContainer = tn.LCMemLimit
+		containers, cpus, memLimit := max(tn.LCContainers, 1), tn.LCCPUsPerContainer, tn.LCMemLimit
 		if spec.Coarse {
 			// One unique 1000-worker container reserving a whole
 			// machine, mirroring the coarse serverless scenario.
-			pc.Containers = 1
-			pc.CPUsPerContainer = coarseCores
-			pc.MemLimitPerContainer = coarseMem
+			containers, cpus, memLimit = 1, coarseCores, coarseMem
 		}
 		if !spec.CR {
-			pc.CPUsPerContainer = 0
-			pc.MemLimitPerContainer = 0
+			cpus, memLimit = 0, 0
 		}
+		pc.MinScale, pc.MaxScale = containers, containers
+		pc.CPURequestPerWorker = cpus / float64(spec.Workers)
+		pc.MemLimit = memLimit
 	default:
 		return core.SessionConfig{}, fmt.Errorf("experiments: unknown platform kind %q", spec.Kind)
 	}
@@ -206,15 +206,8 @@ func RunWorkflow(ctx context.Context, spec Spec, w *wfformat.Workflow, tn Tunabl
 	res, runErr := sess.Run(ctx, w)
 	sess.StopSampling()
 
-	if p := sess.Knative(); p != nil {
-		m.ColdStarts = p.ColdStarts()
-		m.Requests = p.Requests()
-		m.Failures = p.Failures()
-		m.ScaleStalls = p.ScaleStalls()
-	} else if rt := sess.LocalRuntime(); rt != nil {
-		m.Requests = rt.Requests()
-		m.Failures = rt.Failures()
-	}
+	p := sess.Platform()
+	m.ColdStarts, m.Requests, m.Failures, m.ScaleStalls = p.ColdStarts(), p.Requests(), p.Failures(), p.ScaleStalls()
 	if runErr != nil {
 		return m, fmt.Errorf("experiments: %s on %s: %w", w.Name, spec.ID, runErr)
 	}

@@ -89,9 +89,9 @@ func predictKnative(spec experiments.Spec, infos []phaseInfo, tn experiments.Tun
 	memPerPod := float64(tn.PodOverheadMem) + W*float64(tn.WorkerOverheadMem)
 	maxPods := math.Floor(clusterCores / cpuPerPod)
 	if spec.Coarse {
-		// One pre-provisioned whole-machine pod: no cold start, no
-		// scaling; phase time is bounded by worker rounds only.
-		p := &Prediction{ColdStarts: 1}
+		// One whole-machine pod, deployed before the run: no cold
+		// start, no scaling; phase time is bounded by worker rounds only.
+		p := &Prediction{}
 		var makespan float64
 		for i, pi := range infos {
 			rounds := math.Ceil(float64(pi.width) / W)

@@ -155,7 +155,7 @@ func TestPredictCoarse(t *testing.T) {
 	if r < 0.95 || r > 1.3 {
 		t.Fatalf("coarse ratio = %.2f", r)
 	}
-	if pk.ColdStarts != 1 {
+	if pk.ColdStarts != 0 {
 		t.Fatalf("coarse cold starts = %d", pk.ColdStarts)
 	}
 }

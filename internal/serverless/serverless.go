@@ -53,9 +53,15 @@ type ServiceConfig struct {
 	CPURequestPerWorker float64
 	MemRequestPerWorker int64
 	// MinScale/MaxScale bound the pod count. MaxScale 0 means unbounded
-	// (the cluster's capacity is the only limit).
+	// (the cluster's capacity is the only limit). MinScale == MaxScale
+	// holds the service at a fixed scale: see DESIGN "Fixed-scale
+	// services".
 	MinScale int
 	MaxScale int
+	// MemLimit is a pod's hard memory limit in bytes (Knative's
+	// limits.memory); 0 means none. An invocation that would take the
+	// pod's resident memory past it fails with ErrOOM.
+	MemLimit int64
 	// KeepMem is the paper's persistent-memory (PM) knob: workers keep
 	// their WfBench ballast between invocations.
 	KeepMem bool
@@ -74,7 +80,7 @@ func (c *ServiceConfig) validate() error {
 	if c.MinScale < 0 || c.MaxScale < 0 || (c.MaxScale > 0 && c.MinScale > c.MaxScale) {
 		return fmt.Errorf("serverless: service %s has invalid scale bounds [%d,%d]", c.Name, c.MinScale, c.MaxScale)
 	}
-	if c.CPURequestPerWorker < 0 || c.MemRequestPerWorker < 0 {
+	if c.CPURequestPerWorker < 0 || c.MemRequestPerWorker < 0 || c.MemLimit < 0 {
 		return fmt.Errorf("serverless: service %s has negative resource requests", c.Name)
 	}
 	return nil
@@ -112,8 +118,8 @@ type Options struct {
 	// InputWait is how long (paper seconds) a WfBench invocation polls
 	// for its input files; zero defaults to 5s.
 	InputWait float64
-	// QueueCapacity bounds the per-service ingress queue; zero
-	// defaults to 16384.
+	// QueueCapacity bounds a service's ingress queue, shared out among
+	// the pods of a fixed-scale service; zero defaults to 16384.
 	QueueCapacity int
 	// InstantScaleUp disables the KPA-style doubling ramp and jumps
 	// straight to the desired pod count each tick — an ablation knob
@@ -293,11 +299,15 @@ func (p *Platform) Stop() {
 	ingress.Close()
 }
 
-// Apply creates or replaces a service, starting MinScale pods
-// immediately (replacement tears down the old incarnation first).
+// Apply creates or replaces a service (replacement tears down the old
+// incarnation first) and returns once its MinScale pods serve. Those
+// pods are the deployment, not demand: they are not cold starts.
 func (p *Platform) Apply(cfg ServiceConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
+	}
+	if pool := p.opts.PodOverheadMem + int64(cfg.Workers)*p.opts.WorkerOverheadMem; cfg.MemLimit > 0 && pool > cfg.MemLimit {
+		return fmt.Errorf("serverless: service %s: worker pool needs %d bytes, limit %d: %w", cfg.Name, pool, cfg.MemLimit, ErrOOM)
 	}
 	p.mu.Lock()
 	if p.stopped {
@@ -311,11 +321,27 @@ func (p *Platform) Apply(cfg ServiceConfig) error {
 	if old != nil {
 		old.shutdown()
 	}
-	for i := 0; i < cfg.MinScale; i++ {
-		if err := svc.addPod(); err != nil {
+	pods := make([]*pod, cfg.MinScale)
+	for i := range pods {
+		pd, err := svc.addPod(false)
+		if err != nil {
+			p.mu.Lock()
+			if p.services[cfg.Name] == svc {
+				delete(p.services, cfg.Name)
+			}
+			p.mu.Unlock()
+			svc.shutdown()
 			return fmt.Errorf("serverless: service %s min-scale: %w", cfg.Name, err)
 		}
+		pods[i] = pd
 	}
+	for _, pd := range pods {
+		select {
+		case <-pd.ready:
+		case <-pd.stopCh:
+		}
+	}
+	svc.deployed.Store(true)
 	return nil
 }
 
@@ -358,7 +384,7 @@ func (p *Platform) Pods() int {
 func (p *Platform) QueueDepth() int {
 	n := 0
 	for _, s := range p.serviceList() {
-		n += len(s.queue)
+		n += s.queued()
 	}
 	return n
 }
@@ -384,6 +410,10 @@ var ErrOverloaded = errors.New("serverless: overloaded")
 // ErrStopped is returned for invocations arriving after Close (a 503).
 var ErrStopped = errors.New("serverless: platform stopped")
 
+// ErrOOM fails an invocation that would take its pod past the service's
+// MemLimit (the OOM kill), and an Apply whose worker pool alone would.
+var ErrOOM = errors.New("serverless: memory limit exceeded")
+
 // lookup resolves a service name. A missing service is a 503 either way;
 // Stop tears the service map down, so after it the error reports
 // shutdown, not a configuration mistake.
@@ -406,7 +436,7 @@ func (p *Platform) lookup(name string) (*service, error) {
 // ctx.Err(); a caller that gave up on a full queue is told the platform
 // is overloaded, because only that is the platform's fault and only that
 // should read as retry-later to the workflow manager.
-func (p *Platform) refuse(svc *service, inv *invocation, cause error) error {
+func (p *Platform) refuse(svc *service, queue chan *invocation, inv *invocation, cause error) error {
 	reason := "cancelled before dispatch"
 	if cause == ErrStopped {
 		reason = "platform stopped"
@@ -414,7 +444,7 @@ func (p *Platform) refuse(svc *service, inv *invocation, cause error) error {
 	inv.queue.SetAttr("error", reason)
 	inv.queue.Finish()
 	p.failures.Add(1)
-	if cause != ErrStopped && len(svc.queue) >= cap(svc.queue) {
+	if cause != ErrStopped && len(queue) >= cap(queue) {
 		return &wfbench.StatusError{
 			Status:     http.StatusTooManyRequests,
 			RetryAfter: p.opts.scaled(p.opts.AutoscalePeriod),
@@ -443,12 +473,13 @@ func (p *Platform) Invoke(ctx context.Context, serviceName string, req *wfbench.
 	inv.queue = p.opts.Tracer.StartChild(inv.parent, "queue", obs.LayerPlatform)
 	svc.inflight.Add(1)
 	defer svc.inflight.Add(-1)
+	queue := svc.queueAt(svc.take(1))
 	select {
-	case svc.queue <- inv:
+	case queue <- inv:
 	case <-ctx.Done():
-		return nil, p.refuse(svc, inv, ctx.Err())
+		return nil, p.refuse(svc, queue, inv, ctx.Err())
 	case <-p.stopCh:
-		return nil, p.refuse(svc, inv, ErrStopped)
+		return nil, p.refuse(svc, queue, inv, ErrStopped)
 	}
 	select {
 	case <-inv.done:
@@ -500,6 +531,7 @@ func (p *Platform) ServeBatch(ctx context.Context, serviceName string, b *wfbenc
 
 	slab := newSlab(len(results))
 	enqueued := 0
+	next := svc.take(len(results))
 	start := time.Now()
 enqueue:
 	for i := range results {
@@ -514,15 +546,16 @@ enqueue:
 		inv := &slab.invs[i]
 		*inv = invocation{req: &b.Reqs[i], resp: &b.Resps[i], done: slab.done, parent: parent, idx: int32(i), prep: prep}
 		inv.queue = p.opts.Tracer.StartChild(parent, "queue", obs.LayerPlatform)
+		queue := svc.queueAt(next + uint64(i))
 		select {
-		case svc.queue <- inv:
+		case queue <- inv:
 			svc.inflight.Add(1)
 			enqueued++
 		case <-ctx.Done():
-			results[i] = wfbench.ResultFrame(nil, p.refuse(svc, inv, ctx.Err()))
+			results[i] = wfbench.ResultFrame(nil, p.refuse(svc, queue, inv, ctx.Err()))
 		case <-p.stopCh:
 			// Everything not yet enqueued shares the shutdown verdict.
-			stopped := wfbench.ResultFrame(nil, p.refuse(svc, inv, ErrStopped))
+			stopped := wfbench.ResultFrame(nil, p.refuse(svc, queue, inv, ErrStopped))
 			for j := i; j < len(results); j++ {
 				if b.Pending(j) {
 					results[j] = stopped
@@ -598,7 +631,7 @@ func (p *Platform) Stats() Stats {
 	for _, svc := range p.serviceList() {
 		ss := ServiceStats{
 			Pods:     svc.podCount(),
-			Queued:   len(svc.queue),
+			Queued:   svc.queued(),
 			Inflight: svc.inflight.Load(),
 		}
 		st.Services[svc.cfg.Name] = ss
@@ -644,6 +677,9 @@ func (p *Platform) autoscaleLoop() {
 }
 
 func (p *Platform) autoscale(svc *service) {
+	if !svc.deployed.Load() {
+		return // Apply is still starting the min-scale pods
+	}
 	inflight := int(svc.inflight.Load())
 	desired := (inflight + svc.cfg.Workers - 1) / svc.cfg.Workers
 	if desired < svc.cfg.MinScale {
@@ -667,7 +703,7 @@ func (p *Platform) autoscale(svc *service) {
 			target = desired
 		}
 		for cur < target {
-			if err := svc.addPod(); err != nil {
+			if _, err := svc.addPod(true); err != nil {
 				p.scaleStalls.Add(1)
 				break // resource pressure: retry next tick
 			}
@@ -681,10 +717,17 @@ func (p *Platform) autoscale(svc *service) {
 
 // service is the runtime state of one applied ServiceConfig.
 type service struct {
-	p        *Platform
-	cfg      ServiceConfig
-	queue    chan *invocation
+	p   *Platform
+	cfg ServiceConfig
+	// queues holds one queue the pods share, or, for a fixed-scale
+	// service, one per pod (pod i reads queues[i]). Invocations take
+	// them round-robin; take and queueAt say how.
+	queues   []chan *invocation
+	rr       atomic.Uint64
 	inflight atomic.Int64
+	// deployed is set once Apply's min-scale pods serve; the autoscaler
+	// leaves the service alone until then.
+	deployed atomic.Bool
 
 	mu      sync.Mutex
 	pods    []*pod
@@ -693,11 +736,39 @@ type service struct {
 }
 
 func newService(p *Platform, cfg ServiceConfig) *service {
-	return &service{
-		p:     p,
-		cfg:   cfg,
-		queue: make(chan *invocation, p.opts.QueueCapacity),
+	n := 1
+	if cfg.MinScale > 0 && cfg.MinScale == cfg.MaxScale {
+		n = cfg.MaxScale
 	}
+	s := &service{p: p, cfg: cfg, queues: make([]chan *invocation, n)}
+	for i := range s.queues {
+		s.queues[i] = make(chan *invocation, max(1, p.opts.QueueCapacity/n))
+	}
+	return s
+}
+
+// take reserves n consecutive round-robin slots for invocations
+// dispatched together and returns the first: one counter step per call,
+// however many frames a batch holds.
+func (s *service) take(n int) uint64 {
+	if len(s.queues) == 1 {
+		return 0
+	}
+	return s.rr.Add(uint64(n)) - uint64(n)
+}
+
+// queueAt is the queue of round-robin slot k.
+func (s *service) queueAt(k uint64) chan *invocation {
+	return s.queues[k%uint64(len(s.queues))]
+}
+
+// queued is the number of invocations waiting in the service's queues.
+func (s *service) queued() int {
+	n := 0
+	for _, q := range s.queues {
+		n += len(q)
+	}
+	return n
 }
 
 func (s *service) podCount() int {
@@ -707,39 +778,45 @@ func (s *service) podCount() int {
 }
 
 // addPod reserves resources, then brings a pod up after the cold-start
-// latency.
-func (s *service) addPod() error {
+// latency. A pod the autoscaler adds for demand counts as a cold start,
+// and so does the first request it serves; a deployment pod is neither.
+func (s *service) addPod(coldStart bool) (*pod, error) {
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
-		return errors.New("serverless: service deleted")
+		return nil, errors.New("serverless: service deleted")
 	}
 	id := s.nextPod
 	s.nextPod++
 	s.mu.Unlock()
 
+	// A limit without a request sets the request, as in Kubernetes.
 	cores := float64(s.cfg.Workers) * s.cfg.CPURequestPerWorker
-	mem := int64(s.cfg.Workers)*s.cfg.MemRequestPerWorker + s.p.opts.PodOverheadMem
+	mem := max(int64(s.cfg.Workers)*s.cfg.MemRequestPerWorker+s.p.opts.PodOverheadMem, s.cfg.MemLimit)
 	res, err := s.p.opts.Cluster.PlaceWith(s.p.opts.Placer, cores, mem)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pd, err := newPod(s, id, res)
 	if err != nil {
 		res.Release()
-		return err
+		return nil, err
 	}
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
 		pd.stop()
-		return errors.New("serverless: service deleted")
+		return nil, errors.New("serverless: service deleted")
 	}
 	s.pods = append(s.pods, pd)
 	s.mu.Unlock()
-	s.p.coldStarts.Add(1)
+	if coldStart {
+		s.p.coldStarts.Add(1)
+	} else {
+		pd.served.Store(true)
+	}
 	pd.start(s.p.opts.scaled(s.p.opts.ColdStart))
-	return nil
+	return pd, nil
 }
 
 // reapIdle terminates up to n pods that have been idle longer than the
@@ -775,12 +852,27 @@ func (s *service) shutdown() {
 	}
 }
 
+// podUsage is what a pod's WfBench registers resource use with: it
+// forwards to the node and keeps the pod's own resident total, which
+// the service's MemLimit is checked against.
+type podUsage struct {
+	*cluster.Node
+	used atomic.Int64
+}
+
+func (u *podUsage) AddMem(bytes int64) {
+	u.used.Add(bytes)
+	u.Node.AddMem(bytes)
+}
+
 // pod is one scheduled replica: a resource reservation plus a pool of
-// worker goroutines pulling invocations from the service queue.
+// worker goroutines pulling invocations from its queue.
 type pod struct {
-	svc  *service
-	name string
-	res  *cluster.Reservation
+	svc   *service
+	name  string
+	res   *cluster.Reservation
+	queue chan *invocation
+	usage podUsage
 
 	bench   *wfbench.Bench
 	workers []*wfbench.Worker
@@ -788,6 +880,8 @@ type pod struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
+	// ready closes once the workers serve.
+	ready chan struct{}
 
 	// lifeMu serializes start against stop: addPod publishes the pod
 	// before calling start, so a concurrent shutdown/reap may stop the
@@ -804,7 +898,8 @@ type pod struct {
 	// workers live after the ColdStart sleep. readyAt is written before
 	// the worker goroutines launch, so worker loops read it safely.
 	// served flips on the first invocation a pod handles — that request
-	// paid the cold start and reports ColdStart in its response.
+	// paid the cold start and reports ColdStart in its response. A
+	// deployment pod starts with it set: it had no request waiting.
 	createdAt time.Time
 	readyAt   time.Time
 	served    atomic.Bool
@@ -816,10 +911,20 @@ type pod struct {
 
 func newPod(s *service, id int, res *cluster.Reservation) (*pod, error) {
 	opts := s.p.opts
+	pd := &pod{
+		svc:       s,
+		name:      fmt.Sprintf("%s-pod-%05d", s.cfg.Name, id),
+		res:       res,
+		queue:     s.queues[id%len(s.queues)],
+		usage:     podUsage{Node: res.Node()},
+		stopCh:    make(chan struct{}),
+		ready:     make(chan struct{}),
+		createdAt: time.Now(),
+	}
 	bench, err := wfbench.New(wfbench.Config{
 		Drive:     opts.Drive,
 		Engine:    opts.Engine,
-		Usage:     res.Node(),
+		Usage:     &pd.usage,
 		TimeScale: opts.TimeScale,
 		InputWait: opts.scaled(opts.InputWait),
 		KeepMem:   s.cfg.KeepMem,
@@ -828,14 +933,7 @@ func newPod(s *service, id int, res *cluster.Reservation) (*pod, error) {
 	if err != nil {
 		return nil, err
 	}
-	pd := &pod{
-		svc:       s,
-		name:      fmt.Sprintf("%s-pod-%05d", s.cfg.Name, id),
-		res:       res,
-		bench:     bench,
-		stopCh:    make(chan struct{}),
-		createdAt: time.Now(),
-	}
+	pd.bench = bench
 	pd.lastActive.Store(time.Now().UnixNano())
 	for i := 0; i < s.cfg.Workers; i++ {
 		pd.workers = append(pd.workers, bench.NewWorker())
@@ -865,16 +963,16 @@ func (pd *pod) start(coldStart time.Duration) {
 			}
 		}
 		pd.readyAt = time.Now()
-		node := pd.res.Node()
 		opts := pd.svc.p.opts
 		pd.overheadMem = opts.PodOverheadMem + int64(len(pd.workers))*opts.WorkerOverheadMem
 		pd.overheadCPU = opts.PodOverheadCPU
-		node.AddMem(pd.overheadMem)
-		node.AddBusy(pd.overheadCPU)
+		pd.usage.AddMem(pd.overheadMem)
+		pd.usage.AddBusy(pd.overheadCPU)
 		for _, w := range pd.workers {
 			pd.wg.Add(1)
 			go pd.workerLoop(w)
 		}
+		close(pd.ready)
 	}()
 }
 
@@ -884,7 +982,7 @@ func (pd *pod) workerLoop(w *wfbench.Worker) {
 		select {
 		case <-pd.stopCh:
 			return
-		case inv := <-pd.svc.queue:
+		case inv := <-pd.queue:
 			pd.active.Add(1)
 			inv.queue.Finish()
 			tracer := pd.svc.p.opts.Tracer
@@ -906,7 +1004,16 @@ func (pd *pod) workerLoop(w *wfbench.Worker) {
 			if exec != nil {
 				ctx = obs.ContextWithSpan(ctx, exec.Context())
 			}
-			inv.err = w.ExecuteInto(ctx, inv.req, inv.prep, inv.resp)
+			if lim, used := pd.svc.cfg.MemLimit, pd.usage.used.Load(); lim > 0 && used+inv.req.MemBytes > lim {
+				// The check is made before the ballast is paged in; two
+				// workers may pass it together and overshoot, like real
+				// allocation racing the OOM killer.
+				*inv.resp = wfbench.Response{Name: inv.req.Name, Error: ErrOOM.Error()}
+				inv.err = fmt.Errorf("%w: pod %s: %d resident + %d requested > limit %d",
+					ErrOOM, pd.name, used, inv.req.MemBytes, lim)
+			} else {
+				inv.err = w.ExecuteInto(ctx, inv.req, inv.prep, inv.resp)
+			}
 			inv.resp.Pod = pd.name
 			inv.resp.ColdStart = first
 			if inv.err != nil {
@@ -943,9 +1050,8 @@ func (pd *pod) stop() {
 			for _, w := range pd.workers {
 				w.Close()
 			}
-			node := pd.res.Node()
-			node.AddMem(-pd.overheadMem)
-			node.AddBusy(-pd.overheadCPU)
+			pd.usage.AddMem(-pd.overheadMem)
+			pd.usage.AddBusy(-pd.overheadCPU)
 			pd.res.Release()
 		}()
 	})

@@ -85,6 +85,7 @@ func TestServiceConfigValidate(t *testing.T) {
 		{ServiceConfig{Name: "s", Workers: 0}, false},
 		{ServiceConfig{Name: "s", Workers: 1, MinScale: 2, MaxScale: 1}, false},
 		{ServiceConfig{Name: "s", Workers: 1, CPURequestPerWorker: -1}, false},
+		{ServiceConfig{Name: "s", Workers: 1, MemLimit: -1}, false},
 	}
 	for i, c := range cases {
 		if err := c.cfg.validate(); (err == nil) != c.ok {
@@ -382,7 +383,8 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if st.Requests != 1 || st.ColdStarts < 1 {
+	// The min-scale pod is the deployment; it served the request warm.
+	if st.Requests != 1 || st.ColdStarts != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	ss, ok := st.Services["s"]

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"wfserverless/internal/cluster"
-	"wfserverless/internal/container"
 	"wfserverless/internal/recipes"
 	"wfserverless/internal/serverless"
 	"wfserverless/internal/sharedfs"
@@ -501,11 +500,12 @@ func TestEndToEndServerless(t *testing.T) {
 }
 
 // TestEndToEndLocalContainers runs the same pipeline against the
-// bare-metal baseline.
+// bare-metal baseline: four always-on containers, a service held at
+// fixed scale with no cold start.
 func TestEndToEndLocalContainers(t *testing.T) {
 	cl := cluster.PaperTestbed()
 	drive := sharedfs.NewMem()
-	rt, err := container.NewRuntime(container.Options{
+	p, err := serverless.New(serverless.Options{
 		Cluster:           cl,
 		Drive:             drive,
 		TimeScale:         0.002,
@@ -516,24 +516,22 @@ func TestEndToEndLocalContainers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	url, err := rt.Start()
+	url, err := p.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Stop()
-	for i := 0; i < 4; i++ {
-		if _, err := rt.Run(container.Config{
-			Name: "wfbench-" + string(rune('a'+i)), Workers: 10, CPUs: 10, MemLimit: 4 << 30,
-		}); err != nil {
-			t.Fatal(err)
-		}
+	defer p.Stop()
+	if err := p.Apply(serverless.ServiceConfig{
+		Name: "wfbench", Workers: 10, CPURequestPerWorker: 1, MemLimit: 4 << 30, MinScale: 4, MaxScale: 4,
+	}); err != nil {
+		t.Fatal(err)
 	}
 
 	w, err := wfgen.Generate(wfgen.Spec{Recipe: "epigenomics", NumTasks: 30, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := translator.LocalContainer(w, translator.LocalContainerOptions{BaseURL: url, Workdir: "shared"})
+	lc, err := translator.Knative(w, translator.KnativeOptions{IngressURL: url, Workdir: "shared"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,8 +540,11 @@ func TestEndToEndLocalContainers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(res.Tasks)-2) != rt.Requests() {
-		t.Fatalf("runtime served %d, want %d", rt.Requests(), len(res.Tasks)-2)
+	if int64(len(res.Tasks)-2) != p.Requests() {
+		t.Fatalf("containers served %d, want %d", p.Requests(), len(res.Tasks)-2)
+	}
+	if p.ColdStarts() != 0 {
+		t.Fatalf("always-on containers paid %d cold starts", p.ColdStarts())
 	}
 	// containers still reserved after the run (always-on baseline)
 	if got := cl.Snapshot().ReservedCores; got != 40 {
