@@ -32,11 +32,16 @@ vet:
 # The batcher's tests run fifty times more: its delivery race (a batch-
 # mate of a failed task reported cancelled) showed in one run of eight.
 # The fixed-scale tests run twenty times more: Apply publishes the pods'
-# round-robin queues that Invoke and ServeBatch read.
+# round-robin queues that Invoke and ServeBatch read. So do the transition
+# invariants: every sink is fed from workers, the event loop, the breaker
+# and the straggler watchdog at once. (TestAttemptPathComposition checks
+# them too, once: its straggler cells flag by wall-clock timing, which
+# twenty parallel repeats on a small machine do not hold.)
 race:
 	$(GO) build -race ./...
 	$(GO) test -race ./...
 	$(GO) test -race ./internal/wfm -run 'TestBatch' -count=50
+	$(GO) test -race ./internal/wfm -run 'TestTransitionInvariants' -count=20
 	$(GO) test -race ./internal/serverless -run 'TestFixedScale|TestMinScale' -count=20
 
 # alloc-sites names who allocates on the scale path: the batched case of
@@ -51,7 +56,7 @@ SITES ?= 40
 ALLOC_OUT ?= .bench_build/alloc-sites
 alloc-sites:
 	mkdir -p $(ALLOC_OUT)
-	$(GO) test ./internal/wfm -run 'TestBackHalfAllocationBudget/batched' -count=1 \
+	$(GO) test ./internal/wfm -run 'TestBackHalfAllocationBudget/batched$$' -count=1 \
 		-o $(ALLOC_OUT)/wfm.test -memprofile $(ALLOC_OUT)/mem.prof -memprofilerate=1
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=$(SITES) $(ALLOC_OUT)/wfm.test $(ALLOC_OUT)/mem.prof 2>/dev/null | \
 		awk 'rows {printf "%8.2f /task  with callees %8.2f  %s\n", $$1/10000, $$4/10000, $$6 " " $$7; next} /flat%/ {rows = 1; next} {print}'

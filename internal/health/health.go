@@ -9,7 +9,6 @@
 package health
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -149,9 +148,6 @@ func (h *Inflight) Done(failed, coldStart bool) {
 	wasFlagged := h.isFlag
 	info := h.flagInfo
 	t.mu.Unlock()
-	if wasFlagged {
-		t.activeStragglers.Add(-1)
-	}
 
 	ep := h.ep
 	ep.mu.Lock()
@@ -200,10 +196,8 @@ type Tracker struct {
 	eps      map[string]*endpoint
 	inflight map[*Inflight]struct{}
 
-	activeStragglers atomic.Int64
-	totalStragglers  atomic.Int64
-	specLaunched     atomic.Int64
-	specWins         atomic.Int64
+	specLaunched atomic.Int64
+	specWins     atomic.Int64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -282,13 +276,6 @@ func (t *Tracker) RecordBatch(endpointName string, tasks int) {
 	ep.mu.Unlock()
 }
 
-// ActiveStragglers is the number of currently-flagged in-flight
-// attempts — the wfm_stragglers gauge.
-func (t *Tracker) ActiveStragglers() int64 { return t.activeStragglers.Load() }
-
-// TotalStragglers is the cumulative flagged count.
-func (t *Tracker) TotalStragglers() int64 { return t.totalStragglers.Load() }
-
 // Speculations returns (launched, wins) for speculative retries.
 func (t *Tracker) Speculations() (launched, wins int64) {
 	return t.specLaunched.Load(), t.specWins.Load()
@@ -343,8 +330,6 @@ func (t *Tracker) scan() {
 		ep.mu.Lock()
 		ep.stragglers++
 		ep.mu.Unlock()
-		t.activeStragglers.Add(1)
-		t.totalStragglers.Add(1)
 		fired = append(fired, h.flagInfo)
 	}
 	t.mu.Unlock()
@@ -396,12 +381,7 @@ func (t *Tracker) WriteMetrics(w io.Writer) error {
 		return nil
 	}
 	stats := t.Snapshot()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	x := metrics.NewWriter(w)
 	series := []struct {
 		name, typ, help string
 		val             func(*EndpointStats) float64
@@ -424,11 +404,10 @@ func (t *Tracker) WriteMetrics(w io.Writer) error {
 			func(e *EndpointStats) float64 { return e.P99 }},
 	}
 	for _, s := range series {
-		p("# HELP %s %s\n", s.name, s.help)
-		p("# TYPE %s %s\n", s.name, s.typ)
+		x.Family(s.name, s.typ, s.help)
 		for i := range stats {
-			p("%s{endpoint=%q} %g\n", s.name, stats[i].Endpoint, s.val(&stats[i]))
+			x.Sample(s.name, s.val(&stats[i]), "endpoint", stats[i].Endpoint)
 		}
 	}
-	return err
+	return x.Err()
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -111,30 +110,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 // WriteProm writes the histogram in Prometheus text exposition format:
 // cumulative `_bucket{le="..."}` series, `_sum`, and `_count`.
 func (h *Histogram) WriteProm(w io.Writer, name, help string) error {
-	if help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-		return err
-	}
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, histBound(i), cum); err != nil {
-			return err
-		}
-	}
-	cum += h.counts[histBuckets].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum()); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
-	return err
+	x := NewWriter(w)
+	x.Histogram(name, help, h)
+	return x.Err()
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) of the recorded

@@ -1,9 +1,10 @@
 package serverless
 
 import (
-	"fmt"
 	"io"
 	"sort"
+
+	"wfserverless/internal/metrics"
 )
 
 // WriteMetrics emits the platform's operational counters in Prometheus
@@ -14,51 +15,28 @@ import (
 // gauges.
 func (p *Platform) WriteMetrics(w io.Writer) error {
 	st := p.Stats()
-	write := func(name, typ, help string, v float64) error {
-		_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-		return err
-	}
-	if err := write("wfserverless_pods", "gauge", "live pods across all services", float64(st.Pods)); err != nil {
-		return err
-	}
-	if err := write("wfserverless_queue_depth", "gauge", "queued invocations", float64(st.QueueDepth)); err != nil {
-		return err
-	}
-	if err := write("wfserverless_cold_starts_total", "counter", "cumulative pod cold starts", float64(st.ColdStarts)); err != nil {
-		return err
-	}
-	if err := write("wfserverless_requests_total", "counter", "cumulative invocations", float64(st.Requests)); err != nil {
-		return err
-	}
-	if err := write("wfserverless_failures_total", "counter", "cumulative failed invocations", float64(st.Failures)); err != nil {
-		return err
-	}
-	if err := write("wfserverless_scale_stalls_total", "counter", "autoscaler ticks blocked on resources", float64(st.ScaleStalls)); err != nil {
-		return err
-	}
+	x := metrics.NewWriter(w)
+	x.Single("wfserverless_pods", "gauge", "live pods across all services", float64(st.Pods))
+	x.Single("wfserverless_queue_depth", "gauge", "queued invocations", float64(st.QueueDepth))
+	x.Single("wfserverless_cold_starts_total", "counter", "cumulative pod cold starts", float64(st.ColdStarts))
+	x.Single("wfserverless_requests_total", "counter", "cumulative invocations", float64(st.Requests))
+	x.Single("wfserverless_failures_total", "counter", "cumulative failed invocations", float64(st.Failures))
+	x.Single("wfserverless_scale_stalls_total", "counter", "autoscaler ticks blocked on resources", float64(st.ScaleStalls))
 	names := make([]string, 0, len(st.Services))
 	for n := range st.Services {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	if len(names) > 0 {
-		if _, err := fmt.Fprintf(w, "# HELP wfserverless_service_pods live pods per service\n# TYPE wfserverless_service_pods gauge\n"); err != nil {
-			return err
-		}
+		x.Family("wfserverless_service_pods", "gauge", "live pods per service")
 		for _, n := range names {
-			if _, err := fmt.Fprintf(w, "wfserverless_service_pods{service=%q} %d\n", n, st.Services[n].Pods); err != nil {
-				return err
-			}
+			x.Sample("wfserverless_service_pods", st.Services[n].Pods, "service", n)
 		}
-		if _, err := fmt.Fprintf(w, "# HELP wfserverless_service_inflight in-flight invocations per service\n# TYPE wfserverless_service_inflight gauge\n"); err != nil {
-			return err
-		}
+		x.Family("wfserverless_service_inflight", "gauge", "in-flight invocations per service")
 		for _, n := range names {
-			if _, err := fmt.Fprintf(w, "wfserverless_service_inflight{service=%q} %d\n", n, st.Services[n].Inflight); err != nil {
-				return err
-			}
+			x.Sample("wfserverless_service_inflight", st.Services[n].Inflight, "service", n)
 		}
 	}
-	return p.latency.WriteProm(w, "wfserverless_invocation_seconds",
-		"end-to-end invocation latency: queue wait plus execution")
+	x.Histogram("wfserverless_invocation_seconds", "end-to-end invocation latency: queue wait plus execution", &p.latency)
+	return x.Err()
 }

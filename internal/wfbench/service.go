@@ -122,24 +122,13 @@ func (s *Service) run(ctx context.Context, req *Request, prep *BatchPrep, resp *
 // WriteMetrics emits the service's operational series in Prometheus
 // text exposition format — the standalone deployment's GET /metrics.
 func (s *Service) WriteMetrics(w io.Writer) error {
-	write := func(name, typ, help string, v float64) error {
-		_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-		return err
-	}
-	if err := write("wfbench_workers", "gauge", "worker pool size", float64(s.nWorkers)); err != nil {
-		return err
-	}
-	if err := write("wfbench_active", "gauge", "requests currently executing", float64(s.active.Load())); err != nil {
-		return err
-	}
-	if err := write("wfbench_requests_total", "counter", "cumulative requests served", float64(s.requests.Load())); err != nil {
-		return err
-	}
-	if err := write("wfbench_failures_total", "counter", "cumulative failed requests", float64(s.failures.Load())); err != nil {
-		return err
-	}
-	return s.latency.WriteProm(w, "wfbench_execution_seconds",
-		"per-request execution wall time including worker wait")
+	x := metrics.NewWriter(w)
+	x.Single("wfbench_workers", "gauge", "worker pool size", float64(s.nWorkers))
+	x.Single("wfbench_active", "gauge", "requests currently executing", float64(s.active.Load()))
+	x.Single("wfbench_requests_total", "counter", "cumulative requests served", float64(s.requests.Load()))
+	x.Single("wfbench_failures_total", "counter", "cumulative failed requests", float64(s.failures.Load()))
+	x.Histogram("wfbench_execution_seconds", "per-request execution wall time including worker wait", &s.latency)
+	return x.Err()
 }
 
 // ServeHTTP serves the service's own GET /metrics; everything else is

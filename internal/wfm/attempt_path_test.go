@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"wfserverless/internal/health"
 	"wfserverless/internal/journal"
 	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/wfbench"
@@ -133,6 +135,9 @@ func (s *scriptedEndpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // what it alone causes, so a cell also proves the chain holds exactly
 // the enabled layers: the surface the POSTs arrive on (transport), the
 // straggler flag and the backup (health), the shed attempt (breaker).
+// Every cell's journal, flight recorder and monitor are also held to
+// checkTransitions, and a health cell's recorder tuples to the golden
+// written before the run's transitions were one stream.
 func TestAttemptPathComposition(t *testing.T) {
 	type cell struct {
 		health, speculate, breaker, batch bool
@@ -191,9 +196,12 @@ func TestAttemptPathComposition(t *testing.T) {
 					Enabled: c.breaker, Window: 10, FailureThreshold: 0.75, MinSamples: 4, Cooldown: 0.05,
 				},
 				Batching: BatchOptions{Enabled: c.batch, MaxTasks: 16, Linger: 0.005},
+				Monitor:  NewMonitor(),
 			}
+			var rec *health.FlightRecorder
 			if c.health {
-				opts.Health = &HealthOptions{StragglerFactor: 20, MinSamples: 4, SpeculativeRetry: c.speculate}
+				rec = health.NewFlightRecorder(0)
+				opts.Health = &HealthOptions{StragglerFactor: 20, MinSamples: 4, SpeculativeRetry: c.speculate, Recorder: rec}
 			}
 			m, err := New(opts)
 			if err != nil {
@@ -282,6 +290,11 @@ func TestAttemptPathComposition(t *testing.T) {
 			}
 			if !reflect.DeepEqual(sum.EventCounts, wantKinds) {
 				t.Errorf("journal record kinds = %v, want %v", sum.EventCounts, wantKinds)
+			}
+
+			checkTransitions(t, dir, w, rec, opts.Monitor)
+			if rec != nil {
+				checkGolden(t, filepath.Join("testdata", "recorder", name+".golden"), recorderTuples(rec.Events(), srv.URL))
 			}
 		})
 	}

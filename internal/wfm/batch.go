@@ -98,7 +98,6 @@ type endpointBatch struct {
 // with their own task context, so a task timeout abandons only that
 // task's wait, never the batch.
 type batcher struct {
-	m  *Manager
 	p  *invocationPlan
 	rs *resilience
 	// ctx is the run-lifetime context batch POSTs ride on: a sub-task
@@ -109,24 +108,18 @@ type batcher struct {
 	maxBytes int
 	linger   time.Duration
 
-	// health feeds batch occupancy into the run's baseline table; nil
-	// when the health plane is off.
-	health *healthState
-
 	mu      sync.Mutex
 	pending map[string]*endpointBatch
 }
 
 // newBatcher returns the run's dispatcher over plan p. ctx is the run
-// context; hs is the run's health plane, nil when it is off.
-func (m *Manager) newBatcher(ctx context.Context, p *invocationPlan, rs *resilience, hs *healthState) *batcher {
+// context.
+func (m *Manager) newBatcher(ctx context.Context, p *invocationPlan, rs *resilience) *batcher {
 	o := m.opts.Batching.withDefaults()
 	return &batcher{
-		m:        m,
 		p:        p,
 		rs:       rs,
 		ctx:      ctx,
-		health:   hs,
 		maxTasks: o.MaxTasks,
 		maxBytes: o.MaxBytes,
 		linger:   m.scaled(o.Linger),
@@ -262,7 +255,9 @@ func (b *batcher) close() {
 func (b *batcher) flush(eb *endpointBatch) {
 	eb.outs = make([]outcome, len(eb.ids))
 	defer close(eb.done)
-	b.health.recordBatch(eb.endpoint, len(eb.ids))
+	if hs := b.rs.st.health; hs != nil { // batch occupancy, for the baseline table
+		hs.tracker.RecordBatch(eb.endpoint, len(eb.ids))
+	}
 	eb.frames.frame(b.p, eb.ids, eb.tps)
 	req := (&http.Request{
 		Method:        http.MethodPost,
@@ -281,7 +276,7 @@ func (b *batcher) flush(eb *endpointBatch) {
 			eb.outs[i] = outcome{retriable: retriable, err: fmt.Errorf("wfm: %s: %s: %w", b.taskName(eb.ids[i]), what, err)}
 		}
 	}
-	hres, err := b.m.opts.Client.Do(req)
+	hres, err := b.rs.m.opts.Client.Do(req)
 	if err != nil {
 		failFrom(0, b.ctx.Err() == nil, "batched request", err)
 		return

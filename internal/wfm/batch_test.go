@@ -234,7 +234,7 @@ func TestBatcherByteBoundSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := m.newResilience(context.Background(), p, time.Now(), nil)
+	rs := m.newResilience(context.Background(), p, time.Now(), &runState{})
 	defer rs.close()
 	var wg sync.WaitGroup
 	errs := make([]error, len(tasks))
@@ -527,7 +527,7 @@ func TestBatcherTaskTimeoutAbandonsWaitOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := m.newResilience(context.Background(), p, time.Now(), nil)
+	rs := m.newResilience(context.Background(), p, time.Now(), &runState{})
 	defer rs.close()
 
 	expired, cancel := context.WithCancel(context.Background())

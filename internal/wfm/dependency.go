@@ -44,43 +44,26 @@ type dispatchItem struct {
 // Without ContinueOnError the first failure also cancels everything
 // in flight or queued. On context cancellation the loop stops
 // dispatching, drains the workers, records partial TaskResults, and
-// returns ctx.Err() with no goroutines left behind.
-func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Result, error) {
+// returns ctx.Err() with no goroutines left behind. A task's
+// transitions are emitted here (ready, skipped) and in runTask.
+func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState, res *Result) error {
 	w, csr, p := c.w, c.csr, c.plan
 	sched := dag.NewSchedulerCSR(csr)
 	barrier := m.opts.Scheduling == SchedulePhases
 
-	res := &Result{
-		Workflow:   w.Name,
-		Scheduling: m.opts.Scheduling,
-		Tasks:      make(map[string]*TaskResult, p.len()+2),
-	}
 	start := time.Now()
 	root, finishTrace := m.startRunTrace(w.Name, res)
 	defer finishTrace()
 	m.traceReplay(root, st)
 	m.traceMemo(root, st)
-	mon := m.opts.Monitor
-	mon.runStarted(w.Name, m.opts.Scheduling, p.len())
-	if l := m.opts.Logger; l != nil {
-		l.Info("workflow run starting",
-			"workflow", w.Name, "tasks", p.len(), "scheduling", m.opts.Scheduling.String())
-	}
-	defer func() {
-		if l := m.opts.Logger; l != nil {
-			l.Info("workflow run finished",
-				"workflow", w.Name, "wall", res.Wall, "failed", len(res.Failed))
-		}
-	}()
-	// Registered after the log line above so it runs before it: a
-	// cancelled, failed or aborted run reports how long it ran too.
+	// A cancelled, failed or aborted run reports how long it ran too.
 	defer func() {
 		res.Wall = time.Since(start)
 		res.Makespan = res.Wall.Seconds() / m.opts.TimeScale
 	}()
 	// Header: stage external inputs so root functions find their data.
 	if err := m.stageHeader(p, res, start); err != nil {
-		return res, err
+		return err
 	}
 	n := p.len()
 	results := make([]TaskResult, n)
@@ -95,7 +78,7 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 	// and the ready frontier starts past them.
 	if seeds := st.seedIDs(); len(seeds) > 0 {
 		if err := sched.SeedCompletedIDs(seeds); err != nil {
-			return res, fmt.Errorf("wfm: seeding pre-completed state: %w", err)
+			return fmt.Errorf("wfm: seeding pre-completed state: %w", err)
 		}
 		for _, id := range seeds {
 			tr := &results[id]
@@ -116,7 +99,7 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 	// cancel) flushes any linger-window stragglers on every exit path;
 	// breaker transitions belong in the Result on every exit path too,
 	// including aborts and cancellations.
-	rs := m.newResilience(runCtx, p, start, st.health)
+	rs := m.newResilience(runCtx, p, start, st)
 	defer func() { res.Breakers = rs.take() }()
 	defer rs.close()
 
@@ -146,8 +129,11 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 
 	inflight := 0
 	release := func(ids []int32) {
+		if len(ids) == 0 {
+			return
+		}
 		now := time.Since(start)
-		mon.taskReady(len(ids))
+		st.emit(transition{kind: tReady, id: -1, n: len(ids)})
 		inflight += len(ids)
 		for _, id := range ids {
 			dispatch <- dispatchItem{id: id, ready: now}
@@ -158,10 +144,6 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 		res.Tasks[tr.Name] = tr
 		if tr.Err != nil {
 			res.Failed = append(res.Failed, tr.Name)
-			if l := m.opts.Logger; l != nil {
-				l.Warn("task failed", "task", tr.Name, "phase", tr.Phase,
-					"attempts", tr.Attempts, "err", tr.Err)
-			}
 		}
 	}
 
@@ -196,11 +178,10 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 			now := time.Since(start)
 			for _, sid := range skipped {
 				accounted++
-				mon.taskSkipped()
 				skip := &results[sid]
 				skip.Ready, skip.Start, skip.End = now, now, now
 				skip.Err = fmt.Errorf("wfm: %s: skipped: ancestor %s failed", skip.Name, tr.Name)
-				st.rj.taskFailed(sid, true, skip.Err)
+				st.emit(transition{kind: tSkipped, id: sid, tr: skip})
 				record(skip)
 			}
 		} else {
@@ -239,7 +220,7 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 	wg.Wait()
 	sort.Strings(res.Failed)
 	if stateErr != nil {
-		return res, stateErr
+		return stateErr
 	}
 
 	// The static level structure, for analysis, Gantt and per-phase
@@ -256,22 +237,22 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState) (*Resu
 	res.Phases = append(res.Phases, []string{TailName})
 
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return err
 	}
 	if len(res.Failed) > 0 {
-		return res, fmt.Errorf("wfm: %d function(s) failed: %v", len(res.Failed), res.Failed)
+		return fmt.Errorf("wfm: %d function(s) failed: %v", len(res.Failed), res.Failed)
 	}
-	return res, nil
+	return nil
 }
 
 // runTask executes one dispatched task on a worker, into tr, the task's
 // slot of the run's result slab: wait for its input files (event-driven
-// on drives that support watching), then invoke.
+// on drives that support watching), acquire the gate, then invoke. The
+// task starts once the gate is granted; one that fails before that
+// (cancelled, inputs missing, gate refused) made no attempt.
 func (m *Manager) runTask(ctx context.Context, p *invocationPlan, item dispatchItem, tr *TaskResult, start time.Time, rs *resilience, root *obs.Span, st *runState) {
 	task := p.tasks[item.id]
 	tr.Ready = item.ready
-	mon := m.opts.Monitor
-	mon.taskStarted()
 	ts := m.opts.Tracer.StartChildOf(root, task.Name)
 	ts.SetStart(start.Add(item.ready))
 	if st.memo != nil {
@@ -279,14 +260,19 @@ func (m *Manager) runTask(ctx context.Context, p *invocationPlan, item dispatchI
 	}
 	finish := func() {
 		tr.End = time.Since(start)
-		st.taskDone(item.id, p, tr)
-		mon.taskFinished(tr.End-tr.Start, tr.Err != nil)
+		kind := tDone
+		if tr.Err != nil {
+			kind = tFailed
+		}
+		st.emit(transition{kind: kind, id: item.id, tr: tr})
 		m.finishTaskSpan(ts, tr)
 	}
-	if err := ctx.Err(); err != nil {
-		tr.Start = time.Since(start)
-		tr.Err = err
+	fail := func(err error) {
+		tr.Start, tr.Err = time.Since(start), err
 		finish()
+	}
+	if err := ctx.Err(); err != nil {
+		fail(err)
 		return
 	}
 	if inputs := p.inputs(item.id); len(inputs) > 0 && !sharedfs.AllExist(m.opts.Drive, inputs) {
@@ -294,24 +280,19 @@ func (m *Manager) runTask(ctx context.Context, p *invocationPlan, item dispatchI
 		missing, err := sharedfs.WaitFor(waitCtx, m.opts.Drive, inputs, m.scaled(m.opts.InputWait)/100)
 		cancel()
 		if err != nil {
-			tr.Start = time.Since(start)
-			tr.Err = fmt.Errorf("wfm: %s: inputs missing on shared drive: %v: %w", task.Name, missing, err)
-			finish()
+			fail(fmt.Errorf("wfm: %s: inputs missing on shared drive: %v: %w", task.Name, missing, err))
 			return
 		}
 	}
 	if g := m.opts.Gate; g != nil {
 		if err := g.Acquire(ctx); err != nil {
-			tr.Start = time.Since(start)
-			tr.Err = err
-			finish()
+			fail(err)
 			return
 		}
 		defer g.Release()
 	}
-	st.rj.taskStarted(item.id)
-	st.health.event("task-start", task.Name, task.Command.APIURL, 0, "")
 	tr.Start = time.Since(start)
+	st.emit(transition{kind: tStart, id: item.id, tr: tr})
 	tr.Response, tr.Attempts, tr.Err = m.invoke(ctx, p, item.id, rs, ts)
 	finish()
 }

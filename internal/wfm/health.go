@@ -3,12 +3,10 @@ package wfm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	"wfserverless/internal/health"
-	"wfserverless/internal/wfformat"
 )
 
 // HealthOptions enables the run-health plane: streaming per-endpoint
@@ -64,14 +62,12 @@ type HealthReport struct {
 	SpeculativeWins    int64
 }
 
-// healthState is the run-scoped health plane: the tracker, the flight
-// recorder, and the straggler log. All methods are safe on a nil
-// receiver — a run without Options.Health carries a nil healthState and
-// pays one pointer test per hook.
+// healthState is the run-scoped health plane: the tracker and the
+// straggler log; its flags and speculations are transitions of the run
+// (st). A run without Options.Health carries a nil healthState.
 type healthState struct {
-	m         *Manager
+	st        *runState
 	tracker   *health.Tracker
-	rec       *health.FlightRecorder
 	speculate bool
 
 	mu         sync.Mutex
@@ -80,9 +76,9 @@ type healthState struct {
 
 // newHealthState builds the run's health plane from Options.Health and
 // starts the straggler watchdog.
-func (m *Manager) newHealthState() *healthState {
+func (m *Manager) newHealthState(st *runState) *healthState {
 	ho := m.opts.Health
-	hs := &healthState{m: m, rec: ho.Recorder, speculate: ho.SpeculativeRetry}
+	hs := &healthState{st: st, speculate: ho.SpeculativeRetry}
 	hs.tracker = health.NewTracker(health.TrackerConfig{
 		StragglerFactor: ho.StragglerFactor,
 		MinSamples:      ho.MinSamples,
@@ -90,55 +86,16 @@ func (m *Manager) newHealthState() *healthState {
 			hs.mu.Lock()
 			hs.stragglers = append(hs.stragglers, s)
 			hs.mu.Unlock()
-			m.opts.Monitor.stragglerFlagged()
-			hs.rec.Record("straggler", s.Task, s.Endpoint, 0,
-				fmt.Sprintf("age %s vs median %s", s.Age, s.Median))
-			if l := m.opts.Logger; l != nil {
-				l.Warn("straggler detected", "task", s.Task, "endpoint", s.Endpoint,
-					"age", s.Age, "median", s.Median)
-			}
+			st.emit(transition{kind: tStraggler, id: -1, str: &s})
 		},
 		OnResolved: func(s health.Straggler, lat time.Duration) {
-			m.opts.Monitor.stragglerResolved()
-			if l := m.opts.Logger; l != nil {
-				l.Info("straggler resolved", "task", s.Task, "endpoint", s.Endpoint,
-					"latency", lat)
-			}
+			st.emit(transition{kind: tStragglerResolved, id: -1, str: &s, lat: lat})
 		},
 	})
 	if ho.OnTracker != nil {
 		ho.OnTracker(hs.tracker)
 	}
 	return hs
-}
-
-func (hs *healthState) close() { hs.tracker.Close() }
-
-// event forwards one structured event to the flight recorder.
-func (hs *healthState) event(kind, task, endpoint string, attempt int, detail string) {
-	if hs != nil {
-		hs.rec.Record(kind, task, endpoint, attempt, detail)
-	}
-}
-
-// taskFinished records a task's terminal outcome in the flight recorder.
-func (hs *healthState) taskFinished(task *wfformat.Task, tr *TaskResult) {
-	if hs == nil {
-		return
-	}
-	if tr.Err != nil {
-		hs.rec.Record("task-fail", task.Name, task.Command.APIURL, tr.Attempts, tr.Err.Error())
-		return
-	}
-	hs.rec.Record("task-done", task.Name, task.Command.APIURL, tr.Attempts, "")
-}
-
-// recordBatch feeds one flushed batch's occupancy into the baseline
-// table.
-func (hs *healthState) recordBatch(endpoint string, tasks int) {
-	if hs != nil {
-		hs.tracker.RecordBatch(endpoint, tasks)
-	}
 }
 
 // report snapshots the run's health plane for Result.Health.
@@ -163,22 +120,14 @@ func (hs *healthState) report() *HealthReport {
 // flag channel next to the attempt's own completion. A flagged attempt
 // is annotated on its spans; with SpeculativeRetry one backup attempt
 // races the primary through next and the first success wins, the loser's
-// request cancelled. The caller journals/memoizes the task exactly once
-// when invoke returns, so speculation can never double-record it. Retried
-// and throttled attempts that reach this layer go to the flight recorder.
+// request cancelled. The task's completion is one transition when invoke
+// returns, so speculation can never double-record it.
 func (hs *healthState) watch(next postFunc) postFunc {
 	return func(tctx context.Context, a attempt) outcome {
 		task := a.p.tasks[a.id]
-		name, ep := task.Name, task.Command.APIURL
-		if a.n > 0 {
-			hs.event("retry", name, ep, a.n+1, "")
-		}
-		fl := hs.tracker.StartAttempt(name, ep, a.n)
+		fl := hs.tracker.StartAttempt(task.Name, task.Command.APIURL, a.n)
 		finish := func(o outcome) outcome {
 			fl.Done(o.err != nil, o.resp != nil && o.resp.ColdStart)
-			if o.err != nil && o.retryAfter > 0 {
-				hs.event("throttle", name, ep, a.n+1, o.err.Error())
-			}
 			return o
 		}
 
@@ -208,8 +157,7 @@ func (hs *healthState) watch(next postFunc) postFunc {
 			return finish((<-results).out)
 		}
 		hs.tracker.SpeculationLaunched()
-		hs.m.opts.Monitor.speculated()
-		hs.event("speculate", name, ep, a.n+1, "")
+		hs.st.emit(transition{kind: tSpeculate, id: a.id, n: a.n + 1})
 		backCtx, backCancel := context.WithCancel(tctx)
 		defer backCancel()
 		launch(backCtx, true)
@@ -232,8 +180,7 @@ func (hs *healthState) watch(next postFunc) postFunc {
 			return finish(r.out)
 		}
 		fl.SpeculativeWin()
-		hs.m.opts.Monitor.speculationWon()
-		hs.event("speculate-win", name, ep, a.n+1, "")
+		hs.st.emit(transition{kind: tSpeculateWin, id: a.id, n: a.n + 1})
 		return finish(r.out)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"wfserverless/internal/journal"
 	"wfserverless/internal/wfformat"
@@ -152,11 +152,8 @@ func appendTaskFailed(b []byte, id int32, skipped bool, msg string) []byte {
 	return b
 }
 
-func encodeRunEnd(status byte, failed int) []byte {
-	b := make([]byte, 0, 12)
-	b = append(b, status)
-	b = binary.AppendUvarint(b, uint64(failed))
-	return b
+func appendRunEnd(b []byte, status byte, failed int) []byte {
+	return binary.AppendUvarint(append(b, status), uint64(failed))
 }
 
 func encodeRunResumed(recorded, verified, reexecuted int) []byte {
@@ -242,98 +239,48 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// runJournal is the manager's nil-safe writer over the journal: a nil
-// receiver makes every call a no-op, so the hot path carries no
-// journal-enabled branches (the same pattern as Monitor). Append errors
-// are sticky and surfaced once at run end as a Result warning — a sick
-// disk must not take down an otherwise healthy workflow, but the
-// operator has to learn the journal is no longer protecting the run.
+// runJournal is the manager's writer over the journal, the run's first
+// sink (transition.go). Append errors are sticky and surfaced once at
+// run end as a Result warning — a sick disk must not take down an
+// otherwise healthy workflow, but the operator has to learn the journal
+// is no longer protecting the run.
 type runJournal struct {
 	j       *journal.Journal
+	p       *invocationPlan
 	mu      sync.Mutex
 	failed  error
 	started []int32 // execution attempts per id so far, replay-seeded
 	scratch []byte  // encode buffer, reused under mu — Append copies it
 }
 
-func newRunJournal(j *journal.Journal, n int, priorStarted []int32) *runJournal {
-	if j == nil {
-		return nil
+// newRunJournal opens the run's framing in Options.Journal: the run
+// header for a fresh run, the resume marker for a recovered one (rec).
+func (m *Manager) newRunJournal(c *Compiled, rec *recovery) *runJournal {
+	rj := &runJournal{j: m.opts.Journal, p: c.plan, started: make([]int32, c.Len()), scratch: make([]byte, 0, 256)}
+	if rec != nil {
+		copy(rj.started, rec.attempts)
+		rj.appendLocked(recRunResumed, encodeRunResumed(
+			rec.report.RecordedCompleted, rec.report.SkippedInvocations, rec.report.Reexecuted))
+		return rj
 	}
-	started := make([]int32, n)
-	copy(started, priorStarted)
-	return &runJournal{j: j, started: started, scratch: make([]byte, 0, 256)}
+	h := &runHeader{
+		Version:     journalRunHeaderVersion,
+		Fingerprint: c.fingerprint(),
+		OptionsHash: m.opts.optionsHash(),
+		Scheduling:  m.opts.Scheduling,
+		TaskCount:   c.Len(),
+		Workflow:    c.w.Name,
+		StartedUnix: time.Now().Unix(),
+	}
+	rj.appendLocked(recRunHeader, h.encode())
+	return rj
 }
 
-func (rj *runJournal) append(kind uint8, data []byte) {
-	rj.mu.Lock()
-	rj.appendLocked(kind, data)
-	rj.mu.Unlock()
-}
-
+// appendLocked appends one record; callers hold mu, or own rj alone.
 func (rj *runJournal) appendLocked(kind uint8, data []byte) {
 	if err := rj.j.Append(kind, data); err != nil && rj.failed == nil {
 		rj.failed = err
 	}
-}
-
-// taskStarted records one execution attempt and returns its 1-based
-// attempt number (counted across process lifetimes via the replay seed).
-func (rj *runJournal) taskStarted(id int32) int {
-	if rj == nil {
-		return 0
-	}
-	rj.mu.Lock()
-	rj.started[id]++
-	attempt := int(rj.started[id])
-	rj.scratch = appendTaskStarted(rj.scratch[:0], id, attempt)
-	rj.appendLocked(recTaskStarted, rj.scratch)
-	rj.mu.Unlock()
-	return attempt
-}
-
-func (rj *runJournal) taskCompleted(id int32, t *wfformat.Task) {
-	if rj == nil {
-		return
-	}
-	rj.mu.Lock()
-	rj.scratch = appendTaskCompleted(rj.scratch[:0], id, t)
-	rj.appendLocked(recTaskCompleted, rj.scratch)
-	rj.mu.Unlock()
-}
-
-// taskMemoized records a cache-hit task; the payload matches
-// recTaskCompleted so recovery treats both as completions.
-func (rj *runJournal) taskMemoized(id int32, t *wfformat.Task) {
-	if rj == nil {
-		return
-	}
-	rj.mu.Lock()
-	rj.scratch = appendTaskCompleted(rj.scratch[:0], id, t)
-	rj.appendLocked(recTaskMemoized, rj.scratch)
-	rj.mu.Unlock()
-}
-
-func (rj *runJournal) taskFailed(id int32, skipped bool, err error) {
-	if rj == nil {
-		return
-	}
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	rj.mu.Lock()
-	rj.scratch = appendTaskFailed(rj.scratch[:0], id, skipped, msg)
-	rj.appendLocked(recTaskFailed, rj.scratch)
-	rj.mu.Unlock()
-}
-
-func (rj *runJournal) runEnd(status byte, failed int) {
-	if rj == nil {
-		return
-	}
-	rj.append(recRunEnd, encodeRunEnd(status, failed))
-	rj.j.Sync()
 }
 
 // takeError reports the first append failure, if any.
@@ -377,20 +324,19 @@ type recovery struct {
 }
 
 // runState threads journaling, resume, memoization and health context
-// through the run. A fresh, unjournaled, unmemoized run carries an
-// all-nil state; every accessor tolerates that.
+// through the run, and the sinks its transitions go to. A fresh,
+// unjournaled, unmemoized run carries nil planes and no sinks.
 type runState struct {
-	rj        *runJournal
-	rec       *recovery
-	memo      *memoState
-	health    *healthState
-	completed atomic.Int64
-	afterDone func(int)
+	rj     *runJournal
+	rec    *recovery
+	memo   *memoState
+	health *healthState
+	sinks  []sink
 }
 
-// seedIDs merges the recovered and memoized ID sets, ascending. The
-// sets are disjoint (the memo probe skips journal-recovered tasks) and
-// each is already sorted, so this is a plain two-way merge.
+// seedIDs is the union of the recovered and memoized ID sets, ascending.
+// The sets are disjoint (the memo probe skips journal-recovered tasks)
+// and each is already sorted; only a resumed memoized run has both.
 func (st *runState) seedIDs() []int32 {
 	var a, b []int32
 	if st.rec != nil {
@@ -405,36 +351,9 @@ func (st *runState) seedIDs() []int32 {
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]int32, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] < b[0] {
-			out = append(out, a[0])
-			a = a[1:]
-		} else {
-			out = append(out, b[0])
-			b = b[1:]
-		}
-	}
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-// taskDone is the post-completion bookkeeping of every invoked task:
-// journal the outcome, feed the memo cache, then fire the
-// crash-injection / progress hook with the cumulative in-process
-// completion count.
-func (st *runState) taskDone(id int32, p *invocationPlan, tr *TaskResult) {
-	st.health.taskFinished(p.tasks[id], tr)
-	if tr.Err != nil {
-		st.rj.taskFailed(id, false, tr.Err)
-		return
-	}
-	st.rj.taskCompleted(id, p.tasks[id])
-	st.memo.put(id, p.tasks[id])
-	n := int(st.completed.Add(1))
-	if st.afterDone != nil {
-		st.afterDone(n)
-	}
+	out := slices.Concat(a, b)
+	slices.Sort(out)
+	return out
 }
 
 // recoverRun decodes journal records into a recovery: header validation
@@ -533,17 +452,6 @@ func (m *Manager) verifyOutputs(rec *recovery) {
 		}
 	}
 	rec.doneIDs = kept
-}
-
-// JournalEvent is one decoded record in a run journal, as surfaced by
-// ReadRunJournal for cmd/analyze.
-type JournalEvent struct {
-	Kind    string
-	TaskID  int32 // -1 for run-level events
-	Attempt int
-	Outputs []taskOutput
-	Skipped bool
-	Message string
 }
 
 // JournalSummary is the analysis view of a run journal.

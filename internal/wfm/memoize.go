@@ -39,6 +39,7 @@ type MemoReport struct {
 // nothing and executed tasks one manifest append each.
 type memoState struct {
 	cache   *memo.Cache
+	p       *invocationPlan
 	drive   sharedfs.Drive
 	hasher  sharedfs.Hasher // content-address view of drive; nil if unsupported
 	fps     []wfformat.Hash // by task ID
@@ -55,7 +56,7 @@ type memoState struct {
 // shared drive. Tasks the journal already proved completed (rec) are
 // the resume path's business and are skipped here.
 func (m *Manager) probeMemo(csr *dag.CSR, p *invocationPlan, rec *recovery) *memoState {
-	ms := &memoState{cache: m.opts.Memoize, drive: m.opts.Drive}
+	ms := &memoState{cache: m.opts.Memoize, p: p, drive: m.opts.Drive}
 	ms.hasher, _ = m.opts.Drive.(sharedfs.Hasher)
 	// External inputs are addressed through the drive when it already
 	// holds the file (so content drift invalidates consumers) and
@@ -85,7 +86,6 @@ func (m *Manager) probeMemo(csr *dag.CSR, p *invocationPlan, rec *recovery) *mem
 			ms.skipped += o.Size
 		}
 	}
-	m.opts.Monitor.memoProbed(len(ms.hitIDs), ms.misses)
 	return ms
 }
 
@@ -109,12 +109,9 @@ func (ms *memoState) outputsPresent(outs []memo.Output) bool {
 	return true
 }
 
-// put records a completed task's output manifest in the cache. Safe on
-// a nil receiver (memoization off) and for concurrent workers.
+// put records a completed task's output manifest in the cache. Safe for
+// concurrent workers.
 func (ms *memoState) put(id int32, t *wfformat.Task) {
-	if ms == nil {
-		return
-	}
 	ms.mu.Lock()
 	ms.scratch = ms.scratch[:0]
 	for _, f := range t.Files {

@@ -1,21 +1,19 @@
 package wfm
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wfserverless/internal/metrics"
 )
 
 // Monitor is the manager's live telemetry plane: a set of counters and
-// gauges updated from the scheduling hot path with plain atomics and
-// exposed in Prometheus text format, so an operator can watch a run
-// drain (`curl /metrics` on the -telemetry-addr listener) without
-// touching its performance. All methods are safe on a nil *Monitor —
-// an unmonitored Manager pays one nil check per event.
+// gauges a run's transitions update with plain atomics (Monitor.on, in
+// transition.go), exposed in Prometheus text format, so an operator can
+// watch a run drain (`curl /metrics` on the -telemetry-addr listener)
+// without touching its performance. Its read side is safe on a nil
+// *Monitor.
 //
 // A Monitor may outlive individual runs (the cmd/wfm listener starts
 // before the workflow does); counters are cumulative across runs,
@@ -27,7 +25,7 @@ type Monitor struct {
 	total      int64
 
 	ready   atomic.Int64 // released by the scheduler, not yet invoking
-	running atomic.Int64 // HTTP invocation in flight
+	running atomic.Int64 // gate granted, HTTP invocation in flight
 	done    atomic.Int64 // completed successfully
 	failed  atomic.Int64 // terminal failures, including skipped descendants
 	retries atomic.Int64 // extra invocation attempts beyond the first
@@ -47,115 +45,6 @@ type Monitor struct {
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor { return &Monitor{} }
-
-// runStarted records the identity of the run now feeding the monitor.
-func (mo *Monitor) runStarted(workflow string, scheduling Scheduling, total int) {
-	if mo == nil {
-		return
-	}
-	mo.mu.Lock()
-	mo.workflow = workflow
-	mo.scheduling = scheduling.String()
-	mo.total = int64(total)
-	mo.mu.Unlock()
-}
-
-func (mo *Monitor) taskReady(n int) {
-	if mo != nil {
-		mo.ready.Add(int64(n))
-	}
-}
-
-func (mo *Monitor) taskStarted() {
-	if mo != nil {
-		mo.ready.Add(-1)
-		mo.running.Add(1)
-	}
-}
-
-func (mo *Monitor) taskFinished(wall time.Duration, failed bool) {
-	if mo == nil {
-		return
-	}
-	mo.running.Add(-1)
-	if failed {
-		mo.failed.Add(1)
-	} else {
-		mo.done.Add(1)
-	}
-	mo.latency.ObserveDuration(wall)
-}
-
-// taskSkipped accounts a task that will never run because an ancestor
-// failed: it was never ready or running, it just fails.
-func (mo *Monitor) taskSkipped() {
-	if mo != nil {
-		mo.failed.Add(1)
-	}
-}
-
-// memoProbed accounts one run's memo-cache probe outcome.
-func (mo *Monitor) memoProbed(hits, misses int) {
-	if mo != nil {
-		mo.memoHits.Add(int64(hits))
-		mo.memoMisses.Add(int64(misses))
-	}
-}
-
-func (mo *Monitor) retried() {
-	if mo != nil {
-		mo.retries.Add(1)
-	}
-}
-
-// stragglerFlagged and stragglerResolved maintain the live straggler
-// gauge and its cumulative counter from the health tracker's callbacks.
-func (mo *Monitor) stragglerFlagged() {
-	if mo != nil {
-		mo.stragglers.Add(1)
-		mo.stragglersTotal.Add(1)
-	}
-}
-
-func (mo *Monitor) stragglerResolved() {
-	if mo != nil {
-		mo.stragglers.Add(-1)
-	}
-}
-
-// speculated accounts one backup attempt dispatched for a flagged task;
-// speculationWon the subset whose backup completed first.
-func (mo *Monitor) speculated() {
-	if mo != nil {
-		mo.specRetries.Add(1)
-	}
-}
-
-func (mo *Monitor) speculationWon() {
-	if mo != nil {
-		mo.specWins.Add(1)
-	}
-}
-
-func (mo *Monitor) breakerChanged(from, to string) {
-	if mo == nil {
-		return
-	}
-	if to == BreakerOpen {
-		mo.breakersOpen.Add(1)
-	}
-	if from == BreakerOpen {
-		mo.breakersOpen.Add(-1)
-	}
-}
-
-// Latency exposes the invocation-latency histogram (read-side only).
-func (mo *Monitor) Latency() *metrics.Histogram {
-	if mo == nil {
-		return nil
-	}
-	return &mo.latency
-}
 
 // Snapshot is a point-in-time view of the monitor's state.
 type Snapshot struct {
@@ -206,56 +95,29 @@ func (mo *Monitor) WriteMetrics(w io.Writer) error {
 		return nil
 	}
 	s := mo.Snapshot()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
+	x := metrics.NewWriter(w)
+	x.Family("wfm_workflow_info", "gauge", "Identity of the workflow run feeding these metrics.")
+	x.Sample("wfm_workflow_info", 1, "workflow", s.Workflow, "scheduling", s.Scheduling)
+	for _, f := range []struct {
+		name, typ, help string
+		v               int64
+	}{
+		{"wfm_tasks_total", "gauge", "Tasks in the current workflow.", s.Total},
+		{"wfm_tasks_ready", "gauge", "Tasks released by the scheduler, not yet invoking.", s.Ready},
+		{"wfm_tasks_running", "gauge", "Tasks with an HTTP invocation in flight.", s.Running},
+		{"wfm_tasks_done_total", "counter", "Tasks completed successfully.", s.Done},
+		{"wfm_tasks_failed_total", "counter", "Tasks failed terminally, including skipped descendants.", s.Failed},
+		{"wfm_invocation_retries_total", "counter", "Invocation attempts beyond each task's first.", s.Retries},
+		{"wfm_breakers_open", "gauge", "Circuit breakers currently open.", s.OpenBreak},
+		{"wfm_memo_hits_total", "counter", "Tasks seeded from the memo cache, never invoked.", s.MemoHits},
+		{"wfm_memo_misses_total", "counter", "Tasks probed without a usable memo-cache entry.", s.MemoMisses},
+		{"wfm_stragglers", "gauge", "In-flight attempts currently flagged past k x their endpoint's median.", s.Stragglers},
+		{"wfm_stragglers_flagged_total", "counter", "Attempts flagged as stragglers.", s.StragglersTotal},
+		{"wfm_speculative_retries_total", "counter", "Backup attempts dispatched for flagged tasks.", s.SpecRetries},
+		{"wfm_speculative_wins_total", "counter", "Flagged tasks whose backup attempt completed first.", s.SpecWins},
+	} {
+		x.Single(f.name, f.typ, f.help, f.v)
 	}
-	p("# HELP wfm_workflow_info Identity of the workflow run feeding these metrics.\n")
-	p("# TYPE wfm_workflow_info gauge\n")
-	p("wfm_workflow_info{workflow=%q,scheduling=%q} 1\n", s.Workflow, s.Scheduling)
-	p("# HELP wfm_tasks_total Tasks in the current workflow.\n")
-	p("# TYPE wfm_tasks_total gauge\n")
-	p("wfm_tasks_total %d\n", s.Total)
-	p("# HELP wfm_tasks_ready Tasks released by the scheduler, not yet invoking.\n")
-	p("# TYPE wfm_tasks_ready gauge\n")
-	p("wfm_tasks_ready %d\n", s.Ready)
-	p("# HELP wfm_tasks_running Tasks with an HTTP invocation in flight.\n")
-	p("# TYPE wfm_tasks_running gauge\n")
-	p("wfm_tasks_running %d\n", s.Running)
-	p("# HELP wfm_tasks_done_total Tasks completed successfully.\n")
-	p("# TYPE wfm_tasks_done_total counter\n")
-	p("wfm_tasks_done_total %d\n", s.Done)
-	p("# HELP wfm_tasks_failed_total Tasks failed terminally, including skipped descendants.\n")
-	p("# TYPE wfm_tasks_failed_total counter\n")
-	p("wfm_tasks_failed_total %d\n", s.Failed)
-	p("# HELP wfm_invocation_retries_total Invocation attempts beyond each task's first.\n")
-	p("# TYPE wfm_invocation_retries_total counter\n")
-	p("wfm_invocation_retries_total %d\n", s.Retries)
-	p("# HELP wfm_breakers_open Circuit breakers currently open.\n")
-	p("# TYPE wfm_breakers_open gauge\n")
-	p("wfm_breakers_open %d\n", s.OpenBreak)
-	p("# HELP wfm_memo_hits_total Tasks seeded from the memo cache, never invoked.\n")
-	p("# TYPE wfm_memo_hits_total counter\n")
-	p("wfm_memo_hits_total %d\n", s.MemoHits)
-	p("# HELP wfm_memo_misses_total Tasks probed without a usable memo-cache entry.\n")
-	p("# TYPE wfm_memo_misses_total counter\n")
-	p("wfm_memo_misses_total %d\n", s.MemoMisses)
-	p("# HELP wfm_stragglers In-flight attempts currently flagged past k x their endpoint's median.\n")
-	p("# TYPE wfm_stragglers gauge\n")
-	p("wfm_stragglers %d\n", s.Stragglers)
-	p("# HELP wfm_stragglers_flagged_total Attempts flagged as stragglers.\n")
-	p("# TYPE wfm_stragglers_flagged_total counter\n")
-	p("wfm_stragglers_flagged_total %d\n", s.StragglersTotal)
-	p("# HELP wfm_speculative_retries_total Backup attempts dispatched for flagged tasks.\n")
-	p("# TYPE wfm_speculative_retries_total counter\n")
-	p("wfm_speculative_retries_total %d\n", s.SpecRetries)
-	p("# HELP wfm_speculative_wins_total Flagged tasks whose backup attempt completed first.\n")
-	p("# TYPE wfm_speculative_wins_total counter\n")
-	p("wfm_speculative_wins_total %d\n", s.SpecWins)
-	if err != nil {
-		return err
-	}
-	return mo.latency.WriteProm(w, "wfm_invocation_seconds", "Wall time per completed task invocation.")
+	x.Histogram("wfm_invocation_seconds", "Wall time per completed task invocation.", &mo.latency)
+	return x.Err()
 }

@@ -253,7 +253,7 @@ func TestMonitorCounts(t *testing.T) {
 	if s.Done != nTasks || s.Failed != 0 {
 		t.Fatalf("done=%d failed=%d, want %d/0", s.Done, s.Failed, nTasks)
 	}
-	if got := mon.Latency().Count(); got != uint64(nTasks) {
+	if got := mon.latency.Count(); got != uint64(nTasks) {
 		t.Fatalf("latency observations = %d, want %d", got, nTasks)
 	}
 
@@ -297,18 +297,12 @@ func TestMonitorSkippedAndFailed(t *testing.T) {
 	}
 }
 
-// TestNilMonitorSafe: every monitor hook must be callable on nil.
+// TestNilMonitorSafe: the monitor's read side is callable on nil, and a
+// run without a monitor has no monitor sink to call.
 func TestNilMonitorSafe(t *testing.T) {
 	var mon *Monitor
-	mon.runStarted("w", SchedulePhases, 1)
-	mon.taskReady(1)
-	mon.taskStarted()
-	mon.taskFinished(time.Millisecond, false)
-	mon.taskSkipped()
-	mon.retried()
-	mon.breakerChanged(BreakerClosed, BreakerOpen)
-	if mon.Latency() != nil {
-		t.Fatal("nil monitor latency != nil")
+	if sinks := (&Manager{}).newSinks(&runState{}, nil); len(sinks) != 0 {
+		t.Fatalf("a run with nothing on has sinks %v", sinks)
 	}
 	if s := mon.Snapshot(); s != (Snapshot{}) {
 		t.Fatalf("nil snapshot = %+v", s)

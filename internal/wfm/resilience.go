@@ -232,13 +232,6 @@ func (b *breaker) record(out attemptOutcome) {
 	}
 }
 
-// State returns the breaker's current state name (test hook).
-func (b *breaker) State() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // outcome is what one attempt produced, whichever layers it crossed:
 // the response (nil unless the endpoint answered 200), whether a failure
 // is worth retrying, the server's or the breaker's hint for when, and
@@ -246,6 +239,7 @@ func (b *breaker) State() string {
 type outcome struct {
 	resp       *wfbench.Response
 	retriable  bool
+	shed       bool // the open breaker refused the attempt
 	retryAfter time.Duration
 	err        error
 }
@@ -276,8 +270,8 @@ type resilience struct {
 	post postFunc
 	// close releases the transport at run end (the batcher's leftovers).
 	close func()
-	// health records breaker transitions; nil when Options.Health is.
-	health *healthState
+	// st is where breaker transitions and retries are emitted.
+	st *runState
 	// Where the run's decoded Responses live: slots of a slab, pod names
 	// allocated once each.
 	responses responseSlab
@@ -295,15 +289,15 @@ type resilience struct {
 // layer is chosen; a layer that is off is not in the chain. ctx is the
 // run context: batch POSTs ride it, so a task abandoning its wait never
 // aborts its batch-mates' request, and classify reads cancellation off it.
-func (m *Manager) newResilience(ctx context.Context, p *invocationPlan, start time.Time, hs *healthState) *resilience {
-	rs := &resilience{m: m, start: start, health: hs, breakers: make(map[string]*breaker)}
+func (m *Manager) newResilience(ctx context.Context, p *invocationPlan, start time.Time, st *runState) *resilience {
+	rs := &resilience{m: m, start: start, st: st, breakers: make(map[string]*breaker)}
 	rs.post, rs.close = rs.invokeOnce, func() {}
 	if m.opts.Batching.Enabled {
-		b := m.newBatcher(ctx, p, rs, hs)
+		b := m.newBatcher(ctx, p, rs)
 		rs.post, rs.close = b.invokeOnce, b.close
 	}
-	if hs != nil {
-		rs.post = hs.watch(rs.post)
+	if st.health != nil {
+		rs.post = st.health.watch(rs.post)
 	}
 	if m.opts.Breaker.Enabled {
 		rs.post = rs.guard(ctx, rs.post)
@@ -343,7 +337,7 @@ func (rs *resilience) guard(ctx context.Context, next postFunc) postFunc {
 		ok, wait := br.allow()
 		if !ok {
 			a.span.SetAttr("breaker", BreakerOpen)
-			return outcome{retriable: true, retryAfter: wait,
+			return outcome{retriable: true, shed: true, retryAfter: wait,
 				err: fmt.Errorf("wfm: %s: %s: %w", task.Name, task.Command.APIURL, ErrCircuitOpen)}
 		}
 		out := next(tctx, a)
@@ -395,12 +389,7 @@ func (rs *resilience) addTransition(t BreakerTransition) {
 	rs.mu.Lock()
 	rs.transitions = append(rs.transitions, t)
 	rs.mu.Unlock()
-	rs.m.opts.Monitor.breakerChanged(t.From, t.To)
-	rs.health.event("breaker", "", t.Endpoint, 0, t.From+"->"+t.To)
-	if l := rs.m.opts.Logger; l != nil {
-		l.Warn("circuit breaker transition", "endpoint", t.Endpoint,
-			"from", t.From, "to", t.To, "failure_rate", t.FailureRate)
-	}
+	rs.st.emit(transition{kind: tBreaker, id: -1, bt: &t})
 }
 
 // take returns the accumulated transitions (called at run end).

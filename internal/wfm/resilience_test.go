@@ -20,6 +20,13 @@ import (
 	"wfserverless/internal/wfbench"
 )
 
+// State returns the breaker's current state name.
+func (b *breaker) State() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
 // --- backoff & Retry-After -------------------------------------------------
 
 func TestRetryDelayFullJitterBounds(t *testing.T) {
@@ -119,7 +126,7 @@ func TestRetryAfterHonoredEndToEnd(t *testing.T) {
 		o.RetryBackoff = 0.001 // jittered backoff would be ~1ms; the hint must win
 	})
 	task := synthTask("ra", srv.URL, nil)
-	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
 	if _, attempts, err := m.invokeTask(context.Background(), task, rs); err != nil || attempts != 2 {
 		t.Fatalf("invoke = attempts %d, err %v", attempts, err)
 	}
@@ -147,7 +154,7 @@ func TestCancelDuringBackoffReturnsPromptly(t *testing.T) {
 		o.RetryBackoffMax = 60
 	})
 	task := synthTask("cancelme", srv.URL, nil)
-	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
@@ -188,7 +195,7 @@ func TestTaskTimeoutIsTerminal(t *testing.T) {
 		o.TaskTimeout = 0.05 // 50ms budget for the whole task
 	})
 	task := synthTask("stalled", srv.URL, nil)
-	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
 	start := time.Now()
 	_, attempts, err := m.invokeTask(context.Background(), task, rs)
 	if !errors.Is(err, ErrTaskTimeout) {
@@ -223,7 +230,7 @@ func TestParentCancelBeatsTaskTimeout(t *testing.T) {
 		o.TaskTimeout = 30
 	})
 	task := synthTask("cancelled", srv.URL, nil)
-	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -253,7 +260,7 @@ func TestTaskTimeoutDuringBackoff(t *testing.T) {
 		o.TaskTimeout = 0.05
 	})
 	task := synthTask("bo", srv.URL, nil)
-	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
 	start := time.Now()
 	_, _, err := m.invokeTask(context.Background(), task, rs)
 	if !errors.Is(err, ErrTaskTimeout) {
@@ -285,7 +292,7 @@ func breakerManager(t *testing.T, mutate func(*Options)) *Manager {
 
 func TestBreakerOpensAtThresholdAndRecovers(t *testing.T) {
 	m := breakerManager(t, nil)
-	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
 	br := rs.breakerFor("http://ep")
 
 	// Four straight failures: rate 1.0 over >= MinSamples -> open.
@@ -335,7 +342,7 @@ func TestBreakerOpensAtThresholdAndRecovers(t *testing.T) {
 
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	m := breakerManager(t, nil)
-	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
 	br := rs.breakerFor("http://ep")
 	for i := 0; i < 4; i++ {
 		br.allow()
@@ -353,7 +360,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 
 func TestBreakerIgnoresClientSideFailures(t *testing.T) {
 	m := breakerManager(t, nil)
-	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
 	br := rs.breakerFor("http://ep")
 	// Aborted and success outcomes never open the breaker.
 	for i := 0; i < 20; i++ {
@@ -378,7 +385,7 @@ func TestBreakerSlidingWindowEvictsOldFailures(t *testing.T) {
 		o.Breaker.MinSamples = 4
 		o.Breaker.FailureThreshold = 0.75
 	})
-	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
 	br := rs.breakerFor("http://ep")
 	// Two failures then a long run of successes: the failures age out
 	// of the 4-slot window, so the breaker must stay closed.
@@ -609,7 +616,7 @@ func TestPooledBufferSurvivesEarlyResponse(t *testing.T) {
 		o.TimeScale = 1
 		o.Client = &http.Client{Transport: tr}
 	})
-	rs := m.newResilience(context.Background(), nil, time.Now(), nil)
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
 	// Back-to-back invocations on one goroutine: with eager recycling
 	// the pool hands invocation i+1 the exact buffer invocation i is
 	// still uploading from.

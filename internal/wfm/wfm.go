@@ -178,7 +178,8 @@ type Options struct {
 	// disables monitoring.
 	Monitor *Monitor
 	// Logger receives structured run-lifecycle events (run start/end,
-	// task failures, breaker transitions). Nil disables logging.
+	// task failures, breaker transitions, stragglers). Nil disables
+	// logging.
 	Logger *slog.Logger
 	// Journal, when set, makes the run durable: lifecycle events (run
 	// header with workflow fingerprint, task started/completed/failed,
@@ -486,111 +487,75 @@ func (m *Manager) ResumeCompiled(ctx context.Context, c *Compiled) (*Result, err
 
 // run drives one execution (fresh or resumed): it opens the journal's
 // run framing — header for fresh runs, resume marker for recovered ones
-// — hands the run state to runLoop, and closes the framing with a
-// run-end record whose status reflects how the loop exited.
+// — composes the run's sinks, hands the run state to runLoop, and emits
+// the run-end transition with the status the loop exited with. The
+// sinks' sticky errors are read after it, so a failed run-end record or
+// final flush is a warning like any other.
 func (m *Manager) run(ctx context.Context, c *Compiled, rec *recovery) (*Result, error) {
 	w, csr, p := c.w, c.csr, c.plan
-	st := &runState{rec: rec, afterDone: m.opts.AfterTaskDone}
-	if m.opts.Health != nil {
-		st.health = m.newHealthState()
-		defer st.health.close()
-		st.health.event("run-start", "", "", 0, w.Name)
+	st := &runState{rec: rec}
+	if m.opts.Journal != nil {
+		st.rj = m.newRunJournal(c, rec)
 	}
 	if m.opts.Memoize != nil {
 		st.memo = m.probeMemo(csr, p, rec)
 	}
-	if j := m.opts.Journal; j != nil {
-		var prior []int32
-		if rec != nil {
-			prior = rec.attempts
-		}
-		st.rj = newRunJournal(j, p.len(), prior)
-		if rec == nil {
-			h := &runHeader{
-				Version:     journalRunHeaderVersion,
-				Fingerprint: c.fingerprint(),
-				OptionsHash: m.opts.optionsHash(),
-				Scheduling:  m.opts.Scheduling,
-				TaskCount:   p.len(),
-				Workflow:    w.Name,
-				StartedUnix: time.Now().Unix(),
-			}
-			st.rj.append(recRunHeader, h.encode())
-		} else {
-			st.rj.append(recRunResumed, encodeRunResumed(
-				rec.report.RecordedCompleted, rec.report.SkippedInvocations, rec.report.Reexecuted))
-		}
-		// Cache hits are completions this process will never re-invoke:
-		// journal them with the framing so even a crash before the first
-		// dispatch leaves a journal that resumes without re-running them.
-		if st.memo != nil {
-			for _, id := range st.memo.hitIDs {
-				st.rj.taskMemoized(id, p.tasks[id])
-			}
-		}
-		// The framing records must survive even an immediate crash: sync
-		// them through before the first task is dispatched.
-		if err := j.Sync(); err != nil {
+	st.sinks = m.newSinks(st, p)
+	if m.opts.Health != nil {
+		st.health = m.newHealthState(st)
+		defer st.health.tracker.Close()
+	}
+	res := &Result{
+		Workflow:   w.Name,
+		Scheduling: m.opts.Scheduling,
+		Tasks:      make(map[string]*TaskResult, p.len()+2),
+	}
+	st.emit(transition{kind: tRunStart, id: -1, n: p.len(), res: res})
+	if st.memo != nil {
+		st.emit(transition{kind: tMemoProbe, id: -1, memo: st.memo})
+	}
+	// The framing records must survive even an immediate crash: sync
+	// them through before the first task is dispatched.
+	if st.rj != nil {
+		if err := st.rj.j.Sync(); err != nil {
 			return nil, fmt.Errorf("wfm: journal: %w", err)
 		}
 	}
 
-	res, err := m.runLoop(ctx, c, st)
-	if res != nil {
-		if rec != nil {
-			r := rec.report
-			res.Resume = &r
-			if rec.header.OptionsHash != m.opts.optionsHash() {
-				res.Warnings = append(res.Warnings,
-					"resume: options differ from the original run (journal records a different options hash)")
-			}
-		}
-		if st.memo != nil {
-			res.Memo = st.memo.report()
-			if res.Memo.CacheRepaired {
-				res.Warnings = append(res.Warnings, fmt.Sprintf(
-					"memo: cache file was corrupt; %d unusable byte(s) dropped, affected entries re-executed",
-					res.Memo.CacheDroppedBytes))
-			}
-			if merr := st.memo.cache.Err(); merr != nil {
-				res.Warnings = append(res.Warnings, fmt.Sprintf(
-					"memo: cache appends failing, this run's results are not being cached: %v", merr))
-			}
-		}
-		if jerr := st.rj.takeError(); jerr != nil {
-			res.Warnings = append(res.Warnings, fmt.Sprintf("journal: appends failing, run no longer durable: %v", jerr))
-		}
-		res.Health = st.health.report()
+	err := m.runLoop(ctx, c, st, res)
+	status := runEndOK
+	switch {
+	case ctx.Err() != nil:
+		status = runEndCancelled
+	case err != nil:
+		status = runEndFailed
 	}
-	if st.health != nil {
-		status := "ok"
-		switch {
-		case ctx.Err() != nil:
-			status = "cancelled"
-		case err != nil:
-			status = "failed"
+	st.emit(transition{kind: tRunEnd, id: -1, n: int(status), res: res})
+
+	if rec != nil {
+		r := rec.report
+		res.Resume = &r
+		if rec.header.OptionsHash != m.opts.optionsHash() {
+			res.Warnings = append(res.Warnings,
+				"resume: options differ from the original run (journal records a different options hash)")
 		}
-		st.health.event("run-end", "", "", 0, status)
 	}
-	// Flush this run's manifests so the next process's probe sees them;
-	// append errors stay sticky in the cache and were surfaced above.
 	if st.memo != nil {
-		st.memo.cache.Sync()
-	}
-	if st.rj != nil {
-		status := runEndOK
-		switch {
-		case ctx.Err() != nil:
-			status = runEndCancelled
-		case err != nil:
-			status = runEndFailed
+		res.Memo = st.memo.report()
+		if res.Memo.CacheRepaired {
+			res.Warnings = append(res.Warnings, fmt.Sprintf(
+				"memo: cache file was corrupt; %d unusable byte(s) dropped, affected entries re-executed",
+				res.Memo.CacheDroppedBytes))
 		}
-		failed := 0
-		if res != nil {
-			failed = len(res.Failed)
+		if merr := st.memo.cache.Err(); merr != nil {
+			res.Warnings = append(res.Warnings, fmt.Sprintf(
+				"memo: cache appends failing, this run's results are not being cached: %v", merr))
 		}
-		st.rj.runEnd(status, failed)
 	}
+	if jerr := st.rj.takeError(); jerr != nil {
+		res.Warnings = append(res.Warnings, fmt.Sprintf("journal: appends failing, run no longer durable: %v", jerr))
+	}
+	res.Health = st.health.report()
 	return res, err
 }
 
@@ -704,7 +669,8 @@ func (m *Manager) finishTaskSpan(ts *obs.Span, tr *TaskResult) {
 // composed once per run by newResilience) and owns what is per task, not
 // per attempt: the deadline (Options.TaskTimeout) over all attempts and
 // the retry loop with full-jitter exponential backoff honouring
-// Retry-After hints. It returns the response, the attempts made, and the
+// Retry-After hints. A returned retry or throttled attempt is a
+// transition. It returns the response, the attempts made, and the
 // terminal error if the task failed. Under a sampled parent each attempt
 // emits a child span, whose context the transport injects as the POST's
 // traceparent; a nil parent keeps the whole path span-free.
@@ -717,9 +683,6 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 		defer cancel()
 	}
 	for n := 0; ; n++ {
-		if n > 0 {
-			m.opts.Monitor.retried()
-		}
 		as := m.opts.Tracer.StartChildOf(parent, "invoke")
 		as.SetInt("attempt", n+1)
 		as.SetAttr("endpoint", task.Command.APIURL)
@@ -735,6 +698,12 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 			as.Finish()
 		}
 		attempts := n + 1
+		if n > 0 {
+			rs.st.emit(transition{kind: tRetry, id: id, n: attempts, shed: out.shed})
+		}
+		if err != nil && out.retryAfter > 0 {
+			rs.st.emit(transition{kind: tThrottle, id: id, n: attempts, shed: out.shed, err: err})
+		}
 		if err == nil {
 			return resp, attempts, nil
 		}

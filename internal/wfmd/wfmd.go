@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -41,6 +42,7 @@ import (
 	"time"
 
 	"wfserverless/internal/journal"
+	"wfserverless/internal/metrics"
 	"wfserverless/internal/obs"
 	"wfserverless/internal/wfformat"
 	"wfserverless/internal/wfm"
@@ -550,9 +552,7 @@ func (s *Server) finish(r *run, state string, res *wfm.Result, runErr error, sta
 			}
 		}
 	}
-	if r.mon != nil {
-		rr.Retries = r.mon.Snapshot().Retries
-	}
+	rr.Retries = r.mon.Snapshot().Retries // zero without a monitor
 	if err := writeJSON(filepath.Join(r.dir, "result.json"), rr); err != nil {
 		s.log.Error("persisting run result failed", "run", r.id, "err", err)
 	}
@@ -629,14 +629,12 @@ func (s *Server) status(r *run) *RunStatus {
 	mon := r.mon
 	result := r.result
 	r.mu.Unlock()
-	if mon != nil {
-		snap := mon.Snapshot()
-		st.Running = snap.Running
-		st.Done = snap.Done
-		st.Failed = snap.Failed
-		st.Retries = snap.Retries
-		st.MemoHits = snap.MemoHits
-	}
+	snap := mon.Snapshot() // zero before the run executes
+	st.Running = snap.Running
+	st.Done = snap.Done
+	st.Failed = snap.Failed
+	st.Retries = snap.Retries
+	st.MemoHits = snap.MemoHits
 	if result != nil {
 		// Terminal: result.json alone, the same before and after a restart.
 		st.Done = int64(result.Completed)
@@ -723,21 +721,12 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	s.mu.Lock()
 	completed := make(map[string]map[string]int64, len(s.completed))
 	for tenant, byState := range s.completed {
-		m := make(map[string]int64, len(byState))
-		for st, n := range byState {
-			m[st] = n
-		}
-		completed[tenant] = m
+		completed[tenant] = maps.Clone(byState)
 	}
 	s.mu.Unlock()
 
-	p := func(format string, args ...any) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
-	}
-	if err := p("# HELP wfmd_queue_depth Admitted runs waiting to start.\n# TYPE wfmd_queue_depth gauge\nwfmd_queue_depth %d\n", s.QueueDepth()); err != nil {
-		return err
-	}
+	x := metrics.NewWriter(w)
+	x.Single("wfmd_queue_depth", "gauge", "Admitted runs waiting to start.", s.QueueDepth())
 	writes := []struct {
 		name, help, typ string
 		value           func(TenantStats) int64
@@ -752,18 +741,12 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		{"wfmd_tasks_contested_total", "Task-slot grants made under cross-tenant contention per tenant.", "counter", func(t TenantStats) int64 { return t.ContestedGrants }},
 	}
 	for _, m := range writes {
-		if err := p("# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ); err != nil {
-			return err
-		}
+		x.Family(m.name, m.typ, m.help)
 		for _, t := range stats {
-			if err := p("%s{tenant=%q} %d\n", m.name, t.Tenant, m.value(t)); err != nil {
-				return err
-			}
+			x.Sample(m.name, m.value(t), "tenant", t.Tenant)
 		}
 	}
-	if err := p("# HELP wfmd_runs_completed_total Terminal runs per tenant and state.\n# TYPE wfmd_runs_completed_total counter\n"); err != nil {
-		return err
-	}
+	x.Family("wfmd_runs_completed_total", "counter", "Terminal runs per tenant and state.")
 	tenants := make([]string, 0, len(completed))
 	for tenant := range completed {
 		tenants = append(tenants, tenant)
@@ -776,12 +759,10 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		}
 		sort.Strings(states)
 		for _, st := range states {
-			if err := p("wfmd_runs_completed_total{tenant=%q,state=%q} %d\n", tenant, st, completed[tenant][st]); err != nil {
-				return err
-			}
+			x.Sample("wfmd_runs_completed_total", completed[tenant][st], "tenant", tenant, "state", st)
 		}
 	}
-	return nil
+	return x.Err()
 }
 
 // LoadRun reads a run directory's durable records: meta.json always,

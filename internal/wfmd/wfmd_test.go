@@ -586,3 +586,70 @@ func TestTerminalStatusSurvivesRestart(t *testing.T) {
 		t.Errorf("terminal status changed across a restart:\n live     %s reopened %s", live, reopened)
 	}
 }
+
+// TestRunningCountsSlotHolders: a run's running count is the tasks that
+// hold one of the service's task slots, not those still waiting for one,
+// so summed over concurrent runs it never exceeds TaskSlots. Each poll
+// reads the runs forwards and then backwards and keeps a run's smaller
+// reading, so a slot moving between two runs mid-poll is not counted
+// twice.
+func TestRunningCountsSlotHolders(t *testing.T) {
+	drive := sharedfs.NewMem()
+	_, stub := newCountingStub(drive, 10*time.Millisecond)
+	defer stub.Close()
+	cfg := testConfig(t, drive)
+	cfg.Manager.MaxParallel = 8
+	cfg.TaskSlots = 2
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	var ids []string
+	for i := 0; i < 4; i++ {
+		st, err := srv.Submit(fmt.Sprintf("t%d", i%2), "", fanoutWorkflow(t, fmt.Sprintf("slots%d", i), 12, stub.URL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	read := func(id string) *RunStatus {
+		st, err := srv.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		running := make([]int64, len(ids))
+		terminal := 0
+		for i, id := range ids {
+			running[i] = read(id).Running
+		}
+		for i := len(ids) - 1; i >= 0; i-- {
+			st := read(ids[i])
+			running[i] = min(running[i], st.Running)
+			if IsTerminal(st.State) {
+				if st.State != StateSucceeded {
+					t.Fatalf("run %s ended %q", st.ID, st.State)
+				}
+				terminal++
+			}
+		}
+		var sum int64
+		for _, r := range running {
+			sum += r
+		}
+		if sum > int64(cfg.TaskSlots) {
+			t.Fatalf("runs report %v running (%d in all) through %d task slots", running, sum, cfg.TaskSlots)
+		}
+		if terminal == len(ids) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("runs not terminal after 30s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
