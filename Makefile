@@ -36,13 +36,16 @@ vet:
 # invariants: every sink is fed from workers, the event loop, the breaker
 # and the straggler watchdog at once. (TestAttemptPathComposition checks
 # them too, once: its straggler cells flag by wall-clock timing, which
-# twenty parallel repeats on a small machine do not hold.)
+# twenty parallel repeats on a small machine do not hold.) The service
+# log's crash-at-every-record and migration tests run ten times: every
+# run's executor appends to the one log while restarts fold it.
 race:
 	$(GO) build -race ./...
 	$(GO) test -race ./...
 	$(GO) test -race ./internal/wfm -run 'TestBatch' -count=50
 	$(GO) test -race ./internal/wfm -run 'TestTransitionInvariants' -count=20
 	$(GO) test -race ./internal/serverless -run 'TestFixedScale|TestMinScale' -count=20
+	$(GO) test -race ./internal/wfmd -run 'TestServiceLog|TestParentDataDir' -count=10
 
 # alloc-sites names who allocates on the scale path: the batched case of
 # the back-half budget test (a 10k fan-out, batches of 512, a synced
@@ -64,8 +67,8 @@ alloc-sites:
 # fuzz-smoke gives every fuzz target ten seconds past its seed corpus:
 # the journal reader, the workflow parser (what it accepts, and its fast
 # path held to encoding/json), the hand JSON codec held to encoding/json,
-# the batch wire decoders, the function endpoint's handler, and POST
-# /v1/runs. (-fuzz takes one target and one package per run; the short
+# the batch wire decoders, the function endpoint's handler, POST
+# /v1/runs, and wfmd's service log replay. (-fuzz takes one target and one package per run; the short
 # minimize budget keeps the ten seconds for executions.)
 fuzz-smoke:
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzJournalReader$$' -fuzztime 10s -fuzzminimizetime 1s
@@ -75,6 +78,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wfbench -run '^$$' -fuzz '^FuzzBatchWire$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfbench -run '^$$' -fuzz '^FuzzEndpoint$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfmd -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/wfmd -run '^$$' -fuzz '^FuzzServiceLogReplay$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # service-smoke boots the real wfmd binary, submits runs for two
 # tenants over HTTP, kills the daemon mid-run (SIGKILL), restarts it on

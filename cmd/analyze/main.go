@@ -215,8 +215,8 @@ func readSpanRecordsKind(path string) ([]obs.Record, string, *wfm.Trace, error) 
 // runJournalSummary decodes a durable run journal and prints the
 // post-mortem view: what ran, what completed, how many attempts each
 // task took, and what every crash/resume cycle recovered. Pointed at a
-// wfmd data dir (or its runs/ subdirectory) instead, it prints one
-// table covering every run the service has recorded.
+// wfmd data dir instead, it prints one table covering every run the
+// service has logged.
 func runJournalSummary(path string) {
 	if root := wfmd.RunsRoot(path); root != "" {
 		runServiceSummary(root)
@@ -286,29 +286,19 @@ func runJournalSummary(path string) {
 	}
 }
 
-// runServiceSummary renders a wfmd data dir as one table of all runs:
-// terminal runs from their durable result.json, in-flight or
-// interrupted runs from whatever their journal recorded so far.
+// runServiceSummary renders a wfmd data dir's service log as one table
+// of all runs: terminal runs from their result, in-flight or
+// interrupted runs from whatever their journal records say so far.
 func runServiceSummary(root string) {
-	entries, err := os.ReadDir(root)
+	runs, err := wfmd.ReadDataDir(root)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("== Service runs: %s ==\n", root)
 	fmt.Printf("%-10s %-12s %-8s %-20s %-11s %7s %9s %6s %8s %10s\n",
 		"run", "tenant", "priority", "workflow", "state", "tasks", "completed", "memo", "retries", "duration_s")
-	shown := 0
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		dir := fmt.Sprintf("%s%c%s", root, os.PathSeparator, e.Name())
-		meta, result, err := wfmd.LoadRun(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "analyze: skipping %s: %v\n", dir, err)
-			continue
-		}
-		shown++
+	for _, r := range runs {
+		meta, result := r.Meta, r.Result
 		if result != nil {
 			fmt.Printf("%-10s %-12s %-8s %-20s %-11s %7d %9d %6d %8d %10.2f\n",
 				meta.ID, meta.Tenant, meta.Priority, meta.Workflow, result.State,
@@ -316,20 +306,17 @@ func runServiceSummary(root string) {
 			continue
 		}
 		// No terminal marker: the run is in flight, queued, or was cut
-		// down by a daemon crash — report the journal's view.
+		// down by a daemon crash — report the journal records' view.
 		state := "incomplete"
-		completed, memoized := 0, 0
-		if s, err := wfm.ReadRunJournal(dir + string(os.PathSeparator) + "journal"); err == nil {
-			completed = s.CompletedTasks
-			memoized = s.MemoizedTasks
-		} else {
+		if len(r.Records) == 0 {
 			state = "queued"
 		}
+		s := wfm.SummarizeJournal(r.Records, r.Torn)
 		fmt.Printf("%-10s %-12s %-8s %-20s %-11s %7d %9d %6d %8s %10s\n",
 			meta.ID, meta.Tenant, meta.Priority, meta.Workflow, state,
-			meta.Tasks, completed, memoized, "-", "-")
+			meta.Tasks, s.CompletedTasks, s.MemoizedTasks, "-", "-")
 	}
-	if shown == 0 {
+	if len(runs) == 0 {
 		fmt.Println("(no runs recorded)")
 	}
 }

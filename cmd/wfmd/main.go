@@ -1,9 +1,10 @@
 // wfmd is the long-lived workflow service: it accepts workflow JSON
 // over HTTP (POST /v1/runs), executes many concurrent runs against
 // shared backends with per-tenant quotas, weighted fair-share task
-// dispatch and honest backpressure (429 + Retry-After), and persists
-// every run's journal under -data-dir so a restart resumes incomplete
-// runs without duplicating completed work.
+// dispatch and honest backpressure (429 + Retry-After), and logs every
+// run's submission, journal records and result in one service log
+// under -data-dir, so a restart resumes incomplete runs without
+// duplicating completed work.
 //
 //	wfmd -addr :9433 -data-dir wfmd-data -workdir wfbench-data \
 //	     -tenant team-a:3:8 -tenant team-b:1:4

@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -495,20 +494,26 @@ func serviceRecovery(ctx context.Context, cfg ServiceConfig, rep *ServiceReport)
 		names []string
 	}
 	var journalled []recorded
-	runsRoot := wfmd.RunsRoot(env.dataDir)
+	logged, err := wfmd.ReadDataDir(env.dataDir)
+	if err != nil {
+		return err
+	}
+	byID := make(map[string]*wfmd.RunRecord, len(logged))
+	for _, lr := range logged {
+		byID[lr.Meta.ID] = lr
+	}
 	for _, sub := range subs {
-		dir := filepath.Join(runsRoot, sub.id)
-		w, err := wfformat.Load(filepath.Join(dir, "workflow.json"))
-		if err != nil {
-			return err
+		lr := byID[sub.id]
+		if lr == nil {
+			return fmt.Errorf("recovery: run %s is not in the service log", sub.id)
 		}
-		sum, err := wfm.ReadRunJournal(filepath.Join(dir, "journal"))
+		w, err := wfformat.Parse(lr.Workflow)
 		if err != nil {
 			return err
 		}
 		names := w.TaskNames()
 		rec := recorded{run: sub.id}
-		for _, id := range sum.CompletedIDs {
+		for _, id := range wfm.SummarizeJournal(lr.Records, lr.Torn).CompletedIDs {
 			rec.names = append(rec.names, names[id])
 		}
 		rep.CrashCompleted += len(rec.names)

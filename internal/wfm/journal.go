@@ -245,7 +245,7 @@ func appendString(b []byte, s string) []byte {
 // otherwise healthy workflow, but the operator has to learn the journal
 // is no longer protecting the run.
 type runJournal struct {
-	j       *journal.Journal
+	j       Journal
 	p       *invocationPlan
 	mu      sync.Mutex
 	failed  error
@@ -546,23 +546,30 @@ func statusName(s byte) string {
 }
 
 // ReadRunJournal replays the journal at path (a directory or a single
-// segment file) and decodes the manager's record taxonomy into an
-// analysis summary. Tolerant of torn tails and foreign records.
+// segment file) and summarizes it (SummarizeJournal).
 func ReadRunJournal(path string) (*JournalSummary, error) {
 	rep, err := journal.Read(path)
 	if err != nil {
 		return nil, err
 	}
+	s := SummarizeJournal(rep.Records, rep.Torn)
+	s.Segments = len(rep.Segments)
+	return s, nil
+}
+
+// SummarizeJournal decodes a run's journal records, torn at the end or
+// not, into an analysis summary of the manager's record taxonomy.
+// Tolerant of foreign records.
+func SummarizeJournal(records []journal.Record, torn bool) *JournalSummary {
 	s := &JournalSummary{
 		EventCounts: make(map[string]int),
 		Attempts:    make(map[int32]int),
-		Torn:        rep.Torn,
-		Segments:    len(rep.Segments),
+		Torn:        torn,
 	}
 	completed := make(map[int32]bool)
 	failed := make(map[int32]bool)
 	memoized := make(map[int32]bool)
-	for _, r := range rep.Records {
+	for _, r := range records {
 		s.EventCounts[kindName(r.Kind)]++
 		d := payload{b: r.Data}
 		switch r.Kind {
@@ -641,7 +648,7 @@ func ReadRunJournal(path string) (*JournalSummary, error) {
 			s.MemoReexecuted++
 		}
 	}
-	return s, nil
+	return s
 }
 
 // MaxAttemptTasks returns the task IDs with the highest recorded attempt

@@ -187,7 +187,7 @@ type Options struct {
 	// be continued with Resume. Run requires the journal to be empty (a
 	// fresh directory); Resume requires it to hold a matching run. Nil
 	// disables journaling; the hot path is identical.
-	Journal *journal.Journal
+	Journal Journal
 	// Memoize, when set, enables content-addressed incremental
 	// re-execution across runs: before any dispatch the manager
 	// resolves every task's fingerprint bottom-up over the compiled DAG
@@ -226,6 +226,18 @@ type Options struct {
 	Gate TaskGate
 }
 
+// Journal is where a run writes its lifecycle records: a
+// *journal.Journal of its own, or one run's view of a log many runs
+// share (wfmd's service log). Append is called by one goroutine at a
+// time and must copy data; Records and Torn are what the journal held,
+// and whether it ended torn, when it was opened.
+type Journal interface {
+	Append(kind uint8, data []byte) error
+	Sync() error
+	Records() []journal.Record
+	Torn() bool
+}
+
 // TaskGate admits task invocations. Implementations must be safe for
 // concurrent use; Release is called exactly once per successful
 // Acquire. Acquire should return promptly with ctx.Err() once ctx is
@@ -244,6 +256,9 @@ type Manager struct {
 func New(opts Options) (*Manager, error) {
 	if opts.Drive == nil {
 		return nil, errors.New("wfm: Options need a Drive")
+	}
+	if j, ok := opts.Journal.(*journal.Journal); ok && j == nil {
+		opts.Journal = nil // a nil *journal.Journal is no journal
 	}
 	if opts.TimeScale == 0 {
 		opts.TimeScale = 1

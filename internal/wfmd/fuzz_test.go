@@ -3,9 +3,12 @@ package wfmd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +45,67 @@ func (p inProcessPlatform) RoundTrip(r *http.Request) (*http.Response, error) {
 		StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
 		Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)),
 	}, nil
+}
+
+// FuzzServiceLogReplay hands New arbitrary bytes as a life's service
+// log segment. New either refuses the data dir or folds it into a
+// registry it starts on; nothing panics, and the server stops.
+func FuzzServiceLogReplay(f *testing.F) {
+	// A real session's log, and cuts of it, seed the corpus.
+	drive := sharedfs.NewMem()
+	cfg := testConfig(f, drive)
+	cfg.Manager.Client = &http.Client{Transport: inProcessPlatform{drive}}
+	srv, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		st, err := srv.Submit("fuzz", "", fanoutWorkflow(f, fmt.Sprintf("seed%d", i), 3, "http://fuzz.invalid/wfbench"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if i == 0 {
+			for now := st; !IsTerminal(now.State); time.Sleep(time.Millisecond) {
+				if now, err = srv.Status(st.ID); err != nil {
+					f.Fatal(err)
+				}
+			}
+		}
+	}
+	srv.Stop()
+	seg, err := os.ReadFile(filepath.Join(cfg.DataDir, "log", "000001", "journal-00000001.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, cut := range []int{len(seg), len(seg) / 2, len(seg) / 3, 8, 0} {
+		f.Add(seg[:cut])
+	}
+	f.Add([]byte("not a segment"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		drive := sharedfs.NewMem()
+		cfg := testConfig(t, drive)
+		cfg.JournalSync = journal.SyncNever
+		cfg.Manager.TimeScale = 1e-6
+		cfg.Manager.InputWait = 0
+		cfg.Manager.Client = &http.Client{Transport: inProcessPlatform{drive}}
+		life := filepath.Join(cfg.DataDir, "log", "000001")
+		if err := os.MkdirAll(life, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(life, "journal-00000001.wal"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(cfg)
+		if err != nil {
+			return
+		}
+		for _, st := range srv.List("") {
+			if _, err := srv.Status(st.ID); err != nil {
+				t.Fatalf("listed run %s has no status: %v", st.ID, err)
+			}
+		}
+		srv.Stop()
+	})
 }
 
 // FuzzSubmit feeds POST /v1/runs the bytes the network may send it.

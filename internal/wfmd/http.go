@@ -5,11 +5,13 @@
 package wfmd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -80,8 +82,26 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// readBody reads a submission into buf, in one exact-size read when the
+// declared Content-Length is at most maxPresizeBytes. A larger claim is
+// one the body has yet to back: that read grows with the bytes that
+// arrive, up to maxWorkflowBytes+1.
+func readBody(buf []byte, r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= maxPresizeBytes {
+		buf = slices.Grow(buf[:0], int(n))[:n]
+		_, err := io.ReadFull(r.Body, buf)
+		return buf, err
+	}
+	b := bytes.NewBuffer(buf[:0])
+	_, err := b.ReadFrom(io.LimitReader(r.Body, maxWorkflowBytes+1))
+	return b.Bytes(), err
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxWorkflowBytes+1))
+	bp := bufs.Get().(*[]byte)
+	defer putBuf(bp)
+	body, err := readBody(*bp, r)
+	*bp = body
 	if err != nil {
 		writeJSONResponse(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return

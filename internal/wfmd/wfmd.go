@@ -8,19 +8,20 @@
 //	wfm.Manager   one run: scheduling, resilience, journal, memo
 //	dispatcher    admission queue, per-tenant quotas, weighted
 //	              fair-share task gate (admission.go)
-//	Server        run registry, per-run data dirs, resume-on-restart,
-//	              per-tenant metrics (this file)
+//	Server        run registry, service log, resume-on-restart,
+//	              per-tenant metrics (this file, log.go)
 //	HTTP layer    /v1/runs lifecycle + telemetry mux + request
 //	              logging (http.go)
 //
-// Every accepted run owns a directory under <DataDir>/runs/<id>/
-// holding the submitted workflow bytes, a meta record, the run's
-// write-ahead journal, and — once terminal — a result record. The
-// result file doubles as the terminal marker: on restart the server
-// reloads terminal runs into the registry as history and re-admits
-// everything else through Manager.Resume, which replays the journal
-// and re-invokes only what is not recorded complete. A daemon crash
-// therefore loses no accepted run and duplicates no completed task.
+// Every accepted run lives in the service log (log.go), one write-ahead
+// log per daemon life under <DataDir>/log/: the run's submission, its
+// wfm journal records tagged with the run, and — once terminal — its
+// result, which doubles as the terminal marker. On restart the server
+// folds the earlier lives' logs, keeps terminal runs' results as
+// history and re-admits everything else through Manager.ResumeCompiled
+// on a view of its records, which re-invokes only what is not recorded
+// complete. A daemon crash therefore loses no accepted run and
+// duplicates no completed task.
 package wfmd
 
 import (
@@ -50,8 +51,8 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// DataDir is the service state root. Required. Run state lives
-	// under DataDir/runs/<id>/.
+	// DataDir is the service state root. Required. The service log
+	// lives under DataDir/log/, sampled runs' spans under DataDir/spans/.
 	DataDir string
 	// Manager is the template for every run's wfm.Options. Drive is
 	// required; Journal, Monitor, Gate and Logger are owned per-run by
@@ -77,10 +78,9 @@ type Config struct {
 	// 429 responses. Zero defaults to 1.
 	RetryAfter float64
 	// TraceSample, when positive, gives every run a private tracer at
-	// this sampling ratio; sampled runs leave a spans.jsonl in their
-	// run directory.
+	// this sampling ratio; a sampled run leaves DataDir/spans/<id>.jsonl.
 	TraceSample float64
-	// JournalSync is each run journal's fsync policy;
+	// JournalSync is the service log's fsync policy;
 	// JournalGroupWindow is the group-commit batching window (zero
 	// uses the journal package's default).
 	JournalSync        journal.SyncPolicy
@@ -104,7 +104,8 @@ func IsTerminal(state string) bool {
 	return state == StateSucceeded || state == StateFailed || state == StateCancelled
 }
 
-// RunMeta is the durable submission record (meta.json).
+// RunMeta is the durable submission record, the head of a run's submit
+// record in the service log.
 type RunMeta struct {
 	ID            string `json:"id"`
 	Tenant        string `json:"tenant"`
@@ -134,8 +135,8 @@ type RunStatus struct {
 	Error         string `json:"error,omitempty"`
 }
 
-// RunResult is the durable terminal record (result.json), served by
-// GET /v1/runs/{id}/result.
+// RunResult is the durable terminal record, a run's end record in the
+// service log, served by GET /v1/runs/{id}/result.
 type RunResult struct {
 	ID            string   `json:"id"`
 	Tenant        string   `json:"tenant"`
@@ -156,17 +157,21 @@ type RunResult struct {
 	EndedUnix     int64    `json:"ended_unix"`
 }
 
-// run is one registered workflow run.
+// run is one queued or running workflow run. A finished run leaves
+// the registry, and the terminal index keeps its result alone.
 type run struct {
 	id       string
+	seq      int
 	tenant   string
 	priority Priority
-	dir      string
 	// compiled is the admission check's result, which the run executes
-	// on. A run re-admitted after a restart holds the workflow as loaded
-	// instead, and compiles it when it executes.
+	// on. A run re-admitted after a restart holds the workflow as
+	// logged instead, and what earlier lives logged for it (recs, torn),
+	// and compiles it when it executes.
 	compiled *wfm.Compiled
 	w        *wfformat.Workflow
+	recs     []journal.Record
+	torn     bool
 	tasks    int
 	meta     RunMeta
 	resumed  bool
@@ -181,25 +186,21 @@ type run struct {
 	errMsg    string
 }
 
-func (r *run) setState(s string) {
-	r.mu.Lock()
-	r.state = s
-	r.mu.Unlock()
-}
-
 // Server is the workflow service.
 type Server struct {
 	cfg  Config
 	disp *dispatcher
 	log  *slog.Logger
+	wal  *journal.Journal // this life's service log
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	stopping   atomic.Bool // graceful: journals closed clean, runs resumable
-	aborting   atomic.Bool // crash simulation: journals aborted mid-write
+	stopping   atomic.Bool // graceful: the log closed clean, runs resumable
+	aborting   atomic.Bool // crash simulation: the log aborted mid-write
 
 	mu        sync.Mutex
-	runs      map[string]*run
+	runs      map[string]*run       // queued and running
+	done      map[string]*RunResult // terminal
 	order     []string
 	seq       int
 	closed    bool
@@ -207,8 +208,9 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-// New builds a Server over cfg.DataDir, creating the directory tree if
-// needed and re-admitting every non-terminal run found there (the
+// New builds a Server over cfg.DataDir: it folds the earlier lives'
+// service logs, opens this life's, folds in a data dir written with a
+// directory per run, and re-admits every non-terminal run (the
 // resume-on-restart path). The returned server is already accepting
 // work; wire Handler into an http.Server to expose it.
 func New(cfg Config) (*Server, error) {
@@ -245,7 +247,16 @@ func New(cfg Config) (*Server, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	if err := os.MkdirAll(runsDir(cfg.DataDir), 0o755); err != nil {
+	f := &fold{runs: make(map[int]*RunRecord)}
+	life, err := foldLog(cfg.DataDir, f)
+	if err != nil {
+		return nil, err
+	}
+	wal, err := journal.Open(filepath.Join(cfg.DataDir, "log", fmt.Sprintf("%06d", life+1)), journal.Options{
+		Sync:        cfg.JournalSync,
+		GroupWindow: cfg.JournalGroupWindow,
+	})
+	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -253,74 +264,55 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		disp:       newDispatcher(cfg),
 		log:        cfg.Logger,
+		wal:        wal,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		runs:       make(map[string]*run),
+		done:       make(map[string]*RunResult),
 		completed:  make(map[string]map[string]int64),
 	}
 	s.disp.launch = func(r *run) {
 		s.wg.Add(1)
 		go s.execute(r)
 	}
-	if err := s.scanRuns(); err != nil {
+	if err := s.migrate(f); err != nil {
 		cancel()
+		wal.Close()
 		return nil, err
 	}
+	s.readmit(f)
 	return s, nil
 }
 
-func runsDir(dataDir string) string { return filepath.Join(dataDir, "runs") }
-
-// scanRuns reloads registry state from disk at startup: terminal runs
-// become history, incomplete runs are force-admitted for Resume.
-func (s *Server) scanRuns() error {
-	entries, err := os.ReadDir(runsDir(s.cfg.DataDir))
-	if err != nil {
-		return err
-	}
+// readmit registers what the log holds: a terminal run's result goes to
+// the terminal index, and every other run is force-admitted to resume.
+func (s *Server) readmit(f *fold) {
+	s.seq = f.maxSeq
 	var resume []*run
-	for _, e := range entries {
-		if !e.IsDir() {
+	for _, lr := range f.sorted() {
+		if lr.Result != nil {
+			s.done[lr.Meta.ID] = lr.Result
+			s.order = append(s.order, lr.Meta.ID)
 			continue
 		}
-		dir := filepath.Join(runsDir(s.cfg.DataDir), e.Name())
-		meta, result, err := LoadRun(dir)
-		if err != nil {
-			s.log.Warn("skipping unreadable run dir", "dir", dir, "err", err)
-			continue
-		}
-		if n, ok := parseRunID(meta.ID); ok && n > s.seq {
-			s.seq = n
-		}
-		prio, _ := ParsePriority(meta.Priority)
+		prio, _ := ParsePriority(lr.Meta.Priority)
 		r := &run{
-			id: meta.ID, tenant: meta.Tenant, priority: prio,
-			dir: dir, tasks: meta.Tasks, meta: *meta,
+			id: lr.Meta.ID, seq: lr.seq, tenant: lr.Meta.Tenant, priority: prio,
+			recs: lr.Records, torn: lr.Torn, tasks: lr.Meta.Tasks, meta: lr.Meta,
+			resumed: true, state: StateQueued,
 		}
-		if result != nil {
-			r.state = result.State
-			r.result = result
-			r.endedUnix = result.EndedUnix
-			r.errMsg = result.Error
-			s.register(r)
-			continue
-		}
-		w, err := wfformat.Load(filepath.Join(dir, "workflow.json"))
-		if err != nil {
-			s.log.Warn("skipping run with unreadable workflow", "dir", dir, "err", err)
-			continue
-		}
-		r.w = w
-		r.state = StateQueued
-		r.resumed = true
 		s.register(r)
+		var err error
+		if r.w, err = wfformat.Parse(lr.Workflow); err != nil {
+			s.finish(r, StateFailed, nil, fmt.Errorf("wfmd: bad workflow: %w", err), time.Time{})
+			continue
+		}
 		resume = append(resume, r)
 	}
 	for _, r := range resume {
 		s.log.Info("re-admitting incomplete run", "run", r.id, "tenant", r.tenant)
 		s.disp.forceEnqueue(r)
 	}
-	return nil
 }
 
 func parseRunID(id string) (int, bool) {
@@ -345,10 +337,11 @@ func (s *Server) register(r *run) {
 	s.mu.Unlock()
 }
 
-// Submit validates and admits one workflow, persisting its run dir
+// Submit validates and admits one workflow, logging its submission
 // before queueing. body is the workflow JSON exactly as posted; it is
-// stored verbatim so a restart reloads a byte-identical (and therefore
-// fingerprint-identical, journal-resumable) workflow.
+// logged verbatim so a restart reloads a byte-identical (and therefore
+// fingerprint-identical, journal-resumable) workflow. Submit keeps no
+// reference to body.
 func (s *Server) Submit(tenant, priority string, body []byte) (*RunStatus, error) {
 	if tenant == "" {
 		tenant = "default"
@@ -375,24 +368,23 @@ func (s *Server) Submit(tenant, priority string, body []byte) (*RunStatus, error
 		return nil, errors.New("wfmd: server is shutting down")
 	}
 	s.seq++
-	id := fmt.Sprintf("r-%06d", s.seq)
+	seq := s.seq
 	s.mu.Unlock()
+	id := runID(seq)
 
 	if err := s.disp.reserve(tenant); err != nil {
 		return nil, err
 	}
-	dir := filepath.Join(runsDir(s.cfg.DataDir), id)
 	meta := RunMeta{
 		ID: id, Tenant: tenant, Priority: prio.String(),
 		Workflow: w.Name, Tasks: tasks, SubmittedUnix: time.Now().Unix(),
 	}
-	if err := persistSubmission(dir, body, meta); err != nil {
+	if err := s.logSubmit(seq, meta, body); err != nil {
 		s.disp.unreserve(tenant)
-		os.RemoveAll(dir)
 		return nil, err
 	}
 	r := &run{
-		id: id, tenant: tenant, priority: prio, dir: dir,
+		id: id, seq: seq, tenant: tenant, priority: prio,
 		compiled: compiled, tasks: tasks, meta: meta, state: StateQueued,
 	}
 	s.register(r)
@@ -400,28 +392,6 @@ func (s *Server) Submit(tenant, priority string, body []byte) (*RunStatus, error
 		"priority", prio.String(), "workflow", w.Name, "tasks", tasks)
 	s.disp.enqueue(r)
 	return s.status(r), nil
-}
-
-func persistSubmission(dir string, body []byte, meta RunMeta) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "workflow.json"), body, 0o644); err != nil {
-		return err
-	}
-	return writeJSON(filepath.Join(dir, "meta.json"), meta)
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // execute runs one admitted run to completion on its own Manager.
@@ -443,16 +413,8 @@ func (s *Server) execute(r *run) {
 	r.mu.Unlock()
 	defer cancel()
 
-	j, err := journal.Open(filepath.Join(r.dir, "journal"), journal.Options{
-		Sync:        s.cfg.JournalSync,
-		GroupWindow: s.cfg.JournalGroupWindow,
-	})
-	if err != nil {
-		s.finish(r, StateFailed, nil, err, time.Time{})
-		return
-	}
 	opts := s.cfg.Manager
-	opts.Journal = j
+	opts.Journal = &runLog{wal: s.wal, seq: uint64(r.seq), recs: r.recs, torn: r.torn}
 	opts.Monitor = mon
 	opts.Gate = s.disp.gate(r.tenant, r.priority)
 	opts.Logger = s.log.With("run", r.id, "tenant", r.tenant)
@@ -463,34 +425,31 @@ func (s *Server) execute(r *run) {
 	}
 	mgr, err := wfm.New(opts)
 	if err != nil {
-		j.Close()
 		s.finish(r, StateFailed, nil, err, time.Time{})
 		return
 	}
 	compiled := r.compiled
 	if compiled == nil {
-		// Re-admitted after a restart: the scan loaded the workflow only.
+		// Re-admitted after a restart: the fold parsed the workflow only.
 		if compiled, err = wfm.CompileRunnable(r.w); err != nil {
-			j.Close()
 			s.finish(r, StateFailed, nil, err, time.Time{})
 			return
 		}
 	}
 	started := time.Now()
-	// Resume covers both lives of a run: on an empty journal it
+	// Resume covers both lives of a run: on an empty view it
 	// degenerates to a fresh Run, on a non-empty one it replays.
 	res, runErr := mgr.ResumeCompiled(ctx, compiled)
 
 	if s.aborting.Load() {
-		// Simulated daemon crash: drop the journal's unsynced tail and
-		// leave no terminal marker, exactly like SIGKILL would.
-		j.Abort()
+		// Simulated daemon crash: Abort dropped the log's unsynced tail
+		// before cancelling the run, and no end record follows, exactly
+		// like SIGKILL.
 		return
 	}
-	j.Close()
 	if runErr != nil && ctx.Err() != nil && !r.cancelRequested() && s.stopping.Load() {
-		// Graceful shutdown interrupted the run: journal is closed
-		// clean and no result is written, so the next life resumes it.
+		// Graceful shutdown interrupted the run: no end record is
+		// written, so the next life resumes it.
 		s.log.Info("run interrupted for shutdown", "run", r.id)
 		return
 	}
@@ -501,10 +460,14 @@ func (s *Server) execute(r *run) {
 			state = StateCancelled
 		}
 	}
-	if tr := wfm.TraceOf(res); tr != nil && len(tr.Spans) > 0 {
-		if f, err := os.Create(filepath.Join(r.dir, "spans.jsonl")); err == nil {
-			tr.WriteSpanLog(f)
-			f.Close()
+	if res != nil && len(res.Spans) > 0 {
+		// Only a sampled run writes a file of its own.
+		dir := filepath.Join(s.cfg.DataDir, "spans")
+		if os.MkdirAll(dir, 0o755) == nil {
+			if f, err := os.Create(filepath.Join(dir, r.id+".jsonl")); err == nil {
+				obs.WriteJSONL(f, obs.RecordsOf(res.Spans))
+				f.Close()
+			}
 		}
 	}
 	s.finish(r, state, res, runErr, started)
@@ -516,8 +479,10 @@ func (r *run) cancelRequested() bool {
 	return r.cancelReq
 }
 
-// finish moves a run to a terminal state and persists result.json —
-// the durable marker that stops a restart from re-admitting it.
+// finish moves a run to a terminal state. Its end record, the durable
+// marker that stops a restart from re-admitting it, is synced before
+// the run reads terminal; from then on the registry keeps its result
+// alone.
 func (s *Server) finish(r *run, state string, res *wfm.Result, runErr error, started time.Time) {
 	now := time.Now()
 	rr := &RunResult{
@@ -553,7 +518,14 @@ func (s *Server) finish(r *run, state string, res *wfm.Result, runErr error, sta
 		}
 	}
 	rr.Retries = r.mon.Snapshot().Retries // zero without a monitor
-	if err := writeJSON(filepath.Join(r.dir, "result.json"), rr); err != nil {
+	data, err := json.Marshal(rr)
+	if err == nil {
+		err = s.wal.Append(kindEnd, tagged(r.seq, data))
+	}
+	if err == nil {
+		err = s.wal.Sync()
+	}
+	if err != nil {
 		s.log.Error("persisting run result failed", "run", r.id, "err", err)
 	}
 	r.mu.Lock()
@@ -563,11 +535,10 @@ func (s *Server) finish(r *run, state string, res *wfm.Result, runErr error, sta
 	if runErr != nil {
 		r.errMsg = runErr.Error()
 	}
-	// result.json is the durable copy from here on: a finished run keeps
-	// no more in the registry than one rescanned after a restart.
-	r.compiled, r.w, r.mon, r.cancel = nil, nil, nil, nil
 	r.mu.Unlock()
 	s.mu.Lock()
+	delete(s.runs, r.id)
+	s.done[r.id] = rr
 	byState := s.completed[r.tenant]
 	if byState == nil {
 		byState = make(map[string]int64)
@@ -601,10 +572,21 @@ func (s *Server) Cancel(id string) (*RunStatus, error) {
 // ErrNotFound marks an unknown run ID.
 var ErrNotFound = errors.New("wfmd: no such run")
 
+// lookup returns a queued or running run, or a finished run's view
+// built from its result alone, the same before and after a restart.
 func (s *Server) lookup(id string) *run {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs[id]
+	r, rr := s.runs[id], s.done[id]
+	s.mu.Unlock()
+	if r != nil || rr == nil {
+		return r
+	}
+	prio, _ := ParsePriority(rr.Priority)
+	return &run{
+		id: id, tenant: rr.Tenant, priority: prio, tasks: rr.Tasks, resumed: rr.Resumed,
+		meta:  RunMeta{Workflow: rr.Workflow, SubmittedUnix: rr.SubmittedUnix},
+		state: rr.State, result: rr, endedUnix: rr.EndedUnix, errMsg: rr.Error,
+	}
 }
 
 // Status returns one run's live status.
@@ -636,7 +618,7 @@ func (s *Server) status(r *run) *RunStatus {
 	st.Retries = snap.Retries
 	st.MemoHits = snap.MemoHits
 	if result != nil {
-		// Terminal: result.json alone, the same before and after a restart.
+		// Terminal: the result alone, the same before and after a restart.
 		st.Done = int64(result.Completed)
 		st.Failed = int64(len(result.FailedTasks))
 		st.Retries = result.Retries
@@ -687,9 +669,9 @@ func (s *Server) TenantStats() []TenantStats { return s.disp.stats() }
 func (s *Server) QueueDepth() int { return s.disp.queueDepth() }
 
 // Stop shuts the server down gracefully: no new submissions, every
-// running Manager's context is cancelled, journals close clean, and no
-// terminal marker is written for interrupted runs — so a later New on
-// the same DataDir resumes them. Blocks until all executors return.
+// running Manager's context is cancelled, no end record is written for
+// interrupted runs, and the log closes clean — so a later New on the
+// same DataDir resumes them. Blocks until all executors return.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	s.closed = true
@@ -697,18 +679,22 @@ func (s *Server) Stop() {
 	s.stopping.Store(true)
 	s.baseCancel()
 	s.wg.Wait()
+	if err := s.wal.Close(); err != nil {
+		s.log.Error("closing the service log failed", "err", err)
+	}
 }
 
-// Abort simulates a daemon crash for recovery harnesses: like Stop but
-// run journals drop their unsynced tails (journal.Abort) instead of
-// closing cleanly, and interrupted runs look exactly as a SIGKILL
-// would leave them.
+// Abort simulates a daemon crash for recovery harnesses: like Stop, but
+// the log is aborted before any run is cancelled, so its unsynced tail
+// is dropped (journal.Abort) and interrupted runs look exactly as a
+// SIGKILL would leave them.
 func (s *Server) Abort() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.aborting.Store(true)
 	s.stopping.Store(true)
+	s.wal.Abort()
 	s.baseCancel()
 	s.wg.Wait()
 }
@@ -763,52 +749,4 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		}
 	}
 	return x.Err()
-}
-
-// LoadRun reads a run directory's durable records: meta.json always,
-// result.json when the run reached a terminal state (nil otherwise).
-// Shared by the restart scan and by analyze's data-dir summary.
-func LoadRun(dir string) (*RunMeta, *RunResult, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "meta.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	var meta RunMeta
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return nil, nil, fmt.Errorf("wfmd: %s: bad meta.json: %w", dir, err)
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "result.json"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return &meta, nil, nil
-		}
-		return nil, nil, err
-	}
-	var result RunResult
-	if err := json.Unmarshal(data, &result); err != nil {
-		return nil, nil, fmt.Errorf("wfmd: %s: bad result.json: %w", dir, err)
-	}
-	return &meta, &result, nil
-}
-
-// RunsRoot resolves path to the directory whose children are run
-// dirs: path itself if its entries carry meta.json, path/runs if that
-// exists, "" when neither looks like wfmd state.
-func RunsRoot(path string) string {
-	if fi, err := os.Stat(filepath.Join(path, "runs")); err == nil && fi.IsDir() {
-		return filepath.Join(path, "runs")
-	}
-	entries, err := os.ReadDir(path)
-	if err != nil {
-		return ""
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(path, e.Name(), "meta.json")); err == nil {
-			return path
-		}
-	}
-	return ""
 }

@@ -29,7 +29,7 @@ func newCountingStub(drive sharedfs.Drive, delay time.Duration) (*wfbench.Stub, 
 // fanoutWorkflow builds a root + (tasks-1) children DAG whose task and
 // output names carry prefix, so concurrent runs on one shared drive
 // never collide.
-func fanoutWorkflow(t *testing.T, prefix string, tasks int, url string) []byte {
+func fanoutWorkflow(t testing.TB, prefix string, tasks int, url string) []byte {
 	t.Helper()
 	w := wfformat.New(prefix)
 	name := func(i int) string { return fmt.Sprintf("%s_t%04d", prefix, i) }
@@ -77,7 +77,7 @@ func fanoutWorkflow(t *testing.T, prefix string, tasks int, url string) []byte {
 	return data
 }
 
-func testConfig(t *testing.T, drive sharedfs.Drive) Config {
+func testConfig(t testing.TB, drive sharedfs.Drive) Config {
 	t.Helper()
 	return Config{
 		DataDir: t.TempDir(),
@@ -367,20 +367,19 @@ func TestRestartResume(t *testing.T) {
 	// resume must not re-invoke. Task IDs map to sorted task names.
 	preCounts := make(map[string]int)
 	recorded := make(map[string]bool)
-	for i, id := range ids {
-		w, err := wfformat.Load(cfg.DataDir + "/runs/" + id + "/workflow.json")
+	logged, err := ReadDataDir(cfg.DataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lr := range logged {
+		w, err := wfformat.Parse(lr.Workflow)
 		if err != nil {
 			t.Fatal(err)
 		}
 		names := w.TaskNames()
-		sum, err := wfm.ReadRunJournal(cfg.DataDir + "/runs/" + id + "/journal")
-		if err != nil {
-			continue // run never opened its journal before the crash
-		}
-		for _, tid := range sum.CompletedIDs {
+		for _, tid := range wfm.SummarizeJournal(lr.Records, lr.Torn).CompletedIDs {
 			recorded[names[tid]] = true
 		}
-		_ = i
 	}
 	for name := range recorded {
 		preCounts[name] = stub.Counts()[name]

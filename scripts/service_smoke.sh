@@ -104,6 +104,12 @@ done
 [ "${OK:-0}" -eq 3 ] || { echo "$LIST"; fail "expected 3 succeeded runs, got $OK of $TOTAL"; }
 echo "all 3 runs succeeded across the restart"
 
+# The runs live in the service log; no run wrote a journal of its own.
+[ -d "$WORK/wfmd/log" ] || fail "the data dir has no service log"
+if ls -d "$WORK"/wfmd/runs/*/journal >/dev/null 2>&1; then
+    fail "a run wrote a journal directory of its own"
+fi
+
 echo "== metrics =="
 METRICS=$(curl -fsS "$BASE/metrics")
 echo "$METRICS" | grep -q 'wfmd_runs_completed_total{tenant="team-a",state="succeeded"} 1' \
