@@ -38,7 +38,9 @@ vet:
 # them too, once: its straggler cells flag by wall-clock timing, which
 # twenty parallel repeats on a small machine do not hold.) The service
 # log's crash-at-every-record and migration tests run ten times: every
-# run's executor appends to the one log while restarts fold it.
+# run's executor appends to the one log while restarts fold it. The
+# fault injector's tests run twenty times: its per-name arrival map is
+# shared by every frame of a batch.
 race:
 	$(GO) build -race ./...
 	$(GO) test -race ./...
@@ -46,6 +48,7 @@ race:
 	$(GO) test -race ./internal/wfm -run 'TestTransitionInvariants' -count=20
 	$(GO) test -race ./internal/serverless -run 'TestFixedScale|TestMinScale' -count=20
 	$(GO) test -race ./internal/wfmd -run 'TestServiceLog|TestParentDataDir' -count=10
+	$(GO) test -race ./internal/wfbench -run 'TestInjector' -count=20
 
 # alloc-sites names who allocates on the scale path: the batched case of
 # the back-half budget test (a 10k fan-out, batches of 512, a synced

@@ -102,7 +102,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		handler = inj
+		handler = wfbench.NewEndpoint(inj)
 		log.Printf("wfbench-serve: fault injection on: error=%.2f reject=%.2f (retry-after %gs) latency=%.2f@%v+%v hang=%.2f",
 			profile.ErrorRate, profile.RejectRate, profile.RetryAfter,
 			profile.LatencyRate, profile.Latency, profile.LatencyJitter, profile.HangRate)

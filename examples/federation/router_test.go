@@ -136,7 +136,7 @@ func TestHTTPEndpointAndWorkflowRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	conformance.Run(t, conformance.Surface{
-		Handler: wfbench.NewEndpoint(r), Drive: drive, Route: "wfbench", Unknown: "ghost",
+		Handler: wfbench.NewEndpoint(r), Executor: r, Drive: drive, Route: "wfbench", Unknown: "ghost",
 		UnknownStatus: http.StatusServiceUnavailable, ChecksInputs: true, SawTrace: conformance.TracerSaw(tr),
 	})
 

@@ -244,3 +244,28 @@ func TestCStatePenalty(t *testing.T) {
 		t.Fatalf("power = %v, want 180", p)
 	}
 }
+
+// TestPlaceWithNilDefaultsFirstFit: with no placement policy to choose,
+// placement is first fit in node order — not the tightest fit (c) nor the
+// node with the most room (b).
+func TestPlaceWithNilDefaultsFirstFit(t *testing.T) {
+	c := New(
+		NewNode(NodeSpec{Name: "a", Cores: 8, MemBytes: 1 << 30}),
+		NewNode(NodeSpec{Name: "b", Cores: 16, MemBytes: 1 << 30}),
+		NewNode(NodeSpec{Name: "c", Cores: 4, MemBytes: 1 << 30}),
+	)
+	r, err := c.Place(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Node().Spec().Name != "a" {
+		t.Fatalf("placed on %s, want a", r.Node().Spec().Name)
+	}
+}
+
+func TestPlaceWithEmptyCluster(t *testing.T) {
+	c := New()
+	if _, err := c.Place(1, 0); !errors.Is(err, ErrInsufficient) {
+		t.Fatalf("err = %v", err)
+	}
+}

@@ -237,7 +237,7 @@ func TestCoarseGrainedShape(t *testing.T) {
 	// Two like-for-like makespans need a less compressed clock to stay
 	// above scheduler jitter. The first 1000-worker run in a process is
 	// ~1.5x slower whichever paradigm it is (one-off runtime warm-up, not
-	// GC), so one run is discarded, and the ratio is of medians over three
+	// GC), so one run is discarded, and the ratio is of medians over five
 	// pairs whose order alternates.
 	tn.TimeScale = 0.01 * raceTimeFactor
 	run := func(s Spec) *Measurement {
@@ -250,7 +250,7 @@ func TestCoarseGrainedShape(t *testing.T) {
 	run(lcSpec)
 	var kn, lc *Measurement
 	var knS, lcS []float64
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ {
 		if i%2 == 0 {
 			kn, lc = run(knSpec), run(lcSpec)
 		} else {
@@ -263,7 +263,7 @@ func TestCoarseGrainedShape(t *testing.T) {
 	if kn.ColdStarts > 1 {
 		t.Errorf("coarse serverless cold starts = %d, want pre-provisioned", kn.ColdStarts)
 	}
-	ratio := knS[1] / lcS[1]
+	ratio := knS[2] / lcS[2]
 	if ratio > 1.3 {
 		t.Errorf("coarse time ratio = %.2f, want close to 1", ratio)
 	}
@@ -283,20 +283,38 @@ func TestFigure4WorkersHelp(t *testing.T) {
 	inst := mustGen(t, "blast", 60)
 	oneW, _ := ByID(Kn1wNoPM)
 	tenW, _ := ByID(Kn10wNoPM)
-	m1, err := RunWorkflow(context.Background(), oneW, inst.Workflow, tn)
-	if err != nil {
-		t.Fatal(err)
+	// At the fast clock a whole run is ~50 ms of wall time, and on a
+	// two-core box one descheduled worker moves either makespan by more
+	// than the 10% margin. So the clock is less compressed, and the
+	// comparison is of medians over three pairs whose order alternates.
+	tn.TimeScale = 0.01 * raceTimeFactor
+	run := func(s Spec) *Measurement {
+		m, err := RunWorkflow(context.Background(), s, inst.Workflow, tn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	m10, err := RunWorkflow(context.Background(), tenW, inst.Workflow, tn)
-	if err != nil {
-		t.Fatal(err)
+	var span1, span10, mem1, mem10 []float64
+	for i := 0; i < 3; i++ {
+		var m1, m10 *Measurement
+		if i%2 == 0 {
+			m1, m10 = run(oneW), run(tenW)
+		} else {
+			m10, m1 = run(tenW), run(oneW)
+		}
+		span1, span10 = append(span1, m1.MakespanS), append(span10, m10.MakespanS)
+		mem1, mem10 = append(mem1, m1.MeanMemGB), append(mem10, m10.MeanMemGB)
 	}
-	if m10.MakespanS > m1.MakespanS*1.1 {
-		t.Errorf("10w=%.1fs vs 1w=%.1fs; more workers should not be slower", m10.MakespanS, m1.MakespanS)
+	for _, s := range [][]float64{span1, span10, mem1, mem10} {
+		slices.Sort(s)
+	}
+	if span10[1] > span1[1]*1.1 {
+		t.Errorf("10w=%.1fs vs 1w=%.1fs; more workers should not be slower", span10[1], span1[1])
 	}
 	// Fewer pods -> less per-pod overhead memory.
-	if m10.MeanMemGB > m1.MeanMemGB*1.1 {
-		t.Errorf("10w mem=%.2f vs 1w mem=%.2f; pooling should not raise memory", m10.MeanMemGB, m1.MeanMemGB)
+	if mem10[1] > mem1[1]*1.1 {
+		t.Errorf("10w mem=%.2f vs 1w mem=%.2f; pooling should not raise memory", mem10[1], mem1[1])
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
 	"os"
 	"slices"
 	"strings"
@@ -176,17 +175,17 @@ func (e *recoveryEnv) Close() { e.srv.Close() }
 func newRecoveryEnv(cfg RecoveryConfig, faults bool, faultSeed int64) (*recoveryEnv, error) {
 	drive := sharedfs.NewMem()
 	stub := wfbench.NewStub(drive, 0)
-	var handler http.Handler = wfbench.NewEndpoint(stub)
+	var exec wfbench.Executor = stub
 	if faults {
 		p := cfg.Faults
 		p.Seed = faultSeed
-		inj, err := wfbench.NewInjector(handler, p)
+		inj, err := wfbench.NewInjector(stub, p)
 		if err != nil {
 			return nil, err
 		}
-		handler = inj
+		exec = inj
 	}
-	srv, err := wfbench.ListenLoopback(handler)
+	srv, err := wfbench.ListenLoopback(wfbench.NewEndpoint(exec))
 	if err != nil {
 		return nil, err
 	}

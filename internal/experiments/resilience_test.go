@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,10 +12,13 @@ import (
 	"wfserverless/internal/wfm"
 )
 
-// TestResilienceSurvivesFaultyEndpoint is the ISSUE's acceptance
+// TestResilienceSurvivesFaultyEndpoint is the campaign's acceptance
 // experiment: an aggressive fault profile (error rate >= 0.3 plus
 // latency spikes and overload rejections) must not fail a single task
-// in either scheduling mode — the retry layer and breaker absorb it.
+// in either scheduling mode — the retry layer absorbs it, and the armed
+// breaker stays closed. The faults are keyed by task and attempt, so
+// both modes and a repeat run meet the same adversary: every task makes
+// the same attempts and the injector deals the same faults.
 func TestResilienceSurvivesFaultyEndpoint(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := ResilienceConfig{
@@ -33,11 +37,7 @@ func TestResilienceSurvivesFaultyEndpoint(t *testing.T) {
 		Retries:      10,
 		RetryBackoff: 0.5,
 		TaskTimeout:  300,
-		Breaker: wfm.BreakerOptions{
-			Enabled:          true,
-			FailureThreshold: 0.95, // armed but must not trip on this mix
-			MinSamples:       20,
-		},
+		Breaker:      DefaultResilienceBreaker(), // armed but must not trip on this mix
 	}
 	ms, err := Resilience(context.Background(), cfg)
 	if err != nil {
@@ -46,8 +46,19 @@ func TestResilienceSurvivesFaultyEndpoint(t *testing.T) {
 	if len(ms) != 2 {
 		t.Fatalf("got %d measurements, want one per scheduling mode", len(ms))
 	}
+	again, err := Resilience(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	modes := map[string]bool{}
-	for _, m := range ms {
+	for i, m := range append(ms, again...) {
+		if !reflect.DeepEqual(m.TaskAttempts, ms[0].TaskAttempts) || m.Faults != ms[0].Faults {
+			t.Fatalf("run %d (%s): attempts %v faults %+v, run 0 (%s): %v %+v",
+				i, m.Scheduling, m.TaskAttempts, m.Faults, ms[0].Scheduling, ms[0].TaskAttempts, ms[0].Faults)
+		}
+		if len(m.Breakers) != 0 {
+			t.Fatalf("%s: the breaker moved on a noisy endpoint: %+v", m.Scheduling, m.Breakers)
+		}
 		modes[m.Scheduling] = true
 		if m.Failed != 0 {
 			t.Fatalf("%s: %d tasks failed through the resilience layer", m.Scheduling, m.Failed)

@@ -208,7 +208,7 @@ func TestFixedScaleHTTPIngress(t *testing.T) {
 	}
 	spy := &conformance.Spy{Executor: p}
 	conformance.Run(t, conformance.Surface{
-		Handler: wfbench.NewEndpoint(spy), Drive: drive, Route: "wfbench", Unknown: "nosuch",
+		Handler: wfbench.NewEndpoint(spy), Executor: spy, Drive: drive, Route: "wfbench", Unknown: "nosuch",
 		UnknownStatus: http.StatusServiceUnavailable, ChecksInputs: true, SawTrace: spy.Saw,
 	})
 }

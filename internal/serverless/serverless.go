@@ -126,8 +126,6 @@ type Options struct {
 	// for quantifying how much of the serverless slowdown the gradual
 	// ramp contributes.
 	InstantScaleUp bool
-	// Placer selects nodes for pod reservations; nil means first fit.
-	Placer cluster.Placer
 	// Tracer records platform spans (queue wait, cold start, pod
 	// execution) for invocations whose callers propagated a sampled
 	// trace context; the WfBench layer inherits the same tracer for its
@@ -793,7 +791,7 @@ func (s *service) addPod(coldStart bool) (*pod, error) {
 	// A limit without a request sets the request, as in Kubernetes.
 	cores := float64(s.cfg.Workers) * s.cfg.CPURequestPerWorker
 	mem := max(int64(s.cfg.Workers)*s.cfg.MemRequestPerWorker+s.p.opts.PodOverheadMem, s.cfg.MemLimit)
-	res, err := s.p.opts.Cluster.PlaceWith(s.p.opts.Placer, cores, mem)
+	res, err := s.p.opts.Cluster.Place(cores, mem)
 	if err != nil {
 		return nil, err
 	}

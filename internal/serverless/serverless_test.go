@@ -245,7 +245,7 @@ func TestHTTPIngress(t *testing.T) {
 		t.Fatal(err)
 	}
 	conformance.Run(t, conformance.Surface{
-		Handler: p, Drive: drive, Route: "wfbench", Unknown: "nosuch", UnknownStatus: http.StatusServiceUnavailable,
+		Handler: p, Executor: p, Drive: drive, Route: "wfbench", Unknown: "nosuch", UnknownStatus: http.StatusServiceUnavailable,
 		ChecksInputs: true, SawTrace: conformance.TracerSaw(tr),
 	})
 }

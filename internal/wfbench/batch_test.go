@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -254,9 +255,15 @@ func TestServiceServeBatch(t *testing.T) {
 	}
 }
 
-// batchEcho is a minimal /invoke-batch upstream: every frame answers
-// 200 with an OK Response carrying the request's name.
-func batchEcho() http.Handler { return NewEndpoint(NewStub(sharedfs.NewMem(), 0)) }
+// injectorEndpoint serves a stub behind an injector with profile p.
+func injectorEndpoint(t *testing.T, p FaultProfile) (*Injector, http.Handler) {
+	t.Helper()
+	inj, err := NewInjector(NewStub(sharedfs.NewMem(), 0), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj, NewEndpoint(inj)
+}
 
 func postBatch(t *testing.T, h http.Handler, items []BatchItem) []BatchResult {
 	t.Helper()
@@ -289,14 +296,11 @@ func batchItems(t *testing.T, n int) []BatchItem {
 func frameTag(i int) string { return string(rune('a' + i)) }
 
 // TestInjectorBatchZeroProfileForwards pins the clean path: no faults
-// means the batch reaches the upstream intact and frames come back in
+// means every frame reaches the wrapped executor and frames come back in
 // request order.
 func TestInjectorBatchZeroProfileForwards(t *testing.T) {
-	inj, err := NewInjector(batchEcho(), FaultProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := postBatch(t, inj, batchItems(t, 4))
+	inj, h := injectorEndpoint(t, FaultProfile{})
+	results := postBatch(t, h, batchItems(t, 4))
 	for i, res := range results {
 		var r Response
 		if res.Status != 200 {
@@ -315,11 +319,8 @@ func TestInjectorBatchZeroProfileForwards(t *testing.T) {
 // answers every frame 429 with the Retry-After hint in milliseconds —
 // the hint the manager's retry schedule honors per sub-task.
 func TestInjectorBatchRejectsPerFrame(t *testing.T) {
-	inj, err := NewInjector(batchEcho(), FaultProfile{RejectRate: 1, RetryAfter: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := postBatch(t, inj, batchItems(t, 3))
+	inj, h := injectorEndpoint(t, FaultProfile{RejectRate: 1, RetryAfter: 0.25})
+	results := postBatch(t, h, batchItems(t, 3))
 	for i, res := range results {
 		if res.Status != http.StatusTooManyRequests || res.RetryAfterMillis != 250 {
 			t.Fatalf("frame %d = %+v, want 429 with 250ms hint", i, res)
@@ -332,18 +333,14 @@ func TestInjectorBatchRejectsPerFrame(t *testing.T) {
 
 // TestInjectorBatchFaultsSubset pins per-frame independence: with a
 // half error rate over many frames, some frames fail and some execute,
-// inside the same batch POST — the injector no longer faults at
-// request granularity.
+// inside the same batch POST — each frame is its own Invoke.
 func TestInjectorBatchFaultsSubset(t *testing.T) {
-	inj, err := NewInjector(batchEcho(), FaultProfile{ErrorRate: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj, h := injectorEndpoint(t, FaultProfile{ErrorRate: 0.5, Seed: 7})
 	items := make([]BatchItem, 24)
 	for i := range items {
 		items[i] = BatchItem{Body: marshalReq(t, req("x"))}
 	}
-	results := postBatch(t, inj, items)
+	results := postBatch(t, h, items)
 	var ok, failed int
 	for _, res := range results {
 		switch res.Status {
@@ -364,21 +361,19 @@ func TestInjectorBatchFaultsSubset(t *testing.T) {
 	}
 }
 
-// TestInjectorBatchUpstreamRejectInheritedByAll pins the whole-batch
-// failure path: when the wrapped handler answers the re-framed batch
-// with a non-200, every forwarded frame inherits that status and the
-// Retry-After header, exactly as single-task POSTs to a drowning
-// endpoint would.
+// TestInjectorBatchUpstreamRejectInheritedByAll pins the refused path:
+// when the wrapped executor refuses every invocation, every forwarded
+// frame carries its status and Retry-After hint, exactly as single-task
+// POSTs to a drowning endpoint would.
 func TestInjectorBatchUpstreamRejectInheritedByAll(t *testing.T) {
-	upstream := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "2")
-		http.Error(w, "drowning", http.StatusServiceUnavailable)
+	upstream := execFunc(func(context.Context, string, *Request) (*Response, error) {
+		return nil, &StatusError{Status: http.StatusServiceUnavailable, RetryAfter: 2 * time.Second, Err: errors.New("drowning")}
 	})
 	inj, err := NewInjector(upstream, FaultProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := postBatch(t, inj, batchItems(t, 3))
+	results := postBatch(t, NewEndpoint(inj), batchItems(t, 3))
 	for i, res := range results {
 		if res.Status != http.StatusServiceUnavailable || res.RetryAfterMillis != 2000 {
 			t.Fatalf("frame %d = %+v, want 503 with 2000ms hint", i, res)

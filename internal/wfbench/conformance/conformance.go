@@ -20,8 +20,10 @@ import (
 
 // Surface is one implementation under test.
 type Surface struct {
-	// Handler is the surface as it is served.
-	Handler http.Handler
+	// Handler is the surface as it is served; Executor is what it
+	// serves, which the table also serves behind the fault injector.
+	Handler  http.Handler
+	Executor wfbench.Executor
 	// Drive is where its functions publish their outputs.
 	Drive sharedfs.Drive
 	// Route addresses a function that executes; Unknown one the surface
@@ -66,14 +68,15 @@ func TracerSaw(tr *obs.Tracer) func(obs.TraceID) bool {
 	}
 }
 
-// Run drives the table against s, bare and behind a fault-free Injector.
+// Run drives the table against s: its Handler, and an Endpoint over its
+// Executor behind a fault-free Injector.
 func Run(t *testing.T, s Surface) {
-	inj, err := wfbench.NewInjector(s.Handler, wfbench.FaultProfile{})
+	inj, err := wfbench.NewInjector(s.Executor, wfbench.FaultProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Run("bare", func(t *testing.T) { s.run(t, s.Handler, "bare-"+s.Route) })
-	t.Run("injector", func(t *testing.T) { s.run(t, inj, "inj-"+s.Route) })
+	t.Run("injector", func(t *testing.T) { s.run(t, wfbench.NewEndpoint(inj), "inj-"+s.Route) })
 }
 
 func path(route, leaf string) string {

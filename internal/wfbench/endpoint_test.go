@@ -25,7 +25,7 @@ func TestServiceHTTPErrors(t *testing.T) {
 	}
 	defer svc.Close()
 	conformance.Run(t, conformance.Surface{
-		Handler: svc, Drive: drive, Unknown: "nosuch", UnknownStatus: http.StatusNotFound,
+		Handler: svc, Executor: svc, Drive: drive, Unknown: "nosuch", UnknownStatus: http.StatusNotFound,
 		ChecksInputs: true, SawTrace: conformance.TracerSaw(tr),
 	})
 }
@@ -35,7 +35,7 @@ func TestStubEndpoint(t *testing.T) {
 	drive := sharedfs.NewMem()
 	spy := &conformance.Spy{Executor: wfbench.NewStub(drive, 0)}
 	conformance.Run(t, conformance.Surface{
-		Handler: wfbench.NewEndpoint(spy), Drive: drive, Route: "any", Unknown: "other", UnknownStatus: http.StatusOK,
+		Handler: wfbench.NewEndpoint(spy), Executor: spy, Drive: drive, Route: "any", Unknown: "other", UnknownStatus: http.StatusOK,
 		SawTrace: spy.Saw,
 	})
 }

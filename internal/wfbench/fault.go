@@ -1,59 +1,57 @@
 package wfbench
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
+	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // FaultProfile configures the Injector: how often and how a wrapped
-// wfbench endpoint misbehaves. All rates are probabilities in [0, 1]
-// evaluated independently per request, in the order hang, latency,
-// reject, error. A zero profile injects nothing.
+// executor misbehaves. All rates are probabilities in [0, 1], drawn
+// independently per invocation; a hang wins over a reject, a reject over
+// an error, and a delay applies only to an invocation that is served. A
+// zero profile injects nothing.
 type FaultProfile struct {
 	// ErrorRate is the probability of answering 500 without executing.
 	ErrorRate float64
 	// RejectRate is the probability of answering 429 Too Many Requests
-	// with a Retry-After header, modelling platform overload.
+	// with a Retry-After hint, modelling platform overload.
 	RejectRate float64
 	// RetryAfter is the hint (in seconds) sent with injected 429s.
-	// Zero omits the header.
+	// Zero omits it.
 	RetryAfter float64
-	// LatencyRate is the probability of delaying a request before it
-	// reaches the wrapped handler.
+	// LatencyRate is the probability of delaying an invocation before it
+	// reaches the wrapped executor.
 	LatencyRate float64
 	// Latency is the base injected delay; LatencyJitter adds a uniform
 	// random extra on top.
 	Latency       time.Duration
 	LatencyJitter time.Duration
-	// LatencyAfter suppresses latency injection for the first N requests
-	// (single POSTs and batch frames both count). A straggler campaign
-	// uses it to let fast siblings establish the endpoint's latency
-	// baseline before the tail appears.
+	// LatencyAfter suppresses latency injection for the first N
+	// invocations (single POSTs and batch frames both count). A
+	// straggler campaign uses it to let fast siblings establish the
+	// endpoint's latency baseline before the tail appears.
 	LatencyAfter int
 	// LatencyOnce delays each distinct task name at most once, so a
 	// retry or speculative backup of a delayed task lands on the fast
 	// path — the bad-placement straggler model rather than a slow task.
-	// Requests whose body carries no task name are never delayed under
-	// LatencyOnce.
 	LatencyOnce bool
 	// HangRate is the probability of never answering: the injector
-	// holds the request until the client gives up (request context
-	// cancelled) or MaxHang elapses, whichever is first. This is the
+	// holds the invocation until the caller gives up (its context is
+	// done) or MaxHang elapses, whichever is first. This is the
 	// stalled-pod failure mode per-task timeouts exist for.
 	HangRate float64
 	// MaxHang bounds a hang so a profile cannot wedge the server
 	// forever. Zero means 30s.
 	MaxHang time.Duration
-	// Seed makes the fault sequence reproducible. Zero seeds from a
-	// fixed default so runs are deterministic unless varied explicitly.
+	// Seed keys every draw: the same seed (zero included) deals a
+	// task's k-th invocation the same fate whatever order invocations
+	// arrive in.
 	Seed int64
 }
 
@@ -92,27 +90,31 @@ func (p FaultProfile) validate() error {
 type FaultStats struct {
 	Errors  int64 // injected 500s
 	Rejects int64 // injected 429s
-	Hangs   int64 // requests held until client abandon or MaxHang
-	Delays  int64 // latency injections (request still served)
-	Passed  int64 // requests forwarded to the wrapped handler
+	Hangs   int64 // invocations held until caller abandon or MaxHang
+	Delays  int64 // latency injections (invocation still served)
+	Passed  int64 // invocations forwarded to the wrapped executor
 }
 
-// Injector wraps an http.Handler with a configurable failure profile —
+// Injector is an Executor that wraps another with a failure profile —
 // the chaos side of the testbed, driving the workflow manager's retry,
-// timeout, and circuit-breaker paths without real infrastructure
-// faults. It generalises FlakyEngine from "every Nth run fails" to
-// rate-based error, overload, latency, and hang injection at the HTTP
-// boundary, where the client's transport actually sees it.
+// timeout and circuit-breaker paths without real infrastructure faults.
+// It generalises FlakyEngine from "every Nth run fails" to rate-based
+// error, overload, latency and hang injection at the platform's edge.
+// Served through an Endpoint, a single-task POST and every frame of a
+// batch reach it as one Invoke, so a fault can hit one task inside a
+// batch while its batch-mates execute; a hung frame holds its whole
+// batch response, honest head-of-line blocking on a batched connection.
+//
+// A fault is a pure function of (Seed, task name, how many times that
+// name has arrived): which host thread gets there first decides nothing.
 type Injector struct {
-	next    http.Handler
+	next    Executor
 	profile FaultProfile
 
-	mu  sync.Mutex
-	rng *rand.Rand
-	seq int // requests drawn so far, for LatencyAfter
+	arrivals atomic.Int64 // invocations so far, for LatencyAfter
 
-	delayedMu    sync.Mutex
-	delayedSet   map[string]bool
+	mu           sync.Mutex
+	names        map[string]*nameFaults
 	delayedNames []string
 
 	errors  atomic.Int64
@@ -122,86 +124,23 @@ type Injector struct {
 	passed  atomic.Int64
 }
 
+// nameFaults is what the injector remembers of one task name.
+type nameFaults struct {
+	name     string // the map's own copy of the name
+	arrivals uint64 // invocations of the name so far
+	delayed  bool   // one of them was delayed
+}
+
 // NewInjector wraps next with the given fault profile.
-func NewInjector(next http.Handler, p FaultProfile) (*Injector, error) {
+func NewInjector(next Executor, p FaultProfile) (*Injector, error) {
 	if next == nil {
-		return nil, fmt.Errorf("wfbench: injector needs a handler to wrap")
+		return nil, fmt.Errorf("wfbench: injector needs an executor to wrap")
 	}
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &Injector{
-		next:       next,
-		profile:    p,
-		rng:        rand.New(rand.NewSource(seed)),
-		delayedSet: map[string]bool{},
-	}, nil
+	return &Injector{next: next, profile: p, names: map[string]*nameFaults{}}, nil
 }
-
-// DelayedNames returns the distinct task names that actually received
-// an injected delay, in first-delay order — the ground truth a
-// straggler campaign checks its flagged set against.
-func (in *Injector) DelayedNames() []string {
-	in.delayedMu.Lock()
-	defer in.delayedMu.Unlock()
-	out := make([]string, len(in.delayedNames))
-	copy(out, in.delayedNames)
-	return out
-}
-
-// admitDelay applies the LatencyAfter/LatencyOnce gates to a fired
-// latency draw and records the delayed task name. seq is the request's
-// ordinal from draw; name may be empty when the body carried none.
-func (in *Injector) admitDelay(seq int, name string) bool {
-	p := in.profile
-	if p.LatencyAfter > 0 && seq <= p.LatencyAfter {
-		return false
-	}
-	in.delayedMu.Lock()
-	defer in.delayedMu.Unlock()
-	if p.LatencyOnce {
-		if name == "" || in.delayedSet[name] {
-			return false
-		}
-	}
-	if name != "" && !in.delayedSet[name] {
-		in.delayedSet[name] = true
-		in.delayedNames = append(in.delayedNames, name)
-	}
-	return true
-}
-
-// sniffTaskName peeks the wfbench Request name from a single-task POST
-// body, restoring the body for the wrapped handler.
-func sniffTaskName(r *http.Request) string {
-	if r.Body == nil {
-		return ""
-	}
-	data, err := io.ReadAll(r.Body)
-	r.Body.Close()
-	r.Body = io.NopCloser(bytes.NewReader(data))
-	if err != nil {
-		return ""
-	}
-	return taskNameOf(data)
-}
-
-func taskNameOf(body []byte) string {
-	var req struct {
-		Name string `json:"name"`
-	}
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	return req.Name
-}
-
-// Profile returns the configured fault profile.
-func (in *Injector) Profile() FaultProfile { return in.profile }
 
 // Stats returns a snapshot of the injected-fault counters.
 func (in *Injector) Stats() FaultStats {
@@ -214,206 +153,133 @@ func (in *Injector) Stats() FaultStats {
 	}
 }
 
-// draw samples the per-request fault decisions under one lock hold so
-// concurrent requests see independent, reproducible streams. seq is the
-// request's 1-based ordinal, for the LatencyAfter gate; the rng draw
-// order is identical whether or not the gates are configured, so a
-// profile stays reproducible when LatencyAfter/LatencyOnce are added.
-func (in *Injector) draw() (hang, delay, reject, fail bool, extra time.Duration, seq int) {
+// DelayedNames returns the distinct task names that actually received
+// an injected delay, in first-delay order — the ground truth a
+// straggler campaign checks its flagged set against.
+func (in *Injector) DelayedNames() []string {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	p := in.profile
-	in.seq++
-	seq = in.seq
-	hang = p.HangRate > 0 && in.rng.Float64() < p.HangRate
-	delay = p.LatencyRate > 0 && in.rng.Float64() < p.LatencyRate
-	reject = p.RejectRate > 0 && in.rng.Float64() < p.RejectRate
-	fail = p.ErrorRate > 0 && in.rng.Float64() < p.ErrorRate
-	if delay && p.LatencyJitter > 0 {
-		extra = time.Duration(in.rng.Int63n(int64(p.LatencyJitter) + 1))
-	}
-	return
+	return append([]string(nil), in.delayedNames...)
 }
 
-// ServeHTTP implements http.Handler. Health checks pass through
-// unfaulted so orchestration probes stay honest about liveness. Batch
-// invocations are faulted per sub-task: each frame draws its own fate,
-// so a 429/500/hang can hit one task inside a batch while its
-// batch-mates execute normally.
-func (in *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/healthz" {
-		in.next.ServeHTTP(w, r)
-		return
+// The draws of one invocation, in their fixed order.
+const (
+	drawHang = iota
+	drawDelay
+	drawReject
+	drawFail
+	drawJitter
+)
+
+// splitmix64 is the finaliser of the SplitMix64 generator: a bijection
+// that scatters neighbouring inputs across the whole 64-bit range.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// fnv1a hashes a task name (64-bit FNV-1a).
+func fnv1a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
 	}
-	if _, batch, _ := SplitPath(r.URL.Path); batch && r.Method == http.MethodPost {
-		in.serveBatch(w, r)
-		return
+	return h
+}
+
+// faults is one invocation's fate.
+type faults struct {
+	hang, delay, reject, fail bool
+	extra                     time.Duration
+}
+
+// draw deals the k-th arrival (0-based) of name its fate, before the
+// latency gates: draw i is splitmix64(seed ^ fnv1a(name) ^ splitmix64(k) + i).
+func (in *Injector) draw(name string, k uint64) faults {
+	key := uint64(in.profile.Seed) ^ fnv1a(name) ^ splitmix64(k)
+	hit := func(i uint64, rate float64) bool {
+		return rate > 0 && float64(splitmix64(key+i)>>11)/(1<<53) < rate
 	}
-	hang, delay, reject, fail, extra, seq := in.draw()
-	if delay && !hang {
-		delay = in.admitDelay(seq, sniffTaskName(r))
+	p := &in.profile
+	f := faults{
+		hang:   hit(drawHang, p.HangRate),
+		delay:  hit(drawDelay, p.LatencyRate),
+		reject: hit(drawReject, p.RejectRate),
+		fail:   hit(drawFail, p.ErrorRate),
 	}
-	if hang {
+	if f.delay && p.LatencyJitter > 0 {
+		f.extra = time.Duration(splitmix64(key+drawJitter) % uint64(p.LatencyJitter+1))
+	}
+	return f
+}
+
+// deal counts an arrival of name and returns its fate, with delay
+// cleared unless the invocation is served, the LatencyAfter gate is
+// open and LatencyOnce lets it through. A delay is recorded for
+// DelayedNames under the same lock.
+func (in *Injector) deal(name string, open bool) faults {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	nf := in.names[name]
+	if nf == nil {
+		// A batch's names are cuts of its whole body: the map keeps a
+		// copy, and is never assigned to again, which would store the cut.
+		nf = &nameFaults{name: strings.Clone(name)}
+		in.names[nf.name] = nf
+	}
+	f := in.draw(name, nf.arrivals)
+	nf.arrivals++
+	f.delay = f.delay && open && !f.hang && !f.reject && !f.fail && !(in.profile.LatencyOnce && nf.delayed)
+	if f.delay && !nf.delayed {
+		nf.delayed = true
+		in.delayedNames = append(in.delayedNames, nf.name)
+	}
+	return f
+}
+
+// Invoke implements Executor: deal the invocation its fate, then answer
+// it with the injected fault or forward it, perhaps late, to next.
+func (in *Injector) Invoke(ctx context.Context, route string, req *Request) (*Response, error) {
+	p := &in.profile
+	f := in.deal(req.Name, p.LatencyAfter == 0 || in.arrivals.Add(1) > int64(p.LatencyAfter))
+	switch {
+	case f.hang:
 		in.hangs.Add(1)
-		maxHang := in.profile.MaxHang
+		maxHang := p.MaxHang
 		if maxHang <= 0 {
 			maxHang = 30 * time.Second
 		}
+		t := time.NewTimer(maxHang)
+		defer t.Stop()
 		select {
-		case <-r.Context().Done():
-		case <-time.After(maxHang):
+		case <-ctx.Done():
+		case <-t.C:
 		}
 		// Whoever is still listening gets a late 500 — a stalled pod
 		// that eventually got reaped.
-		http.Error(w, "wfbench: injected hang expired", http.StatusInternalServerError)
-		return
-	}
-	if delay {
-		in.delays.Add(1)
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(in.profile.Latency + extra):
-		}
-	}
-	if reject {
+		return nil, injected(http.StatusInternalServerError, 0, "wfbench: injected hang expired")
+	case f.reject:
 		in.rejects.Add(1)
-		if in.profile.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.FormatFloat(in.profile.RetryAfter, 'f', -1, 64))
-		}
-		http.Error(w, "wfbench: injected overload", http.StatusTooManyRequests)
-		return
-	}
-	if fail {
+		return nil, injected(http.StatusTooManyRequests, time.Duration(p.RetryAfter*float64(time.Second)), "wfbench: injected overload")
+	case f.fail:
 		in.errors.Add(1)
-		http.Error(w, "wfbench: injected fault", http.StatusInternalServerError)
-		return
+		return nil, injected(http.StatusInternalServerError, 0, "wfbench: injected fault")
+	case f.delay:
+		in.delays.Add(1)
+		t := time.NewTimer(p.Latency + f.extra)
+		defer t.Stop()
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-t.C:
+		}
 	}
 	in.passed.Add(1)
-	in.next.ServeHTTP(w, r)
+	return in.next.Invoke(ctx, route, req)
 }
 
-// serveBatch faults a batch invocation frame by frame: every sub-task
-// draws independently from the same seeded stream as single-task
-// requests. Rejected (429) and failed (500) frames are answered by the
-// injector; the surviving subset is re-framed and forwarded to the
-// wrapped handler, and the sub-responses are merged back in request
-// order. A hung sub-task holds the whole HTTP response — honest
-// head-of-line blocking on a batched connection — until MaxHang or
-// client abandon, after which its frame reports the late 500.
-func (in *Injector) serveBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := ReadBatchBody(r)
-	var items []BatchItem
-	if err == nil {
-		items, err = DecodeBatchRequestBytes(body)
-	}
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
-		return
-	}
-	results := make([]BatchResult, len(items))
-	forward := make([]BatchItem, 0, len(items))
-	forwardIdx := make([]int, 0, len(items))
-	var maxDelay time.Duration
-	anyHang := false
-	for i, it := range items {
-		hang, delay, reject, fail, extra, seq := in.draw()
-		if delay && !hang && !reject && !fail {
-			delay = in.admitDelay(seq, taskNameOf(it.Body))
-		}
-		switch {
-		case hang:
-			in.hangs.Add(1)
-			anyHang = true
-			results[i] = BatchResult{Status: http.StatusInternalServerError,
-				Payload: []byte("wfbench: injected hang expired")}
-		case reject:
-			in.rejects.Add(1)
-			res := BatchResult{Status: http.StatusTooManyRequests,
-				Payload: []byte("wfbench: injected overload")}
-			if in.profile.RetryAfter > 0 {
-				res.RetryAfterMillis = int64(in.profile.RetryAfter * 1000)
-			}
-			results[i] = res
-		case fail:
-			in.errors.Add(1)
-			results[i] = BatchResult{Status: http.StatusInternalServerError,
-				Payload: []byte("wfbench: injected fault")}
-		default:
-			if delay {
-				in.delays.Add(1)
-				if d := in.profile.Latency + extra; d > maxDelay {
-					maxDelay = d
-				}
-			}
-			in.passed.Add(1)
-			forward = append(forward, it)
-			forwardIdx = append(forwardIdx, i)
-		}
-	}
-	if anyHang {
-		maxHang := in.profile.MaxHang
-		if maxHang <= 0 {
-			maxHang = 30 * time.Second
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(maxHang):
-		}
-	}
-	if maxDelay > 0 {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(maxDelay):
-		}
-	}
-	if len(forward) > 0 {
-		sub := EncodeBatchRequest(forward)
-		req := r.Clone(r.Context())
-		req.Body = io.NopCloser(bytes.NewReader(sub))
-		req.ContentLength = int64(len(sub))
-		rec := &batchRecorder{header: make(http.Header), status: http.StatusOK}
-		in.next.ServeHTTP(rec, req)
-		if rec.status != http.StatusOK {
-			// The wrapped handler refused the whole batch: every forwarded
-			// frame inherits that verdict, as a single-task POST would.
-			var retryAfter int64
-			if ra := rec.header.Get("Retry-After"); ra != "" {
-				if secs, err := strconv.ParseFloat(ra, 64); err == nil && secs > 0 {
-					retryAfter = int64(secs * 1000)
-				}
-			}
-			msg := bytes.TrimSpace(rec.body.Bytes())
-			for _, i := range forwardIdx {
-				results[i] = BatchResult{Status: rec.status, RetryAfterMillis: retryAfter, Payload: msg}
-			}
-		} else {
-			subResults, err := DecodeBatchResponse(&rec.body)
-			if err != nil || len(subResults) != len(forward) {
-				for _, i := range forwardIdx {
-					results[i] = BatchResult{Status: http.StatusBadGateway,
-						Payload: []byte("wfbench: injector: malformed upstream batch response")}
-				}
-			} else {
-				for j, i := range forwardIdx {
-					results[i] = subResults[j]
-				}
-			}
-		}
-	}
-	WriteBatchResponse(w, results)
+func injected(status int, retryAfter time.Duration, msg string) error {
+	return &StatusError{Status: status, RetryAfter: retryAfter, Err: errors.New(msg)}
 }
-
-// batchRecorder captures the wrapped handler's response so the injector
-// can merge fault frames back into it.
-type batchRecorder struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func (r *batchRecorder) Header() http.Header         { return r.header }
-func (r *batchRecorder) WriteHeader(status int)      { r.status = status }
-func (r *batchRecorder) Write(p []byte) (int, error) { return r.body.Write(p) }

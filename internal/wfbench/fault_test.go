@@ -1,20 +1,49 @@
 package wfbench
 
 import (
+	"bytes"
 	"context"
-	"io"
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"wfserverless/internal/sharedfs"
 )
 
-func okHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	})
+// execFunc adapts a function to Executor.
+type execFunc func(ctx context.Context, route string, req *Request) (*Response, error)
+
+func (f execFunc) Invoke(ctx context.Context, route string, req *Request) (*Response, error) {
+	return f(ctx, route, req)
+}
+
+// okExec answers every invocation with success.
+var okExec = execFunc(func(_ context.Context, _ string, req *Request) (*Response, error) {
+	return &Response{Name: req.Name, OK: true}, nil
+})
+
+func newInjector(t *testing.T, p FaultProfile) *Injector {
+	t.Helper()
+	inj, err := NewInjector(okExec, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
+
+// invoke sends one invocation of name through in and returns the status
+// the function endpoint would answer it with.
+func invoke(ctx context.Context, in Executor, name string) int {
+	status, _ := statusOf(in.Invoke(ctx, "", &Request{Name: name}))
+	return status
 }
 
 func TestInjectorValidation(t *testing.T) {
@@ -28,28 +57,23 @@ func TestInjectorValidation(t *testing.T) {
 		{Latency: -time.Second},
 	}
 	for i, p := range bad {
-		if _, err := NewInjector(okHandler(), p); err == nil {
+		if _, err := NewInjector(okExec, p); err == nil {
 			t.Fatalf("case %d: invalid profile accepted: %+v", i, p)
 		}
 	}
 	if _, err := NewInjector(nil, FaultProfile{}); err == nil {
-		t.Fatal("nil handler accepted")
+		t.Fatal("nil executor accepted")
 	}
 }
 
 func TestInjectorZeroProfilePassesEverything(t *testing.T) {
-	inj, err := NewInjector(okHandler(), FaultProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inj.Profile().Active() {
+	inj := newInjector(t, FaultProfile{})
+	if (FaultProfile{}).Active() {
 		t.Fatal("zero profile reports active")
 	}
 	for i := 0; i < 50; i++ {
-		rec := httptest.NewRecorder()
-		inj.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/wfbench", nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, rec.Code)
+		if status := invoke(context.Background(), inj, "t"); status != http.StatusOK {
+			t.Fatalf("invocation %d: status %d", i, status)
 		}
 	}
 	if s := inj.Stats(); s.Passed != 50 || s.Errors+s.Rejects+s.Hangs+s.Delays != 0 {
@@ -58,14 +82,9 @@ func TestInjectorZeroProfilePassesEverything(t *testing.T) {
 }
 
 func TestInjectorErrorRateIsTotal(t *testing.T) {
-	inj, err := NewInjector(okHandler(), FaultProfile{ErrorRate: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	inj.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/wfbench", nil))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", rec.Code)
+	inj := newInjector(t, FaultProfile{ErrorRate: 1, Seed: 3})
+	if status := invoke(context.Background(), inj, "t"); status != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", status)
 	}
 	if s := inj.Stats(); s.Errors != 1 || s.Passed != 0 {
 		t.Fatalf("stats = %+v", s)
@@ -73,12 +92,9 @@ func TestInjectorErrorRateIsTotal(t *testing.T) {
 }
 
 func TestInjectorRejectSendsRetryAfter(t *testing.T) {
-	inj, err := NewInjector(okHandler(), FaultProfile{RejectRate: 1, RetryAfter: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := newInjector(t, FaultProfile{RejectRate: 1, RetryAfter: 0.25})
 	rec := httptest.NewRecorder()
-	inj.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/wfbench", nil))
+	NewEndpoint(inj).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/wfbench", strings.NewReader(`{"name":"t"}`)))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", rec.Code)
 	}
@@ -88,19 +104,14 @@ func TestInjectorRejectSendsRetryAfter(t *testing.T) {
 }
 
 func TestInjectorLatencyDelaysButServes(t *testing.T) {
-	inj, err := NewInjector(okHandler(), FaultProfile{
+	inj := newInjector(t, FaultProfile{
 		LatencyRate: 1,
 		Latency:     20 * time.Millisecond,
 		Seed:        5,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
-	rec := httptest.NewRecorder()
-	inj.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/wfbench", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d, want 200 after delay", rec.Code)
+	if status := invoke(context.Background(), inj, "t"); status != http.StatusOK {
+		t.Fatalf("status = %d, want 200 after delay", status)
 	}
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Fatalf("served after %v, want >= 20ms", elapsed)
@@ -111,17 +122,13 @@ func TestInjectorLatencyDelaysButServes(t *testing.T) {
 }
 
 func TestInjectorHangHoldsUntilClientGivesUp(t *testing.T) {
-	inj, err := NewInjector(okHandler(), FaultProfile{HangRate: 1, MaxHang: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := newInjector(t, FaultProfile{HangRate: 1, MaxHang: time.Minute})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	req := httptest.NewRequest(http.MethodPost, "/wfbench", nil).WithContext(ctx)
 	done := make(chan struct{})
 	start := time.Now()
 	go func() {
-		inj.ServeHTTP(httptest.NewRecorder(), req)
+		invoke(ctx, inj, "t")
 		close(done)
 	}()
 	select {
@@ -138,38 +145,28 @@ func TestInjectorHangHoldsUntilClientGivesUp(t *testing.T) {
 }
 
 func TestInjectorHangRespectsMaxHang(t *testing.T) {
-	inj, err := NewInjector(okHandler(), FaultProfile{HangRate: 1, MaxHang: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
+	inj := newInjector(t, FaultProfile{HangRate: 1, MaxHang: 20 * time.Millisecond})
 	start := time.Now()
-	inj.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/wfbench", nil))
+	status := invoke(context.Background(), inj, "t")
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond || elapsed > 2*time.Second {
 		t.Fatalf("hang lasted %v, want ~MaxHang", elapsed)
 	}
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("expired hang answered %d, want 500", rec.Code)
+	if status != http.StatusInternalServerError {
+		t.Fatalf("expired hang answered %d, want 500", status)
 	}
 }
 
 func TestInjectorHealthzBypassesFaults(t *testing.T) {
-	inj, err := NewInjector(okHandler(), FaultProfile{ErrorRate: 1, RejectRate: 1, HangRate: 1, MaxHang: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := newInjector(t, FaultProfile{ErrorRate: 1, RejectRate: 1, HangRate: 1, MaxHang: time.Minute})
 	rec := httptest.NewRecorder()
-	inj.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	NewEndpoint(inj).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz got %d through a fully-faulted injector", rec.Code)
 	}
 }
 
 func TestInjectorRatesRoughlyHold(t *testing.T) {
-	inj, err := NewInjector(okHandler(), FaultProfile{ErrorRate: 0.3, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := newInjector(t, FaultProfile{ErrorRate: 0.3, Seed: 11})
 	const n = 2000
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -177,7 +174,7 @@ func TestInjectorRatesRoughlyHold(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < n/8; j++ {
-				inj.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/wfbench", nil))
+				invoke(context.Background(), inj, fmt.Sprintf("t%d", j%50))
 			}
 		}()
 	}
@@ -194,16 +191,10 @@ func TestInjectorRatesRoughlyHold(t *testing.T) {
 
 func TestInjectorDeterministicUnderSameSeed(t *testing.T) {
 	outcomes := func(seed int64) string {
-		inj, err := NewInjector(okHandler(), FaultProfile{ErrorRate: 0.4, RejectRate: 0.2, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		inj := newInjector(t, FaultProfile{ErrorRate: 0.4, RejectRate: 0.2, Seed: seed})
 		var b strings.Builder
 		for i := 0; i < 100; i++ {
-			rec := httptest.NewRecorder()
-			inj.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/wfbench", nil))
-			fmt := map[int]string{200: ".", 429: "r", 500: "e"}
-			b.WriteString(fmt[rec.Code])
+			b.WriteString(map[int]string{200: ".", 429: "r", 500: "e"}[invoke(context.Background(), inj, fmt.Sprintf("t%d", i%25))])
 		}
 		return b.String()
 	}
@@ -213,38 +204,152 @@ func TestInjectorDeterministicUnderSameSeed(t *testing.T) {
 	if outcomes(9) == outcomes(10) {
 		t.Fatal("different seeds produced identical fault sequences")
 	}
-}
 
-func namedReq(name string) *http.Request {
-	body := strings.NewReader(`{"name":"` + name + `"}`)
-	return httptest.NewRequest(http.MethodPost, "/wfbench", body)
+	t.Run("order and wire", func(t *testing.T) {
+		const names, attempts = 50, 4
+		p := FaultProfile{ErrorRate: 0.3, RejectRate: 0.15, RetryAfter: 0.001, HangRate: 0.05,
+			MaxHang: time.Millisecond, LatencyRate: 0.2, LatencyOnce: true, Seed: 21}
+		type fates map[string][]int
+		type way struct {
+			fates   fates
+			stats   FaultStats
+			delayed []string
+		}
+		// run sends every name's attempts, in order, through send and
+		// holds what came back against what reached the stub.
+		run := func(send func(inj *Injector, order []string, note func(name string, status int))) way {
+			stub := NewStub(sharedfs.NewMem(), 0)
+			inj, err := NewInjector(stub, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			order := make([]string, names)
+			for i := range order {
+				order[i] = fmt.Sprintf("task_%08d", i)
+			}
+			rand.New(rand.NewSource(1)).Shuffle(names, func(i, j int) { order[i], order[j] = order[j], order[i] })
+			w := way{fates: fates{}}
+			var mu sync.Mutex
+			send(inj, order, func(name string, status int) {
+				mu.Lock()
+				w.fates[name] = append(w.fates[name], status)
+				mu.Unlock()
+			})
+			served := map[string]int{}
+			for name, f := range w.fates {
+				if n := len(f); n != attempts {
+					t.Fatalf("%s: %d attempts noted, want %d", name, n, attempts)
+				}
+				for _, status := range f {
+					if status == http.StatusOK {
+						served[name]++
+					}
+				}
+			}
+			if counts := stub.Counts(); !reflect.DeepEqual(counts, served) {
+				t.Fatalf("the stub ran %v, the answers say %v", counts, served)
+			}
+			w.stats, w.delayed = inj.Stats(), inj.DelayedNames()
+			slices.Sort(w.delayed)
+			return w
+		}
+		// concurrently runs each name's attempts in order, names spread
+		// over eight goroutines.
+		concurrently := func(order []string, one func(name string)) {
+			work := make(chan string)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for name := range work {
+						for k := 0; k < attempts; k++ {
+							one(name)
+						}
+					}
+				}()
+			}
+			for _, name := range order {
+				work <- name
+			}
+			close(work)
+			wg.Wait()
+		}
+		body := func(name string) []byte {
+			b, err := json.Marshal(&Request{Name: name, Out: map[string]int64{name + ".out": 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+
+		inSequence := run(func(inj *Injector, order []string, note func(string, int)) {
+			slices.Sort(order)
+			for _, name := range order {
+				for k := 0; k < attempts; k++ {
+					note(name, invoke(context.Background(), inj, name))
+				}
+			}
+		})
+		ways := map[string]way{
+			"shuffled over 8 goroutines": run(func(inj *Injector, order []string, note func(string, int)) {
+				concurrently(order, func(name string) { note(name, invoke(context.Background(), inj, name)) })
+			}),
+			"single POSTs": run(func(inj *Injector, order []string, note func(string, int)) {
+				h := NewEndpoint(inj)
+				concurrently(order, func(name string) {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/wfbench", bytes.NewReader(body(name))))
+					note(name, rec.Code)
+				})
+			}),
+			"batch frames": run(func(inj *Injector, order []string, note func(string, int)) {
+				h := NewEndpoint(inj)
+				for k := 0; k < attempts; k++ {
+					items := make([]BatchItem, len(order))
+					for i, name := range order {
+						items[i] = BatchItem{Body: body(name)}
+					}
+					for i, res := range postBatch(t, h, items) {
+						note(order[i], res.Status)
+					}
+				}
+			}),
+		}
+		if inSequence.stats.Errors == 0 || inSequence.stats.Rejects == 0 || inSequence.stats.Hangs == 0 || inSequence.stats.Delays == 0 {
+			t.Fatalf("the profile dealt too few faults to tell: %+v", inSequence.stats)
+		}
+		for name, w := range ways {
+			if !reflect.DeepEqual(w.fates, inSequence.fates) {
+				t.Errorf("%s: per-name fates differ from the sequential run:\n%v\n%v", name, w.fates, inSequence.fates)
+			}
+			if w.stats != inSequence.stats || !slices.Equal(w.delayed, inSequence.delayed) {
+				t.Errorf("%s: stats %+v delayed %v, sequential %+v %v", name, w.stats, w.delayed, inSequence.stats, inSequence.delayed)
+			}
+		}
+	})
 }
 
 // TestInjectorLatencyAfter pins the baseline-first gate: the first N
-// requests pass undelayed even at LatencyRate 1, and the injector
+// invocations pass undelayed even at LatencyRate 1, and the injector
 // remembers which task names it actually delayed.
 func TestInjectorLatencyAfter(t *testing.T) {
-	inj, err := NewInjector(okHandler(), FaultProfile{
+	inj := newInjector(t, FaultProfile{
 		LatencyRate:  1,
 		Latency:      15 * time.Millisecond,
 		LatencyAfter: 3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		rec := httptest.NewRecorder()
-		inj.ServeHTTP(rec, namedReq("warm"))
+		invoke(context.Background(), inj, "warm")
 		if elapsed := time.Since(start); elapsed > 10*time.Millisecond {
-			t.Fatalf("request %d delayed by %v inside the LatencyAfter window", i, elapsed)
+			t.Fatalf("invocation %d delayed by %v inside the LatencyAfter window", i, elapsed)
 		}
 	}
 	start := time.Now()
-	rec := httptest.NewRecorder()
-	inj.ServeHTTP(rec, namedReq("tail"))
+	invoke(context.Background(), inj, "tail")
 	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Fatalf("request 4 served in %v, want the injected delay", elapsed)
+		t.Fatalf("invocation 4 served in %v, want the injected delay", elapsed)
 	}
 	if s := inj.Stats(); s.Delays != 1 || s.Passed != 4 {
 		t.Fatalf("stats = %+v", s)
@@ -257,20 +362,15 @@ func TestInjectorLatencyAfter(t *testing.T) {
 // TestInjectorLatencyOnce pins the bad-placement model: a task name is
 // delayed on first sight only, so its retry lands fast.
 func TestInjectorLatencyOnce(t *testing.T) {
-	inj, err := NewInjector(okHandler(), FaultProfile{
+	inj := newInjector(t, FaultProfile{
 		LatencyRate: 1,
 		Latency:     15 * time.Millisecond,
 		LatencyOnce: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	serve := func(name string) time.Duration {
 		start := time.Now()
-		rec := httptest.NewRecorder()
-		inj.ServeHTTP(rec, namedReq(name))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d", rec.Code)
+		if status := invoke(context.Background(), inj, name); status != http.StatusOK {
+			t.Fatalf("status %d", status)
 		}
 		return time.Since(start)
 	}
@@ -289,31 +389,26 @@ func TestInjectorLatencyOnce(t *testing.T) {
 	}
 }
 
-// TestInjectorGatesPreserveDrawOrder: adding the latency gates must not
-// shift the seeded rng stream — the other fault draws stay identical.
+// TestInjectorGatesPreserveDrawOrder: the latency gates decide nothing
+// random, so configuring them leaves every other fault where it was.
 func TestInjectorGatesPreserveDrawOrder(t *testing.T) {
 	outcomes := func(p FaultProfile) []int {
-		inj, err := NewInjector(okHandler(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inj := newInjector(t, p)
 		var codes []int
 		for i := 0; i < 60; i++ {
-			rec := httptest.NewRecorder()
-			inj.ServeHTTP(rec, namedReq("t"))
-			codes = append(codes, rec.Code)
+			codes = append(codes, invoke(context.Background(), inj, "t"))
 		}
 		return codes
 	}
 	base := FaultProfile{ErrorRate: 0.3, RejectRate: 0.2, Seed: 11}
 	gated := base
-	gated.LatencyRate = 0 // gates configured but latency off: stream must match
+	gated.LatencyRate = 0 // gates configured but latency off: faults must match
 	gated.LatencyAfter = 5
 	gated.LatencyOnce = true
 	a, b := outcomes(base), outcomes(gated)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("request %d: %d vs %d — gates perturbed the rng stream", i, a[i], b[i])
+			t.Fatalf("invocation %d: %d vs %d — gates perturbed the draws", i, a[i], b[i])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package wfm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -140,6 +141,7 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState, res *R
 		}
 	}
 
+	var cause error // the first failure that was neither skipped nor cancelled
 	record := func(tr *TaskResult) {
 		res.Tasks[tr.Name] = tr
 		if tr.Err != nil {
@@ -166,6 +168,9 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState, res *R
 		tr := &results[id]
 		record(tr)
 		var newly []int32
+		if tr.Err != nil && cause == nil && !errors.Is(tr.Err, context.Canceled) {
+			cause = tr.Err
+		}
 		if tr.Err != nil {
 			if !m.opts.ContinueOnError {
 				cancel()
@@ -240,7 +245,10 @@ func (m *Manager) runLoop(ctx context.Context, c *Compiled, st *runState, res *R
 		return err
 	}
 	if len(res.Failed) > 0 {
-		return fmt.Errorf("wfm: %d function(s) failed: %v", len(res.Failed), res.Failed)
+		if cause == nil {
+			return fmt.Errorf("wfm: %d function(s) failed: %v", len(res.Failed), res.Failed)
+		}
+		return fmt.Errorf("wfm: %d function(s) failed: %v: %w", len(res.Failed), res.Failed, cause)
 	}
 	return nil
 }

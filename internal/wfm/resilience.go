@@ -25,6 +25,26 @@ var (
 	ErrCircuitOpen = errors.New("circuit open")
 )
 
+// retriesSpent is the error of a task that ran out of retries: how many
+// attempts it made, how many of them the open breaker shed, and what the
+// endpoint last answered (the shed error when every attempt was shed).
+// It matches ErrCircuitOpen when any attempt was shed.
+type retriesSpent struct {
+	attempts, shed int
+	last           error
+}
+
+func (e *retriesSpent) Error() string {
+	return fmt.Sprintf("after %d attempt(s), %d shed by the open breaker: %v", e.attempts, e.shed, e.last)
+}
+
+func (e *retriesSpent) Unwrap() []error {
+	if e.shed > 0 {
+		return []error{e.last, ErrCircuitOpen}
+	}
+	return []error{e.last}
+}
+
 // BreakerOptions configures the per-endpoint circuit breaker. The zero
 // value disables it; set Enabled and the defaults below kick in for the
 // remaining zero fields.

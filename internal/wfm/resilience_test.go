@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -450,6 +451,29 @@ func TestBreakerShedsLoadOnDeadEndpoint(t *testing.T) {
 	t.Fatal("no task error carries ErrCircuitOpen")
 }
 
+// TestRunErrorNamesTheCause: a run that fails because a task ran out of
+// retries says why — how many attempts it made, how many of them the
+// open breaker shed, and what the endpoint last answered.
+func TestRunErrorNamesTheCause(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		http.Error(w, "dead on arrival", http.StatusInternalServerError)
+	}))
+	defer srv.Close()
+	m := fastManager(t, sharedfs.NewMem(), func(o *Options) {
+		o.Retries = 3
+		o.Breaker = BreakerOptions{Enabled: true, Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: 1000}
+	})
+	_, err := m.Run(context.Background(), translated(t, "seismology", 10, srv.URL))
+	want := regexp.MustCompile(`function\(s\) failed: \[.*\]: after 4 attempt\(s\), [1-3] shed by the open breaker: wfm: \S+: HTTP 500: dead on arrival$`)
+	if err == nil || !want.MatchString(err.Error()) {
+		t.Fatalf("run error = %v, want it to match %s", err, want)
+	}
+	if !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("run error %v does not match ErrCircuitOpen", err)
+	}
+}
+
 // TestBreakerTransitionsVisibleInTrace runs a deterministic
 // fail-then-heal endpoint in both scheduling modes and checks the full
 // open -> half-open -> closed cycle lands in the Result and the trace.
@@ -664,7 +688,7 @@ func TestRunSurvivesInjectedFaultsBothModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(inj)
+		srv := httptest.NewServer(wfbench.NewEndpoint(inj))
 		defer srv.Close()
 
 		m := fastManager(t, drive, func(o *Options) {

@@ -688,7 +688,9 @@ func (m *Manager) finishTaskSpan(ts *obs.Span, tr *TaskResult) {
 // transition. It returns the response, the attempts made, and the
 // terminal error if the task failed. Under a sampled parent each attempt
 // emits a child span, whose context the transport injects as the POST's
-// traceparent; a nil parent keeps the whole path span-free.
+// traceparent; a nil parent keeps the whole path span-free. A task that
+// runs out of retries says how many of its attempts the open breaker
+// shed and what the endpoint last answered.
 func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *resilience, parent *obs.Span) (*wfbench.Response, int, error) {
 	task := p.tasks[id]
 	tctx := ctx
@@ -697,6 +699,8 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 		tctx, cancel = context.WithTimeout(ctx, m.scaled(m.opts.TaskTimeout))
 		defer cancel()
 	}
+	shed := 0
+	var last error // the endpoint's last error, past the breaker
 	for n := 0; ; n++ {
 		as := m.opts.Tracer.StartChildOf(parent, "invoke")
 		as.SetInt("attempt", n+1)
@@ -722,6 +726,11 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 		if err == nil {
 			return resp, attempts, nil
 		}
+		if out.shed {
+			shed++
+		} else {
+			last = err
+		}
 		// A cancelled parent context always wins: return its error
 		// promptly, even mid-backoff. The task's own expired deadline
 		// is terminal too, but reported as ErrTaskTimeout so callers
@@ -733,8 +742,14 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 			return resp, attempts, fmt.Errorf("wfm: %s: %w after %d attempt(s): %v",
 				task.Name, ErrTaskTimeout, attempts, err)
 		}
-		if !out.retriable || n >= m.opts.Retries {
+		if !out.retriable {
 			return resp, attempts, err
+		}
+		if n >= m.opts.Retries {
+			if last == nil {
+				last = err // every attempt was shed
+			}
+			return resp, attempts, &retriesSpent{attempts: attempts, shed: shed, last: last}
 		}
 		if delay := m.retryDelay(n, out.retryAfter); delay > 0 {
 			t := time.NewTimer(delay)
