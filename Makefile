@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-module tier1 check race fuzz-smoke health-smoke service-smoke alloc-sites vet clean
+.PHONY: all build test bench-module tier1 check race fuzz-smoke campaigns service-smoke alloc-sites vet clean
 
 all: tier1
 
@@ -71,7 +71,8 @@ alloc-sites:
 # the journal reader, the workflow parser (what it accepts, and its fast
 # path held to encoding/json), the hand JSON codec held to encoding/json,
 # the batch wire decoders, the function endpoint's handler, POST
-# /v1/runs, and wfmd's service log replay. (-fuzz takes one target and one package per run; the short
+# /v1/runs, wfmd's service log replay, and the memo cache file. (-fuzz
+# takes one target and one package per run; the short
 # minimize budget keeps the ten seconds for executions.)
 fuzz-smoke:
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzJournalReader$$' -fuzztime 10s -fuzzminimizetime 1s
@@ -82,6 +83,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wfbench -run '^$$' -fuzz '^FuzzEndpoint$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfmd -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfmd -run '^$$' -fuzz '^FuzzServiceLogReplay$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/memo -run '^$$' -fuzz '^FuzzMemoOpen$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # service-smoke boots the real wfmd binary, submits runs for two
 # tenants over HTTP, kills the daemon mid-run (SIGKILL), restarts it on
@@ -90,12 +92,19 @@ fuzz-smoke:
 service-smoke:
 	./scripts/service_smoke.sh
 
-# health-smoke runs the straggler campaign end to end: injected-tail
-# tasks must all be flagged, speculative retry must cut the makespan by
-# >= 25%, and the journal must stay duplicate-free with speculation on.
-# cmd/experiments exits non-zero if any of those gates fail.
-health-smoke:
+# campaigns runs the acceptance campaigns end to end on their CI sizes:
+# stragglers (every injected tail flagged, speculation cuts the makespan
+# by >= 25%, the journal duplicate-free), incremental re-execution (each
+# edit re-invokes exactly its closure), the fault campaign unbatched and
+# batched (no task fails), and crash/resume (every trial converges to
+# the reference drive, no recorded task runs twice). cmd/experiments
+# prints each table and exits non-zero on any failed gate.
+campaigns:
 	$(GO) run ./cmd/experiments -suite health -health-tasks 16 -health-delay-ms 800
+	$(GO) run ./cmd/experiments -suite memo -memo-tasks 300 -memo-edits 5
+	$(GO) run ./cmd/experiments -suite resilience
+	$(GO) run ./cmd/experiments -suite resilience -batch
+	$(GO) run ./cmd/experiments -suite recovery -recovery-tasks 120 -recovery-trials 2
 
 # check is the pre-merge bar: tier1 plus vet and the race detector.
 check: tier1 vet race

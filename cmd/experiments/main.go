@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"wfserverless/internal/experiments"
@@ -140,7 +141,6 @@ func main() {
 	if tn.Manager.Scheduling, err = wfm.ParseScheduling(c.schedule); err != nil {
 		fatal(err)
 	}
-	batching := tn.Manager.Batching
 	sz := experiments.Sizes{Small: c.small, Large: c.large, Huge: c.huge}
 	ctx := context.Background()
 
@@ -186,8 +186,6 @@ func main() {
 	switch c.suite {
 	case "concurrent":
 		runConcurrent(ctx, sz, c.seed, tn)
-	case "resilience":
-		runResilience(ctx, c.small, c.seed, tn.TimeScale, c.faultError, c.faultReject, c.faultLatMS, c.faultSeed, c.traceSample, c.traceDir, batching, c.memoize)
 	case "design":
 		printDesign()
 	case "table2":
@@ -202,25 +200,6 @@ func main() {
 		runSuite("fig6", experiments.Figure6)
 	case "fig7":
 		runSuite("fig7", experiments.Figure7)
-	case "health":
-		runHealth(ctx, c.healthTasks, c.seed, time.Duration(c.healthDelayMS*float64(time.Millisecond)))
-	case "recovery":
-		runRecovery(ctx, c.recoveryTasks, c.recoveryTrials, c.seed, tn.TimeScale, batching, c.memoize)
-	case "memo":
-		runMemo(ctx, c.memoTasks, c.memoEdits, c.seed, tn.TimeScale, batching)
-	case "service":
-		runService(ctx, c.serviceRuns, c.serviceTasks, c.serviceSlots)
-	case "scale":
-		runScale(ctx, experiments.ScaleConfig{
-			Tasks:       c.scaleTasks,
-			Shape:       c.scaleShape,
-			Width:       c.scaleWidth,
-			Scheduling:  tn.Manager.Scheduling,
-			MaxParallel: c.scaleParallel,
-			Seed:        c.seed,
-			Batching:    batching,
-			TraceSample: c.traceSample,
-		}, c.traceDir)
 	case "all":
 		printDesign()
 		printTable2()
@@ -230,31 +209,59 @@ func main() {
 		runSuite("fig6", experiments.Figure6)
 		runSuite("fig7", experiments.Figure7)
 	default:
-		fatal(fmt.Errorf("unknown suite %q", c.suite))
+		if !experiments.IsCampaign(c.suite) {
+			fatal(fmt.Errorf("unknown suite %q", c.suite))
+		}
+		runCampaign(ctx, c, tn)
 	}
 }
 
-// runScale executes one synthetic large-workflow campaign and prints a
-// single result row; pair with -cpuprofile/-memprofile to see where the
-// hot path spends its time at 100k tasks.
-func runScale(ctx context.Context, cfg experiments.ScaleConfig, traceDir string) {
-	fmt.Printf("== Scale: %d-task %s workflow, %s scheduling ==\n",
-		cfg.Tasks, shapeName(cfg.Shape), cfg.Scheduling)
-	res, err := experiments.Scale(ctx, cfg)
+// runCampaign runs one acceptance campaign (recovery, memo, resilience,
+// health, service or scale) on the flags that shape it, prints its
+// table and gates, writes any traces, and exits non-zero if a gate
+// failed.
+func runCampaign(ctx context.Context, c *cli, tn experiments.Tunables) {
+	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+	cfg := experiments.Config{Seed: c.seed}
+	switch c.suite {
+	case "recovery":
+		// A cell runs three full workflows: keep the campaign snappy.
+		cfg.Tasks, cfg.Trials, cfg.TimeScale = c.recoveryTasks, c.recoveryTrials, tn.TimeScale/10
+		cfg.Batching, cfg.Memoize = tn.Manager.Batching, c.memoize
+	case "memo":
+		// A mode runs four variants and their references.
+		cfg.Tasks, cfg.Edits, cfg.TimeScale = c.memoTasks, c.memoEdits, tn.TimeScale/10
+		cfg.Batching = tn.Manager.Batching
+	case "resilience":
+		cfg.Tasks, cfg.TimeScale, cfg.Batching = c.small, tn.TimeScale, tn.Manager.Batching
+		cfg.Memoize, cfg.TraceSample = c.memoize, c.traceSample
+		cfg.Faults = wfbench.FaultProfile{
+			ErrorRate:     c.faultError,
+			RejectRate:    c.faultReject,
+			RetryAfter:    0.25 * tn.TimeScale,
+			LatencyRate:   0.2,
+			Latency:       ms(c.faultLatMS),
+			LatencyJitter: ms(c.faultLatMS),
+			Seed:          c.faultSeed,
+		}
+	case "health":
+		cfg.Tasks, cfg.Latency = c.healthTasks, ms(c.healthDelayMS)
+	case "service":
+		cfg.Runs, cfg.Tasks, cfg.Slots = c.serviceRuns, c.serviceTasks, c.serviceSlots
+	case "scale":
+		cfg.Tasks, cfg.Shape, cfg.Width, cfg.Parallel = c.scaleTasks, c.scaleShape, c.scaleWidth, c.scaleParallel
+		cfg.Scheduling, cfg.Batching, cfg.TraceSample = tn.Manager.Scheduling, tn.Manager.Batching, c.traceSample
+	}
+	rows, failed, err := experiments.RunCampaign(ctx, os.Stdout, c.suite, cfg)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%-10s %10s %10s %12s %12s %10s %10s\n",
-		"shape", "tasks", "edges", "build_ms", "run_ms", "tasks/s", "peak_rss")
-	fmt.Printf("%-10s %10d %10d %12.1f %12.1f %10.0f %10s\n",
-		shapeName(res.Shape), res.Tasks, res.Edges,
-		float64(res.BuildWall.Microseconds())/1e3,
-		float64(res.RunWall.Microseconds())/1e3,
-		res.TasksPerSec, formatBytes(res.PeakRSSBytes))
-	if res.Completed != res.Tasks {
-		fatal(fmt.Errorf("only %d of %d tasks completed", res.Completed, res.Tasks))
+	for _, r := range rows {
+		writeTrace(c.traceDir, fmt.Sprintf("%s_%s_%d_%s", c.suite, r.Recipe, r.Tasks, r.Mode), r.Trace)
 	}
-	writeTrace(traceDir, fmt.Sprintf("scale_%s_%d_%s", shapeName(res.Shape), res.Tasks, res.Scheduling), res.Trace)
+	if len(failed) > 0 {
+		fatal(fmt.Errorf("%d gate failure(s):\n  %s", len(failed), strings.Join(failed, "\n  ")))
+	}
 	fmt.Println()
 }
 
@@ -292,80 +299,6 @@ func writeTrace(dir, name string, tr *wfm.Trace) {
 	fmt.Printf("traces: %s %s (%d spans)\n", chromePath, spanPath, len(tr.Spans))
 }
 
-func shapeName(s string) string {
-	if s == "" {
-		return "random"
-	}
-	return s
-}
-
-func formatBytes(n int64) string {
-	switch {
-	case n <= 0:
-		return "n/a"
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2fGB", float64(n)/float64(1<<30))
-	default:
-		return fmt.Sprintf("%.1fMB", float64(n)/float64(1<<20))
-	}
-}
-
-// runRecovery executes the durable-execution campaign: randomized
-// kill/resume cycles across both scheduling modes, with and without
-// injected faults, asserting the resumed drive state matches an
-// uninterrupted reference and no recorded task runs twice.
-func runRecovery(ctx context.Context, tasks, trials int, seed int64, timeScale float64, batching wfm.BatchOptions, memoize bool) {
-	fmt.Printf("== Recovery: %d-task workflows, %d randomized crash points per cell (memoize=%t) ==\n", tasks, trials, memoize)
-	ts, err := experiments.Recovery(ctx, experiments.RecoveryConfig{
-		Tasks:     tasks,
-		Trials:    trials,
-		Seed:      seed,
-		TimeScale: timeScale / 10, // recovery cells run 4x2 full workflows; keep the campaign snappy
-		Batching:  batching,
-		Memoize:   memoize,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if err := experiments.WriteRecoveryTable(os.Stdout, ts); err != nil {
-		fatal(err)
-	}
-	bad := 0
-	for _, t := range ts {
-		if !t.DriveMatch || t.DuplicateInvocations != 0 {
-			bad++
-		}
-	}
-	if bad > 0 {
-		fatal(fmt.Errorf("%d of %d recovery trials violated durable-execution invariants", bad, len(ts)))
-	}
-	fmt.Printf("\nAll %d trials converged to the reference drive state with zero duplicate invocations.\n\n", len(ts))
-}
-
-// runService executes the multi-run control plane's acceptance
-// campaign — wfmd driven over HTTP through three phases (fair-share
-// under saturation, honest backpressure, daemon crash + restart) —
-// and fails hard if any gate is violated.
-func runService(ctx context.Context, runs, tasks, slots int) {
-	fmt.Printf("== Service: wfmd control plane, %d runs/tenant x %d tasks, %d task slots ==\n", runs, tasks, slots)
-	rep, err := experiments.Service(ctx, experiments.ServiceConfig{
-		RunsPerTenant: runs,
-		TasksPerRun:   tasks,
-		TaskSlots:     slots,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if err := experiments.WriteServiceReport(os.Stdout, rep); err != nil {
-		fatal(err)
-	}
-	if !rep.Gates() {
-		fatal(fmt.Errorf("service campaign violated its acceptance gates"))
-	}
-	fmt.Println("\nAll service gates held: quotas, fair-share ratio, backpressure, crash recovery.")
-	fmt.Println()
-}
-
 // runConcurrent contrasts serverless vs local containers when several
 // workflows are submitted at once (Section VII).
 func runConcurrent(ctx context.Context, sz experiments.Sizes, seed int64, tn experiments.Tunables) {
@@ -393,115 +326,6 @@ func runConcurrent(ctx context.Context, sz experiments.Sizes, seed int64, tn exp
 			m.Paradigm, m.MakespanS, m.SumSoloS, m.Interleave, m.MeanCPUCores, m.MeanMemGB)
 	}
 	fmt.Println()
-}
-
-// runResilience executes the flaky-endpoint experiment: a workflow
-// against a fault-injecting WfBench service, with retries, backoff, and
-// the circuit breaker absorbing the chaos, in both scheduling modes.
-// runHealth executes the straggler campaign: each scheduling mode runs
-// the workflow with the run-health plane off (the injected tail waited
-// out) and on (stragglers flagged, speculative backups raced), and the
-// table reports the makespan cut plus detection completeness. A
-// non-zero "missing" column or a duplicate journal record is a hard
-// failure — the campaign doubles as the CI health-smoke gate.
-func runHealth(ctx context.Context, size int, seed int64, delay time.Duration) {
-	cfg := experiments.HealthConfig{NumTasks: size, Seed: seed, Latency: delay}
-	fmt.Printf("== Health: blast-%d straggler campaign (injected tail %v, speculation on vs off) ==\n", size, delay)
-	ms, err := experiments.HealthCampaign(ctx, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if err := experiments.WriteHealthTable(os.Stdout, ms); err != nil {
-		fatal(err)
-	}
-	for i := range ms {
-		m := &ms[i]
-		if missing := m.Missing(); len(missing) > 0 {
-			fatal(fmt.Errorf("health %s: injected stragglers never flagged: %v", m.Scheduling, missing))
-		}
-		if m.TerminalRecords != m.Tasks || m.JournalCompleted != m.Tasks {
-			fatal(fmt.Errorf("health %s: journal has %d terminal records for %d tasks (duplicate completion?)",
-				m.Scheduling, m.TerminalRecords, m.Tasks))
-		}
-		if m.ImprovementPct < 25 {
-			fatal(fmt.Errorf("health %s: speculation cut makespan by only %.1f%% (%v -> %v), want >= 25%%",
-				m.Scheduling, m.ImprovementPct, m.BaselineWall, m.HealthWall))
-		}
-	}
-	fmt.Println()
-}
-
-func runResilience(ctx context.Context, size int, seed int64, timeScale, errorRate, rejectRate, latencyMS float64, faultSeed int64, traceSample float64, traceDir string, batching wfm.BatchOptions, memoize bool) {
-	cfg := experiments.ResilienceConfig{
-		Recipe:      "blast",
-		NumTasks:    size,
-		Seed:        seed,
-		TimeScale:   timeScale,
-		Batching:    batching,
-		TraceSample: traceSample,
-		Memoize:     memoize,
-		Profile: wfbench.FaultProfile{
-			ErrorRate:     errorRate,
-			RejectRate:    rejectRate,
-			RetryAfter:    0.25 * timeScale,
-			LatencyRate:   0.2,
-			Latency:       time.Duration(latencyMS * float64(time.Millisecond)),
-			LatencyJitter: time.Duration(latencyMS * float64(time.Millisecond)),
-			Seed:          faultSeed,
-		},
-		Breaker: experiments.DefaultResilienceBreaker(),
-	}
-	fmt.Printf("== Resilience: %s-%d through a faulty endpoint (error %.2f, reject %.2f, latency %.0fms) ==\n",
-		cfg.Recipe, size, errorRate, rejectRate, latencyMS)
-	ms, err := experiments.Resilience(ctx, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if err := experiments.WriteResilienceTable(os.Stdout, ms); err != nil {
-		fatal(err)
-	}
-	for _, m := range ms {
-		writeTrace(traceDir, fmt.Sprintf("resilience_%s_%d_%s", cfg.Recipe, size, m.Scheduling), m.Trace)
-		if memoize {
-			fmt.Printf("memoized re-run (%s): %d hit(s), %d miss(es), wall %v\n",
-				m.Scheduling, m.MemoHits, m.MemoMisses, m.MemoWarmWall)
-			if m.MemoHits != m.Tasks || m.MemoMisses != 0 {
-				fatal(fmt.Errorf("memoized re-run was not fully served from cache (%d/%d hits)", m.MemoHits, m.Tasks))
-			}
-		}
-	}
-	fmt.Println()
-}
-
-// runMemo executes the incremental re-execution campaign: cold run,
-// unchanged re-run, 1-task edit, and k-task edit over one persistent
-// drive and memo cache, in both scheduling modes, asserting the exact
-// edit-closure and drive-convergence invariants on every variant.
-func runMemo(ctx context.Context, tasks, edits int, seed int64, timeScale float64, batching wfm.BatchOptions) {
-	fmt.Printf("== Memoization: %d-task workflow, cold / rerun / edit1 / edit%d ==\n", tasks, edits)
-	ms, err := experiments.Memo(ctx, experiments.MemoConfig{
-		Tasks:     tasks,
-		EditTasks: edits,
-		Seed:      seed,
-		TimeScale: timeScale / 10, // the campaign runs 4 variants + references per mode
-		Batching:  batching,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if err := experiments.WriteMemoTable(os.Stdout, ms); err != nil {
-		fatal(err)
-	}
-	bad := 0
-	for _, m := range ms {
-		if !m.Exact || !m.DriveMatch {
-			bad++
-		}
-	}
-	if bad > 0 {
-		fatal(fmt.Errorf("%d of %d memo variants violated incremental re-execution invariants", bad, len(ms)))
-	}
-	fmt.Printf("\nAll %d variants re-invoked exactly the edit closure and converged to the reference drive state.\n\n", len(ms))
 }
 
 func printDesign() {

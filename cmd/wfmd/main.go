@@ -53,7 +53,7 @@ type cli struct {
 func newFlags(fs *flag.FlagSet) *cli {
 	c := new(cli)
 	fs.StringVar(&c.addr, "addr", ":9433", "HTTP listen address")
-	fs.StringVar(&c.cfg.DataDir, "data-dir", "wfmd-data", "service state root: per-run journals, metadata, results")
+	fs.StringVar(&c.cfg.DataDir, "data-dir", "wfmd-data", "service state root: one service log per daemon start, sampled runs' spans")
 	fs.StringVar(&c.workdir, "workdir", "wfbench-data", "shared drive directory the workflows' tasks stage files on")
 
 	fs.Float64Var(&c.cfg.DefaultTenant.Weight, "default-weight", 1, "fair-share weight for tenants not named by -tenant")
@@ -76,7 +76,7 @@ func newFlags(fs *flag.FlagSet) *cli {
 
 	fs.StringVar(&c.journalSync, "journal-sync", "group", "run journal fsync policy: group, always, never")
 	fs.Float64Var(&c.journalGroupMS, "journal-group-ms", 2, "group-commit batching window, wall milliseconds")
-	fs.Float64Var(&c.cfg.TraceSample, "trace-sample", 0, "per-run trace sampling ratio in (0,1]; sampled runs write spans.jsonl into their run dir")
+	fs.Float64Var(&c.cfg.TraceSample, "trace-sample", 0, "per-run trace sampling ratio in (0,1]; sampled runs write spans/<id>.jsonl under -data-dir")
 	fs.StringVar(&c.logLevel, "log-level", "info", "structured logging to stderr: debug, info, warn, error, or off")
 	fs.Var(&c.tenants, "tenant", "tenant quota spec name:weight[:max-runs[:max-tasks]] (repeatable)")
 	return c

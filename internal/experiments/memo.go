@@ -1,10 +1,9 @@
 package experiments
 
-// This file implements the memoization campaign: the acceptance
-// experiment for content-addressed task memoization and incremental
-// re-execution. Each scheduling mode runs a four-variant sequence over
-// one persistent drive + memo cache, modelling how a scientist iterates
-// on a workflow:
+// The memo campaign: the acceptance experiment for content-addressed
+// memoization and incremental re-execution. Each scheduling mode runs
+// four variants over one persistent drive and memo cache, the way a
+// scientist iterates on a workflow:
 //
 //	cold   — empty cache, everything executes, the cache fills.
 //	rerun  — nothing changed: zero invocations, every task memoized.
@@ -13,141 +12,34 @@ package experiments
 //	editk  — k further tasks edited: exactly the union of their
 //	         descendant closures re-executes.
 //
-// Every variant checks two invariants against ground truth from the
-// counting stub: the re-invoked set equals the predicted edit closure
-// EXACTLY (no stragglers, no spurious re-runs), and the final drive
-// state matches an uninterrupted from-scratch run of the same
-// (edited) workflow on a fresh drive.
+// The cache is reopened for every variant, so each probe exercises the
+// on-disk format, not a warm in-memory index.
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"time"
 
-	"wfserverless/internal/memo"
 	"wfserverless/internal/wfm"
 )
 
-// MemoConfig parameterizes the memoization campaign.
-type MemoConfig struct {
-	// Tasks is the synthetic workflow size (default 400).
-	Tasks int
-	// Width is tasks per layer of the random DAG shape (default 32).
-	Width int
-	// EditTasks is k for the k-edit variant (default 8).
-	EditTasks int
-	// Seed drives the DAG shape and the edit choices.
-	Seed int64
-	// MaxParallel bounds simultaneous invocations (default 64).
-	MaxParallel int
-	// TimeScale compresses nominal seconds (default 0.002).
-	TimeScale float64
-	// Batching runs the campaign through the batched invocation
-	// pipeline; memoization sits above the transport, so the edit-scope
-	// invariants must hold identically.
-	Batching wfm.BatchOptions
-}
-
-func (c MemoConfig) withDefaults() MemoConfig {
-	if c.Tasks == 0 {
-		c.Tasks = 400
-	}
-	if c.Width == 0 {
-		c.Width = 32
-	}
-	if c.EditTasks == 0 {
-		c.EditTasks = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 11
-	}
-	if c.MaxParallel == 0 {
-		c.MaxParallel = 64
-	}
-	if c.TimeScale == 0 {
-		c.TimeScale = 0.002
-	}
-	return c
-}
-
-// MemoMeasurement reports one variant of the campaign.
-type MemoMeasurement struct {
-	Scheduling string
-	Variant    string
-	Tasks      int
-
-	// Edited is how many tasks were perturbed before this run;
-	// Expected is the size of their descendant closure — the exact
-	// number of invocations an incremental engine should issue.
-	Edited   int
-	Expected int
-	// Invocations is what the stub actually saw during this run.
-	Invocations int
-
-	// From the run's MemoReport.
-	Hits         int
-	Misses       int
-	SkippedBytes int64
-
-	// Exact reports the re-invoked task set equals the predicted edit
-	// closure, member for member.
-	Exact bool
-	// DriveMatch reports the drive equals a from-scratch reference run
-	// of the same workflow state.
-	DriveMatch bool
-
-	Wall time.Duration
-}
-
-// Memo runs the campaign in both scheduling modes.
-func Memo(ctx context.Context, cfg MemoConfig) ([]MemoMeasurement, error) {
-	cfg = cfg.withDefaults()
-	var out []MemoMeasurement
-	for _, mode := range []wfm.Scheduling{wfm.SchedulePhases, wfm.ScheduleDependency} {
-		ms, err := memoSequence(ctx, cfg, mode)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ms...)
-	}
-	return out, nil
-}
-
-// memoSequence runs cold → rerun → edit1 → editk over one drive and
-// one cache file, reopening the cache between variants so every probe
-// exercises the durable on-disk format, not a warm in-memory index.
-func memoSequence(ctx context.Context, cfg MemoConfig, mode wfm.Scheduling) ([]MemoMeasurement, error) {
-	rcfg := RecoveryConfig{
-		Tasks: cfg.Tasks, Width: cfg.Width, Seed: cfg.Seed,
-		MaxParallel: cfg.MaxParallel, TimeScale: cfg.TimeScale, Batching: cfg.Batching,
-	}
-	env, err := newRecoveryEnv(rcfg, false, 0)
+func newMemo(cfg Config) (*campaign, error) {
+	cfg = cfg.or(Config{Tasks: 400, Width: 32, Edits: 8, Seed: 11, Parallel: 64, TimeScale: 0.002})
+	w, _, err := synthetic("", "random", cfg.Tasks, cfg.Width, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	defer env.Close()
-
-	dir, err := os.MkdirTemp("", "wfm-memo-")
+	// The descendant closure is pure DAG structure, which edits do not
+	// change, so one compile serves every variant's prediction.
+	csr, _, err := w.Compile()
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	cachePath := filepath.Join(dir, "memo.cache")
-
-	// The descendant closure is pure DAG structure; edits don't change
-	// it, so one compile serves every variant's prediction.
-	csr, _, err := env.w.Compile()
-	if err != nil {
-		return nil, err
-	}
-	children := make(map[string][]string, csr.Len())
 	names := make([]string, 0, csr.Len())
+	children := make(map[string][]string, csr.Len())
 	for _, id := range csr.TopoOrder() {
 		names = append(names, csr.Name(id))
 		for _, ch := range csr.Children(id) {
@@ -157,167 +49,94 @@ func memoSequence(ctx context.Context, cfg MemoConfig, mode wfm.Scheduling) ([]M
 	sort.Strings(names)
 	closure := func(roots []string) map[string]bool {
 		out := make(map[string]bool)
-		stack := append([]string(nil), roots...)
-		for len(stack) > 0 {
+		for stack := slices.Clone(roots); len(stack) > 0; {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if out[n] {
-				continue
+			if !out[n] {
+				out[n] = true
+				stack = append(stack, children[n]...)
 			}
-			out[n] = true
-			stack = append(stack, children[n]...)
 		}
 		return out
 	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	edit := func(name string) {
-		env.w.Tasks[name].Command.Arguments[0].CPUWork += 1
-	}
-	// The edit sets of the two edit variants are disjoint: edit1's task
-	// keeps its (already cached) edited fingerprint through editk, so
-	// only the fresh edits' closure re-executes there.
-	perm := rng.Perm(len(names))
-	edit1Set := []string{names[perm[0]]}
-	k := cfg.EditTasks
-	if k > len(names)-1 {
-		k = len(names) - 1
-	}
-	editkSet := make([]string, 0, k)
+	// The two edit sets are disjoint: edit1's task keeps its (already
+	// cached) edited fingerprint through editk, so only the fresh
+	// edits' closure re-executes there.
+	perm := rand.New(rand.NewSource(cfg.Seed)).Perm(len(names))
+	k := min(cfg.Edits, len(names)-1)
+	edits := map[string][]string{"edit1": {names[perm[0]]}}
 	for _, i := range perm[1 : 1+k] {
-		editkSet = append(editkSet, names[i])
+		edits["editk"] = append(edits["editk"], names[i])
 	}
 
-	variants := []struct {
-		name  string
-		edits []string
-	}{
-		{"cold", nil},
-		{"rerun", nil},
-		{"edit1", edit1Set},
-		{"editk", editkSet},
+	c := &campaign{
+		title: fmt.Sprintf("Memoization: %d-task workflow, cold / rerun / edit1 / edit%d", cfg.Tasks, cfg.Edits),
+		opts:  cfg.manager(wfm.Options{Retries: 8, RetryBackoff: 0.2, TaskTimeout: 60}),
+		cells: modes(Cell{Variant: "cold"}, Cell{Variant: "rerun"}, Cell{Variant: "edit1"}, Cell{Variant: "editk"}),
+		columns: []column{
+			modeCol,
+			{"variant", -7, func(r *Row) any { return r.Variant }},
+			tasksCol,
+			{"edited", 7, func(r *Row) any { return r.Edited }},
+			{"expected", 9, func(r *Row) any { return r.Expected }},
+			{"invoked", 8, func(r *Row) any { return r.Invoked }},
+			{"hits", 7, func(r *Row) any { return r.Hits }},
+			{"misses", 7, func(r *Row) any { return r.Misses }},
+			{"skippedBytes", 13, func(r *Row) any { return r.SkippedBytes }},
+			{"exact", 6, func(r *Row) any { return r.Exact }},
+			driveCol,
+			{"wall", 10, func(r *Row) any { return r.Wall.Round(time.Millisecond) }},
+		},
+		gates: []gate{invokedSet, memoHits, driveMatches},
 	}
 
-	var out []MemoMeasurement
-	for i, v := range variants {
-		for _, name := range v.edits {
-			edit(name)
+	var e *env // one world per mode, shared by its four variants
+	c.measure = func(ctx context.Context, cl Cell) (r Row, err error) {
+		if cl.Variant == "cold" {
+			if e, err = newEnv(envSpec{w: w.Clone()}); err != nil {
+				return r, err
+			}
 		}
-		var expect map[string]bool
-		switch {
-		case v.name == "cold":
-			expect = closure(names) // everything
-		case len(v.edits) == 0:
-			expect = map[string]bool{}
-		default:
-			expect = closure(v.edits)
+		defer func() {
+			if err != nil || cl.Variant == "editk" {
+				e.close()
+			}
+		}()
+		for _, name := range edits[cl.Variant] {
+			e.w.Tasks[name].Command.Arguments[0].CPUWork++
 		}
-		m, err := memoVariant(ctx, rcfg, mode, env, cachePath, v.name, len(v.edits), expect)
+		expect := map[string]bool{}
+		switch cl.Variant {
+		case "cold":
+			expect = closure(names)
+		case "edit1", "editk":
+			expect = closure(edits[cl.Variant])
+		}
+		cache, err := e.cache()
 		if err != nil {
-			return out, fmt.Errorf("experiments: memo %s variant %d (%s): %w", mode, i, v.name, err)
+			return r, err
 		}
-		out = append(out, *m)
-	}
-	return out, nil
-}
-
-// memoVariant runs the workflow's current state once against the cache
-// file and checks the exact-edit-scope and drive-convergence invariants.
-func memoVariant(ctx context.Context, rcfg RecoveryConfig, mode wfm.Scheduling, env *recoveryEnv,
-	cachePath, variant string, edited int, expect map[string]bool) (*MemoMeasurement, error) {
-	c, err := memo.Open(cachePath)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	mgr, err := recoveryManager(rcfg, mode, env, nil, c, nil)
-	if err != nil {
-		return nil, err
-	}
-	before := env.stub.Counts()
-	start := time.Now()
-	res, err := mgr.Run(ctx, env.w)
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start)
-	after := env.stub.Counts()
-
-	invoked := make(map[string]bool)
-	total := 0
-	for name, n := range after {
-		if d := n - before[name]; d > 0 {
-			invoked[name] = true
-			total += d
+		defer cache.Close()
+		o := c.opts
+		o.Scheduling, o.Memoize = cl.Mode, cache
+		before := e.stub.Counts()
+		start := time.Now()
+		res, err := e.run(ctx, o)
+		if err != nil {
+			return r, fmt.Errorf("experiments: memo %s: %w", cl, err)
 		}
-	}
-	exact := len(invoked) == len(expect) && total == len(expect)
-	for name := range expect {
-		if !invoked[name] {
-			exact = false
+		r = Row{Tasks: cfg.Tasks, Edited: len(edits[cl.Variant]), Expected: len(expect), Wall: time.Since(start)}
+		r.Invoked, r.Exact = invoked(before, e.stub.Counts(), expect)
+		if res.Memo != nil {
+			r.Hits, r.Misses, r.SkippedBytes = int(res.Memo.Hits), int(res.Memo.Misses), res.Memo.SkippedOutputBytes
 		}
-	}
-
-	// Reference: the same workflow state from scratch on a fresh world.
-	ref, err := memoReference(ctx, rcfg, mode, env)
-	if err != nil {
-		return nil, err
-	}
-
-	m := &MemoMeasurement{
-		Scheduling:  mode.String(),
-		Variant:     variant,
-		Tasks:       rcfg.Tasks,
-		Edited:      edited,
-		Expected:    len(expect),
-		Invocations: total,
-		Exact:       exact,
-		DriveMatch:  slices.Equal(ref, env.drive.List()),
-		Wall:        wall,
-	}
-	if res.Memo != nil {
-		m.Hits = int(res.Memo.Hits)
-		m.Misses = int(res.Memo.Misses)
-		m.SkippedBytes = res.Memo.SkippedOutputBytes
-	}
-	return m, nil
-}
-
-// memoReference runs the env's current workflow state uninterrupted on
-// a fresh drive (no cache) and returns the resulting drive listing.
-// Edits are replayed onto the fresh env by copying the live CPUWork
-// values, so the reference reflects exactly the state under test.
-func memoReference(ctx context.Context, rcfg RecoveryConfig, mode wfm.Scheduling, env *recoveryEnv) ([]string, error) {
-	ref, err := newRecoveryEnv(rcfg, false, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer ref.Close()
-	for name, t := range env.w.Tasks {
-		ref.w.Tasks[name].Command.Arguments[0].CPUWork = t.Command.Arguments[0].CPUWork
-	}
-	m, err := recoveryManager(rcfg, mode, ref, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.Run(ctx, ref.w); err != nil {
-		return nil, fmt.Errorf("memo reference: %w", err)
-	}
-	return ref.drive.List(), nil
-}
-
-// WriteMemoTable renders the measurements as an aligned table.
-func WriteMemoTable(w io.Writer, ms []MemoMeasurement) error {
-	if _, err := fmt.Fprintf(w, "%-12s %-7s %6s %7s %9s %8s %7s %7s %13s %6s %10s %10s\n",
-		"scheduling", "variant", "tasks", "edited", "expected", "invoked", "hits", "misses", "skippedBytes", "exact", "driveMatch", "wall"); err != nil {
-		return err
-	}
-	for _, m := range ms {
-		if _, err := fmt.Fprintf(w, "%-12s %-7s %6d %7d %9d %8d %7d %7d %13d %6t %10t %10s\n",
-			m.Scheduling, m.Variant, m.Tasks, m.Edited, m.Expected, m.Invocations,
-			m.Hits, m.Misses, m.SkippedBytes, m.Exact, m.DriveMatch, m.Wall.Round(time.Millisecond)); err != nil {
-			return err
+		// The reference: the same workflow state from scratch.
+		ref, err := c.reference(ctx, envSpec{w: e.w.Clone()}, cl.Mode)
+		if err != nil {
+			return r, err
 		}
+		r.DriveMatch = slices.Equal(ref, e.drive.List())
+		return r, nil
 	}
-	return nil
+	return c, nil
 }

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"context"
+	"io"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,11 +21,11 @@ import (
 // the same attempts and the injector deals the same faults.
 func TestResilienceSurvivesFaultyEndpoint(t *testing.T) {
 	before := runtime.NumGoroutine()
-	cfg := ResilienceConfig{
+	c, err := newResilience(Config{
 		Recipe:    "blast",
-		NumTasks:  40,
+		Tasks:     40,
 		TimeScale: 0.002,
-		Profile: wfbench.FaultProfile{
+		Faults: wfbench.FaultProfile{
 			ErrorRate:     0.3,
 			RejectRate:    0.05,
 			RetryAfter:    0.005,
@@ -34,56 +34,41 @@ func TestResilienceSurvivesFaultyEndpoint(t *testing.T) {
 			LatencyJitter: 2 * time.Millisecond,
 			Seed:          13,
 		},
-		Retries:      10,
-		RetryBackoff: 0.5,
-		TaskTimeout:  300,
-		Breaker:      DefaultResilienceBreaker(), // armed but must not trip on this mix
+	})
+	if err == nil {
+		// The breaker stays armed (DefaultResilienceBreaker) but must not
+		// trip on this mix.
+		c.opts.Retries, c.opts.RetryBackoff, c.opts.TaskTimeout = 10, 0.5, 300
 	}
-	ms, err := Resilience(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms, out := runCampaign(t, c, err)
 	if len(ms) != 2 {
-		t.Fatalf("got %d measurements, want one per scheduling mode", len(ms))
+		t.Fatalf("got %d rows, want one per scheduling mode", len(ms))
 	}
-	again, err := Resilience(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again, _ := runCampaign(t, c, nil)
 	modes := map[string]bool{}
 	for i, m := range append(ms, again...) {
-		if !reflect.DeepEqual(m.TaskAttempts, ms[0].TaskAttempts) || m.Faults != ms[0].Faults {
+		if !reflect.DeepEqual(m.TaskAttempts, ms[0].TaskAttempts) || m.FaultStats != ms[0].FaultStats {
 			t.Fatalf("run %d (%s): attempts %v faults %+v, run 0 (%s): %v %+v",
-				i, m.Scheduling, m.TaskAttempts, m.Faults, ms[0].Scheduling, ms[0].TaskAttempts, ms[0].Faults)
+				i, m.Mode, m.TaskAttempts, m.FaultStats, ms[0].Mode, ms[0].TaskAttempts, ms[0].FaultStats)
 		}
 		if len(m.Breakers) != 0 {
-			t.Fatalf("%s: the breaker moved on a noisy endpoint: %+v", m.Scheduling, m.Breakers)
+			t.Fatalf("%s: the breaker moved on a noisy endpoint: %+v", m.Mode, m.Breakers)
 		}
-		modes[m.Scheduling] = true
-		if m.Failed != 0 {
-			t.Fatalf("%s: %d tasks failed through the resilience layer", m.Scheduling, m.Failed)
-		}
-		if m.Faults.Errors == 0 {
-			t.Fatalf("%s: injector fired no faults: %+v", m.Scheduling, m.Faults)
+		modes[m.Mode.String()] = true
+		if m.FaultStats.Errors == 0 {
+			t.Fatalf("%s: injector fired no faults: %+v", m.Mode, m.FaultStats)
 		}
 		if m.Retries == 0 {
-			t.Fatalf("%s: no retries recorded despite %d injected errors", m.Scheduling, m.Faults.Errors)
+			t.Fatalf("%s: no retries recorded despite %d injected errors", m.Mode, m.FaultStats.Errors)
 		}
 		if m.Attempts != m.Tasks+m.Retries {
-			t.Fatalf("%s: attempts %d != tasks %d + retries %d", m.Scheduling, m.Attempts, m.Tasks, m.Retries)
+			t.Fatalf("%s: attempts %d != tasks %d + retries %d", m.Mode, m.Attempts, m.Tasks, m.Retries)
 		}
 	}
 	if !modes["phases"] || !modes["dependency"] {
 		t.Fatalf("modes covered: %v", modes)
 	}
-
-	var buf strings.Builder
-	if err := WriteResilienceTable(&buf, ms); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "dependency") || !strings.Contains(buf.String(), "phases") {
-		t.Fatalf("table missing modes:\n%s", buf.String())
-	}
+	checkSeeded(t, "resilience", []string{out}, len(ms))
 
 	// Both experiment runs torn down: no lingering goroutines.
 	deadline := time.Now().Add(2 * time.Second)
@@ -99,22 +84,24 @@ func TestResilienceSurvivesFaultyEndpoint(t *testing.T) {
 // TestResilienceBreakerOpensOnDeadService: total outage with a hair
 // trigger — the breaker must actually open and the error must surface.
 func TestResilienceBreakerOpensOnDeadService(t *testing.T) {
-	cfg := ResilienceConfig{
+	c, err := newResilience(Config{
 		Recipe:    "seismology",
-		NumTasks:  20,
+		Tasks:     20,
 		TimeScale: 0.002,
-		Profile:   wfbench.FaultProfile{ErrorRate: 1, Seed: 3},
-		Retries:   2,
-		Breaker: wfm.BreakerOptions{
-			Enabled:          true,
-			Window:           8,
-			FailureThreshold: 0.5,
-			MinSamples:       4,
-			Cooldown:         1000,
-		},
+		Faults:    wfbench.FaultProfile{ErrorRate: 1, Seed: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := Resilience(context.Background(), cfg)
-	if err == nil {
+	c.opts.Retries = 2
+	c.opts.Breaker = wfm.BreakerOptions{
+		Enabled:          true,
+		Window:           8,
+		FailureThreshold: 0.5,
+		MinSamples:       4,
+		Cooldown:         1000,
+	}
+	if _, _, err := c.run(context.Background(), io.Discard); err == nil {
 		t.Fatal("fully-dead endpoint reported success")
 	}
 }

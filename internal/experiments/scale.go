@@ -1,14 +1,13 @@
 package experiments
 
-// This file implements the scale campaign: how far past the paper's
-// 250-task workflows the prototype's hot path goes. A synthetic
-// workflow of up to 100k tasks is built in memory, compiled, and
-// executed end-to-end through the workflow manager against a loopback
-// WfBench stub that publishes outputs to the shared drive — so the
-// measured cost is DAG compilation, scheduling, invocation encoding,
-// HTTP dispatch, and result accounting, not simulated compute. Peak
-// RSS is read from /proc/self/status (VmHWM) to verify memory stays
-// bounded.
+// The scale campaign: how far past the paper's 250-task workflows the
+// prototype's hot path goes. A synthetic workflow of up to 100k tasks
+// is built in memory, compiled, and executed end to end through the
+// workflow manager against the loopback stub, which publishes outputs
+// to the shared drive, so the measured cost is DAG compilation,
+// scheduling, invocation encoding, dispatch and result accounting, not
+// simulated compute. Peak RSS is read from /proc/self/status (VmHWM)
+// to verify memory stays bounded.
 
 import (
 	"context"
@@ -19,170 +18,85 @@ import (
 	"strings"
 	"time"
 
-	"wfserverless/internal/obs"
-	"wfserverless/internal/sharedfs"
-	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
 	"wfserverless/internal/wfm"
 )
 
-// ScaleConfig configures one scale run.
-type ScaleConfig struct {
-	// Tasks is the synthetic workflow size (e.g. 100_000).
-	Tasks int
-	// Shape is the DAG generator: "random" (layered, two random
-	// parents per task — the acceptance shape), "chain", or "fanout".
-	Shape string
-	// Width is tasks per layer for the random shape; 0 defaults to 64.
-	Width int
-	// Scheduling selects the manager mode; dependency is the mode the
-	// scale target is specified against.
-	Scheduling wfm.Scheduling
-	// MaxParallel bounds simultaneous invocations; 0 defaults to 256
-	// (unbounded would open one connection per ready task).
-	MaxParallel int
-	// Seed drives the random shape.
-	Seed int64
-	// Batching runs the campaign through the manager's batched
-	// invocation pipeline (wfm.BatchOptions) — the scale knob that
-	// breaks the HTTP/1 request-per-task wall.
-	Batching wfm.BatchOptions
-	// TraceSample enables span collection: the fraction of workflow
-	// roots recorded (1 records everything, 0 disables). At 100k tasks
-	// a fully sampled run holds ~200k spans in memory; the overhead
-	// benchmark in internal/wfm quantifies the hot-path cost.
-	TraceSample float64
-}
-
-// ScaleResult reports one scale run.
-type ScaleResult struct {
-	Tasks        int
-	Edges        int
-	Shape        string
-	Scheduling   string
-	BuildWall    time.Duration // workflow construction + validation
-	RunWall      time.Duration // manager Run, end to end
-	TasksPerSec  float64
-	PeakRSSBytes int64 // VmHWM after the run; 0 where /proc is absent
-	Completed    int
-	// Trace carries the run's spans when TraceSample was set; nil
-	// otherwise.
-	Trace *wfm.Trace
-}
-
-// Scale builds and executes the configured synthetic workflow.
-func Scale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
+func newScale(cfg Config) (*campaign, error) {
+	cfg = cfg.or(Config{Shape: "random", Width: 64, Parallel: 256, TimeScale: 0.001})
 	if cfg.Tasks <= 0 {
-		return nil, fmt.Errorf("experiments: Scale needs Tasks > 0")
+		return nil, fmt.Errorf("experiments: scale needs Tasks > 0")
 	}
-	if cfg.MaxParallel == 0 {
-		cfg.MaxParallel = 256
+	c := &campaign{
+		title: fmt.Sprintf("Scale: %d-task %s workflow, %s scheduling", cfg.Tasks, cfg.Shape, cfg.Scheduling),
+		// The stub answers in microseconds, so nominal seconds are
+		// compressed hard: the phase-mode inter-phase delay becomes 1ms
+		// (a 100k chain has thousands of levels), and the input wait
+		// still allows 5s of wall time.
+		opts:  cfg.manager(wfm.Options{InputWait: 5000}),
+		cells: []Cell{{Mode: cfg.Scheduling}},
+		columns: []column{
+			{"shape", -10, func(r *Row) any { return r.Recipe }},
+			{"tasks", 10, func(r *Row) any { return r.Tasks }},
+			{"edges", 10, func(r *Row) any { return r.Edges }},
+			{"build_ms", 12, func(r *Row) any { return fmt.Sprintf("%.1f", float64(r.BuildWall.Microseconds())/1e3) }},
+			{"run_ms", 12, func(r *Row) any { return fmt.Sprintf("%.1f", float64(r.Wall.Microseconds())/1e3) }},
+			{"tasks/s", 10, func(r *Row) any { return fmt.Sprintf("%.0f", r.TasksPerSec) }},
+			{"peak_rss", 10, func(r *Row) any { return formatBytes(r.PeakRSS) }},
+		},
+		gates: []gate{{"every task completed", func(r *Row) bool { return r.Completed == r.Tasks }}},
 	}
-	drive := sharedfs.NewMem()
-	// The loopback endpoint does no simulated compute and answers both
-	// the single-task POST and the framed /invoke-batch surface, so
-	// either transport measures the same amount of real work per task.
-	stub, err := wfbench.ListenLoopback(wfbench.NewEndpoint(wfbench.NewStub(drive, 0)))
-	if err != nil {
-		return nil, err
-	}
-	defer stub.Close()
-
-	buildStart := time.Now()
-	w, edges, err := scaleWorkflow(cfg, stub.URL()+"/wfbench")
-	if err != nil {
-		return nil, err
-	}
-	var tracer *obs.Tracer
-	if cfg.TraceSample > 0 {
-		tracer = obs.NewTracer(obs.Options{SampleRatio: cfg.TraceSample})
-	}
-	m, err := wfm.New(wfm.Options{
-		Drive:       drive,
-		MaxParallel: cfg.MaxParallel,
-		Scheduling:  cfg.Scheduling,
-		Batching:    cfg.Batching,
-		Tracer:      tracer,
-		// The stub answers in microseconds, so nominal paper seconds
-		// are compressed hard: the phase-mode inter-phase delay becomes
-		// 1ms instead of 1s (a 100k chain has thousands of levels), and
-		// InputWait still allows 5s of wall time per wait.
-		TimeScale: 0.001,
-		InputWait: 5000,
-	})
-	if err != nil {
-		return nil, err
-	}
-	build := time.Since(buildStart)
-
-	runStart := time.Now()
-	res, err := m.Run(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	run := time.Since(runStart)
-
-	completed := 0
-	for _, tr := range res.Tasks {
-		if tr.Err == nil && tr.Name != wfm.HeaderName && tr.Name != wfm.TailName {
-			completed++
+	c.measure = func(ctx context.Context, cl Cell) (Row, error) {
+		start := time.Now()
+		w, edges, err := synthetic("", cfg.Shape, cfg.Tasks, cfg.Width, cfg.Seed)
+		if err != nil {
+			return Row{}, err
 		}
+		e, err := newEnv(envSpec{w: w})
+		if err != nil {
+			return Row{}, err
+		}
+		defer e.close()
+		o := c.opts
+		o.Scheduling, o.Tracer = cl.Mode, cfg.tracer()
+		m, err := e.manager(o)
+		if err != nil {
+			return Row{}, err
+		}
+		r := Row{Recipe: cfg.Shape, Tasks: cfg.Tasks, Edges: edges, BuildWall: time.Since(start)}
+		start = time.Now()
+		res, err := m.Run(ctx, e.w)
+		if err != nil {
+			return r, err
+		}
+		r.Wall = time.Since(start)
+		r.TasksPerSec = float64(cfg.Tasks) / r.Wall.Seconds()
+		r.PeakRSS = PeakRSS()
+		for _, tr := range res.Tasks {
+			if tr.Err == nil && tr.Name != wfm.HeaderName && tr.Name != wfm.TailName {
+				r.Completed++
+			}
+		}
+		if o.Tracer != nil {
+			r.Trace = wfm.TraceOf(res)
+		}
+		return r, nil
 	}
-	sr := &ScaleResult{
-		Tasks:        cfg.Tasks,
-		Edges:        edges,
-		Shape:        cfg.Shape,
-		Scheduling:   cfg.Scheduling.String(),
-		BuildWall:    build,
-		RunWall:      run,
-		TasksPerSec:  float64(cfg.Tasks) / run.Seconds(),
-		PeakRSSBytes: PeakRSS(),
-		Completed:    completed,
-	}
-	if tracer != nil {
-		sr.Trace = wfm.TraceOf(res)
-	}
-	return sr, nil
+	return c, nil
 }
 
-// scaleWorkflow builds the synthetic DAG. Every task publishes one
-// output file; non-root tasks consume their parents' outputs, so DAG
-// edges and shared-drive waits line up exactly.
-func scaleWorkflow(cfg ScaleConfig, url string) (*wfformat.Workflow, int, error) {
-	n := cfg.Tasks
-	w := wfformat.New(fmt.Sprintf("scale-%s-%d", cfg.Shape, n))
-	name := func(i int) string { return fmt.Sprintf("task_%08d", i) }
-	out := func(i int) string { return fmt.Sprintf("out_%08d", i) }
-	mk := func(i int, parents []int) *wfformat.Task {
-		inputs := make([]string, len(parents))
-		files := make([]wfformat.File, 0, len(parents)+1)
-		files = append(files, wfformat.File{Link: wfformat.LinkOutput, Name: out(i), SizeInBytes: 1})
-		for j, p := range parents {
-			inputs[j] = out(p)
-			files = append(files, wfformat.File{Link: wfformat.LinkInput, Name: out(p), SizeInBytes: 1})
-		}
-		return &wfformat.Task{
-			Name: name(i),
-			Type: wfformat.TypeCompute,
-			Command: wfformat.Command{
-				Program: "wfbench",
-				Arguments: []wfformat.Argument{{
-					Name:    name(i),
-					CPUWork: 0,
-					Out:     map[string]int64{out(i): 1},
-					Inputs:  inputs,
-				}},
-				APIURL: url,
-			},
-			Files:            files,
-			RuntimeInSeconds: 0.001,
-			Cores:            1,
-			Category:         "scale",
-		}
-	}
-
+// synthetic builds an n-task DAG of the given shape: "random" (layered,
+// width tasks a layer, two random parents each), "chain" or "fanout".
+// Task i is "<prefix>task_%08d" and publishes one output,
+// "<prefix>out_%08d", that its children consume, so DAG edges and
+// shared-drive waits line up exactly. It returns the workflow and its
+// edge count.
+func synthetic(prefix, shape string, n, width int, seed int64) (*wfformat.Workflow, int, error) {
+	w := wfformat.New(fmt.Sprintf("%sscale-%s-%d", prefix, shape, n))
+	name := func(i int) string { return fmt.Sprintf("%stask_%08d", prefix, i) }
+	out := func(i int) string { return fmt.Sprintf("%sout_%08d", prefix, i) }
 	parentsOf := make([][]int, n)
-	switch cfg.Shape {
+	switch shape {
 	case "chain":
 		for i := 1; i < n; i++ {
 			parentsOf[i] = []int{i - 1}
@@ -191,19 +105,10 @@ func scaleWorkflow(cfg ScaleConfig, url string) (*wfformat.Workflow, int, error)
 		for i := 1; i < n; i++ {
 			parentsOf[i] = []int{0}
 		}
-	case "random", "":
-		width := cfg.Width
-		if width <= 0 {
-			width = 64
-		}
-		r := rand.New(rand.NewSource(cfg.Seed + 1))
+	case "random":
+		r := rand.New(rand.NewSource(seed + 1))
 		for i := width; i < n; i++ {
-			layer := i / width
-			prevStart := (layer - 1) * width
-			prevEnd := layer * width
-			if prevEnd > i {
-				prevEnd = i
-			}
+			prevStart, prevEnd := (i/width-1)*width, min(i/width*width, i)
 			a := prevStart + r.Intn(prevEnd-prevStart)
 			b := prevStart + r.Intn(prevEnd-prevStart)
 			if a == b {
@@ -213,17 +118,34 @@ func scaleWorkflow(cfg ScaleConfig, url string) (*wfformat.Workflow, int, error)
 			}
 		}
 	default:
-		return nil, 0, fmt.Errorf("experiments: unknown scale shape %q", cfg.Shape)
+		return nil, 0, fmt.Errorf("experiments: unknown scale shape %q", shape)
 	}
 
-	edges := 0
-	for i := 0; i < n; i++ {
-		if err := w.AddTask(mk(i, parentsOf[i])); err != nil {
+	for i, parents := range parentsOf {
+		inputs := make([]string, len(parents))
+		files := []wfformat.File{{Link: wfformat.LinkOutput, Name: out(i), SizeInBytes: 1}}
+		for j, p := range parents {
+			inputs[j] = out(p)
+			files = append(files, wfformat.File{Link: wfformat.LinkInput, Name: out(p), SizeInBytes: 1})
+		}
+		if err := w.AddTask(&wfformat.Task{
+			Name: name(i),
+			Type: wfformat.TypeCompute,
+			Command: wfformat.Command{
+				Program:   "wfbench",
+				Arguments: []wfformat.Argument{{Name: name(i), Out: map[string]int64{out(i): 1}, Inputs: inputs}},
+			},
+			Files:            files,
+			RuntimeInSeconds: 0.001,
+			Cores:            1,
+			Category:         "scale",
+		}); err != nil {
 			return nil, 0, err
 		}
 	}
-	for i := 0; i < n; i++ {
-		for _, p := range parentsOf[i] {
+	edges := 0
+	for i, parents := range parentsOf {
+		for _, p := range parents {
 			if err := w.Link(name(p), name(i)); err != nil {
 				return nil, 0, err
 			}
@@ -241,18 +163,21 @@ func PeakRSS() int64 {
 		return 0
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
+		if fields := strings.Fields(line); len(fields) >= 2 && fields[0] == "VmHWM:" {
+			kb, _ := strconv.ParseInt(fields[1], 10, 64)
+			return kb << 10
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb << 10
 	}
 	return 0
+}
+
+func formatBytes(n int64) string {
+	switch {
+	case n <= 0:
+		return "n/a"
+	case n >= 1<<30:
+		return fmt.Sprintf("%.2fGB", float64(n)/float64(1<<30))
+	default:
+		return fmt.Sprintf("%.1fMB", float64(n)/float64(1<<20))
+	}
 }

@@ -2,60 +2,47 @@ package experiments
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"wfserverless/internal/wfm"
 )
 
 // TestScaleSmall runs the scale campaign end-to-end at a size small
-// enough for tier-1: every task completes, throughput and RSS are
-// reported.
+// enough for tier-1: every task completes (the campaign's gate), and
+// throughput and RSS are reported.
 func TestScaleSmall(t *testing.T) {
+	var outs []string
 	for _, shape := range []string{"random", "chain", "fanout"} {
-		res, err := Scale(context.Background(), ScaleConfig{
-			Tasks:       300,
-			Shape:       shape,
-			Scheduling:  wfm.ScheduleDependency,
-			MaxParallel: 32,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", shape, err)
+		c, err := newScale(Config{Tasks: 300, Shape: shape, Scheduling: wfm.ScheduleDependency, Parallel: 32})
+		rows, out := runCampaign(t, c, err)
+		if rows[0].TasksPerSec <= 0 {
+			t.Fatalf("%s: TasksPerSec = %v", shape, rows[0].TasksPerSec)
 		}
-		if res.Completed != 300 {
-			t.Fatalf("%s: completed %d of 300", shape, res.Completed)
-		}
-		if res.TasksPerSec <= 0 {
-			t.Fatalf("%s: TasksPerSec = %v", shape, res.TasksPerSec)
-		}
-		if shape != "fanout" && res.Edges == 0 {
+		if shape != "fanout" && rows[0].Edges == 0 {
 			t.Fatalf("%s: no edges", shape)
 		}
+		outs = append(outs, out)
 	}
+	checkSeeded(t, "scale", outs, 1)
 }
 
 // TestScalePhasesMode pins that the campaign also runs under the
 // paper's phase-barrier mode.
 func TestScalePhasesMode(t *testing.T) {
-	res, err := Scale(context.Background(), ScaleConfig{
-		Tasks:       120,
-		Shape:       "random",
-		Width:       16,
-		Scheduling:  wfm.SchedulePhases,
-		MaxParallel: 32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 120 {
-		t.Fatalf("completed %d of 120", res.Completed)
-	}
+	c, err := newScale(Config{Tasks: 120, Shape: "random", Width: 16, Scheduling: wfm.SchedulePhases, Parallel: 32})
+	runCampaign(t, c, err)
 }
 
 func TestScaleRejectsBadConfig(t *testing.T) {
-	if _, err := Scale(context.Background(), ScaleConfig{Tasks: 0}); err == nil {
+	if _, err := newScale(Config{Tasks: 0}); err == nil {
 		t.Fatal("Tasks=0 accepted")
 	}
-	if _, err := Scale(context.Background(), ScaleConfig{Tasks: 10, Shape: "mystery"}); err == nil {
+	c, err := newScale(Config{Tasks: 10, Shape: "mystery"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.run(context.Background(), io.Discard); err == nil {
 		t.Fatal("unknown shape accepted")
 	}
 }

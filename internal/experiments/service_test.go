@@ -1,47 +1,23 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestServiceCampaign is the CI-sized multi-run control-plane
 // acceptance experiment: the full three phases (fairness/quota,
 // backpressure, crash recovery) at default dimensions — small enough
-// for CI, large enough for the contested-grant ratio to converge.
+// for CI, large enough for the contested-grant ratio to converge. The
+// campaign's gates are the quota, fair-share, backpressure and
+// recovery checks.
 func TestServiceCampaign(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	rep, err := Service(ctx, ServiceConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.GateQuota {
-		t.Errorf("run quota gate: highwater heavy=%d light=%d, quota %d",
-			rep.HeavyHighwater, rep.LightHighwater, rep.RunQuota)
-	}
-	if !rep.GateFairShare {
-		t.Errorf("fair-share gate: contested ratio %.2f (heavy=%d light=%d), target %.2f +-15%%",
-			rep.ContestedRatio, rep.HeavyContested, rep.LightContested, rep.TargetRatio)
-	}
-	if !rep.GateBackpressure {
-		t.Errorf("backpressure gate: 429s=%d retry-after=%q drained=%d",
-			rep.Submitted429, rep.RetryAfterHdr, rep.DrainedRuns)
-	}
-	if !rep.GateRecovery {
-		t.Errorf("recovery gate: %d/%d succeeded, resumed=%d, journalled=%d, duplicates=%d",
-			rep.RecoveredSucceeded, rep.RecoveryRuns, rep.ResumedRuns,
-			rep.CrashCompleted, rep.DuplicateInvocations)
-	}
-	var sb strings.Builder
-	if err := WriteServiceReport(&sb, rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"fairness/quota", "backpressure", "recovery", "[PASS]"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("report missing %q:\n%s", want, sb.String())
+	c, err := newService(Config{})
+	rows, out := runCampaign(t, c, err)
+	for _, want := range []string{"fairness", "backpressure", "recovery", "[PASS]"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
+	checkSeeded(t, "service", []string{out}, len(rows))
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 
 	"wfserverless/internal/obs"
@@ -13,16 +12,9 @@ import (
 // with TraceSample set, the result carries a trace whose root is the
 // workflow span; without it, no trace rides along.
 func TestScaleCarriesTrace(t *testing.T) {
-	res, err := Scale(context.Background(), ScaleConfig{
-		Tasks:       60,
-		Shape:       "chain",
-		Scheduling:  wfm.ScheduleDependency,
-		MaxParallel: 16,
-		TraceSample: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, err := newScale(Config{Tasks: 60, Shape: "chain", Scheduling: wfm.ScheduleDependency, Parallel: 16, TraceSample: 1})
+	rows, _ := runCampaign(t, c, err)
+	res := rows[0]
 	if res.Trace == nil || res.Trace.TraceID == "" {
 		t.Fatal("TraceSample=1 produced no trace")
 	}
@@ -36,13 +28,8 @@ func TestScaleCarriesTrace(t *testing.T) {
 		t.Fatalf("critical path has %d spans", len(path))
 	}
 
-	res, err = Scale(context.Background(), ScaleConfig{
-		Tasks: 10, Shape: "chain", Scheduling: wfm.ScheduleDependency, MaxParallel: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace != nil {
+	c, err = newScale(Config{Tasks: 10, Shape: "chain", Scheduling: wfm.ScheduleDependency, Parallel: 4})
+	if rows, _ = runCampaign(t, c, err); rows[0].Trace != nil {
 		t.Fatal("tracing off but a trace rode along")
 	}
 }
@@ -51,30 +38,29 @@ func TestScaleCarriesTrace(t *testing.T) {
 // injector: spans survive the flaky endpoint, including WfBench phase
 // leaves that crossed the HTTP hop via Traceparent.
 func TestResilienceCarriesTrace(t *testing.T) {
-	ms, err := Resilience(context.Background(), ResilienceConfig{
-		NumTasks:    12,
+	c, err := newResilience(Config{
+		Tasks:       12,
 		TimeScale:   0.002,
-		Workers:     8,
-		Profile:     wfbench.FaultProfile{ErrorRate: 0.2, Seed: 5},
-		Breaker:     DefaultResilienceBreaker(),
+		Faults:      wfbench.FaultProfile{ErrorRate: 0.2, Seed: 5},
 		TraceSample: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		c.env.workers = 8
 	}
+	ms, _ := runCampaign(t, c, err)
 	if len(ms) != 2 {
-		t.Fatalf("measurements = %d, want 2", len(ms))
+		t.Fatalf("rows = %d, want 2", len(ms))
 	}
 	for _, m := range ms {
 		if m.Trace == nil || len(m.Trace.Spans) == 0 {
-			t.Fatalf("%s: no trace collected", m.Scheduling)
+			t.Fatalf("%s: no trace collected", m.Mode)
 		}
 		layers := map[string]bool{}
 		for _, sp := range m.Trace.Spans {
 			layers[sp.Layer] = true
 		}
 		if !layers[obs.LayerWFM] || !layers[obs.LayerWfbench] {
-			t.Fatalf("%s: trace layers = %v, want wfm and wfbench", m.Scheduling, layers)
+			t.Fatalf("%s: trace layers = %v, want wfm and wfbench", m.Mode, layers)
 		}
 	}
 }

@@ -1,0 +1,105 @@
+package memo
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// frame is one record as the cache file holds it.
+func frame(fp [32]byte, outs []Output) []byte {
+	payload := appendEntry(nil, fp, outs)
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+}
+
+// intact reports whether data holds, at any offset, a record whose CRC
+// checks and whose entry is fp -> outs.
+func intact(data []byte, fp [32]byte, outs []Output) bool {
+	for i := 0; i+8 <= len(data); i++ {
+		n := int(binary.LittleEndian.Uint32(data[i:]))
+		if n <= 0 || n > len(data)-i-8 {
+			continue
+		}
+		payload := data[i+4 : i+4+n]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[i+4+n:]) {
+			continue
+		}
+		if got, gotOuts, ok := decodeEntry(payload); ok && got == fp && reflect.DeepEqual(gotOuts, outs) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzMemoOpen opens arbitrary cache-file bytes: a genuine file of n
+// entries cut at cut, with tail appended. Open must never fail on the
+// content; every hit must be a record that sits intact in the file;
+// every genuine entry that survived the cut whole must hit; and
+// reopening the repaired file must drop nothing more.
+func FuzzMemoOpen(f *testing.F) {
+	f.Add(uint8(3), uint16(0xffff), []byte{})
+	f.Add(uint8(3), uint16(100), []byte("torn"))
+	f.Add(uint8(0), uint16(4), []byte("WFMEMO1\n"))
+	f.Add(uint8(2), uint16(0xffff), frame(testFP(9), testOuts(9)))
+	f.Add(uint8(1), uint16(0), []byte("not a memo cache"))
+	f.Fuzz(func(t *testing.T, n uint8, cut uint16, tail []byte) {
+		path := filepath.Join(t.TempDir(), "memo.cache")
+		c, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := int(n % 6)
+		for i := 0; i < entries; i++ {
+			c.Put(testFP(i), testOuts(i))
+		}
+		c.Close()
+		genuine, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := append(genuine[:min(int(cut), len(genuine)):min(int(cut), len(genuine))], tail...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		c, err = Open(path)
+		if err != nil {
+			t.Fatalf("Open failed on the file's content: %v", err)
+		}
+		for fp, outs := range c.index {
+			if !intact(data, fp, outs) {
+				t.Fatalf("hit %x is no record written intact", fp[:4])
+			}
+		}
+		off := len(magic)
+		for i := 0; i < entries && int(cut) >= len(magic); i++ {
+			if off += len(frame(testFP(i), testOuts(i))); off > int(cut) {
+				break
+			}
+			if _, ok := c.Lookup(testFP(i)); !ok {
+				t.Fatalf("entry %d survived the cut whole but does not hit", i)
+			}
+		}
+		index := c.index
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		re, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if dropped, repaired := re.Recovered(); repaired {
+			t.Fatalf("reopening the repaired file dropped %d more bytes", dropped)
+		}
+		if !reflect.DeepEqual(re.index, index) {
+			t.Fatalf("reopened index has %d entries, want %d", len(re.index), len(index))
+		}
+	})
+}

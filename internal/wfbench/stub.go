@@ -19,23 +19,27 @@ type Stub struct {
 	delay time.Duration
 
 	mu    sync.Mutex
-	n     map[string]int
+	n     map[string]*int
 	total int
 }
 
 // NewStub returns a stub publishing to drive after delay.
 func NewStub(drive sharedfs.Drive, delay time.Duration) *Stub {
-	return &Stub{drive: drive, delay: delay, n: make(map[string]int)}
+	return &Stub{drive: drive, delay: delay, n: make(map[string]*int)}
 }
 
 // Invoke implements Executor.
 func (s *Stub) Invoke(_ context.Context, _ string, req *Request) (*Response, error) {
 	s.mu.Lock()
-	if _, seen := s.n[req.Name]; !seen {
-		// A batch's names are cuts of its whole body: the tally keeps a copy.
-		s.n[strings.Clone(req.Name)] = 0
+	n := s.n[req.Name]
+	if n == nil {
+		// A batch's names are cuts of its recycled body: the tally keys a
+		// copy, and counts through the pointer so the key is never stored
+		// again.
+		n = new(int)
+		s.n[strings.Clone(req.Name)] = n
 	}
-	s.n[req.Name]++
+	*n++
 	s.total++
 	s.mu.Unlock()
 	if s.delay > 0 {
@@ -53,7 +57,7 @@ func (s *Stub) Counts() map[string]int {
 	defer s.mu.Unlock()
 	out := make(map[string]int, len(s.n))
 	for k, v := range s.n {
-		out[k] = v
+		out[k] = *v
 	}
 	return out
 }
