@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-module tier1 check race fuzz-smoke campaigns service-smoke alloc-sites vet clean
+.PHONY: all build test bench-module tier1 check race fuzz-smoke campaigns examples service-smoke alloc-sites vet clean
 
 all: tier1
 
@@ -105,6 +105,15 @@ campaigns:
 	$(GO) run ./cmd/experiments -suite resilience
 	$(GO) run ./cmd/experiments -suite resilience -batch
 	$(GO) run ./cmd/experiments -suite recovery -recovery-tasks 120 -recovery-trials 2
+
+# examples runs each example program end to end; a non-zero exit fails
+# the target. Each takes a few seconds.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/hybrid
+	$(GO) run ./examples/genomics
+	$(GO) run ./examples/multiphase
+	$(GO) run ./examples/federation
 
 # check is the pre-merge bar: tier1 plus vet and the race detector.
 check: tier1 vet race

@@ -59,7 +59,7 @@ func BenchmarkTable2Paradigms(b *testing.B) {
 	tn := benchTunables()
 	for i := 0; i < b.N; i++ {
 		for _, s := range experiments.All() {
-			if _, err := experiments.SessionConfig(s, tn); err != nil {
+			if _, _, err := experiments.Configure(s, tn); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -232,7 +232,7 @@ func BenchmarkAblationColdStart(b *testing.B) {
 		b.Run(fmt.Sprintf("coldstart_%vs", cs), func(b *testing.B) {
 			var m *experiments.Measurement
 			for i := 0; i < b.N; i++ {
-				m = ablationCell(b, func(tn *experiments.Tunables) { tn.ColdStart = cs })
+				m = ablationCell(b, func(tn *experiments.Tunables) { tn.Platform.ColdStart = cs })
 			}
 			b.ReportMetric(m.MakespanS, "makespan_s")
 		})
@@ -250,7 +250,7 @@ func BenchmarkAblationRampPolicy(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var m *experiments.Measurement
 			for i := 0; i < b.N; i++ {
-				m = ablationCell(b, func(tn *experiments.Tunables) { tn.InstantScaleUp = instant })
+				m = ablationCell(b, func(tn *experiments.Tunables) { tn.Platform.InstantScaleUp = instant })
 			}
 			b.ReportMetric(m.MakespanS, "makespan_s")
 			b.ReportMetric(float64(m.ColdStarts), "cold_starts")
@@ -266,7 +266,7 @@ func BenchmarkAblationStableWindow(b *testing.B) {
 		b.Run(fmt.Sprintf("window_%vs", win), func(b *testing.B) {
 			var m *experiments.Measurement
 			for i := 0; i < b.N; i++ {
-				m = ablationCell(b, func(tn *experiments.Tunables) { tn.StableWindow = win })
+				m = ablationCell(b, func(tn *experiments.Tunables) { tn.Platform.StableWindow = win })
 			}
 			b.ReportMetric(m.MeanCPUCores, "mean_cpu_cores")
 			b.ReportMetric(m.MakespanS, "makespan_s")

@@ -24,7 +24,7 @@ import (
 	"sort"
 	"strings"
 
-	"wfserverless/internal/analysis"
+	"wfserverless/internal/experiments"
 	"wfserverless/internal/health"
 	"wfserverless/internal/metrics"
 	"wfserverless/internal/obs"
@@ -36,7 +36,7 @@ func main() {
 	var (
 		csvPath   = flag.String("csv", "results/campaign.csv", "campaign CSV from cmd/experiments")
 		figure    = flag.String("figure", "", "figure to render (default: all present)")
-		metric    = flag.String("metric", "", "metric to render (default: all of "+fmt.Sprint(analysis.Metrics)+")")
+		metric    = flag.String("metric", "", "metric to render (default: all of "+fmt.Sprint(Metrics)+")")
 		ganttPath = flag.String("gantt", "", "render an execution trace (from wfm -trace) as a Gantt chart instead")
 		spanPath  = flag.String("trace", "", "summarize a span trace (Chrome trace JSON, span JSONL, or wfm trace JSON) instead")
 		jrnlPath  = flag.String("journal", "", "summarize a durable run journal (from wfm -journal), or a wfmd data dir as one all-runs table, instead")
@@ -75,7 +75,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := analysis.RenderGantt(os.Stdout, tr, 60); err != nil {
+		if err := RenderGantt(os.Stdout, tr, 60); err != nil {
 			fatal(err)
 		}
 		return
@@ -86,31 +86,31 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	recs, err := analysis.ParseCSV(f)
+	suites, err := experiments.ReadCSV(f)
 	if err != nil {
 		fatal(err)
 	}
-	if len(recs) == 0 {
+	recs, figures := byFigure(suites)
+	if len(figures) == 0 {
 		fatal(fmt.Errorf("no records in %s", *csvPath))
 	}
 
-	figures := analysis.Figures(recs)
 	if *figure != "" {
 		figures = []string{*figure}
 	}
-	metrics := analysis.Metrics
+	metrics := Metrics
 	if *metric != "" {
 		metrics = []string{*metric}
 	}
 
 	for _, fig := range figures {
 		for _, m := range metrics {
-			if err := analysis.RenderFigure(os.Stdout, recs, fig, m); err != nil {
+			if err := RenderFigure(os.Stdout, recs[fig], fig, m); err != nil {
 				fatal(err)
 			}
 			fmt.Println()
 		}
-		agg, err := analysis.Aggregate(analysis.Filter(recs, fig), "mean_cpu_cores")
+		agg, err := Aggregate(recs[fig], "mean_cpu_cores")
 		if err != nil {
 			fatal(err)
 		}

@@ -451,18 +451,31 @@ func writeSpanOutputs(tr *wfm.Trace, chromePath, logPath string) {
 	}
 }
 
+// directOnly names the flags only direct mode reads. Simulated mode
+// rejects them rather than run without what they ask for.
+var directOnly = map[string]bool{
+	"trace": true, "v": true, "workdir": true, "journal": true, "journal-sync": true,
+	"journal-group-ms": true, "resume": true, "crash-after-tasks": true, "memoize": true,
+	"health": true, "speculate": true, "straggler-factor": true, "flight-recorder": true,
+}
+
 // tunables builds simulated mode's parameters: the experiments' defaults
 // at this command line's -time-scale, with every manager flag that was
 // set on fs (the parsed command line) overriding the manager template and
 // every unset one keeping the template's value, not this binary's
-// direct-mode default.
+// direct-mode default. A direct-mode flag set on fs is an error naming
+// the first such flag.
 func (c *cli) tunables(fs *flag.FlagSet) (experiments.Tunables, error) {
 	tn := experiments.DefaultTunables()
 	tmpl := flag.NewFlagSet("", flag.ContinueOnError)
 	resolve := tn.Manager.RegisterFlags(tmpl)
 	var err error
 	fs.Visit(func(f *flag.Flag) {
-		if tmpl.Lookup(f.Name) != nil && err == nil {
+		switch {
+		case err != nil:
+		case directOnly[f.Name]:
+			err = fmt.Errorf("-%s is a direct-mode flag, and -paradigm runs simulated mode", f.Name)
+		case tmpl.Lookup(f.Name) != nil:
 			err = tmpl.Set(f.Name, f.Value.String())
 		}
 	})
@@ -472,7 +485,7 @@ func (c *cli) tunables(fs *flag.FlagSet) (experiments.Tunables, error) {
 	if c.eager {
 		tn.Manager.Scheduling = wfm.ScheduleDependency
 	}
-	tn.TimeScale, tn.Manager.TimeScale = c.mgr.TimeScale, 0 // the session sets the manager's
+	tn.TimeScale, tn.Manager.TimeScale = c.mgr.TimeScale, 0 // the testbed sets the manager's
 	return tn, err
 }
 

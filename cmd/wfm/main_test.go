@@ -78,3 +78,29 @@ func TestParadigmHonoursManagerFlags(t *testing.T) {
 		t.Fatalf("LC10wNoPM -batch: %v, %+v", err, m)
 	}
 }
+
+// TestParadigmRejectsDirectFlags: simulated mode reads none of the
+// direct-mode flags, so setting one is an error that names it, the
+// first in flag order when several are set.
+func TestParadigmRejectsDirectFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-trace", "t.json"}, {"-v"}, {"-workdir", "d"}, {"-journal", "j"},
+		{"-journal-sync", "always"}, {"-journal-group-ms", "5"}, {"-resume"},
+		{"-crash-after-tasks", "3"}, {"-memoize", "m.cache"}, {"-health"},
+		{"-speculate"}, {"-straggler-factor", "2"}, {"-flight-recorder", "f.jsonl"},
+		{"-trace", "t.json", "-v", "-journal", "j", "-resume", "-memoize", "m.cache"},
+	} {
+		fs := flag.NewFlagSet("wfm", flag.ContinueOnError)
+		c := newFlags(fs)
+		if err := fs.Parse(append([]string{"-paradigm", "Kn10wNoPM"}, args...)); err != nil {
+			t.Fatal(err)
+		}
+		want := args[0]
+		if len(args) > 2 {
+			want = "-journal"
+		}
+		if _, err := c.tunables(fs); err == nil || !strings.HasPrefix(err.Error(), want+" ") {
+			t.Errorf("%v: err = %v, want one naming %s", args, err, want)
+		}
+	}
+}

@@ -1,10 +1,11 @@
 // Hybrid: the paper's future-work proposal — "the optimal strategy for
 // complex workflows might be combining executions on serverless and
 // bare-metal local containers for different tasks or groups of tasks".
-// This example provisions BOTH platforms in one session and maps each
-// function to a platform by its category: the dense, identical-function
-// burst goes to serverless (where it saves resources) while the
-// latency-sensitive serial stages run on warm local containers.
+// This example runs BOTH paradigms as two services of one platform — the
+// autoscaling WfBench service and a small pool held at fixed scale — and
+// maps each function to a service by its category: the dense,
+// identical-function burst goes to serverless (where it saves resources)
+// while the latency-sensitive serial stages run on warm local containers.
 //
 //	go run ./examples/hybrid
 package main
@@ -13,68 +14,72 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 
-	"wfserverless/internal/core"
 	"wfserverless/internal/experiments"
 	"wfserverless/internal/metrics"
+	"wfserverless/internal/serverless"
+	"wfserverless/internal/translator"
 	"wfserverless/internal/wfformat"
+	"wfserverless/internal/wfgen"
 )
 
 func main() {
-	tn := experiments.DefaultTunables()
 	knSpec, _ := experiments.ByID(experiments.Kn10wNoPM)
-	cfg, err := experiments.SessionConfig(knSpec, tn)
+	tb, err := experiments.NewTestbed(knSpec, experiments.DefaultTunables())
 	if err != nil {
 		log.Fatal(err)
 	}
-	// A small always-on container pool for the serial stages, alongside
-	// the autoscaling serverless platform: two pods held at fixed scale,
-	// two cores each.
-	cfg.Secondary = &core.PlatformConfig{
-		Kind:                core.KindLocal,
-		Workers:             4,
-		MinScale:            2,
-		MaxScale:            2,
-		CPURequestPerWorker: 0.5,
-		PodOverheadMem:      tn.PodOverheadMem,
-		WorkerOverheadMem:   tn.WorkerOverheadMem,
-		PodOverheadCPU:      tn.PodOverheadCPU,
-	}
-	session, err := core.NewSession(cfg)
-	if err != nil {
+	defer tb.Close()
+	// A small always-on container pool for the serial stages, beside the
+	// autoscaling service: two pods held at fixed scale, two cores each.
+	if err := tb.Platform.Apply(serverless.ServiceConfig{
+		Name: "local", Workers: 4, MinScale: 2, MaxScale: 2, CPURequestPerWorker: 0.5,
+	}); err != nil {
 		log.Fatal(err)
 	}
-	defer session.Close()
-	fmt.Printf("serverless at %s, local containers at %s\n\n", session.URL(), session.SecondaryURL())
+	fmt.Printf("platform at %s: services wfbench (autoscaling) and local (fixed scale)\n\n", tb.Platform.URL())
 
-	w, err := session.GenerateWorkflow("blast", 150, 3)
+	w, err := wfgen.Generate(wfgen.Spec{Recipe: "blast", NumTasks: 150, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-
 	// Serial pre/post-processing stays local; the blastall burst is
 	// serverless.
-	pick := func(t *wfformat.Task) string {
-		if t.Category == "blastall" {
-			return core.KindKnative
-		}
-		return core.KindLocal
-	}
-
-	if err := session.StartSampling(); err != nil {
-		log.Fatal(err)
-	}
-	res, err := session.RunHybrid(context.Background(), w, pick)
-	session.StopSampling()
+	tw, err := translator.Knative(w, translator.KnativeOptions{
+		IngressURL: tb.Platform.URL(),
+		Workdir:    "shared",
+		Service: func(t *wfformat.Task) string {
+			if t.Category == "blastall" {
+				return "wfbench"
+			}
+			return "local"
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	if err := tb.Sampler.Start(); err != nil {
+		log.Fatal(err)
+	}
+	res, err := tb.Manager.Run(context.Background(), tw)
+	tb.Sampler.Stop()
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	served := map[string]int{}
+	for _, tr := range res.Tasks {
+		if tr.Response != nil {
+			svc, _, _ := strings.Cut(tr.Response.Pod, "-pod-")
+			served[svc]++
+		}
+	}
 	fmt.Printf("hybrid %s: makespan %.1f s nominal\n", res.Workflow, res.Makespan)
-	fmt.Printf("  serverless handled %d invocations (%d cold starts)\n",
-		session.Platform().Requests(), session.Platform().ColdStarts())
-	fmt.Printf("  local containers handled %d invocations\n", session.Secondary().Requests())
-	s := session.Sampler()
+	fmt.Printf("  serverless handled %d invocations (%d cold starts)\n", served["wfbench"], tb.Platform.ColdStarts())
+	fmt.Printf("  local containers handled %d invocations\n", served["local"])
+	s := tb.Sampler
 	fmt.Printf("  mean provisioned CPU %.1f cores, mean resident memory %.2f GB, mean power %.1f W\n",
 		s.MeanOf(metrics.MetricCPUReserved),
 		s.MeanOf(metrics.MetricMemUsed)/float64(1<<30),

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"log"
 
-	"wfserverless/internal/core"
 	"wfserverless/internal/experiments"
 	"wfserverless/internal/metrics"
+	"wfserverless/internal/wfgen"
 	"wfserverless/internal/wfm"
 )
 
@@ -24,24 +24,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg, err := experiments.SessionConfig(spec, experiments.DefaultTunables())
+	tb, err := experiments.NewTestbed(spec, experiments.DefaultTunables())
 	if err != nil {
 		log.Fatal(err)
 	}
-	session, err := core.NewSession(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer session.Close()
-	fmt.Printf("serverless platform up at %s (WfBench service applied)\n\n", session.URL())
+	defer tb.Close()
+	fmt.Printf("serverless platform up at %s (WfBench service applied)\n\n", tb.Platform.URL())
 
 	// Generate a 100-task Blast workflow and run it, sampled at the
 	// paper's 1 Hz (nominal).
-	if err := session.StartSampling(); err != nil {
+	w, err := wfgen.Generate(wfgen.Spec{Recipe: "blast", NumTasks: 100, Seed: 42})
+	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := session.RunRecipe(context.Background(), "blast", 100, 42)
-	session.StopSampling()
+	if err := tb.Sampler.Start(); err != nil {
+		log.Fatal(err)
+	}
+	res, err := tb.Run(context.Background(), w)
+	tb.Sampler.Stop()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func main() {
 		fmt.Printf("  phase %-2d  %4d function(s)  span %v\n", ps.Phase, ps.Functions, ps.WallSpan)
 	}
 
-	s := session.Sampler()
+	s := tb.Sampler
 	fmt.Printf("\ntelemetry (PCP-style 1 Hz sampling):\n")
 	fmt.Printf("  power:  %.1f W mean\n", s.MeanOf(metrics.MetricPower))
 	fmt.Printf("  cpu:    %.1f cores mean provisioned, %.1f busy\n",
@@ -63,5 +63,5 @@ func main() {
 	fmt.Printf("  memory: %.2f GB mean resident\n", s.MeanOf(metrics.MetricMemUsed)/float64(1<<30))
 	fmt.Printf("  pods:   %.1f mean, %.0f peak (scale-to-zero after the burst)\n",
 		s.MeanOf(metrics.MetricPodsRunning), s.MaxOf(metrics.MetricPodsRunning))
-	fmt.Printf("  cold starts: %d\n", session.Platform().ColdStarts())
+	fmt.Printf("  cold starts: %d\n", tb.Platform.ColdStarts())
 }

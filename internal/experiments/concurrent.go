@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"wfserverless/internal/core"
 	"wfserverless/internal/metrics"
 	"wfserverless/internal/wfformat"
 )
@@ -36,7 +35,7 @@ type ConcurrentMeasurement struct {
 	Failures     int64
 }
 
-// RunConcurrent executes the workflows simultaneously on one session of
+// RunConcurrent executes the workflows simultaneously on one testbed of
 // the given paradigm and contrasts against running each alone.
 func RunConcurrent(ctx context.Context, spec Spec, workflows []*wfformat.Workflow, tn Tunables) (*ConcurrentMeasurement, error) {
 	if len(workflows) == 0 {
@@ -48,7 +47,7 @@ func RunConcurrent(ctx context.Context, spec Spec, workflows []*wfformat.Workflo
 		out.Tasks += w.Len()
 	}
 
-	// Solo baselines, one fresh session each.
+	// Solo baselines, one fresh testbed each.
 	for _, w := range workflows {
 		m, err := RunWorkflow(ctx, spec, w, tn)
 		if err != nil {
@@ -57,17 +56,13 @@ func RunConcurrent(ctx context.Context, spec Spec, workflows []*wfformat.Workflo
 		out.SumSoloS += m.MakespanS
 	}
 
-	// Concurrent run on one shared session.
-	cfg, err := SessionConfig(spec, tn)
+	// Concurrent run on one shared testbed.
+	tb, err := NewTestbed(spec, tn)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := core.NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	if err := sess.StartSampling(); err != nil {
+	defer tb.Close()
+	if err := tb.Sampler.Start(); err != nil {
 		return nil, err
 	}
 	var wg sync.WaitGroup
@@ -77,7 +72,7 @@ func RunConcurrent(ctx context.Context, spec Spec, workflows []*wfformat.Workflo
 		wg.Add(1)
 		go func(i int, w *wfformat.Workflow) {
 			defer wg.Done()
-			res, err := sess.Run(ctx, w)
+			res, err := tb.Run(ctx, w)
 			errs[i] = err
 			if res != nil {
 				makespans[i] = res.Makespan
@@ -85,7 +80,7 @@ func RunConcurrent(ctx context.Context, spec Spec, workflows []*wfformat.Workflo
 		}(i, w)
 	}
 	wg.Wait()
-	sess.StopSampling()
+	tb.Sampler.Stop()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: concurrent %s: %w", workflows[i].Name, err)
@@ -99,10 +94,10 @@ func RunConcurrent(ctx context.Context, spec Spec, workflows []*wfformat.Workflo
 	if out.SumSoloS > 0 {
 		out.Interleave = out.MakespanS / out.SumSoloS
 	}
-	s := sess.Sampler()
+	s := tb.Sampler
 	out.MeanPowerW = s.MeanOf(metrics.MetricPower)
 	out.MeanCPUCores = s.MeanOf("cpu.usage.cores")
 	out.MeanMemGB = gb(s.MeanOf(metrics.MetricMemUsed))
-	out.Failures = sess.Platform().Failures()
+	out.Failures = tb.Platform.Failures()
 	return out, nil
 }

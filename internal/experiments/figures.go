@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wfserverless/internal/recipes"
@@ -282,9 +285,18 @@ func WriteTable(w io.Writer, s *Suite) error {
 	return nil
 }
 
-// WriteCSV renders a suite as CSV.
+// csvHeader heads every suite of the campaign CSV.
+var csvHeader = []string{
+	"figure", "paradigm", "workflow", "recipe", "tasks", "group",
+	"makespan_s", "mean_power_w", "energy_j", "mean_cpu_cores",
+	"max_cpu_cores", "mean_busy_cores", "mean_mem_gb", "max_mem_gb",
+	"cold_starts", "requests", "failures", "scale_stalls",
+}
+
+// WriteCSV renders a suite as CSV: the header, then one row per
+// measurement. cmd/experiments appends every suite to one file.
 func WriteCSV(w io.Writer, s *Suite) error {
-	if _, err := fmt.Fprintln(w, "figure,paradigm,workflow,recipe,tasks,group,makespan_s,mean_power_w,energy_j,mean_cpu_cores,max_cpu_cores,mean_busy_cores,mean_mem_gb,max_mem_gb,cold_starts,requests,failures,scale_stalls"); err != nil {
+	if _, err := fmt.Fprintln(w, strings.Join(csvHeader, ",")); err != nil {
 		return err
 	}
 	for _, m := range s.Measurements {
@@ -296,6 +308,58 @@ func WriteCSV(w io.Writer, s *Suite) error {
 		}
 	}
 	return nil
+}
+
+// ReadCSV reads back what WriteCSV wrote: one suite per header line,
+// each holding the rows that follow it. A suite's Figure is its rows'
+// first column, which WriteCSV writes without spaces; only the columns
+// WriteCSV writes are set. Fields are parsed in column order, so the
+// error for a row names its first bad field.
+func ReadCSV(r io.Reader) ([]*Suite, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	var out []*Suite
+	for {
+		row, err := cr.Read()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
+		line, _ := cr.FieldPos(0)
+		if slices.Equal(row, csvHeader) {
+			out = append(out, &Suite{})
+			continue
+		}
+		if len(out) == 0 || len(row) != len(csvHeader) {
+			return nil, fmt.Errorf("experiments: csv line %d: %d fields under %d header(s), want %d under one", line, len(row), len(out), len(csvHeader))
+		}
+		s := out[len(out)-1]
+		if len(s.Measurements) == 0 {
+			s.Figure = row[0]
+		} else if row[0] != s.Figure {
+			return nil, fmt.Errorf("experiments: csv line %d: figure %q in a %s suite", line, row[0], s.Figure)
+		}
+		m := &Measurement{Paradigm: Paradigm(row[1]), Workflow: row[2], Recipe: row[3]}
+		for i, dst := range []any{&m.Tasks, &m.Group, &m.MakespanS, &m.MeanPowerW, &m.EnergyJ,
+			&m.MeanCPUCores, &m.MaxCPUCores, &m.MeanBusyCores, &m.MeanMemGB, &m.MaxMemGB,
+			&m.ColdStarts, &m.Requests, &m.Failures, &m.ScaleStalls} {
+			col := row[4+i]
+			switch dst := dst.(type) {
+			case *int:
+				*dst, err = strconv.Atoi(col)
+			case *float64:
+				*dst, err = strconv.ParseFloat(col, 64)
+			case *int64:
+				*dst, err = strconv.ParseInt(col, 10, 64)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("experiments: csv line %d field %s: %w", line, csvHeader[4+i], err)
+			}
+		}
+		s.Measurements = append(s.Measurements, m)
+	}
 }
 
 // WriteCharacterization renders Figure 3 as text.

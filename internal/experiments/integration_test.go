@@ -55,21 +55,15 @@ func TestBurnEngineEndToEnd(t *testing.T) {
 		t.Skip("burn engine e2e skipped in -short")
 	}
 	tn := fastTunables()
+	tn.Platform.Engine = wfbench.BurnEngine{}
 	spec, _ := ByID(Kn10wNoPM)
-	cfg, err := SessionConfig(spec, tn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Engine = wfbench.BurnEngine{}
 	inst := mustGen(t, "seismology", 10)
-	// RunWorkflow builds its own session; use core directly via the
-	// SessionConfig instead.
-	sess, err := newSessionForTest(cfg)
+	tb, err := NewTestbed(spec, tn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
-	res, err := sess.Run(context.Background(), inst.Workflow)
+	defer tb.Close()
+	res, err := tb.Run(context.Background(), inst.Workflow)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"wfserverless/internal/experiments"
+	"wfserverless/internal/serverless"
 	"wfserverless/internal/wfformat"
 )
 
@@ -70,23 +71,25 @@ func Predict(spec experiments.Spec, w *wfformat.Workflow, tn experiments.Tunable
 	if err != nil {
 		return nil, err
 	}
+	// The model reads the platform the testbed would run.
+	opts, svc, err := experiments.Configure(spec, tn)
+	if err != nil {
+		return nil, fmt.Errorf("model: %w", err)
+	}
 	const (
 		clusterCores = 96.0
 		gb           = float64(int64(1) << 30)
 	)
-	switch spec.Kind {
-	case experiments.KindKnative:
-		return predictKnative(spec, infos, tn, clusterCores, gb)
-	case experiments.KindLocal:
-		return predictLocal(spec, infos, tn, clusterCores, gb)
+	if spec.Kind == experiments.KindLocal {
+		return predictLocal(spec, infos, opts, svc, tn.Manager.PhaseDelay, clusterCores, gb)
 	}
-	return nil, fmt.Errorf("model: unsupported platform kind %q", spec.Kind)
+	return predictKnative(spec, infos, opts, svc, tn.Manager.PhaseDelay, clusterCores, gb)
 }
 
-func predictKnative(spec experiments.Spec, infos []phaseInfo, tn experiments.Tunables, clusterCores, gb float64) (*Prediction, error) {
+func predictKnative(spec experiments.Spec, infos []phaseInfo, opts serverless.Options, svc serverless.ServiceConfig, phaseDelay, clusterCores, gb float64) (*Prediction, error) {
 	W := float64(spec.Workers)
-	cpuPerPod := W * tn.CPURequestPerWorker
-	memPerPod := float64(tn.PodOverheadMem) + W*float64(tn.WorkerOverheadMem)
+	cpuPerPod := W * svc.CPURequestPerWorker
+	memPerPod := float64(opts.PodOverheadMem) + W*float64(opts.WorkerOverheadMem)
 	maxPods := math.Floor(clusterCores / cpuPerPod)
 	if spec.Coarse {
 		// One whole-machine pod, deployed before the run: no cold
@@ -99,12 +102,12 @@ func predictKnative(spec experiments.Spec, infos []phaseInfo, tn experiments.Tun
 			p.PhaseTimes = append(p.PhaseTimes, pt)
 			makespan += pt
 			if i < len(infos)-1 {
-				makespan += tn.Manager.PhaseDelay
+				makespan += phaseDelay
 			}
 		}
 		p.MakespanS = makespan
 		p.MeanCPUCores = 46 // the reserved node
-		p.MeanMemGB = (float64(tn.PodOverheadMem) + 1000*float64(tn.WorkerOverheadMem)) / gb
+		p.MeanMemGB = (float64(opts.PodOverheadMem) + 1000*float64(opts.WorkerOverheadMem)) / gb
 		return p, nil
 	}
 
@@ -129,16 +132,16 @@ func predictKnative(spec experiments.Spec, infos []phaseInfo, tn experiments.Tun
 		if cur < 1 {
 			cur = 1
 			if pods == 0 {
-				ramp += tn.AutoscalePeriod // first tick creates pod #1
+				ramp += opts.AutoscalePeriod // first tick creates pod #1
 			}
 		}
 		ticks := 0.0
 		for c := cur; c < desired; c = c * 2 {
 			ticks++
 		}
-		ramp += ticks * tn.AutoscalePeriod
+		ramp += ticks * opts.AutoscalePeriod
 		if desired > pods {
-			ramp += tn.ColdStart // the last wave's cold start gates the stragglers
+			ramp += opts.ColdStart // the last wave's cold start gates the stragglers
 			coldStarts += desired - pods
 		}
 		rounds := math.Ceil(float64(pi.width) / (desired * W))
@@ -154,11 +157,11 @@ func predictKnative(spec experiments.Spec, infos []phaseInfo, tn experiments.Tun
 
 		makespan += pt
 		if i < len(infos)-1 {
-			makespan += tn.Manager.PhaseDelay
+			makespan += phaseDelay
 			// Pods stay warm across the inter-phase delay (the gap is
 			// shorter than the stable window with default tunables).
-			cpuIntegral += desired * cpuPerPod * tn.Manager.PhaseDelay
-			memIntegral += desired * memPerPod * tn.Manager.PhaseDelay
+			cpuIntegral += desired * cpuPerPod * phaseDelay
+			memIntegral += desired * memPerPod * phaseDelay
 		}
 		pods = desired
 	}
@@ -174,11 +177,8 @@ func predictKnative(spec experiments.Spec, infos []phaseInfo, tn experiments.Tun
 	return p, nil
 }
 
-func predictLocal(spec experiments.Spec, infos []phaseInfo, tn experiments.Tunables, clusterCores, gb float64) (*Prediction, error) {
-	containers := float64(tn.LCContainers)
-	if spec.Coarse {
-		containers = 1
-	}
+func predictLocal(spec experiments.Spec, infos []phaseInfo, opts serverless.Options, svc serverless.ServiceConfig, phaseDelay, clusterCores, gb float64) (*Prediction, error) {
+	containers := float64(svc.MinScale)
 	totalWorkers := containers * float64(spec.Workers)
 	var makespan float64
 	var phaseTimes []float64
@@ -188,7 +188,7 @@ func predictLocal(spec experiments.Spec, infos []phaseInfo, tn experiments.Tunab
 		phaseTimes = append(phaseTimes, pt)
 		makespan += pt
 		if i < len(infos)-1 {
-			makespan += tn.Manager.PhaseDelay
+			makespan += phaseDelay
 		}
 	}
 	p := &Prediction{
@@ -199,7 +199,7 @@ func predictLocal(spec experiments.Spec, infos []phaseInfo, tn experiments.Tunab
 	case spec.Coarse:
 		p.MeanCPUCores = 46
 	case spec.CR:
-		p.MeanCPUCores = containers * tn.LCCPUsPerContainer
+		p.MeanCPUCores = containers * float64(spec.Workers) * svc.CPURequestPerWorker
 	default:
 		// NoCR: only actual busy cores count; approximate by total
 		// busy-core-seconds over the makespan.
@@ -212,7 +212,7 @@ func predictLocal(spec experiments.Spec, infos []phaseInfo, tn experiments.Tunab
 			p.MeanCPUCores = clusterCores
 		}
 	}
-	memPerContainer := float64(tn.PodOverheadMem) + float64(spec.Workers)*float64(tn.WorkerOverheadMem)
+	memPerContainer := float64(opts.PodOverheadMem) + float64(spec.Workers)*float64(opts.WorkerOverheadMem)
 	p.MeanMemGB = containers * memPerContainer / gb
 	return p, nil
 }
