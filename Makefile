@@ -68,7 +68,8 @@ alloc-sites:
 		awk 'rows {printf "%8.2f /task  with callees %8.2f  %s\n", $$1/10000, $$4/10000, $$6 " " $$7; next} /flat%/ {rows = 1; next} {print}'
 
 # fuzz-smoke gives every fuzz target ten seconds past its seed corpus:
-# the journal reader, the workflow parser (what it accepts, and its fast
+# the journal reader, a journal reopened over an arbitrary last segment
+# and appended to, the workflow parser (what it accepts, and its fast
 # path held to encoding/json), the hand JSON codec held to encoding/json,
 # the batch wire decoders, the function endpoint's handler, POST
 # /v1/runs, wfmd's service log replay, and the memo cache file. (-fuzz
@@ -76,6 +77,7 @@ alloc-sites:
 # minimize budget keeps the ten seconds for executions.)
 fuzz-smoke:
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzJournalReader$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzJournalReopen$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfformat -run '^$$' -fuzz '^FuzzParseValidate$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfformat -run '^$$' -fuzz '^FuzzParseDifferential$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wfbench -run '^$$' -fuzz '^FuzzCodecDifferential$$' -fuzztime 10s -fuzzminimizetime 1s

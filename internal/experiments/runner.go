@@ -31,10 +31,6 @@ type Tunables struct {
 	// sets its Drive, TimeScale and Tracer.
 	Manager wfm.Options
 
-	// SampleInterval is the telemetry period (the paper's pmdumptext
-	// -t 1sec); zero means 1.
-	SampleInterval float64
-
 	// Tracer, when set, records spans across the manager, platform, and
 	// WfBench layers; the resulting trace rides on Measurement.Trace.
 	Tracer *obs.Tracer
@@ -53,8 +49,7 @@ func DefaultTunables() Tunables {
 			WorkerOverheadMem: 64 * mb,
 			PodOverheadCPU:    0.05,
 		},
-		Manager:        wfm.Options{PhaseDelay: 1, InputWait: 30, MaxParallel: 512},
-		SampleInterval: 1,
+		Manager: wfm.Options{PhaseDelay: 1, InputWait: 30, MaxParallel: 512},
 	}
 }
 

@@ -32,6 +32,10 @@ const (
 	coarseMem      = int64(156) << 30
 )
 
+// sampleInterval is the telemetry period in nominal seconds (the paper's
+// pmdumptext -t 1sec).
+const sampleInterval = 1
+
 // Configure maps a Table II paradigm onto the platform it runs on: the
 // options of a serverless platform and the one "wfbench" service (the
 // translator's default) applied to it. The options are tn.Platform with
@@ -116,11 +120,7 @@ func NewTestbed(spec Spec, tn Tunables) (*Testbed, error) {
 		tb.Platform.Stop()
 		return nil, err
 	}
-	interval := tn.SampleInterval
-	if interval == 0 {
-		interval = 1
-	}
-	tb.Sampler = metrics.NewSampler(time.Duration(interval * tn.TimeScale * float64(time.Second)))
+	tb.Sampler = metrics.NewSampler(time.Duration(sampleInterval * tn.TimeScale * float64(time.Second)))
 	c, p := tb.Cluster, tb.Platform
 	tb.Sampler.Register(metrics.MetricCPUUser, func() float64 { return c.Snapshot().BusyCores })
 	tb.Sampler.Register(metrics.MetricCPUReserved, func() float64 { return c.Snapshot().ReservedCores })

@@ -28,9 +28,6 @@ type TrackerConfig struct {
 	// MinSamples is how many completed attempts an endpoint needs
 	// before its median is trusted for flagging. Zero defaults to 8.
 	MinSamples int
-	// MinAge is an absolute floor on the age before anything is
-	// flagged, so microsecond medians cannot flag scheduling jitter.
-	MinAge time.Duration
 	// CheckInterval is the watchdog scan period. Zero defaults to 25ms.
 	CheckInterval time.Duration
 	// OnStraggler, if set, is called (outside the tracker's locks) once
@@ -282,7 +279,7 @@ func (t *Tracker) Speculations() (launched, wins int64) {
 }
 
 // watchdog periodically scans the in-flight registry and flags attempts
-// older than max(MinAge, k × endpoint median). Flag callbacks run
+// older than k × the endpoint median. Flag callbacks run
 // outside both locks.
 func (t *Tracker) watchdog() {
 	defer t.wg.Done()
@@ -317,11 +314,7 @@ func (t *Tracker) scan() {
 			continue
 		}
 		age := now.Sub(h.start)
-		threshold := time.Duration(float64(median) * t.cfg.StragglerFactor)
-		if threshold < t.cfg.MinAge {
-			threshold = t.cfg.MinAge
-		}
-		if age <= threshold {
+		if age <= time.Duration(float64(median)*t.cfg.StragglerFactor) {
 			continue
 		}
 		h.isFlag = true

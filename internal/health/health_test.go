@@ -43,8 +43,11 @@ func TestTrackerFlagsStragglers(t *testing.T) {
 	var flagged, resolved []string
 	tr := NewTracker(TrackerConfig{
 		StragglerFactor: 3,
-		MinSamples:      5,
-		CheckInterval:   2 * time.Millisecond,
+		// MinSamples equals the number of warm-up attempts, so none of
+		// them can be flagged while in flight: a 2ms sleep stretched
+		// past 3× the median on a loaded host would otherwise flag it.
+		MinSamples:    10,
+		CheckInterval: 2 * time.Millisecond,
 		OnStraggler: func(s Straggler) {
 			mu.Lock()
 			flagged = append(flagged, s.Task)

@@ -3,26 +3,18 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // buildSegment encodes records into valid segment bytes and returns the
-// byte offset where each record's envelope ends. It mirrors the writer's
-// canonical encoding so tests can damage known positions.
+// byte offset where each record's envelope ends, so tests can damage
+// known positions.
 func buildSegment(records []Record) (data []byte, ends []int) {
 	data = append(data, segMagic[:]...)
 	for _, r := range records {
-		var hdr [recHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+len(r.Data)))
-		hdr[8] = r.Kind
-		crc := crc32.Checksum(hdr[8:9], castagnoli)
-		crc = crc32.Update(crc, castagnoli, r.Data)
-		binary.LittleEndian.PutUint32(hdr[4:8], crc)
-		data = append(data, hdr[:]...)
-		data = append(data, r.Data...)
+		data = AppendRecord(data, r.Kind, r.Data)
 		ends = append(ends, len(data))
 	}
 	return data, ends
@@ -124,7 +116,9 @@ func TestBitFlipRecoversPrefix(t *testing.T) {
 // reader must never panic and never return an error for corrupt content
 // (only for I/O failures), and every record it does return must
 // re-encode to exactly the input bytes at its offset — i.e. recovered
-// records are always a verbatim prefix of what a writer produced.
+// records are always a verbatim prefix of what a writer produced. The
+// same seven shapes are also checked in, under readable names, in
+// testdata/fuzz/FuzzJournalReader.
 func FuzzJournalReader(f *testing.F) {
 	valid, _ := buildSegment(testRecords(3))
 	f.Add([]byte{})
@@ -157,6 +151,52 @@ func FuzzJournalReader(f *testing.F) {
 			}
 		} else if len(rep.Records) != 0 || !rep.Torn {
 			t.Fatalf("input without magic yielded records=%d torn=%v", len(rep.Records), rep.Torn)
+		}
+	})
+}
+
+// FuzzJournalReopen writes arbitrary bytes as the last segment of a
+// journal whose first segment is intact, then opens it, appends and
+// closes. Open must not fail on the content, and a fresh Read must
+// return exactly the records Open recovered followed by the appended
+// one.
+func FuzzJournalReopen(f *testing.F) {
+	valid, _ := buildSegment(testRecords(3))
+	f.Add([]byte{})
+	f.Add(segMagic[:4]) // cut inside the magic
+	f.Add(segMagic[:])
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	f.Add([]byte("not a journal at all"))
+	first, _ := buildSegment(testRecords(2))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(segPath(dir, 1), first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segPath(dir, 2), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatalf("Open failed on the content: %v", err)
+		}
+		want := append(j.Records(), Record{Kind: 1, Data: []byte("appended")})
+		appendT(t, j, 1, "appended")
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Read(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Torn || len(rep.Records) != len(want) {
+			t.Fatalf("read back %d records (torn=%v), want %d", len(rep.Records), rep.Torn, len(want))
+		}
+		for i, r := range rep.Records {
+			if r.Kind != want[i].Kind || string(r.Data) != string(want[i].Data) {
+				t.Fatalf("record %d = %d/%q, want %d/%q", i, r.Kind, r.Data, want[i].Kind, want[i].Data)
+			}
 		}
 	})
 }

@@ -28,14 +28,10 @@
 package journal
 
 import (
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,30 +42,10 @@ import (
 // the compaction deleted. Appends may not use it.
 const KindSnapshot uint8 = 0
 
-// segMagic opens every segment file; a reader rejects files that were
-// never journal segments instead of mis-parsing them.
-var segMagic = [8]byte{'w', 'f', 'j', 'r', 'n', 'l', '0', '1'}
-
-// Record envelope on disk, after the segment magic:
-//
-//	uint32 LE  length   = 1 + len(data), so a zero length is invalid
-//	uint32 LE  crc      = CRC32C over the kind byte and data
-//	uint8      kind
-//	[]byte     data
-const recHeaderSize = 9 // 4 length + 4 crc + 1 kind
-
-// maxRecordSize bounds a single record so a corrupt length prefix
-// cannot make the reader allocate gigabytes before the CRC rejects it.
-const maxRecordSize = 16 << 20
-
 // flushChunk is the staged-bytes threshold past which SyncNever writes
 // through to the file (without fsync) so the staging buffer stays
 // bounded on long runs.
 const flushChunk = 1 << 20
-
-// castagnoli is the CRC32C table (the storage-grade polynomial, SSE4.2
-// accelerated by hash/crc32 on amd64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SyncPolicy selects when appended records are fsynced.
 type SyncPolicy int
@@ -186,8 +162,6 @@ type Journal struct {
 
 	recovered []Record
 	torn      bool
-	tornPath  string
-	tornOff   int64
 
 	mu     sync.Mutex
 	buf    []byte // append staging buffer
@@ -215,8 +189,11 @@ type Journal struct {
 
 // Open opens (creating if needed) the journal in dir. Existing segments
 // are replayed — tolerant of the torn tail an interrupted writer leaves
-// — and the recovered records are available via Records; the torn tail,
-// if any, is truncated so new appends extend the last intact record.
+// — and the recovered records are available via Records. Open repairs
+// the segment the replay stopped in: the torn tail is cut, a cut magic
+// restored, and the segments after it are set aside (renamed out of the
+// segment pattern, never deleted). So the next Read ends at the last
+// record Records returned plus whatever is appended after Open.
 func Open(dir string, opts Options) (*Journal, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -231,8 +208,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 		opts:      opts,
 		recovered: rep.Records,
 		torn:      rep.Torn,
-		tornPath:  rep.TornPath,
-		tornOff:   rep.TornOffset,
 		wake:      make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -242,27 +217,28 @@ func Open(dir string, opts Options) (*Journal, error) {
 			return nil, err
 		}
 	} else {
-		last := rep.Segments[len(rep.Segments)-1]
-		if rep.Torn && rep.TornPath == last.Path {
-			// Cut the torn tail so the next record starts on a clean
-			// envelope boundary.
-			if err := os.Truncate(last.Path, rep.TornOffset); err != nil {
-				return nil, fmt.Errorf("journal: truncating torn tail: %w", err)
+		head, end := len(rep.Segments)-1, rep.Segments[len(rep.Segments)-1].Size
+		if rep.Torn {
+			for rep.Segments[head].Path != rep.TornPath {
+				if err := setAside(rep.Segments[head].Path); err != nil {
+					return nil, err
+				}
+				head--
 			}
-			last.Size = rep.TornOffset
+			end = rep.TornOffset
+			if err := syncDir(dir); err != nil {
+				return nil, err
+			}
 		}
-		f, err := os.OpenFile(last.Path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, size, err := OpenSegment(rep.Segments[head].Path, end)
 		if err != nil {
-			return nil, fmt.Errorf("journal: %w", err)
+			return nil, err
 		}
-		j.f, j.seq, j.fileBytes = f, last.Seq, last.Size
+		j.f, j.seq, j.fileBytes = f, rep.Segments[head].Seq, size
 	}
 	go j.groupCommitLoop()
 	return j, nil
 }
-
-// Dir returns the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // Records returns the records recovered from disk when the journal was
 // opened, in append order. The slice and payloads are owned by the
@@ -309,7 +285,8 @@ func (j *Journal) append(kind uint8, data []byte) error {
 		j.mu.Unlock()
 		return err
 	}
-	j.stageLocked(kind, data)
+	j.buf = AppendRecord(j.buf, kind, data)
+	j.count(recHeaderSize + len(data))
 	staged := len(j.buf)
 	j.mu.Unlock()
 
@@ -329,20 +306,8 @@ func (j *Journal) append(kind uint8, data []byte) error {
 	return nil
 }
 
-// stageLocked appends the record envelope to the staging buffer.
-func (j *Journal) stageLocked(kind uint8, data []byte) {
-	n := recHeaderSize + len(data)
-	// The header is filled in place: a local array would escape through
-	// the checksum call, one allocation a record.
-	at := len(j.buf)
-	j.buf = append(j.buf, make([]byte, recHeaderSize)...)
-	hdr := j.buf[at : at+recHeaderSize]
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+len(data)))
-	hdr[8] = kind
-	crc := crc32.Checksum(hdr[8:9], castagnoli)
-	crc = crc32.Update(crc, castagnoli, data)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	j.buf = append(j.buf, data...)
+// count records one appended envelope of n bytes.
+func (j *Journal) count(n int) {
 	j.appends.Add(1)
 	j.bytes.Add(int64(n))
 }
@@ -469,22 +434,13 @@ func (j *Journal) groupCommitLoop() {
 	}
 }
 
-// segPath names segment seq in dir.
-func segPath(dir string, seq int) string {
-	return filepath.Join(dir, fmt.Sprintf("journal-%08d.wal", seq))
-}
-
 // openSegment creates segment seq, writes the magic, fsyncs the file
 // and the directory (so the name survives a crash), and makes it the
 // append head. Called from Open (single-threaded) or under fmu.
 func (j *Journal) openSegment(seq int) error {
-	f, err := os.OpenFile(segPath(j.dir, seq), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, size, err := openSegmentFile(segPath(j.dir, seq), 0, os.O_CREATE|os.O_EXCL)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if _, err := f.Write(segMagic[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: %w", err)
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -494,7 +450,7 @@ func (j *Journal) openSegment(seq int) error {
 		f.Close()
 		return err
 	}
-	j.f, j.seq, j.fileBytes = f, seq, int64(len(segMagic))
+	j.f, j.seq, j.fileBytes = f, seq, size
 	return nil
 }
 
@@ -530,7 +486,8 @@ func (j *Journal) Compact(snapshot []byte) error {
 	j.mu.Lock()
 	// The snapshot must be the new segment's first record: stage it
 	// ahead of anything appended since the seal above.
-	j.buf = append(j.snapEnvelope(snapshot), j.buf...)
+	j.buf = append(AppendRecord(nil, KindSnapshot, snapshot), j.buf...)
+	j.count(recHeaderSize + len(snapshot))
 	j.mu.Unlock()
 	if err := j.commitFLocked(true); err != nil {
 		return err
@@ -550,22 +507,6 @@ func (j *Journal) Compact(snapshot []byte) error {
 	}
 	j.compactions.Add(1)
 	return nil
-}
-
-// snapEnvelope renders a snapshot record's on-disk envelope.
-func (j *Journal) snapEnvelope(snapshot []byte) []byte {
-	b := make([]byte, 0, recHeaderSize+len(snapshot))
-	var hdr [recHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+len(snapshot)))
-	hdr[8] = KindSnapshot
-	crc := crc32.Checksum(hdr[8:9], castagnoli)
-	crc = crc32.Update(crc, castagnoli, snapshot)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	b = append(b, hdr[:]...)
-	b = append(b, snapshot...)
-	j.appends.Add(1)
-	j.bytes.Add(int64(len(b)))
-	return b
 }
 
 // stick records err as the journal's sticky error and returns it.
@@ -675,88 +616,30 @@ func Read(path string) (*Replay, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	rep := &Replay{}
-	if !fi.IsDir() {
-		rep.Segments = []SegmentInfo{{Path: path, Size: fi.Size()}}
-		return rep, readSegment(path, rep)
-	}
-	entries, err := os.ReadDir(path)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	for _, e := range entries {
-		var seq int
-		if _, err := fmt.Sscanf(e.Name(), "journal-%d.wal", &seq); err != nil || seq < 1 {
-			continue
+	rep := &Replay{Segments: []SegmentInfo{{Path: path, Size: fi.Size()}}}
+	if fi.IsDir() {
+		if rep.Segments, err = Segments(path); err != nil {
+			return nil, err
 		}
-		info, err := e.Info()
+	}
+	for _, seg := range rep.Segments {
+		data, err := os.ReadFile(seg.Path)
 		if err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
 		}
-		rep.Segments = append(rep.Segments, SegmentInfo{
-			Path: filepath.Join(path, e.Name()), Seq: seq, Size: info.Size(),
+		end := Scan(data, func(rec Record) bool {
+			rec.Data = append([]byte(nil), rec.Data...) // data is the file's, Records the caller's
+			rep.Records = append(rep.Records, rec)
+			return true
 		})
-	}
-	sort.Slice(rep.Segments, func(i, k int) bool { return rep.Segments[i].Seq < rep.Segments[k].Seq })
-	for _, seg := range rep.Segments {
-		if err := readSegment(seg.Path, rep); err != nil {
-			return nil, err
-		}
-		if rep.Torn {
+		if end == 0 || end < len(data) {
 			// Records past a corruption point are unanchored — a later
 			// segment may postdate a snapshot we can no longer trust.
+			rep.Torn, rep.TornPath, rep.TornOffset = true, seg.Path, int64(end)
 			break
 		}
 	}
 	return rep, nil
-}
-
-// readSegment appends one segment's intact records to rep, marking rep
-// torn at the first bad byte.
-func readSegment(path string, rep *Replay) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	torn := func(off int) {
-		rep.Torn = true
-		rep.TornPath = path
-		rep.TornOffset = int64(off)
-	}
-	if len(data) < len(segMagic) || [8]byte(data[:8]) != segMagic {
-		torn(0)
-		return nil
-	}
-	off := len(segMagic)
-	for off < len(data) {
-		if len(data)-off < recHeaderSize {
-			torn(off)
-			return nil
-		}
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length == 0 || length > maxRecordSize {
-			torn(off)
-			return nil
-		}
-		end := off + 8 + int(length)
-		if end > len(data) {
-			torn(off)
-			return nil
-		}
-		body := data[off+8 : end]
-		if crc32.Checksum(body, castagnoli) != crc {
-			torn(off)
-			return nil
-		}
-		rec := Record{Kind: body[0]}
-		if len(body) > 1 {
-			rec.Data = append([]byte(nil), body[1:]...)
-		}
-		rep.Records = append(rep.Records, rec)
-		off = end
-	}
-	return nil
 }
 
 // Snapshot returns the index just past the last snapshot record in
@@ -771,7 +654,3 @@ func Snapshot(records []Record) (int, bool) {
 	}
 	return 0, false
 }
-
-// ErrNoJournal reports a resume attempt against a journal with no
-// records at all.
-var ErrNoJournal = errors.New("journal: no records")

@@ -365,3 +365,147 @@ func TestOversizeRecordRejected(t *testing.T) {
 		t.Fatal("oversize record accepted")
 	}
 }
+
+// TestReopenAfterCutAtEveryByte cuts a two-segment journal at every byte
+// of its concatenated segments (a cut in the first segment leaves the
+// second whole), then opens it, appends, closes and reads: the read must
+// be the records Open recovered followed by the appended one, and a
+// segment Open set aside must still hold every byte it held.
+func TestReopenAfterCutAtEveryByte(t *testing.T) {
+	recs := testRecords(6)
+	seg1, _ := buildSegment(recs[:3])
+	seg2, _ := buildSegment(recs[3:])
+	for cut := 0; cut <= len(seg1)+len(seg2); cut++ {
+		dir := t.TempDir()
+		one, two := seg1, seg2
+		if cut <= len(seg1) {
+			one = seg1[:cut]
+		} else {
+			two = seg2[:cut-len(seg1)]
+		}
+		for seq, data := range [][]byte{one, two} {
+			if err := os.WriteFile(segPath(dir, seq+1), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j := openT(t, dir, Options{Sync: SyncNever})
+		got := j.Records()
+		appendT(t, j, 1, "appended")
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Read(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Torn || len(rep.Records) != len(got)+1 || string(rep.Records[len(got)].Data) != "appended" {
+			t.Fatalf("cut at %d: read %d records (torn=%v) after reopening with %d, want the append last",
+				cut, len(rep.Records), rep.Torn, len(got))
+		}
+		for i, r := range got {
+			if r.Kind != rep.Records[i].Kind || !bytes.Equal(r.Data, rep.Records[i].Data) {
+				t.Fatalf("cut at %d: record %d changed across the reopen", cut, i)
+			}
+		}
+		if aside, err := os.ReadFile(segPath(dir, 2) + ".torn"); err == nil && !bytes.Equal(aside, two) {
+			t.Fatalf("cut at %d: the segment set aside lost bytes", cut)
+		}
+	}
+}
+
+// TestReopenEmptySegmentKeepsAppend: a crash between creating a segment
+// and writing its magic leaves an empty file; the record appended after
+// reopening is read back.
+func TestReopenEmptySegmentKeepsAppend(t *testing.T) {
+	dir := t.TempDir()
+	j := openT(t, dir, Options{Sync: SyncNever})
+	appendT(t, j, 1, "a")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segPath(dir, 2), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j = openT(t, dir, Options{Sync: SyncNever})
+	appendT(t, j, 1, "b")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j = openT(t, dir, Options{Sync: SyncNever})
+	defer j.Close()
+	wantRecords(t, j.Records(), "a", "b")
+}
+
+// TestReopenPastCorruptSegmentKeepsAppend: a flipped byte in the first
+// of several segments stops the replay there; the record appended after
+// reopening is read back, and the later segments are set aside, not
+// deleted.
+func TestReopenPastCorruptSegmentKeepsAppend(t *testing.T) {
+	dir := t.TempDir()
+	j := openT(t, dir, Options{Sync: SyncAlways, SegmentBytes: 40})
+	for i := 0; i < 6; i++ {
+		appendT(t, j, 1, fmt.Sprintf("rec-%d", i))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := Segments(dir)
+	if err != nil || len(before) < 3 {
+		t.Fatalf("want at least 3 segments, got %d (%v)", len(before), err)
+	}
+	data, err := os.ReadFile(segPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x01
+	if err := os.WriteFile(segPath(dir, 1), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j = openT(t, dir, Options{Sync: SyncNever, SegmentBytes: 40})
+	recovered := len(j.Records())
+	appendT(t, j, 1, "after")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Torn || len(rep.Records) != recovered+1 || string(rep.Records[recovered].Data) != "after" {
+		t.Fatalf("read %d records (torn=%v) after reopening with %d, want the append last",
+			len(rep.Records), rep.Torn, recovered)
+	}
+	for _, seg := range before[1:] {
+		if _, err := os.Stat(seg.Path + ".torn"); err != nil {
+			t.Fatalf("segment %d was not set aside: %v", seg.Seq, err)
+		}
+	}
+}
+
+// TestReadSkipsBackupCopies: only journal-%08d.wal names are segments;
+// a .bak or ~ copy beside one is not read.
+func TestReadSkipsBackupCopies(t *testing.T) {
+	dir := t.TempDir()
+	j := openT(t, dir, Options{Sync: SyncNever})
+	appendT(t, j, 1, "once")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(segPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, copyName := range []string{segPath(dir, 1) + ".bak", segPath(dir, 1) + "~", filepath.Join(dir, "journal-1.wal")} {
+		if err := os.WriteFile(copyName, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Segments) != 1 {
+		t.Fatalf("read %d segments, want 1", len(rep.Segments))
+	}
+	wantRecords(t, rep.Records, "once")
+}

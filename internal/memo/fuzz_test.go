@@ -1,35 +1,28 @@
 package memo
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"wfserverless/internal/journal"
 )
 
-// frame is one record as the cache file holds it.
+// frame is one record as the cache file holds it: a journal envelope.
 func frame(fp [32]byte, outs []Output) []byte {
-	payload := appendEntry(nil, fp, outs)
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	b = append(b, payload...)
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	return journal.AppendRecord(nil, kindEntry, appendEntry(nil, fp, outs))
 }
 
-// intact reports whether data holds, at any offset, a record whose CRC
-// checks and whose entry is fp -> outs.
+// intact reports whether data holds, at any offset, a journal envelope
+// whose CRC checks and whose entry is fp -> outs.
 func intact(data []byte, fp [32]byte, outs []Output) bool {
-	for i := 0; i+8 <= len(data); i++ {
-		n := int(binary.LittleEndian.Uint32(data[i:]))
-		if n <= 0 || n > len(data)-i-8 {
+	for i := range data {
+		rec, _, ok := journal.NextRecord(data[i:])
+		if !ok {
 			continue
 		}
-		payload := data[i+4 : i+4+n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[i+4+n:]) {
-			continue
-		}
-		if got, gotOuts, ok := decodeEntry(payload); ok && got == fp && reflect.DeepEqual(gotOuts, outs) {
+		if got, gotOuts, ok := decodeEntry(rec); ok && got == fp && reflect.DeepEqual(gotOuts, outs) {
 			return true
 		}
 	}
@@ -76,8 +69,12 @@ func FuzzMemoOpen(f *testing.F) {
 				t.Fatalf("hit %x is no record written intact", fp[:4])
 			}
 		}
-		off := len(magic)
-		for i := 0; i < entries && int(cut) >= len(magic); i++ {
+		head := len(genuine) // the segment magic: the file less its records
+		for i := 0; i < entries; i++ {
+			head -= len(frame(testFP(i), testOuts(i)))
+		}
+		off := head
+		for i := 0; i < entries && int(cut) >= head; i++ {
 			if off += len(frame(testFP(i), testOuts(i))); off > int(cut) {
 				break
 			}

@@ -1,9 +1,9 @@
 // Package memo implements the durable content-addressed result cache
 // behind the manager's incremental re-execution mode: a mapping from
 // task fingerprint (wfformat.TaskFingerprints) to the output-file
-// manifest the task produced, persisted as an append-only CRC-checked
-// record file beside the journal and indexed in memory for O(1)
-// lookups on the probe path.
+// manifest the task produced, persisted as one journal segment
+// (internal/journal) of entry records beside the run journal and indexed
+// in memory for O(1) lookups on the probe path.
 //
 // Durability model: appends are buffered and flushed on Sync/Close, so
 // a crash can lose the most recent entries — never corrupt older ones.
@@ -20,20 +20,16 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
+
+	"wfserverless/internal/journal"
 )
 
-// magic identifies a memo cache file; the trailing digit is the format
-// version.
-const magic = "WFMEMO1\n"
-
-// maxRecord bounds one record's payload so a corrupt length prefix
-// cannot drive a huge allocation.
-const maxRecord = 1 << 24
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// kindEntry is a memo file's one record kind, a fingerprint and its
+// output manifest; no other log uses it (wfm's kinds are 1–7, wfmd's 8
+// and 9). A record of any other kind is foreign and ends the file.
+const kindEntry uint8 = 10
 
 // Output is one recorded output product of a memoized task: the name
 // and size the task declared, and the content address the shared drive
@@ -65,121 +61,53 @@ type Cache struct {
 
 // Open loads (or creates) the cache file at path. Corrupt or foreign
 // content never fails Open: the file is truncated back to its longest
-// valid prefix — an unrecognizable file becomes a cold cache — and the
-// repair is reported by Recovered.
+// valid prefix — an unrecognizable file, an old WFMEMO1 one included,
+// becomes a cold cache — and the repair is reported by Recovered.
 func Open(path string) (*Cache, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("memo: %w", err)
 	}
 	c := &Cache{path: path, index: make(map[[32]byte][]Output)}
-	good := c.load(data)
-
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	end := journal.Scan(data, func(rec journal.Record) bool {
+		fp, outs, ok := decodeEntry(rec)
+		if ok {
+			c.index[fp] = outs // duplicate fingerprints: last record wins
+		}
+		return ok
+	})
+	if end < len(data) {
+		c.recovered, c.droppedBytes = true, int64(len(data)-end)
+	}
+	f, _, err := journal.OpenSegment(path, int64(end))
 	if err != nil {
 		return nil, fmt.Errorf("memo: %w", err)
 	}
-	if good < int64(len(data)) {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("memo: truncating corrupt tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(good, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("memo: %w", err)
-	}
-	c.f = f
-	c.w = bufio.NewWriterSize(f, 64<<10)
-	if good == 0 {
-		if _, err := c.w.WriteString(magic); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("memo: %w", err)
-		}
-	}
+	c.f, c.w = f, bufio.NewWriterSize(f, 64<<10)
 	return c, nil
 }
 
-// load replays data into the index and returns the byte offset of the
-// longest valid prefix (0 when even the magic is wrong).
-func (c *Cache) load(data []byte) int64 {
-	if len(data) == 0 {
-		return 0
-	}
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		c.recovered = true
-		c.droppedBytes = int64(len(data))
-		return 0
-	}
-	off := len(magic)
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < 4 {
-			break
-		}
-		n := int(binary.LittleEndian.Uint32(rest))
-		if n <= 0 || n > maxRecord || len(rest) < 4+n+4 {
-			break
-		}
-		payload := rest[4 : 4+n]
-		crc := binary.LittleEndian.Uint32(rest[4+n:])
-		if crc32.Checksum(payload, castagnoli) != crc {
-			break
-		}
-		fp, outs, ok := decodeEntry(payload)
-		if !ok {
-			break
-		}
-		c.index[fp] = outs // duplicate fingerprints: last record wins
-		off += 4 + n + 4
-	}
-	if off < len(data) {
-		c.recovered = true
-		c.droppedBytes = int64(len(data) - off)
-	}
-	return int64(off)
-}
-
-func decodeEntry(b []byte) (fp [32]byte, outs []Output, ok bool) {
-	if len(b) < len(fp) {
+func decodeEntry(rec journal.Record) (fp [32]byte, outs []Output, ok bool) {
+	c := journal.NewCursor(rec.Data)
+	copy(fp[:], c.Bytes(len(fp)))
+	cnt := c.Uvarint()
+	if rec.Kind != kindEntry || c.Err() != nil || cnt > uint64(len(c.Rest())) {
 		return fp, nil, false
 	}
-	copy(fp[:], b)
-	b = b[len(fp):]
-	cnt, n := binary.Uvarint(b)
-	if n <= 0 || cnt > maxRecord {
-		return fp, nil, false
-	}
-	b = b[n:]
 	outs = make([]Output, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
-		nameLen, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < nameLen {
-			return fp, nil, false
-		}
-		name := string(b[n : n+int(nameLen)])
-		b = b[n+int(nameLen):]
-		size, n := binary.Uvarint(b)
-		if n <= 0 {
-			return fp, nil, false
-		}
-		b = b[n:]
-		hash, n := binary.Uvarint(b)
-		if n <= 0 {
-			return fp, nil, false
-		}
-		b = b[n:]
-		outs = append(outs, Output{Name: name, Size: int64(size), Hash: hash})
+		name := c.Field()
+		size := c.Uvarint()
+		outs = append(outs, Output{Name: string(name), Size: int64(size), Hash: c.Uvarint()})
 	}
-	return fp, outs, len(b) == 0
+	return fp, outs, c.Err() == nil && len(c.Rest()) == 0
 }
 
 func appendEntry(b []byte, fp [32]byte, outs []Output) []byte {
 	b = append(b, fp[:]...)
 	b = binary.AppendUvarint(b, uint64(len(outs)))
 	for _, o := range outs {
-		b = binary.AppendUvarint(b, uint64(len(o.Name)))
-		b = append(b, o.Name...)
+		b = journal.AppendField(b, o.Name)
 		b = binary.AppendUvarint(b, uint64(o.Size))
 		b = binary.AppendUvarint(b, o.Hash)
 	}
@@ -213,20 +141,12 @@ func (c *Cache) Put(fp [32]byte, outs []Output) error {
 		return c.failed
 	}
 	c.index[fp] = append([]Output(nil), outs...)
+	// The envelope goes behind the entry it wraps, in one buffer.
 	c.scratch = appendEntry(c.scratch[:0], fp, c.index[fp])
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(c.scratch)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(c.scratch, castagnoli))
+	n := len(c.scratch)
+	c.scratch = journal.AppendRecord(c.scratch, kindEntry, c.scratch)
 	if c.failed == nil {
-		_, err := c.w.Write(hdr[:])
-		if err == nil {
-			_, err = c.w.Write(c.scratch)
-		}
-		if err == nil {
-			_, err = c.w.Write(crc[:])
-		}
-		if err != nil {
+		if _, err := c.w.Write(c.scratch[n:]); err != nil {
 			c.failed = fmt.Errorf("memo: append: %w", err)
 		}
 	}
@@ -253,17 +173,12 @@ func (c *Cache) Sync() error {
 }
 
 func (c *Cache) syncLocked() error {
-	if err := c.w.Flush(); err != nil {
-		if c.failed == nil {
-			c.failed = fmt.Errorf("memo: flush: %w", err)
-		}
-		return c.failed
+	err := c.w.Flush()
+	if err == nil {
+		err = c.f.Sync()
 	}
-	if err := c.f.Sync(); err != nil {
-		if c.failed == nil {
-			c.failed = fmt.Errorf("memo: sync: %w", err)
-		}
-		return c.failed
+	if err != nil && c.failed == nil {
+		c.failed = fmt.Errorf("memo: sync: %w", err)
 	}
 	return c.failed
 }

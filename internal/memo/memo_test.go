@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"wfserverless/internal/journal"
 )
 
 func testFP(i int) (fp [32]byte) {
@@ -257,5 +259,55 @@ func TestConcurrentPutLookup(t *testing.T) {
 	defer re.Close()
 	if re.Len() != 800 {
 		t.Fatalf("Len = %d after concurrent puts, want 800", re.Len())
+	}
+}
+
+// TestCacheIsJournalSegment: the cache file is one journal segment
+// holding one entry record per distinct Put.
+func TestCacheIsJournalSegment(t *testing.T) {
+	c, path := openTemp(t)
+	const n = 7
+	for i := 0; i < n; i++ {
+		c.Put(testFP(i), testOuts(i))
+	}
+	c.Put(testFP(0), testOuts(0)) // identical: no record
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := journal.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Torn || len(rep.Records) != n {
+		t.Fatalf("journal.Read: %d records (torn=%v), want %d", len(rep.Records), rep.Torn, n)
+	}
+	for i, rec := range rep.Records {
+		if fp, _, ok := decodeEntry(rec); rec.Kind != kindEntry || !ok || fp != testFP(i) {
+			t.Fatalf("record %d: kind %d, not entry %d", i, rec.Kind, i)
+		}
+	}
+}
+
+// TestOldFormatColdCache: a cache file of the earlier WFMEMO1 format
+// opens cold, like any foreign file, and is rewritten as a segment.
+func TestOldFormatColdCache(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "memo.cache")
+	old := append([]byte("WFMEMO1\n"), 4, 0, 0, 0, 'a', 'b', 'c', 'd', 1, 2, 3, 4)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped, repaired := c.Recovered(); c.Len() != 0 || !repaired || dropped != int64(len(old)) {
+		t.Fatalf("old file: %d entries, dropped %d, repaired %v; want a cold cache", c.Len(), dropped, repaired)
+	}
+	c.Put(testFP(1), testOuts(1))
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := journal.Read(path); err != nil || rep.Torn || len(rep.Records) != 1 {
+		t.Fatalf("rewritten file is not a one-record segment: %+v, %v", rep, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -69,25 +70,25 @@ func (h *runHeader) encode() []byte {
 	b = binary.AppendUvarint(b, h.OptionsHash)
 	b = append(b, byte(h.Scheduling))
 	b = binary.AppendUvarint(b, uint64(h.TaskCount))
-	b = appendString(b, h.Workflow)
+	b = journal.AppendField(b, h.Workflow)
 	b = binary.AppendVarint(b, h.StartedUnix)
 	return b
 }
 
 func decodeRunHeader(data []byte) (*runHeader, error) {
-	d := payload{b: data}
-	h := &runHeader{Version: int(d.byte())}
+	d := journal.NewCursor(data)
+	h := &runHeader{Version: int(d.Byte())}
 	if h.Version != journalRunHeaderVersion {
 		return nil, fmt.Errorf("wfm: journal header version %d (want %d)", h.Version, journalRunHeaderVersion)
 	}
-	copy(h.Fingerprint[:], d.bytes(len(h.Fingerprint)))
-	h.OptionsHash = d.uvarint()
-	h.Scheduling = Scheduling(d.byte())
-	h.TaskCount = int(d.uvarint())
-	h.Workflow = d.string()
-	h.StartedUnix = d.varint()
-	if d.err != nil {
-		return nil, fmt.Errorf("wfm: corrupt journal header: %w", d.err)
+	copy(h.Fingerprint[:], d.Bytes(len(h.Fingerprint)))
+	h.OptionsHash = d.Uvarint()
+	h.Scheduling = Scheduling(d.Byte())
+	h.TaskCount = int(d.Uvarint())
+	h.Workflow = string(d.Field())
+	h.StartedUnix = d.Varint()
+	if d.Err() != nil {
+		return nil, fmt.Errorf("wfm: corrupt journal header: %w", d.Err())
 	}
 	return h, nil
 }
@@ -113,13 +114,24 @@ type taskOutput struct {
 
 // The task-lifecycle encoders append into a caller-owned buffer — the
 // run's hot path reuses runJournal.scratch so journaling a task costs
-// zero heap allocations in steady state.
+// zero heap allocations in steady state. Each record kind's decoder sits
+// beside its encoder; ok is false for a payload it cannot read.
 
 func appendTaskStarted(b []byte, id int32, attempt int) []byte {
 	b = binary.AppendUvarint(b, uint64(id))
 	b = binary.AppendUvarint(b, uint64(attempt))
 	return b
 }
+
+func decodeTaskStarted(data []byte) (id int32, attempt int, ok bool) {
+	d := journal.NewCursor(data)
+	id, ok = taskID(d.Uvarint())
+	attempt = int(d.Uvarint())
+	return id, attempt, ok && d.Err() == nil
+}
+
+// taskID narrows a decoded task ID; one past int32 names no task.
+func taskID(v uint64) (int32, bool) { return int32(v), v <= math.MaxInt32 }
 
 // appendTaskCompleted encodes the completion straight off the task's
 // declared output files, skipping any intermediate slice.
@@ -134,11 +146,28 @@ func appendTaskCompleted(b []byte, id int32, t *wfformat.Task) []byte {
 	b = binary.AppendUvarint(b, uint64(n))
 	for _, f := range t.Files {
 		if f.Link == wfformat.LinkOutput {
-			b = appendString(b, f.Name)
+			b = journal.AppendField(b, f.Name)
 			b = binary.AppendUvarint(b, uint64(f.SizeInBytes))
 		}
 	}
 	return b
+}
+
+// decodeTaskCompleted reads a recTaskCompleted or recTaskMemoized
+// payload: the task and its output names and sizes.
+func decodeTaskCompleted(data []byte) (id int32, outs []taskOutput, ok bool) {
+	d := journal.NewCursor(data)
+	id, ok = taskID(d.Uvarint())
+	cnt := d.Uvarint()
+	if !ok || d.Err() != nil || cnt > uint64(len(d.Rest())) {
+		return 0, nil, false
+	}
+	outs = make([]taskOutput, 0, cnt)
+	for i := uint64(0); i < cnt; i++ {
+		name := d.Field()
+		outs = append(outs, taskOutput{Name: string(name), Size: int64(d.Uvarint())})
+	}
+	return id, outs, d.Err() == nil
 }
 
 func appendTaskFailed(b []byte, id int32, skipped bool, msg string) []byte {
@@ -148,12 +177,27 @@ func appendTaskFailed(b []byte, id int32, skipped bool, msg string) []byte {
 		flags |= 1
 	}
 	b = append(b, flags)
-	b = appendString(b, msg)
+	b = journal.AppendField(b, msg)
 	return b
+}
+
+func decodeTaskFailed(data []byte) (id int32, skipped bool, msg string, ok bool) {
+	d := journal.NewCursor(data)
+	id, ok = taskID(d.Uvarint())
+	skipped = d.Byte()&1 != 0
+	msg = string(d.Field())
+	return id, skipped, msg, ok && d.Err() == nil
 }
 
 func appendRunEnd(b []byte, status byte, failed int) []byte {
 	return binary.AppendUvarint(append(b, status), uint64(failed))
+}
+
+func decodeRunEnd(data []byte) (status byte, failed int, ok bool) {
+	d := journal.NewCursor(data)
+	status = d.Byte()
+	failed = int(d.Uvarint())
+	return status, failed, d.Err() == nil
 }
 
 func encodeRunResumed(recorded, verified, reexecuted int) []byte {
@@ -164,80 +208,18 @@ func encodeRunResumed(recorded, verified, reexecuted int) []byte {
 	return b
 }
 
+func decodeRunResumed(data []byte) (m ResumeMarker, ok bool) {
+	d := journal.NewCursor(data)
+	m = ResumeMarker{Recorded: int(d.Uvarint()), Verified: int(d.Uvarint()), Reexecuted: int(d.Uvarint())}
+	return m, d.Err() == nil
+}
+
 // Run-end status bytes.
 const (
 	runEndOK        byte = 0
 	runEndFailed    byte = 1
 	runEndCancelled byte = 2
 )
-
-// payload is a cursor over a record payload with sticky-error decoding.
-type payload struct {
-	b   []byte
-	err error
-}
-
-func (d *payload) fail() {
-	if d.err == nil {
-		d.err = errors.New("truncated payload")
-	}
-}
-
-func (d *payload) byte() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *payload) bytes(n int) []byte {
-	if d.err != nil || len(d.b) < n {
-		d.fail()
-		return make([]byte, n)
-	}
-	v := d.b[:n]
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *payload) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *payload) varint() int64 {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *payload) string() string {
-	n := d.uvarint()
-	if d.err != nil || uint64(len(d.b)) < n {
-		d.fail()
-		return ""
-	}
-	v := string(d.b[:n])
-	d.b = d.b[n:]
-	return v
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
 
 // runJournal is the manager's writer over the journal, the run's first
 // sink (transition.go). Append errors are sticky and surfaced once at
@@ -380,9 +362,7 @@ func (m *Manager) recoverRun(c *Compiled, recs []journal.Record, torn bool) (*re
 				header = h
 			}
 		case recTaskStarted:
-			d := payload{b: r.Data}
-			id := int32(d.uvarint())
-			if d.err == nil && int(id) < n {
+			if id, _, ok := decodeTaskStarted(r.Data); ok && int(id) < n {
 				rec.attempts[id]++
 				rec.report.PriorAttempts++
 			}
@@ -390,17 +370,7 @@ func (m *Manager) recoverRun(c *Compiled, recs []journal.Record, torn bool) (*re
 			// A memoized task is a completion from recovery's point of
 			// view: its products are on the drive (verified below like any
 			// other) and it must not be re-invoked on resume.
-			d := payload{b: r.Data}
-			id := int32(d.uvarint())
-			cnt := int(d.uvarint())
-			if d.err != nil || int(id) >= n {
-				continue
-			}
-			outs := make([]taskOutput, 0, cnt)
-			for i := 0; i < cnt && d.err == nil; i++ {
-				outs = append(outs, taskOutput{Name: d.string(), Size: int64(d.uvarint())})
-			}
-			if d.err == nil {
+			if id, outs, ok := decodeTaskCompleted(r.Data); ok && int(id) < n {
 				rec.doneSet[id] = true
 				completedOuts[id] = outs
 			}
@@ -511,36 +481,25 @@ type RunEndMarker struct {
 	Failed int
 }
 
+// kindNames and statusNames name record kinds and run-end statuses for
+// the summary.
+var (
+	kindNames = [...]string{journal.KindSnapshot: "snapshot", recRunHeader: "run-header",
+		recTaskStarted: "task-started", recTaskCompleted: "task-completed", recTaskFailed: "task-failed",
+		recRunEnd: "run-end", recRunResumed: "run-resumed", recTaskMemoized: "task-memoized"}
+	statusNames = [...]string{runEndOK: "ok", runEndFailed: "failed", runEndCancelled: "cancelled"}
+)
+
 func kindName(k uint8) string {
-	switch k {
-	case journal.KindSnapshot:
-		return "snapshot"
-	case recRunHeader:
-		return "run-header"
-	case recTaskStarted:
-		return "task-started"
-	case recTaskCompleted:
-		return "task-completed"
-	case recTaskFailed:
-		return "task-failed"
-	case recRunEnd:
-		return "run-end"
-	case recRunResumed:
-		return "run-resumed"
-	case recTaskMemoized:
-		return "task-memoized"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind-%d", k)
 }
 
 func statusName(s byte) string {
-	switch s {
-	case runEndOK:
-		return "ok"
-	case runEndFailed:
-		return "failed"
-	case runEndCancelled:
-		return "cancelled"
+	if int(s) < len(statusNames) {
+		return statusNames[s]
 	}
 	return fmt.Sprintf("status-%d", s)
 }
@@ -571,7 +530,6 @@ func SummarizeJournal(records []journal.Record, torn bool) *JournalSummary {
 	memoized := make(map[int32]bool)
 	for _, r := range records {
 		s.EventCounts[kindName(r.Kind)]++
-		d := payload{b: r.Data}
 		switch r.Kind {
 		case recRunHeader:
 			h, err := decodeRunHeader(r.Data)
@@ -587,50 +545,34 @@ func SummarizeJournal(records []journal.Record, torn bool) *JournalSummary {
 				StartedUnix: h.StartedUnix,
 			}
 		case recTaskStarted:
-			id := int32(d.uvarint())
-			if d.err == nil {
+			if id, _, ok := decodeTaskStarted(r.Data); ok {
 				s.Attempts[id]++
 			}
-		case recTaskCompleted:
-			id := int32(d.uvarint())
-			if d.err == nil {
-				completed[id] = true
+		case recTaskCompleted, recTaskMemoized:
+			id, outs, ok := decodeTaskCompleted(r.Data)
+			if !ok {
+				continue
 			}
-		case recTaskMemoized:
-			id := int32(d.uvarint())
-			cnt := int(d.uvarint())
-			var bytes int64
-			for i := 0; i < cnt && d.err == nil; i++ {
-				d.string()
-				bytes += int64(d.uvarint())
-			}
-			if d.err == nil {
+			completed[id] = true
+			if r.Kind == recTaskMemoized {
 				memoized[id] = true
-				completed[id] = true
-				s.MemoSkippedBytes += bytes
+				for _, o := range outs {
+					s.MemoSkippedBytes += o.Size
+				}
 			}
 		case recTaskFailed:
-			id := int32(d.uvarint())
-			flags := d.byte()
-			if d.err == nil {
+			if id, skipped, _, ok := decodeTaskFailed(r.Data); ok {
 				failed[id] = true
-				if flags&1 != 0 {
+				if skipped {
 					s.SkippedTasks++
 				}
 			}
 		case recRunEnd:
-			status := d.byte()
-			n := int(d.uvarint())
-			if d.err == nil {
+			if status, n, ok := decodeRunEnd(r.Data); ok {
 				s.Ends = append(s.Ends, RunEndMarker{Status: statusName(status), Failed: n})
 			}
 		case recRunResumed:
-			m := ResumeMarker{
-				Recorded:   int(d.uvarint()),
-				Verified:   int(d.uvarint()),
-				Reexecuted: int(d.uvarint()),
-			}
-			if d.err == nil {
+			if m, ok := decodeRunResumed(r.Data); ok {
 				s.Resumes = append(s.Resumes, m)
 			}
 		}

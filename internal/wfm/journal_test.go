@@ -118,9 +118,7 @@ func crashAndResume(t *testing.T, w *wfformat.Workflow, mode Scheduling, crashAf
 	recorded := make(map[int32]int)
 	for _, r := range j2.Records() {
 		if r.Kind == recTaskCompleted {
-			d := payload{b: r.Data}
-			id := int32(d.uvarint())
-			if d.err == nil {
+			if id, _, ok := decodeTaskCompleted(r.Data); ok {
 				recorded[id]++
 			}
 		}

@@ -321,9 +321,7 @@ func TestMemoizeComposesWithResume(t *testing.T) {
 		recorded := make(map[int32]bool)
 		for _, r := range j2.Records() {
 			if r.Kind == recTaskCompleted || r.Kind == recTaskMemoized {
-				d := payload{b: r.Data}
-				id := int32(d.uvarint())
-				if d.err == nil {
+				if id, _, ok := decodeTaskCompleted(r.Data); ok {
 					recorded[id] = true
 				}
 			}

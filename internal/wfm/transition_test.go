@@ -95,13 +95,17 @@ func journalLives(t *testing.T, dir string) [][]journalRecord {
 		if len(lives) == 0 {
 			t.Fatalf("task record (kind %d) before any run header", r.Kind)
 		}
-		d := payload{b: r.Data}
-		rec := journalRecord{kind: r.Kind, id: int32(d.uvarint())}
-		if r.Kind == recTaskFailed {
-			rec.skipped = d.byte()&1 != 0
+		rec, ok := journalRecord{kind: r.Kind}, false
+		switch r.Kind {
+		case recTaskStarted:
+			rec.id, _, ok = decodeTaskStarted(r.Data)
+		case recTaskFailed:
+			rec.id, rec.skipped, _, ok = decodeTaskFailed(r.Data)
+		default:
+			rec.id, _, ok = decodeTaskCompleted(r.Data)
 		}
-		if d.err != nil {
-			t.Fatalf("journal record kind %d: %v", r.Kind, d.err)
+		if !ok {
+			t.Fatalf("journal record kind %d: undecodable payload", r.Kind)
 		}
 		lives[len(lives)-1] = append(lives[len(lives)-1], rec)
 	}

@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"wfserverless/internal/journal"
@@ -93,26 +92,27 @@ func (f *fold) submit(seq int, meta RunMeta, workflow []byte, size int) *RunReco
 
 // apply folds one record and returns the run it belongs to, nil if none.
 func (f *fold) apply(rec journal.Record) *RunRecord {
-	seq, n := binary.Uvarint(rec.Data)
-	if n <= 0 || seq == 0 || seq > seqLimit {
+	d := journal.NewCursor(rec.Data)
+	seq := d.Uvarint()
+	if d.Err() != nil || seq == 0 || seq > seqLimit {
 		return nil
 	}
-	data, r := rec.Data[n:], f.runs[int(seq)]
+	data, r := d.Rest(), f.runs[int(seq)]
 	switch {
 	case rec.Kind == kindSubmit:
-		meta, rest, ok := cut(data)
+		meta := d.Field()
 		switch {
-		case !ok:
+		case d.Err() != nil:
 			return nil
 		case r == nil && len(meta) > 0:
-			size, k := binary.Uvarint(rest)
+			size := d.Uvarint()
 			var m RunMeta
-			if k <= 0 || size > maxWorkflowBytes || json.Unmarshal(meta, &m) != nil {
+			if d.Err() != nil || size > maxWorkflowBytes || json.Unmarshal(meta, &m) != nil {
 				return nil
 			}
-			r = f.submit(int(seq), m, rest[k:], int(size))
+			r = f.submit(int(seq), m, d.Rest(), int(size))
 		case r != nil && len(meta) == 0 && len(r.Workflow) < r.size:
-			r.Workflow = append(r.Workflow, rest...)
+			r.Workflow = append(r.Workflow, d.Rest()...)
 		}
 	case r == nil || r.Result != nil:
 		return nil
@@ -129,15 +129,6 @@ func (f *fold) apply(rec journal.Record) *RunRecord {
 		r.Records = append(r.Records, journal.Record{Kind: rec.Kind, Data: data})
 	}
 	return r
-}
-
-// cut splits a uvarint-length-prefixed field off data.
-func cut(data []byte) (field, rest []byte, ok bool) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 || n > uint64(len(data)-k) {
-		return nil, nil, false
-	}
-	return data[k : k+int(n)], data[k+int(n):], true
 }
 
 // sorted returns the folded runs in sequence order, less any whose
@@ -169,16 +160,12 @@ func foldLog(dataDir string, f *fold) (int, error) {
 			continue
 		}
 		last = max(last, n)
-		dir := filepath.Join(root, life.Name())
-		segs, err := os.ReadDir(dir)
+		segs, err := journal.Segments(filepath.Join(root, life.Name()))
 		if err != nil {
 			return 0, err
 		}
 		for _, seg := range segs {
-			if !strings.HasSuffix(seg.Name(), ".wal") {
-				continue
-			}
-			rep, err := journal.Read(filepath.Join(dir, seg.Name()))
+			rep, err := journal.Read(seg.Path)
 			if err != nil {
 				return 0, err
 			}
@@ -246,7 +233,7 @@ func (s *Server) logSubmit(seq int, meta RunMeta, body []byte) error {
 	bp := bufs.Get().(*[]byte)
 	defer putBuf(bp)
 	b := binary.AppendUvarint((*bp)[:0], uint64(seq))
-	b = binary.AppendUvarint(append(binary.AppendUvarint(b, uint64(len(m))), m...), uint64(len(body)))
+	b = binary.AppendUvarint(journal.AppendField(b, m), uint64(len(body)))
 	for {
 		n := min(len(body), submitChunk)
 		b = append(b, body[:n]...)
