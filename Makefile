@@ -58,11 +58,13 @@ race:
 # benchFanout, insertSorted and Sprintf are the test building its
 # workflow, outside the run the budget counts. SITES sets how many rows,
 # ALLOC_OUT where the test binary and profile go.
+# ALLOC_TEST picks the test, e.g. ALLOC_TEST='TestFrontHalfAllocationBudget/memoized$$'.
 SITES ?= 40
 ALLOC_OUT ?= .bench_build/alloc-sites
+ALLOC_TEST ?= TestBackHalfAllocationBudget/batched$$
 alloc-sites:
 	mkdir -p $(ALLOC_OUT)
-	$(GO) test ./internal/wfm -run 'TestBackHalfAllocationBudget/batched$$' -count=1 \
+	$(GO) test ./internal/wfm -run '$(ALLOC_TEST)' -count=1 \
 		-o $(ALLOC_OUT)/wfm.test -memprofile $(ALLOC_OUT)/mem.prof -memprofilerate=1
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=$(SITES) $(ALLOC_OUT)/wfm.test $(ALLOC_OUT)/mem.prof 2>/dev/null | \
 		awk 'rows {printf "%8.2f /task  with callees %8.2f  %s\n", $$1/10000, $$4/10000, $$6 " " $$7; next} /flat%/ {rows = 1; next} {print}'

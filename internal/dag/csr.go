@@ -1,6 +1,6 @@
 // Package dag models a scientific workflow as a directed acyclic graph:
 // tasks are vertices, data/control dependencies are edges. There is one
-// representation — an interning table mapping vertex names to dense
+// representation — a table mapping vertex names to dense
 // int32 IDs (Index) and an immutable compressed-sparse-row adjacency
 // over those IDs (CSR) — which validation, characterization and the
 // workflow manager's Scheduler all run on, so a 100k-task workflow is
@@ -13,34 +13,14 @@ import (
 	"slices"
 )
 
-// Index interns vertex names to dense int32 IDs in insertion order. IDs
-// are stable for the lifetime of the Index and contiguous in [0, Len).
+// Index maps vertex names to dense int32 IDs: a name's ID is its
+// position in the names its CSRBuilder was made with, in [0, Len).
 type Index struct {
 	names []string
 	ids   map[string]int32
 }
 
-// NewIndex returns an empty interning table with capacity hint n.
-func NewIndex(n int) *Index {
-	return &Index{
-		names: make([]string, 0, n),
-		ids:   make(map[string]int32, n),
-	}
-}
-
-// Intern returns the ID of name, assigning the next dense ID on first
-// sight.
-func (ix *Index) Intern(name string) int32 {
-	if id, ok := ix.ids[name]; ok {
-		return id
-	}
-	id := int32(len(ix.names))
-	ix.names = append(ix.names, name)
-	ix.ids[name] = id
-	return id
-}
-
-// ID returns the ID of name and whether it is interned.
+// ID returns the ID of name and whether the index holds it.
 func (ix *Index) ID(name string) (int32, bool) {
 	id, ok := ix.ids[name]
 	return id, ok
@@ -50,7 +30,7 @@ func (ix *Index) ID(name string) (int32, bool) {
 // only come from caller bugs, never from data.
 func (ix *Index) Name(id int32) string { return ix.names[id] }
 
-// Len returns the number of interned names.
+// Len returns the number of names.
 func (ix *Index) Len() int { return len(ix.names) }
 
 // Names returns the backing name slice, indexed by ID. Read-only: the
@@ -76,30 +56,28 @@ type CSR struct {
 	numLevels int
 }
 
-// CSRBuilder accumulates vertices and edges, then compiles them into an
-// immutable CSR with Build.
+// CSRBuilder accumulates the edges between a fixed set of vertices,
+// then compiles them into an immutable CSR with Build.
 type CSRBuilder struct {
 	idx      *Index
 	from, to []int32
 }
 
-// NewCSRBuilder returns a builder with capacity hints for vertices and
-// edges.
-func NewCSRBuilder(vertices, edges int) *CSRBuilder {
-	return &CSRBuilder{
-		idx:  NewIndex(vertices),
-		from: make([]int32, 0, edges),
-		to:   make([]int32, 0, edges),
+// NewCSRBuilder returns a builder whose vertices are the distinct names,
+// each one's ID its position, with a capacity hint for edges. The index
+// keeps names as its own: the caller must not modify them.
+func NewCSRBuilder(names []string, edges int) *CSRBuilder {
+	ix := &Index{names: names, ids: make(map[string]int32, len(names))}
+	for id, n := range names {
+		ix.ids[n] = int32(id)
 	}
+	return &CSRBuilder{idx: ix, from: make([]int32, 0, edges), to: make([]int32, 0, edges)}
 }
 
-// AddVertex interns name and returns its ID.
-func (b *CSRBuilder) AddVertex(name string) int32 { return b.idx.Intern(name) }
-
-// Index exposes the builder's interning table.
+// Index exposes the builder's name table.
 func (b *CSRBuilder) Index() *Index { return b.idx }
 
-// AddEdgeIDs records the edge from -> to between already-interned IDs.
+// AddEdgeIDs records the edge from -> to between the builder's IDs.
 // Self-edges are rejected; duplicate edges are collapsed at Build.
 func (b *CSRBuilder) AddEdgeIDs(from, to int32) error {
 	if from == to {
@@ -116,30 +94,29 @@ func (b *CSRBuilder) Build() (*CSR, error) {
 	n := int32(b.idx.Len())
 	c := &CSR{
 		idx:         b.idx,
-		childStart:  make([]int32, n+1),
-		parentStart: make([]int32, n+1),
+		childStart:  make([]int32, n+2),
+		parentStart: make([]int32, n+2),
 	}
-	// Counting pass, then prefix sums, then a fill pass — two linear
-	// scans over the edge list, no per-vertex allocation.
+	// Count one slot up, prefix-sum, fill — two scans of the edge list, no
+	// per-vertex allocation: start[v+1] is v's cursor, and ends as v+1's start.
 	for i := range b.from {
-		c.childStart[b.from[i]+1]++
-		c.parentStart[b.to[i]+1]++
+		c.childStart[b.from[i]+2]++
+		c.parentStart[b.to[i]+2]++
 	}
-	for v := int32(0); v < n; v++ {
-		c.childStart[v+1] += c.childStart[v]
-		c.parentStart[v+1] += c.parentStart[v]
+	for v := int32(2); v <= n; v++ {
+		c.childStart[v] += c.childStart[v-1]
+		c.parentStart[v] += c.parentStart[v-1]
 	}
 	c.children = make([]int32, len(b.from))
 	c.parents = make([]int32, len(b.from))
-	childNext := make([]int32, n)
-	parentNext := make([]int32, n)
 	for i := range b.from {
 		f, t := b.from[i], b.to[i]
-		c.children[c.childStart[f]+childNext[f]] = t
-		childNext[f]++
-		c.parents[c.parentStart[t]+parentNext[t]] = f
-		parentNext[t]++
+		c.children[c.childStart[f+1]] = t
+		c.childStart[f+1]++
+		c.parents[c.parentStart[t+1]] = f
+		c.parentStart[t+1]++
 	}
+	c.childStart, c.parentStart = c.childStart[:n+1], c.parentStart[:n+1]
 	// Canonicalize: adjacency segments sorted by ID, duplicates dropped.
 	c.children, c.childStart = dedupSegments(c.children, c.childStart)
 	c.parents, c.parentStart = dedupSegments(c.parents, c.parentStart)
@@ -269,7 +246,7 @@ func (c *CSR) Len() int { return c.idx.Len() }
 // EdgeCount returns the number of (deduplicated) edges.
 func (c *CSR) EdgeCount() int { return len(c.children) }
 
-// Index returns the interning table mapping names to IDs.
+// Index returns the table mapping names to IDs.
 func (c *CSR) Index() *Index { return c.idx }
 
 // Name returns the name of id.

@@ -68,13 +68,12 @@ func randomDAG(r *rand.Rand, n int) *naiveGraph {
 // build feeds g's vertices and edges to a CSRBuilder, IDs in insertion
 // order.
 func build(g *naiveGraph) (*CSR, error) {
-	b := NewCSRBuilder(len(g.names), 0)
-	for _, v := range g.names {
-		b.AddVertex(v)
-	}
+	b := NewCSRBuilder(g.names, 0)
 	for _, v := range g.names {
 		for _, ch := range g.children[v] {
-			if err := b.AddEdgeIDs(b.AddVertex(v), b.AddVertex(ch)); err != nil {
+			from, _ := b.Index().ID(v)
+			to, _ := b.Index().ID(ch)
+			if err := b.AddEdgeIDs(from, to); err != nil {
 				return nil, err
 			}
 		}
@@ -116,23 +115,9 @@ func sorted(s []string) []string {
 	return out
 }
 
-func TestAddVertexIdempotent(t *testing.T) {
-	b := NewCSRBuilder(1, 0)
-	if first, again := b.AddVertex("x"), b.AddVertex("x"); first != again {
-		t.Fatalf("AddVertex(x) = %d then %d", first, again)
-	}
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-}
-
 func TestSelfEdgeRejected(t *testing.T) {
-	b := NewCSRBuilder(1, 1)
-	a := b.AddVertex("a")
+	b := NewCSRBuilder([]string{"a"}, 1)
+	a := int32(0)
 	err := b.AddEdgeIDs(a, a)
 	if err == nil || !strings.Contains(err.Error(), `"a"`) {
 		t.Fatalf("self edge: err = %v, want one naming the vertex", err)
@@ -402,8 +387,8 @@ func TestCSRLevelsMatchGraphLevels(t *testing.T) {
 }
 
 func TestCSRBuilderCollapsesDuplicateEdges(t *testing.T) {
-	b := NewCSRBuilder(2, 4)
-	a, z := b.AddVertex("a"), b.AddVertex("z")
+	b := NewCSRBuilder([]string{"a", "z"}, 4)
+	a, z := int32(0), int32(1)
 	for i := 0; i < 3; i++ {
 		if err := b.AddEdgeIDs(a, z); err != nil {
 			t.Fatal(err)

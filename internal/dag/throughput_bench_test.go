@@ -108,10 +108,7 @@ var benchSizes = []int{1_000, 10_000, 100_000}
 
 // benchBuilder loads a shape into a builder, ready to Build.
 func benchBuilder(tb testing.TB, names []string, edges [][2]int32) *CSRBuilder {
-	b := NewCSRBuilder(len(names), len(edges))
-	for _, n := range names {
-		b.AddVertex(n)
-	}
+	b := NewCSRBuilder(names, len(edges))
 	for _, e := range edges {
 		if err := b.AddEdgeIDs(e[0], e[1]); err != nil {
 			tb.Fatal(err)

@@ -208,8 +208,19 @@ func (c *Cursor) Bytes(n int) []byte {
 	return v
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint, inline if it is one byte long.
 func (c *Cursor) Uvarint() uint64 {
+	for _, x := range c.b {
+		if x < 0x80 {
+			c.b = c.b[1:]
+			return uint64(x)
+		}
+		break
+	}
+	return slowPath(c, (*Cursor).uvarintSlow)
+}
+
+func (c *Cursor) uvarintSlow() uint64 {
 	v, n := binary.Uvarint(c.b)
 	if n <= 0 {
 		c.fail()
@@ -218,6 +229,11 @@ func (c *Cursor) Uvarint() uint64 {
 	c.b = c.b[n:]
 	return v
 }
+
+// slowPath is f(c): a call to a function parameter costs the inliner a
+// third of a direct call, so Uvarint and Field stay inlinable, and once
+// they are inlined the call is a direct one again.
+func slowPath[T any](c *Cursor, f func(*Cursor) T) T { return f(c) }
 
 // Varint reads a signed varint.
 func (c *Cursor) Varint() int64 {
@@ -230,14 +246,20 @@ func (c *Cursor) Varint() int64 {
 	return v
 }
 
-// Field reads a field AppendField wrote; the slice aliases the payload.
+// Field reads a field AppendField wrote, inline if it is shorter than
+// 128 bytes; the slice aliases the payload.
 func (c *Cursor) Field() []byte {
-	n := c.Uvarint()
-	if n > uint64(len(c.b)) {
-		c.fail()
-		return nil
+	if b := c.b; len(b) != 0 && b[0] < 0x80 && int(b[0]) < len(b) {
+		n := 1 + int(b[0])
+		c.b = b[n:]
+		return b[1:n]
 	}
-	return c.Bytes(int(n))
+	return slowPath(c, (*Cursor).fieldSlow)
+}
+
+func (c *Cursor) fieldSlow() []byte {
+	n := c.Uvarint()
+	return c.Bytes(int(min(n, uint64(len(c.b))+1))) // past the payload: Bytes fails
 }
 
 // AppendField appends f behind its uvarint length: the encoder half of

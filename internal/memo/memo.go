@@ -21,6 +21,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 
 	"wfserverless/internal/journal"
@@ -44,13 +46,16 @@ type Output struct {
 }
 
 // Cache is a durable fingerprint → output-manifest map. All methods
-// are safe for concurrent use.
+// are safe for concurrent use. No entry is an allocation of its own: a
+// manifest is a capped view of one slab of Outputs, and the names Open
+// loaded are substrings of one string.
 type Cache struct {
 	mu      sync.RWMutex
 	path    string
 	f       *os.File
 	w       *bufio.Writer
-	index   map[[32]byte][]Output
+	index   map[[32]byte][]Output // views of outs
+	outs    []Output              // the slab's last chunk
 	scratch []byte
 	failed  error // first append/flush error, sticky
 	closed  bool
@@ -68,13 +73,27 @@ func Open(path string) (*Cache, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("memo: %w", err)
 	}
-	c := &Cache{path: path, index: make(map[[32]byte][]Output)}
+	// The first pass finds the valid prefix and counts what it holds,
+	// the second fills an index, a slab and a name arena of that size.
+	var records, outputs, nameBytes int
 	end := journal.Scan(data, func(rec journal.Record) bool {
-		fp, outs, ok := decodeEntry(rec)
+		_, n, ok := walkEntry(rec, func(name []byte, _, _ uint64) { nameBytes += len(name) })
 		if ok {
-			c.index[fp] = outs // duplicate fingerprints: last record wins
+			records, outputs = records+1, outputs+n
 		}
 		return ok
+	})
+	c := &Cache{path: path, index: make(map[[32]byte][]Output, records), outs: make([]Output, 0, outputs)}
+	var names strings.Builder
+	names.Grow(nameBytes) // never grows again: the names already taken stay where they are
+	journal.Scan(data[:end], func(rec journal.Record) bool {
+		fp, n, _ := walkEntry(rec, func(name []byte, size, hash uint64) {
+			names.Write(name)
+			all := names.String()
+			c.outs = append(c.outs, Output{Name: all[len(all)-len(name):], Size: int64(size), Hash: hash})
+		})
+		c.index[fp] = c.outs[len(c.outs)-n : len(c.outs) : len(c.outs)] // duplicates: last record wins
+		return true
 	})
 	if end < len(data) {
 		c.recovered, c.droppedBytes = true, int64(len(data)-end)
@@ -87,20 +106,22 @@ func Open(path string) (*Cache, error) {
 	return c, nil
 }
 
-func decodeEntry(rec journal.Record) (fp [32]byte, outs []Output, ok bool) {
+// walkEntry calls out with each output of an entry record (the name
+// aliases rec); it returns the fingerprint, the outputs' count and
+// whether rec is one whole entry.
+func walkEntry(rec journal.Record, out func(name []byte, size, hash uint64)) (fp [32]byte, n int, ok bool) {
 	c := journal.NewCursor(rec.Data)
 	copy(fp[:], c.Bytes(len(fp)))
 	cnt := c.Uvarint()
 	if rec.Kind != kindEntry || c.Err() != nil || cnt > uint64(len(c.Rest())) {
-		return fp, nil, false
+		return fp, 0, false
 	}
-	outs = make([]Output, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		name := c.Field()
 		size := c.Uvarint()
-		outs = append(outs, Output{Name: string(name), Size: int64(size), Hash: c.Uvarint()})
+		out(name, size, c.Uvarint())
 	}
-	return fp, outs, c.Err() == nil && len(c.Rest()) == 0
+	return fp, int(cnt), c.Err() == nil && len(c.Rest()) == 0
 }
 
 func appendEntry(b []byte, fp [32]byte, outs []Output) []byte {
@@ -137,12 +158,17 @@ func (c *Cache) Len() int {
 func (c *Cache) Put(fp [32]byte, outs []Output) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if prev, ok := c.index[fp]; ok && sameOutputs(prev, outs) {
+	if prev, ok := c.index[fp]; ok && slices.Equal(prev, outs) {
 		return c.failed
 	}
-	c.index[fp] = append([]Output(nil), outs...)
+	// Full, the slab goes on in a new chunk: no copy, and the views stay.
+	if cap(c.outs)-len(c.outs) < len(outs) {
+		c.outs = make([]Output, 0, max(len(outs), 1024))
+	}
+	c.outs = append(c.outs, outs...)
+	c.index[fp] = c.outs[len(c.outs)-len(outs) : len(c.outs) : len(c.outs)]
 	// The envelope goes behind the entry it wraps, in one buffer.
-	c.scratch = appendEntry(c.scratch[:0], fp, c.index[fp])
+	c.scratch = appendEntry(c.scratch[:0], fp, outs)
 	n := len(c.scratch)
 	c.scratch = journal.AppendRecord(c.scratch, kindEntry, c.scratch)
 	if c.failed == nil {
@@ -151,18 +177,6 @@ func (c *Cache) Put(fp [32]byte, outs []Output) error {
 		}
 	}
 	return c.failed
-}
-
-func sameOutputs(a, b []Output) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Sync flushes buffered appends through to the file system.

@@ -86,3 +86,23 @@ func BenchmarkPhases(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkValidateCompileFanout validates and compiles bench/'s
+// fan-out shape at its size: a root and 100k leaves, the edge checks
+// and the CSR build of one admission or run.
+func BenchmarkValidateCompileFanout(b *testing.B) {
+	w := New("fanout")
+	w.AddTask(buildTask("root", "x", nil, map[string]int64{"out_root": 1}))
+	for i := 1; i < 100000; i++ {
+		leaf := "leaf_" + itoa(1000000 + i)[1:]
+		w.AddTask(buildTask(leaf, "x", []string{"out_root"}, map[string]int64{"out_" + leaf: 1}))
+		w.Link("root", leaf)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := w.ValidateCompile(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

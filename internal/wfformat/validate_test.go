@@ -157,6 +157,26 @@ var brokenFixtures = []fixture{
 	}, []string{
 		`dag: self edge on "b"`,
 	}},
+	{"asymmetric_link_other_side_unsorted", mutate(func(w *Workflow) {
+		s := w.Tasks["split_fasta_1"]
+		s.Children = append(s.Children, "cat_1")
+		w.Tasks["cat_1"].Parents = []string{"blastall_2", "blastall_1"}
+	}), []string{
+		`task "split_fasta_1" lists child "cat_1" which does not list it as parent`,
+	}},
+	{"unknown_parent_in_unsorted_list", mutate(func(w *Workflow) {
+		w.Tasks["cat_1"].Parents = []string{"blastall_2", "ghost", "blastall_1"}
+	}), []string{
+		`task "cat_1" lists unknown parent "ghost"`,
+	}},
+	{"child_listed_twice", mutate(func(w *Workflow) {
+		w.Tasks["blastall_1"].Children = []string{"cat_1", "cat_1"}
+		s := w.Tasks["split_fasta_1"]
+		s.Children = append(s.Children, "cat_1", "cat_1")
+	}), []string{
+		`task "split_fasta_1" lists child "cat_1" which does not list it as parent`,
+		`task "split_fasta_1" lists child "cat_1" which does not list it as parent`,
+	}},
 	{"problems_in_several_tasks", mutate(func(w *Workflow) {
 		w.Tasks["split_fasta_1"].Cores = -1
 		w.Tasks["blastall_2"].Type = ""

@@ -190,15 +190,8 @@ func (w *Workflow) Len() int { return len(w.Tasks) }
 // structure only (children resolve, no self edge, no cycle);
 // ValidateCompile is the entry point for a workflow about to run.
 func (w *Workflow) Compile() (*dag.CSR, []*Task, error) {
-	return w.compile(w.TaskNames())
-}
-
-// compile is Compile over the already-sorted task names.
-func (w *Workflow) compile(names []string) (*dag.CSR, []*Task, error) {
-	b := dag.NewCSRBuilder(len(names), len(names))
-	for _, n := range names {
-		b.AddVertex(n)
-	}
+	names := w.TaskNames()
+	b := dag.NewCSRBuilder(names, len(names))
 	ix := b.Index()
 	tasks := make([]*Task, len(names))
 	for id, n := range names {
@@ -311,38 +304,25 @@ func (w *Workflow) ValidateCompile() (csr *dag.CSR, tasks []*Task, external []Fi
 		probs = append(probs, fmt.Sprintf(format, args...))
 	}
 	names := w.TaskNames()
-	producers := make(map[string]int32, len(names)) // file -> ID of producing task (its index in names)
-	// Symmetric edge checks binary-search the other side's list: linear
-	// scans per edge made validating a wide fan-out quadratic. Link keeps
-	// lists sorted; one that arrives unsorted (hand-built or
-	// deserialized) gets a sorted copy here, keyed by the list it stands
-	// in for, rather than being assumed to follow Link's invariant.
-	var sortedCopies map[*[]string][]string
-	for _, t := range w.Tasks {
-		if t == nil {
-			continue
-		}
-		for _, list := range []*[]string{&t.Parents, &t.Children} {
-			if !slices.IsSorted(*list) {
-				if sortedCopies == nil {
-					sortedCopies = make(map[*[]string][]string)
-				}
-				c := slices.Clone(*list)
-				slices.Sort(c)
-				sortedCopies[list] = c
-			}
-		}
-	}
-	edgeListed := func(list *[]string, v string) bool {
-		view := *list
-		if c, ok := sortedCopies[list]; ok {
-			view = c
-		}
-		_, found := slices.BinarySearch(view, v)
-		return found
-	}
+	b := dag.NewCSRBuilder(names, len(names))
+	tasks = make([]*Task, len(names))
 	for id, n := range names {
-		t := w.Tasks[n]
+		tasks[id] = w.Tasks[n]
+	}
+	producers := make(map[string]int32, len(names)) // file -> ID of producing task (its index in names)
+	// Symmetry by ID: a list is checked against the other side's, stamped in mark.
+	pids, namedAsParent := sideIDs(b.Index(), tasks, func(t *Task) []string { return t.Parents })
+	cids, namedAsChild := sideIDs(b.Index(), tasks, func(t *Task) []string { return t.Children })
+	mark := make([]int32, len(tasks))
+	stamp := func(ids []int32, v int32) int32 {
+		for _, q := range ids {
+			mark[q] = v
+		}
+		return v
+	}
+	pat, cat := 0, 0 // where the task's entries start in pids and cids
+	for id, n := range names {
+		t := tasks[id]
 		if t == nil {
 			add("task %q is null", n)
 			continue
@@ -370,25 +350,25 @@ func (w *Workflow) ValidateCompile() (csr *dag.CSR, tasks []*Task, external []Fi
 				add("task %q negative cpu-work", n)
 			}
 		}
+		s := stamp(namedAsChild.of(id), 2*int32(id)+1)
 		for _, p := range t.Parents {
-			pt := w.Tasks[p]
-			if pt == nil {
+			if pid := pids[pat]; pid < 0 {
 				add("task %q lists unknown parent %q", n, p)
-				continue
-			}
-			if !edgeListed(&pt.Children, n) {
+			} else if mark[pid] != s {
 				add("task %q lists parent %q which does not list it as child", n, p)
 			}
+			pat++
 		}
+		s = stamp(namedAsParent.of(id), 2*int32(id)+2)
 		for _, c := range t.Children {
-			ct := w.Tasks[c]
-			if ct == nil {
+			if cid := cids[cat]; cid < 0 {
 				add("task %q lists unknown child %q", n, c)
-				continue
-			}
-			if !edgeListed(&ct.Parents, n) {
+			} else if mark[cid] != s {
 				add("task %q lists child %q which does not list it as parent", n, c)
+			} else if eerr := b.AddEdgeIDs(int32(id), cid); eerr != nil && err == nil {
+				err = eerr // a self edge, reported if nothing else is wrong
 			}
+			cat++
 		}
 		for _, f := range t.Files {
 			if f.Link != LinkInput && f.Link != LinkOutput {
@@ -408,7 +388,9 @@ func (w *Workflow) ValidateCompile() (csr *dag.CSR, tasks []*Task, external []Fi
 	if len(probs) > 0 {
 		return nil, nil, nil, &ValidationError{Problems: probs}
 	}
-	csr, tasks, err = w.compile(names)
+	if err == nil {
+		csr, err = b.Build()
+	}
 	if err != nil {
 		return nil, nil, nil, &ValidationError{Problems: []string{err.Error()}}
 	}
@@ -453,6 +435,51 @@ func (w *Workflow) ValidateCompile() (csr *dag.CSR, tasks []*Task, external []Fi
 	}
 	return csr, tasks, last, nil
 }
+
+// sideIDs resolves one list of every task, Parents or Children, through
+// ix (-1 for a name no task answers to), and groups the entries by the
+// task they name: named.of(v) lists the tasks whose list names v.
+func sideIDs(ix *dag.Index, tasks []*Task, list func(*Task) []string) (ids []int32, named idLists) {
+	ids = make([]int32, 0, len(tasks))
+	named.start = make([]int32, len(tasks)+2)
+	for _, t := range tasks {
+		if t == nil {
+			continue
+		}
+		for _, name := range list(t) {
+			id, ok := ix.ID(name)
+			if !ok || tasks[id] == nil {
+				id = -1
+			} else {
+				named.start[id+2]++
+			}
+			ids = append(ids, id)
+		}
+	}
+	for v := 2; v < len(named.start); v++ {
+		named.start[v] += named.start[v-1]
+	}
+	named.ids = make([]int32, named.start[len(tasks)+1])
+	at := 0
+	for from, t := range tasks {
+		if t == nil {
+			continue
+		}
+		for _, to := range ids[at : at+len(list(t))] {
+			if to >= 0 {
+				named.ids[named.start[to+1]] = int32(from)
+				named.start[to+1]++
+			}
+		}
+		at += len(list(t))
+	}
+	return ids, named
+}
+
+// idLists is a list of task IDs per task: v's is ids[start[v]:start[v+1]].
+type idLists struct{ start, ids []int32 }
+
+func (l idLists) of(v int) []int32 { return l.ids[l.start[v]:l.start[v+1]] }
 
 // ExternalInputs returns the input files no task produces — the initial
 // data that must be staged onto the shared drive before execution.

@@ -19,7 +19,7 @@ import (
 // the endpoint's /invoke-batch surface instead of one POST per task,
 // amortizing connection, header, and syscall overhead — the HTTP/1
 // request-per-task wall at 100k-task scale. The batch body reuses the
-// invocation plan's arena-encoded task payloads zero-copy; responses
+// task payloads the run encoded into its body arena, zero-copy; responses
 // come back as a framed stream carrying per-task HTTP semantics, so
 // retry, timeout, circuit-breaker, journal, and span behaviour is
 // per task exactly as without batching — a failed sub-task retries
@@ -140,13 +140,16 @@ func (b *batcher) invokeOnce(ctx context.Context, a attempt) outcome {
 	if sc := a.span.Context(); sc.Sampled {
 		tp = sc.Traceparent()
 	}
-	size := len(b.p.body(id))
+	body, err := b.rs.st.bodies.body(b.p, id)
+	if err != nil {
+		return outcome{err: err}
+	}
 	endpoint := b.p.tasks[id].Command.APIURL
 
 	var sealed, prev *endpointBatch
 	b.mu.Lock()
 	eb := b.pending[endpoint]
-	if eb != nil && eb.bytes+size > b.maxBytes && len(eb.ids) > 0 {
+	if eb != nil && eb.bytes+len(body) > b.maxBytes && len(eb.ids) > 0 {
 		// Byte bound: the pending batch departs as-is and this task
 		// opens the endpoint's next one.
 		b.sealLocked(eb)
@@ -167,7 +170,7 @@ func (b *batcher) invokeOnce(ctx context.Context, a attempt) outcome {
 	slot := len(eb.ids)
 	eb.ids = append(eb.ids, id)
 	eb.tps = append(eb.tps, tp)
-	eb.bytes += size
+	eb.bytes += len(body)
 	if len(eb.ids) >= b.maxTasks {
 		b.sealLocked(eb)
 		sealed = eb
@@ -258,7 +261,7 @@ func (b *batcher) flush(eb *endpointBatch) {
 	if hs := b.rs.st.health; hs != nil { // batch occupancy, for the baseline table
 		hs.tracker.RecordBatch(eb.endpoint, len(eb.ids))
 	}
-	eb.frames.frame(b.p, eb.ids, eb.tps)
+	eb.frames.frame(&b.rs.st.bodies, eb.ids, eb.tps)
 	req := (&http.Request{
 		Method:        http.MethodPost,
 		URL:           batchURL(eb.url),

@@ -138,6 +138,7 @@ func TestBatchFramesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bodies := allBodies(t, p)
 	for _, tc := range []struct {
 		name string
 		ids  []int32
@@ -148,7 +149,7 @@ func TestBatchFramesRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var f batchFrames
-			f.frame(p, tc.ids, tc.tps)
+			f.frame(&bodies, tc.ids, tc.tps)
 			raw, err := io.ReadAll(&segmentReader{f: &f})
 			if err != nil {
 				t.Fatal(err)
@@ -158,7 +159,7 @@ func TestBatchFramesRoundTrip(t *testing.T) {
 			}
 			want := make([]wfbench.BatchItem, len(tc.ids))
 			for i, id := range tc.ids {
-				want[i] = wfbench.BatchItem{Traceparent: tc.tps[i], Body: p.body(id)}
+				want[i] = wfbench.BatchItem{Traceparent: tc.tps[i], Body: bodies.view(id)}
 			}
 			for _, size := range []int{1, 7, 64 << 10} {
 				var got []byte
@@ -191,14 +192,14 @@ func TestBatchFramesRoundTrip(t *testing.T) {
 				if items[i].Traceparent != tc.tps[i] {
 					t.Fatalf("frame %d traceparent = %q, want %q", i, items[i].Traceparent, tc.tps[i])
 				}
-				if string(items[i].Body) != string(p.body(id)) {
+				if string(items[i].Body) != string(bodies.view(id)) {
 					t.Fatalf("frame %d body diverges from arena slice", i)
 				}
 			}
 			// The payload segments must alias the arena, not copy it.
 			for i, id := range tc.ids {
 				seg := f.segment(2*i + 1)
-				body := p.body(id)
+				body := bodies.view(id)
 				if len(seg) > 0 && len(body) > 0 && &seg[0] != &body[0] {
 					t.Fatalf("frame %d payload segment copied out of the arena", i)
 				}
@@ -221,7 +222,8 @@ func TestBatcherByteBoundSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bodyLen := len(p.body(0))
+	bodies := allBodies(t, p)
+	bodyLen := len(bodies.view(0))
 	m, err := New(Options{
 		Drive: drive,
 		Batching: BatchOptions{
@@ -234,7 +236,7 @@ func TestBatcherByteBoundSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := m.newResilience(context.Background(), p, time.Now(), &runState{})
+	rs := m.newResilience(context.Background(), p, time.Now(), &runState{bodies: bodies})
 	defer rs.close()
 	var wg sync.WaitGroup
 	errs := make([]error, len(tasks))
@@ -527,7 +529,7 @@ func TestBatcherTaskTimeoutAbandonsWaitOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := m.newResilience(context.Background(), p, time.Now(), &runState{})
+	rs := m.newResilience(context.Background(), p, time.Now(), &runState{bodies: allBodies(t, p)})
 	defer rs.close()
 
 	expired, cancel := context.WithCancel(context.Background())

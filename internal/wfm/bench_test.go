@@ -95,7 +95,7 @@ func BenchmarkInvokeAllocs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{})
+	rs := m.newResilience(context.Background(), nil, time.Now(), &runState{bodies: allBodies(b, p)})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

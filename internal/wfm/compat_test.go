@@ -1,10 +1,12 @@
 package wfm
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -178,6 +180,131 @@ func TestFrontHalfAllocationBudget(t *testing.T) {
 	} else {
 		t.Logf("%d-task fan-out: task fingerprints %.4f allocations per task", wide.Len(), got)
 	}
+	// memoized is bench/'s memo_rerun at a tenth of its size: the fan-out
+	// re-run against a full cache, opened as a new process would. It
+	// dispatches nothing, so it encodes no request body, and the cache
+	// index costs no allocation per entry; bench/'s memo_rerun counted
+	// 2.02 allocations per task before, two of them per cache entry.
+	t.Run("memoized", func(t *testing.T) {
+		if testing.Short() || raceEnabled {
+			t.Skip("counts the allocations of a 10k-task run, its own only without the race detector")
+		}
+		drive := sharedfs.NewMem()
+		srv, _ := countingStub(t, drive)
+		w := benchFanout(t, 10000, srv.URL)
+		path := filepath.Join(t.TempDir(), "memo.cache")
+		run := func() (*Manager, *Result) {
+			cache := openCache(t, path)
+			defer cache.Close()
+			m := memoManager(t, drive, cache, ScheduleDependency, func(o *Options) {
+				o.MaxParallel, o.Batching = 2048, BatchOptions{Enabled: true, MaxTasks: 512}
+			})
+			res, err := m.Run(context.Background(), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, res
+		}
+		run() // the cold run fills the cache
+		srv.Close()
+		// The fewest of three re-runs: the cold run's connections wind
+		// down in the background, and MemStats counts their allocations too.
+		var m *Manager
+		got := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rm, res := run()
+			runtime.ReadMemStats(&after)
+			if res.Memo.Hits != w.Len() {
+				t.Fatalf("re-run hit %d of %d tasks", res.Memo.Hits, w.Len())
+			}
+			m, got = rm, min(got, float64(after.Mallocs-before.Mallocs)/float64(w.Len()))
+		}
+		t.Logf("10k fan-out re-run against a full cache: %.4f allocations per task", got)
+		if got > 0.05 {
+			t.Errorf("memoized re-run allocates %.3f times per task, budget 0.05", got)
+		}
+		c, err := CompileRunnable(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.newRunState(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.bodies.buf) != 0 || st.bodies.off != nil {
+			t.Errorf("a run that dispatches nothing encoded %d bytes of request bodies", len(st.bodies.buf))
+		}
+	})
+	// resumed recovers part of a run from its journal: the run encodes
+	// the bodies of the tasks it re-runs, and only those.
+	t.Run("resumed", func(t *testing.T) {
+		drive := sharedfs.NewMem()
+		srv, _ := countingStub(t, drive)
+		w := fanoutWorkflow(t, 200, srv.URL)
+		dir := t.TempDir()
+		j := openJournal(t, dir)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		m := journaledManager(t, drive, j, ScheduleDependency, func(o *Options) {
+			o.MaxParallel = 4
+			o.AfterTaskDone = func(done int) {
+				if done >= 60 {
+					cancel()
+				}
+			}
+		})
+		if _, err := m.Run(ctx, w); err == nil {
+			t.Fatal("interrupted run reported success")
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2 := openJournal(t, dir)
+		defer j2.Close()
+		m2 := journaledManager(t, drive, j2, ScheduleDependency, nil)
+		c, err := CompileRunnable(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := m2.recoverRun(c, j2.Records(), j2.Torn())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2.verifyOutputs(rec)
+		n, k := c.Len(), len(rec.doneIDs)
+		if k == 0 || k == n {
+			t.Fatalf("journal recovered %d of %d tasks, want some but not all", k, n)
+		}
+		st, err := m2.newRunState(c, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		bodies := 0
+		for id, task := range c.plan.tasks {
+			want = want[:0]
+			if !rec.doneSet[id] {
+				arg := task.Command.Arguments[0]
+				if want, err = wfbench.AppendRequest(want, &wfbench.Request{
+					Name: arg.Name, PercentCPU: arg.PercentCPU, CPUWork: arg.CPUWork, Cores: task.Cores,
+					MemBytes: arg.MemBytes, Out: arg.Out, Inputs: arg.Inputs, Workdir: arg.Workdir,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, '\n')
+				bodies++
+			}
+			if got := st.bodies.view(int32(id)); !bytes.Equal(got, want) {
+				t.Fatalf("%s (recovered %v): body %q, want %q", task.Name, rec.doneSet[id], got, want)
+			}
+		}
+		if bodies != n-k || len(st.bodies.buf) == 0 {
+			t.Fatalf("%d bodies for %d tasks of which %d recovered", bodies, n, k)
+		}
+	})
 }
 
 // benchFanout is bench/'s fan-out: a root and n-1 leaves reading its

@@ -15,26 +15,20 @@ import (
 	"wfserverless/internal/wfformat"
 )
 
-// invocationPlan is the pre-computed invocation side of a workflow. The
-// manager invokes every task at least once and flaky tasks many times,
-// so everything derivable from the workflow alone is rendered up front,
-// ID-aligned with the compiled DAG: the WfBench JSON bodies (one
-// contiguous payload arena plus an offset table, appended by the wire
-// codec's own encoder), each task's sorted input names (one arena, what
-// a worker checks on the drive before it invokes) and the parsed
-// endpoint URLs (deduplicated — a translated workflow typically points
-// every task at one ingress). There is nothing per task in it but
-// offsets and a pointer: an attempt builds its own request around them
-// (invokeOnce), a batch its frames (batchFrames). Nothing in a plan
-// changes once it is built, so runs may share one.
+// invocationPlan is the pre-computed invocation side of a workflow, what
+// every run of it needs, ID-aligned with the compiled DAG: each task's
+// sorted input names (one arena, what a worker checks on the drive
+// before it invokes) and the parsed endpoint URLs (deduplicated — a
+// translated workflow typically points every task at one ingress). A run
+// encodes its own request bodies (encodeBodies), for the tasks it may
+// dispatch. Nothing in a plan changes once it is built, so runs share it.
 type invocationPlan struct {
 	tasks  []*wfformat.Task // ID-aligned with the run's dag.CSR
 	urls   []*url.URL       // each task's parsed api_url, shared by the tasks that have the same
-	bodies []byte           // payload arena: all request bodies back to back
-	off    []int32          // len(tasks)+1 offsets into bodies
 	ins    []string         // input-name arena: every task's input files, sorted per task
 	insOff []int32          // len(tasks)+1 offsets into ins
 	ext    []wfformat.File  // external inputs: the header's staging manifest
+	size   int              // a guess at the bytes of all the request bodies
 }
 
 // sharedJSONHeader is the one header map every invocation shares. It
@@ -51,7 +45,6 @@ func newInvocationPlan(tasks []*wfformat.Task, ext []wfformat.File) (*invocation
 	p := &invocationPlan{
 		tasks:  tasks,
 		urls:   make([]*url.URL, n),
-		off:    make([]int32, n+1),
 		insOff: make([]int32, n+1),
 		ext:    ext,
 	}
@@ -71,32 +64,11 @@ func newInvocationPlan(tasks []*wfformat.Task, ext []wfformat.File) (*invocation
 			size += len(in) + 3
 		}
 	}
-	buf := make([]byte, 0, size)
+	p.size = size
 	p.ins = make([]string, 0, n) // most tasks read one file
 	urls := make(map[string]*url.URL)
-	var wreq wfbench.Request // one for all tasks: the encoder's fallback makes it escape
 	for i, task := range tasks {
-		arg := task.Command.Arguments[0]
-		wreq = wfbench.Request{
-			Name:       arg.Name,
-			PercentCPU: arg.PercentCPU,
-			CPUWork:    arg.CPUWork,
-			Cores:      task.Cores,
-			MemBytes:   arg.MemBytes,
-			Out:        arg.Out,
-			Inputs:     arg.Inputs,
-			Workdir:    arg.Workdir,
-		}
-		// One body per line, as json.Encoder wrote them.
 		var err error
-		if buf, err = wfbench.AppendRequest(buf, &wreq); err != nil {
-			return nil, fmt.Errorf("wfm: %s: encode: %w", task.Name, err)
-		}
-		buf = append(buf, '\n')
-		if len(buf) > math.MaxInt32 {
-			return nil, fmt.Errorf("wfm: request payloads exceed %d bytes", math.MaxInt32)
-		}
-		p.off[i+1] = int32(len(buf))
 		p.ins = task.AppendFileNames(p.ins, wfformat.LinkInput)
 		p.insOff[i+1] = int32(len(p.ins))
 		u := urls[task.Command.APIURL]
@@ -109,13 +81,59 @@ func newInvocationPlan(tasks []*wfformat.Task, ext []wfformat.File) (*invocation
 		}
 		p.urls[i] = u
 	}
-	p.bodies = buf
 	return p, nil
 }
 
-// body returns the task's pre-encoded WfBench request: a view into the
-// arena, valid for the plan's lifetime.
-func (p *invocationPlan) body(id int32) []byte { return p.bodies[p.off[id]:p.off[id+1]] }
+// requestBodies is one run's WfBench request bodies, back to back in one
+// arena: task id's is buf[off[id]:off[id+1]], empty if the run seeded
+// it. A run that seeds every task has no arena and no offsets.
+type requestBodies struct {
+	buf []byte
+	off []int32
+}
+
+// encodeBodies encodes the bodies of p's tasks but the seeded ones
+// (ascending IDs), one per line, as json.Encoder wrote them.
+func (p *invocationPlan) encodeBodies(seeded []int32) (requestBodies, error) {
+	n := len(p.tasks)
+	if len(seeded) == n {
+		return requestBodies{}, nil
+	}
+	b := requestBodies{buf: make([]byte, 0, p.size/n*(n-len(seeded))), off: make([]int32, n+1)}
+	var wreq wfbench.Request // one for all tasks: the encoder's fallback makes it escape
+	for id, task := range p.tasks {
+		b.off[id] = int32(len(b.buf))
+		if len(seeded) > 0 && seeded[0] == int32(id) {
+			seeded = seeded[1:]
+			continue
+		}
+		arg := task.Command.Arguments[0]
+		wreq = wfbench.Request{Name: arg.Name, PercentCPU: arg.PercentCPU, CPUWork: arg.CPUWork, Cores: task.Cores,
+			MemBytes: arg.MemBytes, Out: arg.Out, Inputs: arg.Inputs, Workdir: arg.Workdir}
+		var err error
+		if b.buf, err = wfbench.AppendRequest(b.buf, &wreq); err != nil {
+			return requestBodies{}, fmt.Errorf("wfm: %s: encode: %w", task.Name, err)
+		}
+		b.buf = append(b.buf, '\n')
+		if len(b.buf) > math.MaxInt32 {
+			return requestBodies{}, fmt.Errorf("wfm: request payloads exceed %d bytes", math.MaxInt32)
+		}
+	}
+	b.off[n] = int32(len(b.buf))
+	return b, nil
+}
+
+// view returns the body of a task the run dispatches: a view into the arena.
+func (b *requestBodies) view(id int32) []byte { return b.buf[b.off[id]:b.off[id+1]] }
+
+// body is view for a transport. A seeded task is never dispatched, so
+// asking for its body is a bug: it fails the task, never sends an empty POST.
+func (b *requestBodies) body(p *invocationPlan, id int32) ([]byte, error) {
+	if b.off != nil && b.off[id] < b.off[id+1] {
+		return b.view(id), nil
+	}
+	return nil, fmt.Errorf("wfm: %s: no request body: the run seeded this task", p.tasks[id].Name)
+}
 
 // inputs returns the task's input file names, sorted: a view into the
 // arena, read-only.
@@ -123,10 +141,10 @@ func (p *invocationPlan) inputs(id int32) []string { return p.ins[p.insOff[id]:p
 
 // request builds one attempt's POST of the task: a stack-built request
 // whose only allocation is the clone WithContext makes, over a pooled
-// reader of the task's arena body that also answers GetBody. The caller
-// calls done on the returned body once Client.Do has returned.
-func (p *invocationPlan) request(ctx context.Context, id int32) (*http.Request, *arenaBody) {
-	body := newArenaBody(p.body(id), 2)
+// reader of the task's arena body b that also answers GetBody. The
+// caller calls done on the returned body once Client.Do has returned.
+func (p *invocationPlan) request(ctx context.Context, id int32, b []byte) (*http.Request, *arenaBody) {
+	body := newArenaBody(b, 2)
 	return (&http.Request{
 		Method:        http.MethodPost,
 		URL:           p.urls[id],
@@ -142,7 +160,7 @@ func (p *invocationPlan) request(ctx context.Context, id int32) (*http.Request, 
 
 func (p *invocationPlan) len() int { return len(p.tasks) }
 
-// arenaBody streams one task's pre-encoded body out of the plan's
+// arenaBody streams one task's pre-encoded body out of the run's
 // payload arena. The bytes themselves are never recycled — the arena
 // lives for the whole run, which is what makes re-reads for retries and
 // GetBody replays safe — only the reader object is pooled, with the
@@ -204,24 +222,25 @@ func (b *arenaBody) done() {
 
 // batchFrames is the framing of one batch request body: hdr holds the
 // count prefix and then every frame header back to back, cuts[i] is where
-// frame i's header ends. The payloads stay in the plan's body arena — the
-// pre-encoded JSON is neither re-encoded nor copied, for any batch size —
-// and a segmentReader walks header, body, header, body.
+// frame i's header ends. The payloads stay in the run's body arena — the
+// JSON encoded once per run is neither re-encoded nor copied, for any
+// batch size — and a segmentReader walks header, body, header, body.
 type batchFrames struct {
-	p     *invocationPlan
+	b     *requestBodies
 	ids   []int32
 	hdr   []byte
 	cuts  []int32
 	total int64
 }
 
-// frame renders the framing of a batch of the given tasks into f.
-func (f *batchFrames) frame(p *invocationPlan, ids []int32, tps []string) {
-	f.p, f.ids, f.total = p, ids, 0
+// frame renders the framing of a batch of the given tasks, whose bodies
+// are in b, into f.
+func (f *batchFrames) frame(b *requestBodies, ids []int32, tps []string) {
+	f.b, f.ids, f.total = b, ids, 0
 	f.hdr = wfbench.AppendBatchCount(make([]byte, 0, 16+8*len(ids)), len(ids))
 	f.cuts = make([]int32, len(ids))
 	for i, id := range ids {
-		body := p.body(id)
+		body := b.view(id)
 		f.hdr = wfbench.AppendBatchItemHeader(f.hdr, tps[i], len(body))
 		f.cuts[i] = int32(len(f.hdr))
 		f.total += int64(len(body))
@@ -233,7 +252,7 @@ func (f *batchFrames) frame(p *invocationPlan, ids []int32, tps []string) {
 func (f *batchFrames) segment(k int) []byte {
 	i := k / 2
 	if k%2 == 1 {
-		return f.p.body(f.ids[i])
+		return f.b.view(f.ids[i])
 	}
 	from := int32(0)
 	if i > 0 {

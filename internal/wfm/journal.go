@@ -314,6 +314,7 @@ type runState struct {
 	memo   *memoState
 	health *healthState
 	sinks  []sink
+	bodies requestBodies // of the tasks outside seedIDs
 }
 
 // seedIDs is the union of the recovered and memoized ID sets, ascending.

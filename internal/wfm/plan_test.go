@@ -4,25 +4,45 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"wfserverless/internal/recipes"
+	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
 )
 
-// invokeTask builds a single-task invocation plan and invokes task 0 —
-// shim for the resilience tests, which exercise the retry/breaker
-// machinery one ad-hoc task at a time.
+// invokeTask builds a single-task invocation plan and its body, and
+// invokes task 0 — shim for the resilience tests, which exercise the
+// retry/breaker machinery one ad-hoc task at a time.
 func (m *Manager) invokeTask(ctx context.Context, task *wfformat.Task, rs *resilience) (*wfbench.Response, int, error) {
 	p, err := newInvocationPlan([]*wfformat.Task{task}, nil)
 	if err != nil {
 		return nil, 0, err
 	}
+	if rs.st.bodies, err = p.encodeBodies(nil); err != nil {
+		return nil, 0, err
+	}
 	return m.invoke(ctx, p, 0, rs, nil)
+}
+
+// allBodies is the body arena of a run that seeds nothing.
+func allBodies(t testing.TB, p *invocationPlan) requestBodies {
+	t.Helper()
+	b, err := p.encodeBodies(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestInvocationPlanBodies pins the payload arena: every task's body
@@ -42,9 +62,10 @@ func TestInvocationPlanBodies(t *testing.T) {
 	if p.len() != len(tasks) {
 		t.Fatalf("plan len = %d, want %d", p.len(), len(tasks))
 	}
+	bodies := allBodies(t, p)
 	for i, task := range tasks {
 		id := int32(i)
-		body := p.body(id)
+		body := bodies.view(id)
 		var got wfbench.Request
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatalf("%s: body does not decode: %v", task.Name, err)
@@ -63,7 +84,7 @@ func TestInvocationPlanBodies(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: body = %+v, want %+v", task.Name, got, want)
 		}
-		req, first := p.request(context.Background(), id)
+		req, first := p.request(context.Background(), id, body)
 		if req.ContentLength != int64(len(body)) || req.URL.String() != task.Command.APIURL {
 			t.Fatalf("%s: POST %s of %d bytes, want %s of %d", task.Name, req.URL, req.ContentLength, task.Command.APIURL, len(body))
 		}
@@ -100,6 +121,7 @@ func TestInvocationPlanBodiesMatchEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bodies := allBodies(t, c.plan)
 		for id, task := range c.plan.tasks {
 			arg := task.Command.Arguments[0]
 			var want bytes.Buffer
@@ -109,7 +131,7 @@ func TestInvocationPlanBodiesMatchEncoder(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if got := c.plan.body(int32(id)); !bytes.Equal(got, want.Bytes()) {
+			if got := bodies.view(int32(id)); !bytes.Equal(got, want.Bytes()) {
 				t.Fatalf("%s/%s:\n got %s\nwant %s", w.Name, task.Name, got, want.Bytes())
 			}
 			if got, want := c.plan.inputs(int32(id)), task.InputFiles(); !slices.Equal(got, want) {
@@ -221,4 +243,49 @@ func TestPrepareCompilesOnce(t *testing.T) {
 		t.Fatalf("ValidateCompile = %v allocs, as much as two compiles (%v each)", validated, compile)
 	}
 	t.Logf("prepare %v = validated compile %v + plan %v; structure-only compile %v", prepare, validated, plan, compile)
+}
+
+// TestSeededTaskIsNeverPosted: a run encodes no body for a task it
+// seeded, so a seeded task reaching a transport is a bug. On either
+// transport the attempt fails, naming the task, and the endpoint sees no
+// request for it — never an empty POST — while the task beside it runs.
+func TestSeededTaskIsNeverPosted(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			drive := sharedfs.NewMem()
+			stub := wfbench.NewStub(drive, 0)
+			endpoint := wfbench.NewEndpoint(stub)
+			var posts atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				posts.Add(1)
+				endpoint.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			srv.URL += "/wfbench"
+			p, err := newInvocationPlan([]*wfformat.Task{
+				synthTask("leaf_a", srv.URL, nil),
+				synthTask("leaf_b", srv.URL, nil),
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := fastManager(t, drive, func(o *Options) { o.Batching = BatchOptions{Enabled: batched} })
+			bodies, err := p.encodeBodies([]int32{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := m.newResilience(context.Background(), p, time.Now(), &runState{bodies: bodies})
+			defer rs.close()
+			if _, _, err := m.invoke(context.Background(), p, 0, rs, nil); err != nil {
+				t.Fatalf("leaf_a: %v", err)
+			}
+			_, attempts, err := m.invoke(context.Background(), p, 1, rs, nil)
+			if err == nil || !strings.Contains(err.Error(), "leaf_b") || attempts != 1 {
+				t.Fatalf("seeded leaf_b: %d attempt(s), err %v; want one failed attempt naming it", attempts, err)
+			}
+			if calls := stub.Counts(); posts.Load() != 1 || calls["leaf_a"] != 1 || len(calls) != 1 {
+				t.Fatalf("endpoint saw %d POST(s) of %v, want one of leaf_a", posts.Load(), calls)
+			}
+		})
+	}
 }

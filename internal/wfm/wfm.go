@@ -407,8 +407,8 @@ type Result struct {
 }
 
 // Compiled is a workflow made ready to execute, once: validated,
-// compiled to the CSR the run loop drains, and planned (request bodies,
-// endpoint URLs, input lists). Nothing in it depends on a Manager's
+// compiled to the CSR the run loop drains, and planned (endpoint URLs,
+// input lists; no request bodies). Nothing in it depends on a Manager's
 // options and nothing in it changes, so whoever checked that a workflow
 // is runnable — wfmd at admission — hands the same value to the run.
 type Compiled struct {
@@ -507,13 +507,10 @@ func (m *Manager) ResumeCompiled(ctx context.Context, c *Compiled) (*Result, err
 // sinks' sticky errors are read after it, so a failed run-end record or
 // final flush is a warning like any other.
 func (m *Manager) run(ctx context.Context, c *Compiled, rec *recovery) (*Result, error) {
-	w, csr, p := c.w, c.csr, c.plan
-	st := &runState{rec: rec}
-	if m.opts.Journal != nil {
-		st.rj = m.newRunJournal(c, rec)
-	}
-	if m.opts.Memoize != nil {
-		st.memo = m.probeMemo(csr, p, rec)
+	w, p := c.w, c.plan
+	st, err := m.newRunState(c, rec)
+	if err != nil {
+		return nil, err
 	}
 	st.sinks = m.newSinks(st, p)
 	if m.opts.Health != nil {
@@ -537,7 +534,7 @@ func (m *Manager) run(ctx context.Context, c *Compiled, rec *recovery) (*Result,
 		}
 	}
 
-	err := m.runLoop(ctx, c, st, res)
+	err = m.runLoop(ctx, c, st, res)
 	status := runEndOK
 	switch {
 	case ctx.Err() != nil:
@@ -572,6 +569,22 @@ func (m *Manager) run(ctx context.Context, c *Compiled, rec *recovery) (*Result,
 	}
 	res.Health = st.health.report()
 	return res, err
+}
+
+// newRunState is a run's front half: the memo probe, the bodies of the tasks
+// neither rec nor the cache seeds (a re-run encodes none), the journal.
+func (m *Manager) newRunState(c *Compiled, rec *recovery) (st *runState, err error) {
+	st = &runState{rec: rec}
+	if m.opts.Memoize != nil {
+		st.memo = m.probeMemo(c.csr, c.plan, rec)
+	}
+	if st.bodies, err = c.plan.encodeBodies(st.seedIDs()); err != nil {
+		return nil, err
+	}
+	if m.opts.Journal != nil {
+		st.rj = m.newRunJournal(c, rec)
+	}
+	return st, nil
 }
 
 // stageHeader stages the workflow's external inputs (unless disabled)
@@ -774,7 +787,11 @@ func (m *Manager) invoke(ctx context.Context, p *invocationPlan, id int32, rs *r
 // header (on a fresh header map — the shared header is never mutated).
 func (rs *resilience) invokeOnce(ctx context.Context, a attempt) outcome {
 	task := a.p.tasks[a.id]
-	req, body := a.p.request(ctx, a.id)
+	b, err := rs.st.bodies.body(a.p, a.id)
+	if err != nil {
+		return outcome{err: err}
+	}
+	req, body := a.p.request(ctx, a.id, b)
 	if sc := a.span.Context(); sc.Sampled {
 		h := make(http.Header, 2)
 		h["Content-Type"] = sharedJSONHeader["Content-Type"]
