@@ -54,10 +54,12 @@ race:
 # the back-half budget test (a 10k fan-out, batches of 512, a synced
 # journal, the in-process platform behind a loopback) with every
 # allocation sampled, as allocations per task by site: what the function
-# allocates itself, then with its callees. The rows of synthTask,
-# benchFanout, insertSorted and Sprintf are the test building its
-# workflow, outside the run the budget counts. SITES sets how many rows,
-# ALLOC_OUT where the test binary and profile go.
+# allocates itself, then with its callees. The test writes the allocs
+# profile on each side of the window its budget counts (-alloc-profiles)
+# and the rows are their difference, so the test's set-up — building the
+# workflow, a cold run before a re-run — is not in them, nor is writing
+# the profiles. SITES sets how
+# many rows, ALLOC_OUT where the test binary and profiles go.
 # ALLOC_TEST picks the test, e.g. ALLOC_TEST='TestFrontHalfAllocationBudget/memoized$$'.
 SITES ?= 40
 ALLOC_OUT ?= .bench_build/alloc-sites
@@ -65,8 +67,9 @@ ALLOC_TEST ?= TestBackHalfAllocationBudget/batched$$
 alloc-sites:
 	mkdir -p $(ALLOC_OUT)
 	$(GO) test ./internal/wfm -run '$(ALLOC_TEST)' -count=1 \
-		-o $(ALLOC_OUT)/wfm.test -memprofile $(ALLOC_OUT)/mem.prof -memprofilerate=1
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=$(SITES) $(ALLOC_OUT)/wfm.test $(ALLOC_OUT)/mem.prof 2>/dev/null | \
+		-o $(ALLOC_OUT)/wfm.test -memprofilerate=1 -args -alloc-profiles=$(abspath $(ALLOC_OUT))
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=$(SITES) -nodefraction=0 -ignore=runtime/pprof \
+		-diff_base $(ALLOC_OUT)/before.prof $(ALLOC_OUT)/wfm.test $(ALLOC_OUT)/after.prof 2>/dev/null | \
 		awk 'rows {printf "%8.2f /task  with callees %8.2f  %s\n", $$1/10000, $$4/10000, $$6 " " $$7; next} /flat%/ {rows = 1; next} {print}'
 
 # fuzz-smoke gives every fuzz target ten seconds past its seed corpus:

@@ -9,8 +9,7 @@
 //     of the paper (Blast, BWA, Cycles, Epigenomics, Genomes,
 //     Seismology, Srasearch);
 //   - internal/translator: the paper's Knative translator plus
-//     LocalContainer, Pegasus, Nextflow, and CNCF Serverless Workflow
-//     DSL outputs;
+//     LocalContainer, Pegasus and Nextflow outputs;
 //   - internal/wfbench: WfBench as a Service (CPU duty-cycle stress,
 //     memory ballast with --vm-keep semantics, sized file I/O) behind
 //     HTTP;

@@ -412,7 +412,7 @@ func TestSuiteRenderingAndReductions(t *testing.T) {
 }
 
 func TestSizesClasses(t *testing.T) {
-	sz := DefaultSizes()
+	sz := Sizes{Small: 30, Large: 120, Huge: 300}
 	if sz.of("small") != sz.Small || sz.of("large") != sz.Large || sz.of("huge") != sz.Huge {
 		t.Fatal("size class mapping broken")
 	}

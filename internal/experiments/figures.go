@@ -16,17 +16,14 @@ import (
 
 // Sizes selects the workflow sizes per size class. The paper uses two
 // sizes for fine-grained experiments and three (up to 1000 functions)
-// for coarse-grained ones; the defaults here are scaled down so the
-// whole evaluation runs in seconds, and the cmd/experiments tool can
-// raise them to paper scale.
+// for coarse-grained ones; cmd/experiments scales them down by default
+// so the whole evaluation runs in seconds, and its flags raise them to
+// paper scale.
 type Sizes struct {
 	Small int
 	Large int
 	Huge  int
 }
-
-// DefaultSizes returns the scaled-down default sizes.
-func DefaultSizes() Sizes { return Sizes{Small: 30, Large: 120, Huge: 300} }
 
 func (s Sizes) of(class string) int {
 	switch class {

@@ -2,16 +2,12 @@
 // Co-Pilot (PCP) in the paper's methodology: a sampler polls a set of
 // named gauges at a fixed interval (the paper uses pmdumptext -t 1sec)
 // and records time series for CPU, memory, and per-package power, which
-// the analysis then reduces to the means plotted in Figures 4-7. A
-// pmdumptext-compatible CSV export is provided.
+// the analysis then reduces to the means plotted in Figures 4-7.
 package metrics
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -126,13 +122,6 @@ func (s *Sampler) Register(name string, g Gauge) error {
 	return nil
 }
 
-// Names returns the registered metric names in registration order.
-func (s *Sampler) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.names...)
-}
-
 // SampleOnce records one sample of every gauge at the given offset from
 // start. It is used internally by the polling loop and directly by tests
 // and by virtual-time harnesses.
@@ -218,83 +207,13 @@ func (s *Sampler) MaxOf(name string) float64 {
 	return 0
 }
 
-// WriteCSV emits the recorded series in pmdumptext style: a header line
-// with the metric names, then one row per sample time with the configured
-// separator. All series share sample times because SampleOnce reads every
-// gauge per tick.
-func (s *Sampler) WriteCSV(w io.Writer, sep string) error {
-	s.mu.Lock()
-	names := append([]string(nil), s.names...)
-	s.mu.Unlock()
-	if sep == "" {
-		sep = ","
-	}
-	if _, err := fmt.Fprintf(w, "time%s%s\n", sep, strings.Join(names, sep)); err != nil {
-		return err
-	}
-	if len(names) == 0 {
-		return nil
-	}
-	ref := s.SeriesFor(names[0])
-	for i := 0; i < ref.Len(); i++ {
-		row := make([]string, 0, len(names)+1)
-		row = append(row, fmt.Sprintf("%.3f", ref.Times[i].Seconds()))
-		for _, n := range names {
-			ser := s.SeriesFor(n)
-			if i < ser.Len() {
-				row = append(row, fmt.Sprintf("%.4f", ser.Values[i]))
-			} else {
-				row = append(row, "")
-			}
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, sep)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary reduces every series to its mean and max — what the paper's
-// Jupyter analysis computes from the PCP CSVs.
-type Summary struct {
-	Mean map[string]float64
-	Max  map[string]float64
-}
-
-// Summarize builds a Summary over all registered series.
-func (s *Sampler) Summarize() Summary {
-	out := Summary{Mean: make(map[string]float64), Max: make(map[string]float64)}
-	for _, n := range s.Names() {
-		ser := s.SeriesFor(n)
-		out.Mean[n] = ser.Mean()
-		out.Max[n] = ser.Max()
-	}
-	return out
-}
-
-// String renders the summary with metrics sorted by name.
-func (sum Summary) String() string {
-	names := make([]string, 0, len(sum.Mean))
-	for n := range sum.Mean {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s: mean=%.3f max=%.3f\n", n, sum.Mean[n], sum.Max[n])
-	}
-	return b.String()
-}
-
 // Standard metric names, mirroring the PCP metrics the paper samples.
 const (
-	MetricCPUUser       = "kernel.all.cpu.user"  // live busy cores
-	MetricCPUReserved   = "cpu.reserved.cores"   // provisioned cores
-	MetricMemUsed       = "mem.util.used"        // live resident bytes
-	MetricMemReserved   = "mem.reserved.bytes"   // provisioned bytes
-	MetricPower         = "denki.rapl.rate"      // total watts
-	MetricPodsRunning   = "platform.pods"        // live pods/containers
-	MetricQueueDepth    = "platform.queue.depth" // ingress queue length
-	MetricColdStarts    = "platform.coldstarts"  // cumulative cold starts
-	MetricRequestsTotal = "platform.requests"    // cumulative requests
+	MetricCPUUser     = "kernel.all.cpu.user"  // live busy cores
+	MetricCPUReserved = "cpu.reserved.cores"   // provisioned cores
+	MetricMemUsed     = "mem.util.used"        // live resident bytes
+	MetricMemReserved = "mem.reserved.bytes"   // provisioned bytes
+	MetricPower       = "denki.rapl.rate"      // total watts
+	MetricPodsRunning = "platform.pods"        // live pods/containers
+	MetricQueueDepth  = "platform.queue.depth" // ingress queue length
 )

@@ -10,7 +10,7 @@ import "sort"
 // exact Series would grow with the run and a Histogram's log-scale
 // buckets are too coarse for a k×median straggler criterion.
 //
-// The zero value is unusable; construct with NewP2Quantile. Not safe
+// The zero value is unusable; call Init first. Not safe
 // for concurrent use — callers guard it (per-endpoint stats hold one
 // short-lived mutex).
 type P2Quantile struct {
@@ -20,13 +20,6 @@ type P2Quantile struct {
 	pos   [5]float64 // actual marker positions, 1-based
 	want  [5]float64 // desired marker positions
 	dwant [5]float64 // desired-position increments per observation
-}
-
-// NewP2Quantile returns an estimator for the q-quantile, q in (0, 1).
-func NewP2Quantile(q float64) *P2Quantile {
-	p := &P2Quantile{}
-	p.Init(q)
-	return p
 }
 
 // Init (re)initializes the estimator for the q-quantile; values outside

@@ -14,7 +14,7 @@ func exactQuantile(vals []float64, q float64) float64 {
 }
 
 func TestP2QuantileSmallStreams(t *testing.T) {
-	p := NewP2Quantile(0.5)
+	p := newP2Quantile(0.5)
 	if got := p.Value(); got != 0 {
 		t.Fatalf("empty estimator Value = %v, want 0", got)
 	}
@@ -52,7 +52,7 @@ func TestP2QuantileAccuracy(t *testing.T) {
 	for _, tc := range cases {
 		for _, q := range []float64{0.5, 0.95, 0.99} {
 			r := rand.New(rand.NewSource(42))
-			p := NewP2Quantile(q)
+			p := newP2Quantile(q)
 			vals := make([]float64, 20000)
 			for i := range vals {
 				vals[i] = tc.gen(r)
@@ -74,7 +74,7 @@ func TestP2QuantileAccuracy(t *testing.T) {
 func TestP2QuantileMonotoneStream(t *testing.T) {
 	// A sorted stream is the estimator's worst case for the parabolic
 	// update; the median of 1..N must still land near N/2.
-	p := NewP2Quantile(0.5)
+	p := newP2Quantile(0.5)
 	const n = 10001
 	for i := 1; i <= n; i++ {
 		p.Observe(float64(i))
@@ -87,13 +87,20 @@ func TestP2QuantileMonotoneStream(t *testing.T) {
 
 func TestP2QuantileClampsBadQ(t *testing.T) {
 	for _, q := range []float64{0, 1, -3, 7} {
-		p := NewP2Quantile(q)
+		p := newP2Quantile(q)
 		for i := 0; i < 100; i++ {
 			p.Observe(float64(i))
 		}
 		got := p.Value()
 		if got < 30 || got > 70 {
-			t.Fatalf("NewP2Quantile(%v) should clamp to median; Value = %v", q, got)
+			t.Fatalf("Init(%v) should clamp to median; Value = %v", q, got)
 		}
 	}
+}
+
+// newP2Quantile returns an estimator for the q-quantile.
+func newP2Quantile(q float64) *P2Quantile {
+	p := &P2Quantile{}
+	p.Init(q)
+	return p
 }

@@ -93,10 +93,9 @@ func ContentAddress(name string, size int64) uint64 {
 
 // Watcher is an optional Drive extension: drives that can push change
 // notifications let WaitFor wake the instant a file is published instead
-// of burning a poll loop. MemDrive implements it; DiskDrive and
-// RemoteDrive deliberately do not (a real NFS mount or remote store has
-// no portable push channel), so WaitFor falls back to bounded polling
-// for them.
+// of burning a poll loop. MemDrive implements it; DiskDrive deliberately
+// does not (a real NFS mount or remote store has no portable push
+// channel), so WaitFor falls back to bounded polling for it.
 type Watcher interface {
 	// Watch returns a channel that is closed once name exists on the
 	// drive. If name already exists the returned channel is closed
@@ -382,8 +381,8 @@ func checkName(name string) error {
 }
 
 // Polling bounds for WaitFor's fallback path: the interval is clamped so
-// a mis-scaled caller can neither spin the drive (important for
-// RemoteDrive, where every Exists pays a network round trip) nor sleep
+// a mis-scaled caller can neither spin the drive (important for a
+// remote store, where every Exists pays a network round trip) nor sleep
 // past reasonable reaction time.
 const (
 	minPoll = time.Millisecond

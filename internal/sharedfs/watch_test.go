@@ -189,16 +189,6 @@ func TestWaitForPollingImmediateReturn(t *testing.T) {
 	}
 }
 
-// TestRemoteDriveHasNoWatch pins the design decision: remote drives pay
-// per-operation latency, so WaitFor must use bounded polling for them
-// rather than pretending pushes are free.
-func TestRemoteDriveHasNoWatch(t *testing.T) {
-	r := NewRemote(NewMem(), 0, 0)
-	if _, ok := Drive(r).(Watcher); ok {
-		t.Fatal("RemoteDrive implements Watcher; WaitFor would bypass its cost model")
-	}
-}
-
 func TestWatchConcurrentWritersAndWatchers(t *testing.T) {
 	d := NewMem()
 	var wg sync.WaitGroup

@@ -27,11 +27,6 @@ func SingleService(name string) ServiceNamer {
 	return func(*wfformat.Task) string { return name }
 }
 
-// ServicePerCategory gives every function category its own service.
-func ServicePerCategory() ServiceNamer {
-	return func(t *wfformat.Task) string { return "wfbench-" + t.Category }
-}
-
 // KnativeOptions configures the Knative translator.
 type KnativeOptions struct {
 	// IngressURL is the base URL of the serverless ingress, e.g.

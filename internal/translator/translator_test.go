@@ -47,7 +47,9 @@ func TestKnativeSetsAPIURLAndWorkdir(t *testing.T) {
 
 func TestKnativeServicePerCategory(t *testing.T) {
 	w := sampleWorkflow(t)
-	out, err := Knative(w, KnativeOptions{IngressURL: "http://ingress", Service: ServicePerCategory()})
+	out, err := Knative(w, KnativeOptions{IngressURL: "http://ingress", Service: func(t *wfformat.Task) string {
+		return "wfbench-" + t.Category
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,8 +98,8 @@ type FaultStats struct {
 // Injector is an Executor that wraps another with a failure profile —
 // the chaos side of the testbed, driving the workflow manager's retry,
 // timeout and circuit-breaker paths without real infrastructure faults.
-// It generalises FlakyEngine from "every Nth run fails" to rate-based
-// error, overload, latency and hang injection at the platform's edge.
+// It injects rate-based error, overload, latency and hang faults at the
+// platform's edge.
 // Served through an Endpoint, a single-task POST and every frame of a
 // batch reach it as one Invoke, so a fault can hit one task inside a
 // batch while its batch-mates execute; a hung frame holds its whole

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"math"
 	"slices"
@@ -19,24 +18,6 @@ func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
 // IsZero reports whether the fingerprint is unset.
 func (h Hash) IsZero() bool { return h == Hash{} }
-
-// ParseHash decodes the hex form produced by String.
-func ParseHash(s string) (Hash, error) {
-	var h Hash
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != len(h) {
-		return Hash{}, errParseHash(s, err)
-	}
-	copy(h[:], b)
-	return h, nil
-}
-
-func errParseHash(s string, err error) error {
-	if err != nil {
-		return fmt.Errorf("wfformat: parsing fingerprint %q: %v", s, err)
-	}
-	return fmt.Errorf("wfformat: fingerprint %q: want %d hex bytes", s, len(Hash{}))
-}
 
 // Fingerprint computes a canonical content hash of the workflow: the
 // same logical workflow always hashes the same regardless of task map

@@ -105,20 +105,3 @@ func TestFingerprintFieldBoundaries(t *testing.T) {
 		t.Fatal("adjacent string fields collided")
 	}
 }
-
-func TestParseHashRoundtrip(t *testing.T) {
-	h := Fingerprint(fpWorkflow())
-	got, err := ParseHash(h.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("roundtrip mismatch: %s vs %s", got, h)
-	}
-	if _, err := ParseHash("zzzz"); err == nil {
-		t.Fatal("ParseHash accepted junk")
-	}
-	if _, err := ParseHash("abcd"); err == nil {
-		t.Fatal("ParseHash accepted short input")
-	}
-}

@@ -2,6 +2,7 @@ package wfformat_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -213,6 +214,48 @@ func problemsOf(t *testing.T, err error) []string {
 		t.Fatalf("err = %v, want *ValidationError", err)
 	}
 	return ve.Problems
+}
+
+// nonFiniteFixtures are broken like brokenFixtures, by values JSON
+// cannot carry, so they are built in code and kept out of the fuzz
+// seeds (which marshal every fixture).
+var nonFiniteFixtures = []fixture{
+	{"nan_percent_cpu", mutate(func(w *Workflow) {
+		w.Tasks["cat_1"].Command.Arguments[0].PercentCPU = math.NaN()
+	}), []string{
+		`task "cat_1" percent-cpu is NaN`,
+	}},
+	{"nan_cpu_work", mutate(func(w *Workflow) {
+		w.Tasks["cat_1"].Command.Arguments[0].CPUWork = math.NaN()
+	}), []string{
+		`task "cat_1" cpu-work NaN is not finite`,
+	}},
+	{"inf_cpu_work", mutate(func(w *Workflow) {
+		w.Tasks["cat_1"].Command.Arguments[0].CPUWork = math.Inf(1)
+	}), []string{
+		`task "cat_1" cpu-work +Inf is not finite`,
+	}},
+	{"negative_inf_cpu_work", mutate(func(w *Workflow) {
+		w.Tasks["cat_1"].Command.Arguments[0].CPUWork = math.Inf(-1)
+	}), []string{
+		`task "cat_1" negative cpu-work`,
+	}},
+}
+
+// TestValidateRejectsNonFinite: a NaN or infinite CPU parameter is a
+// validation problem, not a run that fails later encoding its request.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, fx := range nonFiniteFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			w := fx.build(t)
+			if got := problemsOf(t, w.Validate()); !slices.Equal(got, fx.want) {
+				t.Fatalf("problems = %q\nwant       %q", got, fx.want)
+			}
+			if _, _, _, err := w.ValidateCompile(); err == nil {
+				t.Fatal("ValidateCompile accepted the workflow")
+			}
+		})
+	}
 }
 
 func TestValidateProblemsUnchanged(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -345,9 +346,13 @@ func (w *Workflow) ValidateCompile() (csr *dag.CSR, tasks []*Task, external []Fi
 			}
 			if a.PercentCPU < 0 || a.PercentCPU > 1 {
 				add("task %q percent-cpu %v outside [0,1]", n, a.PercentCPU)
+			} else if math.IsNaN(a.PercentCPU) {
+				add("task %q percent-cpu is NaN", n)
 			}
 			if a.CPUWork < 0 {
 				add("task %q negative cpu-work", n)
+			} else if math.IsNaN(a.CPUWork) || math.IsInf(a.CPUWork, 1) {
+				add("task %q cpu-work %v is not finite", n, a.CPUWork)
 			}
 		}
 		s := stamp(namedAsChild.of(id), 2*int32(id)+1)

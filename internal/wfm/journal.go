@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -106,28 +105,14 @@ func (o *Options) optionsHash() uint64 {
 	return h.Sum64()
 }
 
-// taskOutput is one recorded output product of a completed task.
-type taskOutput struct {
-	Name string
-	Size int64
-}
-
 // The task-lifecycle encoders append into a caller-owned buffer — the
 // run's hot path reuses runJournal.scratch so journaling a task costs
-// zero heap allocations in steady state. Each record kind's decoder sits
-// beside its encoder; ok is false for a payload it cannot read.
+// zero heap allocations in steady state. fold.apply reads them back.
 
 func appendTaskStarted(b []byte, id int32, attempt int) []byte {
 	b = binary.AppendUvarint(b, uint64(id))
 	b = binary.AppendUvarint(b, uint64(attempt))
 	return b
-}
-
-func decodeTaskStarted(data []byte) (id int32, attempt int, ok bool) {
-	d := journal.NewCursor(data)
-	id, ok = taskID(d.Uvarint())
-	attempt = int(d.Uvarint())
-	return id, attempt, ok && d.Err() == nil
 }
 
 // taskID narrows a decoded task ID; one past int32 names no task.
@@ -154,20 +139,16 @@ func appendTaskCompleted(b []byte, id int32, t *wfformat.Task) []byte {
 }
 
 // decodeTaskCompleted reads a recTaskCompleted or recTaskMemoized
-// payload: the task and its output names and sizes.
-func decodeTaskCompleted(data []byte) (id int32, outs []taskOutput, ok bool) {
+// payload: the task and the summed sizes of its outputs. The count it
+// reads bounds nothing but the loop, which stops at the payload's end.
+func decodeTaskCompleted(data []byte) (id int32, bytes int64, ok bool) {
 	d := journal.NewCursor(data)
 	id, ok = taskID(d.Uvarint())
-	cnt := d.Uvarint()
-	if !ok || d.Err() != nil || cnt > uint64(len(d.Rest())) {
-		return 0, nil, false
+	for cnt := d.Uvarint(); cnt > 0 && d.Err() == nil; cnt-- {
+		d.Field()
+		bytes += int64(d.Uvarint())
 	}
-	outs = make([]taskOutput, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		name := d.Field()
-		outs = append(outs, taskOutput{Name: string(name), Size: int64(d.Uvarint())})
-	}
-	return id, outs, d.Err() == nil
+	return id, bytes, ok && d.Err() == nil
 }
 
 func appendTaskFailed(b []byte, id int32, skipped bool, msg string) []byte {
@@ -181,23 +162,8 @@ func appendTaskFailed(b []byte, id int32, skipped bool, msg string) []byte {
 	return b
 }
 
-func decodeTaskFailed(data []byte) (id int32, skipped bool, msg string, ok bool) {
-	d := journal.NewCursor(data)
-	id, ok = taskID(d.Uvarint())
-	skipped = d.Byte()&1 != 0
-	msg = string(d.Field())
-	return id, skipped, msg, ok && d.Err() == nil
-}
-
 func appendRunEnd(b []byte, status byte, failed int) []byte {
 	return binary.AppendUvarint(append(b, status), uint64(failed))
-}
-
-func decodeRunEnd(data []byte) (status byte, failed int, ok bool) {
-	d := journal.NewCursor(data)
-	status = d.Byte()
-	failed = int(d.Uvarint())
-	return status, failed, d.Err() == nil
 }
 
 func encodeRunResumed(recorded, verified, reexecuted int) []byte {
@@ -206,12 +172,6 @@ func encodeRunResumed(recorded, verified, reexecuted int) []byte {
 	b = binary.AppendUvarint(b, uint64(verified))
 	b = binary.AppendUvarint(b, uint64(reexecuted))
 	return b
-}
-
-func decodeRunResumed(data []byte) (m ResumeMarker, ok bool) {
-	d := journal.NewCursor(data)
-	m = ResumeMarker{Recorded: int(d.Uvarint()), Verified: int(d.Uvarint()), Reexecuted: int(d.Uvarint())}
-	return m, d.Err() == nil
 }
 
 // Run-end status bytes.
@@ -295,13 +255,12 @@ type ResumeReport struct {
 	Torn bool
 }
 
-// recovery is the decoded resume state handed to the run.
+// recovery is the resume state handed to the run.
 type recovery struct {
 	header   *runHeader
 	doneIDs  []int32 // verified-completed ids, ascending
 	doneSet  []bool  // by id
 	attempts []int32 // prior started counts by id
-	outs     map[int32][]taskOutput
 	report   ResumeReport
 }
 
@@ -339,90 +298,160 @@ func (st *runState) seedIDs() []int32 {
 	return out
 }
 
-// recoverRun decodes journal records into a recovery: header validation
-// (fingerprint must match the workflow being resumed), the completed
-// set, and prior attempt counts. Output verification against the drive
-// happens separately so this stays pure decoding.
-func (m *Manager) recoverRun(c *Compiled, recs []journal.Record, torn bool) (*recovery, error) {
-	w, n := c.w, c.Len()
-	var header *runHeader
-	rec := &recovery{
-		doneSet:  make([]bool, n),
-		attempts: make([]int32, n),
-	}
-	rec.report.Torn = torn
-	completedOuts := make(map[int32][]taskOutput)
-	for _, r := range recs {
-		switch r.Kind {
-		case recRunHeader:
-			h, err := decodeRunHeader(r.Data)
-			if err != nil {
-				return nil, err
-			}
-			if header == nil {
-				header = h
-			}
-		case recTaskStarted:
-			if id, _, ok := decodeTaskStarted(r.Data); ok && int(id) < n {
-				rec.attempts[id]++
-				rec.report.PriorAttempts++
-			}
-		case recTaskCompleted, recTaskMemoized:
-			// A memoized task is a completion from recovery's point of
-			// view: its products are on the drive (verified below like any
-			// other) and it must not be re-invoked on resume.
-			if id, outs, ok := decodeTaskCompleted(r.Data); ok && int(id) < n {
-				rec.doneSet[id] = true
-				completedOuts[id] = outs
-			}
-		case recTaskFailed, recRunEnd, recRunResumed, journal.KindSnapshot:
-			// Failures re-run on resume; end/resume markers and snapshots
-			// carry no per-task state.
-		}
-	}
-	if header == nil {
-		return nil, errors.New("wfm: journal has records but no run header; not a wfm journal")
-	}
-	if fp := c.fingerprint(); fp != header.Fingerprint {
-		return nil, fmt.Errorf("wfm: journal fingerprint %s does not match workflow %s (%s); refusing to resume",
-			header.Fingerprint, w.Name, fp)
-	}
-	if header.TaskCount != n {
-		return nil, fmt.Errorf("wfm: journal task count %d does not match workflow (%d)", header.TaskCount, n)
-	}
-	rec.header = header
-	for id := int32(0); int(id) < n; id++ {
-		if rec.doneSet[id] {
-			rec.report.RecordedCompleted++
-			rec.doneIDs = append(rec.doneIDs, id)
-		}
-	}
-	rec.outs = completedOuts
-	return rec, nil
+// fold is what a run's records add up to, applied in record order. It
+// is the one reader of the record kinds: resume (recoverRun), the
+// analysis summary (SummarizeJournal) and the tests' journal checks all
+// apply records to a fold. Task IDs are kept as the records give them,
+// an ID past the compiled task count included; nothing is sized from a
+// count read out of a record.
+type fold struct {
+	header    *runHeader // the first readable run header
+	headerErr error      // why the first unreadable one was not
+	counts    [256]int   // records by kind
+	tasks     map[int32]taskFold
+	skipped   int   // task-failed records flagged skipped
+	memoBytes int64 // output bytes the task-memoized records name
+	resumes   []ResumeMarker
+	ends      []RunEndMarker
 }
 
-// verifyOutputs checks that every recorded-completed task's outputs are
-// still on the shared drive; tasks whose products vanished are dropped
-// from the done-set so they re-run.
-func (m *Manager) verifyOutputs(rec *recovery) {
-	kept := rec.doneIDs[:0]
-	for _, id := range rec.doneIDs {
-		ok := true
-		for _, o := range rec.outs[id] {
-			if !m.opts.Drive.Exists(o.Name) {
-				ok = false
+// taskFold is what one task's records say of it.
+type taskFold struct {
+	attempts                    int // task-started records
+	completed, memoized, failed bool
+}
+
+// step is what apply read from one record: whether it opens a life of
+// the run (a run header or a resume marker), whether it is a task record
+// and which task, and whether its payload was unreadable.
+type step struct {
+	life, task, bad bool
+	id              int32
+	skipped         bool
+}
+
+// foldRecords applies records, in order, to a new fold.
+func foldRecords(recs []journal.Record) *fold {
+	f := &fold{}
+	for _, r := range recs {
+		f.apply(r)
+	}
+	return f
+}
+
+// apply folds one record in. A record it cannot read is counted and
+// otherwise ignored; a foreign kind or a snapshot carries no run state.
+func (f *fold) apply(r journal.Record) step {
+	f.counts[r.Kind]++
+	var s step
+	var t taskFold // what the record adds to its task
+	d := journal.NewCursor(r.Data)
+	ok := true
+	switch r.Kind {
+	case recRunHeader:
+		s.life = true
+		h, err := decodeRunHeader(r.Data)
+		if ok = err == nil; !ok && f.headerErr == nil {
+			f.headerErr = err
+		} else if ok && f.header == nil {
+			f.header = h
+		}
+	case recRunResumed:
+		s.life = true
+		m := ResumeMarker{Recorded: int(d.Uvarint()), Verified: int(d.Uvarint()), Reexecuted: int(d.Uvarint())}
+		if d.Err() == nil {
+			f.resumes = append(f.resumes, m)
+		}
+	case recRunEnd:
+		m := RunEndMarker{Status: statusName(d.Byte()), Failed: int(d.Uvarint())}
+		if d.Err() == nil {
+			f.ends = append(f.ends, m)
+		}
+	case recTaskStarted:
+		s.id, ok = taskID(d.Uvarint())
+		d.Uvarint() // the attempt number
+		t.attempts = 1
+	case recTaskCompleted, recTaskMemoized:
+		// A memoized task is a completion for resume too: its products
+		// are on the drive and it must not be re-invoked.
+		var bytes int64
+		s.id, bytes, ok = decodeTaskCompleted(r.Data)
+		t.completed, t.memoized = true, r.Kind == recTaskMemoized
+		if ok && t.memoized {
+			f.memoBytes += bytes
+		}
+	case recTaskFailed:
+		s.id, ok = taskID(d.Uvarint())
+		s.skipped = d.Byte()&1 != 0
+		d.Field() // the error message
+		t.failed = true
+	}
+	if s.bad = !ok || d.Err() != nil; s.bad || t == (taskFold{}) {
+		return s
+	}
+	s.task = true
+	if s.skipped {
+		f.skipped++
+	}
+	if f.tasks == nil {
+		f.tasks = make(map[int32]taskFold)
+	}
+	old := f.tasks[s.id]
+	t.attempts += old.attempts
+	t.completed, t.memoized, t.failed = t.completed || old.completed, t.memoized || old.memoized, t.failed || old.failed
+	f.tasks[s.id] = t
+	return s
+}
+
+// recoverRun is resume's reading of the journal: the records' fold, a
+// header that matches the workflow being resumed, and the completed set
+// (with prior attempt counts) less the tasks whose declared outputs are
+// gone from the shared drive — those re-run. The fingerprint covers each
+// task's output names and sizes, so the plan's outputs are the ones the
+// completion records name.
+func (m *Manager) recoverRun(c *Compiled, recs []journal.Record, torn bool) (*recovery, error) {
+	f, n := foldRecords(recs), c.Len()
+	h := f.header
+	switch {
+	case f.headerErr != nil:
+		return nil, f.headerErr
+	case h == nil:
+		return nil, errors.New("wfm: journal has records but no run header; not a wfm journal")
+	case h.Fingerprint != c.fingerprint():
+		return nil, fmt.Errorf("wfm: journal fingerprint %s does not match workflow %s (%s); refusing to resume",
+			h.Fingerprint, c.w.Name, c.fingerprint())
+	case h.TaskCount != n:
+		return nil, fmt.Errorf("wfm: journal task count %d does not match workflow (%d)", h.TaskCount, n)
+	}
+	rec := &recovery{header: h, doneSet: make([]bool, n), attempts: make([]int32, n)}
+	rec.report.Torn = torn
+	for id, t := range f.tasks {
+		if int(id) >= n {
+			continue // no task of this workflow
+		}
+		rec.attempts[id] = int32(t.attempts)
+		rec.report.PriorAttempts += t.attempts
+		rec.doneSet[id] = t.completed
+	}
+	for id, task := range c.plan.tasks {
+		if !rec.doneSet[id] {
+			continue
+		}
+		rec.report.RecordedCompleted++
+		for _, out := range task.Files {
+			if out.Link == wfformat.LinkOutput && !m.opts.Drive.Exists(out.Name) {
+				rec.doneSet[id] = false // its products vanished: it re-runs
 				break
 			}
 		}
-		if ok {
-			kept = append(kept, id)
+		if rec.doneSet[id] {
+			rec.doneIDs = append(rec.doneIDs, int32(id))
 			rec.report.SkippedInvocations++
 		} else {
-			rec.doneSet[id] = false
 			rec.report.Reexecuted++
 		}
 	}
-	rec.doneIDs = kept
+	return rec, nil
 }
 
 // JournalSummary is the analysis view of a run journal.
@@ -517,80 +546,55 @@ func ReadRunJournal(path string) (*JournalSummary, error) {
 	return s, nil
 }
 
-// SummarizeJournal decodes a run's journal records, torn at the end or
+// SummarizeJournal folds a run's journal records, torn at the end or
 // not, into an analysis summary of the manager's record taxonomy.
 // Tolerant of foreign records.
 func SummarizeJournal(records []journal.Record, torn bool) *JournalSummary {
+	f := foldRecords(records)
 	s := &JournalSummary{
-		EventCounts: make(map[string]int),
-		Attempts:    make(map[int32]int),
-		Torn:        torn,
+		EventCounts:      make(map[string]int),
+		Attempts:         make(map[int32]int),
+		CompletedIDs:     make([]int32, 0, len(f.tasks)),
+		SkippedTasks:     f.skipped,
+		MemoSkippedBytes: f.memoBytes,
+		Resumes:          f.resumes,
+		Ends:             f.ends,
+		Torn:             torn,
 	}
-	completed := make(map[int32]bool)
-	failed := make(map[int32]bool)
-	memoized := make(map[int32]bool)
-	for _, r := range records {
-		s.EventCounts[kindName(r.Kind)]++
-		switch r.Kind {
-		case recRunHeader:
-			h, err := decodeRunHeader(r.Data)
-			if err != nil || s.Header != nil {
-				continue
-			}
-			s.Header = &runHeaderView{
-				Workflow:    h.Workflow,
-				Fingerprint: h.Fingerprint.String(),
-				Scheduling:  h.Scheduling.String(),
-				TaskCount:   h.TaskCount,
-				OptionsHash: h.OptionsHash,
-				StartedUnix: h.StartedUnix,
-			}
-		case recTaskStarted:
-			if id, _, ok := decodeTaskStarted(r.Data); ok {
-				s.Attempts[id]++
-			}
-		case recTaskCompleted, recTaskMemoized:
-			id, outs, ok := decodeTaskCompleted(r.Data)
-			if !ok {
-				continue
-			}
-			completed[id] = true
-			if r.Kind == recTaskMemoized {
-				memoized[id] = true
-				for _, o := range outs {
-					s.MemoSkippedBytes += o.Size
-				}
-			}
-		case recTaskFailed:
-			if id, skipped, _, ok := decodeTaskFailed(r.Data); ok {
-				failed[id] = true
-				if skipped {
-					s.SkippedTasks++
-				}
-			}
-		case recRunEnd:
-			if status, n, ok := decodeRunEnd(r.Data); ok {
-				s.Ends = append(s.Ends, RunEndMarker{Status: statusName(status), Failed: n})
-			}
-		case recRunResumed:
-			if m, ok := decodeRunResumed(r.Data); ok {
-				s.Resumes = append(s.Resumes, m)
-			}
+	if h := f.header; h != nil {
+		s.Header = &runHeaderView{
+			Workflow:    h.Workflow,
+			Fingerprint: h.Fingerprint.String(),
+			Scheduling:  h.Scheduling.String(),
+			TaskCount:   h.TaskCount,
+			OptionsHash: h.OptionsHash,
+			StartedUnix: h.StartedUnix,
 		}
 	}
-	s.CompletedTasks = len(completed)
-	s.CompletedIDs = make([]int32, 0, len(completed))
-	for id := range completed {
-		s.CompletedIDs = append(s.CompletedIDs, id)
+	for k, n := range f.counts {
+		if n > 0 {
+			s.EventCounts[kindName(uint8(k))] = n
+		}
+	}
+	for id, t := range f.tasks {
+		if t.attempts > 0 {
+			s.Attempts[id] = t.attempts
+		}
+		if t.completed {
+			s.CompletedIDs = append(s.CompletedIDs, id)
+		}
+		if t.failed {
+			s.FailedTasks++
+		}
+		if t.memoized {
+			s.MemoizedTasks++
+			if t.attempts > 0 {
+				s.MemoReexecuted++
+			}
+		}
 	}
 	slices.Sort(s.CompletedIDs)
-	s.FailedTasks = len(failed)
-	s.MemoizedTasks = len(memoized)
-	for id := range memoized {
-		if s.Attempts[id] > 0 {
-			s.MemoReexecuted++
-		}
-	}
+	s.CompletedTasks = len(s.CompletedIDs)
 	return s
 }
 
@@ -598,21 +602,15 @@ func SummarizeJournal(records []journal.Record, torn bool) *JournalSummary {
 // count, sorted, plus that count — the "which task kept crashing us"
 // question.
 func (s *JournalSummary) MaxAttemptTasks() ([]int32, int) {
-	max := 0
-	for _, n := range s.Attempts {
-		if n > max {
-			max = n
-		}
-	}
-	if max <= 0 {
-		return nil, 0
-	}
-	var ids []int32
+	max, ids := 0, []int32(nil)
 	for id, n := range s.Attempts {
-		if n == max {
+		switch {
+		case n > max:
+			max, ids = n, append(ids[:0], id)
+		case n == max && n > 0:
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
+	slices.Sort(ids)
 	return ids, max
 }

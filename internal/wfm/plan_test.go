@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -287,5 +288,22 @@ func TestSeededTaskIsNeverPosted(t *testing.T) {
 				t.Fatalf("endpoint saw %d POST(s) of %v, want one of leaf_a", posts.Load(), calls)
 			}
 		})
+	}
+}
+
+// TestCompileRunnableRejectsNonFinite: a NaN CPU parameter fails the
+// compile — and with it wfmd's admission, which calls CompileRunnable —
+// instead of the run, when the request body would not encode.
+func TestCompileRunnableRejectsNonFinite(t *testing.T) {
+	for _, set := range []func(*wfformat.Argument){
+		func(a *wfformat.Argument) { a.PercentCPU = math.NaN() },
+		func(a *wfformat.Argument) { a.CPUWork = math.NaN() },
+		func(a *wfformat.Argument) { a.CPUWork = math.Inf(1) },
+	} {
+		w := chainWorkflow(t, 2, "http://localhost/wfbench")
+		set(&w.Tasks["c001"].Command.Arguments[0])
+		if _, err := CompileRunnable(w); err == nil || !strings.Contains(err.Error(), `task "c001"`) {
+			t.Fatalf("CompileRunnable: %v, want a problem naming c001", err)
+		}
 	}
 }

@@ -2,7 +2,10 @@ package wfm
 
 import (
 	"context"
+	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"wfserverless/internal/cluster"
 	"wfserverless/internal/serverless"
@@ -12,13 +15,27 @@ import (
 	"wfserverless/internal/wfgen"
 )
 
+// flakyEngine is the wfbench simulation with every failEvery-th run
+// failing.
+type flakyEngine struct {
+	failEvery int64
+	runs      atomic.Int64
+}
+
+func (e *flakyEngine) Run(ctx context.Context, wall time.Duration, duty float64) error {
+	if n := e.runs.Add(1); n%e.failEvery == 0 {
+		return fmt.Errorf("injected fault on run %d", n)
+	}
+	return wfbench.SimEngine{}.Run(ctx, wall, duty)
+}
+
 // TestRetriesRecoverOnRealPlatform injects engine faults into the
 // serverless platform and verifies the manager's retry path completes
 // the workflow end to end.
 func TestRetriesRecoverOnRealPlatform(t *testing.T) {
 	cl := cluster.PaperTestbed()
 	drive := sharedfs.NewMem()
-	flaky := &wfbench.FlakyEngine{FailEvery: 5}
+	flaky := &flakyEngine{failEvery: 5}
 	p, err := serverless.New(serverless.Options{
 		Cluster:         cl,
 		Drive:           drive,
@@ -64,8 +81,8 @@ func TestRetriesRecoverOnRealPlatform(t *testing.T) {
 		t.Fatalf("failed = %v", res.Failed)
 	}
 	// More engine runs than tasks proves retries actually happened.
-	if flaky.Runs() <= int64(w.Len()) {
-		t.Fatalf("engine runs = %d, want > %d (retries)", flaky.Runs(), w.Len())
+	if flaky.runs.Load() <= int64(w.Len()) {
+		t.Fatalf("engine runs = %d, want > %d (retries)", flaky.runs.Load(), w.Len())
 	}
 	if p.Failures() == 0 {
 		t.Fatal("platform recorded no failures despite injection")

@@ -73,41 +73,25 @@ type journalRecord struct {
 	skipped bool
 }
 
-// journalLives reads the journal in dir as the lives of one run: each
-// starts at a run header or a resume marker and holds the task records
-// one process wrote.
-func journalLives(t *testing.T, dir string) [][]journalRecord {
+// journalLives reads a run's journal records, through the fold, as the
+// lives of the run: each starts at a run header or a resume marker and
+// holds the task records one process wrote.
+func journalLives(t *testing.T, recs []journal.Record) [][]journalRecord {
 	t.Helper()
-	rep, err := journal.Read(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var f fold
 	var lives [][]journalRecord
-	for _, r := range rep.Records {
-		switch r.Kind {
-		case recRunHeader, recRunResumed:
-			lives = append(lives, nil)
-			continue
-		case recTaskStarted, recTaskCompleted, recTaskMemoized, recTaskFailed:
-		default:
-			continue
-		}
-		if len(lives) == 0 {
-			t.Fatalf("task record (kind %d) before any run header", r.Kind)
-		}
-		rec, ok := journalRecord{kind: r.Kind}, false
-		switch r.Kind {
-		case recTaskStarted:
-			rec.id, _, ok = decodeTaskStarted(r.Data)
-		case recTaskFailed:
-			rec.id, rec.skipped, _, ok = decodeTaskFailed(r.Data)
-		default:
-			rec.id, _, ok = decodeTaskCompleted(r.Data)
-		}
-		if !ok {
+	for _, r := range recs {
+		s := f.apply(r)
+		switch {
+		case s.bad:
 			t.Fatalf("journal record kind %d: undecodable payload", r.Kind)
+		case s.life:
+			lives = append(lives, nil)
+		case s.task && len(lives) == 0:
+			t.Fatalf("task record (kind %d) before any run header", r.Kind)
+		case s.task:
+			lives[len(lives)-1] = append(lives[len(lives)-1], journalRecord{kind: r.Kind, id: s.id, skipped: s.skipped})
 		}
-		lives[len(lives)-1] = append(lives[len(lives)-1], rec)
 	}
 	return lives
 }
@@ -129,7 +113,54 @@ func checkTransitions(t *testing.T, dir string, w *wfformat.Workflow, rec *healt
 	if err != nil {
 		t.Fatal(err)
 	}
-	lives := journalLives(t, dir)
+	rep, err := journal.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, seeds := checkLives(t, c, rep.Records)
+
+	if rec != nil {
+		got := map[uint8]map[string]int{}
+		kinds := map[string]uint8{"task-start": recTaskStarted, "task-done": recTaskCompleted, "task-fail": recTaskFailed}
+		for _, ev := range rec.Events() {
+			if k, ok := kinds[ev.Kind]; ok {
+				if got[k] == nil {
+					got[k] = map[string]int{}
+				}
+				got[k][ev.Task]++
+			}
+		}
+		for kind, name := range map[uint8]string{recTaskStarted: "task-start", recTaskCompleted: "task-done", recTaskFailed: "task-fail"} {
+			if fmt.Sprint(got[kind]) != fmt.Sprint(counts[kind]) {
+				t.Errorf("flight recorder %s per task %v, journal %v", name, got[kind], counts[kind])
+			}
+		}
+	}
+
+	if mon != nil {
+		s := mon.Snapshot()
+		if s.Ready != 0 || s.Running != 0 {
+			t.Errorf("monitor ends with %d ready, %d running", s.Ready, s.Running)
+		}
+		if int(s.Done+s.Failed) != c.Len()-seeds {
+			t.Errorf("monitor done %d + failed %d, want tasks %d - seeds %d", s.Done, s.Failed, c.Len(), seeds)
+		}
+		started := 0
+		for _, n := range counts[recTaskStarted] {
+			started += n
+		}
+		if n := mon.latency.Count(); n != uint64(started) {
+			t.Errorf("monitor observed %d invocations, journal started %d tasks", n, started)
+		}
+	}
+}
+
+// checkLives holds a run's journal records to the journal half of
+// checkTransitions and returns the last life's task records per kind
+// and task (skipped failures left out) and the number of seeded tasks.
+func checkLives(t *testing.T, c *Compiled, recs []journal.Record) (map[uint8]map[string]int, int) {
+	t.Helper()
+	lives := journalLives(t, recs)
 	if len(lives) == 0 {
 		t.Fatal("journal holds no run")
 	}
@@ -176,41 +207,7 @@ func checkTransitions(t *testing.T, dir string, w *wfformat.Workflow, rec *healt
 		}
 	}
 	seeds += len(counts[recTaskMemoized])
-
-	if rec != nil {
-		got := map[uint8]map[string]int{}
-		kinds := map[string]uint8{"task-start": recTaskStarted, "task-done": recTaskCompleted, "task-fail": recTaskFailed}
-		for _, ev := range rec.Events() {
-			if k, ok := kinds[ev.Kind]; ok {
-				if got[k] == nil {
-					got[k] = map[string]int{}
-				}
-				got[k][ev.Task]++
-			}
-		}
-		for kind, name := range map[uint8]string{recTaskStarted: "task-start", recTaskCompleted: "task-done", recTaskFailed: "task-fail"} {
-			if fmt.Sprint(got[kind]) != fmt.Sprint(counts[kind]) {
-				t.Errorf("flight recorder %s per task %v, journal %v", name, got[kind], counts[kind])
-			}
-		}
-	}
-
-	if mon != nil {
-		s := mon.Snapshot()
-		if s.Ready != 0 || s.Running != 0 {
-			t.Errorf("monitor ends with %d ready, %d running", s.Ready, s.Running)
-		}
-		if int(s.Done+s.Failed) != c.Len()-seeds {
-			t.Errorf("monitor done %d + failed %d, want tasks %d - seeds %d", s.Done, s.Failed, c.Len(), seeds)
-		}
-		started := 0
-		for _, n := range counts[recTaskStarted] {
-			started += n
-		}
-		if n := mon.latency.Count(); n != uint64(started) {
-			t.Errorf("monitor observed %d invocations, journal started %d tasks", n, started)
-		}
-	}
+	return counts, seeds
 }
 
 // recorderTuples renders a flight recorder's events as one line per

@@ -496,7 +496,6 @@ func (m *Manager) ResumeCompiled(ctx context.Context, c *Compiled) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	m.verifyOutputs(rec)
 	return m.run(ctx, c, rec)
 }
 
