@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-module tier1 check race fuzz-smoke campaigns examples service-smoke alloc-sites vet clean
+.PHONY: all build test bench-module tier1 check race fuzz-smoke campaigns examples service-smoke alloc-sites cpu-sites vet clean
 
 all: tier1
 
@@ -40,7 +40,9 @@ vet:
 # log's crash-at-every-record and migration tests run ten times: every
 # run's executor appends to the one log while restarts fold it. The
 # fault injector's tests run twenty times: its per-name arrival map is
-# shared by every frame of a batch.
+# shared by every frame of a batch. So do the front half's parallel paths
+# (dag.Split above 8,192 tasks): the level-parallel task fingerprints and
+# the chunked memo probe, each held to a sequential reference.
 race:
 	$(GO) build -race ./...
 	$(GO) test -race ./...
@@ -49,6 +51,8 @@ race:
 	$(GO) test -race ./internal/serverless -run 'TestFixedScale|TestMinScale' -count=20
 	$(GO) test -race ./internal/wfmd -run 'TestServiceLog|TestParentDataDir' -count=10
 	$(GO) test -race ./internal/wfbench -run 'TestInjector' -count=20
+	$(GO) test -race ./internal/wfformat -run 'TestTaskFingerprintsLevelParallel' -count=20
+	$(GO) test -race ./internal/wfm -run 'TestProbeMemoMatchesSequential' -count=20
 
 # alloc-sites names who allocates on the scale path: the batched case of
 # the back-half budget test (a 10k fan-out, batches of 512, a synced
@@ -71,6 +75,20 @@ alloc-sites:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=$(SITES) -nodefraction=0 -ignore=runtime/pprof \
 		-diff_base $(ALLOC_OUT)/before.prof $(ALLOC_OUT)/wfm.test $(ALLOC_OUT)/after.prof 2>/dev/null | \
 		awk 'rows {printf "%8.2f /task  with callees %8.2f  %s\n", $$1/10000, $$4/10000, $$6 " " $$7; next} /flat%/ {rows = 1; next} {print}'
+
+# cpu-sites is alloc-sites for time, on the front half: BenchmarkMemoizedRerun
+# (a 100k fan-out re-run against a full memo cache, so compile,
+# fingerprints, cache open and probe are the whole run) under the CPU
+# profiler, as -cum rows. Only the samples labelled window=rerun count:
+# the cold run that fills the cache is set-up. CPU_ITERS sets the re-runs,
+# SITES the rows, CPU_OUT where the test binary and profile go.
+CPU_ITERS ?= 10
+CPU_OUT ?= .bench_build/cpu-sites
+cpu-sites:
+	mkdir -p $(CPU_OUT)
+	$(GO) test ./internal/wfm -run '^$$' -bench '^BenchmarkMemoizedRerun$$' -benchtime $(CPU_ITERS)x -count=1 \
+		-o $(CPU_OUT)/wfm.test -cpuprofile $(abspath $(CPU_OUT))/cpu.prof
+	$(GO) tool pprof -top -cum -nodecount=$(SITES) -tagfocus=window=rerun $(CPU_OUT)/wfm.test $(CPU_OUT)/cpu.prof 2>/dev/null
 
 # fuzz-smoke gives every fuzz target ten seconds past its seed corpus:
 # the journal reader, a journal reopened over an arbitrary last segment

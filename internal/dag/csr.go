@@ -10,7 +10,9 @@ package dag
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // Index maps vertex names to dense int32 IDs: a name's ID is its
@@ -269,11 +271,10 @@ func (c *CSR) Parents(v int32) []int32 {
 // InDegree returns the number of parents of v.
 func (c *CSR) InDegree(v int32) int { return int(c.parentStart[v+1] - c.parentStart[v]) }
 
-// OutDegree returns the number of children of v.
-func (c *CSR) OutDegree(v int32) int { return int(c.childStart[v+1] - c.childStart[v]) }
-
-// TopoOrder returns a topological order of all vertex IDs. Read-only
-// view.
+// TopoOrder returns a topological order of all vertex IDs, level by
+// level: Kahn's FIFO queue holds the vertices of one level, then of the
+// next, so every vertex of level l comes before any of level l+1. No
+// edge joins two vertices of one level. Read-only view.
 func (c *CSR) TopoOrder() []int32 { return c.topo }
 
 // Level returns the topological level (phase index) of v: 0 for roots,
@@ -385,4 +386,33 @@ func (c *CSR) CriticalPath(weights []float64) ([]int32, float64) {
 	}
 	slices.Reverse(path)
 	return path, best
+}
+
+// splitMin is the fewest items Split spreads over goroutines: a property
+// of the input, not a knob. Below it a pass costs less than waking a
+// core, so a 1,500-task recipe or a 64-task service run stays on one.
+const splitMin = 8192
+
+// Split calls fn over contiguous chunks [lo, hi) covering [0, n) and
+// returns when every call has: one call, fn(0, n), below splitMin items
+// or on one processor, else one per processor (GOMAXPROCS), each on a
+// goroutine of its own but the chunk at 0, which runs on the caller's.
+// fn must be safe to run on disjoint chunks at once.
+func Split(n int, fn func(lo, hi int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if n < splitMin || workers < 2 {
+		fn(0, n)
+		return
+	}
+	size := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := size; lo < n; lo += size {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(lo, min(lo+size, n))
+		}()
+	}
+	fn(0, size)
+	wg.Wait()
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -156,7 +158,7 @@ func TestRootsAndLeaves(t *testing.T) {
 		if c.InDegree(v) == 0 {
 			roots = append(roots, v)
 		}
-		if c.OutDegree(v) == 0 {
+		if len(c.Children(v)) == 0 {
 			leaves = append(leaves, v)
 		}
 	}
@@ -171,8 +173,8 @@ func TestRootsAndLeaves(t *testing.T) {
 func TestDegrees(t *testing.T) {
 	c := mustBuild(t, diamond())
 	a, d := mustID(t, c, "a"), mustID(t, c, "d")
-	if c.OutDegree(a) != 2 || c.InDegree(a) != 0 {
-		t.Fatalf("a degrees wrong: out=%d in=%d", c.OutDegree(a), c.InDegree(a))
+	if len(c.Children(a)) != 2 || c.InDegree(a) != 0 {
+		t.Fatalf("a degrees wrong: out=%d in=%d", len(c.Children(a)), c.InDegree(a))
 	}
 	if c.InDegree(d) != 2 {
 		t.Fatalf("InDegree(d) = %d", c.InDegree(d))
@@ -180,7 +182,7 @@ func TestDegrees(t *testing.T) {
 }
 
 // topoRespectsEdges checks that TopoOrder is a permutation of the
-// vertices with every parent before its children.
+// vertices with every parent before its children, level by level.
 func topoRespectsEdges(c *CSR) error {
 	if len(c.TopoOrder()) != c.Len() {
 		return fmt.Errorf("topo covers %d of %d", len(c.TopoOrder()), c.Len())
@@ -188,6 +190,9 @@ func topoRespectsEdges(c *CSR) error {
 	pos := make([]int, c.Len())
 	for i, id := range c.TopoOrder() {
 		pos[id] = i
+		if prev := c.TopoOrder()[max(i-1, 0)]; c.Level(prev) > c.Level(id) {
+			return fmt.Errorf("%s (level %d) follows %s (level %d) in topo order", c.Name(id), c.Level(id), c.Name(prev), c.Level(prev))
+		}
 	}
 	for v := int32(0); v < int32(c.Len()); v++ {
 		for _, ch := range c.Children(v) {
@@ -351,7 +356,7 @@ func TestCSRMatchesGraph(t *testing.T) {
 		if got, want := sortedNames(c, c.Parents(id)), sorted(g.parents[v]); !slices.Equal(got, want) {
 			t.Fatalf("%s parents = %v, want %v", v, got, want)
 		}
-		if c.InDegree(id) != len(g.parents[v]) || c.OutDegree(id) != len(g.children[v]) {
+		if c.InDegree(id) != len(g.parents[v]) || len(c.Children(id)) != len(g.children[v]) {
 			t.Fatalf("%s degrees disagree", v)
 		}
 		edges += len(g.children[v])
@@ -537,5 +542,32 @@ func TestQuickQueriesMatchReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitCoversOnce: Split's chunks cover [0, n) once each, one call
+// below splitMin, one per processor above it, with an uneven last chunk.
+func TestSplitCoversOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for _, n := range []int{0, 1, splitMin - 1, splitMin, 100_003} {
+		var mu sync.Mutex
+		calls := 0
+		hits := make([]int32, n)
+		Split(n, func(lo, hi int) {
+			mu.Lock()
+			calls++
+			mu.Unlock()
+			for i := lo; i < hi; i++ {
+				hits[i]++
+			}
+		})
+		if want := map[bool]int{true: 1, false: 3}[n < splitMin]; calls != want {
+			t.Errorf("n=%d: %d calls, want %d", n, calls, want)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("n=%d: item %d covered %d times", n, i, h)
+			}
+		}
 	}
 }

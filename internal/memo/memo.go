@@ -51,7 +51,6 @@ type Output struct {
 // loaded are substrings of one string.
 type Cache struct {
 	mu      sync.RWMutex
-	path    string
 	f       *os.File
 	w       *bufio.Writer
 	index   map[[32]byte][]Output // views of outs
@@ -83,7 +82,7 @@ func Open(path string) (*Cache, error) {
 		}
 		return ok
 	})
-	c := &Cache{path: path, index: make(map[[32]byte][]Output, records), outs: make([]Output, 0, outputs)}
+	c := &Cache{index: make(map[[32]byte][]Output, records), outs: make([]Output, 0, outputs)}
 	var names strings.Builder
 	names.Grow(nameBytes) // never grows again: the names already taken stay where they are
 	journal.Scan(data[:end], func(rec journal.Record) bool {
@@ -219,9 +218,6 @@ func (c *Cache) Err() error {
 	defer c.mu.RUnlock()
 	return c.failed
 }
-
-// Path returns the cache's file path.
-func (c *Cache) Path() string { return c.path }
 
 // Recovered reports whether Open found and repaired corruption, and
 // how many bytes of unusable tail (or foreign content) were dropped.

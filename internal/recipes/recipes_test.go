@@ -272,9 +272,8 @@ func TestProfilesAppliedToTasks(t *testing.T) {
 func TestRootTasksHaveExternalInputs(t *testing.T) {
 	for _, r := range All() {
 		w, _ := r.Generate(60, rand.New(rand.NewSource(12)))
-		ext := w.ExternalInputs()
-		if len(ext) == 0 {
-			t.Errorf("%s: no external inputs", r.Name())
+		if _, _, ext, err := w.ValidateCompile(); err != nil || len(ext) == 0 {
+			t.Errorf("%s: no external inputs (%v)", r.Name(), err)
 		}
 	}
 }

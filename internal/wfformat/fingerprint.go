@@ -156,12 +156,19 @@ func (d *digester) task(t *Task, edges bool) []File {
 		d.num(uint64(a.MemBytes))
 		d.str(a.Workdir)
 		d.sorted(a.Inputs)
+		d.num(uint64(len(a.Out)))
+		if len(a.Out) == 1 { // most tasks write one file: no keys to sort
+			for k, v := range a.Out {
+				d.str(k)
+				d.num(uint64(v))
+			}
+			continue
+		}
 		d.names = d.names[:0]
 		for k := range a.Out {
 			d.names = append(d.names, k)
 		}
 		slices.Sort(d.names)
-		d.num(uint64(len(d.names)))
 		for _, k := range d.names {
 			d.str(k)
 			d.num(uint64(a.Out[k]))

@@ -3,7 +3,11 @@ package wfformat
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+
+	"wfserverless/internal/dag"
 )
 
 // fpRandomWorkflow builds a layered random DAG: each non-root task
@@ -214,6 +218,110 @@ func TestTaskFingerprintsExternalInputs(t *testing.T) {
 		return 3
 	}
 	compileFPs(t, w, ext)
+}
+
+// seqTaskFingerprints is TaskFingerprints as one pass over the
+// topological order with one digester: the reference the level-parallel
+// pass must equal.
+func seqTaskFingerprints(c *dag.CSR, tasks []*Task, ext func(string, int64) uint64) []Hash {
+	fps := make([]Hash, len(tasks))
+	produced := make(map[string]bool)
+	for _, t := range tasks {
+		for _, f := range t.Files {
+			produced[f.Name] = produced[f.Name] || f.Link == LinkOutput
+		}
+	}
+	d := newDigester()
+	for _, id := range c.TopoOrder() {
+		for _, f := range d.task(tasks[id], false) {
+			if f.Link == LinkInput && !produced[f.Name] {
+				d.str(f.Name)
+				d.num(ext(f.Name, f.SizeInBytes))
+			}
+		}
+		d.num(uint64(len(c.Parents(id))))
+		for _, pid := range c.Parents(id) {
+			d.hash(&fps[pid])
+		}
+		fps[id] = d.sum()
+	}
+	return fps
+}
+
+// TestTaskFingerprintsLevelParallel: with three levels wider than
+// dag.Split's threshold (8,192 tasks), hashed by four workers, every
+// fingerprint equals the sequential reference's. The middle level joins
+// pairs of roots and the last pairs of middle tasks (diamonds), the last
+// also reads its grandparent's output (a transitive producer), roots
+// read external inputs that are staged (ext knows a content address) or
+// not, and some tasks write two files. Names run against the levels, so
+// the ID order is not the level order.
+func TestTaskFingerprintsLevelParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const width = 9000
+	w := New("taskfp-wide")
+	add := func(name string, parents, reads []string, outs int) {
+		files := []File{{Link: LinkInput, Name: "ext_seed", SizeInBytes: 5}}
+		out := map[string]int64{}
+		for k := range outs {
+			o := fmt.Sprintf("out%d_%s", k, name)
+			out[o] = int64(10 + k)
+			files = append(files, File{Link: LinkOutput, Name: o, SizeInBytes: int64(10 + k)})
+		}
+		for _, in := range reads {
+			files = append(files, File{Link: LinkInput, Name: in, SizeInBytes: 10})
+		}
+		task := &Task{Name: name, Type: TypeCompute, Cores: 1, Files: files, Command: Command{Program: "wfbench",
+			Arguments: []Argument{{Name: name, PercentCPU: 0.5, CPUWork: 100, Out: out, Inputs: reads}}}}
+		if err := w.AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parents {
+			if err := w.Link(p, name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	root := func(i int) string { return fmt.Sprintf("z_root_%05d", i%width) }
+	mid := func(i int) string { return fmt.Sprintf("m_mid_%05d", i%width) }
+	staged := make(map[string]uint64)
+	for i := range width {
+		ext := fmt.Sprintf("ext_plain_%05d", i)
+		if i%2 == 0 {
+			ext = fmt.Sprintf("ext_staged_%05d", i)
+			staged[ext] = uint64(i) * 0x9e3779b97f4a7c15
+		}
+		add(root(i), nil, []string{ext}, 1+i%2)
+	}
+	for i := range width {
+		add(mid(i), []string{root(i), root(i + 1)}, []string{"out0_" + root(i), "out0_" + root(i+1)}, 1)
+	}
+	for i := range width {
+		add(fmt.Sprintf("a_sink_%05d", i), []string{mid(i), mid(i + 1)},
+			[]string{"out0_" + mid(i), "out0_" + mid(i+1), "out0_" + root(i)}, 1+i%3)
+	}
+	csr, tasks, _, err := w.ValidateCompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csr.NumLevels() != 3 {
+		t.Fatalf("%d levels, want 3", csr.NumLevels())
+	}
+	ext := func(name string, size int64) uint64 {
+		if h, ok := staged[name]; ok {
+			return h
+		}
+		return uint64(size) + uint64(len(name))<<32
+	}
+	got, want := TaskFingerprints(csr, tasks, ext), seqTaskFingerprints(csr, tasks, ext)
+	if i := slices.IndexFunc(want, func(h Hash) bool { return h.IsZero() }); i >= 0 {
+		t.Fatalf("reference left %s unhashed", tasks[i].Name)
+	}
+	for id := range want {
+		if got[id] != want[id] {
+			t.Fatalf("%s: fingerprint %s, sequential %s", tasks[id].Name, got[id], want[id])
+		}
+	}
 }
 
 func BenchmarkTaskFingerprints(b *testing.B) {

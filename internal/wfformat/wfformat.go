@@ -95,17 +95,6 @@ func (t *Task) AppendFileNames(dst []string, link string) []string {
 	return dst
 }
 
-// OutputSizes returns output file name -> size.
-func (t *Task) OutputSizes() map[string]int64 {
-	m := make(map[string]int64)
-	for _, f := range t.Files {
-		if f.Link == LinkOutput {
-			m[f.Name] = f.SizeInBytes
-		}
-	}
-	return m
-}
-
 // Workflow is a named DAG of tasks. Tasks are keyed by their unique name,
 // matching the paper's JSON excerpt where the top-level object maps
 // function names to function descriptions.
@@ -311,9 +300,23 @@ func (w *Workflow) ValidateCompile() (csr *dag.CSR, tasks []*Task, external []Fi
 		tasks[id] = w.Tasks[n]
 	}
 	producers := make(map[string]int32, len(names)) // file -> ID of producing task (its index in names)
-	// Symmetry by ID: a list is checked against the other side's, stamped in mark.
-	pids, namedAsParent := sideIDs(b.Index(), tasks, func(t *Task) []string { return t.Parents })
-	cids, namedAsChild := sideIDs(b.Index(), tasks, func(t *Task) []string { return t.Children })
+	// Symmetry by ID: a list is checked against the other side's, stamped
+	// in mark. Split's first chunk resolves Parents, its last Children.
+	var sides [2]struct {
+		ids   []int32
+		named idLists
+	}
+	ix, all := b.Index(), tasks
+	dag.Split(len(all), func(lo, hi int) {
+		if lo == 0 {
+			sides[0].ids, sides[0].named = sideIDs(ix, all, func(t *Task) []string { return t.Parents })
+		}
+		if hi == len(all) {
+			sides[1].ids, sides[1].named = sideIDs(ix, all, func(t *Task) []string { return t.Children })
+		}
+	})
+	pids, namedAsParent := sides[0].ids, sides[0].named
+	cids, namedAsChild := sides[1].ids, sides[1].named
 	mark := make([]int32, len(tasks))
 	stamp := func(ids []int32, v int32) int32 {
 		for _, q := range ids {
@@ -426,7 +429,10 @@ func (w *Workflow) ValidateCompile() (csr *dag.CSR, tasks []*Task, external []Fi
 	// of two declarations of one file, the later task's (in ID order) wins.
 	for _, t := range tasks {
 		for _, f := range t.Files {
-			if _, produced := producers[f.Name]; f.Link == LinkInput && !produced {
+			if f.Link != LinkInput {
+				continue
+			}
+			if _, produced := producers[f.Name]; !produced {
 				external = append(external, f)
 			}
 		}
@@ -486,33 +492,6 @@ type idLists struct{ start, ids []int32 }
 
 func (l idLists) of(v int) []int32 { return l.ids[l.start[v]:l.start[v+1]] }
 
-// ExternalInputs returns the input files no task produces — the initial
-// data that must be staged onto the shared drive before execution.
-func (w *Workflow) ExternalInputs() []File {
-	produced := make(map[string]bool)
-	for _, t := range w.Tasks {
-		for _, f := range t.Files {
-			if f.Link == LinkOutput {
-				produced[f.Name] = true
-			}
-		}
-	}
-	seen := make(map[string]File)
-	for _, t := range w.Tasks {
-		for _, f := range t.Files {
-			if f.Link == LinkInput && !produced[f.Name] {
-				seen[f.Name] = f
-			}
-		}
-	}
-	out := make([]File, 0, len(seen))
-	for _, f := range seen {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Marshal serializes the workflow to indented JSON for human readers.
 // Large generated instances should use MarshalCompact: pretty-printing
 // a 100k-task workflow is O(n) extra bytes and garbage for no reader.
@@ -543,15 +522,6 @@ func Load(path string) (*Workflow, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-// Save writes the workflow as indented JSON to path.
-func (w *Workflow) Save(path string) error {
-	data, err := w.Marshal()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // SaveCompact writes the workflow as compact JSON to path — used for

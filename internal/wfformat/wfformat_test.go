@@ -196,16 +196,13 @@ func TestInputOutputFiles(t *testing.T) {
 	if got := cat.OutputFiles(); !reflect.DeepEqual(got, []string{"final.txt"}) {
 		t.Fatalf("OutputFiles = %v", got)
 	}
-	if got := cat.OutputSizes()["final.txt"]; got != 800 {
-		t.Fatalf("OutputSizes[final.txt] = %d", got)
-	}
 }
 
 func TestExternalInputs(t *testing.T) {
 	w := miniBlast(t)
-	ext := w.ExternalInputs()
-	if len(ext) != 1 || ext[0].Name != "input.fasta" {
-		t.Fatalf("ExternalInputs = %v", ext)
+	_, _, ext, err := w.ValidateCompile()
+	if err != nil || len(ext) != 1 || ext[0].Name != "input.fasta" {
+		t.Fatalf("external inputs = %v (%v)", ext, err)
 	}
 }
 
@@ -241,7 +238,7 @@ func TestParseBadJSON(t *testing.T) {
 func TestSaveLoad(t *testing.T) {
 	w := miniBlast(t)
 	path := filepath.Join(t.TempDir(), "wf.json")
-	if err := w.Save(path); err != nil {
+	if err := w.SaveCompact(path); err != nil {
 		t.Fatal(err)
 	}
 	w2, err := Load(path)

@@ -3,9 +3,14 @@ package wfm
 import (
 	"context"
 	"net/http/httptest"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
+	"slices"
 	"testing"
 	"time"
 
+	"wfserverless/internal/memo"
 	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/wfbench"
 	"wfserverless/internal/wfformat"
@@ -127,4 +132,55 @@ func BenchmarkPhaseDispatchAllocs(b *testing.B) {
 		srv.Close()
 		b.StartTimer()
 	}
+}
+
+// BenchmarkMemoizedRerun is bench/'s memo_rerun in go test: a 100k-task
+// fan-out re-run against a full memo cache, the cache opened per
+// iteration as a new process would, the collection of the previous
+// iteration's garbage outside the timer. It reports the median run in
+// ms: the front half — compile, fingerprints, cache open and probe —
+// is the whole run, since a re-run invokes nothing. The timed re-runs
+// carry the pprof label window=rerun, so a CPU profile can leave out the
+// cold run that fills the cache (make cpu-sites).
+func BenchmarkMemoizedRerun(b *testing.B) {
+	drive := sharedfs.NewMem()
+	srv, _ := countingStub(b, drive)
+	w := benchFanout(b, 100_000, srv.URL)
+	path := filepath.Join(b.TempDir(), "memo.cache")
+	run := func() *Result {
+		cache, err := memo.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cache.Close()
+		m, err := New(Options{Drive: drive, TimeScale: 0.002, InputWait: 5, Scheduling: ScheduleDependency,
+			MaxParallel: 2048, Batching: BatchOptions{Enabled: true, MaxTasks: 512}, Memoize: cache})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := m.Run(context.Background(), w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	run() // the cold run fills the cache
+	srv.Close()
+	ms := make([]float64, 0, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		start := time.Now()
+		var res *Result
+		pprof.Do(context.Background(), pprof.Labels("window", "rerun"), func(context.Context) { res = run() })
+		ms = append(ms, float64(time.Since(start).Microseconds())/1e3)
+		if res.Memo.Hits != w.Len() {
+			b.Fatalf("re-run hit %d of %d tasks", res.Memo.Hits, w.Len())
+		}
+	}
+	slices.Sort(ms)
+	b.ReportMetric(ms[len(ms)/2], "median_ms")
 }

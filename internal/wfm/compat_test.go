@@ -150,6 +150,12 @@ func TestMemoHitsParentFingerprints(t *testing.T) {
 	}
 }
 
+// memoizedKBPerTask is the bytes ceiling of the memoized case below, 2 %
+// above the 0.6378 KB a task it measured when it was set. 2 % is 13
+// bytes a task: an n-sized scratch of (name, task) pairs, 24 bytes a
+// task, crosses it.
+const memoizedKBPerTask = 0.6506
+
 // TestFrontHalfAllocationBudget holds the front half of a run — bytes in,
 // first dispatch out — to a per-task allocation ceiling, so that a
 // regression shows in go test and not only in bench/. The ceilings sit a
@@ -225,19 +231,23 @@ func TestFrontHalfAllocationBudget(t *testing.T) {
 		// The fewest of three re-runs: the cold run's connections wind
 		// down in the background, and MemStats counts their allocations too.
 		var m *Manager
-		got := math.Inf(1)
+		got, kb := math.Inf(1), math.Inf(1)
 		for range 3 {
 			var rm *Manager
 			var res *Result
-			mallocs := mallocsIn(t, func() { rm, res = run() })
+			mallocs, bytes := mallocsIn(t, func() { rm, res = run() })
 			if res.Memo.Hits != w.Len() {
 				t.Fatalf("re-run hit %d of %d tasks", res.Memo.Hits, w.Len())
 			}
 			m, got = rm, min(got, float64(mallocs)/float64(w.Len()))
+			kb = min(kb, float64(bytes)/1024/float64(w.Len()))
 		}
-		t.Logf("10k fan-out re-run against a full cache: %.4f allocations per task", got)
+		t.Logf("10k fan-out re-run against a full cache: %.4f allocations and %.4f KB per task", got, kb)
 		if got > 0.05 {
 			t.Errorf("memoized re-run allocates %.3f times per task, budget 0.05", got)
+		}
+		if kb > memoizedKBPerTask {
+			t.Errorf("memoized re-run allocates %.4f KB per task, budget %.4f", kb, memoizedKBPerTask)
 		}
 		c, err := CompileRunnable(w)
 		if err != nil {
@@ -359,11 +369,12 @@ func loopbackPlatform(t testing.TB, drive sharedfs.Drive) string {
 var allocProfiles = flag.String("alloc-profiles", "",
 	"write the allocs profile before and after each allocation-budget window to before.prof and after.prof in this directory")
 
-// mallocsIn is runtime.MemStats.Mallocs across f. With -alloc-profiles
-// it also writes the allocs profile on each side of f, so that pprof
-// -diff_base (make alloc-sites) shows the window's allocations and not
-// the set-up's; a later window overwrites an earlier one's.
-func mallocsIn(t testing.TB, f func()) uint64 {
+// mallocsIn is runtime.MemStats.Mallocs across f, and the bytes they
+// took (TotalAlloc). With -alloc-profiles it also writes the allocs
+// profile on each side of f, so that pprof -diff_base (make
+// alloc-sites) shows the window's allocations and not the set-up's; a
+// later window overwrites an earlier one's.
+func mallocsIn(t testing.TB, f func()) (mallocs, bytes uint64) {
 	var before, after runtime.MemStats
 	writeAllocs(t, "before.prof")
 	runtime.GC()
@@ -371,7 +382,7 @@ func mallocsIn(t testing.TB, f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	writeAllocs(t, "after.prof")
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // writeAllocs writes the allocs profile, as of a fresh collection, to
@@ -397,7 +408,7 @@ func writeAllocs(t testing.TB, name string) {
 func mallocsPerTask(t testing.TB, m *Manager, w *wfformat.Workflow) float64 {
 	var res *Result
 	var err error
-	mallocs := mallocsIn(t, func() { res, err = m.Run(context.Background(), w) })
+	mallocs, _ := mallocsIn(t, func() { res, err = m.Run(context.Background(), w) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,9 +233,9 @@ func TestSkipStageInputs(t *testing.T) {
 		if _, err := m.Run(context.Background(), w); err != nil {
 			t.Fatalf("default staging run: %v", err)
 		}
-		ext := w.ExternalInputs()
-		if len(ext) == 0 {
-			t.Fatal("test workflow has no external inputs")
+		_, _, ext, err := w.ValidateCompile()
+		if err != nil || len(ext) == 0 {
+			t.Fatalf("test workflow has no external inputs (%v)", err)
 		}
 		for _, f := range ext {
 			if !drive.Exists(f.Name) {
@@ -252,7 +252,11 @@ func TestSkipStageInputs(t *testing.T) {
 			o.SkipStageInputs = true
 		})
 		w2 := translated(t, "blast", 8, srv2.URL)
-		for _, f := range w2.ExternalInputs() {
+		_, _, ext2, err := w2.ValidateCompile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range ext2 {
 			if err := drive2.WriteFile(f.Name, f.SizeInBytes); err != nil {
 				t.Fatal(err)
 			}

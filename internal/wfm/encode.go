@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -28,7 +29,6 @@ type invocationPlan struct {
 	ins    []string         // input-name arena: every task's input files, sorted per task
 	insOff []int32          // len(tasks)+1 offsets into ins
 	ext    []wfformat.File  // external inputs: the header's staging manifest
-	size   int              // a guess at the bytes of all the request bodies
 }
 
 // sharedJSONHeader is the one header map every invocation shares. It
@@ -48,33 +48,22 @@ func newInvocationPlan(tasks []*wfformat.Task, ext []wfformat.File) (*invocation
 		insOff: make([]int32, n+1),
 		ext:    ext,
 	}
-	// The arena is sized from what goes into it: the names a body carries
-	// plus room for its keys and numbers. A guess — append grows past it.
-	size := 0
-	for _, task := range tasks {
-		if len(task.Command.Arguments) == 0 {
-			return nil, fmt.Errorf("wfm: task %q has no argument block; malformed translated workflow", task.Name)
-		}
-		arg := &task.Command.Arguments[0]
-		size += 96 + len(arg.Name) + len(arg.Workdir)
-		for out := range arg.Out {
-			size += len(out) + 12
-		}
-		for _, in := range arg.Inputs {
-			size += len(in) + 3
-		}
-	}
-	p.size = size
 	p.ins = make([]string, 0, n) // most tasks read one file
 	urls := make(map[string]*url.URL)
 	for i, task := range tasks {
-		var err error
+		if len(task.Command.Arguments) == 0 {
+			return nil, fmt.Errorf("wfm: task %q has no argument block; malformed translated workflow", task.Name)
+		}
 		p.ins = task.AppendFileNames(p.ins, wfformat.LinkInput)
 		p.insOff[i+1] = int32(len(p.ins))
+		if i > 0 && task.Command.APIURL == tasks[i-1].Command.APIURL {
+			p.urls[i] = p.urls[i-1] // the usual case: one ingress for every task
+			continue
+		}
 		u := urls[task.Command.APIURL]
 		if u == nil {
-			u, err = url.Parse(task.Command.APIURL)
-			if err != nil {
+			var err error
+			if u, err = url.Parse(task.Command.APIURL); err != nil {
 				return nil, fmt.Errorf("wfm: %s: %w", task.Name, err)
 			}
 			urls[task.Command.APIURL] = u
@@ -94,22 +83,43 @@ type requestBodies struct {
 
 // encodeBodies encodes the bodies of p's tasks but the seeded ones
 // (ascending IDs), one per line, as json.Encoder wrote them.
+//
+// The arena is sized from its bodies, in one allocation: what each body
+// spends on names (nameBytes) is counted, and for the rest, keys and
+// numbers, the most any of the first sample bodies spends, plus a
+// thirty-second, stands for every body (a fan-out's root, with no
+// inputs, spends two bytes more than its leaves). The sample is encoded
+// on the stack to be measured, and again into the arena.
 func (p *invocationPlan) encodeBodies(seeded []int32) (requestBodies, error) {
 	n := len(p.tasks)
 	if len(seeded) == n {
 		return requestBodies{}, nil
 	}
-	b := requestBodies{buf: make([]byte, 0, p.size/n*(n-len(seeded))), off: make([]int32, n+1)}
+	const sample = 16
+	var scratch [1024]byte
 	var wreq wfbench.Request // one for all tasks: the encoder's fallback makes it escape
+	todo, names, rest := 0, 0, 0
+	for id, skip := 0, seeded; id < n; id++ {
+		if len(skip) > 0 && skip[0] == int32(id) {
+			skip = skip[1:]
+			continue
+		}
+		nb := nameBytes(&p.tasks[id].Command.Arguments[0])
+		if names += nb; todo < sample {
+			wreq = request(p.tasks[id])
+			body, _ := wfbench.AppendRequest(scratch[:0], &wreq) // an error recurs below
+			rest = max(rest, len(body)+1-nb)
+		}
+		todo++
+	}
+	b := requestBodies{buf: make([]byte, 0, names+todo*(rest+rest/32)), off: make([]int32, n+1)}
 	for id, task := range p.tasks {
 		b.off[id] = int32(len(b.buf))
 		if len(seeded) > 0 && seeded[0] == int32(id) {
 			seeded = seeded[1:]
 			continue
 		}
-		arg := task.Command.Arguments[0]
-		wreq = wfbench.Request{Name: arg.Name, PercentCPU: arg.PercentCPU, CPUWork: arg.CPUWork, Cores: task.Cores,
-			MemBytes: arg.MemBytes, Out: arg.Out, Inputs: arg.Inputs, Workdir: arg.Workdir}
+		wreq = request(task)
 		var err error
 		if b.buf, err = wfbench.AppendRequest(b.buf, &wreq); err != nil {
 			return requestBodies{}, fmt.Errorf("wfm: %s: encode: %w", task.Name, err)
@@ -121,6 +131,28 @@ func (p *invocationPlan) encodeBodies(seeded []int32) (requestBodies, error) {
 	}
 	b.off[n] = int32(len(b.buf))
 	return b, nil
+}
+
+// request is the WfBench request of a task.
+func request(task *wfformat.Task) wfbench.Request {
+	arg := &task.Command.Arguments[0]
+	return wfbench.Request{Name: arg.Name, PercentCPU: arg.PercentCPU, CPUWork: arg.CPUWork, Cores: task.Cores,
+		MemBytes: arg.MemBytes, Out: arg.Out, Inputs: arg.Inputs, Workdir: arg.Workdir}
+}
+
+// nameBytes is what the body of a task with argument block a spends on
+// names, quotes and separators included: the task's own and its
+// workdir, each output with its size, each input.
+func nameBytes(a *wfformat.Argument) int {
+	var digits [20]byte
+	n := len(a.Name) + len(a.Workdir)
+	for out, size := range a.Out {
+		n += len(out) + 4 + len(strconv.AppendInt(digits[:0], size, 10))
+	}
+	for _, in := range a.Inputs {
+		n += len(in) + 3
+	}
+	return n
 }
 
 // view returns the body of a task the run dispatches: a view into the arena.

@@ -1,6 +1,7 @@
 package wfm
 
 import (
+	"slices"
 	"sync"
 
 	"wfserverless/internal/dag"
@@ -72,20 +73,33 @@ func (m *Manager) probeMemo(csr *dag.CSR, p *invocationPlan, rec *recovery) *mem
 		return sharedfs.ContentAddress(name, size)
 	}
 	ms.fps = wfformat.TaskFingerprints(csr, p.tasks, ext)
-	for id := 0; id < p.len(); id++ {
-		if rec != nil && rec.doneSet[id] {
-			continue
+	// The probe splits like the fingerprints (Lookup and ContentHash are
+	// safe for concurrent use); a chunk marks its slots of hits with the
+	// task's ID or -1, so the hits compact out in ascending ID order.
+	hits := make([]int32, p.len())
+	var mu sync.Mutex
+	dag.Split(len(hits), func(lo, hi int) {
+		misses, skipped := 0, int64(0)
+		for id := lo; id < hi; id++ {
+			hits[id] = -1
+			if rec != nil && rec.doneSet[id] {
+				continue
+			}
+			outs, ok := ms.cache.Lookup(ms.fps[id])
+			if !ok || !ms.outputsPresent(outs) {
+				misses++
+				continue
+			}
+			hits[id] = int32(id)
+			for _, o := range outs {
+				skipped += o.Size
+			}
 		}
-		outs, ok := ms.cache.Lookup(ms.fps[id])
-		if !ok || !ms.outputsPresent(outs) {
-			ms.misses++
-			continue
-		}
-		ms.hitIDs = append(ms.hitIDs, int32(id))
-		for _, o := range outs {
-			ms.skipped += o.Size
-		}
-	}
+		mu.Lock()
+		ms.misses, ms.skipped = ms.misses+misses, ms.skipped+skipped
+		mu.Unlock()
+	})
+	ms.hitIDs = slices.DeleteFunc(hits, func(id int32) bool { return id < 0 })
 	return ms
 }
 

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -418,5 +420,83 @@ func TestMemoizeCorruptCacheColdRun(t *testing.T) {
 	}
 	if res2.Memo.Hits != w.Len() {
 		t.Fatalf("post-repair re-run hits = %d, want %d", res2.Memo.Hits, w.Len())
+	}
+}
+
+// TestProbeMemoMatchesSequential: on a fan-out wide enough for
+// dag.Split, probed by four workers, the chunked probe finds the hit IDs,
+// misses and skipped bytes of one sequential pass over the tasks. Of
+// every six tasks two are hits, one is cached but its output vanished
+// from the drive, one is cached with an output whose content diverged,
+// one is not cached, and one the journal recovered.
+func TestProbeMemoMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	drive := sharedfs.NewMem()
+	c, err := CompileRunnable(benchFanout(t, 12_000, "http://127.0.0.1:1/wfbench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := openCache(t, filepath.Join(t.TempDir(), "memo.cache"))
+	defer cache.Close()
+	n := c.Len()
+	fps := wfformat.TaskFingerprints(c.csr, c.plan.tasks, sharedfs.ContentAddress)
+	rec := &recovery{doneSet: make([]bool, n)}
+	for id, task := range c.plan.tasks {
+		out := task.OutputFiles()[0]
+		size := int64(1 + id%7)
+		o := memo.Output{Name: out, Size: size, Hash: sharedfs.ContentAddress(out, size)}
+		switch id % 6 {
+		case 0, 1, 5:
+			if err := drive.WriteFile(out, size); err != nil {
+				t.Fatal(err)
+			}
+			rec.doneSet[id] = id%6 == 5
+		case 3:
+			o.Hash++
+			if err := drive.WriteFile(out, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if id%6 != 4 {
+			if err := cache.Put(fps[id], []memo.Output{o}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var hits []int32
+	misses, skipped := 0, int64(0)
+	for id := range n {
+		if rec.doneSet[id] {
+			continue
+		}
+		outs, ok := cache.Lookup(fps[id])
+		for _, o := range outs {
+			h, on := drive.ContentHash(o.Name)
+			ok = ok && on && h == o.Hash
+		}
+		if !ok {
+			misses++
+			continue
+		}
+		hits = append(hits, int32(id))
+		for _, o := range outs {
+			skipped += o.Size
+		}
+	}
+	if want := (n + 5) / 6 * 2; len(hits) < want-2 || misses < want-2 {
+		t.Fatalf("the fixture has %d hits and %d misses of %d tasks", len(hits), misses, n)
+	}
+	m := memoManager(t, drive, cache, ScheduleDependency, nil)
+	ms := m.probeMemo(c.csr, c.plan, rec)
+	if !slices.Equal(ms.fps, fps) {
+		t.Fatal("the probe's fingerprints differ from TaskFingerprints'")
+	}
+	if !slices.Equal(ms.hitIDs, hits) {
+		t.Fatalf("probe hit %d tasks, sequential %d (first %v, want %v)", len(ms.hitIDs), len(hits), ms.hitIDs[:3], hits[:3])
+	}
+	r := ms.report()
+	if r.Hits != len(hits) || r.Misses != misses || r.SkippedOutputBytes != skipped {
+		t.Fatalf("report %d hits, %d misses, %d bytes skipped; sequential %d, %d, %d",
+			r.Hits, r.Misses, r.SkippedOutputBytes, len(hits), misses, skipped)
 	}
 }
