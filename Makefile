@@ -42,7 +42,9 @@ vet:
 # fault injector's tests run twenty times: its per-name arrival map is
 # shared by every frame of a batch. So do the front half's parallel paths
 # (dag.Split above 8,192 tasks): the level-parallel task fingerprints and
-# the chunked memo probe, each held to a sequential reference.
+# the chunked memo probe, each held to a sequential reference. So does the
+# cluster's accounting window: every pod's reserve, busy, memory and
+# release calls integrate into it under the one cluster lock.
 race:
 	$(GO) build -race ./...
 	$(GO) test -race ./...
@@ -53,6 +55,7 @@ race:
 	$(GO) test -race ./internal/wfbench -run 'TestInjector' -count=20
 	$(GO) test -race ./internal/wfformat -run 'TestTaskFingerprintsLevelParallel' -count=20
 	$(GO) test -race ./internal/wfm -run 'TestProbeMemoMatchesSequential' -count=20
+	$(GO) test -race ./internal/cluster -run 'TestWindowRace' -count=20
 
 # alloc-sites names who allocates on the scale path: the batched case of
 # the back-half budget test (a 10k fan-out, batches of 512, a synced

@@ -28,8 +28,9 @@
 //     design, with its inter-phase delay) or the moment their parents
 //     complete;
 //   - internal/cluster, internal/metrics, internal/sharedfs: the
-//     two-node testbed model with RAPL-style power, PCP-style sampling,
-//     and the shared drive;
+//     two-node testbed model with RAPL-style power and exact
+//     change-point integrals in place of PCP's sampling, run
+//     statistics, and the shared drive;
 //   - internal/experiments, internal/analysis, internal/model: the
 //     140-experiment evaluation harness behind Tables I-II and Figures
 //     3-7, the notebook-equivalent analysis, and a closed-form

@@ -27,7 +27,7 @@ const timeScale = 0.02
 
 func startCluster(name string, drive sharedfs.Drive) (*serverless.Platform, error) {
 	clus := cluster.New(cluster.NewNode(cluster.NodeSpec{
-		Name: name, Cores: 48, MemBytes: 192 << 30, Packages: 2,
+		Name: name, Cores: 48, MemBytes: 192 << 30,
 		IdleWatts: 120, MaxWatts: 520,
 	}))
 	p, err := serverless.New(serverless.Options{

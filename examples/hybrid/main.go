@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"wfserverless/internal/experiments"
-	"wfserverless/internal/metrics"
 	"wfserverless/internal/serverless"
 	"wfserverless/internal/translator"
 	"wfserverless/internal/wfformat"
@@ -60,11 +59,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if err := tb.Sampler.Start(); err != nil {
-		log.Fatal(err)
-	}
+	win := tb.Cluster.Measure()
 	res, err := tb.Manager.Run(context.Background(), tw)
-	tb.Sampler.Stop()
+	mean := win.Close().Mean
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,11 +76,8 @@ func main() {
 	fmt.Printf("hybrid %s: makespan %.1f s nominal\n", res.Workflow, res.Makespan)
 	fmt.Printf("  serverless handled %d invocations (%d cold starts)\n", served["wfbench"], tb.Platform.ColdStarts())
 	fmt.Printf("  local containers handled %d invocations\n", served["local"])
-	s := tb.Sampler
 	fmt.Printf("  mean provisioned CPU %.1f cores, mean resident memory %.2f GB, mean power %.1f W\n",
-		s.MeanOf(metrics.MetricCPUReserved),
-		s.MeanOf(metrics.MetricMemUsed)/float64(1<<30),
-		s.MeanOf(metrics.MetricPower))
+		mean.ReservedCores, mean.UsedMem/float64(1<<30), mean.PowerWatts)
 	fmt.Println("\nThe serial split/cat stages never pay a cold start, while the burst")
 	fmt.Println("rides the autoscaler and releases its resources afterwards.")
 }

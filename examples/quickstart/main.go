@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"wfserverless/internal/experiments"
-	"wfserverless/internal/metrics"
 	"wfserverless/internal/wfgen"
 	"wfserverless/internal/wfm"
 )
@@ -31,17 +30,15 @@ func main() {
 	defer tb.Close()
 	fmt.Printf("serverless platform up at %s (WfBench service applied)\n\n", tb.Platform.URL())
 
-	// Generate a 100-task Blast workflow and run it, sampled at the
-	// paper's 1 Hz (nominal).
+	// Generate a 100-task Blast workflow and run it in a window that
+	// integrates the cluster's CPU, memory and power over the run.
 	w, err := wfgen.Generate(wfgen.Spec{Recipe: "blast", NumTasks: 100, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tb.Sampler.Start(); err != nil {
-		log.Fatal(err)
-	}
+	win := tb.Cluster.Measure()
 	res, err := tb.Run(context.Background(), w)
-	tb.Sampler.Stop()
+	acct := win.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,13 +52,12 @@ func main() {
 		fmt.Printf("  phase %-2d  %4d function(s)  span %v\n", ps.Phase, ps.Functions, ps.WallSpan)
 	}
 
-	s := tb.Sampler
-	fmt.Printf("\ntelemetry (PCP-style 1 Hz sampling):\n")
-	fmt.Printf("  power:  %.1f W mean\n", s.MeanOf(metrics.MetricPower))
-	fmt.Printf("  cpu:    %.1f cores mean provisioned, %.1f busy\n",
-		s.MeanOf(metrics.MetricCPUReserved), s.MeanOf(metrics.MetricCPUUser))
-	fmt.Printf("  memory: %.2f GB mean resident\n", s.MeanOf(metrics.MetricMemUsed)/float64(1<<30))
+	mean := acct.Mean
+	fmt.Printf("\ntelemetry (exact time averages over the run):\n")
+	fmt.Printf("  power:  %.1f W mean\n", mean.PowerWatts)
+	fmt.Printf("  cpu:    %.1f cores mean provisioned, %.1f busy\n", mean.ReservedCores, mean.BusyCores)
+	fmt.Printf("  memory: %.2f GB mean resident\n", mean.UsedMem/float64(1<<30))
 	fmt.Printf("  pods:   %.1f mean, %.0f peak (scale-to-zero after the burst)\n",
-		s.MeanOf(metrics.MetricPodsRunning), s.MaxOf(metrics.MetricPodsRunning))
+		mean.Reservations, acct.Max.Reservations)
 	fmt.Printf("  cold starts: %d\n", tb.Platform.ColdStarts())
 }

@@ -14,12 +14,17 @@
 //     RAPL-style power model, which is why the paper finds power roughly
 //     equal across paradigms (total work is paradigm-independent and idle
 //     power dominates).
+//
+// That state changes only in Reserve, Release, AddBusy and AddMem, so it
+// is piecewise constant. A Window (Cluster.Measure) integrates it exactly
+// over those change points, where the paper averages PCP's 1 Hz samples.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 )
 
 // ErrInsufficient is returned when a reservation cannot fit on a node.
@@ -30,7 +35,6 @@ type NodeSpec struct {
 	Name     string
 	Cores    float64 // schedulable cores
 	MemBytes int64   // schedulable memory
-	Packages int     // CPU sockets, for per-package RAPL readings
 	// Power model: watts drawn idle and at full utilization.
 	IdleWatts float64
 	MaxWatts  float64
@@ -42,23 +46,24 @@ type NodeSpec struct {
 }
 
 // Node is a machine with reservation and usage accounting. Safe for
-// concurrent use.
+// concurrent use: its state is guarded by its cluster's lock.
 type Node struct {
 	spec NodeSpec
+	c    *Cluster
 
-	mu            sync.Mutex
 	reservedCores float64
 	reservedMem   int64
 	busyCores     float64
 	usedMem       int64
+	reservations  int
 }
 
-// NewNode returns a node for the given spec.
+// NewNode returns a node for the given spec, a cluster of its own until
+// New makes it part of one.
 func NewNode(spec NodeSpec) *Node {
-	if spec.Packages <= 0 {
-		spec.Packages = 1
-	}
-	return &Node{spec: spec}
+	n := &Node{spec: spec}
+	New(n)
+	return n
 }
 
 // Spec returns the node's description.
@@ -85,10 +90,13 @@ func (r *Reservation) Node() *Node { return r.node }
 // Release returns the reserved resources to the node.
 func (r *Reservation) Release() {
 	r.once.Do(func() {
-		r.node.mu.Lock()
-		r.node.reservedCores -= r.cores
-		r.node.reservedMem -= r.mem
-		r.node.mu.Unlock()
+		n := r.node
+		n.c.mu.Lock()
+		n.reservedCores -= r.cores
+		n.reservedMem -= r.mem
+		n.reservations--
+		n.c.changed()
+		n.c.mu.Unlock()
 	})
 }
 
@@ -99,8 +107,8 @@ func (n *Node) Reserve(cores float64, mem int64) (*Reservation, error) {
 	if cores < 0 || mem < 0 {
 		return nil, fmt.Errorf("cluster: negative reservation (%v cores, %d bytes)", cores, mem)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.c.mu.Lock()
+	defer n.c.mu.Unlock()
 	if n.reservedCores+cores > n.spec.Cores || n.reservedMem+mem > n.spec.MemBytes {
 		return nil, fmt.Errorf("%w: node %s: want %.1f cores/%d B, free %.1f cores/%d B",
 			ErrInsufficient, n.spec.Name, cores, mem,
@@ -108,6 +116,8 @@ func (n *Node) Reserve(cores float64, mem int64) (*Reservation, error) {
 	}
 	n.reservedCores += cores
 	n.reservedMem += mem
+	n.reservations++
+	n.c.changed()
 	return &Reservation{node: n, cores: cores, mem: mem}, nil
 }
 
@@ -115,16 +125,18 @@ func (n *Node) Reserve(cores float64, mem int64) (*Reservation, error) {
 // unregisters them with the negative. Oversubscription is recorded
 // as-is; Snapshot clamps utilization at capacity when deriving power.
 func (n *Node) AddBusy(cores float64) {
-	n.mu.Lock()
+	n.c.mu.Lock()
 	n.busyCores += cores
-	n.mu.Unlock()
+	n.c.changed()
+	n.c.mu.Unlock()
 }
 
 // AddMem adds bytes of live resident memory, negative to unregister.
 func (n *Node) AddMem(bytes int64) {
-	n.mu.Lock()
+	n.c.mu.Lock()
 	n.usedMem += bytes
-	n.mu.Unlock()
+	n.c.changed()
+	n.c.mu.Unlock()
 }
 
 // Usage is an instantaneous reading of one node (or a cluster total).
@@ -140,23 +152,22 @@ type Usage struct {
 
 // Snapshot returns the node's instantaneous usage and modeled power.
 func (n *Node) Snapshot() Usage {
-	n.mu.Lock()
-	busy := n.busyCores
+	n.c.mu.Lock()
+	defer n.c.mu.Unlock()
+	return n.usage()
+}
+
+// usage reads the node's state; the caller holds the cluster's lock.
+func (n *Node) usage() Usage {
+	busy := min(max(n.busyCores, 0), n.spec.Cores)
 	u := Usage{
 		ReservedCores: n.reservedCores,
 		ReservedMem:   n.reservedMem,
+		BusyCores:     busy,
 		UsedMem:       n.usedMem,
 		CapCores:      n.spec.Cores,
 		CapMem:        n.spec.MemBytes,
 	}
-	n.mu.Unlock()
-	if busy > n.spec.Cores {
-		busy = n.spec.Cores
-	}
-	if busy < 0 {
-		busy = 0
-	}
-	u.BusyCores = busy
 	util := 0.0
 	if n.spec.Cores > 0 {
 		util = busy / n.spec.Cores
@@ -168,27 +179,25 @@ func (n *Node) Snapshot() Usage {
 	return u
 }
 
-// PackagePowers splits the node's modeled power across its CPU packages,
-// mirroring the per-package denki.rapl.rate[...] endpoints the paper
-// samples with pmdumptext.
-func (n *Node) PackagePowers() []float64 {
-	u := n.Snapshot()
-	out := make([]float64, n.spec.Packages)
-	per := u.PowerWatts / float64(n.spec.Packages)
-	for i := range out {
-		out[i] = per
-	}
-	return out
-}
-
-// Cluster is a set of nodes with first-fit placement.
+// Cluster is a set of nodes with first-fit placement. One lock guards
+// the state of all of its nodes, so every change point sees the
+// cluster's totals.
 type Cluster struct {
 	nodes []*Node
+
+	mu  sync.Mutex
+	now func() time.Time // the windows' time source
+	win *Window          // the open window, nil if none
 }
 
-// New returns a cluster of the given nodes.
+// New returns a cluster of the given nodes. A node belongs to the last
+// cluster made of it.
 func New(nodes ...*Node) *Cluster {
-	return &Cluster{nodes: nodes}
+	c := &Cluster{nodes: nodes, now: time.Now}
+	for _, n := range nodes {
+		n.c = c
+	}
+	return c
 }
 
 // PaperTestbed reproduces the AD appendix hardware: a master node with
@@ -199,11 +208,11 @@ func New(nodes ...*Node) *Cluster {
 func PaperTestbed() *Cluster {
 	const gb = int64(1) << 30
 	master := NewNode(NodeSpec{
-		Name: "master", Cores: 48, MemBytes: 256 * gb, Packages: 2,
+		Name: "master", Cores: 48, MemBytes: 256 * gb,
 		IdleWatts: 120, MaxWatts: 520, CStateWattsPerReservedCore: 0.15,
 	})
 	worker := NewNode(NodeSpec{
-		Name: "worker", Cores: 48, MemBytes: 192 * gb, Packages: 2,
+		Name: "worker", Cores: 48, MemBytes: 192 * gb,
 		IdleWatts: 120, MaxWatts: 520, CStateWattsPerReservedCore: 0.15,
 	})
 	return New(master, worker)
@@ -231,34 +240,148 @@ func (c *Cluster) Place(cores float64, mem int64) (*Reservation, error) {
 
 // Snapshot sums instantaneous usage over all nodes.
 func (c *Cluster) Snapshot() Usage {
-	var total Usage
-	for _, n := range c.nodes {
-		u := n.Snapshot()
-		total.ReservedCores += u.ReservedCores
-		total.ReservedMem += u.ReservedMem
-		total.BusyCores += u.BusyCores
-		total.UsedMem += u.UsedMem
-		total.PowerWatts += u.PowerWatts
-		total.CapCores += u.CapCores
-		total.CapMem += u.CapMem
-	}
-	return total
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.total()
 }
 
-// TotalCores returns the cluster's schedulable cores.
-func (c *Cluster) TotalCores() float64 {
-	var t float64
+// total sums the nodes' usage; the caller holds c.mu.
+func (c *Cluster) total() Usage {
+	var t Usage
 	for _, n := range c.nodes {
-		t += n.spec.Cores
+		u := n.usage()
+		t.ReservedCores += u.ReservedCores
+		t.ReservedMem += u.ReservedMem
+		t.BusyCores += u.BusyCores
+		t.UsedMem += u.UsedMem
+		t.PowerWatts += u.PowerWatts
+		t.CapCores += u.CapCores
+		t.CapMem += u.CapMem
 	}
 	return t
 }
 
-// TotalMem returns the cluster's schedulable memory.
-func (c *Cluster) TotalMem() int64 {
-	var t int64
+// Level is the cluster's state between two change points: the
+// quantities a Window integrates.
+type Level struct {
+	BusyCores     float64 // Σ per-node busy cores, each clamped at capacity
+	ReservedCores float64
+	ReservedMem   float64 // bytes
+	// CPUCores is the figures' "CPU usage": max(BusyCores,
+	// ReservedCores) over the whole cluster, not a per-node sum.
+	CPUCores     float64
+	UsedMem      float64 // resident bytes
+	PowerWatts   float64 // Σ per-node modeled power
+	Reservations float64 // live reservations; every pod holds one
+}
+
+// level reads the cluster's Level; the caller holds c.mu.
+func (c *Cluster) level() Level {
+	t := c.total()
+	var live int
 	for _, n := range c.nodes {
-		t += n.spec.MemBytes
+		live += n.reservations
 	}
-	return t
+	return Level{
+		BusyCores:     t.BusyCores,
+		ReservedCores: t.ReservedCores,
+		ReservedMem:   float64(t.ReservedMem),
+		CPUCores:      max(t.BusyCores, t.ReservedCores),
+		UsedMem:       float64(t.UsedMem),
+		PowerWatts:    t.PowerWatts,
+		Reservations:  float64(live),
+	}
+}
+
+// addScaled adds k·b to l, field by field.
+func (l *Level) addScaled(b Level, k float64) {
+	l.BusyCores += k * b.BusyCores
+	l.ReservedCores += k * b.ReservedCores
+	l.ReservedMem += k * b.ReservedMem
+	l.CPUCores += k * b.CPUCores
+	l.UsedMem += k * b.UsedMem
+	l.PowerWatts += k * b.PowerWatts
+	l.Reservations += k * b.Reservations
+}
+
+// raise lifts each field of l to at least b's.
+func (l *Level) raise(b Level) {
+	l.BusyCores = max(l.BusyCores, b.BusyCores)
+	l.ReservedCores = max(l.ReservedCores, b.ReservedCores)
+	l.ReservedMem = max(l.ReservedMem, b.ReservedMem)
+	l.CPUCores = max(l.CPUCores, b.CPUCores)
+	l.UsedMem = max(l.UsedMem, b.UsedMem)
+	l.PowerWatts = max(l.PowerWatts, b.PowerWatts)
+	l.Reservations = max(l.Reservations, b.Reservations)
+}
+
+// Account is what a window measured over [open, close]: the time means
+// and maxima of the cluster's Level, and the energy it drew.
+type Account struct {
+	Mean, Max Level
+	EnergyJ   float64 // ∫ PowerWatts dt over wall seconds
+}
+
+// Window integrates the cluster's Level over time, from Measure to
+// Close. The maxima are over levels held for a positive time: one set
+// and replaced at the same instant is never in effect.
+type Window struct {
+	c           *Cluster
+	start, last time.Time
+	cur         Level // held since last
+	sum, max    Level // ∫ level dt in seconds, and the maxima
+	acct        Account
+}
+
+// Measure opens a window on the cluster. Until it is closed, every
+// change point integrates the level held since the previous one. One
+// window may be open on a cluster at a time.
+func (c *Cluster) Measure() *Window {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.win != nil {
+		panic("cluster: Measure with a window already open")
+	}
+	now := c.now()
+	c.win = &Window{c: c, start: now, last: now, cur: c.level()}
+	return c.win
+}
+
+// changed closes the level the open window has held since the previous
+// change point and opens the one just set. With no window open it reads
+// no clock. The caller holds c.mu.
+func (c *Cluster) changed() {
+	if c.win != nil {
+		c.win.step(c.now(), c.level())
+	}
+}
+
+// step integrates the level held until now and holds next from now on.
+func (w *Window) step(now time.Time, next Level) {
+	if dt := now.Sub(w.last).Seconds(); dt > 0 {
+		w.sum.addScaled(w.cur, dt)
+		w.max.raise(w.cur)
+	}
+	w.cur, w.last = next, now
+}
+
+// Close ends the window and returns its account; closing it again
+// returns the same account.
+func (w *Window) Close() Account {
+	c := w.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.win != w {
+		return w.acct
+	}
+	c.win = nil
+	now := c.now()
+	w.step(now, w.cur)
+	w.acct = Account{Max: w.max, EnergyJ: w.sum.PowerWatts}
+	if span := now.Sub(w.start).Seconds(); span > 0 {
+		w.acct.Mean.addScaled(w.sum, 1/span)
+	} else {
+		w.acct.Mean, w.acct.Max = w.cur, w.cur
+	}
+	return w.acct
 }

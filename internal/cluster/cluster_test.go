@@ -10,7 +10,7 @@ import (
 
 func testNode() *Node {
 	return NewNode(NodeSpec{
-		Name: "n0", Cores: 8, MemBytes: 1 << 30, Packages: 2,
+		Name: "n0", Cores: 8, MemBytes: 1 << 30,
 		IdleWatts: 100, MaxWatts: 300,
 	})
 }
@@ -102,17 +102,6 @@ func TestPowerModel(t *testing.T) {
 	}
 }
 
-func TestPackagePowers(t *testing.T) {
-	n := testNode()
-	pp := n.PackagePowers()
-	if len(pp) != 2 {
-		t.Fatalf("packages = %d, want 2", len(pp))
-	}
-	if math.Abs(pp[0]+pp[1]-100) > 1e-9 {
-		t.Fatalf("package sum = %v, want 100", pp[0]+pp[1])
-	}
-}
-
 func TestClusterPlaceFirstFit(t *testing.T) {
 	a := NewNode(NodeSpec{Name: "a", Cores: 2, MemBytes: 100, IdleWatts: 1, MaxWatts: 2})
 	b := NewNode(NodeSpec{Name: "b", Cores: 8, MemBytes: 100, IdleWatts: 1, MaxWatts: 2})
@@ -147,12 +136,9 @@ func TestClusterPlaceExhausted(t *testing.T) {
 
 func TestClusterSnapshotSums(t *testing.T) {
 	c := PaperTestbed()
-	if got := c.TotalCores(); got != 96 {
-		t.Fatalf("TotalCores = %v, want 96", got)
-	}
 	const gb = int64(1) << 30
-	if got := c.TotalMem(); got != 448*gb {
-		t.Fatalf("TotalMem = %d GB, want 448", got/gb)
+	if got := c.Snapshot().CapMem; got != 448*gb {
+		t.Fatalf("CapMem = %d GB, want 448", got/gb)
 	}
 	c.Nodes()[0].AddBusy(10)
 	c.Nodes()[1].AddBusy(5)
@@ -216,13 +202,6 @@ func TestQuickReserveNeverExceedsCapacity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDefaultPackages(t *testing.T) {
-	n := NewNode(NodeSpec{Name: "x", Cores: 1, MemBytes: 1})
-	if got := len(n.PackagePowers()); got != 1 {
-		t.Fatalf("default packages = %d, want 1", got)
 	}
 }
 

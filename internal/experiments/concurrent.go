@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"wfserverless/internal/metrics"
 	"wfserverless/internal/wfformat"
 )
 
@@ -62,9 +61,7 @@ func RunConcurrent(ctx context.Context, spec Spec, workflows []*wfformat.Workflo
 		return nil, err
 	}
 	defer tb.Close()
-	if err := tb.Sampler.Start(); err != nil {
-		return nil, err
-	}
+	win := tb.Cluster.Measure()
 	var wg sync.WaitGroup
 	errs := make([]error, len(workflows))
 	makespans := make([]float64, len(workflows))
@@ -80,7 +77,8 @@ func RunConcurrent(ctx context.Context, spec Spec, workflows []*wfformat.Workflo
 		}(i, w)
 	}
 	wg.Wait()
-	tb.Sampler.Stop()
+	var m Measurement
+	m.account(win.Close(), tn.TimeScale)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: concurrent %s: %w", workflows[i].Name, err)
@@ -94,10 +92,7 @@ func RunConcurrent(ctx context.Context, spec Spec, workflows []*wfformat.Workflo
 	if out.SumSoloS > 0 {
 		out.Interleave = out.MakespanS / out.SumSoloS
 	}
-	s := tb.Sampler
-	out.MeanPowerW = s.MeanOf(metrics.MetricPower)
-	out.MeanCPUCores = s.MeanOf("cpu.usage.cores")
-	out.MeanMemGB = gb(s.MeanOf(metrics.MetricMemUsed))
+	out.MeanPowerW, out.MeanCPUCores, out.MeanMemGB = m.MeanPowerW, m.MeanCPUCores, m.MeanMemGB
 	out.Failures = tb.Platform.Failures()
 	return out, nil
 }

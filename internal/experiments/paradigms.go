@@ -4,8 +4,8 @@
 // experiment provisions a fresh paper-testbed cluster, deploys WfBench
 // under one paradigm (Knative-like serverless or bare-metal local
 // containers), executes a generated workflow through the serverless
-// workflow manager, and samples CPU, memory, and power at 1 Hz
-// (nominal) exactly as the paper does with Performance Co-Pilot.
+// workflow manager, and integrates CPU, memory and power exactly over
+// the run (the paper samples them at 1 Hz with Performance Co-Pilot).
 package experiments
 
 import (

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"wfserverless/internal/metrics"
+	"wfserverless/internal/cluster"
 	"wfserverless/internal/obs"
 	"wfserverless/internal/serverless"
 	"wfserverless/internal/wfformat"
@@ -92,8 +92,18 @@ type Measurement struct {
 // gb converts bytes to GiB.
 func gb(b float64) float64 { return b / float64(int64(1)<<30) }
 
+// account fills the power, CPU and memory columns from a window over the
+// run. Energy is in nominal joules: the window integrates wall seconds.
+func (m *Measurement) account(a cluster.Account, timeScale float64) {
+	m.MeanPowerW = a.Mean.PowerWatts
+	m.EnergyJ = a.EnergyJ / timeScale
+	m.MeanCPUCores, m.MaxCPUCores = a.Mean.CPUCores, a.Max.CPUCores
+	m.MeanBusyCores = a.Mean.BusyCores
+	m.MeanMemGB, m.MaxMemGB = gb(a.Mean.UsedMem), gb(a.Max.UsedMem)
+}
+
 // RunWorkflow executes one experiment: the workflow under the paradigm,
-// on a fresh paper-testbed cluster, fully sampled.
+// on a fresh paper-testbed cluster, measured over the run.
 func RunWorkflow(ctx context.Context, spec Spec, w *wfformat.Workflow, tn Tunables) (*Measurement, error) {
 	tb, err := NewTestbed(spec, tn)
 	if err != nil {
@@ -106,11 +116,9 @@ func RunWorkflow(ctx context.Context, spec Spec, w *wfformat.Workflow, tn Tunabl
 		Workflow: w.Name,
 		Tasks:    w.Len(),
 	}
-	if err := tb.Sampler.Start(); err != nil {
-		return nil, err
-	}
+	win := tb.Cluster.Measure()
 	res, runErr := tb.Run(ctx, w)
-	tb.Sampler.Stop()
+	acct := win.Close()
 
 	p := tb.Platform
 	m.ColdStarts, m.Requests, m.Failures, m.ScaleStalls = p.ColdStarts(), p.Requests(), p.Failures(), p.ScaleStalls()
@@ -118,16 +126,9 @@ func RunWorkflow(ctx context.Context, spec Spec, w *wfformat.Workflow, tn Tunabl
 		return m, fmt.Errorf("experiments: %s on %s: %w", w.Name, spec.ID, runErr)
 	}
 
-	sampler := tb.Sampler
 	m.MakespanS = res.Makespan
 	m.Wall = res.Wall
-	m.MeanPowerW = sampler.MeanOf(metrics.MetricPower)
-	m.EnergyJ = sampler.SeriesFor(metrics.MetricPower).Integral() / tn.TimeScale
-	m.MeanCPUCores = sampler.MeanOf("cpu.usage.cores")
-	m.MaxCPUCores = sampler.MaxOf("cpu.usage.cores")
-	m.MeanBusyCores = sampler.MeanOf(metrics.MetricCPUUser)
-	m.MeanMemGB = gb(sampler.MeanOf(metrics.MetricMemUsed))
-	m.MaxMemGB = gb(sampler.MaxOf(metrics.MetricMemUsed))
+	m.account(acct, tn.TimeScale)
 	if tn.Tracer != nil {
 		m.Trace = wfm.TraceOf(res)
 	}

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"wfserverless/internal/cluster"
-	"wfserverless/internal/metrics"
 	"wfserverless/internal/serverless"
 	"wfserverless/internal/sharedfs"
 	"wfserverless/internal/translator"
@@ -31,10 +29,6 @@ const (
 	coarseCores    = 46.0
 	coarseMem      = int64(156) << 30
 )
-
-// sampleInterval is the telemetry period in nominal seconds (the paper's
-// pmdumptext -t 1sec).
-const sampleInterval = 1
 
 // Configure maps a Table II paradigm onto the platform it runs on: the
 // options of a serverless platform and the one "wfbench" service (the
@@ -81,16 +75,17 @@ func Configure(spec Spec, tn Tunables) (serverless.Options, serverless.ServiceCo
 
 // Testbed is the stack one figure cell runs on: a fresh paper-testbed
 // cluster, an in-memory shared drive, a started serverless platform with
-// the paradigm's service applied, the workflow manager, and the sampler
-// that polls eight gauges at the paper's 1 Hz (nominal). Further
-// services may be applied to Platform, as a hybrid placement does. Close
-// must be called to release it.
+// the paradigm's service applied, and the workflow manager. A figure's
+// CPU, memory and power are a window on the cluster
+// (Cluster.Measure): the exact time integral of its state over the
+// change points of the run. Further services may be applied to
+// Platform, as a hybrid placement does. Close must be called to release
+// it.
 type Testbed struct {
 	Cluster  *cluster.Cluster
 	Drive    sharedfs.Drive
 	Platform *serverless.Platform
 	Manager  *wfm.Manager
-	Sampler  *metrics.Sampler
 }
 
 // NewTestbed builds the testbed of a paradigm from Configure's pair and
@@ -120,19 +115,6 @@ func NewTestbed(spec Spec, tn Tunables) (*Testbed, error) {
 		tb.Platform.Stop()
 		return nil, err
 	}
-	tb.Sampler = metrics.NewSampler(time.Duration(sampleInterval * tn.TimeScale * float64(time.Second)))
-	c, p := tb.Cluster, tb.Platform
-	tb.Sampler.Register(metrics.MetricCPUUser, func() float64 { return c.Snapshot().BusyCores })
-	tb.Sampler.Register(metrics.MetricCPUReserved, func() float64 { return c.Snapshot().ReservedCores })
-	tb.Sampler.Register("cpu.usage.cores", func() float64 {
-		u := c.Snapshot()
-		return max(u.BusyCores, u.ReservedCores)
-	})
-	tb.Sampler.Register(metrics.MetricMemUsed, func() float64 { return float64(c.Snapshot().UsedMem) })
-	tb.Sampler.Register(metrics.MetricMemReserved, func() float64 { return float64(c.Snapshot().ReservedMem) })
-	tb.Sampler.Register(metrics.MetricPower, func() float64 { return c.Snapshot().PowerWatts })
-	tb.Sampler.Register(metrics.MetricQueueDepth, func() float64 { return float64(p.QueueDepth()) })
-	tb.Sampler.Register(metrics.MetricPodsRunning, func() float64 { return float64(p.Pods()) })
 	return tb, nil
 }
 
@@ -146,8 +128,5 @@ func (tb *Testbed) Run(ctx context.Context, w *wfformat.Workflow) (*wfm.Result, 
 	return tb.Manager.Run(ctx, tw)
 }
 
-// Close stops the sampler and the platform. It is idempotent.
-func (tb *Testbed) Close() {
-	tb.Sampler.Stop()
-	tb.Platform.Stop()
-}
+// Close stops the platform. It is idempotent.
+func (tb *Testbed) Close() { tb.Platform.Stop() }

@@ -167,9 +167,6 @@ func TestTestbedReusableAcrossRuns(t *testing.T) {
 
 func TestTestbedCloseIdempotent(t *testing.T) {
 	tb := testbed(t, LC10wNoPM, fastTunables())
-	if err := tb.Sampler.Start(); err != nil {
-		t.Fatal(err)
-	}
 	tb.Close()
 	tb.Close()
 }

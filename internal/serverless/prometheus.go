@@ -9,8 +9,8 @@ import (
 
 // WriteMetrics emits the platform's operational counters in Prometheus
 // text exposition format at GET /metrics — the monitoring surface a
-// production deployment of the platform would scrape alongside the
-// PCP-style resource sampler. Monotonic series (the *_total family)
+// production deployment of the platform would scrape alongside PCP's
+// resource samples. Monotonic series (the *_total family)
 // are typed counter so rate() works on them; point-in-time series are
 // gauges.
 func (p *Platform) WriteMetrics(w io.Writer) error {
