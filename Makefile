@@ -44,7 +44,9 @@ vet:
 # (dag.Split above 8,192 tasks): the level-parallel task fingerprints and
 # the chunked memo probe, each held to a sequential reference. So does the
 # cluster's accounting window: every pod's reserve, busy, memory and
-# release calls integrate into it under the one cluster lock.
+# release calls integrate into it under the one cluster lock. So does the
+# memo cache opened and used at once: Open returns while its index still
+# fills, holding the lock every method takes.
 race:
 	$(GO) build -race ./...
 	$(GO) test -race ./...
@@ -56,6 +58,7 @@ race:
 	$(GO) test -race ./internal/wfformat -run 'TestTaskFingerprintsLevelParallel' -count=20
 	$(GO) test -race ./internal/wfm -run 'TestProbeMemoMatchesSequential' -count=20
 	$(GO) test -race ./internal/cluster -run 'TestWindowRace' -count=20
+	$(GO) test -race ./internal/memo -run 'TestOpenThenUseAtOnce' -count=20
 
 # alloc-sites names who allocates on the scale path: the batched case of
 # the back-half budget test (a 10k fan-out, batches of 512, a synced

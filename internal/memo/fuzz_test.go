@@ -64,7 +64,10 @@ func FuzzMemoOpen(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open failed on the file's content: %v", err)
 		}
-		for fp, outs := range c.index {
+		c.mu.RLock() // Open's fill holds mu until the index is whole
+		index := c.index
+		c.mu.RUnlock()
+		for fp, outs := range index {
 			if !intact(data, fp, outs) {
 				t.Fatalf("hit %x is no record written intact", fp[:4])
 			}
@@ -82,7 +85,6 @@ func FuzzMemoOpen(f *testing.F) {
 				t.Fatalf("entry %d survived the cut whole but does not hit", i)
 			}
 		}
-		index := c.index
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -95,8 +97,11 @@ func FuzzMemoOpen(f *testing.F) {
 		if dropped, repaired := re.Recovered(); repaired {
 			t.Fatalf("reopening the repaired file dropped %d more bytes", dropped)
 		}
-		if !reflect.DeepEqual(re.index, index) {
-			t.Fatalf("reopened index has %d entries, want %d", len(re.index), len(index))
+		re.mu.RLock()
+		reindex := re.index
+		re.mu.RUnlock()
+		if !reflect.DeepEqual(reindex, index) {
+			t.Fatalf("reopened index has %d entries, want %d", len(reindex), len(index))
 		}
 	})
 }

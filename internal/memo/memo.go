@@ -66,7 +66,9 @@ type Cache struct {
 // Open loads (or creates) the cache file at path. Corrupt or foreign
 // content never fails Open: the file is truncated back to its longest
 // valid prefix — an unrecognizable file, an old WFMEMO1 one included,
-// becomes a cold cache — and the repair is reported by Recovered.
+// becomes a cold cache — and the repair is reported by Recovered. Open
+// returns once the file is repaired; the index fills on a goroutine of
+// its own, and the first call that reads it waits for it.
 func Open(path string) (*Cache, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -82,26 +84,32 @@ func Open(path string) (*Cache, error) {
 		}
 		return ok
 	})
-	c := &Cache{index: make(map[[32]byte][]Output, records), outs: make([]Output, 0, outputs)}
-	var names strings.Builder
-	names.Grow(nameBytes) // never grows again: the names already taken stay where they are
-	journal.Scan(data[:end], func(rec journal.Record) bool {
-		fp, n, _ := walkEntry(rec, func(name []byte, size, hash uint64) {
-			names.Write(name)
-			all := names.String()
-			c.outs = append(c.outs, Output{Name: all[len(all)-len(name):], Size: int64(size), Hash: hash})
-		})
-		c.index[fp] = c.outs[len(c.outs)-n : len(c.outs) : len(c.outs)] // duplicates: last record wins
-		return true
-	})
-	if end < len(data) {
-		c.recovered, c.droppedBytes = true, int64(len(data)-end)
-	}
 	f, _, err := journal.OpenSegment(path, int64(end))
 	if err != nil {
 		return nil, fmt.Errorf("memo: %w", err)
 	}
-	c.f, c.w = f, bufio.NewWriterSize(f, 64<<10)
+	c := &Cache{f: f, w: bufio.NewWriterSize(f, 64<<10)}
+	if end < len(data) {
+		c.recovered, c.droppedBytes = true, int64(len(data)-end)
+	}
+	// The second pass runs beside the caller (a workflow to compile before
+	// the first lookup), holding mu, which every method takes, until done.
+	c.mu.Lock()
+	go func() {
+		defer c.mu.Unlock()
+		c.index, c.outs = make(map[[32]byte][]Output, records), make([]Output, 0, outputs)
+		var names strings.Builder
+		names.Grow(nameBytes) // never grows again: the names already taken stay where they are
+		journal.Scan(data[:end], func(rec journal.Record) bool {
+			fp, n, _ := walkEntry(rec, func(name []byte, size, hash uint64) {
+				names.Write(name)
+				all := names.String()
+				c.outs = append(c.outs, Output{Name: all[len(all)-len(name):], Size: int64(size), Hash: hash})
+			})
+			c.index[fp] = c.outs[len(c.outs)-n : len(c.outs) : len(c.outs)] // duplicates: last record wins
+			return true
+		})
+	}()
 	return c, nil
 }
 
@@ -141,6 +149,16 @@ func (c *Cache) Lookup(fp [32]byte) ([]Output, bool) {
 	outs, ok := c.index[fp]
 	c.mu.RUnlock()
 	return outs, ok
+}
+
+// LookupBlock is Lookup of each of fps into outs[i] and found[i], under
+// one read lock (a Put waits for the whole block).
+func LookupBlock[H ~[32]byte](c *Cache, fps []H, outs [][]Output, found []bool) {
+	c.mu.RLock()
+	for i, fp := range fps {
+		outs[i], found[i] = c.index[fp]
+	}
+	c.mu.RUnlock()
 }
 
 // Len returns the number of distinct fingerprints cached.

@@ -311,3 +311,74 @@ func TestOldFormatColdCache(t *testing.T) {
 		t.Fatalf("rewritten file is not a one-record segment: %+v, %v", rep, err)
 	}
 }
+
+// TestOpenThenUseAtOnce: Open returns before the index is filled, and
+// eight goroutines use the cache at once, straight away — Lookup,
+// LookupBlock, Put, Len and Close, in that order. Every entry the cut
+// file still holds whole hits from the first call on, Recovered answers
+// before any of them, and the entry the cut tore never hits.
+func TestOpenThenUseAtOnce(t *testing.T) {
+	c, path := openTemp(t)
+	const n = 3000
+	fps := make([][32]byte, n)
+	for i := range fps {
+		fps[i] = testFP(i)
+		if err := c.Put(fps[i], testOuts(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped, repaired := c.Recovered(); !repaired || dropped == 0 {
+		t.Fatalf("Recovered() = %d, %v on a cut file", dropped, repaired)
+	}
+	whole := fps[:n-1]
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(whole); i += 8 {
+				if outs, ok := c.Lookup(whole[i]); !ok || len(outs) != 2 || outs[0] != testOuts(i)[0] {
+					t.Errorf("entry %d: Lookup = %v, %v", i, outs, ok)
+				}
+			}
+			outs, found := make([][]Output, len(fps)), make([]bool, len(fps))
+			LookupBlock(c, fps, outs, found)
+			for i := range whole {
+				if !found[i] || outs[i][1] != testOuts(i)[1] {
+					t.Errorf("entry %d: LookupBlock = %v, %v", i, outs[i], found[i])
+				}
+			}
+			if found[n-1] {
+				t.Errorf("the torn entry hits: %v", outs[n-1])
+			}
+			for i := range 10 {
+				c.Put(testFP(n+10*g+i), testOuts(i))
+			}
+			if got := c.Len(); got < len(whole)+10 {
+				t.Errorf("Len = %d, want at least %d", got, len(whole)+10)
+			}
+			if err := c.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := c.Len(), len(whole)+80; got != want {
+		t.Fatalf("Len = %d after the puts, want %d", got, want)
+	}
+}

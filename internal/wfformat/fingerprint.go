@@ -33,11 +33,7 @@ func (h Hash) IsZero() bool { return h == Hash{} }
 // journal written against one deployment can be resumed against
 // another that serves the same workflow.
 func Fingerprint(w *Workflow) Hash {
-	names := w.TaskNames()
-	tasks := make([]*Task, len(names))
-	for i, name := range names {
-		tasks[i] = w.Tasks[name]
-	}
+	_, tasks := w.sortedTasks()
 	return FingerprintTasks(w.Name, tasks)
 }
 

@@ -72,7 +72,7 @@ func fastParse(data []byte) (*Workflow, bool) {
 		case "createdAt":
 			return d.str(&w.CreatedAt)
 		case "tasks":
-			return d.taskMap(&w.Tasks)
+			return d.taskMap(w)
 		}
 		return d.unknown(key, workflowFields)
 	}) && d.p.End()
@@ -170,20 +170,21 @@ func (d *decoder) strings(dst *[]string) bool {
 	return ok
 }
 
-func (d *decoder) taskMap(dst *map[string]*Task) bool {
-	if *dst != nil {
+func (d *decoder) taskMap(w *Workflow) bool {
+	if w.Tasks != nil {
 		return false
 	}
 	if d.p.Null() {
 		return true
 	}
 	m := make(map[string]*Task, d.chunk)
-	*dst = m
+	w.Tasks, w.order = m, make([]string, 0, d.chunk)
 	return d.p.Object(func(key []byte) bool {
 		name := d.intern(key)
 		if _, dup := m[name]; dup {
 			return false
 		}
+		w.order = append(w.order, name)
 		if d.p.Null() {
 			m[name] = nil
 			return true

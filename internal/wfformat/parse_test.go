@@ -103,7 +103,7 @@ func parseLikeStdlib(t *testing.T, data []byte) {
 	if want.Tasks == nil {
 		want.Tasks = map[string]*Task{}
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !SameWorkflow(got, want) {
 		g, _ := json.Marshal(got)
 		w, _ := json.Marshal(want)
 		t.Fatalf("Parse(%q)\n got %s\nwant %s", data, g, w)

@@ -13,7 +13,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 
 	"wfserverless/internal/dag"
@@ -99,10 +98,13 @@ func (t *Task) AppendFileNames(dst []string, link string) []string {
 // matching the paper's JSON excerpt where the top-level object maps
 // function names to function descriptions.
 type Workflow struct {
-	Name        string           `json:"name"`
-	Description string           `json:"description,omitempty"`
-	CreatedAt   string           `json:"createdAt,omitempty"`
-	Tasks       map[string]*Task `json:"tasks"`
+	Name        string `json:"name"`
+	Description string `json:"description,omitempty"`
+	CreatedAt   string `json:"createdAt,omitempty"`
+	// Tasks may be written directly: the compile then sorts the keys, and
+	// not the order in which AddTask and Parse saw the names (order).
+	Tasks map[string]*Task `json:"tasks"`
+	order []string
 }
 
 // New returns an empty workflow with the given name.
@@ -123,6 +125,7 @@ func (w *Workflow) AddTask(t *Task) error {
 		w.Tasks = make(map[string]*Task)
 	}
 	w.Tasks[t.Name] = t
+	w.order = append(w.order, t.Name)
 	return nil
 }
 
@@ -161,12 +164,34 @@ func insertSorted(s []string, v string) []string {
 
 // TaskNames returns all task names, sorted.
 func (w *Workflow) TaskNames() []string {
-	out := make([]string, 0, len(w.Tasks))
-	for n := range w.Tasks {
-		out = append(out, n)
+	names, _ := w.sortedTasks()
+	return names
+}
+
+// sortedTasks returns the task names in ascending order and the task each
+// names. It sorts a copy of order (near-linear on a nearly sorted list)
+// and keeps it if it is the key set: as long, no name twice, every name a
+// key. Otherwise — a direct write to Tasks, a literal, Parse's
+// encoding/json path — it sorts the keys.
+func (w *Workflow) sortedTasks() ([]string, []*Task) {
+	names := make([]string, 0, len(w.Tasks))
+	if len(w.order) == len(w.Tasks) {
+		names = append(names, w.order...)
+	} else {
+		for n := range w.Tasks {
+			names = append(names, n)
+		}
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(names)
+	tasks := make([]*Task, len(names))
+	for i, n := range names {
+		t, ok := w.Tasks[n]
+		if !ok || i > 0 && names[i-1] == n {
+			return (&Workflow{Tasks: w.Tasks}).sortedTasks() // a stale order: sort the keys
+		}
+		tasks[i] = t
+	}
+	return names, tasks
 }
 
 // Len returns the number of tasks.
@@ -180,16 +205,14 @@ func (w *Workflow) Len() int { return len(w.Tasks) }
 // structure only (children resolve, no self edge, no cycle);
 // ValidateCompile is the entry point for a workflow about to run.
 func (w *Workflow) Compile() (*dag.CSR, []*Task, error) {
-	names := w.TaskNames()
+	names, tasks := w.sortedTasks()
 	b := dag.NewCSRBuilder(names, len(names))
 	ix := b.Index()
-	tasks := make([]*Task, len(names))
-	for id, n := range names {
-		t := w.Tasks[n]
+	for id, t := range tasks {
+		n := names[id]
 		if t == nil {
 			return nil, nil, fmt.Errorf("wfformat: task %q is null", n)
 		}
-		tasks[id] = t
 		for _, c := range t.Children {
 			cid, ok := ix.ID(c)
 			if !ok {
@@ -293,12 +316,8 @@ func (w *Workflow) ValidateCompile() (csr *dag.CSR, tasks []*Task, external []Fi
 	add := func(format string, args ...interface{}) {
 		probs = append(probs, fmt.Sprintf(format, args...))
 	}
-	names := w.TaskNames()
+	names, tasks := w.sortedTasks()
 	b := dag.NewCSRBuilder(names, len(names))
-	tasks = make([]*Task, len(names))
-	for id, n := range names {
-		tasks[id] = w.Tasks[n]
-	}
 	producers := make(map[string]int32, len(names)) // file -> ID of producing task (its index in names)
 	// Symmetry by ID: a list is checked against the other side's, stamped
 	// in mark. Split's first chunk resolves Parents, its last Children.
@@ -541,6 +560,7 @@ func (w *Workflow) Clone() *Workflow {
 	n := New(w.Name)
 	n.Description = w.Description
 	n.CreatedAt = w.CreatedAt
+	n.order = slices.Clone(w.order)
 	for name, t := range w.Tasks {
 		c := *t
 		c.Parents = append([]string(nil), t.Parents...)

@@ -423,80 +423,121 @@ func TestMemoizeCorruptCacheColdRun(t *testing.T) {
 	}
 }
 
-// TestProbeMemoMatchesSequential: on a fan-out wide enough for
-// dag.Split, probed by four workers, the chunked probe finds the hit IDs,
-// misses and skipped bytes of one sequential pass over the tasks. Of
-// every six tasks two are hits, one is cached but its output vanished
-// from the drive, one is cached with an output whose content diverged,
-// one is not cached, and one the journal recovered.
+// The fates of a task in the probe fixtures below.
+const (
+	probeHit       = iota
+	probeVanished  // cached, its output gone from the drive
+	probeDiverged  // cached, its output's content changed on the drive
+	probeUncached  // no cache entry
+	probeRecovered // the journal proved it completed
+)
+
+// TestProbeMemoMatchesSequential: probed by four workers, block by
+// block, the probe finds the hit IDs, misses and skipped bytes of one
+// sequential pass over the tasks. The wide fan-out is split (dag.Split):
+// of every six tasks two are hits and one of each other fate. The narrow
+// one, 3 × probeBlock + 7 tasks, is one chunk of four blocks, the last
+// short; its tasks are hits but for a vanished and a diverged output on
+// each side of every block edge.
 func TestProbeMemoMatchesSequential(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	drive := sharedfs.NewMem()
-	c, err := CompileRunnable(benchFanout(t, 12_000, "http://127.0.0.1:1/wfbench"))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		n    int
+		fate func(id int) int
+	}{
+		{"split", 12_000, func(id int) int {
+			return [6]int{probeHit, probeHit, probeVanished, probeDiverged, probeUncached, probeRecovered}[id%6]
+		}},
+		{"block_edges", 3*probeBlock + 7, func(id int) int {
+			switch off := id % probeBlock; {
+			case id < probeBlock-2:
+				return probeHit
+			case off == probeBlock-2 || off == 0:
+				return probeVanished
+			case off == probeBlock-1 || off == 1:
+				return probeDiverged
+			}
+			return probeHit
+		}},
 	}
-	cache := openCache(t, filepath.Join(t.TempDir(), "memo.cache"))
-	defer cache.Close()
-	n := c.Len()
-	fps := wfformat.TaskFingerprints(c.csr, c.plan.tasks, sharedfs.ContentAddress)
-	rec := &recovery{doneSet: make([]bool, n)}
-	for id, task := range c.plan.tasks {
-		out := task.OutputFiles()[0]
-		size := int64(1 + id%7)
-		o := memo.Output{Name: out, Size: size, Hash: sharedfs.ContentAddress(out, size)}
-		switch id % 6 {
-		case 0, 1, 5:
-			if err := drive.WriteFile(out, size); err != nil {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			drive := sharedfs.NewMem()
+			c, err := CompileRunnable(benchFanout(t, tc.n, "http://127.0.0.1:1/wfbench"))
+			if err != nil {
 				t.Fatal(err)
 			}
-			rec.doneSet[id] = id%6 == 5
-		case 3:
-			o.Hash++
-			if err := drive.WriteFile(out, size); err != nil {
-				t.Fatal(err)
+			cache := openCache(t, filepath.Join(t.TempDir(), "memo.cache"))
+			defer cache.Close()
+			n := c.Len()
+			fps := wfformat.TaskFingerprints(c.csr, c.plan.tasks, sharedfs.ContentAddress)
+			rec := &recovery{doneSet: make([]bool, n)}
+			fates := make([]int, 5)
+			for id, task := range c.plan.tasks {
+				out := task.OutputFiles()[0]
+				size := int64(1 + id%7)
+				o := memo.Output{Name: out, Size: size, Hash: sharedfs.ContentAddress(out, size)}
+				fate := tc.fate(id)
+				fates[fate]++
+				switch fate {
+				case probeVanished:
+					if id%4 == 0 {
+						o.Hash = 0 // no address recorded: existence is all the probe checks
+					}
+				case probeHit, probeRecovered:
+					if err := drive.WriteFile(out, size); err != nil {
+						t.Fatal(err)
+					}
+					rec.doneSet[id] = fate == probeRecovered
+				case probeDiverged:
+					o.Hash++
+					if err := drive.WriteFile(out, size); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if fate != probeUncached {
+					if err := cache.Put(fps[id], []memo.Output{o}); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-		if id%6 != 4 {
-			if err := cache.Put(fps[id], []memo.Output{o}); err != nil {
-				t.Fatal(err)
+			var hits []int32
+			misses, skipped := 0, int64(0)
+			for id := range n {
+				if rec.doneSet[id] {
+					continue
+				}
+				outs, ok := cache.Lookup(fps[id])
+				for _, o := range outs {
+					h, on := drive.ContentHash(o.Name)
+					ok = ok && on && h == o.Hash
+				}
+				if !ok {
+					misses++
+					continue
+				}
+				hits = append(hits, int32(id))
+				for _, o := range outs {
+					skipped += o.Size
+				}
 			}
-		}
-	}
-	var hits []int32
-	misses, skipped := 0, int64(0)
-	for id := range n {
-		if rec.doneSet[id] {
-			continue
-		}
-		outs, ok := cache.Lookup(fps[id])
-		for _, o := range outs {
-			h, on := drive.ContentHash(o.Name)
-			ok = ok && on && h == o.Hash
-		}
-		if !ok {
-			misses++
-			continue
-		}
-		hits = append(hits, int32(id))
-		for _, o := range outs {
-			skipped += o.Size
-		}
-	}
-	if want := (n + 5) / 6 * 2; len(hits) < want-2 || misses < want-2 {
-		t.Fatalf("the fixture has %d hits and %d misses of %d tasks", len(hits), misses, n)
-	}
-	m := memoManager(t, drive, cache, ScheduleDependency, nil)
-	ms := m.probeMemo(c.csr, c.plan, rec)
-	if !slices.Equal(ms.fps, fps) {
-		t.Fatal("the probe's fingerprints differ from TaskFingerprints'")
-	}
-	if !slices.Equal(ms.hitIDs, hits) {
-		t.Fatalf("probe hit %d tasks, sequential %d (first %v, want %v)", len(ms.hitIDs), len(hits), ms.hitIDs[:3], hits[:3])
-	}
-	r := ms.report()
-	if r.Hits != len(hits) || r.Misses != misses || r.SkippedOutputBytes != skipped {
-		t.Fatalf("report %d hits, %d misses, %d bytes skipped; sequential %d, %d, %d",
-			r.Hits, r.Misses, r.SkippedOutputBytes, len(hits), misses, skipped)
+			if len(hits) != fates[probeHit] || misses != n-fates[probeHit]-fates[probeRecovered] || fates[probeVanished] < 6 || fates[probeDiverged] < 6 {
+				t.Fatalf("the fixture has %d hits and %d misses of %d tasks, fates %v", len(hits), misses, n, fates)
+			}
+			m := memoManager(t, drive, cache, ScheduleDependency, nil)
+			ms := m.probeMemo(c.csr, c.plan, rec)
+			if !slices.Equal(ms.fps, fps) {
+				t.Fatal("the probe's fingerprints differ from TaskFingerprints'")
+			}
+			if !slices.Equal(ms.hitIDs, hits) {
+				t.Fatalf("probe hit %d tasks, sequential %d (first %v, want %v)", len(ms.hitIDs), len(hits), ms.hitIDs[:3], hits[:3])
+			}
+			r := ms.report()
+			if r.Hits != len(hits) || r.Misses != misses || r.SkippedOutputBytes != skipped {
+				t.Fatalf("report %d hits, %d misses, %d bytes skipped; sequential %d, %d, %d",
+					r.Hits, r.Misses, r.SkippedOutputBytes, len(hits), misses, skipped)
+			}
+		})
 	}
 }
