@@ -66,9 +66,8 @@ type Cache struct {
 // Open loads (or creates) the cache file at path. Corrupt or foreign
 // content never fails Open: the file is truncated back to its longest
 // valid prefix — an unrecognizable file, an old WFMEMO1 one included,
-// becomes a cold cache — and the repair is reported by Recovered. Open
-// returns once the file is repaired; the index fills on a goroutine of
-// its own, and the first call that reads it waits for it.
+// becomes a cold cache — and the repair is reported by Recovered. The
+// index fills on a goroutine of its own; the first call waits for it.
 func Open(path string) (*Cache, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -92,8 +91,7 @@ func Open(path string) (*Cache, error) {
 	if end < len(data) {
 		c.recovered, c.droppedBytes = true, int64(len(data)-end)
 	}
-	// The second pass runs beside the caller (a workflow to compile before
-	// the first lookup), holding mu, which every method takes, until done.
+	// The second pass runs beside the caller holding mu, which every method takes.
 	c.mu.Lock()
 	go func() {
 		defer c.mu.Unlock()
@@ -151,8 +149,7 @@ func (c *Cache) Lookup(fp [32]byte) ([]Output, bool) {
 	return outs, ok
 }
 
-// LookupBlock is Lookup of each of fps into outs[i] and found[i], under
-// one read lock (a Put waits for the whole block).
+// LookupBlock is Lookup of each of fps into outs[i], found[i], under one read lock.
 func LookupBlock[H ~[32]byte](c *Cache, fps []H, outs [][]Output, found []bool) {
 	c.mu.RLock()
 	for i, fp := range fps {

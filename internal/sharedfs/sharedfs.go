@@ -56,22 +56,14 @@ type Hasher interface {
 	// ContentHash returns the file's content address and true, or false
 	// if the file is absent.
 	ContentHash(name string) (uint64, bool)
-	// ContentHashes is ContentHash of each of names into present[i] and,
-	// where that is true, hashes[i]; under one lock where the drive takes one.
+	// ContentHashes is ContentHash of each name into present[i] and, where
+	// that is true, hashes[i]; under one lock if the drive takes one.
 	ContentHashes(names []string, hashes []uint64, present []bool)
 }
 
-// ContentAddress returns the content address a bundled drive reports
-// for a pattern file of the given name and declared size (FNV-1a over
-// the name bytes then the size), without the file having to exist
-// anywhere. It is the same value ContentHash returns once the file is
-// staged, which is what makes fingerprints computed before staging
-// agree with fingerprints computed after: the memoization layer
-// addresses a workflow's external inputs through this function
-// whenever the drive cannot answer (file not yet staged), and through
-// ContentHash when it can (file present, possibly with a size diverging
-// from the declaration — which must, and does, change the address).
-func ContentAddress(name string, size int64) uint64 {
+// contentHash derives the content address of a pattern file from its
+// metadata (FNV-1a over the name bytes then the size).
+func contentHash(name string, size int64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -86,6 +78,20 @@ func ContentAddress(name string, size int64) uint64 {
 		h *= prime64
 	}
 	return h
+}
+
+// ContentAddress returns the content address a bundled drive reports
+// for a pattern file of the given name and declared size, without the
+// file having to exist anywhere. It is the same value ContentHash
+// returns once the file is staged, which is what makes fingerprints
+// computed before staging agree with fingerprints computed after: the
+// memoization layer addresses a workflow's external inputs through
+// this function whenever the drive cannot answer (file not yet
+// staged), and through ContentHash when it can (file present, possibly
+// with a size diverging from the declaration — which must, and does,
+// change the address).
+func ContentAddress(name string, size int64) uint64 {
+	return contentHash(name, size)
 }
 
 // Watcher is an optional Drive extension: drives that can push change
@@ -183,18 +189,19 @@ func (d *MemDrive) ContentHash(name string) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return ContentAddress(name, size), true
+	return contentHash(name, size), true
 }
 
 // ContentHashes implements Hasher under one read lock.
 func (d *MemDrive) ContentHashes(names []string, hashes []uint64, present []bool) {
 	d.mu.RLock()
+	defer d.mu.RUnlock()
 	for i, name := range names {
 		var size int64
-		size, present[i] = d.files[name]
-		hashes[i] = ContentAddress(name, size)
+		if size, present[i] = d.files[name]; present[i] {
+			hashes[i] = contentHash(name, size)
+		}
 	}
-	d.mu.RUnlock()
 }
 
 // Stat implements Drive.
@@ -328,7 +335,7 @@ func (d *DiskDrive) ContentHash(name string) (uint64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	return ContentAddress(name, size), true
+	return contentHash(name, size), true
 }
 
 // ContentHashes implements Hasher, a stat per name.

@@ -33,7 +33,7 @@ func (h Hash) IsZero() bool { return h == Hash{} }
 // journal written against one deployment can be resumed against
 // another that serves the same workflow.
 func Fingerprint(w *Workflow) Hash {
-	_, tasks := w.sortedTasks()
+	_, tasks := w.sortedTasks(true)
 	return FingerprintTasks(w.Name, tasks)
 }
 

@@ -164,17 +164,17 @@ func insertSorted(s []string, v string) []string {
 
 // TaskNames returns all task names, sorted.
 func (w *Workflow) TaskNames() []string {
-	names, _ := w.sortedTasks()
+	names, _ := w.sortedTasks(false)
 	return names
 }
 
-// sortedTasks returns the task names in ascending order and the task each
-// names. It sorts a copy of order (near-linear on a nearly sorted list)
-// and keeps it if it is the key set: as long, no name twice, every name a
-// key. Otherwise — a direct write to Tasks, a literal, Parse's
+// sortedTasks returns the task names in ascending order and, if fill, the
+// task each names. It sorts a copy of order (near-linear when nearly
+// sorted) and keeps it if it is the key set: as long, no name twice, every
+// name a key. Otherwise — a direct write to Tasks, a literal, Parse's
 // encoding/json path — it sorts the keys.
-func (w *Workflow) sortedTasks() ([]string, []*Task) {
-	names := make([]string, 0, len(w.Tasks))
+func (w *Workflow) sortedTasks(fill bool) (names []string, tasks []*Task) {
+	names = make([]string, 0, len(w.Tasks))
 	if len(w.order) == len(w.Tasks) {
 		names = append(names, w.order...)
 	} else {
@@ -183,13 +183,17 @@ func (w *Workflow) sortedTasks() ([]string, []*Task) {
 		}
 	}
 	slices.Sort(names)
-	tasks := make([]*Task, len(names))
+	if fill {
+		tasks = make([]*Task, len(names))
+	}
 	for i, n := range names {
 		t, ok := w.Tasks[n]
 		if !ok || i > 0 && names[i-1] == n {
-			return (&Workflow{Tasks: w.Tasks}).sortedTasks() // a stale order: sort the keys
+			return (&Workflow{Tasks: w.Tasks}).sortedTasks(fill) // a stale order: sort the keys
 		}
-		tasks[i] = t
+		if fill {
+			tasks[i] = t
+		}
 	}
 	return names, tasks
 }
@@ -205,7 +209,7 @@ func (w *Workflow) Len() int { return len(w.Tasks) }
 // structure only (children resolve, no self edge, no cycle);
 // ValidateCompile is the entry point for a workflow about to run.
 func (w *Workflow) Compile() (*dag.CSR, []*Task, error) {
-	names, tasks := w.sortedTasks()
+	names, tasks := w.sortedTasks(true)
 	b := dag.NewCSRBuilder(names, len(names))
 	ix := b.Index()
 	for id, t := range tasks {
@@ -316,7 +320,7 @@ func (w *Workflow) ValidateCompile() (csr *dag.CSR, tasks []*Task, external []Fi
 	add := func(format string, args ...interface{}) {
 		probs = append(probs, fmt.Sprintf(format, args...))
 	}
-	names, tasks := w.sortedTasks()
+	names, tasks := w.sortedTasks(true)
 	b := dag.NewCSRBuilder(names, len(names))
 	producers := make(map[string]int32, len(names)) // file -> ID of producing task (its index in names)
 	// Symmetry by ID: a list is checked against the other side's, stamped

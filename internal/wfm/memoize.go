@@ -73,85 +73,73 @@ func (m *Manager) probeMemo(csr *dag.CSR, p *invocationPlan, rec *recovery) *mem
 		return sharedfs.ContentAddress(name, size)
 	}
 	ms.fps = wfformat.TaskFingerprints(csr, p.tasks, ext)
-	// The probe splits like the fingerprints, and each worker asks the
-	// cache and the drive a block of tasks at a time; a block marks its
-	// slots of hits with the task's ID or -1, so the hits compact out in
-	// ascending ID order.
+	// The probe splits like the fingerprints. A worker asks the cache for a
+	// block of entries, then the drive for the outputs of the block's hits,
+	// under one lock each; a block marks its slots of hits with the task's
+	// ID or -1, so the hits compact out in ascending ID order. An entry
+	// verifies if each output is on the drive and, on a content-addressed
+	// drive, still carries the recorded address; if not, the producer
+	// re-runs, as Resume re-runs tasks whose products vanished. Tasks the
+	// journal proved completed are neither hits nor misses.
 	hits := make([]int32, p.len())
 	var mu sync.Mutex
 	dag.Split(len(hits), func(lo, hi int) {
-		var b probeScratch
+		var (
+			misses  int
+			skipped int64 // bytes of recorded outputs across hits
+			outs    [probeBlock][]memo.Output
+			found   [probeBlock]bool
+			names   []string // the outputs of a block's entries, in task order
+			hashes  []uint64
+			present []bool
+		)
 		for at := lo; at < hi; at += probeBlock {
-			ms.probeBlock(&b, hits[at:min(at+probeBlock, hi)], at, rec)
+			n := min(probeBlock, hi-at)
+			memo.LookupBlock(ms.cache, ms.fps[at:at+n], outs[:n], found[:n])
+			names = slices.Grow(names[:0], n)
+			for i := range n {
+				hits[at+i] = -1
+				if rec != nil && rec.doneSet[at+i] {
+					outs[i], found[i] = nil, false
+					continue
+				}
+				misses++ // until its outputs verify; outs[i] is nil on a miss
+				for _, o := range outs[i] {
+					names = append(names, o.Name)
+				}
+			}
+			hashes = slices.Grow(hashes[:0], len(names))[:len(names)]
+			present = slices.Grow(present[:0], len(names))[:len(names)]
+			if ms.hasher != nil {
+				ms.hasher.ContentHashes(names, hashes, present)
+			} else {
+				for k, name := range names {
+					present[k] = ms.drive.Exists(name)
+				}
+			}
+			k := 0
+			for i, ok := range found[:n] {
+				size := int64(0)
+				for _, o := range outs[i] {
+					ok = ok && present[k] && (ms.hasher == nil || o.Hash == 0 || hashes[k] == o.Hash)
+					size, k = size+o.Size, k+1
+				}
+				if ok {
+					hits[at+i], misses, skipped = int32(at+i), misses-1, skipped+size
+				}
+			}
 		}
 		mu.Lock()
-		ms.misses, ms.skipped = ms.misses+b.misses, ms.skipped+b.skipped
+		ms.misses, ms.skipped = ms.misses+misses, ms.skipped+skipped
 		mu.Unlock()
 	})
 	ms.hitIDs = slices.DeleteFunc(hits, func(id int32) bool { return id < 0 })
 	return ms
 }
 
-// probeBlock is the most tasks the probe looks up in the cache, and whose
-// outputs it checks on the drive, under one lock each: a writer waits no longer.
+// probeBlock is the most tasks the probe reads from the cache, or whose
+// outputs it checks on the drive, under one lock: a writer waits no longer.
 const probeBlock = 1024
-
-// probeScratch is a probe worker's tallies and buffers: the cache's
-// answers for a block, then the outputs of its hits and the drive's.
-type probeScratch struct {
-	misses  int
-	skipped int64 // bytes of recorded outputs across hits
-	outs    [probeBlock][]memo.Output
-	found   [probeBlock]bool
-	names   []string
-	hashes  []uint64
-	present []bool
-}
-
-// probeBlock probes the tasks from lo on, one per slot of hits. A cache
-// entry verifies if each output is on the drive and, on a content-
-// addressed drive, still carries the recorded address; if not, the
-// producer re-runs, as Resume re-runs tasks whose products vanished.
-// Tasks the journal proved completed are neither hits nor misses.
-func (ms *memoState) probeBlock(b *probeScratch, hits []int32, lo int, rec *recovery) {
-	n := len(hits)
-	memo.LookupBlock(ms.cache, ms.fps[lo:lo+n], b.outs[:n], b.found[:n])
-	b.names = slices.Grow(b.names[:0], n)
-	for i := range n {
-		hits[i] = -1
-		if rec != nil && rec.doneSet[lo+i] {
-			b.found[i] = false
-			continue
-		}
-		b.misses++ // until its outputs verify; outs[i] is nil on a miss
-		for _, o := range b.outs[i] {
-			b.names = append(b.names, o.Name)
-		}
-	}
-	b.hashes = slices.Grow(b.hashes[:0], len(b.names))[:len(b.names)]
-	b.present = slices.Grow(b.present[:0], len(b.names))[:len(b.names)]
-	if ms.hasher != nil {
-		ms.hasher.ContentHashes(b.names, b.hashes, b.present)
-	} else {
-		for k, name := range b.names {
-			b.present[k] = ms.drive.Exists(name)
-		}
-	}
-	k := 0
-	for i, found := range b.found[:n] {
-		if !found {
-			continue
-		}
-		ok, size := true, int64(0)
-		for _, o := range b.outs[i] {
-			ok = ok && b.present[k] && (ms.hasher == nil || o.Hash == 0 || b.hashes[k] == o.Hash)
-			size, k = size+o.Size, k+1
-		}
-		if ok {
-			hits[i], b.misses, b.skipped = int32(lo+i), b.misses-1, b.skipped+size
-		}
-	}
-}
 
 // put records a completed task's output manifest in the cache. Safe for
 // concurrent workers.
